@@ -34,7 +34,13 @@ from .preprocess import (
     scale_database,
 )
 from .rng import derive_seed
-from .selection import SelectionReport, project, rank_features, wrapper_select
+from .selection import (
+    DEFAULT_CANDIDATE_SIZES,
+    SelectionReport,
+    project,
+    rank_features,
+    wrapper_select,
+)
 from .svm import (
     KernelSpec,
     SvmConfig,
@@ -42,6 +48,7 @@ from .svm import (
     decision_value,
     default_sigma,
     load_model,
+    read_artifact,
     save_model,
     train,
 )
@@ -61,20 +68,18 @@ class PipelineConfig:
     def resolved_sizes(self, m: int) -> tuple[int, ...]:
         if self.candidate_sizes is None:
             return (m,)
-        sizes = sorted({q for q in self.candidate_sizes if 1 <= q <= m} | set())
+        sizes = sorted({q for q in self.candidate_sizes if 1 <= q <= m})
         return tuple(sizes) if sizes else (m,)
 
 
 def default_lpd_config(seed: int = 0) -> PipelineConfig:
     return PipelineConfig(
         svm=SvmConfig(kernel=KernelSpec("quadratic"), C=10.0, max_iter=1000, tol=1e-3),
-        candidate_sizes=DEFAULT_WRAPPER_SIZES,
+        candidate_sizes=DEFAULT_CANDIDATE_SIZES,
         cv_folds=5,
         seed=seed,
     )
 
-
-DEFAULT_WRAPPER_SIZES = (5, 10, 15, 20, 25, 50, 75, 100)
 
 # Per-fault module defaults: kernel shape and subset size tuned per fault.
 DEFAULT_CF_SETTINGS = {
@@ -324,7 +329,7 @@ def _update_registry(bundle: Path, catalog_version: str, **fields) -> None:
     registry_path = bundle / "registry.json"
     meta = {}
     if registry_path.exists():
-        meta = json.loads(registry_path.read_text(encoding="utf-8"))
+        meta = read_artifact(registry_path, "registry", _check_registry)
         if meta.get("catalog_version") not in (None, catalog_version):
             raise CatalogMismatch(
                 f"bundle already built for catalog {meta['catalog_version']!r}, not {catalog_version!r}"
@@ -332,6 +337,19 @@ def _update_registry(bundle: Path, catalog_version: str, **fields) -> None:
     meta["catalog_version"] = catalog_version
     meta.update(fields)
     _write_json(registry_path, meta)
+
+
+def _check_registry(meta) -> dict:
+    """registry.json content with the type of each present key checked;
+    either stage may still be missing."""
+    if not isinstance(meta, dict):
+        raise TypeError(f"registry is a {type(meta).__name__}, not an object")
+    for key, kind in (("catalog_version", str), ("lpd_profile", str), ("fault_registry", dict)):
+        if key in meta and not isinstance(meta[key], kind):
+            raise TypeError(f"{key!r} is a {type(meta[key]).__name__}, not a {kind.__name__}")
+    if "fault_registry" in meta:
+        meta["fault_registry"] = {str(k): int(v) for k, v in meta["fault_registry"].items()}
+    return meta
 
 
 def save_lpd_part(bundle, lpd: LpdClassifier, catalog_version: str) -> None:
@@ -375,43 +393,45 @@ def save_bundle(path, lpd: LpdClassifier, cfd: CfdNetwork, catalog_version: str)
 
 def load_bundle(path) -> tuple[LpdClassifier, CfdNetwork, str]:
     path = Path(path)
-    try:
-        registry_meta = json.loads((path / "registry.json").read_text(encoding="utf-8"))
-        if "lpd_profile" not in registry_meta or "fault_registry" not in registry_meta:
-            raise IoFailure(f"bundle {path} is incomplete (needs both lpd and cfd stages)")
-        profile = registry_meta["lpd_profile"]
-        lpd_model = load_model(path / "lpd" / f"{profile}.model.json")
-        lpd_report = _read_selection(path / "lpd" / f"{profile}.selection.json")
-        modules = []
-        for name, index in sorted(registry_meta["fault_registry"].items(), key=lambda kv: kv[1]):
-            modules.append(
-                CfModule(
-                    fault_index=int(index),
-                    fault_name=name,
-                    model=load_model(path / "cfd" / f"{name}.model.json"),
-                    selection=_read_selection(path / "cfd" / f"{name}.selection.json"),
-                )
-            )
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-    lpd = LpdClassifier(model=lpd_model, selection=lpd_report, link_profile=profile)
-    cfd = CfdNetwork(
-        modules=tuple(modules),
-        fault_registry={str(k): int(v) for k, v in registry_meta["fault_registry"].items()},
+    registry_path = path / "registry.json"
+    meta = read_artifact(registry_path, "registry", _check_registry)
+    missing = sorted({"catalog_version", "lpd_profile", "fault_registry"} - set(meta))
+    if missing:
+        raise IoFailure(
+            f"bundle {path} is incomplete (needs both lpd and cfd stages): {registry_path} lacks {missing}"
+        )
+    profile = meta["lpd_profile"]
+    lpd = LpdClassifier(
+        model=load_model(path / "lpd" / f"{profile}.model.json"),
+        selection=_read_selection(path / "lpd" / f"{profile}.selection.json"),
+        link_profile=profile,
     )
-    return lpd, cfd, registry_meta["catalog_version"]
+    modules = [
+        CfModule(
+            fault_index=index,
+            fault_name=name,
+            model=load_model(path / "cfd" / f"{name}.model.json"),
+            selection=_read_selection(path / "cfd" / f"{name}.selection.json"),
+        )
+        for name, index in sorted(meta["fault_registry"].items(), key=lambda kv: kv[1])
+    ]
+    cfd = CfdNetwork(modules=tuple(modules), fault_registry=meta["fault_registry"])
+    return lpd, cfd, meta["catalog_version"]
 
 
 def _write_json(path, payload) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _read_selection(path) -> SelectionReport:
-    d = json.loads(Path(path).read_text(encoding="utf-8"))
+def _selection_from_dict(d: dict) -> SelectionReport:
     return SelectionReport(
-        candidate_sizes=tuple(d["candidate_sizes"]),
-        cv_accuracy=tuple(d["cv_accuracy"]),
-        cv_objective=tuple(d["cv_objective"]),
+        candidate_sizes=tuple(int(q) for q in d["candidate_sizes"]),
+        cv_accuracy=tuple(float(a) for a in d["cv_accuracy"]),
+        cv_objective=tuple(float(a) for a in d["cv_objective"]),
         chosen_q=int(d["chosen_q"]),
-        chosen_indices=tuple(d["chosen_indices"]),
+        chosen_indices=tuple(int(i) for i in d["chosen_indices"]),
     )
+
+
+def _read_selection(path) -> SelectionReport:
+    return read_artifact(path, "selection", _selection_from_dict)

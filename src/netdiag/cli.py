@@ -215,6 +215,24 @@ def cmd_extract(args, config: CliConfig) -> int:
     return 0
 
 
+def _solver_report(model) -> dict:
+    """Solver telemetry of one trained model."""
+    meta = model.training_meta
+    return {
+        "converged": meta.converged,
+        "updates": meta.updates,
+        "final_kkt_residual": meta.final_kkt_residual,
+        "n_sv": int(model.support_vectors.shape[0]),
+    }
+
+
+def _solver_line(report: dict) -> str:
+    return (
+        f"converged={report['converged']} updates={report['updates']} "
+        f"kkt={report['final_kkt_residual']:.3g} n_sv={report['n_sv']}"
+    )
+
+
 def cmd_train(args, config: CliConfig) -> int:
     db = load_database(args.db)
     if db.catalog_version != config.catalog_version:
@@ -227,7 +245,7 @@ def cmd_train(args, config: CliConfig) -> int:
             raise ConfigError("--stage lpd needs a link-labeled database (labels +1/-1)")
         lpd = clf.train_lpd(db, config.lpd, link_profile=config.link_profile)
         clf.save_lpd_part(bundle, lpd, config.catalog_version)
-        meta = lpd.model.training_meta
+        solver = _solver_report(lpd.model)
         summary = {
             "stage": "lpd",
             "bundle": str(bundle),
@@ -236,14 +254,14 @@ def cmd_train(args, config: CliConfig) -> int:
             "cv_accuracy": lpd.selection.cv_accuracy[
                 lpd.selection.candidate_sizes.index(lpd.selection.chosen_q)
             ],
-            "converged": meta.converged,
+            **solver,
         }
         _say(
             args,
             f"lpd: kernel={summary['kernel']} q={summary['chosen_q']} "
-            f"cv_acc={summary['cv_accuracy']:.4f} converged={meta.converged}",
+            f"cv_acc={summary['cv_accuracy']:.4f} {_solver_line(solver)}",
         )
-        if not meta.converged:
+        if not solver["converged"]:
             _say(args, "warning: solver hit the iteration cap; model kept")
         _emit(summary)
         return 0
@@ -253,16 +271,16 @@ def cmd_train(args, config: CliConfig) -> int:
     clf.save_cfd_part(bundle, network, config.catalog_version)
     modules = {}
     for module in network.modules:
-        meta = module.model.training_meta
+        solver = _solver_report(module.model)
         modules[module.fault_name] = {
             "kernel": module.model.kernel.variant,
             "chosen_q": module.selection.chosen_q,
-            "converged": meta.converged,
+            **solver,
         }
         _say(
             args,
             f"cfd/{module.fault_name}: kernel={module.model.kernel.variant} "
-            f"q={module.selection.chosen_q} converged={meta.converged}",
+            f"q={module.selection.chosen_q} {_solver_line(solver)}",
         )
     _emit({"stage": "cfd", "bundle": str(bundle), "modules": modules})
     return 0

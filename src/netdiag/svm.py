@@ -3,10 +3,20 @@
 The squared-slack (L2) primal reduces to a hard-margin dual on the
 ridge-shifted kernel K~ = K + I/C with nonnegative multipliers and the
 usual balance constraint sum(alpha_i * y_i) = 0.  The solver is pairwise
-coordinate ascent: each update picks the maximal-violating pair, one
-index from the set that may move up and one from the set that may move
-down, and takes the exact 1-D Newton step clipped to the feasible box.
-One "iteration" is a sweep of up to n pair updates.
+coordinate ascent with second-order working-set selection (Fan, Chen &
+Lin, JMLR 6, 2005; LIBSVM's WSS2): i is the point of the set that may
+move up with the largest b_i, and j is the point of the set that may
+move down, with b_j < b_i, whose pair step gains the most objective,
+(b_i - b_j)^2 / (K~_ii + K~_jj - 2 K~_ij).  Each update takes the exact
+1-D Newton step along the pair, clipped to alpha >= 0.  One "iteration"
+is a sweep of up to n pair updates; the solver stops when the
+first-order gap max_up b - min_low b falls to the tolerance.
+
+The selection rule is not symmetric under y -> -y, but the dual depends
+on y only through yy' and y'a = 0.  The solver therefore orients the
+labels so that y_0 = +1 before the loop, which makes alpha identical
+for y and -y, and computes the certificate below for the caller's
+labels, so swapped labels negate the decision function exactly.
 
 The per-point quantity b_i = y_i - sum_j alpha_j y_j K(x_j, x_i)
 - alpha_i y_i / C doubles as the optimality certificate (the spread
@@ -71,6 +81,7 @@ class TrainingMeta:
     iterations_used: int
     final_kkt_residual: float
     converged: bool
+    updates: int = 0  # pair updates; 0 for model files written before it was recorded
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,61 +152,100 @@ def gram_matrix(spec: KernelSpec, X: np.ndarray, C: float) -> np.ndarray:
 
 
 def solve_dual(Kt: np.ndarray, y: np.ndarray, tol: float, max_iter: int) -> TrainingState:
-    """Maximize sum(a) - 0.5 a' (yy' * Kt) a  s.t.  a >= 0, y'a = 0."""
-    n = y.shape[0]
-    alpha = np.zeros(n)
-    # b_vec[i] = y_i * dObjective/dAlpha_i; starts at y since grad = 1.
-    b_vec = y.astype(np.float64).copy()
-    state = TrainingState(alpha=alpha)
-    objective = 0.0
-    neg_inf = -np.inf
+    """Maximize sum(a) - 0.5 a' (yy' * Kt) a  s.t.  a >= 0, y'a = 0.
 
-    pos = y > 0
+    Kt must be symmetric: the loop reads rows where the gradient update
+    needs columns.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    n = y.shape[0]
+    # The dual sees y only through yy' and y'a = 0, so solving with the
+    # labels oriented to y[0] = +1 takes the same path for y and -y.
+    ys = y if y[0] > 0 else -y
+    y_list = ys.tolist()
+    # b[t] = ys_t * dObjective/dAlpha_t; starts at ys since grad = 1.
+    b = ys.copy()
+    diag = np.diag(Kt)
+    # curv[i, t] = Kt_ii + Kt_tt - 2 Kt_it, the curvature along pair (i, t);
+    # inf on the diagonal so the degenerate pair (i, i) never gains.
+    curv = np.add.outer(diag, diag)
+    curv -= 2.0 * Kt
+    np.fill_diagonal(curv, np.inf)
+    # 0 on the set that may move up (resp. down), -inf (resp. +inf) off it.
+    up_pen = np.where(ys > 0, 0.0, -np.inf)
+    low_pen = np.where(ys > 0, np.inf, 0.0)
+    up = np.empty(n)
+    gain = np.empty(n)
+    delta_b = np.empty(n)
+    alpha = [0.0] * n
+    trace = []
+    objective = 0.0
+    updates = 0
     converged = False
     sweeps = 0
     while sweeps < max_iter and not converged:
         sweeps += 1
         for _ in range(n):
-            movable = alpha > 0
-            up = np.where(pos | movable, b_vec, neg_inf)
-            low = np.where(~pos | movable, b_vec, -neg_inf)
-            i = int(np.argmax(up))
-            j = int(np.argmin(low))
-            violation = up[i] - low[j]
-            if violation <= tol:
+            np.add(b, up_pen, out=up)
+            i = int(up.argmax())
+            b_i = up.item(i)
+            # gain = b_i - b_t over the set that may move down, -inf off it.
+            np.add(b, low_pen, out=gain)
+            np.subtract(b_i, gain, out=gain)
+            if gain.max() <= tol:
                 converged = True
                 break
-            eta = Kt[i, i] + Kt[j, j] - 2.0 * Kt[i, j]
+            # Second-order choice of j: the largest one-step objective gain
+            # (b_i - b_t)^2 / curv[i, t] among points with b_t < b_i.
+            np.maximum(gain, 0.0, out=gain)
+            np.square(gain, out=gain)
+            row = curv[i]
+            np.divide(gain, row, out=gain)
+            j = int(gain.argmax())
+            violation = b_i - b.item(j)
+            eta = row.item(j)
             t = violation / eta
-            if y[i] < 0:
+            y_i, y_j = y_list[i], y_list[j]
+            if y_i < 0:
                 t = min(t, alpha[i])
-            if y[j] > 0:
+            if y_j > 0:
                 t = min(t, alpha[j])
-            alpha[i] += y[i] * t
-            alpha[j] -= y[j] * t
-            if alpha[i] < 0:
-                alpha[i] = 0.0
-            if alpha[j] < 0:
-                alpha[j] = 0.0
-            b_vec -= t * (Kt[:, i] - Kt[:, j])
+            a_i = max(alpha[i] + y_i * t, 0.0)
+            a_j = max(alpha[j] - y_j * t, 0.0)
+            alpha[i] = a_i
+            alpha[j] = a_j
+            np.subtract(Kt[i], Kt[j], out=delta_b)
+            delta_b *= t
+            b -= delta_b
+            for k, a_k, y_k in ((i, a_i, y_i), (j, a_j, y_j)):
+                if y_k > 0:
+                    low_pen[k] = 0.0 if a_k > 0 else np.inf
+                else:
+                    up_pen[k] = 0.0 if a_k > 0 else -np.inf
             objective += violation * t - 0.5 * eta * t * t
-            state.objective_trace.append(objective)
-            state.updates += 1
+            trace.append(objective)
+            updates += 1
 
-    # Exact recompute of the certificate quantities at the final point.
+    # Exact recompute of the certificate quantities at the final point,
+    # for the caller's labels.
+    alpha = np.asarray(alpha)
     ay = alpha * y
     grad = 1.0 - y * (Kt @ ay)
     b_vec_exact = y * grad
     movable = alpha > 0
-    m_up = np.max(np.where(pos | movable, b_vec_exact, neg_inf))
-    m_low = np.min(np.where(~pos | movable, b_vec_exact, -neg_inf))
-    state.alpha = alpha
-    state.bias_estimates = b_vec_exact
-    state.dual_objective = float(np.sum(alpha) - 0.5 * ay @ (Kt @ ay))
-    state.iterations_used = sweeps
-    state.converged = converged
-    state.final_kkt_residual = float(m_up - m_low)
-    return state
+    pos = y > 0
+    m_up = np.max(np.where(pos | movable, b_vec_exact, -np.inf))
+    m_low = np.min(np.where(~pos | movable, b_vec_exact, np.inf))
+    return TrainingState(
+        alpha=alpha,
+        objective_trace=trace,
+        bias_estimates=b_vec_exact,
+        dual_objective=float(np.sum(alpha) - 0.5 * ay @ (Kt @ ay)),
+        iterations_used=sweeps,
+        updates=updates,
+        converged=converged,
+        final_kkt_residual=float(m_up - m_low),
+    )
 
 
 def train_arrays(
@@ -237,6 +287,7 @@ def train_arrays(
             iterations_used=state.iterations_used,
             final_kkt_residual=state.final_kkt_residual,
             converged=state.converged,
+            updates=state.updates,
         ),
     )
     return (model, state) if return_state else model
@@ -302,6 +353,7 @@ def model_to_dict(model: SvmModel) -> dict:
             "iterations_used": model.training_meta.iterations_used,
             "final_kkt_residual": model.training_meta.final_kkt_residual,
             "converged": model.training_meta.converged,
+            "updates": model.training_meta.updates,
         },
     }
 
@@ -310,13 +362,19 @@ def model_from_dict(d: dict) -> SvmModel:
     smin = np.asarray(d["scaler"]["min"], dtype=np.float64)
     smax = np.asarray(d["scaler"]["max"], dtype=np.float64)
     meta = d["training_meta"]
+    dual_coef = np.asarray(d["dual_coef"], dtype=np.float64)
+    support_vectors = np.asarray(d["support_vectors"], dtype=np.float64)
+    if dual_coef.ndim != 1 or support_vectors.ndim != 2 or len(dual_coef) != len(support_vectors):
+        raise ValueError(
+            f"dual_coef of shape {dual_coef.shape} does not match support_vectors of shape {support_vectors.shape}"
+        )
     return SvmModel(
         kernel=KernelSpec(d["kernel"]["variant"], d["kernel"].get("sigma")),
         C=float(d["C"]),
         bias=float(d["bias"]),
-        dual_coef=np.asarray(d["dual_coef"], dtype=np.float64),
-        support_vectors=np.asarray(d["support_vectors"], dtype=np.float64),
-        feature_subset=tuple(d["feature_subset"]),
+        dual_coef=dual_coef,
+        support_vectors=support_vectors,
+        feature_subset=tuple(int(i) for i in d["feature_subset"]),
         scaler=ScalerParams(min=smin, max=smax, fitted_on=0) if smin.size else None,
         catalog_version=d["catalog_version"],
         training_meta=TrainingMeta(
@@ -324,6 +382,7 @@ def model_from_dict(d: dict) -> SvmModel:
             iterations_used=int(meta["iterations_used"]),
             final_kkt_residual=float(meta["final_kkt_residual"]),
             converged=bool(meta["converged"]),
+            updates=int(meta.get("updates", 0)),
         ),
     )
 
@@ -337,8 +396,16 @@ def save_model(model: SvmModel, path) -> None:
         raise IoFailure(str(exc)) from exc
 
 
-def load_model(path) -> SvmModel:
+def read_artifact(path, what: str, parse):
+    """parse() of the JSON in a bundle file; an unreadable or malformed
+    file (bad JSON, missing keys, wrong types) is an IoFailure naming it."""
     try:
-        return model_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return parse(json.loads(Path(path).read_text(encoding="utf-8")))
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise IoFailure(f"malformed {what} file {path}: {exc!r}") from exc
+
+
+def load_model(path) -> SvmModel:
+    return read_artifact(path, "model", model_from_dict)

@@ -16,6 +16,7 @@ from netdiag.classifiers import (
     default_cf_config,
     default_lpd_config,
     diagnose,
+    fit_pipeline,
     load_bundle,
     model_predict,
     save_bundle,
@@ -24,7 +25,7 @@ from netdiag.classifiers import (
     train_cfd,
     train_lpd,
 )
-from netdiag.errors import CatalogMismatch, ConfigError, MissingClass, SingleClassInput
+from netdiag.errors import CatalogMismatch, ConfigError, IoFailure, MissingClass, SingleClassInput
 from netdiag.features import default_catalog, extract_signature
 from netdiag.preprocess import DEFAULT_FAULT_REGISTRY, LabelKind
 from netdiag.simulate import HEALTHY_LINK, ClientParams, LinkParams, simulate_flow
@@ -102,6 +103,26 @@ class TestTrainLpd:
     def test_wrong_label_kind(self):
         with pytest.raises(ConfigError):
             train_lpd(client_db(), LPD_CFG)
+
+
+class TestGoldenSelection:
+    def test_lpd_default_selection_pinned(self):
+        # Overlapping classes, so the CV accuracies differ between sizes and
+        # a solver change that moves any fold's decisions shows here.  The
+        # expected values predate the second-order solver and did not move.
+        informative = ((2, 0.6), (5, 0.6), (11, 0.4), (17, 0.6))
+        pos = ClassArtifactSpec(m=30, informative=informative, jitter=0.2, label=1)
+        neg = ClassArtifactSpec(
+            m=30, informative=tuple((i, 1.0 - t) for i, t in informative), jitter=0.2, label=-1
+        )
+        db = synthetic_database([pos, neg], 20, seed=1, label_kind=LabelKind.LINK)
+        _, report = fit_pipeline(db, default_lpd_config(seed=1))
+        assert report.candidate_sizes == (5, 10, 15, 20, 25)
+        assert report.cv_accuracy == (0.775, 0.85, 0.875, 0.9, 0.875)
+        assert report.chosen_q == 20
+        assert report.chosen_indices == (
+            17, 5, 25, 3, 28, 9, 11, 2, 0, 24, 16, 14, 6, 12, 8, 18, 7, 22, 15, 21
+        )
 
 
 class TestCfModules:
@@ -307,3 +328,11 @@ class TestBundle:
 
         with pytest.raises(IoFailure):
             load_bundle(tmp_path / "partial")
+
+    def test_corrupt_registry_rejected_on_update(self, tmp_path):
+        net = train_cfd(client_db(), cf_configs())
+        bundle = tmp_path / "bundle"
+        bundle.mkdir()
+        (bundle / "registry.json").write_text("{", encoding="utf-8")
+        with pytest.raises(IoFailure, match="registry.json"):
+            save_cfd_part(bundle, net, "v1")

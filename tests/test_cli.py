@@ -1,0 +1,131 @@
+"""Operator CLI: solver telemetry from train, typed errors from corrupt bundles."""
+
+import json
+import shutil
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
+from io import StringIO
+
+import pytest
+
+from netdiag.cli import main
+from netdiag.features import default_catalog
+from netdiag.preprocess import DEFAULT_FAULT_REGISTRY, LabelKind, save_database
+from netdiag.simulate import HEALTHY_LINK, ClientParams, simulate_flow
+from netdiag.synthetic import ClassArtifactSpec, synthetic_database
+from netdiag.trace import write_pair
+
+CATALOG = default_catalog()
+M = len(CATALOG.feature_names)
+
+
+def _databases(tmp):
+    """Synthetic link and client databases in the shape of the real catalog."""
+    informative = tuple((i, 0.8) for i in (2, 5, 11, 17))
+    link = synthetic_database(
+        [
+            ClassArtifactSpec(m=M, informative=informative, jitter=0.05, label=1),
+            ClassArtifactSpec(m=M, informative=tuple((i, 0.2) for i, _ in informative), jitter=0.05, label=-1),
+        ],
+        15,
+        seed=0,
+    )
+    specs = [ClassArtifactSpec(m=M, informative=tuple((i, 0.5) for i in range(24)), jitter=0.05, label=0)]
+    for fault in DEFAULT_FAULT_REGISTRY.values():
+        block = range(6 * (fault - 1), 6 * fault)
+        specs.append(
+            ClassArtifactSpec(
+                m=M, informative=tuple((i, 0.9 if i in block else 0.5) for i in range(24)), jitter=0.05, label=fault
+            )
+        )
+    client = synthetic_database(
+        specs, 10, seed=0, label_kind=LabelKind.CLIENT, fault_registry=dict(DEFAULT_FAULT_REGISTRY)
+    )
+    paths = []
+    for name, db in (("link", link), ("client", client)):
+        path = tmp / f"{name}.csv"
+        save_database(replace(db, catalog_version=CATALOG.version), path)
+        paths.append(path)
+    return paths
+
+
+def _run(*argv):
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("cli")
+    link, client = _databases(tmp)
+    bundle = tmp / "bundle"
+    runs = {stage: _run("train", "--db", str(db), "--stage", stage, "--out", str(bundle))
+            for stage, db in (("lpd", link), ("cfd", client))}
+    pair = simulate_flow(HEALTHY_LINK, ClientParams(seed=1), 32_000, seed=1)
+    down, up = tmp / "p.down.csv", tmp / "p.up.csv"
+    write_pair(pair, down, up)
+    return bundle, runs, down, up
+
+
+def _check_solver_fields(report):
+    assert isinstance(report["updates"], int) and report["updates"] > 0
+    assert report["n_sv"] >= 1
+    assert 0 <= report["final_kkt_residual"] <= 1e-3
+
+
+def test_train_reports_solver_telemetry(trained):
+    _, runs, _, _ = trained
+    code, out, err = runs["lpd"]
+    assert code == 0
+    _check_solver_fields(json.loads(out))
+    assert "updates=" in err and "kkt=" in err and "n_sv=" in err
+    code, out, err = runs["cfd"]
+    assert code == 0
+    modules = json.loads(out)["modules"]
+    assert set(modules) == set(DEFAULT_FAULT_REGISTRY)
+    for name, report in modules.items():
+        _check_solver_fields(report)
+        assert f"cfd/{name}:" in err
+    assert err.count("n_sv=") == len(DEFAULT_FAULT_REGISTRY)
+
+
+def test_intact_bundle_diagnoses(trained):
+    bundle, _, down, up = trained
+    code, out, _ = _run("diagnose", "--bundle", str(bundle), "--down", str(down), "--up", str(up))
+    assert code in (0, 10, 20)
+    assert json.loads(out)["link"] in ("healthy", "faulty")
+
+
+# file in the bundle -> a key whose loss or retyping makes it malformed
+KEYS = {
+    "registry.json": "fault_registry",
+    "lpd/default.model.json": "dual_coef",
+    "lpd/default.selection.json": "chosen_indices",
+}
+
+
+def _corrupt(text: str, how: str, key: str) -> str:
+    if how == "truncated":
+        return text[: len(text) // 2]
+    payload = json.loads(text)
+    if how == "missing_key":
+        del payload[key]
+    else:
+        payload[key] = "x"
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize("how", ["truncated", "missing_key", "wrong_type"])
+@pytest.mark.parametrize("name", sorted(KEYS))
+def test_corrupt_bundle_file_exits_2_naming_it(trained, tmp_path, name, how):
+    bundle, _, down, up = trained
+    copy = tmp_path / "bundle"
+    shutil.copytree(bundle, copy)
+    target = copy / name
+    target.write_text(_corrupt(target.read_text(encoding="utf-8"), how, KEYS[name]), encoding="utf-8")
+    code, _, err = _run("diagnose", "--bundle", str(copy), "--down", str(down), "--up", str(up))
+    assert code == 2
+    assert "Traceback" not in err
+    assert str(target) in err

@@ -1,11 +1,16 @@
 """SVM core: kernels, ridge Gram, dual solver, decision function."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from qp_reference import reference_decision_function, solve_reference
 
-from netdiag.errors import DimensionMismatch, NonFiniteInput, SingleClassInput
+from netdiag.errors import DimensionMismatch, IoFailure, NonFiniteInput, SingleClassInput
 from netdiag.svm import (
+    KERNEL_VARIANTS,
     KernelSpec,
     SvmConfig,
     classify,
@@ -184,13 +189,24 @@ class TestTrain:
         for x in rng.normal(size=(25, 3)):
             assert decision_value(m1, x) == pytest.approx(-decision_value(m2, x), abs=1e-9)
 
+    def test_label_swap_same_alpha(self):
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(20, 3))
+        y = np.where(rng.uniform(size=20) < 0.5, -1.0, 1.0)
+        y[0], y[1] = -1.0, 1.0
+        Kt = kernel_matrix(QUAD, X, X) + np.eye(20) / 10.0
+        a = solve_dual(Kt, y, tol=1e-6, max_iter=1000)
+        b = solve_dual(Kt, -y, tol=1e-6, max_iter=1000)
+        assert np.array_equal(a.alpha, b.alpha)
+        assert a.objective_trace == b.objective_trace
+        assert np.array_equal(a.bias_estimates, -b.bias_estimates)
+        assert a.final_kkt_residual == b.final_kkt_residual
+
     def test_deterministic_serialization(self):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(10, 2))
         y = np.array([-1, 1] * 5)
         cfg = SvmConfig(KernelSpec("rbf", 0.9), C=1.0)
-        import json
-
         d1 = json.dumps(model_to_dict(train_arrays(X, y, cfg)), sort_keys=True)
         d2 = json.dumps(model_to_dict(train_arrays(X, y, cfg)), sort_keys=True)
         assert d1 == d2
@@ -223,6 +239,20 @@ class TestOracle:
         _, ref_obj = solve_reference(Kt, y, tol=1e-8)
         assert state.dual_objective == pytest.approx(ref_obj, abs=1e-4)
 
+    @pytest.mark.parametrize("kernel", [LIN, QUAD, KernelSpec("cubic"), KernelSpec("rbf", 1.0)])
+    def test_matches_reference_n25(self, kernel):
+        rng = np.random.default_rng(25)
+        n = 25
+        X = 0.5 * rng.normal(size=(n, 3))
+        y = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
+        y[0], y[1] = -1.0, 1.0
+        Kt = kernel_matrix(kernel, X, X) + np.eye(n)
+        state = solve_dual(Kt, y, tol=1e-8, max_iter=100_000)
+        alpha_ref, ref_obj = solve_reference(Kt, y, tol=1e-8)
+        assert state.converged
+        assert state.dual_objective == pytest.approx(ref_obj, abs=1e-8)
+        assert np.allclose(state.alpha, alpha_ref, atol=1e-5)
+
     def test_classifications_agree(self):
         rng = np.random.default_rng(123)
         kernel, C = QUAD, 10.0
@@ -238,6 +268,32 @@ class TestOracle:
         )
         for x in rng.normal(size=(50, 2)):
             assert (decision_value(model, x) >= 0) == (D_ref(x) >= 0)
+
+
+class TestSolverProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        q=st.integers(1, 4),
+        variant=st.sampled_from(KERNEL_VARIANTS),
+        C=st.sampled_from([0.5, 10.0]),
+        tol=st.sampled_from([1e-3, 1e-6]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_dual_invariants(self, n, q, variant, C, tol, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, q))
+        y = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
+        if abs(y.sum()) == n:
+            y[0] = -y[0]
+        kernel = KernelSpec(variant, 1.0 if variant == "rbf" else None)
+        Kt = kernel_matrix(kernel, X, X) + np.eye(n) / C
+        state = solve_dual(Kt, y, tol=tol, max_iter=200)
+        assert np.all(state.alpha >= 0)
+        assert abs(y @ state.alpha) <= 1e-9 * max(1.0, state.alpha.sum())
+        assert np.all(np.diff(state.objective_trace) >= 0)
+        if state.converged:
+            assert state.final_kkt_residual <= tol
 
 
 class TestPersistence:
@@ -261,3 +317,29 @@ class TestPersistence:
         model = train_arrays(X, np.array([-1, 1]), SvmConfig(LIN, C=2.0))
         again = model_from_dict(model_to_dict(model))
         assert decision_value(again, [0.7]) == decision_value(model, [0.7])
+
+    def test_updates_recorded_and_defaulted(self):
+        X = np.array([[0.0], [2.0]])
+        model, state = train_arrays(X, np.array([-1, 1]), SvmConfig(LIN, C=2.0), return_state=True)
+        assert model.training_meta.updates == state.updates > 0
+        d = model_to_dict(model)
+        del d["training_meta"]["updates"]
+        assert model_from_dict(d).training_meta.updates == 0
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda text: text[: len(text) // 2],
+            lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "bias"}),
+            lambda text: json.dumps(dict(json.loads(text), dual_coef="x")),
+            lambda text: json.dumps(dict(json.loads(text), kernel=[])),
+        ],
+        ids=["truncated", "missing_key", "wrong_type", "wrong_container"],
+    )
+    def test_malformed_file_is_io_failure(self, tmp_path, corrupt):
+        X = np.array([[0.0], [2.0]])
+        path = tmp_path / "model.json"
+        save_model(train_arrays(X, np.array([-1, 1]), SvmConfig(LIN, C=2.0)), path)
+        path.write_text(corrupt(path.read_text(encoding="utf-8")), encoding="utf-8")
+        with pytest.raises(IoFailure, match="model.json"):
+            load_model(path)
