@@ -1,8 +1,10 @@
 """Trace data model and file format."""
 
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netdiag.errors import BadHeader, EmptyTrace, MalformedRow
@@ -13,6 +15,7 @@ from netdiag.trace import (
     TracePair,
     TraceRecord,
     TransferDirection,
+    _format_ts,
     read_trace,
     write_trace,
 )
@@ -190,3 +193,34 @@ class TestPairing:
             PacketEvent(ts=-1.0, dir=Direction.CLIENT_TO_SERVER, seq=0, ack=0, payload_len=0)
         with pytest.raises(ValueError):
             PacketEvent(ts=0.0, dir=Direction.CLIENT_TO_SERVER, seq=2**32, ack=0, payload_len=0)
+
+
+def format_ts_reference(ts: float) -> str:
+    """The original writer: escalate precision until the string parses back."""
+    for digits in range(6, 18):
+        s = f"{ts:.{digits}f}"
+        if float(s) == ts:
+            return s
+    return repr(ts)
+
+
+class TestFormatTs:
+    @settings(max_examples=2000, deadline=None)
+    @given(ts=st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(min_value=0, max_value=1e-4),
+        st.floats(min_value=0, max_value=1e4),
+        st.floats(min_value=1e15, max_value=1e20),
+    ))
+    @example(0.0)
+    @example(-0.0)
+    @example(5e-324)
+    @example(sys.float_info.min)
+    @example(sys.float_info.min / 3)
+    @example(9.99e-5)
+    @example(1e-4)
+    @example(0.1 + 0.2)
+    @example(1e16)
+    @example(sys.float_info.max)
+    def test_matches_precision_escalation(self, ts):
+        assert _format_ts(ts) == format_ts_reference(ts)
