@@ -31,6 +31,7 @@ from .preprocess import (
     LabelKind,
     SignatureDatabase,
     apply_scaler,
+    read_artifact,
     scale_database,
 )
 from .rng import derive_seed
@@ -48,8 +49,7 @@ from .svm import (
     decision_value,
     default_sigma,
     load_model,
-    read_artifact,
-    save_model,
+    model_to_dict,
     train,
 )
 from .trace import TracePair
@@ -325,20 +325,6 @@ def _stage_dir(bundle: Path, name: str):
     return Path(tempfile.mkdtemp(dir=bundle, prefix=f".{name}-"))
 
 
-def _update_registry(bundle: Path, catalog_version: str, **fields) -> None:
-    registry_path = bundle / "registry.json"
-    meta = {}
-    if registry_path.exists():
-        meta = read_artifact(registry_path, "registry", _check_registry)
-        if meta.get("catalog_version") not in (None, catalog_version):
-            raise CatalogMismatch(
-                f"bundle already built for catalog {meta['catalog_version']!r}, not {catalog_version!r}"
-            )
-    meta["catalog_version"] = catalog_version
-    meta.update(fields)
-    _write_json(registry_path, meta)
-
-
 def _check_registry(meta) -> dict:
     """registry.json content with the type of each present key checked;
     either stage may still be missing."""
@@ -352,37 +338,49 @@ def _check_registry(meta) -> dict:
     return meta
 
 
-def save_lpd_part(bundle, lpd: LpdClassifier, catalog_version: str) -> None:
-    """Write the link-classifier half of a bundle (atomic stage swap)."""
+def _save_stage(bundle, name: str, artifacts: dict, catalog_version: str, **fields) -> None:
+    """Swap a new stage directory holding `artifacts` (file name -> JSON
+    payload) into the bundle and record `fields` in registry.json.
+
+    The registry is read and checked first, so a refused save leaves the
+    bundle untouched.
+    """
     import shutil
 
     bundle = Path(bundle)
-    tmp = _stage_dir(bundle, "lpd")
+    registry_path = bundle / "registry.json"
+    meta = read_artifact(registry_path, "registry", _check_registry) if registry_path.exists() else {}
+    if meta.get("catalog_version") not in (None, catalog_version):
+        raise CatalogMismatch(
+            f"bundle already built for catalog {meta['catalog_version']!r}, not {catalog_version!r}"
+        )
+    tmp = _stage_dir(bundle, name)
     try:
-        save_model(lpd.model, tmp / f"{lpd.link_profile}.model.json")
-        _write_json(tmp / f"{lpd.link_profile}.selection.json", lpd.selection.to_dict())
-        _replace_dir(tmp, bundle / "lpd")
-        _update_registry(bundle, catalog_version, lpd_profile=lpd.link_profile)
+        for file_name, payload in artifacts.items():
+            _write_json(tmp / file_name, payload)
+        _replace_dir(tmp, bundle / name)
+        _write_json(registry_path, {**meta, "catalog_version": catalog_version, **fields})
     except OSError as exc:
         shutil.rmtree(tmp, ignore_errors=True)
         raise IoFailure(str(exc)) from exc
+
+
+def save_lpd_part(bundle, lpd: LpdClassifier, catalog_version: str) -> None:
+    """Write the link-classifier half of a bundle (atomic stage swap)."""
+    artifacts = {
+        f"{lpd.link_profile}.model.json": model_to_dict(lpd.model),
+        f"{lpd.link_profile}.selection.json": lpd.selection.to_dict(),
+    }
+    _save_stage(bundle, "lpd", artifacts, catalog_version, lpd_profile=lpd.link_profile)
 
 
 def save_cfd_part(bundle, cfd: CfdNetwork, catalog_version: str) -> None:
     """Write the fault-module half of a bundle (atomic stage swap)."""
-    import shutil
-
-    bundle = Path(bundle)
-    tmp = _stage_dir(bundle, "cfd")
-    try:
-        for module in cfd.modules:
-            save_model(module.model, tmp / f"{module.fault_name}.model.json")
-            _write_json(tmp / f"{module.fault_name}.selection.json", module.selection.to_dict())
-        _replace_dir(tmp, bundle / "cfd")
-        _update_registry(bundle, catalog_version, fault_registry=dict(cfd.fault_registry))
-    except OSError as exc:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise IoFailure(str(exc)) from exc
+    artifacts = {}
+    for module in cfd.modules:
+        artifacts[f"{module.fault_name}.model.json"] = model_to_dict(module.model)
+        artifacts[f"{module.fault_name}.selection.json"] = module.selection.to_dict()
+    _save_stage(bundle, "cfd", artifacts, catalog_version, fault_registry=dict(cfd.fault_registry))
 
 
 def save_bundle(path, lpd: LpdClassifier, cfd: CfdNetwork, catalog_version: str) -> None:

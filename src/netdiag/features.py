@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CatalogMismatch, EmptyTrace
-from .trace import Direction, TracePair, TraceRecord, TransferDirection
+from .trace import DIRECTIONS, SEQ_MOD, Direction, TracePair, TraceRecord, TransferDirection
 
-SEQ_MOD = 1 << 32
 SMALL_SEGMENT_BYTES = 512  # "push-like" threshold
 
 
@@ -125,29 +124,21 @@ class ExtractionDiagnostics:
         return tuple(n for n, d in zip(self.feature_names, self.defined) if not d)
 
 
-class _SeqUnwrapper:
+def _unwrap(raw: np.ndarray) -> np.ndarray:
     """Extends 32-bit sequence values to a monotone-friendly integer line.
 
-    Each new value is placed at the representative closest to the
-    previous one, so wraparound is handled as long as consecutive values
-    stay within half the sequence space.  Values are anchored at the raw
-    first value, which keeps independently unwrapped streams (e.g. data
-    seq and the acks covering them) in the same frame provided both
-    start before the first wrap.
+    Each value is placed at the representative closest to the previous
+    one, so wraparound is handled as long as consecutive values stay
+    within half the sequence space.  Values are anchored at the raw first
+    value, which keeps independently unwrapped streams (e.g. data seq and
+    the acks covering them) in the same frame provided both start before
+    the first wrap.
     """
-
-    def __init__(self):
-        self._last: int | None = None
-
-    def unwrap(self, v: int) -> int:
-        if self._last is None:
-            self._last = v
-            return v
-        delta = (v - self._last) % SEQ_MOD
-        if delta > SEQ_MOD // 2:
-            delta -= SEQ_MOD
-        self._last = self._last + delta
-        return self._last
+    if raw.size == 0:
+        return raw
+    step = np.diff(raw) % SEQ_MOD
+    step[step > SEQ_MOD // 2] -= SEQ_MOD
+    return raw[0] + np.concatenate(([0], np.cumsum(step)))
 
 
 class _IntervalSet:
@@ -161,6 +152,14 @@ class _IntervalSet:
     def add(self, s: int, e: int) -> int:
         """Merge [s, e); return the number of bytes already covered."""
         if e <= s:
+            return 0
+        if self._ends and s >= self._ends[-1]:  # at or past the end: the in-order case
+            if s == self._ends[-1]:
+                self._ends[-1] = e
+            else:
+                self._starts.append(s)
+                self._ends.append(e)
+            self.max_end = e
             return 0
         i = bisect.bisect_right(self._starts, s) - 1
         if i >= 0 and self._ends[i] < s:
@@ -218,119 +217,93 @@ class _RttMatcher:
 
 
 class _TraceAnalysis:
-    """Single pass over one trace computing every catalog statistic."""
+    """Every catalog statistic of one trace.
+
+    Order-free statistics are column reductions; retransmission and
+    out-of-order detection and RTT matching walk the packets in order.
+    Integer sums are exact (32-bit values in 64-bit columns), so every
+    statistic equals the per-packet definition bit for bit.
+    """
 
     def __init__(self, trace: TraceRecord):
-        if not trace.events:
-            raise EmptyTrace("cannot analyze a trace with no events")
         ev = trace.events
-        data_dir = trace.data_direction()
-        ack_dir = (
-            Direction.CLIENT_TO_SERVER
-            if data_dir is Direction.SERVER_TO_CLIENT
-            else Direction.SERVER_TO_CLIENT
-        )
-        out_dir = trace.capture_outbound()
-        in_dir = ack_dir if out_dir is data_dir else data_dir
+        n = len(ev)
+        if not n:
+            raise EmptyTrace("cannot analyze a trace with no events")
+        ts, length, code = ev.ts, ev.payload_len, ev.dir
+        c2s, s2c = DIRECTIONS.index(Direction.CLIENT_TO_SERVER), DIRECTIONS.index(Direction.SERVER_TO_CLIENT)
+        data_code = DIRECTIONS.index(trace.data_direction())
+        ack_code = s2c if data_code == c2s else c2s
+        data_dir = code == data_code
+        ack_dir = ~data_dir
+        out_dir = code == DIRECTIONS.index(trace.capture_outbound())
+        has_payload = length > 0
+        pure_ack = ~has_payload & ev.ack_flag & ~(ev.syn | ev.fin | ev.rst)
 
-        counts = {d: 0 for d in Direction}
-        bytes_ = {d: 0 for d in Direction}
-        data_pkts = {d: 0 for d in Direction}
-        pure_acks = {d: 0 for d in Direction}
-        seg_sizes: list[int] = []
-        small_segments = 0
-        syn = fin = rst = 0
-        sack_total = 0
-        max_sack = 0
-        wins: list[int] = []
-        zero_win = 0
-        dup_acks = 0
-        triple_events = 0
-        retrans_pkts = 0
-        retrans_bytes = 0
-        ooo_pkts = 0
+        def count(mask) -> int:
+            return int(np.count_nonzero(mask))
 
-        data_seq = _SeqUnwrapper()
+        def total(values) -> int:
+            return int(values.sum())
+
+        by_dir = [code == c for c in range(len(DIRECTIONS))]  # indexed by code
+        counts = [count(d) for d in by_dir]
+        bytes_ = [total(length[d]) for d in by_dir]
+        data_pkts = [count(has_payload & d) for d in by_dir]
+        pure_acks = [count(pure_ack & d) for d in by_dir]
+
+        wins = ev.win[ack_dir]
+        acks = ev.ack[ack_dir & pure_ack]
+        dup = acks[1:] == acks[:-1]
+        dup_acks = count(dup)
+        # a run of duplicates counts one triple event when its third arrives
+        run = np.concatenate(([False] * 3, dup))
+        triple_events = count(run[3:] & run[2:-1] & run[1:-2] & ~run[:-3])
+
+        data_mask = data_dir & has_payload
+        seg_sizes = length[data_mask]
+        seg_start = _unwrap(ev.seq[data_mask])
+        retrans_pkts = retrans_bytes = ooo_pkts = 0
         data_cover = _IntervalSet()
-        ackval_seq = _SeqUnwrapper()
-        out_seq = _SeqUnwrapper()
-        out_ack_seq = _SeqUnwrapper()
+        for s, e in zip(seg_start.tolist(), (seg_start + seg_sizes).tolist()):
+            prev_max = data_cover.max_end
+            overlap = data_cover.add(s, e)
+            if overlap > 0:
+                retrans_pkts += 1
+                retrans_bytes += overlap
+            elif prev_max is not None and s < prev_max:
+                ooo_pkts += 1
+
+        # The first ack-direction ack after the first data packet that
+        # covers its first byte bounds the initial window.
+        initial_window = total(seg_sizes)
+        if seg_sizes.size:
+            after = np.arange(n) > np.flatnonzero(data_mask)[0]
+            candidates = np.flatnonzero(ack_dir & ev.ack_flag & after)
+            covering = np.flatnonzero(_unwrap(ev.ack[candidates]) > seg_start[0])
+            if covering.size:
+                first_ack = candidates[covering[0]]
+                early = data_mask & (np.arange(n) < first_ack) & (ts < ts[first_ack])
+                initial_window = total(length[early])
+
+        consumed = length + ev.syn + ev.fin
+        sends = out_dir & (consumed > 0)
+        acked = ~out_dir & ev.ack_flag
+        lo = np.zeros(n, dtype=np.int64)
+        lo[sends] = _unwrap(ev.seq[sends])
+        lo[acked] = _unwrap(ev.ack[acked])
+        hi = lo + consumed
+        walk = sends | acked
         rtt = _RttMatcher()
+        for send, a, b, t in zip(sends[walk].tolist(), lo[walk].tolist(), hi[walk].tolist(), ts[walk].tolist()):
+            if send:
+                rtt.on_send(a, b, t)
+            elif rtt.pending:
+                rtt.on_ack(a, t)
 
-        prev_pure_ack: int | None = None
-        dup_run = 0
-        first_data_ack_ts: float | None = None
-        first_data_start: int | None = None
-        data_before: list[tuple[float, int]] = []  # (ts, payload) in data dir
-
-        for e in ev:
-            d = e.dir
-            counts[d] += 1
-            bytes_[d] += e.payload_len
-            is_pure_ack = e.payload_len == 0 and e.ack_flag and not (e.syn or e.fin or e.rst)
-            if e.payload_len > 0:
-                data_pkts[d] += 1
-            if is_pure_ack:
-                pure_acks[d] += 1
-            syn += e.syn
-            fin += e.fin
-            rst += e.rst
-            sack_total += e.sack_cnt
-            max_sack = max(max_sack, e.sack_cnt)
-
-            if d is ack_dir:
-                wins.append(e.win)
-                if e.win == 0:
-                    zero_win += 1
-                if is_pure_ack:
-                    if prev_pure_ack is not None and e.ack == prev_pure_ack:
-                        dup_run += 1
-                        dup_acks += 1
-                        if dup_run == 3:
-                            triple_events += 1
-                    else:
-                        dup_run = 0
-                    prev_pure_ack = e.ack
-                if e.ack_flag and first_data_ack_ts is None and first_data_start is not None:
-                    if ackval_seq.unwrap(e.ack) > first_data_start:
-                        first_data_ack_ts = e.ts
-
-            if d is data_dir:
-                if e.payload_len > 0:
-                    seg_sizes.append(e.payload_len)
-                    if e.payload_len < SMALL_SEGMENT_BYTES:
-                        small_segments += 1
-                    s = data_seq.unwrap(e.seq)
-                    if first_data_start is None:
-                        first_data_start = s
-                    prev_max = data_cover.max_end
-                    overlap = data_cover.add(s, s + e.payload_len)
-                    if overlap > 0:
-                        retrans_pkts += 1
-                        retrans_bytes += overlap
-                    elif prev_max is not None and s < prev_max:
-                        ooo_pkts += 1
-                    if first_data_ack_ts is None:
-                        data_before.append((e.ts, e.payload_len))
-
-            if d is out_dir:
-                consumed = e.payload_len + (1 if e.syn else 0) + (1 if e.fin else 0)
-                if consumed > 0:
-                    s = out_seq.unwrap(e.seq)
-                    rtt.on_send(s, s + consumed, e.ts)
-            elif e.ack_flag:
-                rtt.on_ack(out_ack_seq.unwrap(e.ack), e.ts)
-
-        elapsed = ev[-1].ts - ev[0].ts
-        idle_max = 0.0
-        for a, b in zip(ev, ev[1:]):
-            idle_max = max(idle_max, b.ts - a.ts)
-
-        data_bytes = bytes_[data_dir]
-        if first_data_ack_ts is None:
-            initial_window = sum(p for _, p in data_before)
-        else:
-            initial_window = sum(p for ts, p in data_before if ts < first_data_ack_ts)
+        elapsed = float(ts[-1] - ts[0])
+        idle_max = max(0.0, float(np.diff(ts).max())) if n >= 2 else 0.0
+        data_bytes = bytes_[data_code]
 
         samples = rtt.samples
         n_rtt = len(samples)
@@ -347,15 +320,15 @@ class _TraceAnalysis:
             v[stat] = float(value)
             defined[stat] = bool(ok)
 
-        put(Statistic.ELAPSED_TIME, elapsed, len(ev) >= 2)
-        put(Statistic.TOTAL_PACKETS_C2S, counts[Direction.CLIENT_TO_SERVER])
-        put(Statistic.TOTAL_PACKETS_S2C, counts[Direction.SERVER_TO_CLIENT])
-        put(Statistic.TOTAL_BYTES_C2S, bytes_[Direction.CLIENT_TO_SERVER])
-        put(Statistic.TOTAL_BYTES_S2C, bytes_[Direction.SERVER_TO_CLIENT])
-        put(Statistic.DATA_PACKETS_C2S, data_pkts[Direction.CLIENT_TO_SERVER])
-        put(Statistic.DATA_PACKETS_S2C, data_pkts[Direction.SERVER_TO_CLIENT])
-        put(Statistic.PURE_ACK_PACKETS_C2S, pure_acks[Direction.CLIENT_TO_SERVER])
-        put(Statistic.PURE_ACK_PACKETS_S2C, pure_acks[Direction.SERVER_TO_CLIENT])
+        put(Statistic.ELAPSED_TIME, elapsed, n >= 2)
+        put(Statistic.TOTAL_PACKETS_C2S, counts[c2s])
+        put(Statistic.TOTAL_PACKETS_S2C, counts[s2c])
+        put(Statistic.TOTAL_BYTES_C2S, bytes_[c2s])
+        put(Statistic.TOTAL_BYTES_S2C, bytes_[s2c])
+        put(Statistic.DATA_PACKETS_C2S, data_pkts[c2s])
+        put(Statistic.DATA_PACKETS_S2C, data_pkts[s2c])
+        put(Statistic.PURE_ACK_PACKETS_C2S, pure_acks[c2s])
+        put(Statistic.PURE_ACK_PACKETS_S2C, pure_acks[s2c])
         throughput = data_bytes / elapsed if elapsed > 0 else 0.0
         throughput_ok = elapsed > 0 and math.isfinite(throughput)
         if not throughput_ok:  # denormal elapsed can overflow the ratio
@@ -366,28 +339,30 @@ class _TraceAnalysis:
         put(Statistic.OUT_OF_ORDER_PACKETS, ooo_pkts)
         put(Statistic.DUP_ACK_COUNT, dup_acks)
         put(Statistic.TRIPLE_DUP_ACK_EVENTS, triple_events)
-        put(Statistic.SACK_BLOCKS_TOTAL, sack_total)
-        put(Statistic.MAX_SACK_CNT, max_sack)
-        put(Statistic.WIN_MIN, min(wins) if wins else 0.0, bool(wins))
-        put(Statistic.WIN_MAX, max(wins) if wins else 0.0, bool(wins))
-        put(Statistic.WIN_AVG, sum(wins) / len(wins) if wins else 0.0, bool(wins))
-        put(Statistic.ZERO_WINDOW_COUNT, zero_win, bool(wins))
+        put(Statistic.SACK_BLOCKS_TOTAL, total(ev.sack_cnt))
+        put(Statistic.MAX_SACK_CNT, ev.sack_cnt.max())
+        has_wins = wins.size > 0
+        put(Statistic.WIN_MIN, wins.min() if has_wins else 0.0, has_wins)
+        put(Statistic.WIN_MAX, wins.max() if has_wins else 0.0, has_wins)
+        put(Statistic.WIN_AVG, total(wins) / wins.size if has_wins else 0.0, has_wins)
+        put(Statistic.ZERO_WINDOW_COUNT, count(wins == 0), has_wins)
         put(Statistic.RTT_AVG, rtt_avg, n_rtt >= 1)
         put(Statistic.RTT_MIN, min(samples) if samples else 0.0, n_rtt >= 1)
         put(Statistic.RTT_MAX, max(samples) if samples else 0.0, n_rtt >= 1)
         put(Statistic.RTT_STDEV, rtt_stdev, n_rtt >= 2)
         put(Statistic.RTT_SAMPLES, n_rtt)
-        put(Statistic.IDLE_TIME_MAX, idle_max, len(ev) >= 2)
-        put(Statistic.MEAN_SEGMENT_SIZE, sum(seg_sizes) / len(seg_sizes) if seg_sizes else 0.0, bool(seg_sizes))
-        put(Statistic.MAX_SEGMENT_SIZE, max(seg_sizes) if seg_sizes else 0.0, bool(seg_sizes))
-        put(Statistic.MIN_SEGMENT_SIZE, min(seg_sizes) if seg_sizes else 0.0, bool(seg_sizes))
-        put(Statistic.PUSH_LIKE_SMALL_SEGMENT_COUNT, small_segments)
-        put(Statistic.SYN_COUNT, syn)
-        put(Statistic.FIN_COUNT, fin)
-        put(Statistic.RST_COUNT, rst)
-        put(Statistic.INITIAL_WINDOW_BYTES, initial_window, bool(seg_sizes))
-        n_data = data_pkts[data_dir]
-        n_acks = pure_acks[ack_dir]
+        put(Statistic.IDLE_TIME_MAX, idle_max, n >= 2)
+        has_segs = seg_sizes.size > 0
+        put(Statistic.MEAN_SEGMENT_SIZE, total(seg_sizes) / seg_sizes.size if has_segs else 0.0, has_segs)
+        put(Statistic.MAX_SEGMENT_SIZE, seg_sizes.max() if has_segs else 0.0, has_segs)
+        put(Statistic.MIN_SEGMENT_SIZE, seg_sizes.min() if has_segs else 0.0, has_segs)
+        put(Statistic.PUSH_LIKE_SMALL_SEGMENT_COUNT, count(seg_sizes < SMALL_SEGMENT_BYTES))
+        put(Statistic.SYN_COUNT, count(ev.syn))
+        put(Statistic.FIN_COUNT, count(ev.fin))
+        put(Statistic.RST_COUNT, count(ev.rst))
+        put(Statistic.INITIAL_WINDOW_BYTES, initial_window, has_segs)
+        n_data = data_pkts[data_code]
+        n_acks = pure_acks[ack_code]
         put(Statistic.ACK_COMPRESSION_RATIO, n_acks / n_data if n_data else 0.0, n_data > 0)
         put(Statistic.BYTES_PER_ACK, data_bytes / n_acks if n_acks else 0.0, n_acks > 0)
 

@@ -199,36 +199,68 @@ def sidecar_path(path) -> Path:
     return Path(str(path) + ".meta.json")
 
 
+def read_artifact(path, what: str, parse):
+    """parse() of the JSON in an artifact file; an unreadable or malformed
+    file (bad JSON, missing keys, wrong types) is an IoFailure naming it."""
+    try:
+        return parse(json.loads(Path(path).read_text(encoding="utf-8")))
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise IoFailure(f"malformed {what} file {path}: {exc!r}") from exc
+
+
+def _sidecar_from_dict(meta) -> dict:
+    """Sidecar fields with their types checked and the scaler rebuilt."""
+    for key, kind in (("stage", str), ("catalog_version", str), ("scaler", dict),
+                      ("selected_features", list), ("fault_registry", dict)):
+        if not isinstance(meta[key], kind):
+            raise TypeError(f"{key!r} is a {type(meta[key]).__name__}, not a {kind.__name__}")
+    smin = np.asarray(meta["scaler"]["min"], dtype=np.float64)
+    smax = np.asarray(meta["scaler"]["max"], dtype=np.float64)
+    if smin.ndim != 1 or smin.shape != smax.shape:
+        raise TypeError("scaler min and max must be number lists of one length")
+    return {
+        "stage": Stage(meta["stage"]),
+        "catalog_version": meta["catalog_version"],
+        "scaler": ScalerParams(min=smin, max=smax, fitted_on=0) if smin.size else None,
+        "selected_features": tuple(int(i) for i in meta["selected_features"]) or None,
+        "fault_registry": {str(k): int(v) for k, v in meta["fault_registry"].items()},
+    }
+
+
 def load_database(path) -> SignatureDatabase:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-        meta = json.loads(sidecar_path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
+    meta = read_artifact(sidecar_path(path), "database sidecar", _sidecar_from_dict)
     lines = [ln for ln in text.split("\n") if ln]
-    header = lines[0].split(",")
-    if header[-1] != "label" or not all(h.startswith("f_") for h in header[:-1]):
+    header = lines[0].split(",") if lines else []
+    if not header or header[-1] != "label" or not all(h.startswith("f_") for h in header[:-1]):
         raise IoFailure(f"{path}: not a signature database CSV")
     names = tuple(h[2:] for h in header[:-1])
     X = np.empty((len(lines) - 1, len(names)), dtype=np.float64)
     y = np.empty(len(lines) - 1, dtype=np.int64)
-    for i, ln in enumerate(lines[1:]):
-        parts = ln.split(",")
-        X[i] = [float(p) for p in parts[:-1]]
-        y[i] = int(parts[-1])
-    smin = np.asarray(meta["scaler"]["min"], dtype=np.float64)
-    smax = np.asarray(meta["scaler"]["max"], dtype=np.float64)
-    scaler = ScalerParams(min=smin, max=smax, fitted_on=0) if smin.size else None
-    registry = {str(k): int(v) for k, v in meta["fault_registry"].items()}
+    try:
+        for i, ln in enumerate(lines[1:]):
+            parts = ln.split(",")
+            if len(parts) != len(header):
+                raise ValueError(f"{len(parts)} fields, header has {len(header)}")
+            X[i] = [float(p) for p in parts[:-1]]
+            y[i] = int(parts[-1])
+    except ValueError as exc:
+        raise IoFailure(f"{path}: row {i + 1}: {exc}") from exc
+    registry = meta["fault_registry"]
     return SignatureDatabase(
-        stage=Stage(meta["stage"]),
+        stage=meta["stage"],
         feature_names=names,
         X=X,
         y=y,
         label_kind=LabelKind.CLIENT if registry else LabelKind.LINK,
         catalog_version=meta["catalog_version"],
-        scaler=scaler,
-        selected_features=tuple(meta["selected_features"]) or None,
+        scaler=meta["scaler"],
+        selected_features=meta["selected_features"],
         fault_registry=registry or None,
     )

@@ -37,11 +37,15 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .rng import SplitMix64, derive_seed, keyed_uniform
 from .trace import (
+    DIRECTIONS,
+    SEQ_MOD,
     CapturePoint,
     Direction,
-    PacketEvent,
+    PacketColumns,
     TracePair,
     TraceRecord,
     TransferDirection,
@@ -557,24 +561,12 @@ class _TransferSim:
             )
         self.stats.delivered_bytes = self.rcv_nxt
 
-        t0 = min(ev[0] for ev in self.captured)
-        self.captured.sort(key=lambda ev: ev[0])
-        events = tuple(
-            PacketEvent(
-                ts=ev[0] - t0,
-                dir=ev[1],
-                seq=ev[2] % (1 << 32),
-                ack=ev[3] % (1 << 32),
-                payload_len=ev[4],
-                syn=bool(ev[5]),
-                fin=bool(ev[6]),
-                rst=bool(ev[7]),
-                ack_flag=bool(ev[8]),
-                win=ev[9],
-                sack_cnt=ev[10],
-            )
-            for ev in self.captured
-        )
+        ts, dirs, seq, ack, *rest = zip(*self.captured)
+        ts = np.array(ts)
+        order = np.argsort(ts, kind="stable")  # ties keep capture order
+        codes = np.array([DIRECTIONS.index(d) for d in dirs], dtype=np.int8)
+        columns = [ts - ts.min(), codes, np.array(seq) % SEQ_MOD, np.array(ack) % SEQ_MOD, *rest]
+        events = PacketColumns(*(np.asarray(col)[order] for col in columns))
         record = TraceRecord(
             capture_point=CapturePoint.CLIENT if self.down else CapturePoint.SERVER,
             direction_of_transfer=self.transfer,

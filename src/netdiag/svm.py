@@ -38,7 +38,7 @@ from .errors import (
     NonFiniteInput,
     SingleClassInput,
 )
-from .preprocess import ScalerParams
+from .preprocess import ScalerParams, read_artifact
 
 KERNEL_VARIANTS = ("linear", "quadratic", "cubic", "rbf")
 
@@ -394,17 +394,6 @@ def save_model(model: SvmModel, path) -> None:
         )
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
-
-
-def read_artifact(path, what: str, parse):
-    """parse() of the JSON in a bundle file; an unreadable or malformed
-    file (bad JSON, missing keys, wrong types) is an IoFailure naming it."""
-    try:
-        return parse(json.loads(Path(path).read_text(encoding="utf-8")))
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise IoFailure(f"malformed {what} file {path}: {exc!r}") from exc
 
 
 def load_model(path) -> SvmModel:

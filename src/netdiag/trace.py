@@ -8,14 +8,21 @@ A trace is one bidirectional TCP flow capture.  The file format is CSV:
 
 Timestamps are seconds relative to the first packet, written with at
 least six fractional digits and enough precision to round-trip exactly.
+In memory a trace holds its packets as numpy columns (`PacketColumns`),
+one per `PacketEvent` field.
 """
 
 from __future__ import annotations
 
-import csv
+import dataclasses
 import enum
+import itertools
+import math
+import operator
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import BadHeader, EmptyTrace, IoFailure, MalformedRow
 
@@ -25,6 +32,10 @@ SEQ_MOD = 1 << 32
 class Direction(enum.Enum):
     CLIENT_TO_SERVER = "c2s"
     SERVER_TO_CLIENT = "s2c"
+
+
+# Direction of each code in the `dir` column.
+DIRECTIONS = (Direction.CLIENT_TO_SERVER, Direction.SERVER_TO_CLIENT)
 
 
 class CapturePoint(enum.Enum):
@@ -39,7 +50,11 @@ class TransferDirection(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class PacketEvent:
-    """One captured TCP packet."""
+    """One captured TCP packet.
+
+    Every integer field is a 32-bit unsigned value, which keeps the
+    integer sums over a trace exact in 64-bit columns.
+    """
 
     ts: float
     dir: Direction
@@ -54,28 +69,92 @@ class PacketEvent:
     sack_cnt: int = 0
 
     def __post_init__(self):
-        if self.ts < 0:
-            raise ValueError(f"negative timestamp {self.ts}")
-        if self.payload_len < 0:
-            raise ValueError("negative payload_len")
+        if not 0 <= self.ts < math.inf:
+            raise ValueError(f"timestamp {self.ts} is not finite and non-negative")
         if not (0 <= self.seq < SEQ_MOD and 0 <= self.ack < SEQ_MOD):
             raise ValueError("seq/ack outside 32-bit range")
-        if self.win < 0 or self.sack_cnt < 0:
-            raise ValueError("negative win or sack_cnt")
+        if not (0 <= self.payload_len < SEQ_MOD and 0 <= self.win < SEQ_MOD and 0 <= self.sack_cnt < SEQ_MOD):
+            raise ValueError("payload_len, win or sack_cnt outside 32-bit range")
+
+
+FIELDS = tuple(f.name for f in dataclasses.fields(PacketEvent))
+_DTYPES = (np.float64, np.int8, np.int64, np.int64, np.int64, bool, bool, bool, bool, np.int64, np.int64)
+
+
+class PacketColumns:
+    """The packets of one trace as read-only numpy columns, one per
+    `PacketEvent` field in the same order; `dir` holds the index into
+    `DIRECTIONS`.  Indexing and iteration build `PacketEvent`s on demand,
+    and equality compares the columns.
+    """
+
+    __slots__ = FIELDS
+
+    def __init__(self, ts, dir, seq, ack, payload_len, syn, fin, rst, ack_flag, win, sack_cnt):
+        columns = (ts, dir, seq, ack, payload_len, syn, fin, rst, ack_flag, win, sack_cnt)
+        n = len(ts)
+        for name, dtype, values in zip(FIELDS, _DTYPES, columns):
+            col = np.asarray(values, dtype=dtype)
+            if col.shape != (n,):
+                raise ValueError(f"column {name!r} has shape {col.shape}, expected ({n},)")
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+
+    @classmethod
+    def from_events(cls, events) -> PacketColumns:
+        rows = [
+            (e.ts, DIRECTIONS.index(e.dir), e.seq, e.ack, e.payload_len,
+             e.syn, e.fin, e.rst, e.ack_flag, e.win, e.sack_cnt)
+            for e in events
+        ]
+        return cls(*(zip(*rows) if rows else [()] * len(FIELDS)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PacketColumns is read-only")
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+    def __getitem__(self, i) -> PacketEvent:
+        i = operator.index(i)
+        return _event(*(getattr(self, name)[i].item() for name in FIELDS))
+
+    def __iter__(self):
+        return itertools.starmap(_event, zip(*(getattr(self, name).tolist() for name in FIELDS)))
+
+    def __eq__(self, other):
+        if not isinstance(other, PacketColumns):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name)) for name in FIELDS)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"PacketColumns(<{len(self)} packets>)"
+
+
+def _event(ts, dir, *rest) -> PacketEvent:
+    return PacketEvent(ts, DIRECTIONS[dir], *rest)
 
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """An ordered bidirectional flow capture."""
+    """An ordered bidirectional flow capture.
+
+    `events` may be given as a sequence of `PacketEvent`s; it is stored
+    as `PacketColumns`.
+    """
 
     capture_point: CapturePoint
     direction_of_transfer: TransferDirection
-    events: tuple[PacketEvent, ...]
+    events: PacketColumns
     declared_transfer_bytes: int
 
     def __post_init__(self):
         if self.declared_transfer_bytes <= 0:
             raise ValueError("declared_transfer_bytes must be positive")
+        if not isinstance(self.events, PacketColumns):
+            object.__setattr__(self, "events", PacketColumns.from_events(self.events))
 
     def data_direction(self) -> Direction:
         """Direction the transferred payload travels."""
@@ -98,31 +177,99 @@ class TracePair:
     upload: TraceRecord
 
     def __post_init__(self):
-        d, u = self.download, self.upload
-        if d.capture_point is not CapturePoint.CLIENT or d.direction_of_transfer is not TransferDirection.DOWNLOAD:
-            raise ValueError("download trace must be captured at the client")
-        if u.capture_point is not CapturePoint.SERVER or u.direction_of_transfer is not TransferDirection.UPLOAD:
-            raise ValueError("upload trace must be captured at the server")
+        for role, record, capture, transfer in (
+            ("download", self.download, CapturePoint.CLIENT, TransferDirection.DOWNLOAD),
+            ("upload", self.upload, CapturePoint.SERVER, TransferDirection.UPLOAD),
+        ):
+            if record.capture_point is not capture or record.direction_of_transfer is not transfer:
+                raise ValueError(
+                    f"the {role} trace must be a {transfer.value} captured at the {capture.value}, "
+                    f"got a {record.direction_of_transfer.value} captured at the {record.capture_point.value}"
+                )
 
 
 _COLUMNS = ["ts", "dir", "seq", "ack", "len", "syn", "fin", "rst", "ack_flag", "win", "sack_cnt"]
-
-
-def _parse_bool(s: str) -> bool:
-    if s == "0":
-        return False
-    if s == "1":
-        return True
-    raise ValueError(f"boolean field must be 0 or 1, got {s!r}")
+_FLAG_COLUMNS = (5, 6, 7, 8)
+_INT_COLUMNS = (2, 3, 4, 9, 10)
+_ROW_FORMAT = "%s,%s" + ",%d" * (len(_COLUMNS) - 2)
 
 
 def _format_ts(ts: float) -> str:
-    # Escalate precision until the decimal string parses back exactly.
-    for digits in range(6, 18):
+    """Fixed-point ts with at least six fraction digits that parses back exactly.
+
+    When repr(ts) is in fixed notation it is the shortest round-trip
+    string, so no fixed string with fewer fraction digits can round-trip
+    and the search starts at its digit count.
+    """
+    r = repr(ts)
+    dot = r.find(".")
+    start = 6 if dot < 0 or "e" in r else max(6, len(r) - dot - 1)
+    for digits in range(start, 18):
         s = f"{ts:.{digits}f}"
-        if float(s) == ts:
+        if s == r or float(s) == ts:
             return s
-    return repr(ts)
+    return r
+
+
+def _first(mask: np.ndarray) -> int | None:
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
+def _first_unparsable(cells: list[str], dtype) -> int:
+    for i, cell in enumerate(cells):
+        try:
+            np.array(cell, dtype=dtype)
+        except (ValueError, OverflowError):
+            return i
+    raise AssertionError("column converted in bulk but no cell fails alone")
+
+
+def _parse_rows(rows: list[str]) -> PacketColumns:
+    """Columns of the body rows, validated all at once.
+
+    Raises MalformedRow(k, reason) for the first bad row, where k is the
+    0-based index into rows; within a row, the leftmost bad field counts.
+    """
+    width = len(_COLUMNS)
+    bad: list[tuple[int, int, str]] = []  # (row, column, reason); the least wins
+    commas = list(map(str.count, rows, itertools.repeat(",", len(rows))))
+    if commas.count(width - 1) != len(rows):
+        k = next(i for i, c in enumerate(commas) if c != width - 1)
+        bad.append((k, -1, f"expected {width} columns, got {commas[k] + 1}"))
+        rows = rows[:k]  # the rows before it may hold an earlier fault
+    cells = ",".join(rows).split(",") if rows else []
+    text = [cells[c::width] for c in range(width)]
+    cols: list = [None] * width
+
+    def check(c: int, mask: np.ndarray, reason: str) -> None:
+        k = _first(mask)
+        if k is not None:
+            bad.append((k, c, f"{_COLUMNS[c]} {text[c][k]!r} {reason}"))
+
+    for c, allowed in [(1, ("c2s", "s2c"))] + [(c, ("0", "1")) for c in _FLAG_COLUMNS]:
+        if not set(text[c]) <= set(allowed):
+            check(c, np.array([cell not in allowed for cell in text[c]]), f"is not one of {allowed}")
+            continue
+        # every cell is one of two ASCII words that differ in their first byte
+        first = np.frombuffer("".join(text[c]).encode("ascii"), np.uint8)[:: len(allowed[0])]
+        cols[c] = first == ord(allowed[1][0])
+    for c, dtype, kind in [(0, np.float64, "number")] + [(c, np.int64, "integer") for c in _INT_COLUMNS]:
+        try:
+            cols[c] = np.array(text[c], dtype=dtype)
+        except (ValueError, OverflowError):
+            k = _first_unparsable(text[c], dtype)
+            bad.append((k, c, f"{_COLUMNS[c]} {text[c][k]!r} is not a 64-bit {kind}"))
+            continue
+        if c == 0:
+            check(c, ~(np.isfinite(cols[c]) & (cols[c] >= 0)), "is not finite and non-negative")
+        else:
+            check(c, (cols[c] < 0) | (cols[c] >= SEQ_MOD), "is outside [0, 2^32)")
+    if bad:
+        k, _, reason = min(bad)
+        raise MalformedRow(k, reason)
+    order = np.argsort(cols[0], kind="stable")  # ties keep file order
+    return PacketColumns(*(col[order] for col in cols))
 
 
 def read_trace(path) -> TraceRecord:
@@ -154,57 +301,39 @@ def read_trace(path) -> TraceRecord:
     if len(lines) < 2 or [c.strip() for c in lines[1].split(",")] != _COLUMNS:
         raise BadHeader(f"{path}: missing or wrong column header")
 
-    events = []
-    for idx, row in enumerate(csv.reader(lines[2:]), start=1):
-        if not row:
-            continue  # trailing blank line
-        if len(row) != len(_COLUMNS):
-            raise MalformedRow(idx, f"expected {len(_COLUMNS)} columns, got {len(row)}")
-        try:
-            ev = PacketEvent(
-                ts=float(row[0]),
-                dir=Direction(row[1]),
-                seq=int(row[2]),
-                ack=int(row[3]),
-                payload_len=int(row[4]),
-                syn=_parse_bool(row[5]),
-                fin=_parse_bool(row[6]),
-                rst=_parse_bool(row[7]),
-                ack_flag=_parse_bool(row[8]),
-                win=int(row[9]),
-                sack_cnt=int(row[10]),
-            )
-        except ValueError as exc:
-            raise MalformedRow(idx, str(exc)) from exc
-        if ev.payload_len > 0 and (ev.syn or ev.fin or ev.rst):
-            warnings.warn(f"{path}: row {idx} carries payload on a syn/fin/rst packet")
-        events.append(ev)
-    if not events:
+    # Row numbers count every body line from 1; blank lines are skipped.
+    numbers = [i for i, line in enumerate(lines[2:], start=1) if line and line != "\r"]
+    rows = [lines[i + 1] for i in numbers]
+    if not rows:
         raise EmptyTrace(f"{path}: no event rows")
-
-    events.sort(key=lambda e: e.ts)  # stable: ties keep file order
+    try:
+        events = _parse_rows(rows)
+    except MalformedRow as exc:
+        raise MalformedRow(numbers[exc.row_index], f"{path}: {exc.reason}") from None
+    for k in np.flatnonzero((events.payload_len > 0) & (events.syn | events.fin | events.rst)).tolist():
+        warnings.warn(f"{path}: row {numbers[k]} carries payload on a syn/fin/rst packet")
     return TraceRecord(
         capture_point=capture,
         direction_of_transfer=transfer,
-        events=tuple(events),
+        events=events,
         declared_transfer_bytes=declared,
     )
 
 
 def write_trace(trace: TraceRecord, path) -> None:
     """Write a trace; read_trace(write_trace(t)) reproduces t exactly."""
-    if not trace.events:
+    ev = trace.events
+    if not ev:
         raise EmptyTrace("refusing to write a trace with no events")
+    names = [d.value for d in DIRECTIONS]
+    ints = [getattr(ev, name).astype(np.int64).tolist() for name in FIELDS[2:]]
+    rows = zip(map(_format_ts, ev.ts.tolist()), [names[d] for d in ev.dir.tolist()], *ints)
     out = [
         f"#capture={trace.capture_point.value},transfer={trace.direction_of_transfer.value},"
         f"bytes={trace.declared_transfer_bytes}",
         ",".join(_COLUMNS),
     ]
-    for e in trace.events:
-        out.append(
-            f"{_format_ts(e.ts)},{e.dir.value},{e.seq},{e.ack},{e.payload_len},"
-            f"{int(e.syn)},{int(e.fin)},{int(e.rst)},{int(e.ack_flag)},{e.win},{e.sack_cnt}"
-        )
+    out.extend(map(_ROW_FORMAT.__mod__, rows))
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(out) + "\n")
@@ -218,4 +347,9 @@ def write_pair(pair: TracePair, down_path, up_path) -> None:
 
 
 def read_pair(down_path, up_path) -> TracePair:
-    return TracePair(download=read_trace(down_path), upload=read_trace(up_path))
+    """The pair of the --down and --up traces; a trace in the wrong role is a BadHeader."""
+    download, upload = read_trace(down_path), read_trace(up_path)
+    try:
+        return TracePair(download=download, upload=upload)
+    except ValueError as exc:
+        raise BadHeader(f"{down_path}, {up_path}: {exc}") from exc

@@ -336,3 +336,14 @@ class TestBundle:
         (bundle / "registry.json").write_text("{", encoding="utf-8")
         with pytest.raises(IoFailure, match="registry.json"):
             save_cfd_part(bundle, net, "v1")
+
+    def test_refused_save_leaves_stage_in_place(self, tmp_path):
+        net = train_cfd(client_db(), cf_configs())
+        bundle = tmp_path / "bundle"
+        save_cfd_part(bundle, net, "v1")
+        marker = bundle / "cfd" / "marker"
+        marker.write_text("old stage", encoding="utf-8")
+        with pytest.raises(CatalogMismatch):
+            save_cfd_part(bundle, net, "v2")
+        assert marker.read_text(encoding="utf-8") == "old stage"
+        assert sorted(p.name for p in bundle.iterdir()) == ["cfd", "registry.json"]

@@ -129,3 +129,56 @@ def test_corrupt_bundle_file_exits_2_naming_it(trained, tmp_path, name, how):
     assert code == 2
     assert "Traceback" not in err
     assert str(target) in err
+
+
+def _corrupt_database(csv_path, how: str):
+    """(path of the corrupted file, its new text) for one corruption of a saved database."""
+    sidecar = csv_path.with_name(csv_path.name + ".meta.json")
+    if how == "row_width":
+        lines = csv_path.read_text(encoding="utf-8").splitlines()
+        lines[2] = lines[2].rsplit(",", 3)[0]
+        return csv_path, "\n".join(lines) + "\n"
+    if how == "sidecar_truncated":
+        return sidecar, sidecar.read_text(encoding="utf-8")[:20]
+    meta = json.loads(sidecar.read_text(encoding="utf-8"))
+    if how == "sidecar_missing_key":
+        del meta["stage"]
+    elif how == "sidecar_wrong_type":
+        meta["fault_registry"] = ["read_buf"]
+    else:
+        meta["scaler"] = {"min": [0.0], "max": [1.0, 2.0]}
+    return sidecar, json.dumps(meta)
+
+
+@pytest.mark.parametrize(
+    "how", ["row_width", "sidecar_truncated", "sidecar_missing_key", "sidecar_wrong_type", "sidecar_scaler_shape"]
+)
+def test_corrupt_database_exits_2_naming_it(tmp_path, how):
+    _, client = _databases(tmp_path)
+    target, text = _corrupt_database(client, how)
+    target.write_text(text, encoding="utf-8")
+    code, _, err = _run("train", "--db", str(client), "--stage", "cfd", "--out", str(tmp_path / "bundle"))
+    assert code == 2
+    assert "Traceback" not in err
+    assert str(target) in err
+
+
+@pytest.mark.parametrize("ts", ["nan", "inf", "-inf"])
+def test_non_finite_timestamp_exits_2(trained, tmp_path, ts):
+    bundle, _, down, up = trained
+    lines = down.read_text(encoding="utf-8").splitlines()
+    lines[4] = ts + lines[4][lines[4].index(","):]
+    bad = tmp_path / "bad.down.csv"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, _, err = _run("diagnose", "--bundle", str(bundle), "--down", str(bad), "--up", str(up))
+    assert code == 2
+    assert "Traceback" not in err
+    assert "row 3" in err and "ts" in err
+
+
+def test_swapped_traces_exit_2_naming_roles(trained):
+    bundle, _, down, up = trained
+    code, _, err = _run("diagnose", "--bundle", str(bundle), "--down", str(up), "--up", str(down))
+    assert code == 2
+    assert "Traceback" not in err
+    assert "download" in err and "captured at the client" in err

@@ -82,6 +82,40 @@ class TestRead:
             read_trace(f)
         assert err.value.row_index == 1
 
+    GOOD = "0.100000,c2s,0,0,10,0,0,0,0,100,0"
+
+    @pytest.mark.parametrize(
+        "rows, bad_row",
+        [
+            (["nan,c2s,0,0,10,0,0,0,0,100,0"], 1),
+            ([GOOD, "inf,c2s,0,0,10,0,0,0,0,100,0"], 2),
+            ([GOOD, "-0.5,c2s,0,0,10,0,0,0,0,100,0"], 2),
+            ([GOOD, "0.1,c2s,4294967296,0,10,0,0,0,0,100,0"], 2),
+            ([GOOD, "0.1,c2s,0,-1,10,0,0,0,0,100,0"], 2),
+            ([GOOD, "0.1,c2s,0,0,-10,0,0,0,0,100,0"], 2),
+            ([GOOD, "0.1,c2s,0,0,10,0,0,0,0,100,99999999999999999999"], 2),
+            ([GOOD, "0.1,c2s,0,0,10,0,0,2,0,100,0"], 2),
+            ([GOOD, "0.1,c2s,0,0,x,0,0,0,0,100,0"], 2),
+            # the first bad row counts, whichever check finds it
+            ([GOOD, GOOD, "0.1,c2s,0,0,10,0,0,0,0,100", "x,c2s,0,0,10,0,0,0,0,100,0"], 3),
+            ([GOOD, "0.1,c2s,0,0,10,0,0,0,0,-1,0", "0.1,c2s,0,0,10,0,0,0,0,100"], 2),
+            ([GOOD, "0.1,c2s,0,0,10,0,0,0,0,100,x", "0.1,X,0,0,10,0,0,0,0,100,0"], 2),
+            # blank lines are skipped but counted
+            ([GOOD, "", GOOD, "0.1,c2s,0,0,10,0,0,0,0,100,-2"], 4),
+        ],
+    )
+    def test_first_bad_row_is_reported(self, tmp_path, rows, bad_row):
+        f = tmp_path / "t.csv"
+        write_lines(f, *rows)
+        with pytest.raises(MalformedRow) as err:
+            read_trace(f)
+        assert err.value.row_index == bad_row
+
+    def test_crlf_line_ends(self, tmp_path):
+        f = tmp_path / "t.csv"
+        f.write_bytes("\r\n".join([HEADER, COLS, self.GOOD, self.GOOD, ""]).encode())
+        assert len(read_trace(f).events) == 2
+
     def test_column_count_mismatch(self, tmp_path):
         f = tmp_path / "t.csv"
         write_lines(f, "0.1,c2s,0,0,10,0,0,0,0,100")
@@ -193,6 +227,27 @@ class TestPairing:
             PacketEvent(ts=-1.0, dir=Direction.CLIENT_TO_SERVER, seq=0, ack=0, payload_len=0)
         with pytest.raises(ValueError):
             PacketEvent(ts=0.0, dir=Direction.CLIENT_TO_SERVER, seq=2**32, ack=0, payload_len=0)
+        with pytest.raises(ValueError):
+            PacketEvent(ts=float("nan"), dir=Direction.CLIENT_TO_SERVER, seq=0, ack=0, payload_len=0)
+        with pytest.raises(ValueError):
+            PacketEvent(ts=0.0, dir=Direction.CLIENT_TO_SERVER, seq=0, ack=0, payload_len=0, win=2**32)
+
+
+class TestColumns:
+    def test_view_over_columns(self):
+        events = [
+            PacketEvent(ts=0.0, dir=Direction.CLIENT_TO_SERVER, seq=1, ack=0, payload_len=0, syn=True, win=9),
+            PacketEvent(ts=0.5, dir=Direction.SERVER_TO_CLIENT, seq=7, ack=2, payload_len=3, ack_flag=True),
+        ]
+        cols = make_trace(events).events
+        assert len(cols) == 2
+        assert cols[1] == events[1] and cols[-2] == events[0]
+        assert list(cols) == events
+        assert cols.dir.tolist() == [0, 1] and cols.payload_len.tolist() == [0, 3]
+        with pytest.raises(ValueError):
+            cols.seq[0] = 5
+        with pytest.raises(AttributeError):
+            cols.seq = np.zeros(2)
 
 
 def format_ts_reference(ts: float) -> str:
