@@ -127,12 +127,12 @@ class ExtractionDiagnostics:
 def _unwrap(raw: np.ndarray) -> np.ndarray:
     """Extends 32-bit sequence values to a monotone-friendly integer line.
 
-    Each value is placed at the representative closest to the previous
-    one, so wraparound is handled as long as consecutive values stay
-    within half the sequence space.  Values are anchored at the raw first
-    value, which keeps independently unwrapped streams (e.g. data seq and
-    the acks covering them) in the same frame provided both start before
-    the first wrap.
+    Each new value is placed at the representative closest to the
+    previous one, so wraparound is handled as long as consecutive values
+    stay within half the sequence space.  Values are anchored at the raw
+    first value, which keeps independently unwrapped streams (e.g. data
+    seq and the acks covering them) in the same frame provided both
+    start before the first wrap.
     """
     if raw.size == 0:
         return raw
