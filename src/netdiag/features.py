@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CatalogMismatch, EmptyTrace
-from .trace import DIRECTIONS, SEQ_MOD, Direction, TracePair, TraceRecord, TransferDirection
+from .trace import SEQ_MOD, Direction, TracePair, TraceRecord, TransferDirection
 
 SMALL_SEGMENT_BYTES = 512  # "push-like" threshold
 
@@ -153,14 +153,6 @@ class _IntervalSet:
         """Merge [s, e); return the number of bytes already covered."""
         if e <= s:
             return 0
-        if self._ends and s >= self._ends[-1]:  # at or past the end: the in-order case
-            if s == self._ends[-1]:
-                self._ends[-1] = e
-            else:
-                self._starts.append(s)
-                self._ends.append(e)
-            self.max_end = e
-            return 0
         i = bisect.bisect_right(self._starts, s) - 1
         if i >= 0 and self._ends[i] < s:
             i += 1
@@ -230,13 +222,13 @@ class _TraceAnalysis:
         n = len(ev)
         if not n:
             raise EmptyTrace("cannot analyze a trace with no events")
-        ts, length, code = ev.ts, ev.payload_len, ev.dir
-        c2s, s2c = DIRECTIONS.index(Direction.CLIENT_TO_SERVER), DIRECTIONS.index(Direction.SERVER_TO_CLIENT)
-        data_code = DIRECTIONS.index(trace.data_direction())
-        ack_code = s2c if data_code == c2s else c2s
-        data_dir = code == data_code
+        ts, length = ev.ts, ev.payload_len
+        c2s, s2c = Direction.CLIENT_TO_SERVER, Direction.SERVER_TO_CLIENT
+        data_direction = trace.data_direction()
+        ack_direction = s2c if data_direction is c2s else c2s
+        data_dir = ev.is_dir(data_direction)
         ack_dir = ~data_dir
-        out_dir = code == DIRECTIONS.index(trace.capture_outbound())
+        out_dir = ev.is_dir(trace.capture_outbound())
         has_payload = length > 0
         pure_ack = ~has_payload & ev.ack_flag & ~(ev.syn | ev.fin | ev.rst)
 
@@ -246,11 +238,11 @@ class _TraceAnalysis:
         def total(values) -> int:
             return int(values.sum())
 
-        by_dir = [code == c for c in range(len(DIRECTIONS))]  # indexed by code
-        counts = [count(d) for d in by_dir]
-        bytes_ = [total(length[d]) for d in by_dir]
-        data_pkts = [count(has_payload & d) for d in by_dir]
-        pure_acks = [count(pure_ack & d) for d in by_dir]
+        by_dir = {d: ev.is_dir(d) for d in (c2s, s2c)}
+        counts = {d: count(m) for d, m in by_dir.items()}
+        bytes_ = {d: total(length[m]) for d, m in by_dir.items()}
+        data_pkts = {d: count(has_payload & m) for d, m in by_dir.items()}
+        pure_acks = {d: count(pure_ack & m) for d, m in by_dir.items()}
 
         wins = ev.win[ack_dir]
         acks = ev.ack[ack_dir & pure_ack]
@@ -303,7 +295,7 @@ class _TraceAnalysis:
 
         elapsed = float(ts[-1] - ts[0])
         idle_max = max(0.0, float(np.diff(ts).max())) if n >= 2 else 0.0
-        data_bytes = bytes_[data_code]
+        data_bytes = bytes_[data_direction]
 
         samples = rtt.samples
         n_rtt = len(samples)
@@ -361,8 +353,8 @@ class _TraceAnalysis:
         put(Statistic.FIN_COUNT, count(ev.fin))
         put(Statistic.RST_COUNT, count(ev.rst))
         put(Statistic.INITIAL_WINDOW_BYTES, initial_window, has_segs)
-        n_data = data_pkts[data_code]
-        n_acks = pure_acks[ack_code]
+        n_data = data_pkts[data_direction]
+        n_acks = pure_acks[ack_direction]
         put(Statistic.ACK_COMPRESSION_RATIO, n_acks / n_data if n_data else 0.0, n_data > 0)
         put(Statistic.BYTES_PER_ACK, data_bytes / n_acks if n_acks else 0.0, n_acks > 0)
 

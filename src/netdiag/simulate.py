@@ -41,7 +41,6 @@ import numpy as np
 
 from .rng import SplitMix64, derive_seed, keyed_uniform
 from .trace import (
-    DIRECTIONS,
     SEQ_MOD,
     CapturePoint,
     Direction,
@@ -49,6 +48,7 @@ from .trace import (
     TracePair,
     TraceRecord,
     TransferDirection,
+    direction_codes,
 )
 
 MSS = 1448
@@ -564,8 +564,7 @@ class _TransferSim:
         ts, dirs, seq, ack, *rest = zip(*self.captured)
         ts = np.array(ts)
         order = np.argsort(ts, kind="stable")  # ties keep capture order
-        codes = np.array([DIRECTIONS.index(d) for d in dirs], dtype=np.int8)
-        columns = [ts - ts.min(), codes, np.array(seq) % SEQ_MOD, np.array(ack) % SEQ_MOD, *rest]
+        columns = [ts - ts.min(), direction_codes(dirs), np.array(seq) % SEQ_MOD, np.array(ack) % SEQ_MOD, *rest]
         events = PacketColumns(*(np.asarray(col)[order] for col in columns))
         record = TraceRecord(
             capture_point=CapturePoint.CLIENT if self.down else CapturePoint.SERVER,

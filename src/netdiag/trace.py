@@ -36,6 +36,12 @@ class Direction(enum.Enum):
 
 # Direction of each code in the `dir` column.
 DIRECTIONS = (Direction.CLIENT_TO_SERVER, Direction.SERVER_TO_CLIENT)
+_CODES = {d: code for code, d in enumerate(DIRECTIONS)}
+
+
+def direction_codes(directions) -> np.ndarray:
+    """The `dir` column of a sequence of `Direction`s."""
+    return np.fromiter(map(_CODES.__getitem__, directions), np.int8)
 
 
 class CapturePoint(enum.Enum):
@@ -103,7 +109,7 @@ class PacketColumns:
     @classmethod
     def from_events(cls, events) -> PacketColumns:
         rows = [
-            (e.ts, DIRECTIONS.index(e.dir), e.seq, e.ack, e.payload_len,
+            (e.ts, _CODES[e.dir], e.seq, e.ack, e.payload_len,
              e.syn, e.fin, e.rst, e.ack_flag, e.win, e.sack_cnt)
             for e in events
         ]
@@ -111,6 +117,10 @@ class PacketColumns:
 
     def __setattr__(self, name, value):
         raise AttributeError("PacketColumns is read-only")
+
+    def is_dir(self, direction: Direction) -> np.ndarray:
+        """Mask of the packets travelling in `direction`."""
+        return self.dir == _CODES[direction]
 
     def __len__(self) -> int:
         return len(self.ts)
@@ -225,8 +235,9 @@ def _first_unparsable(cells: list[str], dtype) -> int:
     raise AssertionError("column converted in bulk but no cell fails alone")
 
 
-def _parse_rows(rows: list[str]) -> PacketColumns:
-    """Columns of the body rows, validated all at once.
+def _parse_rows(rows: list[str]) -> tuple[PacketColumns, list[int]]:
+    """Columns of the body rows, validated all at once and sorted by ts,
+    and the indices into rows of packets with payload on a syn/fin/rst.
 
     Raises MalformedRow(k, reason) for the first bad row, where k is the
     0-based index into rows; within a row, the leftmost bad field counts.
@@ -251,9 +262,7 @@ def _parse_rows(rows: list[str]) -> PacketColumns:
         if not set(text[c]) <= set(allowed):
             check(c, np.array([cell not in allowed for cell in text[c]]), f"is not one of {allowed}")
             continue
-        # every cell is one of two ASCII words that differ in their first byte
-        first = np.frombuffer("".join(text[c]).encode("ascii"), np.uint8)[:: len(allowed[0])]
-        cols[c] = first == ord(allowed[1][0])
+        cols[c] = np.array(text[c]) == allowed[1]
     for c, dtype, kind in [(0, np.float64, "number")] + [(c, np.int64, "integer") for c in _INT_COLUMNS]:
         try:
             cols[c] = np.array(text[c], dtype=dtype)
@@ -268,8 +277,9 @@ def _parse_rows(rows: list[str]) -> PacketColumns:
     if bad:
         k, _, reason = min(bad)
         raise MalformedRow(k, reason)
+    payload_on_control = np.flatnonzero((cols[4] > 0) & (cols[5] | cols[6] | cols[7]))
     order = np.argsort(cols[0], kind="stable")  # ties keep file order
-    return PacketColumns(*(col[order] for col in cols))
+    return PacketColumns(*(col[order] for col in cols)), payload_on_control.tolist()
 
 
 def read_trace(path) -> TraceRecord:
@@ -307,10 +317,10 @@ def read_trace(path) -> TraceRecord:
     if not rows:
         raise EmptyTrace(f"{path}: no event rows")
     try:
-        events = _parse_rows(rows)
+        events, payload_on_control = _parse_rows(rows)
     except MalformedRow as exc:
         raise MalformedRow(numbers[exc.row_index], f"{path}: {exc.reason}") from None
-    for k in np.flatnonzero((events.payload_len > 0) & (events.syn | events.fin | events.rst)).tolist():
+    for k in payload_on_control:
         warnings.warn(f"{path}: row {numbers[k]} carries payload on a syn/fin/rst packet")
     return TraceRecord(
         capture_point=capture,

@@ -147,6 +147,23 @@ class TestRead:
             t = read_trace(f)
         assert t.events[0].syn and t.events[0].payload_len == 10
 
+    def test_payload_warning_names_file_row_when_unsorted(self, tmp_path):
+        f = tmp_path / "t.csv"
+        write_lines(
+            f,
+            "0.200000,c2s,0,0,0,0,0,0,1,100,0",
+            "",
+            "0.100000,c2s,0,0,10,1,0,0,0,100,0",
+            "0.300000,s2c,0,0,5,0,1,0,1,100,0",
+        )
+        with pytest.warns(UserWarning) as record:
+            t = read_trace(f)
+        assert [str(w.message).split(": ", 1)[1] for w in record] == [
+            "row 3 carries payload on a syn/fin/rst packet",
+            "row 4 carries payload on a syn/fin/rst packet",
+        ]
+        assert t.events.ts.tolist() == [0.1, 0.2, 0.3]
+
 
 class TestWrite:
     def test_refuses_empty(self, tmp_path):
@@ -244,6 +261,8 @@ class TestColumns:
         assert cols[1] == events[1] and cols[-2] == events[0]
         assert list(cols) == events
         assert cols.dir.tolist() == [0, 1] and cols.payload_len.tolist() == [0, 3]
+        assert cols.is_dir(Direction.CLIENT_TO_SERVER).tolist() == [True, False]
+        assert cols.is_dir(Direction.SERVER_TO_CLIENT).tolist() == [False, True]
         with pytest.raises(ValueError):
             cols.seq[0] = 5
         with pytest.raises(AttributeError):
