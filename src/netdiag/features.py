@@ -153,6 +153,14 @@ class _IntervalSet:
         """Merge [s, e); return the number of bytes already covered."""
         if e <= s:
             return 0
+        if self._ends and s >= self._ends[-1]:  # at or past the end: the in-order case
+            if s == self._ends[-1]:
+                self._ends[-1] = e
+            else:
+                self._starts.append(s)
+                self._ends.append(e)
+            self.max_end = e
+            return 0
         i = bisect.bisect_right(self._starts, s) - 1
         if i >= 0 and self._ends[i] < s:
             i += 1

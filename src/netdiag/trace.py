@@ -262,7 +262,10 @@ def _parse_rows(rows: list[str]) -> tuple[PacketColumns, list[int]]:
         if not set(text[c]) <= set(allowed):
             check(c, np.array([cell not in allowed for cell in text[c]]), f"is not one of {allowed}")
             continue
-        cols[c] = np.array(text[c]) == allowed[1]
+        # both allowed words have the same length, so the joined cells
+        # read back as a fixed-width byte-string array
+        words = np.frombuffer("".join(text[c]).encode("ascii"), f"S{len(allowed[1])}")
+        cols[c] = words == allowed[1].encode("ascii")
     for c, dtype, kind in [(0, np.float64, "number")] + [(c, np.int64, "integer") for c in _INT_COLUMNS]:
         try:
             cols[c] = np.array(text[c], dtype=dtype)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from netdiag.features import (
     Statistic,
+    _IntervalSet,
     compute_statistic,
     default_catalog,
     extract_signature,
@@ -171,6 +172,23 @@ class TestStatisticOracles:
         )
         assert compute_statistic(t, Statistic.ACK_COMPRESSION_RATIO) == 0.5
         assert compute_statistic(t, Statistic.BYTES_PER_ACK) == 200.0
+
+
+class TestIntervalSet:
+    @settings(max_examples=300, deadline=None)
+    @given(adds=st.lists(st.tuples(st.integers(0, 60), st.integers(-2, 15)), max_size=30))
+    def test_matches_byte_set(self, adds):
+        cover, covered = _IntervalSet(), set()
+        for s, n in adds:
+            got = cover.add(s, s + n)
+            new = set(range(s, s + n))
+            assert got == len(new & covered)
+            covered |= new
+            assert cover.max_end == (max(covered) + 1 if covered else None)
+        assert cover._starts == sorted(cover._starts)
+        assert all(a < b for a, b in zip(cover._starts, cover._ends))
+        assert all(b <= a for a, b in zip(cover._starts[1:], cover._ends))
+        assert sum(b - a for a, b in zip(cover._starts, cover._ends)) == len(covered)
 
 
 class TestVectorProperties:
