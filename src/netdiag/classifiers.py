@@ -17,7 +17,6 @@ On disk a trained bundle is a directory:
 from __future__ import annotations
 
 import enum
-import json
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -33,6 +32,7 @@ from .preprocess import (
     apply_scaler,
     read_artifact,
     scale_database,
+    write_artifact,
 )
 from .rng import derive_seed
 from .selection import (
@@ -357,12 +357,13 @@ def _save_stage(bundle, name: str, artifacts: dict, catalog_version: str, **fiel
     tmp = _stage_dir(bundle, name)
     try:
         for file_name, payload in artifacts.items():
-            _write_json(tmp / file_name, payload)
+            write_artifact(tmp / file_name, payload)
         _replace_dir(tmp, bundle / name)
-        _write_json(registry_path, {**meta, "catalog_version": catalog_version, **fields})
+        write_artifact(registry_path, {**meta, "catalog_version": catalog_version, **fields})
     except OSError as exc:
-        shutil.rmtree(tmp, ignore_errors=True)
         raise IoFailure(str(exc)) from exc
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)  # gone already once swapped in
 
 
 def save_lpd_part(bundle, lpd: LpdClassifier, catalog_version: str) -> None:
@@ -415,10 +416,6 @@ def load_bundle(path) -> tuple[LpdClassifier, CfdNetwork, str]:
     ]
     cfd = CfdNetwork(modules=tuple(modules), fault_registry=meta["fault_registry"])
     return lpd, cfd, meta["catalog_version"]
-
-
-def _write_json(path, payload) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _selection_from_dict(d: dict) -> SelectionReport:

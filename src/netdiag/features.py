@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CatalogMismatch, EmptyTrace
+from .errors import CatalogMismatch, EmptyTrace, NonFiniteInput
 from .trace import SEQ_MOD, Direction, TracePair, TraceRecord, TransferDirection
 
 SMALL_SEGMENT_BYTES = 512  # "push-like" threshold
@@ -310,7 +310,10 @@ class _TraceAnalysis:
         rtt_avg = sum(samples) / n_rtt if n_rtt else 0.0
         rtt_stdev = 0.0
         if n_rtt >= 2:
-            var = sum((x - rtt_avg) ** 2 for x in samples) / (n_rtt - 1)
+            try:
+                var = sum((x - rtt_avg) ** 2 for x in samples) / (n_rtt - 1)
+            except OverflowError:  # samples near the float range; refused below
+                var = math.inf
             rtt_stdev = math.sqrt(var)
 
         v: dict[Statistic, float] = {}
@@ -390,7 +393,7 @@ def extract_with_diagnostics(pair: TracePair, catalog: FeatureCatalog) -> tuple[
         defined.append(a.defined[fdef.statistic])
     if not np.all(np.isfinite(values)):
         bad = catalog.feature_names[int(np.flatnonzero(~np.isfinite(values))[0])]
-        raise AssertionError(f"non-finite statistic escaped extraction: {bad}")
+        raise NonFiniteInput(f"feature {bad} is not finite: the traces hold values too large to combine")
     sig = Signature(values=values, label=None, catalog_version=catalog.version)
     return sig, ExtractionDiagnostics(defined=tuple(defined), feature_names=catalog.feature_names)
 

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     IoFailure,
+    NonFiniteInput,
     StageError,
     TooFewRows,
     UnknownLabel,
@@ -188,15 +189,28 @@ def save_database(db: SignatureDatabase, path) -> None:
         "selected_features": list(db.selected_features) if db.selected_features else [],
         "fault_registry": dict(db.fault_registry) if db.fault_registry else {},
     }
+    write_artifact(sidecar_path(path), sidecar)
     try:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        sidecar_path(path).write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
 
 
 def sidecar_path(path) -> Path:
     return Path(str(path) + ".meta.json")
+
+
+def write_artifact(path, payload) -> None:
+    """Write payload as a JSON artifact file.  NaN and infinities have no
+    JSON form: they are a NonFiniteInput, raised before the file is opened."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteInput(f"cannot write {path}: {exc}") from exc
+    try:
+        Path(path).write_text(text + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
 
 
 def read_artifact(path, what: str, parse):

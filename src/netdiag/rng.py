@@ -11,11 +11,20 @@ enough to reimplement in any language from this file alone:
     z <- (z xor (z >> 30)) * 0xBF58476D1CE4E5B9 mod 2^64
     z <- (z xor (z >> 27)) * 0x94D049BB133111EB mod 2^64
     output <- z xor (z >> 31)
+
+A uniform draw is output / 2^64, with output rounded to the nearest
+double (ties to even) before the exact division.  The bulk forms
+(`uniform_stream`, `keyed_uniforms`) apply the same steps to numpy
+uint64 arrays, whose multiplies wrap mod 2^64, and return the same
+floats as the scalar forms.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+
+import numpy as np
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -26,6 +35,13 @@ def _mix(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
+
+
+def _mix_array(z: np.ndarray) -> np.ndarray:
+    """`_mix` over a uint64 array."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 def derive_seed(seed: int, *labels: int | str) -> int:
@@ -52,6 +68,24 @@ def keyed_uniform(seed: int, *keys: int) -> float:
     for k in keys:
         state = _mix((state + _GOLDEN) ^ (k & _MASK))
     return _mix(state) / 2.0**64
+
+
+def keyed_uniforms(seed: int, n: int) -> np.ndarray:
+    """keyed_uniform(seed, k, 0) for k in range(n), computed in bulk."""
+    state = _mix_array(np.uint64((seed + _GOLDEN) & _MASK) ^ np.arange(n, dtype=np.uint64))
+    state = _mix_array(state + np.uint64(_GOLDEN))  # key 0: xor is a no-op
+    return _mix_array(state) / 2.0**64
+
+
+_BLOCK = 1024
+_BLOCK_STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+
+
+def uniform_stream(seed: int):
+    """Iterator over the draws of SplitMix64(seed).uniform(), computed
+    `_BLOCK` at a time as the first draw of each block is asked for."""
+    starts = (np.uint64((seed + i * _BLOCK * _GOLDEN) & _MASK) for i in itertools.count())
+    return itertools.chain.from_iterable((_mix_array(s + _BLOCK_STEPS) / 2.0**64).tolist() for s in starts)
 
 
 class SplitMix64:

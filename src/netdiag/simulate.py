@@ -27,7 +27,9 @@ on.
 
 All randomness is derived from explicit 64-bit seeds via splitmix64
 (see rng.py).  Loss draws are keyed by (segment index, attempt) so a
-higher loss rate drops a superset of packets for the same seed.
+higher loss rate drops a superset of packets for the same seed.  Each
+stream feeds only its own comparison, so a loss-free link draws no loss
+randomness and a link without reordering draws no reorder randomness.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import SplitMix64, derive_seed, keyed_uniform
+from .rng import derive_seed, keyed_uniform, keyed_uniforms, uniform_stream
 from .trace import (
     SEQ_MOD,
     CapturePoint,
@@ -128,6 +130,14 @@ class FlowStats:
     delivered_bytes: int = 0
 
 
+def _covers(intervals: list, s: int, e: int) -> bool:
+    """Whether one of the [start, end, ...] intervals holds all of [s, e)."""
+    for iv in intervals:
+        if iv[0] <= s and e <= iv[1]:
+            return True
+    return False
+
+
 class _TransferSim:
     """One reliable transfer over one lossy pipe, captured at the receiver."""
 
@@ -141,8 +151,10 @@ class _TransferSim:
 
         # Roles: the client initiates both transfers; data flows from the
         # server for a download and from the client for an upload.
-        self.data_dir = Direction.SERVER_TO_CLIENT if self.down else Direction.CLIENT_TO_SERVER
-        self.ack_dir = Direction.CLIENT_TO_SERVER if self.down else Direction.SERVER_TO_CLIENT
+        # Directions are `dir` column codes.
+        self.c2s, self.s2c = direction_codes((Direction.CLIENT_TO_SERVER, Direction.SERVER_TO_CLIENT)).tolist()
+        self.data_dir = self.s2c if self.down else self.c2s
+        self.ack_dir = self.c2s if self.down else self.s2c
         self.profile = CwndProfile.CUBICLIKE if self.down else client.cwnd_growth_profile
         self.write_buffer = SERVER_SEND_BUFFER if self.down else client.write_buffer
         self.read_buffer = client.read_buffer if self.down else SERVER_BUFFER
@@ -152,15 +164,21 @@ class _TransferSim:
         self.syn_sack_cnt = 1 if self.sack else 0
         self.hs_ack_sack_cnt = 1 if (self.sack and not self.dsack) else 0
 
+        self.n_segs = (self.B + MSS - 1) // MSS
+        self.seg_end = [min((k + 1) * MSS, self.B) for k in range(self.n_segs)]
+        self.stats = FlowStats(transfer_bytes=self.B, data_segments=self.n_segs)
+
         label = transfer.value
         self.loss_seed = derive_seed(seed, label, "data-loss")
-        self.ack_loss = SplitMix64(derive_seed(seed, label, "ack-loss"))
-        self.reorder = SplitMix64(derive_seed(seed, label, "reorder"))
+        # first-attempt losses of every segment and (at index n_segs) the FIN
+        if link.loss_rate > 0:
+            self.first_lost = (keyed_uniforms(self.loss_seed, self.n_segs + 1) < link.loss_rate).tolist()
+        else:
+            self.first_lost = [False] * (self.n_segs + 1)
+        self.ack_loss = uniform_stream(derive_seed(seed, label, "ack-loss"))
+        self.reorder = uniform_stream(derive_seed(seed, label, "reorder"))
         role = "client-ack" if self.down else "server-ack"
-        self.jitter = SplitMix64(derive_seed(client.seed, label, role))
-
-        self.n_segs = (self.B + MSS - 1) // MSS
-        self.stats = FlowStats(transfer_bytes=self.B, data_segments=self.n_segs)
+        self.jitter = uniform_stream(derive_seed(client.seed, label, role))
 
         # sender state (offsets are payload bytes; FIN occupies offset B)
         self.snd_una = 0
@@ -187,16 +205,15 @@ class _TransferSim:
         self.fin_sent = False
         self.fin_acked = False
         self.fin_attempts = 0
-        self.attempts: dict[int, int] = {}
+        self.attempts = [0] * self.n_segs  # retransmissions so far, per segment
 
         # receiver state
         self.rcv_nxt = 0
         self.ooo: list[list[int]] = []  # [start, end, touched]
         self.touch = 0
-        self.fin_rcvd = False
         self.last_ack_t = 0.0
 
-        self.busy = {Direction.CLIENT_TO_SERVER: 0.0, Direction.SERVER_TO_CLIENT: 0.0}
+        self.busy = [0.0, 0.0]  # link free time, by direction code
         self.heap: list = []
         self.tick = itertools.count()
         self.captured: list[tuple] = []
@@ -207,79 +224,67 @@ class _TransferSim:
     def _ser(self, payload: int) -> float:
         return (payload + HEADER_BYTES) * 8.0 / self.link.bandwidth
 
-    def _push(self, t: float, kind: str, payload) -> None:
-        heapq.heappush(self.heap, (t, next(self.tick), kind, payload))
-
-    def _seg_bounds(self, k: int) -> tuple[int, int]:
-        return k * MSS, min((k + 1) * MSS, self.B)
+    def _push(self, t: float, handler, payload) -> None:
+        heapq.heappush(self.heap, (t, next(self.tick), handler, payload))
 
     def _record(self, ts, direction, seq, ack, length, syn=0, fin=0, ackf=0, win=0, sack_cnt=0):
         self.captured.append((ts, direction, seq, ack, length, syn, fin, 0, ackf, win, sack_cnt))
 
     # -- sender -------------------------------------------------------
 
+    def _lost(self, k: int, attempt: int) -> bool:
+        """Whether transmission `attempt` of segment k (k = n_segs: the FIN) is lost."""
+        if attempt == 0:
+            return self.first_lost[k]
+        return self.link.loss_rate > 0 and keyed_uniform(self.loss_seed, k, attempt) < self.link.loss_rate
+
     def _transmit(self, k: int, attempt: int, now: float) -> None:
-        s, e = self._seg_bounds(k)
-        dep = max(now, self.busy[self.data_dir]) + self._ser(e - s)
+        dep = max(now, self.busy[self.data_dir]) + self._ser(self.seg_end[k] - k * MSS)
         self.busy[self.data_dir] = dep
         self.stats.sender_transmissions += 1
         if attempt == 0:
             self.first_send.setdefault(k, now)
-        if keyed_uniform(self.loss_seed, k, attempt) < self.link.loss_rate:
+        if self._lost(k, attempt):
             self.stats.dropped_data_packets += 1
             return
         arrive = dep + self.link.one_way_delay
-        if self.link.reorder_rate > 0 and self.reorder.uniform() < self.link.reorder_rate:
+        if self.link.reorder_rate > 0 and next(self.reorder) < self.link.reorder_rate:
             arrive += 0.001 + 3.0 * self._ser(MSS)
-        self._push(arrive, "data", (k, attempt))
+        self._push(arrive, self._on_data, k)
 
     def _retransmit(self, k: int, now: float) -> None:
         # attempts are tracked per segment so loss draws stay keyed
         self.seg_retransmitted.add(k)
         self.stats.sender_retransmissions += 1
-        attempt = self.attempts.get(k, 0) + 1
-        self.attempts[k] = attempt
-        self._transmit(k, attempt, now)
+        self.attempts[k] += 1
+        self._transmit(k, self.attempts[k], now)
 
     def _send_fin(self, now: float) -> None:
         self.fin_sent = True
         dep = max(now, self.busy[self.data_dir]) + self._ser(0)
         self.busy[self.data_dir] = dep
-        if keyed_uniform(self.loss_seed, self.n_segs, self.fin_attempts) < self.link.loss_rate:
-            self.fin_attempts += 1
-            self._arm_timer(now)
-            return
+        if not self._lost(self.n_segs, self.fin_attempts):
+            self._push(dep + self.link.one_way_delay, self._on_fin, None)
         self.fin_attempts += 1
-        self._push(dep + self.link.one_way_delay, "fin", None)
         self._arm_timer(now)
 
     def _arm_timer(self, now: float) -> None:
         self.timer_epoch += 1
         self.timer_active = True
-        self._push(now + self.rto * self.backoff, "rto", self.timer_epoch)
+        self._push(now + self.rto * self.backoff, self._on_rto, self.timer_epoch)
 
     def _try_send(self, now: float) -> None:
         limit = min(self.cwnd, float(self.peer_rwnd), float(self.write_buffer))
         while self.next_seg < self.n_segs:
-            s, e = self._seg_bounds(self.next_seg)
-            if (self.snd_nxt - self.snd_una) + (e - s) > limit:
-                break
             k = self.next_seg
-            self.attempts[k] = 0
+            e = self.seg_end[k]
+            if (self.snd_nxt - self.snd_una) + (e - k * MSS) > limit:
+                break
             self._transmit(k, 0, now)
             self.snd_nxt = e
             self.next_seg += 1
             if not self.timer_active:
                 self._arm_timer(now)
-
-    def _is_sacked(self, s: int, e: int) -> bool:
-        for bs, be, *_ in self.sacked:
-            if bs <= s and e <= be:
-                return True
-        return False
-
-    def _high_sacked(self) -> int:
-        return max((be for _, be in ((iv[0], iv[1]) for iv in self.sacked)), default=0)
 
     def _next_proven_hole(self) -> int | None:
         """First un-sacked segment strictly below the highest sacked byte.
@@ -287,13 +292,13 @@ class _TransferSim:
         Segments above the sacked region are merely in flight, not lost;
         retransmitting them would be spurious.
         """
-        high = self._high_sacked()
+        high = max((iv[1] for iv in self.sacked), default=0)
         k = self.snd_una // MSS
         while k < self.next_seg:
-            s, e = self._seg_bounds(k)
+            e = self.seg_end[k]
             if e > high:
                 return None
-            if e > self.snd_una and not self._is_sacked(max(s, self.snd_una), e):
+            if e > self.snd_una and not _covers(self.sacked, max(k * MSS, self.snd_una), e):
                 if k not in self.recovery_rexmits:
                     return k
             k += 1
@@ -337,8 +342,7 @@ class _TransferSim:
 
     def _sample_rtt(self, now: float) -> None:
         while self.next_sample_seg < self.next_seg:
-            s, e = self._seg_bounds(self.next_sample_seg)
-            if e > self.snd_una:
+            if self.seg_end[self.next_sample_seg] > self.snd_una:
                 break
             k = self.next_sample_seg
             if k not in self.seg_retransmitted and k in self.first_send:
@@ -415,19 +419,12 @@ class _TransferSim:
             self.t_loss = now
             self.in_recovery = False
             self.recovery_rexmits = set()
-            k = self.snd_una // MSS
-            self._retransmit(k, now)
+            self._retransmit(self.snd_una // MSS, now)
             self._arm_timer(now)
         else:
             self.timer_active = False
 
     # -- receiver -----------------------------------------------------
-
-    def _covered_by_ooo(self, s: int, e: int) -> bool:
-        for bs, be, _ in self.ooo:
-            if bs <= s and e <= be:
-                return True
-        return False
 
     def _add_ooo(self, s: int, e: int) -> None:
         self.touch += 1
@@ -444,44 +441,33 @@ class _TransferSim:
         self.ooo = out
 
     def _absorb_ooo(self) -> None:
-        changed = True
-        while changed:
-            changed = False
-            for iv in list(self.ooo):
-                if iv[0] <= self.rcv_nxt:
-                    self.rcv_nxt = max(self.rcv_nxt, iv[1])
-                    self.ooo.remove(iv)
-                    changed = True
-
-    def _ooo_bytes(self) -> int:
-        return sum(be - bs for bs, be, _ in self.ooo)
+        # ooo is sorted by start, so what rcv_nxt now reaches is a prefix
+        while self.ooo and self.ooo[0][0] <= self.rcv_nxt:
+            self.rcv_nxt = max(self.rcv_nxt, self.ooo.pop(0)[1])
 
     def _send_ack(self, now: float, dup_arrival: bool, fin_seen: bool = False) -> None:
-        rwnd = max(0, self.read_buffer - self._ooo_bytes())
-        blocks: list[tuple[int, int]] = []
-        if self.sack and self.ooo:
-            recent = sorted(self.ooo, key=lambda iv: -iv[2])[:MAX_SACK_BLOCKS]
-            blocks = [(iv[0], iv[1]) for iv in recent]
+        rwnd, blocks = self.read_buffer, []
+        if self.ooo:
+            rwnd = max(0, rwnd - sum(iv[1] - iv[0] for iv in self.ooo))
+            if self.sack:  # the most recently touched intervals
+                blocks = [(iv[0], iv[1]) for iv in sorted(self.ooo, key=lambda iv: -iv[2])[:MAX_SACK_BLOCKS]]
         sack_cnt = len(blocks) + (1 if dup_arrival and self.dsack else 0)
-        t = max(now + self.jitter.uniform() * ACK_JITTER_MAX, self.last_ack_t)
+        t = max(now + next(self.jitter) * ACK_JITTER_MAX, self.last_ack_t)
         self.last_ack_t = t
         ack_offset = self.rcv_nxt + (2 if fin_seen and self.rcv_nxt >= self.B else 1)
-        self._record(
-            t, self.ack_dir, seq=1, ack=ack_offset, length=0, ackf=1, win=rwnd, sack_cnt=sack_cnt
-        )
+        self._record(t, self.ack_dir, seq=1, ack=ack_offset, length=0, ackf=1, win=rwnd, sack_cnt=sack_cnt)
         self.stats.acks_sent += 1
         dep = max(t, self.busy[self.ack_dir]) + self._ser(0)
         self.busy[self.ack_dir] = dep
-        if self.ack_loss.uniform() < self.link.loss_rate:
+        if self.link.loss_rate > 0 and next(self.ack_loss) < self.link.loss_rate:
             self.stats.dropped_acks += 1
             return
         offset = self.rcv_nxt + (1 if fin_seen and self.rcv_nxt >= self.B else 0)
-        self._push(dep + self.link.one_way_delay, "ack", (offset, tuple(blocks), rwnd))
+        self._push(dep + self.link.one_way_delay, self._on_ack, (offset, tuple(blocks), rwnd))
 
-    def _on_data(self, now: float, payload) -> None:
-        k, _attempt = payload
-        s, e = self._seg_bounds(k)
-        dup = e <= self.rcv_nxt or self._covered_by_ooo(s, e)
+    def _on_data(self, now: float, k: int) -> None:
+        s, e = k * MSS, self.seg_end[k]
+        dup = e <= self.rcv_nxt or _covers(self.ooo, s, e)
         if dup:
             self.stats.duplicate_arrivals += 1
         elif s <= self.rcv_nxt:
@@ -489,18 +475,11 @@ class _TransferSim:
             self._absorb_ooo()
         else:
             self._add_ooo(s, e)
-        self._record(
-            now, self.data_dir, seq=1 + s, ack=1, length=e - s, ackf=1,
-            win=self.sender_rwnd, sack_cnt=0,
-        )
+        self._record(now, self.data_dir, seq=1 + s, ack=1, length=e - s, ackf=1, win=self.sender_rwnd)
         self._send_ack(now, dup_arrival=dup)
 
     def _on_fin(self, now: float, _payload) -> None:
-        self.fin_rcvd = True
-        self._record(
-            now, self.data_dir, seq=1 + self.B, ack=1, length=0, fin=1, ackf=1,
-            win=self.sender_rwnd, sack_cnt=0,
-        )
+        self._record(now, self.data_dir, seq=1 + self.B, ack=1, length=0, fin=1, ackf=1, win=self.sender_rwnd)
         self._send_ack(now, dup_arrival=False, fin_seen=True)
 
     # -- top level ----------------------------------------------------
@@ -510,69 +489,46 @@ class _TransferSim:
         owd = self.link.one_way_delay
         # Handshake (never lost): SYN, SYN-ACK, ACK.  The client SYN
         # carries the capability signal; the server answers with one block.
-        syn_dep = self.busy[Direction.CLIENT_TO_SERVER] + ser0
-        self.busy[Direction.CLIENT_TO_SERVER] = syn_dep
+        c2s, s2c = self.c2s, self.s2c
+        syn_dep = self.busy[c2s] + ser0
+        self.busy[c2s] = syn_dep
         syn_arr = syn_dep + owd
-        synack_dep = max(syn_arr, self.busy[Direction.SERVER_TO_CLIENT]) + ser0
-        self.busy[Direction.SERVER_TO_CLIENT] = synack_dep
+        synack_dep = max(syn_arr, self.busy[s2c]) + ser0
+        self.busy[s2c] = synack_dep
         synack_arr = synack_dep + owd
-        hs_ack_dep = max(synack_arr, self.busy[Direction.CLIENT_TO_SERVER]) + ser0
-        self.busy[Direction.CLIENT_TO_SERVER] = hs_ack_dep
+        hs_ack_dep = max(synack_arr, self.busy[c2s]) + ser0
+        self.busy[c2s] = hs_ack_dep
         hs_ack_arr = hs_ack_dep + owd
 
-        c2s, s2c = Direction.CLIENT_TO_SERVER, Direction.SERVER_TO_CLIENT
-        if self.down:
-            # capture at the client: own packets at send time, far side on arrival
-            self._record(0.0, c2s, 0, 0, 0, syn=1, win=self.client.read_buffer, sack_cnt=self.syn_sack_cnt)
-            self._record(synack_arr, s2c, 0, 1, 0, syn=1, ackf=1, win=SERVER_BUFFER, sack_cnt=self.syn_sack_cnt)
-            self._record(synack_arr, c2s, 1, 1, 0, ackf=1, win=self.client.read_buffer,
-                         sack_cnt=self.hs_ack_sack_cnt)
-            self.last_ack_t = synack_arr
-            start = hs_ack_arr  # server may send once the handshake ack lands
-        else:
-            # capture at the server
-            self._record(syn_arr, c2s, 0, 0, 0, syn=1, win=self.client.read_buffer, sack_cnt=self.syn_sack_cnt)
-            self._record(syn_arr, s2c, 0, 1, 0, syn=1, ackf=1, win=SERVER_BUFFER, sack_cnt=self.syn_sack_cnt)
-            self._record(hs_ack_arr, c2s, 1, 1, 0, ackf=1, win=self.client.read_buffer,
-                         sack_cnt=self.hs_ack_sack_cnt)
-            self.last_ack_t = syn_arr
-            start = synack_arr  # client may send once the SYN-ACK lands
-
-        self._try_send(start)
+        # capture at the client for a download, at the server for an
+        # upload: own packets at send time, far side on arrival
+        syn_t, synack_t, hs_ack_t = (0.0, synack_arr, synack_arr) if self.down else (syn_arr, syn_arr, hs_ack_arr)
+        self._record(syn_t, c2s, 0, 0, 0, syn=1, win=self.client.read_buffer, sack_cnt=self.syn_sack_cnt)
+        self._record(synack_t, s2c, 0, 1, 0, syn=1, ackf=1, win=SERVER_BUFFER, sack_cnt=self.syn_sack_cnt)
+        self._record(hs_ack_t, c2s, 1, 1, 0, ackf=1, win=self.client.read_buffer, sack_cnt=self.hs_ack_sack_cnt)
+        self.last_ack_t = synack_t
+        # the server may send once the handshake ack lands, the client once the SYN-ACK does
+        self._try_send(hs_ack_arr if self.down else synack_arr)
 
         limit = 400 * self.n_segs + 200_000
         while self.heap:
-            now, _, kind, payload = heapq.heappop(self.heap)
-            if kind == "data":
-                self._on_data(now, payload)
-            elif kind == "ack":
-                self._on_ack(now, payload)
-            elif kind == "fin":
-                self._on_fin(now, payload)
-            else:
-                self._on_rto(now, payload)
+            now, _, handler, payload = heapq.heappop(self.heap)
+            handler(now, payload)
             self.done_events += 1
             if self.done_events > limit:
                 raise RuntimeError("simulator event budget exceeded; parameters degenerate")
 
         if self.rcv_nxt != self.B:
-            raise RuntimeError(
-                f"conservation violated: delivered {self.rcv_nxt} of {self.B} bytes"
-            )
+            raise RuntimeError(f"conservation violated: delivered {self.rcv_nxt} of {self.B} bytes")
         self.stats.delivered_bytes = self.rcv_nxt
 
         ts, dirs, seq, ack, *rest = zip(*self.captured)
         ts = np.array(ts)
         order = np.argsort(ts, kind="stable")  # ties keep capture order
-        columns = [ts - ts.min(), direction_codes(dirs), np.array(seq) % SEQ_MOD, np.array(ack) % SEQ_MOD, *rest]
+        columns = [ts - ts.min(), np.array(dirs, np.int8), np.array(seq) % SEQ_MOD, np.array(ack) % SEQ_MOD, *rest]
         events = PacketColumns(*(np.asarray(col)[order] for col in columns))
-        record = TraceRecord(
-            capture_point=CapturePoint.CLIENT if self.down else CapturePoint.SERVER,
-            direction_of_transfer=self.transfer,
-            events=events,
-            declared_transfer_bytes=self.B,
-        )
-        return record, self.stats
+        capture = CapturePoint.CLIENT if self.down else CapturePoint.SERVER
+        return TraceRecord(capture, self.transfer, events, self.B), self.stats
 
 
 def simulate_flow_with_stats(
@@ -580,12 +536,10 @@ def simulate_flow_with_stats(
 ) -> tuple[TracePair, dict[str, FlowStats]]:
     if transfer_bytes <= 0:
         raise ValueError("transfer_bytes must be positive")
-    down, down_stats = _TransferSim(
-        link, client, transfer_bytes, derive_seed(seed, "download"), TransferDirection.DOWNLOAD
-    ).run()
-    up, up_stats = _TransferSim(
-        link, client, transfer_bytes, derive_seed(seed, "upload"), TransferDirection.UPLOAD
-    ).run()
+    (down, down_stats), (up, up_stats) = (
+        _TransferSim(link, client, transfer_bytes, derive_seed(seed, t.value), t).run()
+        for t in (TransferDirection.DOWNLOAD, TransferDirection.UPLOAD)
+    )
     return TracePair(download=down, upload=up), {"download": down_stats, "upload": up_stats}
 
 

@@ -26,19 +26,16 @@ support vectors, as the bias term of the decision function.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    IoFailure,
     NonFiniteInput,
     SingleClassInput,
 )
-from .preprocess import ScalerParams, read_artifact
+from .preprocess import ScalerParams, read_artifact, write_artifact
 
 KERNEL_VARIANTS = ("linear", "quadratic", "cubic", "rbf")
 
@@ -388,12 +385,7 @@ def model_from_dict(d: dict) -> SvmModel:
 
 
 def save_model(model: SvmModel, path) -> None:
-    try:
-        Path(path).write_text(
-            json.dumps(model_to_dict(model), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    write_artifact(path, model_to_dict(model))
 
 
 def load_model(path) -> SvmModel:

@@ -207,16 +207,19 @@ _ROW_FORMAT = "%s,%s" + ",%d" * (len(_COLUMNS) - 2)
 def _format_ts(ts: float) -> str:
     """Fixed-point ts with at least six fraction digits that parses back exactly.
 
-    When repr(ts) is in fixed notation it is the shortest round-trip
-    string, so no fixed string with fewer fraction digits can round-trip
-    and the search starts at its digit count.
+    A fixed-notation repr(ts) is the shortest round-trip string.  With
+    six or more fraction digits it is also the correctly rounded string
+    of that length, which the search would return first: the nearest
+    string of a length round-trips whenever any does (the rounding
+    interval is symmetric except at powers of two, which print exactly).
     """
     r = repr(ts)
     dot = r.find(".")
-    start = 6 if dot < 0 or "e" in r else max(6, len(r) - dot - 1)
-    for digits in range(start, 18):
+    if dot >= 0 and "e" not in r and len(r) - dot > 6:
+        return r
+    for digits in range(6, 18):
         s = f"{ts:.{digits}f}"
-        if s == r or float(s) == ts:
+        if float(s) == ts:
             return s
     return r
 

@@ -25,7 +25,7 @@ from netdiag.classifiers import (
     train_cfd,
     train_lpd,
 )
-from netdiag.errors import CatalogMismatch, ConfigError, IoFailure, MissingClass, SingleClassInput
+from netdiag.errors import CatalogMismatch, ConfigError, IoFailure, MissingClass, NonFiniteInput, SingleClassInput
 from netdiag.features import default_catalog, extract_signature
 from netdiag.preprocess import DEFAULT_FAULT_REGISTRY, LabelKind
 from netdiag.simulate import HEALTHY_LINK, ClientParams, LinkParams, simulate_flow
@@ -346,4 +346,17 @@ class TestBundle:
         with pytest.raises(CatalogMismatch):
             save_cfd_part(bundle, net, "v2")
         assert marker.read_text(encoding="utf-8") == "old stage"
+        assert sorted(p.name for p in bundle.iterdir()) == ["cfd", "registry.json"]
+
+    def test_nan_model_refused_stage_in_place(self, tmp_path):
+        from dataclasses import replace
+
+        net = train_cfd(client_db(), cf_configs())
+        bundle = tmp_path / "bundle"
+        save_cfd_part(bundle, net, "v1")
+        before = {p: p.read_bytes() for p in bundle.rglob("*") if p.is_file()}
+        bad = replace(net.modules[0], model=replace(net.modules[0].model, bias=float("nan")))
+        with pytest.raises(NonFiniteInput, match=f"{bad.fault_name}.model.json"):
+            save_cfd_part(bundle, replace(net, modules=(bad, *net.modules[1:])), "v1")
+        assert {p: p.read_bytes() for p in bundle.rglob("*") if p.is_file()} == before
         assert sorted(p.name for p in bundle.iterdir()) == ["cfd", "registry.json"]

@@ -182,3 +182,22 @@ def test_swapped_traces_exit_2_naming_roles(trained):
     assert code == 2
     assert "Traceback" not in err
     assert "download" in err and "captured at the client" in err
+
+
+def test_rtt_samples_near_float_range_exit_2(trained, tmp_path):
+    """Two RTT samples (1e300 and ~1.7e308 s) whose squared deviation overflows."""
+    bundle, _, _, up = trained
+    down = tmp_path / "huge.down.csv"
+    down.write_text(
+        "#capture=client,transfer=download,bytes=1\n"
+        "ts,dir,seq,ack,len,syn,fin,rst,ack_flag,win,sack_cnt\n"
+        "0.0,c2s,0,0,0,1,0,0,0,65535,0\n"
+        "1e300,s2c,0,1,0,1,0,0,1,65535,0\n"
+        "1e300,c2s,1,1,0,0,1,0,1,65535,0\n"
+        "1.7e308,s2c,1,2,0,0,0,0,1,65535,0\n",
+        encoding="utf-8",
+    )
+    code, _, err = _run("diagnose", "--bundle", str(bundle), "--down", str(down), "--up", str(up))
+    assert code == 2
+    assert "Traceback" not in err
+    assert "down_rtt_stdev is not finite" in err

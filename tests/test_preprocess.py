@@ -1,12 +1,14 @@
 """Label encoding, scaling, database staging and persistence."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from netdiag.errors import DimensionMismatch, StageError, TooFewRows, UnknownLabel
+from netdiag.errors import DimensionMismatch, NonFiniteInput, StageError, TooFewRows, UnknownLabel
 from netdiag.preprocess import (
     DEFAULT_FAULT_REGISTRY,
     LabelKind,
@@ -164,6 +166,13 @@ class TestPersistence:
         again = load_database(path)
         assert again.label_kind is LabelKind.CLIENT
         assert again.fault_registry == DEFAULT_FAULT_REGISTRY
+
+    def test_nan_scaler_refused_before_writing(self, tmp_path):
+        db = scale_database(db_from([[1.0], [2.0]], [1, -1]))
+        db = replace(db, scaler=replace(db.scaler, max=np.array([np.nan])))
+        with pytest.raises(NonFiniteInput, match="meta.json"):
+            save_database(db, tmp_path / "db.csv")
+        assert list(tmp_path.iterdir()) == []
 
     def test_sidecar_schema(self, tmp_path):
         import json

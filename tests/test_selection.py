@@ -32,6 +32,12 @@ def oracle_t(a, b):
     return (ma - mb) / math.sqrt(pooled * (1 / na + 1 / nb))
 
 
+def pooled_variance(a, b):
+    """The pooled variance `t_statistic` compares with `VARIANCE_FLOOR`."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return ((a.size - 1) * a.var(ddof=1) + (b.size - 1) * b.var(ddof=1)) / (a.size + b.size - 2)
+
+
 class TestTStatistic:
     def test_identical_samples_zero(self):
         assert t_statistic([1, 2, 3], [1, 2, 3]) == 0.0
@@ -60,12 +66,23 @@ class TestTStatistic:
     def test_invariances(self, a, b, shift, scale):
         t0 = t_statistic(a, b)
         t_shift = t_statistic([x + shift for x in a], [x + shift for x in b])
-        t_scale = t_statistic([x * scale for x in a], [x * scale for x in b])
+        scaled_a, scaled_b = [x * scale for x in a], [x * scale for x in b]
+        t_scale = t_statistic(scaled_a, scaled_b)
         t_swap = t_statistic(b, a)
         assert t_shift == pytest.approx(t0, rel=1e-6, abs=1e-6)
-        if abs(t0) < 1e5:  # scale invariance holds away from the variance floor
+        # scale invariance holds where neither variance is floored
+        if min(pooled_variance(a, b), pooled_variance(scaled_a, scaled_b)) > VARIANCE_FLOOR:
             assert t_scale == pytest.approx(t0, rel=1e-6, abs=1e-6)
         assert t_swap == pytest.approx(-t0, rel=1e-9, abs=1e-12)
+
+    def test_floored_variance_scales_t(self):
+        # both pooled variances are below the floor, so t is the mean
+        # difference over a fixed scale and follows any rescaling
+        a, b, scale = [0.0, 0.0], [0.0, 7.1e-12], 0.5
+        assert pooled_variance(a, b) < VARIANCE_FLOOR
+        t0 = t_statistic(a, b)
+        assert t0 == pytest.approx(-3.55e-12 / math.sqrt(VARIANCE_FLOOR), rel=1e-12)
+        assert t_statistic([x * scale for x in a], [x * scale for x in b]) == pytest.approx(scale * t0, rel=1e-12)
 
 
 class TestRanking:

@@ -1,0 +1,71 @@
+"""Golden outputs of the simulator on the modes the paper-matrix corpus
+of tests/test_golden.py does not reach.
+
+Each digest covers both written trace files and both `FlowStats` of one
+`simulate_flow_with_stats` call.  They were recorded before the event
+loop skipped loss draws on loss-free links, drew its streams in blocks
+and dispatched on bound handlers; every case must stay bit-identical.
+"""
+
+import dataclasses
+import hashlib
+import json
+
+import pytest
+
+from netdiag.simulate import MSS, ClientParams, CwndProfile, LinkParams, simulate_flow_with_stats
+from netdiag.trace import write_trace
+
+BYTES = 120_000
+LOSSY = LinkParams(bandwidth=80e6, one_way_delay=0.01, loss_rate=0.04)
+
+CASES = {
+    "loss+delay": (LinkParams(bandwidth=20e6, one_way_delay=0.06, loss_rate=0.03), ClientParams(seed=3), BYTES),
+    "delay-only": (LinkParams(bandwidth=80e6, one_way_delay=0.08), ClientParams(seed=3), BYTES),
+    "reorder-only": (LinkParams(bandwidth=80e6, one_way_delay=0.01, reorder_rate=0.05), ClientParams(seed=4), BYTES),
+    "reorder+loss": (
+        LinkParams(bandwidth=80e6, one_way_delay=0.01, loss_rate=0.03, reorder_rate=0.05),
+        ClientParams(seed=4),
+        BYTES,
+    ),
+    "heavy-loss": (LinkParams(bandwidth=80e6, one_way_delay=0.01, loss_rate=0.2), ClientParams(seed=6), 40_000),
+    "sack-off": (LOSSY, ClientParams(sack_enabled=False, dsack_enabled=False, seed=2), BYTES),
+    "dsack-off": (LOSSY, ClientParams(dsack_enabled=False, seed=2), BYTES),
+    **{
+        f"profile-{profile.value}": (LOSSY, ClientParams(cwnd_growth_profile=profile, seed=5), BYTES)
+        for profile in CwndProfile
+    },
+    "small-buffers": (LOSSY, ClientParams(read_buffer=16384, write_buffer=8192, seed=7), BYTES),
+    "partial-segment": (LOSSY, ClientParams(seed=8), 83 * MSS + 517),
+}
+
+DIGESTS = {
+    "delay-only": "cc9b935b8d0b58ba3a63c86117b60f3870811873b07c4da8f608ed5baec6392c",
+    "dsack-off": "c286854c350ca0761b37f16e4288d8ecf69a1a87d6029b398ec503d50a45f9bd",
+    "heavy-loss": "ccfe913520f4bfcda4285b3f8b96c48147c3ad31a4cd844986328f884acddbd2",
+    "loss+delay": "cf22c063a5b37e90e5c7045c544c652919fc6bcdcbfe998eeda10723f03df887",
+    "partial-segment": "67a4a29588a07d3b81023c3d3a0caad429cafb66fcc9888e572c07000fb5f00a",
+    "profile-biclike": "ad798d2dd703dc29fcf098cbbdbb4c49913c6bcaa72a1a3ba58e5a148f1d21cd",
+    "profile-cubiclike": "d351830a6522f75dfa01718df2d387fb6d406b28e4496b77cd77893219fbc636",
+    "profile-renolike": "6f0f3824dc0353d3aca298e7555574cfb402c4db255b207757a3aaa8a61eca8f",
+    "reorder+loss": "0b93845601b020c3d4fffea33118801c94f5a8cb054d5b5054edb7a1762cdbc2",
+    "reorder-only": "347aeb37ac461662f31859a327b6ff7acd43b013af3ae517852efa7840349cf4",
+    "sack-off": "e1e56af25f15a1e6f884b15ef7533b24f8d5aeeb9e6f6227a805dbc4da58456d",
+    "small-buffers": "8c920096e5d7398e0f5201e717e22e9aca2a24834c8649cde833b16f9b6fb09b",
+}
+
+
+def _digest(tmp_path, link, client, transfer_bytes) -> str:
+    pair, stats = simulate_flow_with_stats(link, client, transfer_bytes, seed=1207)
+    digest = hashlib.sha256()
+    for role in ("download", "upload"):
+        path = tmp_path / f"{role}.csv"
+        write_trace(getattr(pair, role), path)
+        digest.update(path.read_bytes())
+        digest.update(json.dumps(dataclasses.asdict(stats[role]), sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_simulator_golden(tmp_path, name):
+    assert _digest(tmp_path, *CASES[name]) == DIGESTS[name]

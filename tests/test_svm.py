@@ -318,6 +318,16 @@ class TestPersistence:
         again = model_from_dict(model_to_dict(model))
         assert decision_value(again, [0.7]) == decision_value(model, [0.7])
 
+    def test_nan_bias_refused_before_writing(self, tmp_path):
+        from dataclasses import replace
+
+        X = np.array([[0.0], [2.0]])
+        model = replace(train_arrays(X, np.array([-1, 1]), SvmConfig(LIN, C=2.0)), bias=float("nan"))
+        path = tmp_path / "model.json"
+        with pytest.raises(NonFiniteInput, match="model.json"):
+            save_model(model, path)
+        assert not path.exists()
+
     def test_updates_recorded_and_defaulted(self):
         X = np.array([[0.0], [2.0]])
         model, state = train_arrays(X, np.array([-1, 1]), SvmConfig(LIN, C=2.0), return_state=True)

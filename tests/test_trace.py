@@ -278,6 +278,19 @@ def format_ts_reference(ts: float) -> str:
     return repr(ts)
 
 
+def _fixed(whole: int, digits: int, frac: int) -> float:
+    return float(f"{whole}.{frac % 10**digits:0{digits}d}")
+
+
+# floats whose repr is in fixed notation with 6-17 fraction digits
+FIXED_FLOATS = st.builds(
+    _fixed,
+    st.one_of(st.integers(0, 100), st.integers(0, 10**15)),
+    st.integers(6, 17),
+    st.integers(0, 10**17 - 1),
+)
+
+
 class TestFormatTs:
     @settings(max_examples=2000, deadline=None)
     @given(ts=st.one_of(
@@ -285,6 +298,7 @@ class TestFormatTs:
         st.floats(min_value=0, max_value=1e-4),
         st.floats(min_value=0, max_value=1e4),
         st.floats(min_value=1e15, max_value=1e20),
+        FIXED_FLOATS,
     ))
     @example(0.0)
     @example(-0.0)
@@ -296,5 +310,12 @@ class TestFormatTs:
     @example(0.1 + 0.2)
     @example(1e16)
     @example(sys.float_info.max)
+    @example(2.0**-13)
+    @example(0.1 + 0.7)
     def test_matches_precision_escalation(self, ts):
+        assert _format_ts(ts) == format_ts_reference(ts)
+
+    @settings(max_examples=3000, deadline=None)
+    @given(ts=FIXED_FLOATS)
+    def test_fixed_notation(self, ts):
         assert _format_ts(ts) == format_ts_reference(ts)
