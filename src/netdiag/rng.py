@@ -13,10 +13,10 @@ enough to reimplement in any language from this file alone:
     output <- z xor (z >> 31)
 
 A uniform draw is output / 2^64, with output rounded to the nearest
-double (ties to even) before the exact division.  The bulk forms
-(`uniform_stream`, `keyed_uniforms`) apply the same steps to numpy
-uint64 arrays, whose multiplies wrap mod 2^64, and return the same
-floats as the scalar forms.
+double (ties to even) before the exact division.  The bulk form
+`uniform_stream` applies the same steps to numpy uint64 arrays, whose
+multiplies wrap mod 2^64, and returns the same floats as the scalar
+form.
 """
 
 from __future__ import annotations
@@ -68,13 +68,6 @@ def keyed_uniform(seed: int, *keys: int) -> float:
     for k in keys:
         state = _mix((state + _GOLDEN) ^ (k & _MASK))
     return _mix(state) / 2.0**64
-
-
-def keyed_uniforms(seed: int, n: int) -> np.ndarray:
-    """keyed_uniform(seed, k, 0) for k in range(n), computed in bulk."""
-    state = _mix_array(np.uint64((seed + _GOLDEN) & _MASK) ^ np.arange(n, dtype=np.uint64))
-    state = _mix_array(state + np.uint64(_GOLDEN))  # key 0: xor is a no-op
-    return _mix_array(state) / 2.0**64
 
 
 _BLOCK = 1024

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import derive_seed, keyed_uniform, keyed_uniforms, uniform_stream
+from .rng import derive_seed, keyed_uniform, uniform_stream
 from .trace import (
     SEQ_MOD,
     CapturePoint,
@@ -170,11 +170,6 @@ class _TransferSim:
 
         label = transfer.value
         self.loss_seed = derive_seed(seed, label, "data-loss")
-        # first-attempt losses of every segment and (at index n_segs) the FIN
-        if link.loss_rate > 0:
-            self.first_lost = (keyed_uniforms(self.loss_seed, self.n_segs + 1) < link.loss_rate).tolist()
-        else:
-            self.first_lost = [False] * (self.n_segs + 1)
         self.ack_loss = uniform_stream(derive_seed(seed, label, "ack-loss"))
         self.reorder = uniform_stream(derive_seed(seed, label, "reorder"))
         role = "client-ack" if self.down else "server-ack"
@@ -234,8 +229,6 @@ class _TransferSim:
 
     def _lost(self, k: int, attempt: int) -> bool:
         """Whether transmission `attempt` of segment k (k = n_segs: the FIN) is lost."""
-        if attempt == 0:
-            return self.first_lost[k]
         return self.link.loss_rate > 0 and keyed_uniform(self.loss_seed, k, attempt) < self.link.loss_rate
 
     def _transmit(self, k: int, attempt: int, now: float) -> None:

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netdiag.rng import _BLOCK, SplitMix64, keyed_uniform, keyed_uniforms, uniform_stream
+from netdiag.rng import _BLOCK, SplitMix64, uniform_stream
 
 SEEDS = st.one_of(st.just(0), st.just(2**64 - 1), st.integers(0, 2**64 - 1))
 
@@ -18,16 +18,6 @@ SEEDS = st.one_of(st.just(0), st.just(2**64 - 1), st.integers(0, 2**64 - 1))
 def test_stream_matches_scalar_draws(seed, n):
     scalar = SplitMix64(seed)
     assert list(itertools.islice(uniform_stream(seed), n)) == [scalar.uniform() for _ in range(n)]
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=SEEDS, n=st.integers(0, 3000))
-@example(seed=0, n=3000)
-@example(seed=2**64 - 1, n=3000)
-def test_keyed_table_matches_keyed_uniform(seed, n):
-    table = keyed_uniforms(seed, n)
-    assert table.shape == (n,)
-    assert table.tolist() == [keyed_uniform(seed, k, 0) for k in range(n)]
 
 
 @settings(max_examples=300, deadline=None)
