@@ -28,7 +28,7 @@ from .preprocess import (
 )
 from .selection import SelectionReport, TTestRanking, project, rank_features, t_statistic, wrapper_select
 from .simulate import ClientParams, CwndProfile, LinkParams, simulate_flow
-from .svm import KernelSpec, SvmConfig, SvmModel, classify, decision_value, kernel_eval, train
+from .svm import KernelSpec, SvmConfig, SvmModel, classify, decision_value, train
 from .synthetic import ClassArtifactSpec, generate_synthetic_signature
 from .trace import PacketEvent, TracePair, TraceRecord, read_trace, write_trace
 

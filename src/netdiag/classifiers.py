@@ -174,23 +174,15 @@ class LinkState(enum.Enum):
     HEALTHY = "healthy"
 
 
-class PipelineNote(enum.Enum):
-    LINK_FAULT_STOP = "link_fault_stop"
-    FULL_DIAGNOSIS = "full_diagnosis"
-
-
 @dataclass(frozen=True)
 class Verdict:
     link: LinkState
     client_faults: frozenset[str]
     per_module_decisions: tuple[tuple[str, float, int], ...]
-    pipeline_note: PipelineNote
 
     def __post_init__(self):
-        if self.link is LinkState.FAULTY and (
-            self.client_faults or self.pipeline_note is not PipelineNote.LINK_FAULT_STOP
-        ):
-            raise ValueError("faulty-link verdicts must stop before client diagnosis")
+        if self.link is LinkState.FAULTY and self.client_faults:
+            raise ValueError("a faulty-link verdict has no client faults")
 
     def to_dict(self) -> dict:
         return {
@@ -199,7 +191,7 @@ class Verdict:
             "decisions": [
                 {"stage": s, "D": d, "class": c} for s, d, c in self.per_module_decisions
             ],
-            "pipeline_note": self.pipeline_note.value,
+            "pipeline_note": "link_fault_stop" if self.link is LinkState.FAULTY else "full_diagnosis",
         }
 
     def summary(self) -> str:
@@ -294,7 +286,6 @@ def diagnose(lpd: LpdClassifier, cfd: CfdNetwork, pair: TracePair, catalog: Feat
             link=LinkState.FAULTY,
             client_faults=frozenset(),
             per_module_decisions=tuple(decisions),
-            pipeline_note=PipelineNote.LINK_FAULT_STOP,
         )
     votes = []
     for module in sorted(cfd.modules, key=lambda m: m.fault_index):
@@ -305,7 +296,6 @@ def diagnose(lpd: LpdClassifier, cfd: CfdNetwork, pair: TracePair, catalog: Feat
         link=LinkState.HEALTHY,
         client_faults=frozenset(cfd_collective(votes)),
         per_module_decisions=tuple(decisions),
-        pipeline_note=PipelineNote.FULL_DIAGNOSIS,
     )
 
 

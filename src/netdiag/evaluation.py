@@ -1,27 +1,20 @@
-"""Cross-validation, accuracy/confusion reporting, and grid selection.
+"""Verdict scoring: per-condition accuracy and per-fault confusion.
 
-k_fold_cv re-fits the whole pipeline (scaler, ranking, subset, SVM)
-inside every training fold, so no statistic of a test row ever reaches
-the model that scores it.  Grid selection sweeps kernel shape, margin
-trade-off and rbf width, breaking ties toward the simpler kernel, then
-the smaller C, then the smaller sigma.
+evaluate_verdicts runs the cascade over labeled trace pairs and scores
+each verdict exactly; render_report prints the result as a text table.
+A rate whose denominator is zero has no value: it is None in the report
+and "n/a" in the table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .classifiers import CfdNetwork, LinkState, LpdClassifier, PipelineConfig, diagnose, fit_pipeline
-from .errors import ConfigError, InsufficientRows
+from .classifiers import CfdNetwork, LinkState, LpdClassifier, diagnose
 from .features import FeatureCatalog
-from .preprocess import SignatureDatabase, Stage
-from .selection import stratified_folds
-from .svm import KERNEL_VARIANTS, KernelSpec, SvmConfig
 from .trace import TracePair
-
-_KERNEL_RANK = {v: i for i, v in enumerate(KERNEL_VARIANTS)}
 
 
 @dataclass(frozen=True)
@@ -36,13 +29,13 @@ class ConfusionMatrix:
         return self.tp + self.fp + self.tn + self.fn
 
     @property
-    def accuracy(self) -> float:
-        return (self.tp + self.tn) / self.n if self.n else 0.0
+    def accuracy(self) -> float | None:
+        return (self.tp + self.tn) / self.n if self.n else None
 
     @property
-    def false_positive_rate(self) -> float:
+    def false_positive_rate(self) -> float | None:
         denom = self.fp + self.tn
-        return self.fp / denom if denom else 0.0
+        return self.fp / denom if denom else None
 
     def to_dict(self) -> dict:
         return {
@@ -53,115 +46,6 @@ class ConfusionMatrix:
             "accuracy": self.accuracy,
             "false_positive_rate": self.false_positive_rate,
         }
-
-
-def confusion_from_predictions(y_true: np.ndarray, y_pred: np.ndarray) -> ConfusionMatrix:
-    return ConfusionMatrix(
-        tp=int(np.sum((y_true == 1) & (y_pred == 1))),
-        fp=int(np.sum((y_true == -1) & (y_pred == 1))),
-        tn=int(np.sum((y_true == -1) & (y_pred == -1))),
-        fn=int(np.sum((y_true == 1) & (y_pred == -1))),
-    )
-
-
-@dataclass(frozen=True)
-class CvResult:
-    mean_accuracy: float
-    mean_fp_rate: float
-    folds: tuple[ConfusionMatrix, ...]
-
-
-def k_fold_cv(db: SignatureDatabase, config: PipelineConfig, k: int, seed: int) -> CvResult:
-    """Stratified k-fold CV with per-fold pipeline re-fit."""
-    from .classifiers import model_predict  # deferred: avoids import noise at module load
-
-    if db.stage is not Stage.PRELIMINARY:
-        raise ConfigError("cross-validation expects a preliminary database")
-    for cls in (+1, -1):
-        if int(np.sum(db.y == cls)) < 1:
-            raise InsufficientRows(f"class {cls:+d} has no rows")
-    folds = stratified_folds(db.y, k, seed)
-    matrices = []
-    all_rows = np.arange(db.n)
-    for fold in folds:
-        test_mask = np.zeros(db.n, dtype=bool)
-        test_mask[fold] = True
-        train_idx = all_rows[~test_mask]
-        if len(set(db.y[train_idx].tolist())) < 2:
-            raise InsufficientRows("a training fold lost one of the classes")
-        train_db = replace(db, X=db.X[train_idx].copy(), y=db.y[train_idx].copy())
-        model, _ = fit_pipeline(train_db, config)
-        preds = np.asarray([model_predict(model, db.X[i])[1] for i in fold])
-        matrices.append(confusion_from_predictions(db.y[fold], preds))
-    accs = [m.accuracy for m in matrices]
-    fprs = [m.false_positive_rate for m in matrices]
-    return CvResult(
-        mean_accuracy=float(np.mean(accs)),
-        mean_fp_rate=float(np.mean(fprs)),
-        folds=tuple(matrices),
-    )
-
-
-@dataclass(frozen=True)
-class GridCell:
-    kernel: KernelSpec
-    C: float
-    mean_accuracy: float
-    mean_objective: float
-
-
-@dataclass(frozen=True)
-class GridResult:
-    cells: tuple[GridCell, ...]
-    best: GridCell
-
-    def to_dict(self) -> dict:
-        def cell(c):
-            return {
-                "kernel": c.kernel.variant,
-                "sigma": c.kernel.sigma,
-                "C": c.C,
-                "mean_accuracy": c.mean_accuracy,
-                "mean_objective": c.mean_objective,
-            }
-
-        return {"cells": [cell(c) for c in self.cells], "best": cell(self.best)}
-
-
-def select_model(
-    db: SignatureDatabase,
-    kernels,
-    Cs,
-    sigmas,
-    k: int,
-    seed: int,
-    base: PipelineConfig,
-) -> GridResult:
-    """Exhaustive CV over the grid; deterministic tie-break."""
-    cells = []
-    for variant in kernels:
-        if variant not in _KERNEL_RANK:
-            raise ConfigError(f"unknown kernel {variant!r} in grid")
-        widths = sorted(sigmas) if variant == "rbf" else [None]
-        for C in sorted(Cs):
-            for sigma in widths:
-                spec = KernelSpec(variant, sigma)
-                config = replace(base, svm=replace(base.svm, kernel=spec, C=C))
-                result = k_fold_cv(db, config, k, seed)
-                objective = result.mean_accuracy - base.fp_penalty * result.mean_fp_rate
-                cells.append(GridCell(spec, C, result.mean_accuracy, objective))
-    if not cells:
-        raise ConfigError("empty model grid")
-    best = min(
-        cells,
-        key=lambda c: (
-            -c.mean_objective,
-            _KERNEL_RANK[c.kernel.variant],
-            c.C,
-            c.kernel.sigma if c.kernel.sigma is not None else 0.0,
-        ),
-    )
-    return GridResult(cells=tuple(cells), best=best)
 
 
 @dataclass(frozen=True)
@@ -210,19 +94,23 @@ def evaluate_verdicts(
     return {"conditions": conditions, "per_fault": per_fault}
 
 
+def _percent(rate: float | None, width: int) -> str:
+    return f"{'n/a':>{width + 1}}" if rate is None else f"{rate * 100:{width}.2f}%"
+
+
 def render_report(report: dict) -> str:
     """Aligned-column text table of an evaluate_verdicts report."""
     lines = []
     width = max([len("condition")] + [len(c) for c in report["conditions"]])
     lines.append(f"{'condition':<{width}}  {'n':>5}  accuracy")
     for cond, row in report["conditions"].items():
-        lines.append(f"{cond:<{width}}  {row['n']:>5}  {row['accuracy'] * 100:7.2f}%")
+        lines.append(f"{cond:<{width}}  {row['n']:>5}  {_percent(row['accuracy'], 7)}")
     lines.append("")
     fwidth = max([len("fault")] + [len(f) for f in report["per_fault"]])
     lines.append(f"{'fault':<{fwidth}}  {'tp':>4} {'fp':>4} {'tn':>4} {'fn':>4}  accuracy  fp_rate")
     for name, cm in report["per_fault"].items():
         lines.append(
             f"{name:<{fwidth}}  {cm['tp']:>4} {cm['fp']:>4} {cm['tn']:>4} {cm['fn']:>4}"
-            f"  {cm['accuracy'] * 100:7.2f}%  {cm['false_positive_rate'] * 100:6.2f}%"
+            f"  {_percent(cm['accuracy'], 7)}  {_percent(cm['false_positive_rate'], 6)}"
         )
     return "\n".join(lines) + "\n"

@@ -174,6 +174,23 @@ def scale_database(db: SignatureDatabase, scaler: ScalerParams | None = None) ->
     return replace(db, stage=Stage.SCALED, X=apply_scaler(db.X, scaler), scaler=scaler)
 
 
+def scaler_to_dict(scaler: ScalerParams | None) -> dict:
+    """JSON form of a scaler, as stored in model files and database
+    sidecars; no scaler is two empty lists."""
+    if scaler is None:
+        return {"min": [], "max": []}
+    return {"min": scaler.min.tolist(), "max": scaler.max.tolist()}
+
+
+def scaler_from_dict(d: dict) -> ScalerParams | None:
+    """Inverse of scaler_to_dict; a malformed scaler is a TypeError."""
+    smin = np.asarray(d["min"], dtype=np.float64)
+    smax = np.asarray(d["max"], dtype=np.float64)
+    if smin.ndim != 1 or smin.shape != smax.shape:
+        raise TypeError("scaler min and max must be number lists of one length")
+    return ScalerParams(min=smin, max=smax, fitted_on=0) if smin.size else None
+
+
 def save_database(db: SignatureDatabase, path) -> None:
     path = Path(path)
     lines = [",".join([f"f_{n}" for n in db.feature_names] + ["label"])]
@@ -182,10 +199,7 @@ def save_database(db: SignatureDatabase, path) -> None:
     sidecar = {
         "stage": db.stage.value,
         "catalog_version": db.catalog_version,
-        "scaler": {
-            "min": [] if db.scaler is None else db.scaler.min.tolist(),
-            "max": [] if db.scaler is None else db.scaler.max.tolist(),
-        },
+        "scaler": scaler_to_dict(db.scaler),
         "selected_features": list(db.selected_features) if db.selected_features else [],
         "fault_registry": dict(db.fault_registry) if db.fault_registry else {},
     }
@@ -230,14 +244,10 @@ def _sidecar_from_dict(meta) -> dict:
                       ("selected_features", list), ("fault_registry", dict)):
         if not isinstance(meta[key], kind):
             raise TypeError(f"{key!r} is a {type(meta[key]).__name__}, not a {kind.__name__}")
-    smin = np.asarray(meta["scaler"]["min"], dtype=np.float64)
-    smax = np.asarray(meta["scaler"]["max"], dtype=np.float64)
-    if smin.ndim != 1 or smin.shape != smax.shape:
-        raise TypeError("scaler min and max must be number lists of one length")
     return {
         "stage": Stage(meta["stage"]),
         "catalog_version": meta["catalog_version"],
-        "scaler": ScalerParams(min=smin, max=smax, fitted_on=0) if smin.size else None,
+        "scaler": scaler_from_dict(meta["scaler"]),
         "selected_features": tuple(int(i) for i in meta["selected_features"]) or None,
         "fault_registry": {str(k): int(v) for k, v in meta["fault_registry"].items()},
     }

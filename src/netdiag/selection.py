@@ -48,24 +48,18 @@ class SelectionReport:
         }
 
 
-def t_statistic(a, b) -> float:
-    """Pooled-variance two-sample t, variance floored at 1e-12."""
+def t_statistic(a, b) -> float | np.ndarray:
+    """Pooled-variance two-sample t along axis 0, variance floored at
+    1e-12: a float for 1-D samples, one t per column for 2-D samples."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    na, nb = a.size, b.size
+    na, nb = a.shape[0], b.shape[0]
     if na < 2 or nb < 2:
         raise TooFewSamples(f"need >= 2 samples per side, got {na} and {nb}")
-    pooled = ((na - 1) * a.var(ddof=1) + (nb - 1) * b.var(ddof=1)) / (na + nb - 2)
-    pooled = max(pooled, VARIANCE_FLOOR)
-    return float((a.mean() - b.mean()) / np.sqrt(pooled * (1.0 / na + 1.0 / nb)))
-
-
-def _column_t(X: np.ndarray, mask_a: np.ndarray, mask_b: np.ndarray) -> np.ndarray:
-    a, b = X[mask_a], X[mask_b]
-    na, nb = a.shape[0], b.shape[0]
     pooled = ((na - 1) * a.var(axis=0, ddof=1) + (nb - 1) * b.var(axis=0, ddof=1)) / (na + nb - 2)
     pooled = np.maximum(pooled, VARIANCE_FLOOR)
-    return (a.mean(axis=0) - b.mean(axis=0)) / np.sqrt(pooled * (1.0 / na + 1.0 / nb))
+    t = (a.mean(axis=0) - b.mean(axis=0)) / np.sqrt(pooled * (1.0 / na + 1.0 / nb))
+    return float(t) if a.ndim == 1 else t
 
 
 def rank_features(db: SignatureDatabase, positive_label: int, negative_label: int) -> TTestRanking:
@@ -75,7 +69,7 @@ def rank_features(db: SignatureDatabase, positive_label: int, negative_label: in
         raise MissingClass(
             f"need >= 2 rows per class, got {int(mask_a.sum())} positive / {int(mask_b.sum())} negative"
         )
-    t = _column_t(db.X, mask_a, mask_b)
+    t = t_statistic(db.X[mask_a], db.X[mask_b])
     order = sorted(range(db.m), key=lambda i: (-abs(t[i]), i))
     return TTestRanking(t_statistic=t, abs_t_order=tuple(order))
 

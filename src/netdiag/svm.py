@@ -35,7 +35,7 @@ from .errors import (
     NonFiniteInput,
     SingleClassInput,
 )
-from .preprocess import ScalerParams, read_artifact, write_artifact
+from .preprocess import ScalerParams, read_artifact, scaler_from_dict, scaler_to_dict, write_artifact
 
 KERNEL_VARIANTS = ("linear", "quadratic", "cubic", "rbf")
 
@@ -106,22 +106,6 @@ class TrainingState:
     updates: int = 0
     converged: bool = False
     final_kkt_residual: float = 0.0
-
-
-def kernel_eval(spec: KernelSpec, x, x2) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    x2 = np.asarray(x2, dtype=np.float64)
-    if x.shape != x2.shape:
-        raise DimensionMismatch(f"kernel arguments of shape {x.shape} vs {x2.shape}")
-    d = float(np.dot(x, x2))
-    if spec.variant == "linear":
-        return d
-    if spec.variant == "quadratic":
-        return (d + 1.0) ** 2
-    if spec.variant == "cubic":
-        return (d + 1.0) ** 3
-    diff = x - x2
-    return float(np.exp(-np.dot(diff, diff) / (2.0 * spec.sigma**2)))
 
 
 def kernel_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -263,7 +247,7 @@ def train_arrays(
     if classes != {-1.0, 1.0}:
         raise SingleClassInput(f"need both classes +1/-1, got labels {sorted(classes)}")
 
-    Kt = kernel_matrix(config.kernel, X, X) + np.eye(X.shape[0]) / config.C
+    Kt = gram_matrix(config.kernel, X, config.C)
     state = solve_dual(Kt, y, config.tol, config.max_iter)
 
     sv = state.alpha > config.tol
@@ -340,10 +324,7 @@ def model_to_dict(model: SvmModel) -> dict:
         "dual_coef": model.dual_coef.tolist(),
         "support_vectors": model.support_vectors.tolist(),
         "feature_subset": list(model.feature_subset),
-        "scaler": {
-            "min": [] if model.scaler is None else model.scaler.min.tolist(),
-            "max": [] if model.scaler is None else model.scaler.max.tolist(),
-        },
+        "scaler": scaler_to_dict(model.scaler),
         "catalog_version": model.catalog_version,
         "training_meta": {
             "n": model.training_meta.n,
@@ -356,8 +337,7 @@ def model_to_dict(model: SvmModel) -> dict:
 
 
 def model_from_dict(d: dict) -> SvmModel:
-    smin = np.asarray(d["scaler"]["min"], dtype=np.float64)
-    smax = np.asarray(d["scaler"]["max"], dtype=np.float64)
+    scaler = scaler_from_dict(d["scaler"])
     meta = d["training_meta"]
     dual_coef = np.asarray(d["dual_coef"], dtype=np.float64)
     support_vectors = np.asarray(d["support_vectors"], dtype=np.float64)
@@ -365,14 +345,21 @@ def model_from_dict(d: dict) -> SvmModel:
         raise ValueError(
             f"dual_coef of shape {dual_coef.shape} does not match support_vectors of shape {support_vectors.shape}"
         )
+    # One distinct index per support-vector column, each a column of the
+    # raw signature the scaler was fitted on.
+    subset = d["feature_subset"]
+    q = support_vectors.shape[1]
+    limit = scaler.m if scaler is not None else float("inf")
+    if len(subset) != q or len(set(subset)) != q or not all(type(i) is int and 0 <= i < limit for i in subset):
+        raise ValueError(f"feature_subset {subset} is not {q} distinct integers in [0, {limit})")
     return SvmModel(
         kernel=KernelSpec(d["kernel"]["variant"], d["kernel"].get("sigma")),
         C=float(d["C"]),
         bias=float(d["bias"]),
         dual_coef=dual_coef,
         support_vectors=support_vectors,
-        feature_subset=tuple(int(i) for i in d["feature_subset"]),
-        scaler=ScalerParams(min=smin, max=smax, fitted_on=0) if smin.size else None,
+        feature_subset=tuple(subset),
+        scaler=scaler,
         catalog_version=d["catalog_version"],
         training_meta=TrainingMeta(
             n=int(meta["n"]),

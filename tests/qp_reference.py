@@ -11,6 +11,8 @@ it shares nothing with the production solver beyond the objective.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -49,6 +51,20 @@ def solve_reference(Kt: np.ndarray, y: np.ndarray, tol: float = 1e-8, max_iter: 
         a = nxt
     objective = float(np.sum(a) - 0.5 * a @ (Q @ a))
     return a, objective
+
+
+def closed_form_kernel(spec, x, z) -> float:
+    """k(x, z) for one pair of points, from the textbook formulas:
+    x.z, (x.z + 1)^2, (x.z + 1)^3 or exp(-|x - z|^2 / (2 sigma^2))."""
+    dot = sum(float(u) * float(v) for u, v in zip(x, z, strict=True))
+    if spec.variant == "linear":
+        return dot
+    if spec.variant == "quadratic":
+        return (dot + 1.0) ** 2
+    if spec.variant == "cubic":
+        return (dot + 1.0) ** 3
+    dist2 = sum((float(u) - float(v)) ** 2 for u, v in zip(x, z, strict=True))
+    return math.exp(-dist2 / (2.0 * spec.sigma**2))
 
 
 def reference_decision_function(X, y, alpha, kernel_fn, C):

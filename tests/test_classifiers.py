@@ -9,7 +9,6 @@ from netdiag.classifiers import (
     CfdNetwork,
     LinkState,
     PipelineConfig,
-    PipelineNote,
     Verdict,
     build_cf_subset,
     cfd_collective,
@@ -187,7 +186,6 @@ class TestVerdictType:
                 link=LinkState.FAULTY,
                 client_faults=frozenset({"read_buf"}),
                 per_module_decisions=(("lpd", 1.0, 1),),
-                pipeline_note=PipelineNote.LINK_FAULT_STOP,
             )
 
     def test_json_shape(self):
@@ -195,10 +193,10 @@ class TestVerdictType:
             link=LinkState.HEALTHY,
             client_faults=frozenset({"read_buf"}),
             per_module_decisions=(("lpd", -1.0, -1), ("read_buf", 0.5, 1)),
-            pipeline_note=PipelineNote.FULL_DIAGNOSIS,
         )
         d = v.to_dict()
         assert d["link"] == "healthy" and d["client_faults"] == ["read_buf"]
+        assert d["pipeline_note"] == "full_diagnosis"
         assert d["decisions"][0] == {"stage": "lpd", "D": -1.0, "class": -1}
 
 
@@ -242,7 +240,7 @@ class TestDiagnose:
         verdict = diagnose(lpd, cfd, pair, catalog)
         assert verdict.link is LinkState.FAULTY
         assert verdict.client_faults == frozenset()
-        assert verdict.pipeline_note is PipelineNote.LINK_FAULT_STOP
+        assert verdict.to_dict()["pipeline_note"] == "link_fault_stop"
         assert [d[0] for d in verdict.per_module_decisions] == ["lpd"]
 
     def test_healthy_null_case(self, sim_bundle):

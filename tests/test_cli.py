@@ -117,15 +117,50 @@ def _corrupt(text: str, how: str, key: str) -> str:
     return json.dumps(payload)
 
 
-@pytest.mark.parametrize("how", ["truncated", "missing_key", "wrong_type"])
-@pytest.mark.parametrize("name", sorted(KEYS))
-def test_corrupt_bundle_file_exits_2_naming_it(trained, tmp_path, name, how):
+def _diagnose_corrupted(trained, tmp_path, name: str, corrupt):
+    """Exit code, stderr and file path of a diagnose run on a copy of the
+    bundle whose file `name` holds corrupt(its text)."""
     bundle, _, down, up = trained
     copy = tmp_path / "bundle"
     shutil.copytree(bundle, copy)
     target = copy / name
-    target.write_text(_corrupt(target.read_text(encoding="utf-8"), how, KEYS[name]), encoding="utf-8")
+    target.write_text(corrupt(target.read_text(encoding="utf-8")), encoding="utf-8")
     code, _, err = _run("diagnose", "--bundle", str(copy), "--down", str(down), "--up", str(up))
+    return code, err, target
+
+
+@pytest.mark.parametrize("how", ["truncated", "missing_key", "wrong_type"])
+@pytest.mark.parametrize("name", sorted(KEYS))
+def test_corrupt_bundle_file_exits_2_naming_it(trained, tmp_path, name, how):
+    code, err, target = _diagnose_corrupted(trained, tmp_path, name, lambda text: _corrupt(text, how, KEYS[name]))
+    assert code == 2
+    assert "Traceback" not in err
+    assert str(target) in err
+
+
+def _set_last_index(model, value):
+    model["feature_subset"][-1] = value
+
+
+# model-file corruption -> edit of the parsed payload; each leaves valid JSON
+MODEL_EDITS = {
+    "subset_index_past_scaler": lambda model: _set_last_index(model, 999),
+    "subset_index_negative": lambda model: _set_last_index(model, -1),
+    "subset_index_duplicate": lambda model: _set_last_index(model, model["feature_subset"][0]),
+    "subset_shorter_than_vectors": lambda model: model["feature_subset"].pop(),
+    "scaler_max_short": lambda model: model["scaler"]["max"].pop(),
+}
+
+
+@pytest.mark.parametrize("how", sorted(MODEL_EDITS))
+@pytest.mark.parametrize("name", ["lpd/default.model.json", "cfd/read_buf.model.json"])
+def test_malformed_model_exits_2_naming_it(trained, tmp_path, name, how):
+    def corrupt(text):
+        model = json.loads(text)
+        MODEL_EDITS[how](model)
+        return json.dumps(model)
+
+    code, err, target = _diagnose_corrupted(trained, tmp_path, name, corrupt)
     assert code == 2
     assert "Traceback" not in err
     assert str(target) in err

@@ -1,24 +1,17 @@
-"""Cross-validation, grid selection, verdict scoring."""
+"""Cross-validation through the wrapper's CV loop, confusion rows, verdict scoring."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from netdiag.classifiers import PipelineConfig, fit_pipeline
+from netdiag.classifiers import PipelineConfig, fit_pipeline, model_predict
 from netdiag.errors import InsufficientRows
-from netdiag.evaluation import (
-    ConfusionMatrix,
-    GroundTruth,
-    confusion_from_predictions,
-    k_fold_cv,
-    select_model,
-)
-from netdiag.preprocess import LabelKind
+from netdiag.evaluation import ConfusionMatrix, GroundTruth, render_report
+from netdiag.selection import stratified_folds
 from netdiag.svm import KernelSpec, SvmConfig, model_to_dict
 from netdiag.synthetic import ClassArtifactSpec, synthetic_database
-
-from test_preprocess import db_from
 
 CFG = PipelineConfig(svm=SvmConfig(KernelSpec("linear"), C=10.0, max_iter=500, tol=1e-3))
 
@@ -29,117 +22,85 @@ def separable_db(n_per_class=12, m=6, seed=0):
     return synthetic_database([pos, neg], n_per_class, seed)
 
 
-def xor_db(n_per_corner=8, seed=1):
-    rng = np.random.default_rng(seed)
-    X, y = [], []
-    for cx in (0.0, 1.0):
-        for cy in (0.0, 1.0):
-            pts = rng.normal(scale=0.05, size=(n_per_corner, 2)) + [cx, cy]
-            X.append(pts)
-            y += [1 if cx != cy else -1] * n_per_corner
-    return db_from(np.vstack(X), y)
+def cv_accuracy(db, **changes) -> float:
+    """Mean fold accuracy of fit_pipeline's CV at its one candidate size."""
+    _, report = fit_pipeline(db, replace(CFG, **changes))
+    (accuracy,) = report.cv_accuracy
+    return accuracy
 
 
 class TestConfusion:
     def test_counts_and_rates(self):
-        cm = confusion_from_predictions(
-            np.array([1, 1, -1, -1, -1]), np.array([1, -1, 1, -1, -1])
-        )
-        assert (cm.tp, cm.fn, cm.fp, cm.tn) == (1, 1, 1, 2)
+        cm = ConfusionMatrix(tp=1, fp=1, tn=2, fn=1)
         assert cm.accuracy == pytest.approx(3 / 5)
         assert cm.false_positive_rate == pytest.approx(1 / 3)
         assert cm.n == 5
 
+    def test_empty_row_is_not_applicable(self):
+        cm = ConfusionMatrix(0, 0, 0, 0)
+        assert cm.accuracy is None and cm.false_positive_rate is None
+        d = cm.to_dict()
+        assert json.loads(json.dumps(d))["accuracy"] is None
+        report = {
+            "conditions": {"default_client": {"n": 2, "accuracy": 0.5}},
+            "per_fault": {"read_buf": d, "write_buf": ConfusionMatrix(tp=1, fp=0, tn=0, fn=1).to_dict()},
+        }
+        lines = render_report(report).splitlines()
+        assert lines[1] == "default_client      2    50.00%"
+        assert lines[3] == "fault        tp   fp   tn   fn  accuracy  fp_rate"
+        assert lines[4] == "read_buf      0    0    0    0       n/a      n/a"
+        assert lines[5] == "write_buf     1    0    0    1    50.00%      n/a"
+
 
 class TestKFoldCv:
+    """k-fold CV as fit_pipeline runs it: `wrapper_select` scores each
+    candidate size over stratified folds."""
+
     def test_separable_perfect(self):
         for k in (2, 3, 5):
-            result = k_fold_cv(separable_db(), CFG, k=k, seed=0)
-            assert result.mean_accuracy == 1.0
+            assert cv_accuracy(separable_db(), cv_folds=k) == 1.0
 
     def test_permuted_labels_near_chance(self):
         db = separable_db(n_per_class=20, seed=3)
         rng = np.random.default_rng(11)
         y = db.y.copy()
         rng.shuffle(y)
-        from dataclasses import replace
-
-        shuffled = replace(db, y=y)
-        result = k_fold_cv(shuffled, CFG, k=5, seed=0)
-        assert abs(result.mean_accuracy - 0.5) <= 0.2
+        assert abs(cv_accuracy(replace(db, y=y)) - 0.5) <= 0.2
 
     def test_leave_one_out_boundary(self):
         db = separable_db(n_per_class=3)
-        result = k_fold_cv(db, CFG, k=6, seed=0)
-        assert len(result.folds) == 6
-        assert all(m.n == 1 for m in result.folds)
+        assert [f.size for f in stratified_folds(db.y, 6, 0)] == [1] * 6
+        assert cv_accuracy(db, cv_folds=6) == 1.0
 
     def test_insufficient_rows(self):
         db = separable_db(n_per_class=2)
         with pytest.raises(InsufficientRows):
-            k_fold_cv(db, CFG, k=9, seed=0)
+            fit_pipeline(db, replace(CFG, cv_folds=9))
 
     def test_determinism(self):
         db = separable_db(n_per_class=8, seed=5)
-        a = k_fold_cv(db, CFG, k=4, seed=7)
-        b = k_fold_cv(db, CFG, k=4, seed=7)
-        assert a == b
+        config = replace(CFG, cv_folds=4, seed=7)
+        (m1, r1), (m2, r2) = fit_pipeline(db, config), fit_pipeline(db, config)
+        assert r1 == r2
+        assert model_to_dict(m1) == model_to_dict(m2)
 
     def test_training_accuracy_bounds_cv(self):
         db = separable_db(n_per_class=10, seed=6)
-        model, _ = fit_pipeline(db, CFG)
-        from netdiag.classifiers import model_predict
-
+        model, report = fit_pipeline(db, CFG)
         train_acc = np.mean([model_predict(model, db.X[i])[1] == db.y[i] for i in range(db.n)])
-        cv = k_fold_cv(db, CFG, k=5, seed=0)
-        assert train_acc >= cv.mean_accuracy - 1e-9
+        assert train_acc >= report.cv_accuracy[0] - 1e-9
 
     def test_no_leakage_fold_model_pure_function_of_training_rows(self):
         db = separable_db(n_per_class=10, seed=8)
-        from netdiag.selection import stratified_folds
-
         folds = stratified_folds(db.y, 5, seed=3)
         test_fold = folds[0]
         train_idx = np.setdiff1d(np.arange(db.n), test_fold)
-        from dataclasses import replace
-
         train_db = replace(db, X=db.X[train_idx].copy(), y=db.y[train_idx].copy())
         m1, _ = fit_pipeline(train_db, CFG)
         m2, _ = fit_pipeline(train_db, CFG)  # deleting test rows cannot matter
         assert json.dumps(model_to_dict(m1), sort_keys=True) == json.dumps(
             model_to_dict(m2), sort_keys=True
         )
-
-
-class TestSelectModel:
-    def test_xor_prefers_quadratic(self):
-        db = xor_db()
-        result = select_model(
-            db, kernels=("linear", "quadratic"), Cs=(10.0,), sigmas=(), k=4, seed=0, base=CFG
-        )
-        assert result.best.kernel.variant == "quadratic"
-        lin = [c for c in result.cells if c.kernel.variant == "linear"][0]
-        assert lin.mean_accuracy < result.best.mean_accuracy
-
-    def test_single_cell(self):
-        db = separable_db()
-        result = select_model(db, kernels=("linear",), Cs=(1.0,), sigmas=(), k=3, seed=0, base=CFG)
-        assert result.best.kernel.variant == "linear" and result.best.C == 1.0
-
-    def test_tie_breaks_to_simpler_kernel(self):
-        db = separable_db()
-        result = select_model(
-            db, kernels=("rbf", "linear"), Cs=(10.0,), sigmas=(1.0,), k=3, seed=0, base=CFG
-        )
-        # both reach accuracy 1.0 on this easy set; linear wins the tie
-        accs = {c.kernel.variant: c.mean_accuracy for c in result.cells}
-        assert accs["linear"] == accs["rbf"] == 1.0
-        assert result.best.kernel.variant == "linear"
-
-    def test_smaller_c_wins_tie(self):
-        db = separable_db()
-        result = select_model(db, kernels=("linear",), Cs=(100.0, 1.0), sigmas=(), k=3, seed=0, base=CFG)
-        assert result.best.C == 1.0
 
 
 class TestGroundTruth:

@@ -56,6 +56,16 @@ class TestTStatistic:
         with pytest.raises(TooFewSamples):
             t_statistic([1.0], [1.0, 2.0])
 
+    def test_columns_of_2d_samples(self):
+        rng = np.random.default_rng(5)
+        a, b = rng.normal(size=(9, 4)), rng.normal(size=(7, 4)) + 0.5
+        t = t_statistic(a, b)
+        assert isinstance(t, np.ndarray) and t.shape == (4,)
+        assert isinstance(t_statistic(a[:, 0], b[:, 0]), float)
+        assert np.allclose(t, [t_statistic(a[:, j], b[:, j]) for j in range(4)], rtol=1e-12, atol=0)
+        with pytest.raises(TooFewSamples):
+            t_statistic(a[:1], b)
+
     @settings(max_examples=50, deadline=None)
     @given(
         a=st.lists(st.floats(-100, 100), min_size=2, max_size=20),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from qp_reference import reference_decision_function, solve_reference
+from qp_reference import closed_form_kernel, reference_decision_function, solve_reference
 
 from netdiag.errors import DimensionMismatch, IoFailure, NonFiniteInput, SingleClassInput
 from netdiag.svm import (
@@ -16,7 +16,6 @@ from netdiag.svm import (
     classify,
     decision_value,
     gram_matrix,
-    kernel_eval,
     kernel_matrix,
     load_model,
     model_from_dict,
@@ -43,29 +42,41 @@ def kkt_satisfied(X, y, alpha, bias, kernel, C, tol):
     return ok
 
 
+def kernel_entry(spec, x, z) -> float:
+    """One entry of kernel_matrix, for a single pair of points."""
+    return float(kernel_matrix(spec, [x], [z])[0, 0])
+
+
 class TestKernels:
     def test_linear_dot(self):
-        assert kernel_eval(LIN, (1, 2), (3, 4)) == 11.0
+        assert kernel_entry(LIN, (1, 2), (3, 4)) == 11.0
 
     def test_quadratic_closed_form(self):
-        assert kernel_eval(QUAD, (1, 0), (1, 0)) == 4.0
+        assert kernel_entry(QUAD, (1, 0), (1, 0)) == 4.0
 
     def test_rbf_identity(self):
         for sigma in (0.3, 1.0, 7.0):
-            assert kernel_eval(KernelSpec("rbf", sigma), (1.5, -2.0), (1.5, -2.0)) == 1.0
+            assert kernel_entry(KernelSpec("rbf", sigma), (1.5, -2.0), (1.5, -2.0)) == 1.0
 
     def test_cubic(self):
-        assert kernel_eval(KernelSpec("cubic"), (1, 1), (2, 0)) == 27.0
+        assert kernel_entry(KernelSpec("cubic"), (1, 1), (2, 0)) == 27.0
 
     def test_symmetry(self):
         rng = np.random.default_rng(0)
         for spec in (LIN, QUAD, KernelSpec("cubic"), KernelSpec("rbf", 1.3)):
-            x, z = rng.normal(size=4), rng.normal(size=4)
-            assert kernel_eval(spec, x, z) == pytest.approx(kernel_eval(spec, z, x), abs=1e-12)
+            A, B = rng.normal(size=(3, 4)), rng.normal(size=(5, 4))
+            assert np.allclose(kernel_matrix(spec, A, B), kernel_matrix(spec, B, A).T, rtol=0, atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            kernel_eval(LIN, (1, 2), (1, 2, 3))
+            kernel_matrix(LIN, [(1, 2)], [(1, 2, 3)])
+
+    def test_matches_closed_form_reference(self):
+        rng = np.random.default_rng(9)
+        for spec in (LIN, QUAD, KernelSpec("cubic"), KernelSpec("rbf", 0.7), KernelSpec("rbf", 3.0)):
+            A, B = rng.normal(size=(6, 5)), rng.normal(size=(4, 5))
+            ref = [[closed_form_kernel(spec, a, b) for b in B] for a in A]
+            assert np.allclose(kernel_matrix(spec, A, B), ref, rtol=1e-12, atol=1e-12)
 
     def test_rbf_requires_sigma(self):
         with pytest.raises(ValueError):
@@ -264,7 +275,7 @@ class TestOracle:
         Kt = kernel_matrix(kernel, X, X) + np.eye(8) / C
         alpha_ref, _ = solve_reference(Kt, y, tol=1e-8)
         D_ref, _ = reference_decision_function(
-            X, y, alpha_ref, lambda a, b: kernel_eval(kernel, a, b), C
+            X, y, alpha_ref, lambda a, b: closed_form_kernel(kernel, a, b), C
         )
         for x in rng.normal(size=(50, 2)):
             assert (decision_value(model, x) >= 0) == (D_ref(x) >= 0)
@@ -343,8 +354,14 @@ class TestPersistence:
             lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "bias"}),
             lambda text: json.dumps(dict(json.loads(text), dual_coef="x")),
             lambda text: json.dumps(dict(json.loads(text), kernel=[])),
+            lambda text: json.dumps(dict(json.loads(text), feature_subset=[-1])),
+            lambda text: json.dumps(dict(json.loads(text), feature_subset=[0, 1])),
+            lambda text: json.dumps(dict(json.loads(text), feature_subset=[0.5])),
         ],
-        ids=["truncated", "missing_key", "wrong_type", "wrong_container"],
+        ids=[
+            "truncated", "missing_key", "wrong_type", "wrong_container",
+            "negative_index", "index_per_column", "fractional_index",
+        ],
     )
     def test_malformed_file_is_io_failure(self, tmp_path, corrupt):
         X = np.array([[0.0], [2.0]])
