@@ -29,7 +29,6 @@ from .preprocess import (
 from .selection import SelectionReport, TTestRanking, project, rank_features, t_statistic, wrapper_select
 from .simulate import ClientParams, CwndProfile, LinkParams, simulate_flow
 from .svm import KernelSpec, SvmConfig, SvmModel, classify, decision_value, train
-from .synthetic import ClassArtifactSpec, generate_synthetic_signature
 from .trace import PacketEvent, TracePair, TraceRecord, read_trace, write_trace
 
 __version__ = "0.1.0"

@@ -30,6 +30,8 @@ from .preprocess import (
     LabelKind,
     SignatureDatabase,
     apply_scaler,
+    parse_indices,
+    parse_registry,
     read_artifact,
     scale_database,
     write_artifact,
@@ -324,7 +326,7 @@ def _check_registry(meta) -> dict:
         if key in meta and not isinstance(meta[key], kind):
             raise TypeError(f"{key!r} is a {type(meta[key]).__name__}, not a {kind.__name__}")
     if "fault_registry" in meta:
-        meta["fault_registry"] = {str(k): int(v) for k, v in meta["fault_registry"].items()}
+        meta["fault_registry"] = parse_registry(meta["fault_registry"])
     return meta
 
 
@@ -409,12 +411,21 @@ def load_bundle(path) -> tuple[LpdClassifier, CfdNetwork, str]:
 
 
 def _selection_from_dict(d: dict) -> SelectionReport:
+    """A stored selection report: distinct positive candidate sizes, one
+    of which is chosen_q, and chosen_q distinct chosen indices."""
+    sizes = parse_indices(d["candidate_sizes"], what="candidate_sizes")
+    chosen_q = d["chosen_q"]
+    if 0 in sizes or type(chosen_q) is not int or chosen_q not in sizes:
+        raise ValueError(f"chosen_q {chosen_q!r} is not one of the positive candidate_sizes {list(sizes)}")
+    chosen = parse_indices(d["chosen_indices"], what="chosen_indices")
+    if len(chosen) != chosen_q:
+        raise ValueError(f"{len(chosen)} chosen_indices for chosen_q {chosen_q}")
     return SelectionReport(
-        candidate_sizes=tuple(int(q) for q in d["candidate_sizes"]),
+        candidate_sizes=sizes,
         cv_accuracy=tuple(float(a) for a in d["cv_accuracy"]),
         cv_objective=tuple(float(a) for a in d["cv_objective"]),
-        chosen_q=int(d["chosen_q"]),
-        chosen_indices=tuple(int(i) for i in d["chosen_indices"]),
+        chosen_q=chosen_q,
+        chosen_indices=chosen,
     )
 
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import enum
 import json
+import os
+import secrets
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -204,10 +206,7 @@ def save_database(db: SignatureDatabase, path) -> None:
         "fault_registry": dict(db.fault_registry) if db.fault_registry else {},
     }
     write_artifact(sidecar_path(path), sidecar)
-    try:
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def sidecar_path(path) -> Path:
@@ -221,10 +220,22 @@ def write_artifact(path, payload) -> None:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise NonFiniteInput(f"cannot write {path}: {exc}") from exc
+    write_text(path, text + "\n")
+
+
+def write_text(path, text: str) -> None:
+    """Replace the file at path with text, through a temporary file in the
+    same directory and os.replace: a crash leaves the old file or the new
+    one, never a part of either.  An OSError is an IoFailure."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
     try:
-        Path(path).write_text(text + "\n", encoding="utf-8")
+        with open(tmp, "x", encoding="utf-8") as f:
+            f.write(text)
+        os.replace(tmp, path)
     except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+        tmp.unlink(missing_ok=True)
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 def read_artifact(path, what: str, parse):
@@ -238,18 +249,40 @@ def read_artifact(path, what: str, parse):
         raise IoFailure(f"malformed {what} file {path}: {exc!r}") from exc
 
 
+def parse_registry(registry: dict) -> dict[str, int]:
+    """A stored fault registry: fault name -> distinct integer index."""
+    indices = parse_indices(list(registry.values()), what="fault registry indices")
+    return dict(zip((str(k) for k in registry), indices))
+
+
+def parse_indices(values, limit: int | None = None, what: str = "indices") -> tuple[int, ...]:
+    """Stored indices as a tuple: a list of distinct integers in [0, limit).
+    A float or a bool (which int() would truncate), a duplicate or an
+    index out of range is a ValueError."""
+    bound = float("inf") if limit is None else limit
+    if not (
+        isinstance(values, list)
+        and all(type(i) is int and 0 <= i < bound for i in values)
+        and len(set(values)) == len(values)
+    ):
+        raise ValueError(f"{what} {values!r} are not distinct integers in [0, {bound})")
+    return tuple(values)
+
+
 def _sidecar_from_dict(meta) -> dict:
     """Sidecar fields with their types checked and the scaler rebuilt."""
     for key, kind in (("stage", str), ("catalog_version", str), ("scaler", dict),
                       ("selected_features", list), ("fault_registry", dict)):
         if not isinstance(meta[key], kind):
             raise TypeError(f"{key!r} is a {type(meta[key]).__name__}, not a {kind.__name__}")
+    scaler = scaler_from_dict(meta["scaler"])
+    limit = scaler.m if scaler is not None else None
     return {
         "stage": Stage(meta["stage"]),
         "catalog_version": meta["catalog_version"],
-        "scaler": scaler_from_dict(meta["scaler"]),
-        "selected_features": tuple(int(i) for i in meta["selected_features"]) or None,
-        "fault_registry": {str(k): int(v) for k, v in meta["fault_registry"].items()},
+        "scaler": scaler,
+        "selected_features": parse_indices(meta["selected_features"], limit, "selected_features") or None,
+        "fault_registry": parse_registry(meta["fault_registry"]),
     }
 
 

@@ -18,10 +18,20 @@ import numpy as np
 from .errors import IndexOutOfRange, InsufficientRows, MissingClass, StageError, TooFewSamples
 from .preprocess import SignatureDatabase, Stage
 from .rng import SplitMix64
-from .svm import SvmConfig, decision_values, train_arrays
+from .svm import (  # noqa: F401  (train_arrays: perfbench/layers.py wraps selection.train_arrays)
+    SvmConfig,
+    build_model,
+    check_training_data,
+    decision_values,
+    gram_matrix,
+    solve_duals,
+    train_arrays,
+)
 
 VARIANCE_FLOOR = 1e-12
 DEFAULT_CANDIDATE_SIZES = (5, 10, 15, 20, 25, 50, 75, 100)
+# Upper bound on the bytes of the stack of CV Grams solved in lockstep.
+CV_STACK_BYTES = 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -96,24 +106,45 @@ def stratified_folds(y: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
     return [np.asarray(sorted(f), dtype=np.int64) for f in folds]
 
 
-def _fold_scores(X, y, folds, config: SvmConfig) -> tuple[float, float]:
-    """Mean accuracy and mean false-positive rate over the folds."""
-    accs, fprs = [], []
+def _cv_scores(X, y, order, sizes, folds, config: SvmConfig) -> list[tuple[float, float]]:
+    """Mean accuracy and mean false-positive rate over the folds of the
+    prefix order[:q], for each q in sizes.
+
+    The (size, fold) problems are built in size-major order and solved in
+    lockstep by `solve_duals`, as many at a time as CV_STACK_BYTES of
+    stacked Grams hold.  Each problem takes the path it takes alone.
+    """
     all_rows = np.arange(y.shape[0])
+    train_rows = []
     for fold in folds:
         test_mask = np.zeros(y.shape[0], dtype=bool)
         test_mask[fold] = True
-        train_idx = all_rows[~test_mask]
-        ytr = y[train_idx]
-        if len(set(ytr.tolist())) < 2:
-            raise InsufficientRows("a training fold lost one of the classes")
-        model = train_arrays(X[train_idx], ytr, config)
-        d = decision_values(model, X[fold])
-        pred = np.where(d >= 0, 1, -1)
-        accs.append(float(np.mean(pred == y[fold])))
+        train_rows.append(all_rows[~test_mask])
+    grid = [(q, f) for q in sizes for f in range(len(folds))]
+
+    def problems():
+        for q, f in grid:
+            ytr = y[train_rows[f]]
+            if len(set(ytr.tolist())) < 2:
+                raise InsufficientRows("a training fold lost one of the classes")
+            Xtr = X[:, order[:q]][train_rows[f]]
+            ytr = ytr.astype(np.float64)
+            check_training_data(Xtr, ytr)
+            yield gram_matrix(config.kernel, Xtr, config.C), ytr
+
+    n = max(len(rows) for rows in train_rows)
+    width = max(1, min(len(grid), CV_STACK_BYTES // (8 * n * n)))
+    states = solve_duals(problems(), n, width, config.tol, config.max_iter)
+    accs: dict[int, list[float]] = {q: [] for q in sizes}
+    fprs: dict[int, list[float]] = {q: [] for q in sizes}
+    for (q, f), state in zip(grid, states):
+        Xq, fold = X[:, order[:q]], folds[f]
+        model = build_model(Xq[train_rows[f]], y[train_rows[f]].astype(np.float64), config, state)
+        pred = np.where(decision_values(model, Xq[fold]) >= 0, 1, -1)
+        accs[q].append(float(np.mean(pred == y[fold])))
         negs = y[fold] == -1
-        fprs.append(float(np.mean(pred[negs] == 1)) if negs.any() else 0.0)
-    return float(np.mean(accs)), float(np.mean(fprs))
+        fprs[q].append(float(np.mean(pred[negs] == 1)) if negs.any() else 0.0)
+    return [(float(np.mean(accs[q])), float(np.mean(fprs[q]))) for q in sizes]
 
 
 def wrapper_select(
@@ -133,9 +164,7 @@ def wrapper_select(
     fold_idx = stratified_folds(db.y, folds, seed)
     order = np.asarray(ranking.abs_t_order, dtype=np.int64)
     accuracies, objectives = [], []
-    for q in sizes:
-        cols = order[:q]
-        acc, fpr = _fold_scores(db.X[:, cols], db.y, fold_idx, svm_config)
+    for acc, fpr in _cv_scores(db.X, db.y, order, sizes, fold_idx, svm_config):
         accuracies.append(acc)
         objectives.append(acc - fp_penalty * fpr)
     best = max(range(len(sizes)), key=lambda i: (objectives[i], -sizes[i]))

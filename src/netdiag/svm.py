@@ -22,6 +22,21 @@ The per-point quantity b_i = y_i - sum_j alpha_j y_j K(x_j, x_i)
 - alpha_i y_i / C doubles as the optimality certificate (the spread
 max-min over the movable sets is the KKT violation) and, averaged over
 support vectors, as the bias term of the decision function.
+
+At the sizes fitted here (n <= a few hundred) a pair update costs a
+couple of dozen numpy calls whose fixed overhead outweighs their
+arithmetic, so `solve_duals` runs independent problems in lockstep, one
+row of a zero-padded stack per problem: the vector work of a step (the
+choice of i and j, the curvature row, the gradient update) is one call
+across all rows, and the scalar pair step runs in Python per row.  A
+row finished by convergence or by the update cap takes the next problem
+at once.  Each problem takes exactly the path it takes alone, bit for
+bit: elementwise operations and row-wise argmax see only the row's own
+values, padding sits off both sets with an infinite diagonal so it is
+never chosen, the gap is taken as b_i - min(low) (equal to the largest
+b_i - low_t, since rounded subtraction is monotone), and the loop keeps
+b + 0 on each set (not b and a penalty vector), which holds the same
+values.  `solve_dual` is the one-problem case.
 """
 
 from __future__ import annotations
@@ -35,7 +50,7 @@ from .errors import (
     NonFiniteInput,
     SingleClassInput,
 )
-from .preprocess import ScalerParams, read_artifact, scaler_from_dict, scaler_to_dict, write_artifact
+from .preprocess import ScalerParams, parse_indices, read_artifact, scaler_from_dict, scaler_to_dict, write_artifact
 
 KERNEL_VARIANTS = ("linear", "quadratic", "cubic", "rbf")
 
@@ -132,129 +147,229 @@ def gram_matrix(spec: KernelSpec, X: np.ndarray, C: float) -> np.ndarray:
     return kernel_matrix(spec, X, X) + np.eye(X.shape[0]) / C
 
 
-def solve_dual(Kt: np.ndarray, y: np.ndarray, tol: float, max_iter: int) -> TrainingState:
-    """Maximize sum(a) - 0.5 a' (yy' * Kt) a  s.t.  a >= 0, y'a = 0.
+class _Dual:
+    """One problem's side of the lockstep loop: the scalar pair-step state."""
 
-    Kt must be symmetric: the loop reads rows where the gradient update
-    needs columns.
+    __slots__ = ("slot", "y", "y_list", "alpha", "trace", "objective", "updates", "cap", "state")
+
+    def __init__(self, slot: int, y: np.ndarray, ys: np.ndarray, max_iter: int):
+        self.slot = slot
+        self.y = y
+        self.y_list = ys.tolist()
+        self.alpha = [0.0] * len(y)
+        self.trace = []
+        self.objective = 0.0
+        self.updates = 0
+        self.cap = max_iter * len(y)  # one sweep is up to n pair updates
+        self.state = None
+
+
+def solve_duals(problems, n: int, width: int, tol: float, max_iter: int) -> list[TrainingState]:
+    """Maximize sum(a) - 0.5 a' (yy' * Kt) a  s.t.  a >= 0, y'a = 0 for
+    each (Kt, y) of `problems`, up to `width` of them in lockstep; one
+    TrainingState per problem, in input order.
+
+    Each Kt is symmetric (the loop reads rows where the gradient update
+    needs columns) with at most n rows, and y holds labels in {+1, -1}.
+    A problem is drawn from `problems` when a slot of the zero-padded
+    (width, n, n) stack opens, so a generator of Grams keeps no more than
+    the stack alive.
     """
-    y = np.asarray(y, dtype=np.float64)
-    n = y.shape[0]
-    # The dual sees y only through yy' and y'a = 0, so solving with the
-    # labels oriented to y[0] = +1 takes the same path for y and -y.
-    ys = y if y[0] > 0 else -y
-    y_list = ys.tolist()
-    # b[t] = ys_t * dObjective/dAlpha_t; starts at ys since grad = 1.
-    b = ys.copy()
-    diag = np.diag(Kt)
-    # curv[i, t] = Kt_ii + Kt_tt - 2 Kt_it, the curvature along pair (i, t);
-    # inf on the diagonal so the degenerate pair (i, i) never gains.
-    curv = np.add.outer(diag, diag)
-    curv -= 2.0 * Kt
-    np.fill_diagonal(curv, np.inf)
-    # 0 on the set that may move up (resp. down), -inf (resp. +inf) off it.
-    up_pen = np.where(ys > 0, 0.0, -np.inf)
-    low_pen = np.where(ys > 0, np.inf, 0.0)
-    up = np.empty(n)
-    gain = np.empty(n)
-    delta_b = np.empty(n)
-    alpha = [0.0] * n
-    trace = []
-    objective = 0.0
-    updates = 0
-    converged = False
-    sweeps = 0
-    while sweeps < max_iter and not converged:
-        sweeps += 1
-        for _ in range(n):
-            np.add(b, up_pen, out=up)
-            i = int(up.argmax())
-            b_i = up.item(i)
-            # gain = b_i - b_t over the set that may move down, -inf off it.
-            np.add(b, low_pen, out=gain)
-            np.subtract(b_i, gain, out=gain)
-            if gain.max() <= tol:
-                converged = True
-                break
+    inf = np.inf
+    Kt = np.zeros((width, n, n))
+    rows_of = Kt.reshape(width * n, n)  # row i of slot s is rows_of[s * n + i]
+    # Row r of the loop holds one problem.  up[r] holds b on the set that
+    # may move up and -inf off it, low[r] holds b on the set that may move
+    # down and +inf off it, where b_t = y_t * dObjective/dAlpha_t; every
+    # point is on one set, and padding is on neither.  diag[r] is the
+    # diagonal of Kt, infinite on padding so that padding never gains.
+    up = np.empty((width, n))
+    low = np.empty((width, n))
+    diag = np.empty((width, n))
+    duals = []
+    source = iter(problems)
+
+    def load(r: int, slot: int) -> _Dual | None:
+        """The next problem, set up in row r and slot `slot`; None once
+        `problems` is exhausted."""
+        problem = next(source, None)
+        if problem is None:
+            return None
+        K, y = problem
+        y = np.asarray(y, dtype=np.float64)
+        m = y.shape[0]
+        Kt[slot, :m, :m] = K
+        Kt[slot, :m, m:] = 0.0
+        Kt[slot, m:] = 0.0
+        # The dual sees y only through yy' and y'a = 0, so solving with
+        # the labels oriented to y[0] = +1 takes the same path for y and
+        # -y.  b starts at the oriented labels since grad = 1.
+        ys = y if y[0] > 0 else -y
+        up[r], low[r], diag[r] = -inf, inf, inf
+        up[r, :m] = np.where(ys > 0, ys, -inf)
+        low[r, :m] = np.where(ys < 0, ys, inf)
+        diag[r, :m] = Kt[slot].diagonal()[:m]
+        dual = _Dual(slot, y, ys, max_iter)
+        duals.append(dual)
+        return dual
+
+    def flip(r: int, k: int, y_k: float, joins: bool) -> None:
+        """Point k of row r joins or leaves the set its label does not
+        always belong to, carrying its b across."""
+        if y_k > 0:
+            low[r, k] = up.item(r, k) if joins else inf
+        else:
+            up[r, k] = low.item(r, k) if joins else -inf
+
+    def finish(dual: _Dual, converged: bool) -> None:
+        """Exact recompute of the certificate quantities at the final
+        point, for the caller's labels."""
+        y = dual.y
+        m = y.shape[0]
+        K = np.ascontiguousarray(Kt[dual.slot, :m, :m])
+        alpha = np.asarray(dual.alpha)
+        ay = alpha * y
+        grad = 1.0 - y * (K @ ay)
+        b_vec_exact = y * grad
+        movable = alpha > 0
+        pos = y > 0
+        m_up = np.max(np.where(pos | movable, b_vec_exact, -np.inf))
+        m_low = np.min(np.where(~pos | movable, b_vec_exact, np.inf))
+        dual.state = TrainingState(
+            alpha=alpha,
+            objective_trace=dual.trace,
+            bias_estimates=b_vec_exact,
+            dual_objective=float(np.sum(alpha) - 0.5 * ay @ (K @ ay)),
+            iterations_used=dual.updates // m + 1 if converged else max_iter,
+            updates=dual.updates,
+            converged=converged,
+            final_kkt_residual=float(m_up - m_low),
+        )
+
+    rows = []
+    for slot in range(width):
+        dual = load(slot, slot)
+        if dual is None:
+            break
+        rows.append(dual)
+    up, low, diag = up[: len(rows)], low[: len(rows)], diag[: len(rows)]
+    while rows:
+        offs = np.arange(0, len(rows) * n, n)  # row r of up, low and diag starts at offs[r]
+        base = np.asarray([dual.slot for dual in rows]) * n
+        while True:
+            i = up.argmax(axis=1)
+            fi = offs + i
+            b_i = up.take(fi)
+            # The gap max_t (b_i - low_t) is b_i - min low: subtraction is monotone.
+            low_min = low.take(offs + low.argmin(axis=1))
             # Second-order choice of j: the largest one-step objective gain
-            # (b_i - b_t)^2 / curv[i, t] among points with b_t < b_i.
+            # (b_i - b_t)^2 / curv[i, t] among points with b_t < b_i, where
+            # curv[i, t] = Kt_ii + Kt_tt - 2 Kt_it, and inf for t = i so the
+            # degenerate pair (i, i) never gains.
+            gain = np.subtract(b_i[:, None], low)
             np.maximum(gain, 0.0, out=gain)
             np.square(gain, out=gain)
-            row = curv[i]
-            np.divide(gain, row, out=gain)
-            j = int(gain.argmax())
-            violation = b_i - b.item(j)
-            eta = row.item(j)
-            t = violation / eta
-            y_i, y_j = y_list[i], y_list[j]
-            if y_i < 0:
-                t = min(t, alpha[i])
-            if y_j > 0:
-                t = min(t, alpha[j])
-            a_i = max(alpha[i] + y_i * t, 0.0)
-            a_j = max(alpha[j] - y_j * t, 0.0)
-            alpha[i] = a_i
-            alpha[j] = a_j
-            np.subtract(Kt[i], Kt[j], out=delta_b)
-            delta_b *= t
-            b -= delta_b
-            for k, a_k, y_k in ((i, a_i, y_i), (j, a_j, y_j)):
-                if y_k > 0:
-                    low_pen[k] = 0.0 if a_k > 0 else np.inf
-                else:
-                    up_pen[k] = 0.0 if a_k > 0 else -np.inf
-            objective += violation * t - 0.5 * eta * t * t
-            trace.append(objective)
-            updates += 1
+            K_i = rows_of.take(base + i, axis=0)
+            curv = np.add(diag.take(fi)[:, None], diag)
+            curv -= 2.0 * K_i
+            curv.put(fi, inf)
+            np.divide(gain, curv, out=gain)
+            j = gain.argmax(axis=1)
+            fj = offs + j
+            steps = []
+            finished = []
+            for r, dual, i_p, j_p, b_ip, b_jp, eta, gap_low in zip(
+                range(len(rows)),
+                rows,
+                i.tolist(),
+                j.tolist(),
+                b_i.tolist(),
+                low.take(fj).tolist(),
+                curv.take(fj).tolist(),
+                low_min.tolist(),
+            ):
+                if dual.updates == dual.cap or b_ip - gap_low <= tol:
+                    # Finished: no step this time, then the row takes the
+                    # next problem or leaves the loop.
+                    finish(dual, converged=dual.updates < dual.cap)
+                    finished.append(r)
+                    steps.append(0.0)
+                    rows[r] = load(r, dual.slot)
+                    continue
+                if b_jp == inf:  # j off the set that may move down
+                    b_jp = up.item(r, j_p)
+                alpha, y_list = dual.alpha, dual.y_list
+                violation = b_ip - b_jp
+                t = violation / eta
+                y_i, y_j = y_list[i_p], y_list[j_p]
+                a_i, a_j = alpha[i_p], alpha[j_p]
+                if y_i < 0 and a_i < t:
+                    t = a_i
+                if y_j > 0 and a_j < t:
+                    t = a_j
+                a_i += y_i * t
+                a_j -= y_j * t
+                a_i = 0.0 if 0.0 > a_i else a_i
+                a_j = 0.0 if 0.0 > a_j else a_j
+                # A point joins or leaves a set when its alpha leaves or
+                # returns to 0; its b moves with the update below.
+                if (a_i > 0) != (alpha[i_p] > 0):
+                    flip(r, i_p, y_i, a_i > 0)
+                alpha[i_p] = a_i
+                if (a_j > 0) != (alpha[j_p] > 0):
+                    flip(r, j_p, y_j, a_j > 0)
+                alpha[j_p] = a_j
+                dual.objective += violation * t - 0.5 * eta * t * t
+                dual.trace.append(dual.objective)
+                dual.updates += 1
+                steps.append(t)
+            # b -= t (Kt_i - Kt_j), on both sets.
+            delta_b = rows_of.take(base + j, axis=0)
+            np.subtract(K_i, delta_b, out=delta_b)
+            delta_b *= np.asarray(steps)[:, None]
+            if finished:
+                delta_b[finished] = 0.0
+            up -= delta_b
+            low -= delta_b
+            if None in rows:
+                break
+        keep = [dual is not None for dual in rows]
+        rows = [dual for dual in rows if dual is not None]
+        up, low, diag = up[keep], low[keep], diag[keep]
+    return [dual.state for dual in duals]
 
-    # Exact recompute of the certificate quantities at the final point,
-    # for the caller's labels.
-    alpha = np.asarray(alpha)
-    ay = alpha * y
-    grad = 1.0 - y * (Kt @ ay)
-    b_vec_exact = y * grad
-    movable = alpha > 0
-    pos = y > 0
-    m_up = np.max(np.where(pos | movable, b_vec_exact, -np.inf))
-    m_low = np.min(np.where(~pos | movable, b_vec_exact, np.inf))
-    return TrainingState(
-        alpha=alpha,
-        objective_trace=trace,
-        bias_estimates=b_vec_exact,
-        dual_objective=float(np.sum(alpha) - 0.5 * ay @ (Kt @ ay)),
-        iterations_used=sweeps,
-        updates=updates,
-        converged=converged,
-        final_kkt_residual=float(m_up - m_low),
-    )
+
+def solve_dual(Kt: np.ndarray, y: np.ndarray, tol: float, max_iter: int) -> TrainingState:
+    """The one-problem case of `solve_duals`."""
+    Kt = np.asarray(Kt, dtype=np.float64)
+    return solve_duals([(Kt, y)], Kt.shape[0], 1, tol, max_iter)[0]
 
 
-def train_arrays(
-    X: np.ndarray,
-    y: np.ndarray,
-    config: SvmConfig,
-    scaler: ScalerParams | None = None,
-    feature_subset: tuple[int, ...] | None = None,
-    catalog_version: str = "none",
-    return_state: bool = False,
-):
-    """Train on a prepared matrix with labels in {+1, -1}."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+def check_training_data(X: np.ndarray, y: np.ndarray) -> None:
+    """Refuse non-finite inputs and labels other than both of +1/-1."""
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise NonFiniteInput("training data contains NaN or Inf")
     classes = set(np.unique(y).tolist())
     if classes != {-1.0, 1.0}:
         raise SingleClassInput(f"need both classes +1/-1, got labels {sorted(classes)}")
 
-    Kt = gram_matrix(config.kernel, X, config.C)
-    state = solve_dual(Kt, y, config.tol, config.max_iter)
 
+def build_model(
+    X: np.ndarray,
+    y: np.ndarray,
+    config: SvmConfig,
+    state: TrainingState,
+    scaler: ScalerParams | None = None,
+    feature_subset: tuple[int, ...] | None = None,
+    catalog_version: str = "none",
+) -> SvmModel:
+    """The model of a solved dual: support vectors, their coefficients
+    and the bias averaged over them."""
     sv = state.alpha > config.tol
     if not np.any(sv):
         sv = state.alpha > 0  # degenerate, extremely well-separated data
     bias = float(np.mean(state.bias_estimates[sv]))
-    model = SvmModel(
+    return SvmModel(
         kernel=config.kernel,
         C=config.C,
         bias=bias,
@@ -271,6 +386,24 @@ def train_arrays(
             updates=state.updates,
         ),
     )
+
+
+def train_arrays(
+    X: np.ndarray,
+    y: np.ndarray,
+    config: SvmConfig,
+    scaler: ScalerParams | None = None,
+    feature_subset: tuple[int, ...] | None = None,
+    catalog_version: str = "none",
+    return_state: bool = False,
+):
+    """Train on a prepared matrix with labels in {+1, -1}."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    check_training_data(X, y)
+    Kt = gram_matrix(config.kernel, X, config.C)
+    state = solve_dual(Kt, y, config.tol, config.max_iter)
+    model = build_model(X, y, config, state, scaler, feature_subset, catalog_version)
     return (model, state) if return_state else model
 
 
@@ -347,18 +480,16 @@ def model_from_dict(d: dict) -> SvmModel:
         )
     # One distinct index per support-vector column, each a column of the
     # raw signature the scaler was fitted on.
-    subset = d["feature_subset"]
-    q = support_vectors.shape[1]
-    limit = scaler.m if scaler is not None else float("inf")
-    if len(subset) != q or len(set(subset)) != q or not all(type(i) is int and 0 <= i < limit for i in subset):
-        raise ValueError(f"feature_subset {subset} is not {q} distinct integers in [0, {limit})")
+    subset = parse_indices(d["feature_subset"], scaler.m if scaler is not None else None, "feature_subset")
+    if len(subset) != support_vectors.shape[1]:
+        raise ValueError(f"feature_subset has {len(subset)} indices for {support_vectors.shape[1]} support-vector columns")
     return SvmModel(
         kernel=KernelSpec(d["kernel"]["variant"], d["kernel"].get("sigma")),
         C=float(d["C"]),
         bias=float(d["bias"]),
         dual_coef=dual_coef,
         support_vectors=support_vectors,
-        feature_subset=tuple(subset),
+        feature_subset=subset,
         scaler=scaler,
         catalog_version=d["catalog_version"],
         training_meta=TrainingMeta(

@@ -13,9 +13,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .features import Signature
-from .preprocess import LabelKind, SignatureDatabase, Stage
-from .rng import SplitMix64, derive_seed
+from netdiag.features import Signature
+from netdiag.preprocess import LabelKind, SignatureDatabase, Stage
+from netdiag.rng import SplitMix64, derive_seed
 
 VALUE_CLIP = 1e6
 

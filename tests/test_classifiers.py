@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from synthetic import ClassArtifactSpec, synthetic_database
 
 from netdiag.classifiers import (
     CfdNetwork,
@@ -20,6 +21,7 @@ from netdiag.classifiers import (
     model_predict,
     save_bundle,
     save_cfd_part,
+    save_lpd_part,
     train_cf_module,
     train_cfd,
     train_lpd,
@@ -27,9 +29,9 @@ from netdiag.classifiers import (
 from netdiag.errors import CatalogMismatch, ConfigError, IoFailure, MissingClass, NonFiniteInput, SingleClassInput
 from netdiag.features import default_catalog, extract_signature
 from netdiag.preprocess import DEFAULT_FAULT_REGISTRY, LabelKind
+from netdiag.selection import SelectionReport
 from netdiag.simulate import HEALTHY_LINK, ClientParams, LinkParams, simulate_flow
 from netdiag.svm import KernelSpec, SvmConfig, model_to_dict
-from netdiag.synthetic import ClassArtifactSpec, synthetic_database
 
 LPD_CFG = PipelineConfig(
     svm=SvmConfig(KernelSpec("quadratic"), C=10.0, max_iter=1000, tol=1e-3),
@@ -122,6 +124,63 @@ class TestGoldenSelection:
         assert report.chosen_indices == (
             17, 5, 25, 3, 28, 9, 11, 2, 0, 24, 16, 14, 6, 12, 8, 18, 7, 22, 15, 21
         )
+
+    def test_lpd_unequal_folds_pinned(self):
+        # 22 rows in 5 folds: training folds of 17 and 18 rows, so the CV
+        # problems of one candidate size differ in size.
+        informative = ((2, 0.6), (5, 0.6), (11, 0.4), (17, 0.6))
+        pos = ClassArtifactSpec(m=30, informative=informative, jitter=0.2, label=1)
+        neg = ClassArtifactSpec(
+            m=30, informative=tuple((i, 1.0 - t) for i, t in informative), jitter=0.2, label=-1
+        )
+        db = synthetic_database([pos, neg], 11, seed=1, label_kind=LabelKind.LINK)
+        _, report = fit_pipeline(db, default_lpd_config(seed=1))
+        assert report == SelectionReport(
+            candidate_sizes=(5, 10, 15, 20, 25),
+            cv_accuracy=(0.73, 0.95, 0.8099999999999999, 0.9, 0.9099999999999999),
+            cv_objective=(0.73, 0.95, 0.8099999999999999, 0.9, 0.9099999999999999),
+            chosen_q=10,
+            chosen_indices=(17, 9, 18, 8, 6, 15, 26, 28, 3, 7),
+        )
+
+    def test_cfd_default_selections_pinned(self):
+        # Default modules: linear, rbf and cubic kernels with fp_penalty 1.0.
+        net = train_cfd(client_db())
+        assert {m.fault_name: m.selection for m in net.modules} == {
+            "sack_disabled": SelectionReport(
+                candidate_sizes=(12,),
+                cv_accuracy=(1.0,),
+                cv_objective=(1.0,),
+                chosen_q=12,
+                chosen_indices=(0, 2, 3, 1, 14, 15, 19, 10, 36, 7, 13, 16),
+            ),
+            "dsack_disabled": SelectionReport(
+                candidate_sizes=(32,),
+                cv_accuracy=(1.0,),
+                cv_objective=(1.0,),
+                chosen_q=32,
+                chosen_indices=(
+                    9, 11, 8, 10, 25, 1, 18, 31, 35, 38, 21, 24, 7, 27, 36, 19,
+                    15, 34, 4, 17, 3, 5, 30, 29, 13, 39, 26, 23, 12, 32, 22, 20,
+                ),
+            ),
+            "read_buf": SelectionReport(
+                candidate_sizes=(24,),
+                cv_accuracy=(0.9099999999999999,),
+                cv_objective=(0.9099999999999999,),
+                chosen_q=24,
+                chosen_indices=(
+                    17, 20, 21, 19, 16, 18, 1, 15, 34, 26, 11, 31, 0, 2, 14, 25, 23, 27, 24, 33, 7, 28, 39, 8
+                ),
+            ),
+            "write_buf": SelectionReport(
+                candidate_sizes=(16,),
+                cv_accuracy=(1.0,),
+                cv_objective=(1.0,),
+                chosen_q=16,
+                chosen_indices=(26, 28, 27, 29, 24, 15, 14, 7, 6, 20, 31, 38, 10, 32, 19, 25),
+            ),
+        }
 
 
 class TestCfModules:
@@ -358,3 +417,17 @@ class TestBundle:
             save_cfd_part(bundle, replace(net, modules=(bad, *net.modules[1:])), "v1")
         assert {p: p.read_bytes() for p in bundle.rglob("*") if p.is_file()} == before
         assert sorted(p.name for p in bundle.iterdir()) == ["cfd", "registry.json"]
+
+    @pytest.mark.parametrize("how", ["write", "replace"])
+    def test_failed_registry_write_keeps_old_registry(self, tmp_path, break_writes, how):
+        bundle = tmp_path / "bundle"
+        save_cfd_part(bundle, train_cfd(client_db(), cf_configs()), "v1")
+        registry = bundle / "registry.json"
+        before = registry.read_bytes()
+        break_writes("registry.json", how)
+        with pytest.raises(IoFailure, match="registry.json"):
+            save_lpd_part(bundle, train_lpd(link_db(), LPD_CFG), "v1")
+        assert registry.read_bytes() == before
+        assert "lpd_profile" not in json.loads(before)
+        assert not [p.name for p in bundle.iterdir() if p.name.startswith(".")]
+

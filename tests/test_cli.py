@@ -7,12 +7,12 @@ from dataclasses import replace
 from io import StringIO
 
 import pytest
+from synthetic import ClassArtifactSpec, synthetic_database
 
 from netdiag.cli import main
 from netdiag.features import default_catalog
 from netdiag.preprocess import DEFAULT_FAULT_REGISTRY, LabelKind, save_database
 from netdiag.simulate import HEALTHY_LINK, ClientParams, simulate_flow
-from netdiag.synthetic import ClassArtifactSpec, synthetic_database
 from netdiag.trace import write_pair
 
 CATALOG = default_catalog()
@@ -166,6 +166,29 @@ def test_malformed_model_exits_2_naming_it(trained, tmp_path, name, how):
     assert str(target) in err
 
 
+# selection-file corruption -> edit of the parsed payload that int() would
+# have truncated into a plausible selection
+SELECTION_EDITS = {
+    "fractional_and_bool_indices": lambda sel: sel.update(chosen_indices=[0.9, True] + sel["chosen_indices"][2:]),
+    "fractional_chosen_q": lambda sel: sel.update(chosen_q=sel["chosen_q"] + 0.7),
+    "bool_candidate_size": lambda sel: sel.update(candidate_sizes=[True] + sel["candidate_sizes"][1:]),
+}
+
+
+@pytest.mark.parametrize("how", sorted(SELECTION_EDITS))
+@pytest.mark.parametrize("name", ["lpd/default.selection.json", "cfd/read_buf.selection.json"])
+def test_malformed_selection_exits_2_naming_it(trained, tmp_path, name, how):
+    def corrupt(text):
+        selection = json.loads(text)
+        SELECTION_EDITS[how](selection)
+        return json.dumps(selection)
+
+    code, err, target = _diagnose_corrupted(trained, tmp_path, name, corrupt)
+    assert code == 2
+    assert "Traceback" not in err
+    assert str(target) in err
+
+
 def _corrupt_database(csv_path, how: str):
     """(path of the corrupted file, its new text) for one corruption of a saved database."""
     sidecar = csv_path.with_name(csv_path.name + ".meta.json")
@@ -180,13 +203,26 @@ def _corrupt_database(csv_path, how: str):
         del meta["stage"]
     elif how == "sidecar_wrong_type":
         meta["fault_registry"] = ["read_buf"]
+    elif how == "sidecar_fractional_index":
+        meta["selected_features"] = [0.9, True, 3]
+    elif how == "sidecar_fractional_registry":
+        meta["fault_registry"]["read_buf"] = 3.5
     else:
         meta["scaler"] = {"min": [0.0], "max": [1.0, 2.0]}
     return sidecar, json.dumps(meta)
 
 
 @pytest.mark.parametrize(
-    "how", ["row_width", "sidecar_truncated", "sidecar_missing_key", "sidecar_wrong_type", "sidecar_scaler_shape"]
+    "how",
+    [
+        "row_width",
+        "sidecar_truncated",
+        "sidecar_missing_key",
+        "sidecar_wrong_type",
+        "sidecar_scaler_shape",
+        "sidecar_fractional_index",
+        "sidecar_fractional_registry",
+    ],
 )
 def test_corrupt_database_exits_2_naming_it(tmp_path, how):
     _, client = _databases(tmp_path)

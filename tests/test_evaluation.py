@@ -5,13 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from synthetic import ClassArtifactSpec, synthetic_database
 
 from netdiag.classifiers import PipelineConfig, fit_pipeline, model_predict
 from netdiag.errors import InsufficientRows
 from netdiag.evaluation import ConfusionMatrix, GroundTruth, render_report
 from netdiag.selection import stratified_folds
 from netdiag.svm import KernelSpec, SvmConfig, model_to_dict
-from netdiag.synthetic import ClassArtifactSpec, synthetic_database
 
 CFG = PipelineConfig(svm=SvmConfig(KernelSpec("linear"), C=10.0, max_iter=500, tol=1e-3))
 

@@ -19,6 +19,7 @@ from netdiag.preprocess import (
     encode_labels,
     fit_scaler,
     load_database,
+    parse_indices,
     save_database,
     scale_database,
 )
@@ -183,3 +184,30 @@ class TestPersistence:
         assert set(meta) == {"stage", "catalog_version", "scaler", "selected_features", "fault_registry"}
         assert meta["scaler"] == {"min": [], "max": []}
         assert meta["fault_registry"] == {}
+
+
+class TestStoredIndices:
+    @pytest.mark.parametrize("values", [[], [0], [3, 1, 2], [9]])
+    def test_distinct_integers_in_range_load(self, values):
+        assert parse_indices(values, limit=10) == tuple(values)
+
+    @pytest.mark.parametrize(
+        "values", [[0.9, True, 3], [1.0], [True], [2, 2], [-1], [10], (1, 2), [[1]], ["1"]]
+    )
+    def test_anything_int_would_truncate_is_refused(self, values):
+        with pytest.raises((ValueError, TypeError)):
+            parse_indices(values, limit=10)
+
+    def test_sidecar_fractional_index_is_io_failure(self, tmp_path):
+        import json
+
+        from netdiag.errors import IoFailure
+
+        save_database(db_from([[1.0, 2.0], [2.0, 1.0]], [1, -1]), tmp_path / "db.csv")
+        sidecar = tmp_path / "db.csv.meta.json"
+        meta = json.loads(sidecar.read_text())
+        meta["selected_features"] = [0.9, True]
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(IoFailure, match="db.csv.meta.json"):
+            load_database(tmp_path / "db.csv")
+

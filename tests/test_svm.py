@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from qp_reference import closed_form_kernel, reference_decision_function, solve_reference
+from wss2_reference import solve_dual_reference
 
 from netdiag.errors import DimensionMismatch, IoFailure, NonFiniteInput, SingleClassInput
 from netdiag.svm import (
@@ -22,6 +23,7 @@ from netdiag.svm import (
     model_to_dict,
     save_model,
     solve_dual,
+    solve_duals,
     train_arrays,
 )
 
@@ -281,6 +283,67 @@ class TestOracle:
             assert (decision_value(model, x) >= 0) == (D_ref(x) >= 0)
 
 
+def random_problem(rng, n, variant, C):
+    """A ridge-shifted Gram of n random points and labels with both classes."""
+    X = rng.normal(size=(n, int(rng.integers(1, 5))))
+    y = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
+    y[0], y[1] = -y[1], y[1]
+    kernel = KernelSpec(variant, float(rng.uniform(0.5, 2.0)) if variant == "rbf" else None)
+    return kernel_matrix(kernel, X, X) + np.eye(n) / C, y
+
+
+def assert_same_state(state, ref):
+    assert np.array_equal(state.alpha, ref.alpha)
+    assert np.array_equal(state.bias_estimates, ref.bias_estimates)
+    assert state.updates == ref.updates
+    assert state.iterations_used == ref.iterations_used
+    assert state.converged == ref.converged
+    assert state.objective_trace == ref.objective_trace
+    assert state.final_kkt_residual == ref.final_kkt_residual
+    assert state.dual_objective == ref.dual_objective
+
+
+class TestLockstep:
+    """Each problem of a stack takes exactly the path it takes alone in the
+    scalar reference loop, padding and neighbours notwithstanding."""
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_stack_matches_scalar_reference(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        problems = []
+        for p in range(1 + seed % 8):
+            variant = KERNEL_VARIANTS[(seed + p) % len(KERNEL_VARIANTS)]
+            problems.append(random_problem(rng, int(rng.integers(2, 40)), variant, float(rng.choice([0.5, 10.0]))))
+        tol = float(rng.choice([1e-3, 1e-6]))
+        n = max(len(y) for _, y in problems)
+        width = 1 + seed % len(problems)  # fewer slots than problems: slots are refilled
+        states = solve_duals(problems, n, width, tol=tol, max_iter=1000)
+        assert len(states) == len(problems)
+        for state, (K, y) in zip(states, problems):
+            assert_same_state(state, solve_dual_reference(K, y, tol, 1000))
+
+    def test_kernels_flipped_labels_and_cap(self):
+        rng = np.random.default_rng(0)
+        problems = [random_problem(rng, n, v, 10.0) for n, v in zip((9, 23, 14, 31), KERNEL_VARIANTS)]
+        problems.append(random_problem(rng, 80, "linear", 1e4))
+        for _, y in problems[::2]:
+            y *= -y[0]  # y[0] = -1
+        states = solve_duals(iter(problems), 80, 3, tol=1e-6, max_iter=10)
+        refs = [solve_dual_reference(K, y, 1e-6, 10) for K, y in problems]
+        assert {ref.converged for ref in refs} == {True, False}
+        for state, ref in zip(states, refs):
+            assert_same_state(state, ref)
+
+    def test_single_problem_is_solve_dual(self):
+        rng = np.random.default_rng(3)
+        K, y = random_problem(rng, 25, "cubic", 10.0)
+        ref = solve_dual_reference(K, y, 1e-3, 1000)
+        assert_same_state(solve_dual(K, y, 1e-3, 1000), ref)
+        # Padding and more slots than problems.
+        (state,) = solve_duals([(K, y)], 40, 4, 1e-3, 1000)
+        assert_same_state(state, ref)
+
+
 class TestSolverProperties:
     @settings(max_examples=100, deadline=None)
     @given(
@@ -338,6 +401,20 @@ class TestPersistence:
         with pytest.raises(NonFiniteInput, match="model.json"):
             save_model(model, path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("how", ["write", "replace"])
+    def test_failed_write_keeps_old_model(self, tmp_path, break_writes, how):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(10, 2))
+        y = np.array([-1, 1] * 5)
+        old = train_arrays(X, y, SvmConfig(LIN, C=1.0))
+        path = tmp_path / "m.model.json"
+        save_model(old, path)
+        break_writes(path.name, how)
+        with pytest.raises(IoFailure, match="m.model.json"):
+            save_model(train_arrays(X, y, SvmConfig(QUAD, C=10.0)), path)
+        assert model_to_dict(load_model(path)) == model_to_dict(old)
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_updates_recorded_and_defaulted(self):
         X = np.array([[0.0], [2.0]])

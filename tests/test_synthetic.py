@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
+from synthetic import ClassArtifactSpec, generate_synthetic_signature, synthetic_database
 
 from netdiag.preprocess import LabelKind, scale_database
 from netdiag.rng import derive_seed
 from netdiag.selection import rank_features
-from netdiag.synthetic import ClassArtifactSpec, generate_synthetic_signature, synthetic_database
 
 
 def spec_pair(m=40, informative=((3, 0.8), (7, 0.9)), jitter=0.02):
