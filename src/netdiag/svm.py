@@ -23,15 +23,15 @@ The per-point quantity b_i = y_i - sum_j alpha_j y_j K(x_j, x_i)
 max-min over the movable sets is the KKT violation) and, averaged over
 support vectors, as the bias term of the decision function.
 
-At the sizes fitted here (n <= a few hundred) a pair update costs a
-couple of dozen numpy calls whose fixed overhead outweighs their
-arithmetic, so `solve_duals` runs independent problems in lockstep, one
-row of a zero-padded stack per problem: the vector work of a step (the
-choice of i and j, the curvature row, the gradient update) is one call
-across all rows, and the scalar pair step runs in Python per row.  A
-row finished by convergence or by the update cap takes the next problem
-at once.  Each problem takes exactly the path it takes alone, bit for
-bit: elementwise operations and row-wise argmax see only the row's own
+At the sizes fitted here (n <= a few hundred) a pair update is about
+fifteen numpy calls whose fixed cost outweighs their arithmetic, so
+`solve_duals` runs independent problems in lockstep, one row of a
+zero-padded stack per problem: the vector work of a step (the choice of
+i and j, the curvature row, the gradient update) is one call across all
+rows, and the scalar pair step runs in Python per row.  A row finished
+by convergence or by the update cap takes the next problem at once.
+Each problem takes exactly the path it takes alone, bit for bit:
+elementwise operations and row-wise argmax see only the row's own
 values, padding sits off both sets with an infinite diagonal so it is
 never chosen, the gap is taken as b_i - min(low) (equal to the largest
 b_i - low_t, since rounded subtraction is monotone), and the loop keeps

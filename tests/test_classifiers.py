@@ -430,4 +430,3 @@ class TestBundle:
         assert registry.read_bytes() == before
         assert "lpd_profile" not in json.loads(before)
         assert not [p.name for p in bundle.iterdir() if p.name.startswith(".")]
-

@@ -210,4 +210,3 @@ class TestStoredIndices:
         sidecar.write_text(json.dumps(meta))
         with pytest.raises(IoFailure, match="db.csv.meta.json"):
             load_database(tmp_path / "db.csv")
-

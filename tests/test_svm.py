@@ -316,7 +316,7 @@ class TestLockstep:
             problems.append(random_problem(rng, int(rng.integers(2, 40)), variant, float(rng.choice([0.5, 10.0]))))
         tol = float(rng.choice([1e-3, 1e-6]))
         n = max(len(y) for _, y in problems)
-        width = 1 + seed % len(problems)  # fewer slots than problems: slots are refilled
+        width = 1 + seed % len(problems)  # below len(problems), finished slots are refilled
         states = solve_duals(problems, n, width, tol=tol, max_iter=1000)
         assert len(states) == len(problems)
         for state, (K, y) in zip(states, problems):
