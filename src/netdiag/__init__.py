@@ -11,7 +11,6 @@ from .classifiers import (
     diagnose,
     load_bundle,
     save_bundle,
-    train_cf_module,
     train_cfd,
     train_lpd,
 )
@@ -28,7 +27,7 @@ from .preprocess import (
 )
 from .selection import SelectionReport, TTestRanking, project, rank_features, t_statistic, wrapper_select
 from .simulate import ClientParams, CwndProfile, LinkParams, simulate_flow
-from .svm import KernelSpec, SvmConfig, SvmModel, classify, decision_value, train
+from .svm import KernelSpec, SvmConfig, SvmModel, decision_value
 from .trace import PacketEvent, TracePair, TraceRecord, read_trace, write_trace
 
 __version__ = "0.1.0"

@@ -17,7 +17,12 @@ On disk a trained bundle is a directory:
 from __future__ import annotations
 
 import enum
+import itertools
+import os
+import shutil
+import tempfile
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -37,22 +42,26 @@ from .preprocess import (
     write_artifact,
 )
 from .rng import derive_seed
-from .selection import (
+from .selection import (  # noqa: F401  (wrapper_select: perfbench/layers.py wraps classifiers.wrapper_select)
     DEFAULT_CANDIDATE_SIZES,
+    CvGrid,
     SelectionReport,
+    cv_grid,
     project,
     rank_features,
+    solve_stack,
     wrapper_select,
 )
 from .svm import (
     KernelSpec,
     SvmConfig,
     SvmModel,
+    build_model,
     decision_value,
     default_sigma,
+    gram_matrix,
     load_model,
     model_to_dict,
-    train,
 )
 from .trace import TracePair
 
@@ -104,17 +113,15 @@ def default_cf_config(fault_name: str, seed: int = 0) -> PipelineConfig:
     )
 
 
-def fit_pipeline(db: SignatureDatabase, config: PipelineConfig):
-    """scale -> rank -> choose subset size -> project -> train.
+def prepare_pipeline(db: SignatureDatabase, config: PipelineConfig) -> CvGrid:
+    """scale -> rank -> the CV grid of the candidate sizes.
 
     The input must be a preliminary two-class database with labels
-    +1/-1.  Returns (SvmModel, SelectionReport); the model carries the
-    fitted scaler and the chosen feature indices, so it is a pure
-    function of the training rows.
+    +1/-1.  Every input error of the pipeline is raised here.
     """
     scaled = scale_database(db)
     ranking = rank_features(scaled, positive_label=1, negative_label=-1)
-    report = wrapper_select(
+    return cv_grid(
         scaled,
         ranking,
         config.resolved_sizes(db.m),
@@ -123,9 +130,60 @@ def fit_pipeline(db: SignatureDatabase, config: PipelineConfig):
         seed=config.seed,
         fp_penalty=config.fp_penalty,
     )
-    optimum = project(scaled, report.chosen_indices)
-    model = train(optimum, config.svm)
-    return model, report
+
+
+def _final_problem(optimum: SignatureDatabase, config: SvmConfig):
+    return gram_matrix(config.kernel, optimum.X, config.C), optimum.y.astype(np.float64), config.tol, config.max_iter
+
+
+def fit_pipelines(grids: Sequence[CvGrid]) -> list[tuple[SvmModel, SelectionReport]]:
+    """Choose the subset size of each prepared pipeline, then train its
+    model on the chosen features; one (SvmModel, SelectionReport) per
+    pipeline, in input order.
+
+    The dual problems are solved in two lockstep stacks, as their data
+    dependencies allow.  The first holds every pipeline's CV grid and the
+    final fit of each pipeline with one candidate size, whose chosen
+    size is known before any CV result; the second holds the other final
+    fits once their grids are scored.  Each problem takes the path it
+    takes alone, so a pipeline's result does not depend on the others.
+    A model carries its fitted scaler and chosen feature indices, so it
+    is a pure function of its pipeline's training rows.
+    """
+    fixed = [k for k, grid in enumerate(grids) if len(grid.sizes) == 1]
+    optima = {k: project(grids[k].db, grids[k].order[: grids[k].sizes[0]]) for k in fixed}
+    first = itertools.chain(
+        *(grid.problems() for grid in grids), (_final_problem(optima[k], grids[k].svm) for k in fixed)
+    )
+    n = max([grid.n for grid in grids] + [optima[k].n for k in fixed])
+    states = iter(solve_stack(first, sum(map(len, grids)) + len(fixed), n))
+    reports = [grid.report(list(itertools.islice(states, len(grid)))) for grid in grids]
+    final = dict(zip(fixed, states))
+    rest = [k for k in range(len(grids)) if k not in final]
+    if rest:
+        optima.update((k, project(grids[k].db, reports[k].chosen_indices)) for k in rest)
+        second = (_final_problem(optima[k], grids[k].svm) for k in rest)
+        final.update(zip(rest, solve_stack(second, len(rest), max(optima[k].n for k in rest))))
+    fits = []
+    for k, (grid, report) in enumerate(zip(grids, reports)):
+        optimum = optima[k]
+        model = build_model(
+            optimum.X,
+            optimum.y.astype(np.float64),
+            grid.svm,
+            final[k],
+            scaler=optimum.scaler,
+            feature_subset=optimum.selected_features,
+            catalog_version=optimum.catalog_version,
+        )
+        fits.append((model, report))
+    return fits
+
+
+def fit_pipeline(db: SignatureDatabase, config: PipelineConfig) -> tuple[SvmModel, SelectionReport]:
+    """The one-pipeline case of `fit_pipelines`: scale -> rank -> choose
+    subset size -> project -> train."""
+    return fit_pipelines([prepare_pipeline(db, config)])[0]
 
 
 def model_predict(model: SvmModel, raw_vector: np.ndarray) -> tuple[float, int]:
@@ -240,31 +298,25 @@ def build_cf_subset(db: SignatureDatabase, fault_index: int) -> SignatureDatabas
     return replace(db, X=db.X[mask].copy(), y=y, label_kind=LabelKind.LINK, fault_registry=None)
 
 
-def train_cf_module(db: SignatureDatabase, fault_index: int, config: PipelineConfig) -> CfModule:
-    registry = db.fault_registry or {}
-    names = {v: k for k, v in registry.items()}
-    if fault_index not in names:
-        raise MissingClass(f"fault index {fault_index} not in registry {registry}")
-    subset = build_cf_subset(db, fault_index)
-    model, report = fit_pipeline(subset, config)
-    return CfModule(
-        fault_index=fault_index, fault_name=names[fault_index], model=model, selection=report
-    )
-
-
 def train_cfd(db: SignatureDatabase, configs: dict[str, PipelineConfig] | None = None, seed: int = 0) -> CfdNetwork:
-    """Train every module in the registry, each independently seeded."""
+    """Train every module in the registry, each independently seeded; the
+    whole bank is one `fit_pipelines` call."""
     registry = db.fault_registry or {}
     if not registry:
         raise ConfigError("fault registry is empty; nothing to train")
-    modules = []
-    for name, index in sorted(registry.items(), key=lambda kv: kv[1]):
+    bank = sorted(registry.items(), key=lambda kv: kv[1])
+    grids = []
+    for name, index in bank:
         config = (configs or {}).get(name) or default_cf_config(name, seed=derive_seed(seed, name))
         try:
-            modules.append(train_cf_module(db, index, config))
+            grids.append(prepare_pipeline(build_cf_subset(db, index), config))
         except Exception as exc:
             exc.args = (f"module {name!r}: {exc}",)
             raise
+    modules = [
+        CfModule(fault_index=index, fault_name=name, model=model, selection=report)
+        for (name, index), (model, report) in zip(bank, fit_pipelines(grids))
+    ]
     return CfdNetwork(modules=tuple(modules), fault_registry=dict(registry))
 
 
@@ -301,20 +353,56 @@ def diagnose(lpd: LpdClassifier, cfd: CfdNetwork, pair: TracePair, catalog: Feat
     )
 
 
-def _replace_dir(tmp: Path, final: Path) -> None:
-    import os
-    import shutil
-
-    if final.exists():
-        shutil.rmtree(final)
-    os.rename(tmp, final)
+def _aside(stage: Path) -> Path:
+    return stage.with_name(f".{stage.name}.old")
 
 
-def _stage_dir(bundle: Path, name: str):
-    import tempfile
+def _stage_path(bundle: Path, name: str) -> Path:
+    """A stage's directory, or the old stage that a swap cut short
+    between its two renames left aside."""
+    stage = bundle / name
+    return _aside(stage) if not stage.exists() and _aside(stage).exists() else stage
 
-    bundle.mkdir(parents=True, exist_ok=True)
-    return Path(tempfile.mkdtemp(dir=bundle, prefix=f".{name}-"))
+
+def _swap_stage(tmp: Path, stage: Path, commit) -> None:
+    """Put the directory tmp in place of the stage directory, then run
+    commit().
+
+    The old stage is moved aside, the new one renamed in, and the old one
+    deleted once commit() has returned.  If the rename or commit() fails,
+    the old stage goes back in place and tmp keeps the new one.  A crash
+    between the two renames leaves the old stage aside, where loading
+    finds it and the next swap puts it back.
+    """
+    aside = _aside(stage)
+    if aside.exists():  # left by a swap that was cut short
+        if stage.exists():
+            shutil.rmtree(aside)
+        else:
+            os.rename(aside, stage)
+    had_old = stage.exists()
+    if had_old:
+        os.rename(stage, aside)
+    try:
+        os.rename(tmp, stage)
+        try:
+            commit()
+        except BaseException:
+            os.rename(stage, tmp)
+            raise
+    except BaseException:
+        if had_old:
+            os.rename(aside, stage)
+        raise
+    shutil.rmtree(aside, ignore_errors=True)
+
+
+def _stage_dir(bundle: Path, name: str) -> Path:
+    try:
+        bundle.mkdir(parents=True, exist_ok=True)
+        return Path(tempfile.mkdtemp(dir=bundle, prefix=f".{name}-"))
+    except OSError as exc:
+        raise IoFailure(f"cannot write {bundle}: {exc}") from exc
 
 
 def _check_registry(meta) -> dict:
@@ -335,10 +423,8 @@ def _save_stage(bundle, name: str, artifacts: dict, catalog_version: str, **fiel
     payload) into the bundle and record `fields` in registry.json.
 
     The registry is read and checked first, so a refused save leaves the
-    bundle untouched.
+    bundle untouched; a failed one leaves the old stage and registry.
     """
-    import shutil
-
     bundle = Path(bundle)
     registry_path = bundle / "registry.json"
     meta = read_artifact(registry_path, "registry", _check_registry) if registry_path.exists() else {}
@@ -350,8 +436,8 @@ def _save_stage(bundle, name: str, artifacts: dict, catalog_version: str, **fiel
     try:
         for file_name, payload in artifacts.items():
             write_artifact(tmp / file_name, payload)
-        _replace_dir(tmp, bundle / name)
-        write_artifact(registry_path, {**meta, "catalog_version": catalog_version, **fields})
+        registry = {**meta, "catalog_version": catalog_version, **fields}
+        _swap_stage(tmp, bundle / name, lambda: write_artifact(registry_path, registry))
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
     finally:
@@ -392,17 +478,18 @@ def load_bundle(path) -> tuple[LpdClassifier, CfdNetwork, str]:
             f"bundle {path} is incomplete (needs both lpd and cfd stages): {registry_path} lacks {missing}"
         )
     profile = meta["lpd_profile"]
+    lpd_dir, cfd_dir = _stage_path(path, "lpd"), _stage_path(path, "cfd")
     lpd = LpdClassifier(
-        model=load_model(path / "lpd" / f"{profile}.model.json"),
-        selection=_read_selection(path / "lpd" / f"{profile}.selection.json"),
+        model=load_model(lpd_dir / f"{profile}.model.json"),
+        selection=_read_selection(lpd_dir / f"{profile}.selection.json"),
         link_profile=profile,
     )
     modules = [
         CfModule(
             fault_index=index,
             fault_name=name,
-            model=load_model(path / "cfd" / f"{name}.model.json"),
-            selection=_read_selection(path / "cfd" / f"{name}.selection.json"),
+            model=load_model(cfd_dir / f"{name}.model.json"),
+            selection=_read_selection(cfd_dir / f"{name}.selection.json"),
         )
         for name, index in sorted(meta["fault_registry"].items(), key=lambda kv: kv[1])
     ]

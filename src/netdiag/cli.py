@@ -38,6 +38,8 @@ from .preprocess import (
     encode_labels,
     load_database,
     save_database,
+    write_artifact,
+    write_text,
 )
 from .scenarios import (
     DEFAULT_TRANSFER_BYTES,
@@ -320,11 +322,12 @@ def cmd_eval(args, config: CliConfig) -> int:
         labeled.append((read_pair(down, up), GroundTruth(link_tag == "FAULTY", faults)))
     report = evaluate_verdicts(labeled, lpd, cfd, catalog)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.with_suffix(".json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    out.with_suffix(".txt").write_text(render_report(report), encoding="utf-8")
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {out}: {exc}") from exc
+    write_artifact(out.with_suffix(".json"), report)
+    write_text(out.with_suffix(".txt"), render_report(report))
     _say(args, render_report(report).rstrip("\n"))
     _emit(report)
     return 0

@@ -373,11 +373,6 @@ class _TraceAnalysis:
         self.defined = defined
 
 
-def compute_statistic(trace: TraceRecord, stat: Statistic) -> float:
-    """One statistic of one trace; degenerate cases are defined to 0."""
-    return _TraceAnalysis(trace).values[stat]
-
-
 def extract_with_diagnostics(pair: TracePair, catalog: FeatureCatalog) -> tuple[Signature, ExtractionDiagnostics]:
     if not catalog.features:
         raise CatalogMismatch("catalog has no features")

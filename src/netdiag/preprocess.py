@@ -214,10 +214,11 @@ def sidecar_path(path) -> Path:
 
 
 def write_artifact(path, payload) -> None:
-    """Write payload as a JSON artifact file.  NaN and infinities have no
-    JSON form: they are a NonFiniteInput, raised before the file is opened."""
+    """Write payload as a one-line JSON artifact file with sorted keys (no
+    indentation, so the C encoder runs).  NaN and infinities have no JSON
+    form: they are a NonFiniteInput, raised before the file is opened."""
     try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        text = json.dumps(payload, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise NonFiniteInput(f"cannot write {path}: {exc}") from exc
     write_text(path, text + "\n")

@@ -7,6 +7,11 @@ stratified k-fold cross-validation of an SVM trained on the prefix.
 Smallest size wins ties.  The chosen indices always form a prefix of the
 ranking, and projecting a scaled database through them yields the
 optimum-stage database.
+
+The CV loop is split in two so that several pipelines can share one
+lockstep solve: `cv_grid` checks the inputs and builds the size x fold
+dual problems, and `CvGrid.report` scores their solutions.
+`wrapper_select` is the two composed around one `solve_stack`.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from .preprocess import SignatureDatabase, Stage
 from .rng import SplitMix64
 from .svm import (  # noqa: F401  (train_arrays: perfbench/layers.py wraps selection.train_arrays)
     SvmConfig,
+    TrainingState,
     build_model,
     check_training_data,
     decision_values,
@@ -30,7 +36,7 @@ from .svm import (  # noqa: F401  (train_arrays: perfbench/layers.py wraps selec
 
 VARIANCE_FLOOR = 1e-12
 DEFAULT_CANDIDATE_SIZES = (5, 10, 15, 20, 25, 50, 75, 100)
-# Upper bound on the bytes of the stack of CV Grams solved in lockstep.
+# Upper bound on the bytes of a stack of Grams solved in lockstep.
 CV_STACK_BYTES = 1024 * 1024
 
 
@@ -106,45 +112,103 @@ def stratified_folds(y: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
     return [np.asarray(sorted(f), dtype=np.int64) for f in folds]
 
 
-def _cv_scores(X, y, order, sizes, folds, config: SvmConfig) -> list[tuple[float, float]]:
-    """Mean accuracy and mean false-positive rate over the folds of the
-    prefix order[:q], for each q in sizes.
+@dataclass(frozen=True)
+class CvGrid:
+    """The size x fold CV problems of one wrapper run, checked and ready
+    to solve, and what scoring their solutions takes."""
 
-    The (size, fold) problems are built in size-major order and solved in
-    lockstep by `solve_duals`, as many at a time as CV_STACK_BYTES of
-    stacked Grams hold.  Each problem takes the path it takes alone.
-    """
-    all_rows = np.arange(y.shape[0])
-    train_rows = []
-    for fold in folds:
-        test_mask = np.zeros(y.shape[0], dtype=bool)
-        test_mask[fold] = True
-        train_rows.append(all_rows[~test_mask])
-    grid = [(q, f) for q in sizes for f in range(len(folds))]
+    db: SignatureDatabase  # scaled, labels in {+1, -1}
+    order: np.ndarray  # the ranking's feature indices
+    sizes: tuple[int, ...]
+    folds: tuple[np.ndarray, ...]  # test rows per fold
+    train_rows: tuple[np.ndarray, ...]  # training rows per fold
+    svm: SvmConfig
+    fp_penalty: float
 
-    def problems():
-        for q, f in grid:
-            ytr = y[train_rows[f]]
-            if len(set(ytr.tolist())) < 2:
-                raise InsufficientRows("a training fold lost one of the classes")
-            Xtr = X[:, order[:q]][train_rows[f]]
-            ytr = ytr.astype(np.float64)
-            check_training_data(Xtr, ytr)
-            yield gram_matrix(config.kernel, Xtr, config.C), ytr
+    def __len__(self) -> int:
+        return len(self.sizes) * len(self.folds)
 
-    n = max(len(rows) for rows in train_rows)
-    width = max(1, min(len(grid), CV_STACK_BYTES // (8 * n * n)))
-    states = solve_duals(problems(), n, width, config.tol, config.max_iter)
-    accs: dict[int, list[float]] = {q: [] for q in sizes}
-    fprs: dict[int, list[float]] = {q: [] for q in sizes}
-    for (q, f), state in zip(grid, states):
-        Xq, fold = X[:, order[:q]], folds[f]
-        model = build_model(Xq[train_rows[f]], y[train_rows[f]].astype(np.float64), config, state)
-        pred = np.where(decision_values(model, Xq[fold]) >= 0, 1, -1)
-        accs[q].append(float(np.mean(pred == y[fold])))
-        negs = y[fold] == -1
-        fprs[q].append(float(np.mean(pred[negs] == 1)) if negs.any() else 0.0)
-    return [(float(np.mean(accs[q])), float(np.mean(fprs[q]))) for q in sizes]
+    @property
+    def n(self) -> int:
+        """Rows of the largest problem."""
+        return max(len(rows) for rows in self.train_rows)
+
+    def _cells(self):
+        return ((q, f) for q in self.sizes for f in range(len(self.folds)))
+
+    def problems(self):
+        """The (Kt, y, tol, max_iter) dual problems in size-major order,
+        each Gram built when it is drawn."""
+        X, y, config = self.db.X, self.db.y, self.svm
+        for q, f in self._cells():
+            rows = self.train_rows[f]
+            Kt = gram_matrix(config.kernel, X[:, self.order[:q]][rows], config.C)
+            yield Kt, y[rows].astype(np.float64), config.tol, config.max_iter
+
+    def report(self, states) -> SelectionReport:
+        """Score the solved problems, one TrainingState each in the order
+        of `problems`: mean accuracy and false-positive rate over the folds
+        per size; the best objective wins, then the smaller size."""
+        X, y = self.db.X, self.db.y
+        accs: dict[int, list[float]] = {q: [] for q in self.sizes}
+        fprs: dict[int, list[float]] = {q: [] for q in self.sizes}
+        for (q, f), state in zip(self._cells(), states):
+            Xq, fold, rows = X[:, self.order[:q]], self.folds[f], self.train_rows[f]
+            model = build_model(Xq[rows], y[rows].astype(np.float64), self.svm, state)
+            pred = np.where(decision_values(model, Xq[fold]) >= 0, 1, -1)
+            accs[q].append(float(np.mean(pred == y[fold])))
+            negs = y[fold] == -1
+            fprs[q].append(float(np.mean(pred[negs] == 1)) if negs.any() else 0.0)
+        accuracies = tuple(float(np.mean(accs[q])) for q in self.sizes)
+        objectives = tuple(a - self.fp_penalty * float(np.mean(fprs[q])) for a, q in zip(accuracies, self.sizes))
+        best = max(range(len(self.sizes)), key=lambda i: (objectives[i], -self.sizes[i]))
+        chosen_q = self.sizes[best]
+        return SelectionReport(
+            candidate_sizes=self.sizes,
+            cv_accuracy=accuracies,
+            cv_objective=objectives,
+            chosen_q=chosen_q,
+            chosen_indices=tuple(int(i) for i in self.order[:chosen_q]),
+        )
+
+
+def cv_grid(
+    db: SignatureDatabase,
+    ranking: TTestRanking,
+    candidate_sizes,
+    folds: int,
+    svm_config: SvmConfig,
+    seed: int = 0,
+    fp_penalty: float = 0.0,
+) -> CvGrid:
+    """The CV problems that score each prefix size of the ranking over
+    stratified folds.  Every input error is raised here, before any
+    problem is solved."""
+    sizes = tuple(sorted({int(q) for q in candidate_sizes if 1 <= int(q) <= db.m}))
+    if not sizes:
+        raise IndexOutOfRange(f"no candidate sizes within [1, {db.m}]")
+    fold_idx = stratified_folds(db.y, folds, seed)
+    train_rows = [np.setdiff1d(np.arange(db.n), fold) for fold in fold_idx]
+    if any(len(set(db.y[rows].tolist())) < 2 for rows in train_rows):
+        raise InsufficientRows("a training fold lost one of the classes")
+    order = np.asarray(ranking.abs_t_order, dtype=np.int64)
+    check_training_data(db.X[:, order[: sizes[-1]]], db.y.astype(np.float64))
+    return CvGrid(
+        db=db,
+        order=order,
+        sizes=sizes,
+        folds=tuple(fold_idx),
+        train_rows=tuple(train_rows),
+        svm=svm_config,
+        fp_penalty=fp_penalty,
+    )
+
+
+def solve_stack(problems, count: int, n: int) -> list[TrainingState]:
+    """Solve `count` dual problems of at most n rows in lockstep, as many
+    at a time as CV_STACK_BYTES of stacked Grams hold; each problem takes
+    the path it takes alone."""
+    return solve_duals(problems, n, max(1, min(count, CV_STACK_BYTES // (8 * n * n))))
 
 
 def wrapper_select(
@@ -158,24 +222,8 @@ def wrapper_select(
 ) -> SelectionReport:
     """Score prefix sizes by stratified CV; best objective wins, then
     smaller size.  Objective = accuracy - fp_penalty * fp_rate."""
-    sizes = sorted({int(q) for q in candidate_sizes if 1 <= int(q) <= db.m})
-    if not sizes:
-        raise IndexOutOfRange(f"no candidate sizes within [1, {db.m}]")
-    fold_idx = stratified_folds(db.y, folds, seed)
-    order = np.asarray(ranking.abs_t_order, dtype=np.int64)
-    accuracies, objectives = [], []
-    for acc, fpr in _cv_scores(db.X, db.y, order, sizes, fold_idx, svm_config):
-        accuracies.append(acc)
-        objectives.append(acc - fp_penalty * fpr)
-    best = max(range(len(sizes)), key=lambda i: (objectives[i], -sizes[i]))
-    chosen_q = sizes[best]
-    return SelectionReport(
-        candidate_sizes=tuple(sizes),
-        cv_accuracy=tuple(accuracies),
-        cv_objective=tuple(objectives),
-        chosen_q=chosen_q,
-        chosen_indices=tuple(int(i) for i in order[:chosen_q]),
-    )
+    grid = cv_grid(db, ranking, candidate_sizes, folds, svm_config, seed, fp_penalty)
+    return grid.report(solve_stack(grid.problems(), len(grid), grid.n))
 
 
 def project(db: SignatureDatabase, indices) -> SignatureDatabase:

@@ -110,9 +110,6 @@ class ClientParams:
             raise ValueError("buffers must be positive")
 
 
-HEALTHY_CLIENT_PARAMS = ClientParams()
-
-
 @dataclass
 class FlowStats:
     """Simulator-side ground truth for one transfer."""

@@ -28,8 +28,10 @@ fifteen numpy calls whose fixed cost outweighs their arithmetic, so
 `solve_duals` runs independent problems in lockstep, one row of a
 zero-padded stack per problem: the vector work of a step (the choice of
 i and j, the curvature row, the gradient update) is one call across all
-rows, and the scalar pair step runs in Python per row.  A row finished
-by convergence or by the update cap takes the next problem at once.
+rows, and the scalar pair step runs in Python per row.  Each problem
+brings its own tolerance and sweep cap, so the CV grids and final fits
+of differently configured pipelines share one stack.  A row finished by
+convergence or by its update cap takes the next problem at once.
 Each problem takes exactly the path it takes alone, bit for bit:
 elementwise operations and row-wise argmax see only the row's own
 values, padding sits off both sets with an infinite diagonal so it is
@@ -50,7 +52,7 @@ from .errors import (
     NonFiniteInput,
     SingleClassInput,
 )
-from .preprocess import ScalerParams, parse_indices, read_artifact, scaler_from_dict, scaler_to_dict, write_artifact
+from .preprocess import ScalerParams, parse_indices, read_artifact, scaler_from_dict, scaler_to_dict
 
 KERNEL_VARIANTS = ("linear", "quadratic", "cubic", "rbf")
 
@@ -150,9 +152,9 @@ def gram_matrix(spec: KernelSpec, X: np.ndarray, C: float) -> np.ndarray:
 class _Dual:
     """One problem's side of the lockstep loop: the scalar pair-step state."""
 
-    __slots__ = ("slot", "y", "y_list", "alpha", "trace", "objective", "updates", "cap", "state")
+    __slots__ = ("slot", "y", "y_list", "alpha", "trace", "objective", "updates", "tol", "max_iter", "cap", "state")
 
-    def __init__(self, slot: int, y: np.ndarray, ys: np.ndarray, max_iter: int):
+    def __init__(self, slot: int, y: np.ndarray, ys: np.ndarray, tol: float, max_iter: int):
         self.slot = slot
         self.y = y
         self.y_list = ys.tolist()
@@ -160,17 +162,20 @@ class _Dual:
         self.trace = []
         self.objective = 0.0
         self.updates = 0
+        self.tol = tol
+        self.max_iter = max_iter
         self.cap = max_iter * len(y)  # one sweep is up to n pair updates
         self.state = None
 
 
-def solve_duals(problems, n: int, width: int, tol: float, max_iter: int) -> list[TrainingState]:
+def solve_duals(problems, n: int, width: int) -> list[TrainingState]:
     """Maximize sum(a) - 0.5 a' (yy' * Kt) a  s.t.  a >= 0, y'a = 0 for
-    each (Kt, y) of `problems`, up to `width` of them in lockstep; one
-    TrainingState per problem, in input order.
+    each (Kt, y, tol, max_iter) of `problems`, up to `width` of them in
+    lockstep; one TrainingState per problem, in input order.
 
     Each Kt is symmetric (the loop reads rows where the gradient update
-    needs columns) with at most n rows, and y holds labels in {+1, -1}.
+    needs columns) with at most n rows, y holds labels in {+1, -1}, and
+    tol and max_iter are that problem's stopping gap and sweep cap.
     A problem is drawn from `problems` when a slot of the zero-padded
     (width, n, n) stack opens, so a generator of Grams keeps no more than
     the stack alive.
@@ -195,7 +200,7 @@ def solve_duals(problems, n: int, width: int, tol: float, max_iter: int) -> list
         problem = next(source, None)
         if problem is None:
             return None
-        K, y = problem
+        K, y, tol, max_iter = problem
         y = np.asarray(y, dtype=np.float64)
         m = y.shape[0]
         Kt[slot, :m, :m] = K
@@ -209,7 +214,7 @@ def solve_duals(problems, n: int, width: int, tol: float, max_iter: int) -> list
         up[r, :m] = np.where(ys > 0, ys, -inf)
         low[r, :m] = np.where(ys < 0, ys, inf)
         diag[r, :m] = Kt[slot].diagonal()[:m]
-        dual = _Dual(slot, y, ys, max_iter)
+        dual = _Dual(slot, y, ys, tol, max_iter)
         duals.append(dual)
         return dual
 
@@ -240,7 +245,7 @@ def solve_duals(problems, n: int, width: int, tol: float, max_iter: int) -> list
             objective_trace=dual.trace,
             bias_estimates=b_vec_exact,
             dual_objective=float(np.sum(alpha) - 0.5 * ay @ (K @ ay)),
-            iterations_used=dual.updates // m + 1 if converged else max_iter,
+            iterations_used=dual.updates // m + 1 if converged else dual.max_iter,
             updates=dual.updates,
             converged=converged,
             final_kkt_residual=float(m_up - m_low),
@@ -288,7 +293,7 @@ def solve_duals(problems, n: int, width: int, tol: float, max_iter: int) -> list
                 curv.take(fj).tolist(),
                 low_min.tolist(),
             ):
-                if dual.updates == dual.cap or b_ip - gap_low <= tol:
+                if dual.updates == dual.cap or b_ip - gap_low <= dual.tol:
                     # Finished: no step this time, then the row takes the
                     # next problem or leaves the loop.
                     finish(dual, converged=dual.updates < dual.cap)
@@ -342,7 +347,7 @@ def solve_duals(problems, n: int, width: int, tol: float, max_iter: int) -> list
 def solve_dual(Kt: np.ndarray, y: np.ndarray, tol: float, max_iter: int) -> TrainingState:
     """The one-problem case of `solve_duals`."""
     Kt = np.asarray(Kt, dtype=np.float64)
-    return solve_duals([(Kt, y)], Kt.shape[0], 1, tol, max_iter)[0]
+    return solve_duals([(Kt, y, tol, max_iter)], Kt.shape[0], 1)[0]
 
 
 def check_training_data(X: np.ndarray, y: np.ndarray) -> None:
@@ -407,24 +412,6 @@ def train_arrays(
     return (model, state) if return_state else model
 
 
-def train(db, config: SvmConfig, return_state: bool = False):
-    """Train from a scaled or optimum two-class database (labels +1/-1)."""
-    from .preprocess import Stage  # local import to keep module load light
-
-    if db.stage is Stage.PRELIMINARY:
-        raise ValueError("train expects a scaled or optimum database")
-    subset = db.selected_features if db.selected_features is not None else tuple(range(db.m))
-    return train_arrays(
-        db.X,
-        db.y,
-        config,
-        scaler=db.scaler,
-        feature_subset=subset,
-        catalog_version=db.catalog_version,
-        return_state=return_state,
-    )
-
-
 def decision_values(model: SvmModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
@@ -439,11 +426,6 @@ def decision_values(model: SvmModel, X: np.ndarray) -> np.ndarray:
 
 def decision_value(model: SvmModel, x) -> float:
     return float(decision_values(model, np.asarray(x))[0])
-
-
-def classify(model: SvmModel, x) -> int:
-    """+1 iff the decision value is >= 0 (boundary goes to +1)."""
-    return 1 if decision_value(model, x) >= 0 else -1
 
 
 def model_to_dict(model: SvmModel) -> dict:
@@ -500,10 +482,6 @@ def model_from_dict(d: dict) -> SvmModel:
             updates=int(meta.get("updates", 0)),
         ),
     )
-
-
-def save_model(model: SvmModel, path) -> None:
-    write_artifact(path, model_to_dict(model))
 
 
 def load_model(path) -> SvmModel:

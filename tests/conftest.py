@@ -49,3 +49,45 @@ def break_writes(monkeypatch):
             monkeypatch.setattr(preprocess.os, "replace", failing_replace)
 
     return install
+
+
+class Crash(BaseException):
+    """The process died: no later filesystem step runs."""
+
+
+@pytest.fixture
+def fail_step():
+    """fail_step(k, crash) patches the filesystem steps of a save (os.rename,
+    os.replace, os.mkdir, shutil.rmtree and the opening of artifact files)
+    for the duration of a `with` block, and fails the k-th of them (from 0).
+    With crash=False that step raises OSError (an rmtree that ignores
+    errors deletes nothing) and later steps run; with crash=True it and
+    every later step raise Crash without touching the disk.  The yielded
+    list holds the names of the steps taken."""
+    import shutil
+    from contextlib import contextmanager
+
+    @contextmanager
+    def install(k: int, crash: bool):
+        steps: list[str] = []
+
+        def wrap(name, real):
+            def step(*args, **kwargs):
+                steps.append(name)
+                if len(steps) - 1 == k or (crash and len(steps) - 1 > k):
+                    if crash:
+                        raise Crash(name)
+                    if name == "rmtree" and kwargs.get("ignore_errors"):
+                        return None
+                    raise OSError(5, f"Input/output error in {name}")
+                return real(*args, **kwargs)
+
+            return step
+
+        with pytest.MonkeyPatch.context() as mp:
+            for module, name in ((os, "rename"), (os, "replace"), (os, "mkdir"), (shutil, "rmtree")):
+                mp.setattr(module, name, wrap(name, getattr(module, name)))
+            mp.setattr(preprocess, "open", wrap("open", open), raising=False)
+            yield steps
+
+    return install

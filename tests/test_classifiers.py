@@ -1,6 +1,7 @@
 """Two-stage cascade: training pipelines, gating, verdicts, bundles."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,11 +23,18 @@ from netdiag.classifiers import (
     save_bundle,
     save_cfd_part,
     save_lpd_part,
-    train_cf_module,
     train_cfd,
     train_lpd,
 )
-from netdiag.errors import CatalogMismatch, ConfigError, IoFailure, MissingClass, NonFiniteInput, SingleClassInput
+from netdiag.errors import (
+    CatalogMismatch,
+    ConfigError,
+    InsufficientRows,
+    IoFailure,
+    MissingClass,
+    NonFiniteInput,
+    SingleClassInput,
+)
 from netdiag.features import default_catalog, extract_signature
 from netdiag.preprocess import DEFAULT_FAULT_REGISTRY, LabelKind
 from netdiag.selection import SelectionReport
@@ -193,7 +201,7 @@ class TestCfModules:
     def test_missing_class(self):
         db = client_db()
         with pytest.raises(MissingClass):
-            train_cf_module(db, 9, cf_configs()["read_buf"])
+            build_cf_subset(db, 9)
 
     def test_train_network_of_four(self):
         db = client_db()
@@ -210,13 +218,64 @@ class TestCfModules:
         assert all(m.model.training_meta.converged for m in net.modules)
 
     def test_module_independence(self):
+        # The bank is fitted in one call, yet each module equals its own
+        # fit_pipeline run.  Kernels, tolerances, sweep caps, fold counts
+        # and seeds differ between modules, and read_buf has three
+        # candidate sizes, so its final fit waits for its grid's scores.
+        def config(variant, tol, max_iter, sizes, **kw):
+            sigma = 1.5 if variant == "rbf" else None
+            return PipelineConfig(
+                svm=SvmConfig(KernelSpec(variant, sigma), C=10.0, max_iter=max_iter, tol=tol),
+                candidate_sizes=sizes,
+                **kw,
+            )
+
+        cfgs = {
+            "sack_disabled": config("linear", 1e-3, 2000, (6,)),
+            "dsack_disabled": config("rbf", 1e-6, 2, (8,), seed=3),
+            "read_buf": config("cubic", 1e-2, 500, (4, 10, 20), fp_penalty=1.0),
+            "write_buf": config("quadratic", 1e-5, 1000, (12,), cv_folds=4),
+        }
         db = client_db()
-        cfgs = cf_configs()
-        net_all = train_cfd(db, cfgs)
-        single = train_cf_module(db, 2, cfgs["dsack_disabled"])
-        a = json.dumps(model_to_dict(net_all.modules[1].model), sort_keys=True)
-        b = json.dumps(model_to_dict(single.model), sort_keys=True)
-        assert a == b
+        net = train_cfd(db, cfgs)
+        assert len(net.modules[2].selection.candidate_sizes) == 3
+        assert {m.model.training_meta.converged for m in net.modules} == {True, False}
+        for module in net.modules:
+            model, report = fit_pipeline(build_cf_subset(db, module.fault_index), cfgs[module.fault_name])
+            assert module.selection == report
+            a = json.dumps(model_to_dict(module.model), sort_keys=True)
+            b = json.dumps(model_to_dict(model), sort_keys=True)
+            assert a == b
+
+    def test_default_bank_is_one_stack(self, monkeypatch):
+        # Every default module has one candidate size: four 5-fold grids and
+        # four final fits, 24 problems, all known before any CV result.
+        from netdiag import selection
+
+        stacks = []
+
+        def counting(problems, n, width):
+            states = real(problems, n, width)
+            stacks.append(len(states))
+            return states
+
+        real = selection.solve_duals
+        monkeypatch.setattr(selection, "solve_duals", counting)
+        train_cfd(client_db())
+        assert stacks == [24]
+
+    @pytest.mark.parametrize(
+        "change, error",
+        [
+            (lambda db, cfgs: (db, dict(cfgs, read_buf=replace(cfgs["read_buf"], cv_folds=30))), InsufficientRows),
+            (lambda db, cfgs: (replace(db, y=np.where(db.y == 3, 0, db.y)), cfgs), MissingClass),
+        ],
+        ids=["more_folds_than_rows", "class_without_rows"],
+    )
+    def test_module_error_names_module(self, change, error):
+        db, cfgs = change(client_db(), cf_configs())
+        with pytest.raises(error, match="^module 'read_buf': "):
+            train_cfd(db, cfgs)
 
     def test_empty_registry_rejected(self):
         db = client_db()
@@ -430,3 +489,45 @@ class TestBundle:
         assert registry.read_bytes() == before
         assert "lpd_profile" not in json.loads(before)
         assert not [p.name for p in bundle.iterdir() if p.name.startswith(".")]
+
+    @pytest.mark.parametrize("crash", [False, True], ids=["error", "crash"])
+    def test_each_failed_step_leaves_old_or_new_bundle(self, tmp_path, fail_step, crash):
+        import shutil
+
+        from conftest import Crash
+
+        def cfd_dicts(net):
+            return {m.fault_name: model_to_dict(m.model) for m in net.modules}
+
+        template = tmp_path / "template"
+        old_cfd, new_cfd = train_cfd(client_db(seed=0), cf_configs()), train_cfd(client_db(seed=1), cf_configs())
+        save_bundle(template, train_lpd(link_db(), LPD_CFG), old_cfd, "v1")
+        old, new = cfd_dicts(old_cfd), cfd_dicts(new_cfd)
+        assert old != new
+        k = 0
+        while True:
+            bundle = tmp_path / f"bundle{k}"
+            shutil.copytree(template, bundle)
+            with fail_step(k, crash) as steps:
+                try:
+                    save_cfd_part(bundle, new_cfd, "v1")
+                    failed = False
+                except (IoFailure, OSError, Crash):
+                    failed = True
+            loaded = cfd_dicts(load_bundle(bundle)[1])
+            assert loaded in (old, new), f"step {k} of {steps}"
+            if not failed:  # no step k, or its failure was handled
+                assert loaded == new
+                if k >= len(steps):
+                    break
+            elif not crash:
+                assert loaded == old, f"step {k} of {steps}"
+            # The next save finishes the swap and leaves no old stage aside;
+            # only a crash leaves temporary files behind.
+            save_cfd_part(bundle, new_cfd, "v1")
+            assert cfd_dicts(load_bundle(bundle)[1]) == new
+            left = [p.name for p in bundle.iterdir() if p.name.startswith(".")]
+            assert ".cfd.old" not in left and (crash or not left)
+            k += 1
+        assert {"mkdir", "open", "replace", "rename", "rmtree"} <= set(steps)
+

@@ -272,3 +272,21 @@ def test_rtt_samples_near_float_range_exit_2(trained, tmp_path):
     assert code == 2
     assert "Traceback" not in err
     assert "down_rtt_stdev is not finite" in err
+
+
+def test_output_under_a_file_exits_2(trained, tmp_path):
+    # A path component that is a file: the directory cannot be made.
+    bundle, _, down, up = trained
+    blocker = tmp_path / "afile"
+    blocker.write_text("", encoding="utf-8")
+    db = _databases(tmp_path)[1]
+    code, _, err = _run("train", "--db", str(db), "--stage", "cfd", "--out", str(blocker / "bundle"))
+    assert code == 2 and "Traceback" not in err and "afile" in err
+    traces = tmp_path / "traces"
+    traces.mkdir()
+    shutil.copy(down, traces / "p.down.csv")
+    shutil.copy(up, traces / "p.up.csv")
+    (traces / "labels.csv").write_text("id,link,client\np,HEALTHY,HEALTHY\n", encoding="utf-8")
+    code, _, err = _run("eval", "--bundle", str(bundle), "--traces", str(traces), "--out", str(blocker / "r" / "eval"))
+    assert code == 2 and "Traceback" not in err and "afile" in err
+

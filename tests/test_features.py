@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from netdiag.features import (
     Statistic,
     _IntervalSet,
-    compute_statistic,
+    _TraceAnalysis,
     default_catalog,
     extract_signature,
     extract_with_diagnostics,
@@ -28,6 +28,11 @@ C2S, S2C = Direction.CLIENT_TO_SERVER, Direction.SERVER_TO_CLIENT
 
 def ev(ts, dir=C2S, seq=0, ack=0, length=0, **kw):
     return PacketEvent(ts=ts, dir=dir, seq=seq, ack=ack, payload_len=length, **kw)
+
+
+def compute_statistic(t: TraceRecord, stat: Statistic) -> float:
+    """One statistic of one trace, as the extractor computes it."""
+    return _TraceAnalysis(t).values[stat]
 
 
 def trace(events, capture=CapturePoint.CLIENT, transfer=TransferDirection.DOWNLOAD):

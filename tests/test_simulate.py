@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from netdiag.features import Statistic, compute_statistic, default_catalog, extract_signature
+from netdiag.features import default_catalog, extract_signature
 from netdiag.simulate import (
     HEALTHY_LINK,
     ClientParams,

@@ -10,18 +10,17 @@ from qp_reference import closed_form_kernel, reference_decision_function, solve_
 from wss2_reference import solve_dual_reference
 
 from netdiag.errors import DimensionMismatch, IoFailure, NonFiniteInput, SingleClassInput
+from netdiag.preprocess import write_artifact
 from netdiag.svm import (
     KERNEL_VARIANTS,
     KernelSpec,
     SvmConfig,
-    classify,
     decision_value,
     gram_matrix,
     kernel_matrix,
     load_model,
     model_from_dict,
     model_to_dict,
-    save_model,
     solve_dual,
     solve_duals,
     train_arrays,
@@ -29,6 +28,15 @@ from netdiag.svm import (
 
 LIN = KernelSpec("linear")
 QUAD = KernelSpec("quadratic")
+
+
+def classify(model, x) -> int:
+    """+1 iff the decision value is >= 0 (boundary goes to +1)."""
+    return 1 if decision_value(model, x) >= 0 else -1
+
+
+def save_model(model, path) -> None:
+    write_artifact(path, model_to_dict(model))
 
 
 def kkt_satisfied(X, y, alpha, bias, kernel, C, tol):
@@ -317,7 +325,7 @@ class TestLockstep:
         tol = float(rng.choice([1e-3, 1e-6]))
         n = max(len(y) for _, y in problems)
         width = 1 + seed % len(problems)  # below len(problems), finished slots are refilled
-        states = solve_duals(problems, n, width, tol=tol, max_iter=1000)
+        states = solve_duals([(K, y, tol, 1000) for K, y in problems], n, width)
         assert len(states) == len(problems)
         for state, (K, y) in zip(states, problems):
             assert_same_state(state, solve_dual_reference(K, y, tol, 1000))
@@ -328,7 +336,7 @@ class TestLockstep:
         problems.append(random_problem(rng, 80, "linear", 1e4))
         for _, y in problems[::2]:
             y *= -y[0]  # y[0] = -1
-        states = solve_duals(iter(problems), 80, 3, tol=1e-6, max_iter=10)
+        states = solve_duals(((K, y, 1e-6, 10) for K, y in problems), 80, 3)
         refs = [solve_dual_reference(K, y, 1e-6, 10) for K, y in problems]
         assert {ref.converged for ref in refs} == {True, False}
         for state, ref in zip(states, refs):
@@ -340,8 +348,24 @@ class TestLockstep:
         ref = solve_dual_reference(K, y, 1e-3, 1000)
         assert_same_state(solve_dual(K, y, 1e-3, 1000), ref)
         # Padding and more slots than problems.
-        (state,) = solve_duals([(K, y)], 40, 4, 1e-3, 1000)
+        (state,) = solve_duals([(K, y, 1e-3, 1000)], 40, 4)
         assert_same_state(state, ref)
+
+    def test_per_problem_tolerances_and_caps(self):
+        # One stack whose problems each bring their own tol and sweep cap;
+        # the caps of 1 and 3 sweeps stop some problems early, next to
+        # problems that converge.
+        rng = np.random.default_rng(7)
+        problems = []
+        for p, (tol, max_iter) in enumerate([(1e-3, 1000), (1e-8, 1), (1e-6, 3), (1e-2, 2000), (1e-8, 1000), (1e-4, 1)] * 2):
+            K, y = random_problem(rng, int(rng.integers(6, 40)), KERNEL_VARIANTS[p % len(KERNEL_VARIANTS)], 10.0)
+            problems.append((K, y, tol, max_iter))
+        refs = [solve_dual_reference(*problem) for problem in problems]
+        assert {ref.converged for ref in refs} == {True, False}
+        assert len({(problem[2], ref.iterations_used) for problem, ref in zip(problems, refs)}) > 6
+        states = solve_duals(iter(problems), max(len(y) for _, y, _, _ in problems), 5)
+        for state, ref in zip(states, refs):
+            assert_same_state(state, ref)
 
 
 class TestSolverProperties:
