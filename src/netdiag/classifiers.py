@@ -398,8 +398,14 @@ def _swap_stage(tmp: Path, stage: Path, commit) -> None:
 
 
 def _stage_dir(bundle: Path, name: str) -> Path:
+    """A new temporary directory for stage `name`, made after deleting what
+    saves cut short by a crash left: older ones and temporary registry files."""
     try:
         bundle.mkdir(parents=True, exist_ok=True)
+        for path in bundle.glob(f".{name}-*"):
+            shutil.rmtree(path)
+        for path in bundle.glob(".registry.json.*.tmp"):
+            path.unlink()
         return Path(tempfile.mkdtemp(dir=bundle, prefix=f".{name}-"))
     except OSError as exc:
         raise IoFailure(f"cannot write {bundle}: {exc}") from exc

@@ -178,20 +178,38 @@ def _discover_pairs(tracedir: Path) -> list[tuple[str, Path, Path]]:
     return pairs
 
 
+def _labeled_pairs(args):
+    """Each trace pair under --traces with its row of the labels file:
+    (pair id, down path, up path, link tag, client tag)."""
+    tracedir = Path(args.traces)
+    labels = read_labels(args.labels or tracedir / "labels.csv")
+    for pair_id, down, up in _discover_pairs(tracedir):
+        if pair_id not in labels:
+            raise ConfigError(f"no label row for trace pair {pair_id!r}")
+        yield (pair_id, down, up, *labels[pair_id])
+
+
+def _load_bundle(path):
+    """The bundle's two stages and the extractor's catalog, which must be
+    the one the bundle was built for."""
+    catalog = default_catalog()
+    lpd, cfd, bundle_catalog = clf.load_bundle(path)
+    if bundle_catalog != catalog.version:
+        raise CatalogMismatch(
+            f"bundle built for catalog {bundle_catalog!r}, extractor is {catalog.version!r}"
+        )
+    return lpd, cfd, catalog
+
+
 def cmd_extract(args, config: CliConfig) -> int:
     catalog = default_catalog()
     if config.catalog_version != catalog.version:
         raise CatalogMismatch(
             f"configured catalog {config.catalog_version!r} unavailable; this build provides {catalog.version!r}"
         )
-    tracedir = Path(args.traces)
-    labels = read_labels(args.labels or tracedir / "labels.csv")
     kind = LabelKind(args.kind)
     rows = []
-    for pair_id, down, up in _discover_pairs(tracedir):
-        if pair_id not in labels:
-            raise ConfigError(f"no label row for trace pair {pair_id!r}")
-        link_tag, client_tag = labels[pair_id]
+    for pair_id, down, up, link_tag, client_tag in _labeled_pairs(args):
         tag = link_tag if kind is LabelKind.LINK else client_tag
         if kind is LabelKind.CLIENT and "+" in tag:
             raise ConfigError(
@@ -289,12 +307,7 @@ def cmd_train(args, config: CliConfig) -> int:
 
 
 def cmd_diagnose(args, config: CliConfig) -> int:
-    catalog = default_catalog()
-    lpd, cfd, bundle_catalog = clf.load_bundle(args.bundle)
-    if bundle_catalog != catalog.version:
-        raise CatalogMismatch(
-            f"bundle built for catalog {bundle_catalog!r}, extractor is {catalog.version!r}"
-        )
+    lpd, cfd, catalog = _load_bundle(args.bundle)
     pair = read_pair(args.down, args.up)
     verdict = clf.diagnose(lpd, cfd, pair, catalog)
     _emit(verdict.to_dict())
@@ -305,19 +318,9 @@ def cmd_diagnose(args, config: CliConfig) -> int:
 
 
 def cmd_eval(args, config: CliConfig) -> int:
-    catalog = default_catalog()
-    lpd, cfd, bundle_catalog = clf.load_bundle(args.bundle)
-    if bundle_catalog != catalog.version:
-        raise CatalogMismatch(
-            f"bundle built for catalog {bundle_catalog!r}, extractor is {catalog.version!r}"
-        )
-    tracedir = Path(args.traces)
-    labels = read_labels(args.labels or tracedir / "labels.csv")
+    lpd, cfd, catalog = _load_bundle(args.bundle)
     labeled = []
-    for pair_id, down, up in _discover_pairs(tracedir):
-        if pair_id not in labels:
-            raise ConfigError(f"no label row for trace pair {pair_id!r}")
-        link_tag, client_tag = labels[pair_id]
+    for _, down, up, link_tag, client_tag in _labeled_pairs(args):
         faults = frozenset() if client_tag == "HEALTHY" else frozenset(client_tag.split("+"))
         labeled.append((read_pair(down, up), GroundTruth(link_tag == "FAULTY", faults)))
     report = evaluate_verdicts(labeled, lpd, cfd, catalog)

@@ -13,7 +13,6 @@ so signatures are invariant under time shift.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import math
 from dataclasses import dataclass, field
@@ -21,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CatalogMismatch, EmptyTrace, NonFiniteInput
-from .trace import SEQ_MOD, Direction, TracePair, TraceRecord, TransferDirection
+from .trace import SEQ_MOD, Direction, IntervalSet, TracePair, TraceRecord, TransferDirection
 
 SMALL_SEGMENT_BYTES = 512  # "push-like" threshold
 
@@ -141,47 +140,6 @@ def _unwrap(raw: np.ndarray) -> np.ndarray:
     return raw[0] + np.concatenate(([0], np.cumsum(step)))
 
 
-class _IntervalSet:
-    """Disjoint sorted byte intervals with overlap accounting."""
-
-    def __init__(self):
-        self._starts: list[int] = []
-        self._ends: list[int] = []
-        self.max_end: int | None = None
-
-    def add(self, s: int, e: int) -> int:
-        """Merge [s, e); return the number of bytes already covered."""
-        if e <= s:
-            return 0
-        if self._ends and s >= self._ends[-1]:  # at or past the end: the in-order case
-            if s == self._ends[-1]:
-                self._ends[-1] = e
-            else:
-                self._starts.append(s)
-                self._ends.append(e)
-            self.max_end = e
-            return 0
-        i = bisect.bisect_right(self._starts, s) - 1
-        if i >= 0 and self._ends[i] < s:
-            i += 1
-        elif i < 0:
-            i = 0
-        overlap = 0
-        new_s, new_e = s, e
-        j = i
-        while j < len(self._starts) and self._starts[j] < e:
-            overlap += max(0, min(e, self._ends[j]) - max(s, self._starts[j]))
-            new_s = min(new_s, self._starts[j])
-            new_e = max(new_e, self._ends[j])
-            j += 1
-        del self._starts[i:j]
-        del self._ends[i:j]
-        self._starts.insert(i, new_s)
-        self._ends.insert(i, new_e)
-        self.max_end = new_e if self.max_end is None else max(self.max_end, new_e)
-        return overlap
-
-
 @dataclass
 class _RttMatcher:
     """First-transmission send -> covering-ack RTT sampling.
@@ -193,7 +151,7 @@ class _RttMatcher:
     """
 
     pending: list[list] = field(default_factory=list)  # [end, start, ts, valid]
-    sent: _IntervalSet = field(default_factory=_IntervalSet)
+    sent: IntervalSet = field(default_factory=IntervalSet)
     samples: list[float] = field(default_factory=list)
 
     def on_send(self, start: int, end: int, ts: float) -> None:
@@ -264,7 +222,7 @@ class _TraceAnalysis:
         seg_sizes = length[data_mask]
         seg_start = _unwrap(ev.seq[data_mask])
         retrans_pkts = retrans_bytes = ooo_pkts = 0
-        data_cover = _IntervalSet()
+        data_cover = IntervalSet()
         for s, e in zip(seg_start.tolist(), (seg_start + seg_sizes).tolist()):
             prev_max = data_cover.max_end
             overlap = data_cover.add(s, e)

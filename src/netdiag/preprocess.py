@@ -231,7 +231,7 @@ def write_text(path, text: str) -> None:
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
     try:
-        with open(tmp, "x", encoding="utf-8") as f:
+        with open(tmp, "x", encoding="utf-8", newline="\n") as f:
             f.write(text)
         os.replace(tmp, path)
     except OSError as exc:

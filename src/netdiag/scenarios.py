@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, IoFailure
+from .preprocess import write_text
 from .rng import SplitMix64, derive_seed
 from .simulate import (
     HEALTHY_LINK,
@@ -202,10 +203,7 @@ def emit_corpus(scenarios: list[Scenario], outdir) -> None:
             pair = sc.simulate()
             write_pair(pair, target / f"{sc.id}.down.csv", target / f"{sc.id}.up.csv")
             lines.append(f"{sc.id},{sc.link_label},{sc.client_label}")
-        try:
-            (target / "labels.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        except OSError as exc:
-            raise IoFailure(str(exc)) from exc
+        write_text(target / "labels.csv", "\n".join(lines) + "\n")
 
 
 def read_labels(path) -> dict[str, tuple[str, str]]:

@@ -46,6 +46,7 @@ from .trace import (
     SEQ_MOD,
     CapturePoint,
     Direction,
+    IntervalSet,
     PacketColumns,
     TracePair,
     TraceRecord,
@@ -127,14 +128,6 @@ class FlowStats:
     delivered_bytes: int = 0
 
 
-def _covers(intervals: list, s: int, e: int) -> bool:
-    """Whether one of the [start, end, ...] intervals holds all of [s, e)."""
-    for iv in intervals:
-        if iv[0] <= s and e <= iv[1]:
-            return True
-    return False
-
-
 class _TransferSim:
     """One reliable transfer over one lossy pipe, captured at the receiver."""
 
@@ -185,9 +178,8 @@ class _TransferSim:
         self.in_recovery = False
         self.recovery_until = 0
         self.recovery_rexmits: set[int] = set()
-        self.sacked: list[list[int]] = []  # payload-space intervals
-        self.first_send: dict[int, float] = {}
-        self.seg_retransmitted: set[int] = set()
+        self.sacked = IntervalSet()  # payload-space intervals
+        self.first_send = [0.0] * self.n_segs  # first transmission time, per segment
         self.next_sample_seg = 0
         self.srtt: float | None = None
         self.rto = INITIAL_RTO
@@ -201,8 +193,7 @@ class _TransferSim:
 
         # receiver state
         self.rcv_nxt = 0
-        self.ooo: list[list[int]] = []  # [start, end, touched]
-        self.touch = 0
+        self.ooo = IntervalSet()
         self.last_ack_t = 0.0
 
         self.busy = [0.0, 0.0]  # link free time, by direction code
@@ -232,8 +223,6 @@ class _TransferSim:
         dep = max(now, self.busy[self.data_dir]) + self._ser(self.seg_end[k] - k * MSS)
         self.busy[self.data_dir] = dep
         self.stats.sender_transmissions += 1
-        if attempt == 0:
-            self.first_send.setdefault(k, now)
         if self._lost(k, attempt):
             self.stats.dropped_data_packets += 1
             return
@@ -244,7 +233,6 @@ class _TransferSim:
 
     def _retransmit(self, k: int, now: float) -> None:
         # attempts are tracked per segment so loss draws stay keyed
-        self.seg_retransmitted.add(k)
         self.stats.sender_retransmissions += 1
         self.attempts[k] += 1
         self._transmit(k, self.attempts[k], now)
@@ -270,6 +258,7 @@ class _TransferSim:
             e = self.seg_end[k]
             if (self.snd_nxt - self.snd_una) + (e - k * MSS) > limit:
                 break
+            self.first_send[k] = now
             self._transmit(k, 0, now)
             self.snd_nxt = e
             self.next_seg += 1
@@ -282,13 +271,13 @@ class _TransferSim:
         Segments above the sacked region are merely in flight, not lost;
         retransmitting them would be spurious.
         """
-        high = max((iv[1] for iv in self.sacked), default=0)
+        high = self.sacked.max_end or 0
         k = self.snd_una // MSS
         while k < self.next_seg:
             e = self.seg_end[k]
             if e > high:
                 return None
-            if e > self.snd_una and not _covers(self.sacked, max(k * MSS, self.snd_una), e):
+            if e > self.snd_una and not self.sacked.covers(max(k * MSS, self.snd_una), e):
                 if k not in self.recovery_rexmits:
                     return k
             k += 1
@@ -335,7 +324,7 @@ class _TransferSim:
             if self.seg_end[self.next_sample_seg] > self.snd_una:
                 break
             k = self.next_sample_seg
-            if k not in self.seg_retransmitted and k in self.first_send:
+            if not self.attempts[k]:  # Karn's rule: no sample from a retransmitted segment
                 sample = now - self.first_send[k]
                 self.srtt = sample if self.srtt is None else 0.875 * self.srtt + 0.125 * sample
                 self.rto = max(MIN_RTO, 2.0 * self.srtt)
@@ -345,7 +334,7 @@ class _TransferSim:
         a, blocks, rwnd = payload
         self.peer_rwnd = rwnd
         for bs, be in blocks:
-            self._merge_sacked(bs, be)
+            self.sacked.add(bs, be)
         if a > self.snd_una:
             acked_payload = min(a, self.B) - min(self.snd_una, self.B)
             self.snd_una = a
@@ -381,19 +370,6 @@ class _TransferSim:
                     self._retransmit(hole, now)
             self._try_send(now)
 
-    def _merge_sacked(self, s: int, e: int) -> None:
-        merged = [s, e]
-        out = []
-        for iv in self.sacked:
-            if iv[1] < merged[0] or iv[0] > merged[1]:
-                out.append(iv)
-            else:
-                merged[0] = min(merged[0], iv[0])
-                merged[1] = max(merged[1], iv[1])
-        out.append(merged)
-        out.sort()
-        self.sacked = out
-
     def _on_rto(self, now: float, epoch: int) -> None:
         if not self.timer_active or epoch != self.timer_epoch:
             return
@@ -416,31 +392,12 @@ class _TransferSim:
 
     # -- receiver -----------------------------------------------------
 
-    def _add_ooo(self, s: int, e: int) -> None:
-        self.touch += 1
-        merged = [s, e, self.touch]
-        out = []
-        for iv in self.ooo:
-            if iv[1] < merged[0] or iv[0] > merged[1]:
-                out.append(iv)
-            else:
-                merged[0] = min(merged[0], iv[0])
-                merged[1] = max(merged[1], iv[1])
-        out.append(merged)
-        out.sort(key=lambda iv: iv[0])
-        self.ooo = out
-
-    def _absorb_ooo(self) -> None:
-        # ooo is sorted by start, so what rcv_nxt now reaches is a prefix
-        while self.ooo and self.ooo[0][0] <= self.rcv_nxt:
-            self.rcv_nxt = max(self.rcv_nxt, self.ooo.pop(0)[1])
-
     def _send_ack(self, now: float, dup_arrival: bool, fin_seen: bool = False) -> None:
         rwnd, blocks = self.read_buffer, []
         if self.ooo:
-            rwnd = max(0, rwnd - sum(iv[1] - iv[0] for iv in self.ooo))
-            if self.sack:  # the most recently touched intervals
-                blocks = [(iv[0], iv[1]) for iv in sorted(self.ooo, key=lambda iv: -iv[2])[:MAX_SACK_BLOCKS]]
+            rwnd = max(0, rwnd - sum(e - s for s, e in self.ooo))
+            if self.sack:  # the first block reports the latest arrival (RFC 2018)
+                blocks = self.ooo.recent(MAX_SACK_BLOCKS)
         sack_cnt = len(blocks) + (1 if dup_arrival and self.dsack else 0)
         t = max(now + next(self.jitter) * ACK_JITTER_MAX, self.last_ack_t)
         self.last_ack_t = t
@@ -457,14 +414,13 @@ class _TransferSim:
 
     def _on_data(self, now: float, k: int) -> None:
         s, e = k * MSS, self.seg_end[k]
-        dup = e <= self.rcv_nxt or _covers(self.ooo, s, e)
+        dup = e <= self.rcv_nxt or self.ooo.covers(s, e)
         if dup:
             self.stats.duplicate_arrivals += 1
         elif s <= self.rcv_nxt:
-            self.rcv_nxt = max(self.rcv_nxt, e)
-            self._absorb_ooo()
+            self.rcv_nxt = self.ooo.pop_through(max(self.rcv_nxt, e))
         else:
-            self._add_ooo(s, e)
+            self.ooo.add(s, e)
         self._record(now, self.data_dir, seq=1 + s, ack=1, length=e - s, ackf=1, win=self.sender_rwnd)
         self._send_ack(now, dup_arrival=dup)
 

@@ -9,11 +9,13 @@ A trace is one bidirectional TCP flow capture.  The file format is CSV:
 Timestamps are seconds relative to the first packet, written with at
 least six fractional digits and enough precision to round-trip exactly.
 In memory a trace holds its packets as numpy columns (`PacketColumns`),
-one per `PacketEvent` field.
+one per `PacketEvent` field.  `IntervalSet` is the set of sequence-space
+intervals that the simulator and the extractor both keep.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import enum
 import itertools
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadHeader, EmptyTrace, IoFailure, MalformedRow
+from .preprocess import write_text
 
 SEQ_MOD = 1 << 32
 
@@ -198,6 +201,81 @@ class TracePair:
                 )
 
 
+class IntervalSet:
+    """Disjoint sorted half-open intervals of sequence space.
+
+    `add` merges an interval with every interval it overlaps or touches,
+    so a gap separates neighbours.  Each interval keeps the stamp of the
+    last add merged into it, which orders `recent`.
+    """
+
+    def __init__(self):
+        self._starts: list[int] = []
+        self._ends: list[int] = []
+        self._stamps: list[int] = []
+        self._clock = 0
+        self.max_end: int | None = None  # the highest end added so far
+
+    def __len__(self) -> int:
+        return len(self._starts)
+
+    def __iter__(self):
+        """The intervals as (start, end), lowest first."""
+        return zip(self._starts, self._ends)
+
+    def add(self, s: int, e: int) -> int:
+        """Merge [s, e); return the number of bytes already covered."""
+        if e <= s:
+            return 0
+        self._clock += 1
+        starts, ends = self._starts, self._ends
+        if ends and s >= ends[-1]:  # at or past the end: the in-order case
+            if s == ends[-1]:
+                ends[-1] = e
+                self._stamps[-1] = self._clock
+            else:
+                starts.append(s)
+                ends.append(e)
+                self._stamps.append(self._clock)
+            self.max_end = e
+            return 0
+        i = bisect.bisect_right(starts, s) - 1
+        if i < 0 or ends[i] < s:
+            i += 1
+        overlap = 0
+        j = i
+        while j < len(starts) and starts[j] <= e:
+            overlap += max(0, min(e, ends[j]) - max(s, starts[j]))
+            j += 1
+        if j > i:
+            s, e = min(s, starts[i]), max(e, ends[j - 1])
+        starts[i:j] = [s]
+        ends[i:j] = [e]
+        self._stamps[i:j] = [self._clock]
+        self.max_end = e if self.max_end is None else max(self.max_end, e)
+        return overlap
+
+    def covers(self, s: int, e: int) -> bool:
+        """Whether one interval holds all of [s, e)."""
+        i = bisect.bisect_right(self._starts, s) - 1
+        return i >= 0 and e <= self._ends[i]
+
+    def pop_through(self, point: int) -> int:
+        """Drop the leading intervals that start at or before point; return
+        point moved to the end of the last one dropped, if that is higher."""
+        i = bisect.bisect_right(self._starts, point)
+        if i:
+            point = max(point, self._ends[i - 1])
+            del self._starts[:i], self._ends[:i], self._stamps[:i]
+        return point
+
+    def recent(self, k: int) -> list[tuple[int, int]]:
+        """The k intervals most recently added to, as (start, end), the
+        most recent first."""
+        newest = sorted(zip(self._stamps, self._starts, self._ends), reverse=True)[:k]
+        return [(s, e) for _, s, e in newest]
+
+
 _COLUMNS = ["ts", "dir", "seq", "ack", "len", "syn", "fin", "rst", "ack_flag", "win", "sack_cnt"]
 _FLAG_COLUMNS = (5, 6, 7, 8)
 _INT_COLUMNS = (2, 3, 4, 9, 10)
@@ -350,11 +428,7 @@ def write_trace(trace: TraceRecord, path) -> None:
         ",".join(_COLUMNS),
     ]
     out.extend(map(_ROW_FORMAT.__mod__, rows))
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(out) + "\n")
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    write_text(path, "\n".join(out) + "\n")
 
 
 def write_pair(pair: TracePair, down_path, up_path) -> None:

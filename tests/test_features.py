@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import interval_reference as ref
 from netdiag.features import (
     Statistic,
-    _IntervalSet,
     _TraceAnalysis,
     default_catalog,
     extract_signature,
@@ -17,6 +17,7 @@ from netdiag.simulate import HEALTHY_LINK, ClientParams, simulate_flow_with_stat
 from netdiag.trace import (
     CapturePoint,
     Direction,
+    IntervalSet,
     PacketEvent,
     TracePair,
     TraceRecord,
@@ -181,19 +182,37 @@ class TestStatisticOracles:
 
 class TestIntervalSet:
     @settings(max_examples=300, deadline=None)
-    @given(adds=st.lists(st.tuples(st.integers(0, 60), st.integers(-2, 15)), max_size=30))
-    def test_matches_byte_set(self, adds):
-        cover, covered = _IntervalSet(), set()
-        for s, n in adds:
+    @given(
+        adds=st.lists(st.tuples(st.integers(0, 60), st.integers(-2, 15)), max_size=30),
+        queries=st.lists(st.tuples(st.integers(0, 80), st.integers(0, 15)), max_size=10),
+        point=st.integers(0, 80),
+    )
+    def test_matches_byte_set(self, adds, queries, point):
+        cover, covered = IntervalSet(), set()
+        ooo, sacked = [], []  # the simulator's old lists, rebuilt on every add
+        for touch, (s, n) in enumerate(adds, start=1):
             got = cover.add(s, s + n)
             new = set(range(s, s + n))
             assert got == len(new & covered)
             covered |= new
             assert cover.max_end == (max(covered) + 1 if covered else None)
+            if n > 0:
+                ooo = ref.add_ooo(ooo, s, s + n, touch)
+                sacked = ref.merge_sacked(sacked, s, s + n)
         assert cover._starts == sorted(cover._starts)
         assert all(a < b for a, b in zip(cover._starts, cover._ends))
-        assert all(b <= a for a, b in zip(cover._starts[1:], cover._ends))
+        assert all(b < a for a, b in zip(cover._starts[1:], cover._ends))  # touching intervals merge
         assert sum(b - a for a, b in zip(cover._starts, cover._ends)) == len(covered)
+        assert list(cover) == [(iv[0], iv[1]) for iv in ooo] == [tuple(iv) for iv in sacked]
+        for k in range(5):
+            assert cover.recent(k) == ref.sack_blocks(ooo, k)
+        for s, n in queries:
+            assert cover.covers(s, s + n) == ref.covers(ooo, s, s + n)
+            if n > 0:
+                assert cover.covers(s, s + n) == (set(range(s, s + n)) <= covered)
+        assert cover.pop_through(point) == ref.absorb_ooo(ooo, point)
+        assert list(cover) == [(iv[0], iv[1]) for iv in ooo]
+        assert cover.recent(3) == ref.sack_blocks(ooo, 3)
 
 
 class TestVectorProperties:
