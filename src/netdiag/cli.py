@@ -351,14 +351,21 @@ def cmd_synth(args, config: CliConfig) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=argparse.SUPPRESS, help=f"JSON config path (or ${ENV_CONFIG})")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="override config seed")
-    common.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS, help="suppress stderr summaries")
+def _add_global_options(parser, config=None, seed=None, quiet=False) -> None:
+    parser.add_argument("--config", default=config, help=f"JSON config path (or ${ENV_CONFIG})")
+    parser.add_argument("--seed", type=int, default=seed, help="override config seed")
+    parser.add_argument("--quiet", action="store_true", default=quiet, help="suppress stderr summaries")
 
-    parser = argparse.ArgumentParser(prog="netdiag", description=__doc__, parents=[common])
-    parser.set_defaults(config=None, seed=None, quiet=False)
+
+def build_parser() -> argparse.ArgumentParser:
+    # The options are accepted before and after the subcommand name.  The
+    # subcommand's copies suppress their defaults, so they cannot overwrite
+    # a value given before the name.
+    common = argparse.ArgumentParser(add_help=False)
+    _add_global_options(common, *[argparse.SUPPRESS] * 3)
+
+    parser = argparse.ArgumentParser(prog="netdiag", description=__doc__)
+    _add_global_options(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("extract", parents=[common], help="trace pairs -> signature database")

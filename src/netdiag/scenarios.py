@@ -151,11 +151,21 @@ def preset_paper_matrix(
     return out
 
 
+def _integer(value, name: str, minimum: int | None = None) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    return value
+
+
 def scenario_from_json(path) -> list[Scenario]:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: a scenario must be a JSON object, got {type(raw).__name__}")
     allowed = {"link", "client", "bytes", "seed", "id"}
     unknown = set(raw) - allowed
     if unknown:
@@ -163,10 +173,15 @@ def scenario_from_json(path) -> list[Scenario]:
     try:
         link_kw = dict(raw.get("link", {}))
         client_kw = dict(raw.get("client", {}))
+        for key in ("read_buffer", "write_buffer", "seed"):
+            if key in client_kw:
+                _integer(client_kw[key], f"client.{key}")
         if "cwnd_growth_profile" in client_kw:
             client_kw["cwnd_growth_profile"] = CwndProfile(client_kw["cwnd_growth_profile"])
         link = LinkParams(**link_kw)
         client = ClientParams(**client_kw)
+        transfer_bytes = _integer(raw.get("bytes", DEFAULT_TRANSFER_BYTES), "bytes", minimum=1)
+        seed = _integer(raw.get("seed", 0), "seed")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return [
@@ -174,8 +189,8 @@ def scenario_from_json(path) -> list[Scenario]:
             id=str(raw.get("id", "scenario_000")),
             link=link,
             client=client,
-            transfer_bytes=int(raw.get("bytes", DEFAULT_TRANSFER_BYTES)),
-            seed=int(raw.get("seed", 0)),
+            transfer_bytes=transfer_bytes,
+            seed=seed,
             link_label="HEALTHY" if link.loss_rate == 0 and link.one_way_delay <= 0.010 else "FAULTY",
             client_label="HEALTHY",
         )

@@ -184,8 +184,8 @@ class _TransferSim:
         self.srtt: float | None = None
         self.rto = INITIAL_RTO
         self.backoff = 1
-        self.timer_epoch = 0
-        self.timer_active = False
+        self.rto_deadline: float | None = None  # None: the timer is disarmed
+        self.timer_at: float | None = None  # time of the one live RTO heap entry
         self.fin_sent = False
         self.fin_acked = False
         self.fin_attempts = 0
@@ -247,9 +247,13 @@ class _TransferSim:
         self._arm_timer(now)
 
     def _arm_timer(self, now: float) -> None:
-        self.timer_epoch += 1
-        self.timer_active = True
-        self._push(now + self.rto * self.backoff, self._on_rto, self.timer_epoch)
+        # One live heap entry stands for the timer.  Push only when there is
+        # none or the deadline moved before it; the passed-over entry is an
+        # orphan, dropped when it pops.
+        self.rto_deadline = deadline = now + self.rto * self.backoff
+        if self.timer_at is None or deadline < self.timer_at:
+            self.timer_at = deadline
+            self._push(deadline, self._on_rto, None)
 
     def _try_send(self, now: float) -> None:
         limit = min(self.cwnd, float(self.peer_rwnd), float(self.write_buffer))
@@ -262,7 +266,7 @@ class _TransferSim:
             self._transmit(k, 0, now)
             self.snd_nxt = e
             self.next_seg += 1
-            if not self.timer_active:
+            if self.rto_deadline is None:
                 self._arm_timer(now)
 
     def _next_proven_hole(self) -> int | None:
@@ -353,11 +357,11 @@ class _TransferSim:
                 self._send_fin(now)
             elif self.fin_sent and a >= self.B + 1:
                 self.fin_acked = True
-                self.timer_active = False
+                self.rto_deadline = None
             elif self.snd_una < self.snd_nxt or (self.fin_sent and not self.fin_acked):
                 self._arm_timer(now)
             else:
-                self.timer_active = False
+                self.rto_deadline = None
             self._try_send(now)
         elif a == self.snd_una and self.snd_una < self.B:
             self.dupacks += 1
@@ -370,8 +374,17 @@ class _TransferSim:
                     self._retransmit(hole, now)
             self._try_send(now)
 
-    def _on_rto(self, now: float, epoch: int) -> None:
-        if not self.timer_active or epoch != self.timer_epoch:
+    def _on_rto(self, now: float, _payload) -> None:
+        if now != self.timer_at:
+            return  # an orphan
+        self.timer_at = None
+        if self.rto_deadline is None:
+            return
+        if self.rto_deadline > now:
+            # acks moved the deadline later without a push (mod_timer), so
+            # the live entry popped early and re-pushes itself at the deadline
+            self.timer_at = self.rto_deadline
+            self._push(self.timer_at, self._on_rto, None)
             return
         self.stats.rto_events += 1
         self.backoff = min(self.backoff * 2, 64)
@@ -388,7 +401,7 @@ class _TransferSim:
             self._retransmit(self.snd_una // MSS, now)
             self._arm_timer(now)
         else:
-            self.timer_active = False
+            self.rto_deadline = None
 
     # -- receiver -----------------------------------------------------
 

@@ -290,3 +290,47 @@ def test_output_under_a_file_exits_2(trained, tmp_path):
     code, _, err = _run("eval", "--bundle", str(bundle), "--traces", str(traces), "--out", str(blocker / "r" / "eval"))
     assert code == 2 and "Traceback" not in err and "afile" in err
 
+
+
+def _corpus(outdir):
+    return {path.name: path.read_bytes() for path in sorted(outdir.iterdir())}
+
+
+def test_global_options_before_the_subcommand_are_kept(tmp_path):
+    synth = ("synth", "--preset", "healthy", "--bytes", "20000", "--out")
+    runs = {
+        name: _run(*argv)
+        for name, argv in {
+            "before": ("--seed", "5", *synth, str(tmp_path / "before")),
+            "after": (*synth, str(tmp_path / "after"), "--seed", "5"),
+            "unseeded": (*synth, str(tmp_path / "unseeded")),
+            "quiet": ("--quiet", *synth, str(tmp_path / "quiet")),
+        }.items()
+    }
+    assert all(code == 0 for code, _, _ in runs.values())
+    assert _corpus(tmp_path / "before") == _corpus(tmp_path / "after")
+    assert _corpus(tmp_path / "before") != _corpus(tmp_path / "unseeded")
+    assert runs["unseeded"][2] and not runs["quiet"][2]
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ('{"bytes": "lots"}', "bytes"),
+        ('{"bytes": 0}', "bytes"),
+        ('{"bytes": true}', "bytes"),
+        ('{"seed": [1]}', "seed"),
+        ('{"seed": 1.5}', "seed"),
+        ('{"client": {"seed": "x"}}', "client.seed"),
+        ('{"client": {"read_buffer": 1.5}}', "client.read_buffer"),
+        ("[1]", "JSON object"),
+    ],
+)
+def test_malformed_scenario_exits_2(tmp_path, text, named):
+    path = tmp_path / "scenario.json"
+    if text.startswith("{"):
+        text = '{"link": {"bandwidth": 1e6, "one_way_delay": 0.01}, ' + text[1:]
+    path.write_text(text, encoding="utf-8")
+    code, _, err = _run("synth", "--scenario", str(path), "--out", str(tmp_path / "out"))
+    assert code == 2 and "Traceback" not in err
+    assert err.startswith("error:") and named in err

@@ -6,13 +6,15 @@ import pytest
 from netdiag.features import default_catalog, extract_signature
 from netdiag.simulate import (
     HEALTHY_LINK,
+    MSS,
     ClientParams,
     CwndProfile,
     LinkParams,
     simulate_flow,
     simulate_flow_with_stats,
+    _TransferSim,
 )
-from netdiag.trace import Direction, write_trace
+from netdiag.trace import Direction, TransferDirection, write_trace
 
 BYTES = 300_000
 CAT = default_catalog()
@@ -223,3 +225,34 @@ class TestValidation:
             for e in record.events:
                 if e.syn or e.fin or e.rst:
                     assert e.payload_len == 0
+
+
+class TestSackBlocks:
+    def test_blocks_report_the_most_recent_intervals_first(self):
+        # RFC 2018 section 4: the first block holds the latest arrival,
+        # the next ones the most recently reported other intervals.
+        sim = _TransferSim(HEALTHY_LINK, ClientParams(), 10 * MSS, 0, TransferDirection.DOWNLOAD)
+        for i, k in enumerate((0, 2, 4, 6, 8)):
+            sim._on_data(0.001 * i, k)
+        acks = [entry for entry in sim.heap if entry[2] == sim._on_ack]
+        _, _, _, (offset, blocks, _) = max(acks, key=lambda entry: entry[1])  # the ack pushed last
+        assert offset == MSS
+        assert blocks == ((8 * MSS, 9 * MSS), (6 * MSS, 7 * MSS), (4 * MSS, 5 * MSS))
+
+
+class TestRtoTimer:
+    def test_no_dead_timer_events_on_a_healthy_link(self):
+        # One live RTO heap entry per transfer: the loop handles about one
+        # event per captured packet, not one more per new ack.
+        sim = _TransferSim(HEALTHY_LINK, ClientParams(), 2 << 20, 1207, TransferDirection.DOWNLOAD)
+        record, stats = sim.run()
+        assert stats.rto_events == 0
+        assert sim.done_events <= len(record.events) + 8
+
+    def test_timeouts_when_the_deadline_moves_earlier(self):
+        # A new ack resets the backoff and the first RTT sample lowers the
+        # RTO, so the deadline moves before the pending heap entry; the
+        # timer must then fire at the earlier deadline, not at the entry.
+        link = LinkParams(bandwidth=80e6, one_way_delay=0.08, loss_rate=0.3)
+        _, stats = simulate_flow_with_stats(link, ClientParams(seed=1), 120_000, seed=1)
+        assert (stats["download"].rto_events, stats["upload"].rto_events) == (49, 9)

@@ -3,8 +3,9 @@ of tests/test_golden.py does not reach.
 
 Each digest covers both written trace files and both `FlowStats` of one
 `simulate_flow_with_stats` call.  They were recorded before the event
-loop skipped loss draws on loss-free links, drew its streams in blocks
-and dispatched on bound handlers; every case must stay bit-identical.
+loop skipped loss draws on loss-free links, drew its streams in blocks,
+dispatched on bound handlers and kept one lazy RTO timer; every case
+must stay bit-identical.
 """
 
 import dataclasses
