@@ -7,22 +7,21 @@ healthy-client class versus one fault class, each with its own scaler
 and feature subset.  The collective client verdict is simply the set of
 modules voting +1; an empty set means a healthy client.
 
-On disk a trained bundle is a directory:
+On disk a trained bundle is a directory of one JSON file per stage,
+each written whole through a temporary file and a rename:
 
-    lpd/<profile>.model.json        + <profile>.selection.json
-    cfd/<fault_name>.model.json     + <fault_name>.selection.json
-    registry.json
+    lpd.json  {"catalog_version", "link_profile", "model", "selection"}
+    cfd.json  {"catalog_version", "fault_registry",
+               "modules": {fault_name: {"model", "selection"}}}
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-import os
-import shutil
-import tempfile
 import warnings
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -60,7 +59,7 @@ from .svm import (
     decision_value,
     default_sigma,
     gram_matrix,
-    load_model,
+    model_from_dict,
     model_to_dict,
 )
 from .trace import TracePair
@@ -298,6 +297,17 @@ def build_cf_subset(db: SignatureDatabase, fault_index: int) -> SignatureDatabas
     return replace(db, X=db.X[mask].copy(), y=y, label_kind=LabelKind.LINK, fault_registry=None)
 
 
+@contextmanager
+def _module_errors(name: str):
+    """Prefix the message of an exception raised in the block with the
+    name of the module it concerns."""
+    try:
+        yield
+    except Exception as exc:
+        exc.args = (f"module {name!r}: {exc}",)
+        raise
+
+
 def train_cfd(db: SignatureDatabase, configs: dict[str, PipelineConfig] | None = None, seed: int = 0) -> CfdNetwork:
     """Train every module in the registry, each independently seeded; the
     whole bank is one `fit_pipelines` call."""
@@ -308,11 +318,8 @@ def train_cfd(db: SignatureDatabase, configs: dict[str, PipelineConfig] | None =
     grids = []
     for name, index in bank:
         config = (configs or {}).get(name) or default_cf_config(name, seed=derive_seed(seed, name))
-        try:
+        with _module_errors(name):
             grids.append(prepare_pipeline(build_cf_subset(db, index), config))
-        except Exception as exc:
-            exc.args = (f"module {name!r}: {exc}",)
-            raise
     modules = [
         CfModule(fault_index=index, fault_name=name, model=model, selection=report)
         for (name, index), (model, report) in zip(bank, fit_pipelines(grids))
@@ -353,119 +360,55 @@ def diagnose(lpd: LpdClassifier, cfd: CfdNetwork, pair: TracePair, catalog: Feat
     )
 
 
-def _aside(stage: Path) -> Path:
-    return stage.with_name(f".{stage.name}.old")
+def _string(d: dict, key: str) -> str:
+    if not isinstance(d[key], str):
+        raise TypeError(f"{key!r} is a {type(d[key]).__name__}, not a str")
+    return d[key]
 
 
-def _stage_path(bundle: Path, name: str) -> Path:
-    """A stage's directory, or the old stage that a swap cut short
-    between its two renames left aside."""
-    stage = bundle / name
-    return _aside(stage) if not stage.exists() and _aside(stage).exists() else stage
+def _stage_file(bundle: Path, stage: str) -> Path:
+    return bundle / f"{stage}.json"
 
 
-def _swap_stage(tmp: Path, stage: Path, commit) -> None:
-    """Put the directory tmp in place of the stage directory, then run
-    commit().
+def _save_stage(bundle, stage: str, payload: dict, catalog_version: str) -> None:
+    """Write the stage file of `stage` with payload and catalog_version.
 
-    The old stage is moved aside, the new one renamed in, and the old one
-    deleted once commit() has returned.  If the rename or commit() fails,
-    the old stage goes back in place and tmp keeps the new one.  A crash
-    between the two renames leaves the old stage aside, where loading
-    finds it and the next swap puts it back.
-    """
-    aside = _aside(stage)
-    if aside.exists():  # left by a swap that was cut short
-        if stage.exists():
-            shutil.rmtree(aside)
-        else:
-            os.rename(aside, stage)
-    had_old = stage.exists()
-    if had_old:
-        os.rename(stage, aside)
-    try:
-        os.rename(tmp, stage)
-        try:
-            commit()
-        except BaseException:
-            os.rename(stage, tmp)
-            raise
-    except BaseException:
-        if had_old:
-            os.rename(aside, stage)
-        raise
-    shutil.rmtree(aside, ignore_errors=True)
-
-
-def _stage_dir(bundle: Path, name: str) -> Path:
-    """A new temporary directory for stage `name`, made after deleting what
-    saves cut short by a crash left: older ones and temporary registry files."""
-    try:
-        bundle.mkdir(parents=True, exist_ok=True)
-        for path in bundle.glob(f".{name}-*"):
-            shutil.rmtree(path)
-        for path in bundle.glob(".registry.json.*.tmp"):
-            path.unlink()
-        return Path(tempfile.mkdtemp(dir=bundle, prefix=f".{name}-"))
-    except OSError as exc:
-        raise IoFailure(f"cannot write {bundle}: {exc}") from exc
-
-
-def _check_registry(meta) -> dict:
-    """registry.json content with the type of each present key checked;
-    either stage may still be missing."""
-    if not isinstance(meta, dict):
-        raise TypeError(f"registry is a {type(meta).__name__}, not an object")
-    for key, kind in (("catalog_version", str), ("lpd_profile", str), ("fault_registry", dict)):
-        if key in meta and not isinstance(meta[key], kind):
-            raise TypeError(f"{key!r} is a {type(meta[key]).__name__}, not a {kind.__name__}")
-    if "fault_registry" in meta:
-        meta["fault_registry"] = parse_registry(meta["fault_registry"])
-    return meta
-
-
-def _save_stage(bundle, name: str, artifacts: dict, catalog_version: str, **fields) -> None:
-    """Swap a new stage directory holding `artifacts` (file name -> JSON
-    payload) into the bundle and record `fields` in registry.json.
-
-    The registry is read and checked first, so a refused save leaves the
-    bundle untouched; a failed one leaves the old stage and registry.
+    The other stage's file is read first, so a save for another catalog
+    is refused with the bundle as it was.  The file is replaced whole, so
+    a failure or crash leaves the old stage or the new one; the next save
+    deletes the temporary file a crash left.
     """
     bundle = Path(bundle)
-    registry_path = bundle / "registry.json"
-    meta = read_artifact(registry_path, "registry", _check_registry) if registry_path.exists() else {}
-    if meta.get("catalog_version") not in (None, catalog_version):
-        raise CatalogMismatch(
-            f"bundle already built for catalog {meta['catalog_version']!r}, not {catalog_version!r}"
-        )
-    tmp = _stage_dir(bundle, name)
+    other = _stage_file(bundle, "cfd" if stage == "lpd" else "lpd")
+    if other.exists():
+        version = read_artifact(other, "bundle stage", lambda d: _string(d, "catalog_version"))
+        if version != catalog_version:
+            raise CatalogMismatch(f"bundle already built for catalog {version!r}, not {catalog_version!r}")
     try:
-        for file_name, payload in artifacts.items():
-            write_artifact(tmp / file_name, payload)
-        registry = {**meta, "catalog_version": catalog_version, **fields}
-        _swap_stage(tmp, bundle / name, lambda: write_artifact(registry_path, registry))
+        bundle.mkdir(parents=True, exist_ok=True)
+        for path in bundle.glob(f".{stage}.json.*.tmp"):
+            path.unlink()
     except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)  # gone already once swapped in
+        raise IoFailure(f"cannot write {bundle}: {exc}") from exc
+    write_artifact(_stage_file(bundle, stage), {"catalog_version": catalog_version, **payload})
 
 
 def save_lpd_part(bundle, lpd: LpdClassifier, catalog_version: str) -> None:
-    """Write the link-classifier half of a bundle (atomic stage swap)."""
-    artifacts = {
-        f"{lpd.link_profile}.model.json": model_to_dict(lpd.model),
-        f"{lpd.link_profile}.selection.json": lpd.selection.to_dict(),
+    """Write the link-classifier half of a bundle, lpd.json."""
+    payload = {
+        "link_profile": lpd.link_profile,
+        "model": model_to_dict(lpd.model),
+        "selection": lpd.selection.to_dict(),
     }
-    _save_stage(bundle, "lpd", artifacts, catalog_version, lpd_profile=lpd.link_profile)
+    _save_stage(bundle, "lpd", payload, catalog_version)
 
 
 def save_cfd_part(bundle, cfd: CfdNetwork, catalog_version: str) -> None:
-    """Write the fault-module half of a bundle (atomic stage swap)."""
-    artifacts = {}
-    for module in cfd.modules:
-        artifacts[f"{module.fault_name}.model.json"] = model_to_dict(module.model)
-        artifacts[f"{module.fault_name}.selection.json"] = module.selection.to_dict()
-    _save_stage(bundle, "cfd", artifacts, catalog_version, fault_registry=dict(cfd.fault_registry))
+    """Write the fault-module half of a bundle, cfd.json."""
+    modules = {
+        m.fault_name: {"model": model_to_dict(m.model), "selection": m.selection.to_dict()} for m in cfd.modules
+    }
+    _save_stage(bundle, "cfd", {"fault_registry": dict(cfd.fault_registry), "modules": modules}, catalog_version)
 
 
 def save_bundle(path, lpd: LpdClassifier, cfd: CfdNetwork, catalog_version: str) -> None:
@@ -474,33 +417,39 @@ def save_bundle(path, lpd: LpdClassifier, cfd: CfdNetwork, catalog_version: str)
     save_cfd_part(path, cfd, catalog_version)
 
 
+def _lpd_from_dict(d: dict) -> tuple[str, LpdClassifier]:
+    lpd = LpdClassifier(
+        model=model_from_dict(d["model"]),
+        selection=_selection_from_dict(d["selection"]),
+        link_profile=_string(d, "link_profile"),
+    )
+    return _string(d, "catalog_version"), lpd
+
+
+def _cfd_from_dict(d: dict) -> tuple[str, CfdNetwork]:
+    registry = parse_registry(d["fault_registry"])
+    parts = d["modules"]
+    if not isinstance(parts, dict) or set(parts) != set(registry):
+        raise ValueError(f"the modules do not match the fault registry {sorted(registry)}")
+    modules = []
+    for name, index in sorted(registry.items(), key=lambda kv: kv[1]):
+        with _module_errors(name):
+            model, selection = model_from_dict(parts[name]["model"]), _selection_from_dict(parts[name]["selection"])
+        modules.append(CfModule(fault_index=index, fault_name=name, model=model, selection=selection))
+    return _string(d, "catalog_version"), CfdNetwork(modules=tuple(modules), fault_registry=registry)
+
+
 def load_bundle(path) -> tuple[LpdClassifier, CfdNetwork, str]:
     path = Path(path)
-    registry_path = path / "registry.json"
-    meta = read_artifact(registry_path, "registry", _check_registry)
-    missing = sorted({"catalog_version", "lpd_profile", "fault_registry"} - set(meta))
+    files = [_stage_file(path, stage) for stage in ("lpd", "cfd")]
+    missing = [f.name for f in files if not f.exists()]
     if missing:
-        raise IoFailure(
-            f"bundle {path} is incomplete (needs both lpd and cfd stages): {registry_path} lacks {missing}"
-        )
-    profile = meta["lpd_profile"]
-    lpd_dir, cfd_dir = _stage_path(path, "lpd"), _stage_path(path, "cfd")
-    lpd = LpdClassifier(
-        model=load_model(lpd_dir / f"{profile}.model.json"),
-        selection=_read_selection(lpd_dir / f"{profile}.selection.json"),
-        link_profile=profile,
-    )
-    modules = [
-        CfModule(
-            fault_index=index,
-            fault_name=name,
-            model=load_model(cfd_dir / f"{name}.model.json"),
-            selection=_read_selection(cfd_dir / f"{name}.selection.json"),
-        )
-        for name, index in sorted(meta["fault_registry"].items(), key=lambda kv: kv[1])
-    ]
-    cfd = CfdNetwork(modules=tuple(modules), fault_registry=meta["fault_registry"])
-    return lpd, cfd, meta["catalog_version"]
+        raise IoFailure(f"bundle {path} is incomplete (needs both lpd and cfd stages): no {' or '.join(missing)}")
+    lpd_version, lpd = read_artifact(files[0], "lpd stage", _lpd_from_dict)
+    cfd_version, cfd = read_artifact(files[1], "cfd stage", _cfd_from_dict)
+    if lpd_version != cfd_version:
+        raise CatalogMismatch(f"bundle {path} mixes catalogs: lpd {lpd_version!r}, cfd {cfd_version!r}")
+    return lpd, cfd, lpd_version
 
 
 def _selection_from_dict(d: dict) -> SelectionReport:
@@ -520,7 +469,3 @@ def _selection_from_dict(d: dict) -> SelectionReport:
         chosen_q=chosen_q,
         chosen_indices=chosen,
     )
-
-
-def _read_selection(path) -> SelectionReport:
-    return read_artifact(path, "selection", _selection_from_dict)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -37,6 +38,8 @@ from .preprocess import (
     LabelKind,
     encode_labels,
     load_database,
+    parse_integer,
+    parse_registry,
     save_database,
     write_artifact,
     write_text,
@@ -75,19 +78,31 @@ class CliConfig:
     cfd: dict[str, clf.PipelineConfig]
 
 
-def _parse_kernel(raw: dict, where: str) -> KernelSpec:
-    unknown = set(raw) - {"variant", "sigma"}
+def _object(raw, where: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(raw).__name__}")
+    return raw
+
+
+def _real(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _parse_kernel(raw, where: str) -> KernelSpec:
+    unknown = set(_object(raw, f"{where}.kernel")) - {"variant", "sigma"}
     if unknown:
         raise ConfigError(f"{where}.kernel: unknown keys {sorted(unknown)}")
     try:
         return KernelSpec(raw.get("variant", "quadratic"), raw.get("sigma"))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}.kernel: {exc}") from exc
 
 
-def _parse_pipeline(raw: dict, where: str, base: clf.PipelineConfig) -> clf.PipelineConfig:
+def _parse_pipeline(raw, where: str, base: clf.PipelineConfig) -> clf.PipelineConfig:
     allowed = {"kernel", "C", "max_iter", "tol", "candidate_sizes", "cv_folds", "fp_penalty"}
-    unknown = set(raw) - allowed
+    unknown = set(_object(raw, where)) - allowed
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
     svm = base.svm
@@ -96,23 +111,23 @@ def _parse_pipeline(raw: dict, where: str, base: clf.PipelineConfig) -> clf.Pipe
     try:
         svm = replace(
             svm,
-            C=float(raw.get("C", svm.C)),
-            max_iter=int(raw.get("max_iter", svm.max_iter)),
-            tol=float(raw.get("tol", svm.tol)),
+            C=_real(raw.get("C", svm.C), "C"),
+            max_iter=parse_integer(raw.get("max_iter", svm.max_iter), "max_iter"),
+            tol=_real(raw.get("tol", svm.tol), "tol"),
         )
         out = replace(
             base,
             svm=svm,
-            cv_folds=int(raw.get("cv_folds", base.cv_folds)),
-            fp_penalty=float(raw.get("fp_penalty", base.fp_penalty)),
+            cv_folds=parse_integer(raw.get("cv_folds", base.cv_folds), "cv_folds"),
+            fp_penalty=_real(raw.get("fp_penalty", base.fp_penalty), "fp_penalty"),
         )
+        if "candidate_sizes" in raw:
+            sizes = raw["candidate_sizes"]
+            if not isinstance(sizes, list):
+                raise TypeError("candidate_sizes must be a list of integers")
+            out = replace(out, candidate_sizes=tuple(parse_integer(q, "candidate_sizes") for q in sizes))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    if "candidate_sizes" in raw:
-        sizes = raw["candidate_sizes"]
-        if not isinstance(sizes, list) or not all(isinstance(q, int) for q in sizes):
-            raise ConfigError(f"{where}.candidate_sizes must be a list of integers")
-        out = replace(out, candidate_sizes=tuple(sizes))
     return out
 
 
@@ -121,19 +136,25 @@ def load_config(path: str | None, seed_override: int | None) -> CliConfig:
     source = path or os.environ.get(ENV_CONFIG)
     if source:
         try:
-            raw = json.loads(Path(source).read_text(encoding="utf-8"))
+            raw = _object(json.loads(Path(source).read_text(encoding="utf-8")), f"config {source}")
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {source}: {exc}") from exc
     allowed = {"catalog_version", "seed", "fault_registry", "link_profile", "lpd", "cfd"}
     unknown = set(raw) - allowed
     if unknown:
         raise ConfigError(f"config: unknown keys {sorted(unknown)}")
-    seed = int(raw.get("seed", 0))
+    try:
+        seed = parse_integer(raw.get("seed", 0), "seed")
+        registry = parse_registry(_object(raw.get("fault_registry", DEFAULT_FAULT_REGISTRY), "fault_registry"))
+    except ValueError as exc:
+        raise ConfigError(f"config: {exc}") from exc
+    for key in ("catalog_version", "link_profile"):
+        if not isinstance(raw.get(key, ""), str):
+            raise ConfigError(f"config: {key} must be a string, got {raw[key]!r}")
     if seed_override is not None:
         seed = seed_override
-    registry = {str(k): int(v) for k, v in raw.get("fault_registry", DEFAULT_FAULT_REGISTRY).items()}
     lpd = _parse_pipeline(raw.get("lpd", {}), "lpd", clf.default_lpd_config(seed=seed))
-    cfd_raw = dict(raw.get("cfd", {}))
+    cfd_raw = dict(_object(raw.get("cfd", {}), "cfd"))
     default_raw = cfd_raw.pop("default", {})
     unknown_faults = set(cfd_raw) - set(registry)
     if unknown_faults:
@@ -143,10 +164,10 @@ def load_config(path: str | None, seed_override: int | None) -> CliConfig:
         base = _parse_pipeline(default_raw, "cfd.default", clf.default_cf_config(name, seed=seed))
         cfd[name] = _parse_pipeline(cfd_raw.get(name, {}), f"cfd.{name}", base)
     return CliConfig(
-        catalog_version=str(raw.get("catalog_version", "v1")),
+        catalog_version=raw.get("catalog_version", "v1"),
         seed=seed,
         fault_registry=registry,
-        link_profile=str(raw.get("link_profile", "default")),
+        link_profile=raw.get("link_profile", "default"),
         lpd=lpd,
         cfd=cfd,
     )

@@ -190,6 +190,8 @@ def scaler_from_dict(d: dict) -> ScalerParams | None:
     smax = np.asarray(d["max"], dtype=np.float64)
     if smin.ndim != 1 or smin.shape != smax.shape:
         raise TypeError("scaler min and max must be number lists of one length")
+    if not (np.isfinite(smin).all() and np.isfinite(smax).all()):
+        raise ValueError("scaler min and max must be finite")
     return ScalerParams(min=smin, max=smax, fitted_on=0) if smin.size else None
 
 
@@ -251,9 +253,22 @@ def read_artifact(path, what: str, parse):
 
 
 def parse_registry(registry: dict) -> dict[str, int]:
-    """A stored fault registry: fault name -> distinct integer index."""
+    """A stored fault registry: fault name -> distinct integer index, none
+    of them the healthy-client index."""
     indices = parse_indices(list(registry.values()), what="fault registry indices")
+    if HEALTHY_CLIENT in indices:
+        raise ValueError(f"fault registry index {HEALTHY_CLIENT} is reserved for the healthy client")
     return dict(zip((str(k) for k in registry), indices))
+
+
+def parse_integer(value, name: str, minimum: int | None = None) -> int:
+    """value if it is an integer (not a bool) of at least minimum; a float,
+    which int() would truncate, or any other value is a ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    return value
 
 
 def parse_indices(values, limit: int | None = None, what: str = "indices") -> tuple[int, ...]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, IoFailure
-from .preprocess import write_text
+from .preprocess import parse_integer, write_text
 from .rng import SplitMix64, derive_seed
 from .simulate import (
     HEALTHY_LINK,
@@ -151,11 +151,11 @@ def preset_paper_matrix(
     return out
 
 
-def _integer(value, name: str, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+def _plain_name(value) -> str:
+    """A scenario id, which names its trace files and its labels row: a
+    non-empty printable string with no leading '.' and no '/', '\\' or ','."""
+    if not isinstance(value, str) or not value.isprintable() or value[:1] in ("", ".") or set(value) & set("/\\,"):
+        raise ValueError(f"id {value!r} is not a plain name (empty, leading '.', '/', '\\', ',' or a control character)")
     return value
 
 
@@ -173,20 +173,18 @@ def scenario_from_json(path) -> list[Scenario]:
     try:
         link_kw = dict(raw.get("link", {}))
         client_kw = dict(raw.get("client", {}))
-        for key in ("read_buffer", "write_buffer", "seed"):
-            if key in client_kw:
-                _integer(client_kw[key], f"client.{key}")
         if "cwnd_growth_profile" in client_kw:
             client_kw["cwnd_growth_profile"] = CwndProfile(client_kw["cwnd_growth_profile"])
         link = LinkParams(**link_kw)
         client = ClientParams(**client_kw)
-        transfer_bytes = _integer(raw.get("bytes", DEFAULT_TRANSFER_BYTES), "bytes", minimum=1)
-        seed = _integer(raw.get("seed", 0), "seed")
+        transfer_bytes = parse_integer(raw.get("bytes", DEFAULT_TRANSFER_BYTES), "bytes", minimum=1)
+        seed = parse_integer(raw.get("seed", 0), "seed")
+        scenario_id = _plain_name(raw.get("id", "scenario_000"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return [
         Scenario(
-            id=str(raw.get("id", "scenario_000")),
+            id=scenario_id,
             link=link,
             client=client,
             transfer_bytes=transfer_bytes,

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .preprocess import parse_integer
 from .rng import derive_seed, keyed_uniform, uniform_stream
 from .trace import (
     SEQ_MOD,
@@ -107,8 +108,9 @@ class ClientParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.read_buffer <= 0 or self.write_buffer <= 0:
-            raise ValueError("buffers must be positive")
+        parse_integer(self.read_buffer, "client.read_buffer", minimum=1)
+        parse_integer(self.write_buffer, "client.write_buffer", minimum=1)
+        parse_integer(self.seed, "client.seed")
 
 
 @dataclass

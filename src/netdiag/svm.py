@@ -52,7 +52,7 @@ from .errors import (
     NonFiniteInput,
     SingleClassInput,
 )
-from .preprocess import ScalerParams, parse_indices, read_artifact, scaler_from_dict, scaler_to_dict
+from .preprocess import ScalerParams, parse_indices, parse_integer, scaler_from_dict, scaler_to_dict
 
 KERNEL_VARIANTS = ("linear", "quadratic", "cubic", "rbf")
 
@@ -465,24 +465,25 @@ def model_from_dict(d: dict) -> SvmModel:
     subset = parse_indices(d["feature_subset"], scaler.m if scaler is not None else None, "feature_subset")
     if len(subset) != support_vectors.shape[1]:
         raise ValueError(f"feature_subset has {len(subset)} indices for {support_vectors.shape[1]} support-vector columns")
+    # The writer refuses non-finite numbers, so one here is corruption; it
+    # would make decision values NaN, which reads as class -1.
+    C, bias = float(d["C"]), float(d["bias"])
+    if not all(np.isfinite(a).all() for a in (C, bias, dual_coef, support_vectors)):
+        raise ValueError("C, bias, dual_coef and support_vectors must be finite")
     return SvmModel(
         kernel=KernelSpec(d["kernel"]["variant"], d["kernel"].get("sigma")),
-        C=float(d["C"]),
-        bias=float(d["bias"]),
+        C=C,
+        bias=bias,
         dual_coef=dual_coef,
         support_vectors=support_vectors,
         feature_subset=subset,
         scaler=scaler,
         catalog_version=d["catalog_version"],
         training_meta=TrainingMeta(
-            n=int(meta["n"]),
-            iterations_used=int(meta["iterations_used"]),
+            n=parse_integer(meta["n"], "training_meta.n", 0),
+            iterations_used=parse_integer(meta["iterations_used"], "training_meta.iterations_used", 0),
             final_kkt_residual=float(meta["final_kkt_residual"]),
             converged=bool(meta["converged"]),
-            updates=int(meta.get("updates", 0)),
+            updates=parse_integer(meta.get("updates", 0), "training_meta.updates", 0),
         ),
     )
-
-
-def load_model(path) -> SvmModel:
-    return read_artifact(path, "model", model_from_dict)

@@ -405,6 +405,7 @@ class TestBundle:
         save_bundle(tmp_path / "bundle", lpd, cfd, catalog.version)
         lpd2, cfd2, version = load_bundle(tmp_path / "bundle")
         assert version == catalog.version
+        assert sorted(p.name for p in (tmp_path / "bundle").iterdir()) == ["cfd.json", "lpd.json"]
         assert json.dumps(model_to_dict(lpd2.model), sort_keys=True) == json.dumps(
             model_to_dict(lpd.model), sort_keys=True
         )
@@ -440,29 +441,26 @@ class TestBundle:
         db = client_db()
         net = train_cfd(db, cf_configs())
         save_cfd_part(tmp_path / "partial", net, "v1")
-        from netdiag.errors import IoFailure
-
-        with pytest.raises(IoFailure):
+        with pytest.raises(IoFailure, match="lpd.json"):
             load_bundle(tmp_path / "partial")
 
-    def test_corrupt_registry_rejected_on_update(self, tmp_path):
+    def test_corrupt_other_stage_rejected_on_update(self, tmp_path):
         net = train_cfd(client_db(), cf_configs())
         bundle = tmp_path / "bundle"
         bundle.mkdir()
-        (bundle / "registry.json").write_text("{", encoding="utf-8")
-        with pytest.raises(IoFailure, match="registry.json"):
+        (bundle / "lpd.json").write_text("{", encoding="utf-8")
+        with pytest.raises(IoFailure, match="lpd.json"):
             save_cfd_part(bundle, net, "v1")
+        assert sorted(p.name for p in bundle.iterdir()) == ["lpd.json"]
 
     def test_refused_save_leaves_stage_in_place(self, tmp_path):
-        net = train_cfd(client_db(), cf_configs())
         bundle = tmp_path / "bundle"
-        save_cfd_part(bundle, net, "v1")
-        marker = bundle / "cfd" / "marker"
-        marker.write_text("old stage", encoding="utf-8")
+        save_cfd_part(bundle, train_cfd(client_db(), cf_configs()), "v1")
+        before = (bundle / "cfd.json").read_bytes()
         with pytest.raises(CatalogMismatch):
-            save_cfd_part(bundle, net, "v2")
-        assert marker.read_text(encoding="utf-8") == "old stage"
-        assert sorted(p.name for p in bundle.iterdir()) == ["cfd", "registry.json"]
+            save_lpd_part(bundle, train_lpd(link_db(), LPD_CFG), "v2")
+        assert (bundle / "cfd.json").read_bytes() == before
+        assert sorted(p.name for p in bundle.iterdir()) == ["cfd.json"]
 
     def test_nan_model_refused_stage_in_place(self, tmp_path):
         from dataclasses import replace
@@ -470,51 +468,67 @@ class TestBundle:
         net = train_cfd(client_db(), cf_configs())
         bundle = tmp_path / "bundle"
         save_cfd_part(bundle, net, "v1")
-        before = {p: p.read_bytes() for p in bundle.rglob("*") if p.is_file()}
+        before = (bundle / "cfd.json").read_bytes()
         bad = replace(net.modules[0], model=replace(net.modules[0].model, bias=float("nan")))
-        with pytest.raises(NonFiniteInput, match=f"{bad.fault_name}.model.json"):
+        with pytest.raises(NonFiniteInput, match="cfd.json"):
             save_cfd_part(bundle, replace(net, modules=(bad, *net.modules[1:])), "v1")
-        assert {p: p.read_bytes() for p in bundle.rglob("*") if p.is_file()} == before
-        assert sorted(p.name for p in bundle.iterdir()) == ["cfd", "registry.json"]
+        assert (bundle / "cfd.json").read_bytes() == before
+        assert sorted(p.name for p in bundle.iterdir()) == ["cfd.json"]
 
     @pytest.mark.parametrize("how", ["write", "replace"])
-    def test_failed_registry_write_keeps_old_registry(self, tmp_path, break_writes, how):
+    @pytest.mark.parametrize("stage", ["lpd", "cfd"])
+    def test_failed_stage_write_keeps_old_stage(self, tmp_path, break_writes, stage, how):
         bundle = tmp_path / "bundle"
-        save_cfd_part(bundle, train_cfd(client_db(), cf_configs()), "v1")
-        registry = bundle / "registry.json"
-        before = registry.read_bytes()
-        break_writes("registry.json", how)
-        with pytest.raises(IoFailure, match="registry.json"):
-            save_lpd_part(bundle, train_lpd(link_db(), LPD_CFG), "v1")
-        assert registry.read_bytes() == before
-        assert "lpd_profile" not in json.loads(before)
-        assert not [p.name for p in bundle.iterdir() if p.name.startswith(".")]
+        save_bundle(bundle, train_lpd(link_db(), LPD_CFG), train_cfd(client_db(), cf_configs()), "v1")
+        before = {p.name: p.read_bytes() for p in bundle.iterdir()}
+        break_writes(f"{stage}.json", how)
+        with pytest.raises(IoFailure, match=f"{stage}.json"):
+            if stage == "lpd":
+                save_lpd_part(bundle, train_lpd(link_db(seed=1), LPD_CFG, link_profile="b"), "v1")
+            else:
+                save_cfd_part(bundle, train_cfd(client_db(seed=1), cf_configs()), "v1")
+        assert {p.name: p.read_bytes() for p in bundle.iterdir()} == before
 
     @pytest.mark.parametrize("crash", [False, True], ids=["error", "crash"])
-    def test_each_failed_step_leaves_old_or_new_bundle(self, tmp_path, fail_step, crash):
+    @pytest.mark.parametrize("stage", ["lpd", "cfd"])
+    def test_each_failed_step_leaves_old_or_new_bundle(self, tmp_path, fail_step, stage, crash):
+        # Each save changes a field stored beside the models: the link
+        # profile, or the fault registry (one fault fewer).
         import shutil
 
         from conftest import Crash
 
-        def cfd_dicts(net):
-            return {m.fault_name: model_to_dict(m.model) for m in net.modules}
+        def snapshot(bundle):
+            lpd, cfd, _ = load_bundle(bundle)
+            if stage == "lpd":
+                return lpd.link_profile, model_to_dict(lpd.model)
+            return cfd.fault_registry, {m.fault_name: model_to_dict(m.model) for m in cfd.modules}
 
         template = tmp_path / "template"
-        old_cfd, new_cfd = train_cfd(client_db(seed=0), cf_configs()), train_cfd(client_db(seed=1), cf_configs())
-        save_bundle(template, train_lpd(link_db(), LPD_CFG), old_cfd, "v1")
-        old, new = cfd_dicts(old_cfd), cfd_dicts(new_cfd)
-        assert old != new
+        save_bundle(template, train_lpd(link_db(), LPD_CFG, link_profile="a"), train_cfd(client_db(), cf_configs()), "v1")
+        if stage == "lpd":
+            new_lpd = train_lpd(link_db(seed=1), LPD_CFG, link_profile="b")
+            save = lambda bundle: save_lpd_part(bundle, new_lpd, "v1")  # noqa: E731
+        else:
+            registry = {k: v for k, v in DEFAULT_FAULT_REGISTRY.items() if k != "write_buf"}
+            new_cfd = train_cfd(replace(client_db(seed=1), fault_registry=registry), cf_configs())
+            save = lambda bundle: save_cfd_part(bundle, new_cfd, "v1")  # noqa: E731
+        old = snapshot(template)
+        shutil.copytree(template, tmp_path / "expected")
+        save(tmp_path / "expected")
+        new = snapshot(tmp_path / "expected")
+        assert old[0] != new[0] and old[1] != new[1]
         k = 0
         while True:
             bundle = tmp_path / f"bundle{k}"
             shutil.copytree(template, bundle)
             with fail_step(k, crash) as steps:
                 try:
-                    save_cfd_part(bundle, new_cfd, "v1")
+                    save(bundle)
                     failed = False
                 except (IoFailure, OSError, Crash):
                     failed = True
-            loaded = cfd_dicts(load_bundle(bundle)[1])
+            loaded = snapshot(bundle)
             assert loaded in (old, new), f"step {k} of {steps}"
             if not failed:  # no step k, or its failure was handled
                 assert loaded == new
@@ -522,12 +536,9 @@ class TestBundle:
                     break
             elif not crash:
                 assert loaded == old, f"step {k} of {steps}"
-            # The next save finishes the swap and deletes the temporary files
-            # that a crash left behind.
-            save_cfd_part(bundle, new_cfd, "v1")
-            assert cfd_dicts(load_bundle(bundle)[1]) == new
-            left = [p.name for p in bundle.iterdir() if p.name.startswith(".")]
-            assert not left
+            # The next save deletes the temporary file that a crash left.
+            save(bundle)
+            assert snapshot(bundle) == new
+            assert sorted(p.name for p in bundle.iterdir()) == ["cfd.json", "lpd.json"]
             k += 1
-        assert {"mkdir", "open", "replace", "rename", "rmtree"} <= set(steps)
-
+        assert set(steps) == {"mkdir", "open", "replace"}

@@ -1,12 +1,16 @@
 """Operator CLI: solver telemetry from train, typed errors from corrupt bundles."""
 
+import functools
 import json
+import operator
 import shutil
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from io import StringIO
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from synthetic import ClassArtifactSpec, synthetic_database
 
 from netdiag.cli import main
@@ -98,75 +102,99 @@ def test_intact_bundle_diagnoses(trained):
     assert json.loads(out)["link"] in ("healthy", "faulty")
 
 
-# file in the bundle -> a key whose loss or retyping makes it malformed
-KEYS = {
-    "registry.json": "fault_registry",
-    "lpd/default.model.json": "dual_coef",
-    "lpd/default.selection.json": "chosen_indices",
+# part of a bundle -> (its stage file, the keys that lead to the part's
+# JSON object there, a key whose loss or retyping makes it malformed).  The
+# ids are the file names the parts had when each stage was a directory and
+# the registry a file of its own, so results compare across versions.
+PARTS = {
+    "registry.json": ("cfd.json", (), "fault_registry"),
+    "lpd/default.model.json": ("lpd.json", ("model",), "dual_coef"),
+    "lpd/default.selection.json": ("lpd.json", ("selection",), "chosen_indices"),
+    "cfd/read_buf.model.json": ("cfd.json", ("modules", "read_buf", "model"), "dual_coef"),
+    "cfd/read_buf.selection.json": ("cfd.json", ("modules", "read_buf", "selection"), "chosen_indices"),
 }
 
 
-def _corrupt(text: str, how: str, key: str) -> str:
-    if how == "truncated":
-        return text[: len(text) // 2]
-    payload = json.loads(text)
-    if how == "missing_key":
-        del payload[key]
-    else:
-        payload[key] = "x"
-    return json.dumps(payload)
+def _edit_part(name: str, edit):
+    """A corruption of the stage file holding part `name`: the file's text
+    with edit(part) applied to the parsed part."""
+
+    def corrupt(text):
+        payload = json.loads(text)
+        edit(functools.reduce(operator.getitem, PARTS[name][1], payload))
+        return json.dumps(payload)
+
+    return corrupt
+
+
+def _truncate_part(name: str):
+    """A corruption that cuts the stage file in the middle of part `name`."""
+
+    def corrupt(text):
+        part = json.dumps(functools.reduce(operator.getitem, PARTS[name][1], json.loads(text)), sort_keys=True)
+        return text[: text.index(part) + len(part) // 2]
+
+    return corrupt
 
 
 def _diagnose_corrupted(trained, tmp_path, name: str, corrupt):
-    """Exit code, stderr and file path of a diagnose run on a copy of the
-    bundle whose file `name` holds corrupt(its text)."""
+    """Exit code, stderr and stage file of a diagnose run on a copy of the
+    bundle whose stage file holding part `name` has text corrupt(its text)."""
     bundle, _, down, up = trained
     copy = tmp_path / "bundle"
     shutil.copytree(bundle, copy)
-    target = copy / name
+    target = copy / PARTS[name][0]
     target.write_text(corrupt(target.read_text(encoding="utf-8")), encoding="utf-8")
     code, _, err = _run("diagnose", "--bundle", str(copy), "--down", str(down), "--up", str(up))
     return code, err, target
 
 
-@pytest.mark.parametrize("how", ["truncated", "missing_key", "wrong_type"])
-@pytest.mark.parametrize("name", sorted(KEYS))
-def test_corrupt_bundle_file_exits_2_naming_it(trained, tmp_path, name, how):
-    code, err, target = _diagnose_corrupted(trained, tmp_path, name, lambda text: _corrupt(text, how, KEYS[name]))
+def _check_names_part(code, err, target, name: str, how: str = ""):
     assert code == 2
     assert "Traceback" not in err
     assert str(target) in err
+    if name.startswith("cfd/") and how != "truncated":
+        assert "module 'read_buf'" in err
+
+
+@pytest.mark.parametrize("how", ["truncated", "missing_key", "wrong_type"])
+@pytest.mark.parametrize("name", sorted(PARTS))
+def test_corrupt_bundle_file_exits_2_naming_it(trained, tmp_path, name, how):
+    key = PARTS[name][2]
+    corrupt = {
+        "truncated": _truncate_part(name),
+        "missing_key": _edit_part(name, lambda part: part.pop(key)),
+        "wrong_type": _edit_part(name, lambda part: part.update({key: "x"})),
+    }[how]
+    code, err, target = _diagnose_corrupted(trained, tmp_path, name, corrupt)
+    _check_names_part(code, err, target, name, how)
 
 
 def _set_last_index(model, value):
     model["feature_subset"][-1] = value
 
 
-# model-file corruption -> edit of the parsed payload; each leaves valid JSON
+# model corruption -> edit of the parsed model; each leaves valid JSON
 MODEL_EDITS = {
     "subset_index_past_scaler": lambda model: _set_last_index(model, 999),
     "subset_index_negative": lambda model: _set_last_index(model, -1),
     "subset_index_duplicate": lambda model: _set_last_index(model, model["feature_subset"][0]),
     "subset_shorter_than_vectors": lambda model: model["feature_subset"].pop(),
     "scaler_max_short": lambda model: model["scaler"]["max"].pop(),
+    "meta_count_infinite": lambda model: model["training_meta"].update(n=float("inf")),
+    "support_vector_infinite": lambda model: model["support_vectors"][0].__setitem__(0, float("inf")),
+    "scaler_min_infinite": lambda model: model["scaler"]["min"].__setitem__(0, float("-inf")),
 }
 
 
 @pytest.mark.parametrize("how", sorted(MODEL_EDITS))
 @pytest.mark.parametrize("name", ["lpd/default.model.json", "cfd/read_buf.model.json"])
 def test_malformed_model_exits_2_naming_it(trained, tmp_path, name, how):
-    def corrupt(text):
-        model = json.loads(text)
-        MODEL_EDITS[how](model)
-        return json.dumps(model)
-
-    code, err, target = _diagnose_corrupted(trained, tmp_path, name, corrupt)
-    assert code == 2
-    assert "Traceback" not in err
-    assert str(target) in err
+    code, err, target = _diagnose_corrupted(trained, tmp_path, name, _edit_part(name, MODEL_EDITS[how]))
+    _check_names_part(code, err, target, name)
 
 
-# selection-file corruption -> edit of the parsed payload that int() would
+# selection corruption -> edit of the parsed selection that int() would
 # have truncated into a plausible selection
 SELECTION_EDITS = {
     "fractional_and_bool_indices": lambda sel: sel.update(chosen_indices=[0.9, True] + sel["chosen_indices"][2:]),
@@ -178,15 +206,8 @@ SELECTION_EDITS = {
 @pytest.mark.parametrize("how", sorted(SELECTION_EDITS))
 @pytest.mark.parametrize("name", ["lpd/default.selection.json", "cfd/read_buf.selection.json"])
 def test_malformed_selection_exits_2_naming_it(trained, tmp_path, name, how):
-    def corrupt(text):
-        selection = json.loads(text)
-        SELECTION_EDITS[how](selection)
-        return json.dumps(selection)
-
-    code, err, target = _diagnose_corrupted(trained, tmp_path, name, corrupt)
-    assert code == 2
-    assert "Traceback" not in err
-    assert str(target) in err
+    code, err, target = _diagnose_corrupted(trained, tmp_path, name, _edit_part(name, SELECTION_EDITS[how]))
+    _check_names_part(code, err, target, name)
 
 
 def _corrupt_database(csv_path, how: str):
@@ -334,3 +355,128 @@ def test_malformed_scenario_exits_2(tmp_path, text, named):
     code, _, err = _run("synth", "--scenario", str(path), "--out", str(tmp_path / "out"))
     assert code == 2 and "Traceback" not in err
     assert err.startswith("error:") and named in err
+
+
+def test_old_layout_bundle_exits_2_naming_lpd_json(trained, tmp_path):
+    # The same stages in the layout of one directory per stage plus registry.json.
+    bundle, _, down, up = trained
+    lpd, cfd = (json.loads((bundle / f"{stage}.json").read_text(encoding="utf-8")) for stage in ("lpd", "cfd"))
+    old = tmp_path / "old"
+    for stage, parts in (("lpd", {lpd["link_profile"]: lpd}), ("cfd", cfd["modules"])):
+        (old / stage).mkdir(parents=True)
+        for name, part in parts.items():
+            for kind in ("model", "selection"):
+                (old / stage / f"{name}.{kind}.json").write_text(json.dumps(part[kind]), encoding="utf-8")
+    registry = {"catalog_version": lpd["catalog_version"], "lpd_profile": lpd["link_profile"],
+                "fault_registry": cfd["fault_registry"]}
+    (old / "registry.json").write_text(json.dumps(registry), encoding="utf-8")
+    code, _, err = _run("diagnose", "--bundle", str(old), "--down", str(down), "--up", str(up))
+    assert code == 2 and "Traceback" not in err
+    assert "lpd.json" in err
+
+
+def test_mixed_catalog_stage_files_exit_4(trained, tmp_path):
+    bundle, _, down, up = trained
+    copy = tmp_path / "bundle"
+    shutil.copytree(bundle, copy)
+    cfd = json.loads((copy / "cfd.json").read_text(encoding="utf-8"))
+    (copy / "cfd.json").write_text(json.dumps(dict(cfd, catalog_version="v0")), encoding="utf-8")
+    code, _, err = _run("diagnose", "--bundle", str(copy), "--down", str(down), "--up", str(up))
+    assert code == 4 and "Traceback" not in err
+    assert "mixes catalogs" in err
+
+
+def test_link_profile_names_no_file(tmp_path):
+    link, _ = _databases(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text('{"link_profile": "../../esc"}', encoding="utf-8")
+    out = tmp_path / "out" / "bundle"
+    code, _, err = _run("train", "--config", str(config), "--db", str(link), "--stage", "lpd", "--out", str(out))
+    assert code == 0, err
+    assert not list(tmp_path.rglob("esc*"))
+    assert [p.name for p in out.iterdir()] == ["lpd.json"]
+    assert json.loads((out / "lpd.json").read_text(encoding="utf-8"))["link_profile"] == "../../esc"
+
+
+# Each text once gave a traceback (exit 1) or was silently read as another value.
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ('{"seed": "x"}', "seed"),
+        ('{"seed": 1.7}', "seed"),
+        ("[]", "JSON object"),
+        ('{"fault_registry": {"a": "x"}}', "fault registry"),
+        ('{"fault_registry": ["a"]}', "fault_registry"),
+        ('{"fault_registry": {"read_buf": 0}}', "reserved"),
+        ('{"link_profile": 5}', "link_profile"),
+        ('{"lpd": []}', "lpd"),
+        ('{"lpd": {"kernel": 3}}', "lpd.kernel"),
+        ('{"lpd": {"cv_folds": 2.5}}', "cv_folds"),
+        ('{"lpd": {"max_iter": true}}', "max_iter"),
+        ('{"lpd": {"C": "10"}}', "C"),
+        ('{"lpd": {"tol": true}}', "tol"),
+        ('{"cfd": {"default": {"fp_penalty": NaN}}}', "fp_penalty"),
+        ('{"cfd": {"default": 3}}', "cfd.default"),
+        ('{"cfd": {"default": {"candidate_sizes": [true]}}}', "candidate_sizes"),
+    ],
+)
+def test_malformed_config_exits_2(tmp_path, text, named):
+    config = tmp_path / "config.json"
+    config.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    code, _, err = _run("synth", "--config", str(config), "--preset", "healthy", "--bytes", "20000", "--out", str(out))
+    assert code == 2 and "Traceback" not in err
+    assert err.startswith("error:") and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario_id", ["", ".", "..", ".hidden", "../x", "a/b", "a\\b", "a,b", "a\nb"])
+def test_scenario_id_must_be_a_plain_name(tmp_path, scenario_id):
+    path = tmp_path / "scenario.json"
+    scenario = {"link": {"bandwidth": 1e6, "one_way_delay": 0.01}, "bytes": 20000, "id": scenario_id}
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    code, _, err = _run("synth", "--scenario", str(path), "--out", str(tmp_path / "sc" / "out"))
+    assert code == 2 and "Traceback" not in err
+    assert err.startswith("error:") and "plain name" in err
+    assert [p.name for p in tmp_path.rglob("*")] == ["scenario.json"]
+
+
+_FUZZ = "<fuzz>"
+FUZZ_VALUES = ["1e999", "true", "null", '"x"', "[]", "{}", "-1"]
+
+
+def _node_paths(node, path=()):
+    """The path to every node of a parsed JSON document, where a list
+    stands for its first and last items."""
+    yield path
+    if isinstance(node, dict):
+        for key in sorted(node):
+            yield from _node_paths(node[key], path + (key,))
+    elif isinstance(node, list) and node:
+        for i in sorted({0, len(node) - 1}):
+            yield from _node_paths(node[i], path + (i,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzzed_bundle_exits_with_a_documented_code(trained, data):
+    """A stage file cut at any offset, or with any JSON node replaced,
+    gives a verdict or a typed error: never a traceback."""
+    bundle, _, down, up = trained
+    texts = {name: (bundle / name).read_text(encoding="utf-8") for name in ("lpd.json", "cfd.json")}
+    if data.draw(st.integers(0, 3), label="truncate unless") == 0:
+        name = data.draw(st.sampled_from(sorted(texts)), label="stage file")
+        texts[name] = texts[name][: data.draw(st.integers(0, len(texts[name]) - 1), label="offset")]
+    else:
+        docs = {name: {"": json.loads(text)} for name, text in texts.items()}
+        targets = [(name, ("",) + path) for name in sorted(docs) for path in _node_paths(docs[name][""])]
+        name, path = data.draw(st.sampled_from(targets), label="node")
+        functools.reduce(operator.getitem, path[:-1], docs[name])[path[-1]] = _FUZZ
+        texts[name] = json.dumps(docs[name][""]).replace(json.dumps(_FUZZ), data.draw(st.sampled_from(FUZZ_VALUES)))
+    work = bundle.parent / "fuzzed"
+    work.mkdir(exist_ok=True)
+    for file_name, text in texts.items():
+        (work / file_name).write_text(text, encoding="utf-8")
+    code, _, err = _run("diagnose", "--bundle", str(work), "--down", str(down), "--up", str(up))
+    assert code in (0, 2, 4, 10, 20), err
+    assert "Traceback" not in err

@@ -211,6 +211,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             simulate_flow(HEALTHY_LINK, ClientParams(), 0, seed=1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("read_buffer", 1.5), ("read_buffer", True), ("write_buffer", 2048.0), ("write_buffer", -1), ("seed", 0.5)],
+    )
+    def test_client_integers_are_strict(self, field, value):
+        # A fractional read_buffer used to end the simulation in a
+        # conservation error, and a bool passed as buffer size 1.
+        with pytest.raises(ValueError, match=f"client.{field}"):
+            ClientParams(**{field: value})
+
     def test_trace_invariants_hold(self):
         pair = simulate_flow(
             LinkParams(bandwidth=80e6, one_way_delay=0.01, loss_rate=0.06),

@@ -1,6 +1,7 @@
 """SVM core: kernels, ridge Gram, dual solver, decision function."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from qp_reference import closed_form_kernel, reference_decision_function, solve_
 from wss2_reference import solve_dual_reference
 
 from netdiag.errors import DimensionMismatch, IoFailure, NonFiniteInput, SingleClassInput
-from netdiag.preprocess import write_artifact
+from netdiag.preprocess import read_artifact, write_artifact
 from netdiag.svm import (
     KERNEL_VARIANTS,
     KernelSpec,
@@ -18,7 +19,6 @@ from netdiag.svm import (
     decision_value,
     gram_matrix,
     kernel_matrix,
-    load_model,
     model_from_dict,
     model_to_dict,
     solve_dual,
@@ -37,6 +37,10 @@ def classify(model, x) -> int:
 
 def save_model(model, path) -> None:
     write_artifact(path, model_to_dict(model))
+
+
+def load_model(path):
+    return read_artifact(path, "model", model_from_dict)
 
 
 def kkt_satisfied(X, y, alpha, bias, kernel, C, tol):
@@ -458,10 +462,11 @@ class TestPersistence:
             lambda text: json.dumps(dict(json.loads(text), feature_subset=[-1])),
             lambda text: json.dumps(dict(json.loads(text), feature_subset=[0, 1])),
             lambda text: json.dumps(dict(json.loads(text), feature_subset=[0.5])),
+            lambda text: re.sub(r'"n": \d+', '"n": 1e999', text),
         ],
         ids=[
             "truncated", "missing_key", "wrong_type", "wrong_container",
-            "negative_index", "index_per_column", "fractional_index",
+            "negative_index", "index_per_column", "fractional_index", "infinite_count",
         ],
     )
     def test_malformed_file_is_io_failure(self, tmp_path, corrupt):
