@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import warnings
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -265,23 +264,10 @@ def train_lpd(
     db: SignatureDatabase,
     config: PipelineConfig,
     link_profile: str = "default",
-    client_tags=None,
 ) -> LpdClassifier:
-    """Full stage-one pipeline on a link-labeled preliminary database.
-
-    client_tags, when provided, is a per-row iterable of client-condition
-    names used only to warn when a link class lacks behavioral variety.
-    """
+    """Full stage-one pipeline on a link-labeled preliminary database."""
     if db.label_kind is not LabelKind.LINK:
         raise ConfigError("link classifier needs a link-labeled database")
-    if client_tags is not None:
-        tags = list(client_tags)
-        for cls in (+1, -1):
-            seen = {tags[i] for i in np.flatnonzero(db.y == cls)}
-            if len(seen) < 2:
-                warnings.warn(
-                    f"link class {cls:+d} was trained with a single client condition {seen or '{}'}"
-                )
     model, report = fit_pipeline(db, config)
     return LpdClassifier(model=model, selection=report, link_profile=link_profile)
 

@@ -393,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traces", required=True, help="directory of <id>.down.csv/<id>.up.csv")
     p.add_argument("--labels", default=None, help="labels.csv (default: <traces>/labels.csv)")
     p.add_argument("--kind", choices=["link", "client"], required=True)
-    p.add_argument("--out", required=True, help="output database CSV")
+    p.add_argument("--out", required=True, help="output database file")
     p.add_argument("--append", default=None, help="existing database to append to")
     p.set_defaults(func=cmd_extract)
 

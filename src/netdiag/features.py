@@ -9,6 +9,12 @@ can audit what the vector actually measured.
 Catalog "v1" computes 37 statistics for each of the two traces (74
 features).  All statistics use timestamps relative to the trace start,
 so signatures are invariant under time shift.
+
+Both traces are receiver captures (the download at the client, the
+upload at the server).  There a repair of a lost segment overlaps no byte
+already seen, so it counts as out of order, not as retransmitted:
+`*_retransmitted_packets` equals the simulator's
+`FlowStats.duplicate_arrivals`, the data segments that arrived twice.
 """
 
 from __future__ import annotations

@@ -6,9 +6,10 @@ and optimum (column subset chosen by feature selection).  The fitted
 scaler travels with every trained model so diagnosis-time vectors are
 mapped with the training extrema and clamped into [0, 1].
 
-On disk a database is a CSV (`f_<name>,...,label`) plus a JSON sidecar
-carrying stage, catalog version, scaler, selected feature indices and
-the fault registry.
+On disk a database is one JSON artifact file (see write_artifact) holding
+its stage, catalog version, scaler, selected feature indices, fault
+registry, feature names, rows `X` and labels `y`.  JSON writes each float
+with float.__repr__, so `X` reloads bit for bit.
 """
 
 from __future__ import annotations
@@ -177,8 +178,8 @@ def scale_database(db: SignatureDatabase, scaler: ScalerParams | None = None) ->
 
 
 def scaler_to_dict(scaler: ScalerParams | None) -> dict:
-    """JSON form of a scaler, as stored in model files and database
-    sidecars; no scaler is two empty lists."""
+    """JSON form of a scaler, as stored in model and database files; no
+    scaler is two empty lists."""
     if scaler is None:
         return {"min": [], "max": []}
     return {"min": scaler.min.tolist(), "max": scaler.max.tolist()}
@@ -196,23 +197,19 @@ def scaler_from_dict(d: dict) -> ScalerParams | None:
 
 
 def save_database(db: SignatureDatabase, path) -> None:
-    path = Path(path)
-    lines = [",".join([f"f_{n}" for n in db.feature_names] + ["label"])]
-    for i in range(db.n):
-        lines.append(",".join([repr(float(v)) for v in db.X[i]] + [str(int(db.y[i]))]))
-    sidecar = {
-        "stage": db.stage.value,
-        "catalog_version": db.catalog_version,
-        "scaler": scaler_to_dict(db.scaler),
-        "selected_features": list(db.selected_features) if db.selected_features else [],
-        "fault_registry": dict(db.fault_registry) if db.fault_registry else {},
-    }
-    write_artifact(sidecar_path(path), sidecar)
-    write_text(path, "\n".join(lines) + "\n")
-
-
-def sidecar_path(path) -> Path:
-    return Path(str(path) + ".meta.json")
+    write_artifact(
+        path,
+        {
+            "stage": db.stage.value,
+            "catalog_version": db.catalog_version,
+            "scaler": scaler_to_dict(db.scaler),
+            "selected_features": list(db.selected_features) if db.selected_features else [],
+            "fault_registry": dict(db.fault_registry) if db.fault_registry else {},
+            "feature_names": list(db.feature_names),
+            "X": db.X.tolist(),
+            "y": db.y.tolist(),
+        },
+    )
 
 
 def write_artifact(path, payload) -> None:
@@ -248,7 +245,7 @@ def read_artifact(path, what: str, parse):
         return parse(json.loads(Path(path).read_text(encoding="utf-8")))
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise IoFailure(f"malformed {what} file {path}: {exc!r}") from exc
 
 
@@ -285,55 +282,47 @@ def parse_indices(values, limit: int | None = None, what: str = "indices") -> tu
     return tuple(values)
 
 
-def _sidecar_from_dict(meta) -> dict:
-    """Sidecar fields with their types checked and the scaler rebuilt."""
+def _database_from_dict(d) -> SignatureDatabase:
+    """A stored database with every field's type checked and the scaler
+    rebuilt.  Labels must be integers (no bools or floats, which int64 would
+    truncate) of the database's kind, and X exactly one finite row of
+    len(feature_names) numbers per label."""
     for key, kind in (("stage", str), ("catalog_version", str), ("scaler", dict),
-                      ("selected_features", list), ("fault_registry", dict)):
-        if not isinstance(meta[key], kind):
-            raise TypeError(f"{key!r} is a {type(meta[key]).__name__}, not a {kind.__name__}")
-    scaler = scaler_from_dict(meta["scaler"])
-    limit = scaler.m if scaler is not None else None
-    return {
-        "stage": Stage(meta["stage"]),
-        "catalog_version": meta["catalog_version"],
-        "scaler": scaler,
-        "selected_features": parse_indices(meta["selected_features"], limit, "selected_features") or None,
-        "fault_registry": parse_registry(meta["fault_registry"]),
-    }
+                      ("selected_features", list), ("fault_registry", dict),
+                      ("feature_names", list), ("X", list), ("y", list)):
+        if not isinstance(d[key], kind):
+            raise TypeError(f"{key!r} is a {type(d[key]).__name__}, not a {kind.__name__}")
+    names, y = d["feature_names"], d["y"]
+    if not all(isinstance(name, str) for name in names):
+        raise TypeError("feature_names must be strings")
+    if not all(type(label) is int for label in y):
+        raise TypeError("labels y must be integers")
+    X = np.asarray(d["X"] or np.empty((0, len(names))), dtype=np.float64)
+    if X.shape != (len(y), len(names)):
+        raise ValueError(f"X of shape {X.shape} is not {len(y)} rows of {len(names)} features")
+    if not np.isfinite(X).all():
+        raise ValueError("X must be finite")
+    stage = Stage(d["stage"])
+    scaler = scaler_from_dict(d["scaler"])
+    selected = parse_indices(d["selected_features"], scaler.m if scaler is not None else None, "selected_features")
+    if stage is Stage.OPTIMUM and len(selected) != len(names):
+        raise ValueError(f"optimum database has {len(selected)} selected features for {len(names)} columns")
+    registry = parse_registry(d["fault_registry"])
+    known = {HEALTHY_CLIENT, *registry.values()} if registry else {LINK_FAULTY, LINK_HEALTHY}
+    if not known.issuperset(y):
+        raise ValueError(f"labels {sorted(set(y) - known)} are not among {sorted(known)}")
+    return SignatureDatabase(
+        stage=stage,
+        feature_names=tuple(names),
+        X=X,
+        y=np.asarray(y, dtype=np.int64),
+        label_kind=LabelKind.CLIENT if registry else LabelKind.LINK,
+        catalog_version=d["catalog_version"],
+        scaler=scaler,
+        selected_features=selected or None,
+        fault_registry=registry or None,
+    )
 
 
 def load_database(path) -> SignatureDatabase:
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-    meta = read_artifact(sidecar_path(path), "database sidecar", _sidecar_from_dict)
-    lines = [ln for ln in text.split("\n") if ln]
-    header = lines[0].split(",") if lines else []
-    if not header or header[-1] != "label" or not all(h.startswith("f_") for h in header[:-1]):
-        raise IoFailure(f"{path}: not a signature database CSV")
-    names = tuple(h[2:] for h in header[:-1])
-    X = np.empty((len(lines) - 1, len(names)), dtype=np.float64)
-    y = np.empty(len(lines) - 1, dtype=np.int64)
-    try:
-        for i, ln in enumerate(lines[1:]):
-            parts = ln.split(",")
-            if len(parts) != len(header):
-                raise ValueError(f"{len(parts)} fields, header has {len(header)}")
-            X[i] = [float(p) for p in parts[:-1]]
-            y[i] = int(parts[-1])
-    except ValueError as exc:
-        raise IoFailure(f"{path}: row {i + 1}: {exc}") from exc
-    registry = meta["fault_registry"]
-    return SignatureDatabase(
-        stage=meta["stage"],
-        feature_names=names,
-        X=X,
-        y=y,
-        label_kind=LabelKind.CLIENT if registry else LabelKind.LINK,
-        catalog_version=meta["catalog_version"],
-        scaler=meta["scaler"],
-        selected_features=meta["selected_features"],
-        fault_registry=registry or None,
-    )
+    return read_artifact(path, "database", _database_from_dict)

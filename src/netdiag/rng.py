@@ -22,7 +22,6 @@ form.
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
@@ -94,18 +93,9 @@ class SplitMix64:
     def uniform(self) -> float:
         return self.next_u64() / 2.0**64
 
-    def uniform_in(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.uniform()
-
     def randint(self, n: int) -> int:
         """Integer in [0, n).  Modulo bias is irrelevant at 64 bits."""
         return self.next_u64() % n
-
-    def normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
-        """Box-Muller transform on two uniform draws."""
-        u1 = max(self.uniform(), 1e-300)
-        u2 = self.uniform()
-        return mu + sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates."""

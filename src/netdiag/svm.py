@@ -43,6 +43,7 @@ values.  `solve_dual` is the one-problem case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,10 +66,12 @@ class KernelSpec:
     def __post_init__(self):
         if self.variant not in KERNEL_VARIANTS:
             raise ValueError(f"unknown kernel variant {self.variant!r}")
+        sigma = self.sigma
         if self.variant == "rbf":
-            if self.sigma is None or self.sigma <= 0:
-                raise ValueError("rbf kernel requires sigma > 0")
-        elif self.sigma is not None:
+            # A NaN width would make every decision value NaN, read as class -1.
+            if isinstance(sigma, bool) or not isinstance(sigma, (int, float)) or not 0 < sigma < math.inf:
+                raise ValueError(f"rbf kernel requires a finite sigma > 0, got {sigma!r}")
+        elif sigma is not None:
             raise ValueError(f"{self.variant} kernel takes no sigma")
 
 
@@ -465,6 +468,8 @@ def model_from_dict(d: dict) -> SvmModel:
     subset = parse_indices(d["feature_subset"], scaler.m if scaler is not None else None, "feature_subset")
     if len(subset) != support_vectors.shape[1]:
         raise ValueError(f"feature_subset has {len(subset)} indices for {support_vectors.shape[1]} support-vector columns")
+    if not isinstance(d["catalog_version"], str):
+        raise TypeError(f"catalog_version must be a string, got {d['catalog_version']!r}")
     # The writer refuses non-finite numbers, so one here is corruption; it
     # would make decision values NaN, which reads as class -1.
     C, bias = float(d["C"]), float(d["bias"])

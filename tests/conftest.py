@@ -35,7 +35,7 @@ def break_writes(monkeypatch):
 
             def failing_open(path, *args, **kwargs):
                 f = real_open(path, *args, **kwargs)
-                return HalfWriter(f) if Path(path).name.startswith(f".{name}.") else f
+                return HalfWriter(f) if Path(path).name.rsplit(".", 2)[0] == f".{name}" else f
 
             monkeypatch.setattr(preprocess, "open", failing_open, raising=False)
         else:

@@ -9,6 +9,7 @@ statistics - without running the flow simulator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,13 +44,24 @@ class ClassArtifactSpec:
         return replace(self, informative=moved)
 
 
+def _uniform_in(rng: SplitMix64, lo: float, hi: float) -> float:
+    return lo + (hi - lo) * rng.uniform()
+
+
+def _normal(rng: SplitMix64, mu: float, sigma: float) -> float:
+    """Box-Muller transform on two uniform draws."""
+    u1 = max(rng.uniform(), 1e-300)
+    u2 = rng.uniform()
+    return mu + sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
 def generate_synthetic_signature(spec: ClassArtifactSpec, seed: int) -> Signature:
     rng = SplitMix64(seed)
     values = np.empty(spec.m, dtype=np.float64)
     for i in range(spec.m):
-        values[i] = rng.uniform_in(spec.noise_low, spec.noise_high)
+        values[i] = _uniform_in(rng, spec.noise_low, spec.noise_high)
     for i, target in spec.informative:
-        values[i] = target + (rng.normal(0.0, spec.jitter) if spec.jitter > 0 else 0.0)
+        values[i] = target + (_normal(rng, 0.0, spec.jitter) if spec.jitter > 0 else 0.0)
     np.clip(values, 0.0, VALUE_CLIP, out=values)
     return Signature(values=values, label=spec.label, catalog_version=f"synthetic-m{spec.m}")
 

@@ -103,12 +103,6 @@ class TestTrainLpd:
         with pytest.raises((SingleClassInput, MissingClass)):
             train_lpd(bad, LPD_CFG)
 
-    def test_diversity_warning(self):
-        db = link_db(n_per_class=10)
-        tags = ["healthy"] * 10 + ["healthy"] * 10
-        with pytest.warns(UserWarning):
-            train_lpd(db, LPD_CFG, client_tags=tags)
-
     def test_wrong_label_kind(self):
         with pytest.raises(ConfigError):
             train_lpd(client_db(), LPD_CFG)

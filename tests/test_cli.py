@@ -47,7 +47,7 @@ def _databases(tmp):
     )
     paths = []
     for name, db in (("link", link), ("client", client)):
-        path = tmp / f"{name}.csv"
+        path = tmp / f"{name}.json"
         save_database(replace(db, catalog_version=CATALOG.version), path)
         paths.append(path)
     return paths
@@ -184,6 +184,11 @@ MODEL_EDITS = {
     "meta_count_infinite": lambda model: model["training_meta"].update(n=float("inf")),
     "support_vector_infinite": lambda model: model["support_vectors"][0].__setitem__(0, float("inf")),
     "scaler_min_infinite": lambda model: model["scaler"]["min"].__setitem__(0, float("-inf")),
+    "catalog_negative": lambda model: model.update(catalog_version=-1),
+    "catalog_bool": lambda model: model.update(catalog_version=True),
+    "catalog_list": lambda model: model.update(catalog_version=[]),
+    "catalog_null": lambda model: model.update(catalog_version=None),
+    "kernel_sigma_nan": lambda model: model.update(kernel={"variant": "rbf", "sigma": float("nan")}),
 }
 
 
@@ -210,49 +215,58 @@ def test_malformed_selection_exits_2_naming_it(trained, tmp_path, name, how):
     _check_names_part(code, err, target, name)
 
 
-def _corrupt_database(csv_path, how: str):
-    """(path of the corrupted file, its new text) for one corruption of a saved database."""
-    sidecar = csv_path.with_name(csv_path.name + ".meta.json")
-    if how == "row_width":
-        lines = csv_path.read_text(encoding="utf-8").splitlines()
-        lines[2] = lines[2].rsplit(",", 3)[0]
-        return csv_path, "\n".join(lines) + "\n"
-    if how == "sidecar_truncated":
-        return sidecar, sidecar.read_text(encoding="utf-8")[:20]
-    meta = json.loads(sidecar.read_text(encoding="utf-8"))
-    if how == "sidecar_missing_key":
-        del meta["stage"]
-    elif how == "sidecar_wrong_type":
-        meta["fault_registry"] = ["read_buf"]
-    elif how == "sidecar_fractional_index":
-        meta["selected_features"] = [0.9, True, 3]
-    elif how == "sidecar_fractional_registry":
-        meta["fault_registry"]["read_buf"] = 3.5
-    else:
-        meta["scaler"] = {"min": [0.0], "max": [1.0, 2.0]}
-    return sidecar, json.dumps(meta)
+# database corruption -> edit of the parsed database file.  The ids are
+# the parts the edit hit when a database was a CSV plus a JSON sidecar.
+DATABASE_EDITS = {
+    "row_width": lambda db: db["X"][1].__delitem__(slice(-3, None)),
+    "sidecar_missing_key": lambda db: db.pop("stage"),
+    "sidecar_wrong_type": lambda db: db.update(fault_registry=["read_buf"]),
+    "sidecar_scaler_shape": lambda db: db.update(scaler={"min": [0.0], "max": [1.0, 2.0]}),
+    "sidecar_fractional_index": lambda db: db.update(selected_features=[0.9, True, 3]),
+    "sidecar_fractional_registry": lambda db: db["fault_registry"].update(read_buf=3.5),
+    "rows_missing": lambda db: db["X"].pop(),
+    "rows_not_a_list": lambda db: db.update(X="x"),
+    "cell_infinite": lambda db: db["X"][0].__setitem__(0, float("inf")),
+    "cell_huge_integer": lambda db: db["X"][0].__setitem__(0, 10**400),
+    "label_float": lambda db: db["y"].__setitem__(0, 1.5),
+    "label_bool": lambda db: db["y"].__setitem__(0, True),
+    "label_huge": lambda db: db["y"].__setitem__(0, 10**30),
+    "label_not_in_registry": lambda db: db["y"].__setitem__(0, 9),
+    "feature_name_not_a_string": lambda db: db["feature_names"].__setitem__(0, 7),
+    "optimum_without_selection": lambda db: db.update(stage="optimum"),
+}
 
 
-@pytest.mark.parametrize(
-    "how",
-    [
-        "row_width",
-        "sidecar_truncated",
-        "sidecar_missing_key",
-        "sidecar_wrong_type",
-        "sidecar_scaler_shape",
-        "sidecar_fractional_index",
-        "sidecar_fractional_registry",
-    ],
-)
+@pytest.mark.parametrize("how", ["sidecar_truncated", *DATABASE_EDITS])
 def test_corrupt_database_exits_2_naming_it(tmp_path, how):
     _, client = _databases(tmp_path)
-    target, text = _corrupt_database(client, how)
-    target.write_text(text, encoding="utf-8")
+    text = client.read_text(encoding="utf-8")
+    if how == "sidecar_truncated":
+        text = text[: len(text) // 2]
+    else:
+        stored = json.loads(text)
+        DATABASE_EDITS[how](stored)
+        text = json.dumps(stored)
+    client.write_text(text, encoding="utf-8")
     code, _, err = _run("train", "--db", str(client), "--stage", "cfd", "--out", str(tmp_path / "bundle"))
     assert code == 2
     assert "Traceback" not in err
-    assert str(target) in err
+    assert str(client) in err
+
+
+def test_old_csv_database_exits_2_naming_it(tmp_path):
+    # A database in the layout of a CSV of rows plus a JSON sidecar.
+    _, client = _databases(tmp_path)
+    stored = json.loads(client.read_text(encoding="utf-8"))
+    rows = [",".join([f"f_{n}" for n in stored["feature_names"]] + ["label"])]
+    rows += [",".join([repr(v) for v in x] + [str(label)]) for x, label in zip(stored["X"], stored["y"])]
+    client.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    meta = {key: stored[key] for key in ("stage", "catalog_version", "scaler", "selected_features", "fault_registry")}
+    client.with_name(client.name + ".meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    code, _, err = _run("train", "--db", str(client), "--stage", "cfd", "--out", str(tmp_path / "bundle"))
+    assert code == 2 and "Traceback" not in err
+    assert str(client) in err
+    assert not (tmp_path / "bundle").exists()
 
 
 @pytest.mark.parametrize("ts", ["nan", "inf", "-inf"])
@@ -415,6 +429,8 @@ def test_link_profile_names_no_file(tmp_path):
         ('{"lpd": {"max_iter": true}}', "max_iter"),
         ('{"lpd": {"C": "10"}}', "C"),
         ('{"lpd": {"tol": true}}', "tol"),
+        ('{"lpd": {"kernel": {"variant": "rbf", "sigma": true}}}', "sigma"),
+        ('{"lpd": {"kernel": {"variant": "rbf", "sigma": Infinity}}}', "sigma"),
         ('{"cfd": {"default": {"fp_penalty": NaN}}}', "fp_penalty"),
         ('{"cfd": {"default": 3}}', "cfd.default"),
         ('{"cfd": {"default": {"candidate_sizes": [true]}}}', "candidate_sizes"),

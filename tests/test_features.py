@@ -1,5 +1,7 @@
 """Signature extraction: per-statistic oracles and vector properties."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from netdiag.features import (
     extract_signature,
     extract_with_diagnostics,
 )
-from netdiag.simulate import HEALTHY_LINK, ClientParams, simulate_flow_with_stats
+from netdiag.simulate import HEALTHY_LINK, ClientParams, LinkParams, simulate_flow_with_stats
 from netdiag.trace import (
     CapturePoint,
     Direction,
@@ -336,3 +338,19 @@ class TestVectorProperties:
             "up_dup_ack_count",
         ):
             assert sig.values[names.index(name)] == 0.0
+
+    def test_retransmitted_packets_are_duplicate_arrivals(self):
+        # At a receiver capture a loss repair fills a hole, so it is out of
+        # order; only a segment that arrives twice is retransmitted.
+        names = default_catalog().feature_names
+        arrivals = repairs = 0
+        for loss, reorder, sack in itertools.product((0.0, 0.02, 0.08), (0.05, 0.2), (True, False)):
+            link = LinkParams(bandwidth=20e6, one_way_delay=0.01, loss_rate=loss, reorder_rate=reorder)
+            pair, stats = simulate_flow_with_stats(link, ClientParams(sack_enabled=sack, seed=3), 60_000, 7)
+            sig = extract_signature(pair, default_catalog())
+            for prefix, role in (("down", "download"), ("up", "upload")):
+                duplicates = stats[role].duplicate_arrivals
+                assert sig.values[names.index(f"{prefix}_retransmitted_packets")] == duplicates, (loss, reorder, sack, role)
+                arrivals += duplicates
+                repairs += stats[role].sender_retransmissions - duplicates
+        assert arrivals > 0 and repairs > 0

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from netdiag.errors import DimensionMismatch, NonFiniteInput, StageError, TooFewRows, UnknownLabel
+from netdiag.errors import DimensionMismatch, IoFailure, NonFiniteInput, StageError, TooFewRows, UnknownLabel
 from netdiag.preprocess import (
     DEFAULT_FAULT_REGISTRY,
     LabelKind,
@@ -143,47 +143,79 @@ class TestScalingInvariants:
                 assert np.all(Z[:, j] == 0.0)
 
 
+def assert_same_database(a: SignatureDatabase, b: SignatureDatabase) -> None:
+    """Every stored field equal, X bit for bit.  A scaler's fitted_on is
+    not stored."""
+    assert (a.stage, a.feature_names, a.label_kind, a.catalog_version) == (
+        b.stage, b.feature_names, b.label_kind, b.catalog_version)
+    assert (a.selected_features, a.fault_registry) == (b.selected_features, b.fault_registry)
+    assert a.X.dtype == b.X.dtype == np.float64 and a.X.shape == b.X.shape and a.X.tobytes() == b.X.tobytes()
+    assert a.y.dtype == b.y.dtype == np.int64 and np.array_equal(a.y, b.y)
+    assert (a.scaler is None) == (b.scaler is None)
+    if a.scaler is not None:
+        assert a.scaler.min.tobytes() == b.scaler.min.tobytes() and a.scaler.max.tobytes() == b.scaler.max.tobytes()
+
+
 class TestPersistence:
     def test_save_load_round_trip(self, tmp_path):
+        from netdiag.selection import project
+
         rng = np.random.default_rng(1)
         X = rng.normal(size=(6, 4)) * 1e5
-        db = db_from(X, [1, -1, 1, -1, 1, -1])
-        scaled = scale_database(db)
-        path = tmp_path / "db.csv"
-        save_database(scaled, path)
-        again = load_database(path)
-        assert again.stage is Stage.SCALED
-        assert again.feature_names == scaled.feature_names
-        assert np.array_equal(again.X, scaled.X)
-        assert np.array_equal(again.y, scaled.y)
-        assert np.array_equal(again.scaler.min, scaled.scaler.min)
-        assert again.catalog_version == "v1"
-        assert again.label_kind is LabelKind.LINK
+        X[0, 0], X[1, 1] = 5e-324, -0.0  # the smallest subnormal and a signed zero
+        prelim = db_from(X, [1, -1, 1, -1, 1, -1])
+        scaled = scale_database(prelim)
+        for db in (prelim, scaled, project(scaled, [3, 0]), db_from(np.empty((0, 4)), [])):
+            save_database(db, tmp_path / "db.json")
+            assert_same_database(load_database(tmp_path / "db.json"), db)
+        assert [p.name for p in tmp_path.iterdir()] == ["db.json"]
 
     def test_client_registry_round_trip(self, tmp_path):
         db = db_from([[1.0], [2.0]], [0, 3], kind=LabelKind.CLIENT, registry=dict(DEFAULT_FAULT_REGISTRY))
-        path = tmp_path / "db.csv"
+        path = tmp_path / "db.json"
         save_database(db, path)
         again = load_database(path)
+        assert_same_database(again, db)
         assert again.label_kind is LabelKind.CLIENT
-        assert again.fault_registry == DEFAULT_FAULT_REGISTRY
 
     def test_nan_scaler_refused_before_writing(self, tmp_path):
         db = scale_database(db_from([[1.0], [2.0]], [1, -1]))
         db = replace(db, scaler=replace(db.scaler, max=np.array([np.nan])))
-        with pytest.raises(NonFiniteInput, match="meta.json"):
-            save_database(db, tmp_path / "db.csv")
+        with pytest.raises(NonFiniteInput, match="db.json"):
+            save_database(db, tmp_path / "db.json")
         assert list(tmp_path.iterdir()) == []
 
-    def test_sidecar_schema(self, tmp_path):
+    def test_database_file_schema(self, tmp_path):
         import json
 
         db = db_from([[1.0], [2.0]], [1, -1])
-        save_database(db, tmp_path / "db.csv")
-        meta = json.loads((tmp_path / "db.csv.meta.json").read_text())
-        assert set(meta) == {"stage", "catalog_version", "scaler", "selected_features", "fault_registry"}
-        assert meta["scaler"] == {"min": [], "max": []}
-        assert meta["fault_registry"] == {}
+        save_database(db, tmp_path / "db.json")
+        assert [p.name for p in tmp_path.iterdir()] == ["db.json"]
+        stored = json.loads((tmp_path / "db.json").read_text())
+        assert stored == {
+            "stage": "preliminary",
+            "catalog_version": "v1",
+            "scaler": {"min": [], "max": []},
+            "selected_features": [],
+            "fault_registry": {},
+            "feature_names": ["s0"],
+            "X": [[1.0], [2.0]],
+            "y": [1, -1],
+        }
+
+    @pytest.mark.parametrize("how", ["write", "replace"])
+    def test_failed_save_keeps_old_database(self, tmp_path, break_writes, how):
+        # A client database saved over a link database changes every field
+        # the old layout kept apart: the rows and the fault registry.
+        old = scale_database(db_from([[1.0, 2.0], [2.0, 1.0], [3.0, 3.0]], [1, -1, 1]))
+        path = tmp_path / "db.json"
+        save_database(old, path)
+        new = db_from([[4.0, 5.0], [6.0, 7.0]], [0, 3], kind=LabelKind.CLIENT, registry=dict(DEFAULT_FAULT_REGISTRY))
+        break_writes("db.json", how)
+        with pytest.raises(IoFailure, match="db.json"):
+            save_database(new, path)
+        assert_same_database(load_database(path), old)
+        assert [p.name for p in tmp_path.iterdir()] == ["db.json"]
 
 
 class TestStoredIndices:
@@ -198,15 +230,12 @@ class TestStoredIndices:
         with pytest.raises((ValueError, TypeError)):
             parse_indices(values, limit=10)
 
-    def test_sidecar_fractional_index_is_io_failure(self, tmp_path):
+    def test_fractional_selected_index_is_io_failure(self, tmp_path):
         import json
 
-        from netdiag.errors import IoFailure
-
-        save_database(db_from([[1.0, 2.0], [2.0, 1.0]], [1, -1]), tmp_path / "db.csv")
-        sidecar = tmp_path / "db.csv.meta.json"
-        meta = json.loads(sidecar.read_text())
-        meta["selected_features"] = [0.9, True]
-        sidecar.write_text(json.dumps(meta))
-        with pytest.raises(IoFailure, match="db.csv.meta.json"):
-            load_database(tmp_path / "db.csv")
+        save_database(db_from([[1.0, 2.0], [2.0, 1.0]], [1, -1]), tmp_path / "db.json")
+        stored = json.loads((tmp_path / "db.json").read_text())
+        stored["selected_features"] = [0.9, True]
+        (tmp_path / "db.json").write_text(json.dumps(stored))
+        with pytest.raises(IoFailure, match="db.json"):
+            load_database(tmp_path / "db.json")
