@@ -61,7 +61,6 @@ class ScalerParams:
 
     min: np.ndarray
     max: np.ndarray
-    fitted_on: int
 
     def __post_init__(self):
         if self.min.shape != self.max.shape:
@@ -153,7 +152,7 @@ def fit_scaler(db: SignatureDatabase) -> ScalerParams:
         raise StageError(f"scaler must be fitted on a preliminary database, got {db.stage.value}")
     if db.n < 2:
         raise TooFewRows(f"need at least 2 rows to fit a scaler, got {db.n}")
-    return ScalerParams(min=db.X.min(axis=0), max=db.X.max(axis=0), fitted_on=db.n)
+    return ScalerParams(min=db.X.min(axis=0), max=db.X.max(axis=0))
 
 
 def apply_scaler(x: np.ndarray, s: ScalerParams) -> np.ndarray:
@@ -193,7 +192,7 @@ def scaler_from_dict(d: dict) -> ScalerParams | None:
         raise TypeError("scaler min and max must be number lists of one length")
     if not (np.isfinite(smin).all() and np.isfinite(smax).all()):
         raise ValueError("scaler min and max must be finite")
-    return ScalerParams(min=smin, max=smax, fitted_on=0) if smin.size else None
+    return ScalerParams(min=smin, max=smax) if smin.size else None
 
 
 def save_database(db: SignatureDatabase, path) -> None:

@@ -136,6 +136,9 @@ class _TransferSim:
     def __init__(self, link: LinkParams, client: ClientParams, transfer_bytes: int,
                  seed: int, transfer: TransferDirection):
         self.link = link
+        self.owd = link.one_way_delay
+        self.loss_rate = link.loss_rate
+        self.ser0 = self._ser(0)  # serialization time of a packet without payload
         self.client = client
         self.B = int(transfer_bytes)
         self.transfer = transfer
@@ -201,7 +204,7 @@ class _TransferSim:
         self.busy = [0.0, 0.0]  # link free time, by direction code
         self.heap: list = []
         self.tick = itertools.count()
-        self.captured: list[tuple] = []
+        self.captured: list[tuple] = []  # packets as PacketEvent field tuples, dir as a code
         self.done_events = 0
 
     # -- wire helpers -------------------------------------------------
@@ -209,17 +212,11 @@ class _TransferSim:
     def _ser(self, payload: int) -> float:
         return (payload + HEADER_BYTES) * 8.0 / self.link.bandwidth
 
-    def _push(self, t: float, handler, payload) -> None:
-        heapq.heappush(self.heap, (t, next(self.tick), handler, payload))
-
-    def _record(self, ts, direction, seq, ack, length, syn=0, fin=0, ackf=0, win=0, sack_cnt=0):
-        self.captured.append((ts, direction, seq, ack, length, syn, fin, 0, ackf, win, sack_cnt))
-
     # -- sender -------------------------------------------------------
 
     def _lost(self, k: int, attempt: int) -> bool:
         """Whether transmission `attempt` of segment k (k = n_segs: the FIN) is lost."""
-        return self.link.loss_rate > 0 and keyed_uniform(self.loss_seed, k, attempt) < self.link.loss_rate
+        return self.loss_rate > 0 and keyed_uniform(self.loss_seed, k, attempt) < self.loss_rate
 
     def _transmit(self, k: int, attempt: int, now: float) -> None:
         dep = max(now, self.busy[self.data_dir]) + self._ser(self.seg_end[k] - k * MSS)
@@ -228,10 +225,10 @@ class _TransferSim:
         if self._lost(k, attempt):
             self.stats.dropped_data_packets += 1
             return
-        arrive = dep + self.link.one_way_delay
+        arrive = dep + self.owd
         if self.link.reorder_rate > 0 and next(self.reorder) < self.link.reorder_rate:
             arrive += 0.001 + 3.0 * self._ser(MSS)
-        self._push(arrive, self._on_data, k)
+        heapq.heappush(self.heap, (arrive, next(self.tick), self._on_data, k))
 
     def _retransmit(self, k: int, now: float) -> None:
         # attempts are tracked per segment so loss draws stay keyed
@@ -241,10 +238,10 @@ class _TransferSim:
 
     def _send_fin(self, now: float) -> None:
         self.fin_sent = True
-        dep = max(now, self.busy[self.data_dir]) + self._ser(0)
+        dep = max(now, self.busy[self.data_dir]) + self.ser0
         self.busy[self.data_dir] = dep
         if not self._lost(self.n_segs, self.fin_attempts):
-            self._push(dep + self.link.one_way_delay, self._on_fin, None)
+            heapq.heappush(self.heap, (dep + self.owd, next(self.tick), self._on_fin, None))
         self.fin_attempts += 1
         self._arm_timer(now)
 
@@ -255,7 +252,7 @@ class _TransferSim:
         self.rto_deadline = deadline = now + self.rto * self.backoff
         if self.timer_at is None or deadline < self.timer_at:
             self.timer_at = deadline
-            self._push(deadline, self._on_rto, None)
+            heapq.heappush(self.heap, (deadline, next(self.tick), self._on_rto, None))
 
     def _try_send(self, now: float) -> None:
         limit = min(self.cwnd, float(self.peer_rwnd), float(self.write_buffer))
@@ -386,7 +383,7 @@ class _TransferSim:
             # acks moved the deadline later without a push (mod_timer), so
             # the live entry popped early and re-pushes itself at the deadline
             self.timer_at = self.rto_deadline
-            self._push(self.timer_at, self._on_rto, None)
+            heapq.heappush(self.heap, (self.timer_at, next(self.tick), self._on_rto, None))
             return
         self.stats.rto_events += 1
         self.backoff = min(self.backoff * 2, 64)
@@ -417,15 +414,15 @@ class _TransferSim:
         t = max(now + next(self.jitter) * ACK_JITTER_MAX, self.last_ack_t)
         self.last_ack_t = t
         ack_offset = self.rcv_nxt + (2 if fin_seen and self.rcv_nxt >= self.B else 1)
-        self._record(t, self.ack_dir, seq=1, ack=ack_offset, length=0, ackf=1, win=rwnd, sack_cnt=sack_cnt)
+        self.captured.append((t, self.ack_dir, 1, ack_offset, 0, 0, 0, 0, 1, rwnd, sack_cnt))
         self.stats.acks_sent += 1
-        dep = max(t, self.busy[self.ack_dir]) + self._ser(0)
+        dep = max(t, self.busy[self.ack_dir]) + self.ser0
         self.busy[self.ack_dir] = dep
-        if self.link.loss_rate > 0 and next(self.ack_loss) < self.link.loss_rate:
+        if self.loss_rate > 0 and next(self.ack_loss) < self.loss_rate:
             self.stats.dropped_acks += 1
             return
         offset = self.rcv_nxt + (1 if fin_seen and self.rcv_nxt >= self.B else 0)
-        self._push(dep + self.link.one_way_delay, self._on_ack, (offset, tuple(blocks), rwnd))
+        heapq.heappush(self.heap, (dep + self.owd, next(self.tick), self._on_ack, (offset, tuple(blocks), rwnd)))
 
     def _on_data(self, now: float, k: int) -> None:
         s, e = k * MSS, self.seg_end[k]
@@ -436,18 +433,17 @@ class _TransferSim:
             self.rcv_nxt = self.ooo.pop_through(max(self.rcv_nxt, e))
         else:
             self.ooo.add(s, e)
-        self._record(now, self.data_dir, seq=1 + s, ack=1, length=e - s, ackf=1, win=self.sender_rwnd)
-        self._send_ack(now, dup_arrival=dup)
+        self.captured.append((now, self.data_dir, 1 + s, 1, e - s, 0, 0, 0, 1, self.sender_rwnd, 0))
+        self._send_ack(now, dup)
 
     def _on_fin(self, now: float, _payload) -> None:
-        self._record(now, self.data_dir, seq=1 + self.B, ack=1, length=0, fin=1, ackf=1, win=self.sender_rwnd)
-        self._send_ack(now, dup_arrival=False, fin_seen=True)
+        self.captured.append((now, self.data_dir, 1 + self.B, 1, 0, 0, 1, 0, 1, self.sender_rwnd, 0))
+        self._send_ack(now, False, True)
 
     # -- top level ----------------------------------------------------
 
     def run(self) -> tuple[TraceRecord, FlowStats]:
-        ser0 = self._ser(0)
-        owd = self.link.one_way_delay
+        ser0, owd = self.ser0, self.owd
         # Handshake (never lost): SYN, SYN-ACK, ACK.  The client SYN
         # carries the capability signal; the server answers with one block.
         c2s, s2c = self.c2s, self.s2c
@@ -464,9 +460,11 @@ class _TransferSim:
         # capture at the client for a download, at the server for an
         # upload: own packets at send time, far side on arrival
         syn_t, synack_t, hs_ack_t = (0.0, synack_arr, synack_arr) if self.down else (syn_arr, syn_arr, hs_ack_arr)
-        self._record(syn_t, c2s, 0, 0, 0, syn=1, win=self.client.read_buffer, sack_cnt=self.syn_sack_cnt)
-        self._record(synack_t, s2c, 0, 1, 0, syn=1, ackf=1, win=SERVER_BUFFER, sack_cnt=self.syn_sack_cnt)
-        self._record(hs_ack_t, c2s, 1, 1, 0, ackf=1, win=self.client.read_buffer, sack_cnt=self.hs_ack_sack_cnt)
+        self.captured += [
+            (syn_t, c2s, 0, 0, 0, 1, 0, 0, 0, self.client.read_buffer, self.syn_sack_cnt),
+            (synack_t, s2c, 0, 1, 0, 1, 0, 0, 1, SERVER_BUFFER, self.syn_sack_cnt),
+            (hs_ack_t, c2s, 1, 1, 0, 0, 0, 0, 1, self.client.read_buffer, self.hs_ack_sack_cnt),
+        ]
         self.last_ack_t = synack_t
         # the server may send once the handshake ack lands, the client once the SYN-ACK does
         self._try_send(hs_ack_arr if self.down else synack_arr)

@@ -279,7 +279,10 @@ class IntervalSet:
 _COLUMNS = ["ts", "dir", "seq", "ack", "len", "syn", "fin", "rst", "ack_flag", "win", "sack_cnt"]
 _FLAG_COLUMNS = (5, 6, 7, 8)
 _INT_COLUMNS = (2, 3, 4, 9, 10)
-_ROW_FORMAT = "%s,%s" + ",%d" * (len(_COLUMNS) - 2)
+# The cells of the four flag columns, indexed by 8*syn + 4*fin + 2*rst + ack_flag.
+_FLAG_CELLS = tuple(",".join(str(code >> bit & 1) for bit in (3, 2, 1, 0)) for code in range(16))
+# ts, dir, seq, ack, len, the flag cells, win, sack_cnt
+_ROW_FORMAT = "%s,%s,%s,%s,%s,%s,%s,%s\n"
 
 
 def _format_ts(ts: float) -> str:
@@ -419,16 +422,33 @@ def write_trace(trace: TraceRecord, path) -> None:
     ev = trace.events
     if not ev:
         raise EmptyTrace("refusing to write a trace with no events")
+    # %s of a float is its repr, which is _format_ts's answer unless it has
+    # an exponent (ts < 1e-4 or ts >= 1e16) or at most five fraction digits.
+    # Below 1e4 the latter puts ts * 1e5 within 1e-6 of an integer.  Only
+    # this superset goes through _format_ts.
+    ts = ev.ts.tolist()
+    scaled = ev.ts * 1e5
+    short = (ev.ts < 1e-4) | (ev.ts >= 1e4) | (np.abs(scaled - np.rint(scaled)) <= 1e-6)
+    for i in np.flatnonzero(short).tolist():
+        ts[i] = _format_ts(ts[i])
     names = [d.value for d in DIRECTIONS]
-    ints = [getattr(ev, name).astype(np.int64).tolist() for name in FIELDS[2:]]
-    rows = zip(map(_format_ts, ev.ts.tolist()), [names[d] for d in ev.dir.tolist()], *ints)
-    out = [
+    flags = 8 * ev.syn + 4 * ev.fin + 2 * ev.rst + ev.ack_flag
+    columns = (
+        ts,
+        [names[d] for d in ev.dir.tolist()],
+        ev.seq.tolist(),
+        ev.ack.tolist(),
+        ev.payload_len.tolist(),
+        [_FLAG_CELLS[code] for code in flags.tolist()],
+        ev.win.tolist(),
+        ev.sack_cnt.tolist(),
+    )
+    body = (_ROW_FORMAT * len(ts)) % tuple(itertools.chain.from_iterable(zip(*columns)))
+    header = (
         f"#capture={trace.capture_point.value},transfer={trace.direction_of_transfer.value},"
-        f"bytes={trace.declared_transfer_bytes}",
-        ",".join(_COLUMNS),
-    ]
-    out.extend(map(_ROW_FORMAT.__mod__, rows))
-    write_text(path, "\n".join(out) + "\n")
+        f"bytes={trace.declared_transfer_bytes}\n{','.join(_COLUMNS)}\n"
+    )
+    write_text(path, header + body)
 
 
 def write_pair(pair: TracePair, down_path, up_path) -> None:

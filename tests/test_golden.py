@@ -1,8 +1,11 @@
-"""Golden outputs of a small paper-matrix corpus.
+"""Golden outputs of paper-matrix corpora.
 
-The digests were recorded from the per-packet implementation that
+The 64 KiB digests were recorded from the per-packet implementation that
 preceded the columnar trace representation: the emitted files, the
 signature matrix and the definedness flags must stay bit-identical.
+The 2 MiB digest pins a corpus of the benchmark's `synth` shape: a
+lossy link with RTOs and SACK recovery, and timestamps over one second.
+It was recorded before the bulk trace writer replaced the per-row one.
 """
 
 import hashlib
@@ -21,6 +24,8 @@ CORPUS_SHA256 = "fc590e06a5bd359e642baa38bb8bde068a64dbd241e693eb361653d556b9086
 SIGNATURES_SHA256 = "32c48b33b964ebccf3d57f515fa4b926489d17de5fad0c51dd8cfd23a218b5c7"
 # Every pair of this corpus yields a single RTT sample per trace.
 UNDEFINED = ("down_rtt_stdev", "up_rtt_stdev")
+SYNTH_BYTES = 2 * 1024 * 1024
+SYNTH_CORPUS_SHA256 = "926c2dbba1d75adb4b5b2dedc3fa775c20119838642ad9fd93a449188cc07359"
 
 CATALOG = default_catalog()
 
@@ -33,12 +38,21 @@ def corpus(tmp_path_factory):
     return scenarios, root
 
 
-def test_corpus_bytes(corpus):
-    _, root = corpus
+def corpus_digest(root: Path) -> str:
     digest = hashlib.sha256()
     for f in sorted(p for p in root.rglob("*") if p.is_file()):
         digest.update(f.relative_to(root).as_posix().encode() + b"\0" + f.read_bytes())
-    assert digest.hexdigest() == CORPUS_SHA256
+    return digest.hexdigest()
+
+
+def test_corpus_bytes(corpus):
+    _, root = corpus
+    assert corpus_digest(root) == CORPUS_SHA256
+
+
+def test_synth_shaped_corpus_bytes(tmp_path):
+    emit_corpus(preset_paper_matrix(1, SEED, SYNTH_BYTES), tmp_path)
+    assert corpus_digest(tmp_path) == SYNTH_CORPUS_SHA256
 
 
 def test_signatures_and_definedness(corpus):

@@ -91,17 +91,17 @@ class TestScaler:
             fit_scaler(db_from([[1.0]], [1]))
 
     def test_endpoints(self):
-        s = ScalerParams(min=np.array([2.0]), max=np.array([10.0]), fitted_on=3)
+        s = ScalerParams(min=np.array([2.0]), max=np.array([10.0]))
         assert apply_scaler(np.array([2.0]), s).tolist() == [0.0]
         assert apply_scaler(np.array([10.0]), s).tolist() == [1.0]
 
     def test_clamping_out_of_range(self):
-        s = ScalerParams(min=np.array([0.0]), max=np.array([10.0]), fitted_on=2)
+        s = ScalerParams(min=np.array([0.0]), max=np.array([10.0]))
         assert apply_scaler(np.array([25.0]), s).tolist() == [1.0]
         assert apply_scaler(np.array([-5.0]), s).tolist() == [0.0]
 
     def test_dimension_mismatch(self):
-        s = ScalerParams(min=np.zeros(2), max=np.ones(2), fitted_on=2)
+        s = ScalerParams(min=np.zeros(2), max=np.ones(2))
         with pytest.raises(DimensionMismatch):
             apply_scaler(np.zeros(3), s)
 
@@ -144,8 +144,7 @@ class TestScalingInvariants:
 
 
 def assert_same_database(a: SignatureDatabase, b: SignatureDatabase) -> None:
-    """Every stored field equal, X bit for bit.  A scaler's fitted_on is
-    not stored."""
+    """Every stored field equal, X and the scaler bit for bit."""
     assert (a.stage, a.feature_names, a.label_kind, a.catalog_version) == (
         b.stage, b.feature_names, b.label_kind, b.catalog_version)
     assert (a.selected_features, a.fault_registry) == (b.selected_features, b.fault_registry)

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from netdiag.errors import BadHeader, EmptyTrace, MalformedRow
 from netdiag.trace import (
+    DIRECTIONS,
+    FIELDS,
     CapturePoint,
     Direction,
     PacketEvent,
@@ -187,9 +189,9 @@ event_strategy = st.builds(
     seq=st.integers(min_value=0, max_value=2**32 - 1),
     ack=st.integers(min_value=0, max_value=2**32 - 1),
     payload_len=st.integers(min_value=0, max_value=65535),
-    syn=st.just(False),
-    fin=st.just(False),
-    rst=st.just(False),
+    syn=st.booleans(),
+    fin=st.booleans(),
+    rst=st.booleans(),
     ack_flag=st.booleans(),
     win=st.integers(min_value=0, max_value=2**20),
     sack_cnt=st.integers(min_value=0, max_value=4),
@@ -197,6 +199,7 @@ event_strategy = st.builds(
 
 
 class TestRoundTrip:
+    @pytest.mark.filterwarnings("ignore:.*carries payload on a syn/fin/rst packet:UserWarning")
     @settings(max_examples=60, deadline=None)
     @given(
         events=st.lists(event_strategy, min_size=1, max_size=40),
@@ -278,6 +281,26 @@ def format_ts_reference(ts: float) -> str:
     return repr(ts)
 
 
+ROW_FORMAT_REFERENCE = "%s,%s" + ",%d" * (len(FIELDS) - 2)
+
+
+def write_trace_reference(trace: TraceRecord) -> str:
+    """The original per-row writer: one `%` format per packet, with
+    format_ts_reference (which TestFormatTs holds equal to _format_ts)
+    for the timestamp."""
+    ev = trace.events
+    names = [d.value for d in DIRECTIONS]
+    ints = [getattr(ev, name).astype(np.int64).tolist() for name in FIELDS[2:]]
+    rows = zip(map(format_ts_reference, ev.ts.tolist()), [names[d] for d in ev.dir.tolist()], *ints)
+    out = [
+        f"#capture={trace.capture_point.value},transfer={trace.direction_of_transfer.value},"
+        f"bytes={trace.declared_transfer_bytes}",
+        COLS,
+    ]
+    out.extend(map(ROW_FORMAT_REFERENCE.__mod__, rows))
+    return "\n".join(out) + "\n"
+
+
 def _fixed(whole: int, digits: int, frac: int) -> float:
     return float(f"{whole}.{frac % 10**digits:0{digits}d}")
 
@@ -319,3 +342,67 @@ class TestFormatTs:
     @given(ts=FIXED_FLOATS)
     def test_fixed_notation(self, ts):
         assert _format_ts(ts) == format_ts_reference(ts)
+
+
+U32 = st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(min_value=0, max_value=2**32 - 1))
+
+# floats whose repr is in fixed notation with 1-5 fraction digits
+SHORT_FLOATS = st.builds(
+    _fixed,
+    st.one_of(st.integers(0, 100), st.integers(0, 10**15)),
+    st.integers(1, 5),
+    st.integers(0, 10**5 - 1),
+)
+
+oracle_event_strategy = st.builds(
+    PacketEvent,
+    ts=st.one_of(
+        st.just(0.0),
+        SHORT_FLOATS,
+        st.floats(min_value=0, max_value=1e-4),
+        st.floats(min_value=0, max_value=1e4),
+        st.floats(min_value=1e4, max_value=1e16),
+        st.floats(min_value=1e16, max_value=1e20),
+        FIXED_FLOATS,
+    ),
+    dir=st.sampled_from(list(Direction)),
+    seq=U32,
+    ack=U32,
+    payload_len=U32,
+    syn=st.booleans(),
+    fin=st.booleans(),
+    rst=st.booleans(),
+    ack_flag=st.booleans(),
+    win=U32,
+    sack_cnt=U32,
+)
+
+# every flag combination in both directions, with extreme integers and
+# timestamps on each side of the digit-search boundaries
+EVERY_FLAG_COMBINATION = [
+    PacketEvent(
+        ts=ts, dir=d, seq=i, ack=2**32 - 1 - i, payload_len=0 if i % 3 else 2**32 - 1,
+        syn=bool(i & 8), fin=bool(i & 4), rst=bool(i & 2), ack_flag=bool(i & 1),
+        win=2**32 - 1 if i % 2 else 0, sack_cnt=i,
+    )
+    for d in Direction
+    for i, ts in enumerate([0.0, -0.0, 0.5, 1.25, 9.99e-5, 1e-4, 5e-324, 0.1 + 0.2, 3.00001, 2.0**-13,
+                            9999.99999, 1e4, 12345.6, 1e16, 1e20, 3.374238691234896])
+]
+
+
+class TestWriterOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        events=st.lists(oracle_event_strategy, min_size=1, max_size=40),
+        capture=st.sampled_from(list(CapturePoint)),
+        transfer=st.sampled_from(list(TransferDirection)),
+        declared=st.integers(min_value=1, max_value=2**48),
+    )
+    @example(events=EVERY_FLAG_COMBINATION, capture=CapturePoint.CLIENT,
+             transfer=TransferDirection.DOWNLOAD, declared=1)
+    def test_writes_reference_bytes(self, tmp_path_factory, events, capture, transfer, declared):
+        trace = make_trace(events, capture, transfer, declared)
+        path = tmp_path_factory.mktemp("oracle") / "t.csv"
+        write_trace(trace, path)
+        assert path.read_bytes() == write_trace_reference(trace).encode("utf-8")
