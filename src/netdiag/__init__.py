@@ -19,13 +19,12 @@ from .preprocess import (
     LabelKind,
     ScalerParams,
     SignatureDatabase,
-    Stage,
     apply_scaler,
     encode_labels,
     fit_scaler,
     scale_database,
 )
-from .selection import SelectionReport, TTestRanking, project, rank_features, t_statistic, wrapper_select
+from .selection import SelectionReport, TTestRanking, rank_features, t_statistic, wrapper_select
 from .simulate import ClientParams, CwndProfile, LinkParams, simulate_flow
 from .svm import KernelSpec, SvmConfig, SvmModel, decision_value
 from .trace import PacketEvent, TracePair, TraceRecord, read_trace, write_trace

@@ -45,7 +45,6 @@ from .selection import (  # noqa: F401  (wrapper_select: perfbench/layers.py wra
     CvGrid,
     SelectionReport,
     cv_grid,
-    project,
     rank_features,
     solve_stack,
     wrapper_select,
@@ -66,7 +65,7 @@ from .trace import TracePair
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything needed to turn a preliminary database into a model."""
+    """Everything needed to turn a database of raw rows into a model."""
 
     svm: SvmConfig
     candidate_sizes: tuple[int, ...] | None = None  # None -> all features
@@ -112,12 +111,13 @@ def default_cf_config(fault_name: str, seed: int = 0) -> PipelineConfig:
 
 
 def prepare_pipeline(db: SignatureDatabase, config: PipelineConfig) -> CvGrid:
-    """scale -> rank -> the CV grid of the candidate sizes.
+    """scale -> rank -> the CV grid of the candidate sizes, which keeps the
+    scaled rows and the fitted scaler.
 
-    The input must be a preliminary two-class database with labels
+    The input must be a two-class database of raw rows with labels
     +1/-1.  Every input error of the pipeline is raised here.
     """
-    scaled = scale_database(db)
+    scaled, scaler = scale_database(db)
     ranking = rank_features(scaled, positive_label=1, negative_label=-1)
     return cv_grid(
         scaled,
@@ -127,11 +127,20 @@ def prepare_pipeline(db: SignatureDatabase, config: PipelineConfig) -> CvGrid:
         svm_config=config.svm,
         seed=config.seed,
         fp_penalty=config.fp_penalty,
+        scaler=scaler,
     )
 
 
-def _final_problem(optimum: SignatureDatabase, config: SvmConfig):
-    return gram_matrix(config.kernel, optimum.X, config.C), optimum.y.astype(np.float64), config.tol, config.max_iter
+def _columns(grid: CvGrid, indices) -> np.ndarray:
+    """The given columns of the grid's scaled rows, copied in C order: the
+    Gram's matrix product and row sums round by memory layout."""
+    return grid.db.X[:, indices].copy()
+
+
+def _final_problem(grid: CvGrid, indices):
+    config = grid.svm
+    Kt = gram_matrix(config.kernel, _columns(grid, indices), config.C)
+    return Kt, grid.db.y.astype(np.float64), config.tol, config.max_iter
 
 
 def fit_pipelines(grids: Sequence[CvGrid]) -> list[tuple[SvmModel, SelectionReport]]:
@@ -149,30 +158,28 @@ def fit_pipelines(grids: Sequence[CvGrid]) -> list[tuple[SvmModel, SelectionRepo
     is a pure function of its pipeline's training rows.
     """
     fixed = [k for k, grid in enumerate(grids) if len(grid.sizes) == 1]
-    optima = {k: project(grids[k].db, grids[k].order[: grids[k].sizes[0]]) for k in fixed}
     first = itertools.chain(
-        *(grid.problems() for grid in grids), (_final_problem(optima[k], grids[k].svm) for k in fixed)
+        *(grid.problems() for grid in grids),
+        (_final_problem(grids[k], grids[k].order[: grids[k].sizes[0]]) for k in fixed),
     )
-    n = max([grid.n for grid in grids] + [optima[k].n for k in fixed])
+    n = max([grid.n for grid in grids] + [grids[k].db.n for k in fixed])
     states = iter(solve_stack(first, sum(map(len, grids)) + len(fixed), n))
     reports = [grid.report(list(itertools.islice(states, len(grid)))) for grid in grids]
     final = dict(zip(fixed, states))
     rest = [k for k in range(len(grids)) if k not in final]
     if rest:
-        optima.update((k, project(grids[k].db, reports[k].chosen_indices)) for k in rest)
-        second = (_final_problem(optima[k], grids[k].svm) for k in rest)
-        final.update(zip(rest, solve_stack(second, len(rest), max(optima[k].n for k in rest))))
+        second = (_final_problem(grids[k], reports[k].chosen_indices) for k in rest)
+        final.update(zip(rest, solve_stack(second, len(rest), max(grids[k].db.n for k in rest))))
     fits = []
     for k, (grid, report) in enumerate(zip(grids, reports)):
-        optimum = optima[k]
         model = build_model(
-            optimum.X,
-            optimum.y.astype(np.float64),
+            _columns(grid, report.chosen_indices),
+            grid.db.y.astype(np.float64),
             grid.svm,
             final[k],
-            scaler=optimum.scaler,
-            feature_subset=optimum.selected_features,
-            catalog_version=optimum.catalog_version,
+            scaler=grid.scaler,
+            feature_subset=report.chosen_indices,
+            catalog_version=grid.db.catalog_version,
         )
         fits.append((model, report))
     return fits
@@ -180,7 +187,7 @@ def fit_pipelines(grids: Sequence[CvGrid]) -> list[tuple[SvmModel, SelectionRepo
 
 def fit_pipeline(db: SignatureDatabase, config: PipelineConfig) -> tuple[SvmModel, SelectionReport]:
     """The one-pipeline case of `fit_pipelines`: scale -> rank -> choose
-    subset size -> project -> train."""
+    subset size -> train on the chosen columns of the scaled rows."""
     return fit_pipelines([prepare_pipeline(db, config)])[0]
 
 
@@ -265,7 +272,7 @@ def train_lpd(
     config: PipelineConfig,
     link_profile: str = "default",
 ) -> LpdClassifier:
-    """Full stage-one pipeline on a link-labeled preliminary database."""
+    """Full stage-one pipeline on a link-labeled database of raw rows."""
     if db.label_kind is not LabelKind.LINK:
         raise ConfigError("link classifier needs a link-labeled database")
     model, report = fit_pipeline(db, config)

@@ -28,7 +28,6 @@ from .errors import (
     IoFailure,
     MalformedRow,
     NetdiagError,
-    StageError,
     UnknownLabel,
 )
 from .evaluation import GroundTruth, evaluate_verdicts, render_report
@@ -64,7 +63,6 @@ _USAGE_ERRORS = (
     EmptyTrace,
     UnknownLabel,
     IoFailure,
-    StageError,
 )
 
 
@@ -245,6 +243,17 @@ def cmd_extract(args, config: CliConfig) -> int:
             raise CatalogMismatch(
                 f"mixed catalog versions: {existing.catalog_version!r} vs {db.catalog_version!r}"
             )
+        # The new rows carry labels of the config's kind and registry; rows
+        # stored under another kind or registry would be read wrongly.
+        if existing.label_kind is not db.label_kind:
+            raise ConfigError(
+                f"cannot append {kind.value} rows to the {existing.label_kind.value} database {args.append}"
+            )
+        if existing.fault_registry != db.fault_registry:
+            raise ConfigError(
+                f"configured fault registry {db.fault_registry} differs from {existing.fault_registry}"
+                f" of the database {args.append}"
+            )
         db = replace(
             existing,
             X=np.vstack([existing.X, db.X]),
@@ -358,6 +367,9 @@ def cmd_eval(args, config: CliConfig) -> int:
 
 
 def cmd_synth(args, config: CliConfig) -> int:
+    for option, value in (("--bytes", args.bytes), ("--per-class", args.per_class)):
+        if value < 1:
+            raise ConfigError(f"{option} must be at least 1, got {value}")
     if args.scenario:
         scenarios = scenario_from_json(args.scenario)
     elif args.preset == "healthy":

@@ -66,9 +66,5 @@ class IndexOutOfRange(NetdiagError):
     pass
 
 
-class StageError(NetdiagError):
-    """Database presented at the wrong pipeline stage."""
-
-
 class ConfigError(NetdiagError):
     pass

@@ -1,15 +1,17 @@
-"""Signature databases: label encoding, staging, and 0-1 rescaling.
+"""Signature databases: label encoding, 0-1 rescaling and storage.
 
-A database moves through three stages: preliminary (raw statistics),
-scaled (every feature linearly mapped to [0, 1] using training extrema),
-and optimum (column subset chosen by feature selection).  The fitted
-scaler travels with every trained model so diagnosis-time vectors are
-mapped with the training extrema and clamped into [0, 1].
+A database holds raw signature rows: their labels, the feature names,
+the catalog version and, for client labels, the fault registry.  Scaling
+(every feature linearly mapped to [0, 1] using training extrema) and the
+choice of columns are steps of the training pipeline, not states of a
+database: their results live on the CV grid and on the trained model.
+The fitted scaler travels with every model, so diagnosis-time vectors
+are mapped with the training extrema and clamped into [0, 1].
 
-On disk a database is one JSON artifact file (see write_artifact) holding
-its stage, catalog version, scaler, selected feature indices, fault
-registry, feature names, rows `X` and labels `y`.  JSON writes each float
-with float.__repr__, so `X` reloads bit for bit.
+On disk a database is one JSON artifact file (see write_artifact) with
+exactly five keys: catalog version, fault registry, feature names, rows
+`X` and labels `y`.  JSON writes each float with float.__repr__, so `X`
+reloads bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .errors import (
     DimensionMismatch,
     IoFailure,
     NonFiniteInput,
-    StageError,
     TooFewRows,
     UnknownLabel,
 )
@@ -36,18 +37,15 @@ LINK_FAULTY = +1
 LINK_HEALTHY = -1
 HEALTHY_CLIENT = 0  # client-label index reserved for the no-fault class
 
+# The JSON types a stored number may have; bool, a subclass of int, is not one.
+_NUMBER_TYPES = {int, float}
+
 DEFAULT_FAULT_REGISTRY = {
     "sack_disabled": 1,
     "dsack_disabled": 2,
     "read_buf": 3,
     "write_buf": 4,
 }
-
-
-class Stage(enum.Enum):
-    PRELIMINARY = "preliminary"
-    SCALED = "scaled"
-    OPTIMUM = "optimum"
 
 
 class LabelKind(enum.Enum):
@@ -75,14 +73,11 @@ class ScalerParams:
 
 @dataclass(frozen=True, eq=False)
 class SignatureDatabase:
-    stage: Stage
     feature_names: tuple[str, ...]
     X: np.ndarray  # n x m, float64
     y: np.ndarray  # n, int
     label_kind: LabelKind
     catalog_version: str
-    scaler: ScalerParams | None = None
-    selected_features: tuple[int, ...] | None = None
     fault_registry: dict[str, int] | None = None
 
     def __post_init__(self):
@@ -90,8 +85,6 @@ class SignatureDatabase:
             raise DimensionMismatch("X/y shape mismatch")
         if self.X.shape[1] != len(self.feature_names):
             raise DimensionMismatch("feature_names length != columns")
-        if self.stage is Stage.OPTIMUM and self.selected_features is None:
-            raise StageError("optimum database requires selected_features")
 
     @property
     def n(self) -> int:
@@ -109,7 +102,7 @@ def encode_labels(
     catalog_version: str,
     fault_registry: dict[str, int] | None = None,
 ) -> SignatureDatabase:
-    """Build the preliminary database from (vector, tag) rows.
+    """Build a database from (vector, tag) rows.
 
     Link tags: FAULTY -> +1, HEALTHY -> -1.  Client tags: HEALTHY -> 0,
     fault names resolve through the registry.
@@ -136,7 +129,6 @@ def encode_labels(
             else:
                 raise UnknownLabel(tag)
     return SignatureDatabase(
-        stage=Stage.PRELIMINARY,
         feature_names=tuple(feature_names),
         X=np.vstack(X) if X else np.empty((0, len(feature_names))),
         y=np.asarray(y, dtype=np.int64),
@@ -148,8 +140,6 @@ def encode_labels(
 
 def fit_scaler(db: SignatureDatabase) -> ScalerParams:
     """Column-wise extrema of the training rows."""
-    if db.stage is not Stage.PRELIMINARY:
-        raise StageError(f"scaler must be fitted on a preliminary database, got {db.stage.value}")
     if db.n < 2:
         raise TooFewRows(f"need at least 2 rows to fit a scaler, got {db.n}")
     return ScalerParams(min=db.X.min(axis=0), max=db.X.max(axis=0))
@@ -167,18 +157,16 @@ def apply_scaler(x: np.ndarray, s: ScalerParams) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
-def scale_database(db: SignatureDatabase, scaler: ScalerParams | None = None) -> SignatureDatabase:
-    """Preliminary -> scaled.  Re-scaling a scaled database is rejected."""
-    if db.stage is not Stage.PRELIMINARY:
-        raise StageError(f"cannot scale a {db.stage.value} database")
-    if scaler is None:
-        scaler = fit_scaler(db)
-    return replace(db, stage=Stage.SCALED, X=apply_scaler(db.X, scaler), scaler=scaler)
+def scale_database(db: SignatureDatabase) -> tuple[SignatureDatabase, ScalerParams]:
+    """The rows of db mapped to [0, 1] by the scaler fitted on them, and
+    that scaler."""
+    scaler = fit_scaler(db)
+    return replace(db, X=apply_scaler(db.X, scaler)), scaler
 
 
 def scaler_to_dict(scaler: ScalerParams | None) -> dict:
-    """JSON form of a scaler, as stored in model and database files; no
-    scaler is two empty lists."""
+    """JSON form of a scaler, as stored in model files; no scaler is two
+    empty lists."""
     if scaler is None:
         return {"min": [], "max": []}
     return {"min": scaler.min.tolist(), "max": scaler.max.tolist()}
@@ -186,12 +174,9 @@ def scaler_to_dict(scaler: ScalerParams | None) -> dict:
 
 def scaler_from_dict(d: dict) -> ScalerParams | None:
     """Inverse of scaler_to_dict; a malformed scaler is a TypeError."""
-    smin = np.asarray(d["min"], dtype=np.float64)
-    smax = np.asarray(d["max"], dtype=np.float64)
-    if smin.ndim != 1 or smin.shape != smax.shape:
+    smin, smax = parse_numbers(d["min"], "scaler min"), parse_numbers(d["max"], "scaler max")
+    if smin.shape != smax.shape:
         raise TypeError("scaler min and max must be number lists of one length")
-    if not (np.isfinite(smin).all() and np.isfinite(smax).all()):
-        raise ValueError("scaler min and max must be finite")
     return ScalerParams(min=smin, max=smax) if smin.size else None
 
 
@@ -199,10 +184,7 @@ def save_database(db: SignatureDatabase, path) -> None:
     write_artifact(
         path,
         {
-            "stage": db.stage.value,
             "catalog_version": db.catalog_version,
-            "scaler": scaler_to_dict(db.scaler),
-            "selected_features": list(db.selected_features) if db.selected_features else [],
             "fault_registry": dict(db.fault_registry) if db.fault_registry else {},
             "feature_names": list(db.feature_names),
             "X": db.X.tolist(),
@@ -281,14 +263,35 @@ def parse_indices(values, limit: int | None = None, what: str = "indices") -> tu
     return tuple(values)
 
 
+def parse_numbers(values, what: str, ndim: int = 1) -> np.ndarray:
+    """Stored numbers as a float64 array: a list of finite numbers, or for
+    ndim 2 a list of such lists of one length.  A string or a bool among
+    them (which float64 would read as a number) is a TypeError."""
+    rows = values if ndim == 2 else [values]
+    if not (
+        isinstance(values, list)
+        and all(type(row) is list and _NUMBER_TYPES.issuperset(map(type, row)) for row in rows)
+    ):
+        raise TypeError(f"{what} must be a list of {'number lists' if ndim == 2 else 'numbers'}")
+    array = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(array).all():
+        raise ValueError(f"{what} must be finite")
+    return array
+
+
+_DATABASE_KEYS = {"catalog_version": str, "fault_registry": dict, "feature_names": list, "X": list, "y": list}
+
+
 def _database_from_dict(d) -> SignatureDatabase:
-    """A stored database with every field's type checked and the scaler
-    rebuilt.  Labels must be integers (no bools or floats, which int64 would
-    truncate) of the database's kind, and X exactly one finite row of
-    len(feature_names) numbers per label."""
-    for key, kind in (("stage", str), ("catalog_version", str), ("scaler", dict),
-                      ("selected_features", list), ("fault_registry", dict),
-                      ("feature_names", list), ("X", list), ("y", list)):
+    """A stored database with every field's type checked.  Labels must be
+    integers (no bools or floats, which int64 would truncate) of the
+    database's kind, and X exactly one row of len(feature_names) finite
+    numbers per label.  Any other set of keys is refused: a database that
+    an older version wrote with its scaler and chosen columns holds rows
+    that are already scaled, and training must not scale them twice."""
+    if set(d) != set(_DATABASE_KEYS):
+        raise ValueError(f"database keys {sorted(d)} are not {sorted(_DATABASE_KEYS)}")
+    for key, kind in _DATABASE_KEYS.items():
         if not isinstance(d[key], kind):
             raise TypeError(f"{key!r} is a {type(d[key]).__name__}, not a {kind.__name__}")
     names, y = d["feature_names"], d["y"]
@@ -296,29 +299,19 @@ def _database_from_dict(d) -> SignatureDatabase:
         raise TypeError("feature_names must be strings")
     if not all(type(label) is int for label in y):
         raise TypeError("labels y must be integers")
-    X = np.asarray(d["X"] or np.empty((0, len(names))), dtype=np.float64)
+    X = parse_numbers(d["X"], "X", ndim=2) if d["X"] else np.empty((0, len(names)))
     if X.shape != (len(y), len(names)):
         raise ValueError(f"X of shape {X.shape} is not {len(y)} rows of {len(names)} features")
-    if not np.isfinite(X).all():
-        raise ValueError("X must be finite")
-    stage = Stage(d["stage"])
-    scaler = scaler_from_dict(d["scaler"])
-    selected = parse_indices(d["selected_features"], scaler.m if scaler is not None else None, "selected_features")
-    if stage is Stage.OPTIMUM and len(selected) != len(names):
-        raise ValueError(f"optimum database has {len(selected)} selected features for {len(names)} columns")
     registry = parse_registry(d["fault_registry"])
     known = {HEALTHY_CLIENT, *registry.values()} if registry else {LINK_FAULTY, LINK_HEALTHY}
     if not known.issuperset(y):
         raise ValueError(f"labels {sorted(set(y) - known)} are not among {sorted(known)}")
     return SignatureDatabase(
-        stage=stage,
         feature_names=tuple(names),
         X=X,
         y=np.asarray(y, dtype=np.int64),
         label_kind=LabelKind.CLIENT if registry else LabelKind.LINK,
         catalog_version=d["catalog_version"],
-        scaler=scaler,
-        selected_features=selected or None,
         fault_registry=registry or None,
     )
 

@@ -5,8 +5,8 @@ Features are ranked by the absolute two-sample t-statistic between the
 positive and negative class, then candidate prefix sizes are scored by
 stratified k-fold cross-validation of an SVM trained on the prefix.
 Smallest size wins ties.  The chosen indices always form a prefix of the
-ranking, and projecting a scaled database through them yields the
-optimum-stage database.
+ranking; the final model is trained on those columns of the scaled rows
+and keeps them as its feature subset.
 
 The CV loop is split in two so that several pipelines can share one
 lockstep solve: `cv_grid` checks the inputs and builds the size x fold
@@ -16,12 +16,12 @@ dual problems, and `CvGrid.report` scores their solutions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InsufficientRows, MissingClass, StageError, TooFewSamples
-from .preprocess import SignatureDatabase, Stage
+from .errors import IndexOutOfRange, InsufficientRows, MissingClass, TooFewSamples
+from .preprocess import ScalerParams, SignatureDatabase
 from .rng import SplitMix64
 from .svm import (  # noqa: F401  (train_arrays: perfbench/layers.py wraps selection.train_arrays)
     SvmConfig,
@@ -115,7 +115,8 @@ def stratified_folds(y: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
 @dataclass(frozen=True)
 class CvGrid:
     """The size x fold CV problems of one wrapper run, checked and ready
-    to solve, and what scoring their solutions takes."""
+    to solve, and what scoring their solutions and fitting the final
+    model take."""
 
     db: SignatureDatabase  # scaled, labels in {+1, -1}
     order: np.ndarray  # the ranking's feature indices
@@ -124,6 +125,7 @@ class CvGrid:
     train_rows: tuple[np.ndarray, ...]  # training rows per fold
     svm: SvmConfig
     fp_penalty: float
+    scaler: ScalerParams | None  # the one that scaled db's rows
 
     def __len__(self) -> int:
         return len(self.sizes) * len(self.folds)
@@ -180,10 +182,11 @@ def cv_grid(
     svm_config: SvmConfig,
     seed: int = 0,
     fp_penalty: float = 0.0,
+    scaler: ScalerParams | None = None,
 ) -> CvGrid:
     """The CV problems that score each prefix size of the ranking over
-    stratified folds.  Every input error is raised here, before any
-    problem is solved."""
+    stratified folds of db, whose rows `scaler` scaled.  Every input error
+    is raised here, before any problem is solved."""
     sizes = tuple(sorted({int(q) for q in candidate_sizes if 1 <= int(q) <= db.m}))
     if not sizes:
         raise IndexOutOfRange(f"no candidate sizes within [1, {db.m}]")
@@ -201,6 +204,7 @@ def cv_grid(
         train_rows=tuple(train_rows),
         svm=svm_config,
         fp_penalty=fp_penalty,
+        scaler=scaler,
     )
 
 
@@ -224,22 +228,3 @@ def wrapper_select(
     smaller size.  Objective = accuracy - fp_penalty * fp_rate."""
     grid = cv_grid(db, ranking, candidate_sizes, folds, svm_config, seed, fp_penalty)
     return grid.report(solve_stack(grid.problems(), len(grid), grid.n))
-
-
-def project(db: SignatureDatabase, indices) -> SignatureDatabase:
-    """Column-slice a scaled database into the optimum stage."""
-    if db.stage is not Stage.SCALED:
-        raise StageError(f"projection expects a scaled database, got {db.stage.value}")
-    idx = [int(i) for i in indices]
-    if len(set(idx)) != len(idx):
-        raise IndexOutOfRange("duplicate feature indices")
-    for i in idx:
-        if not 0 <= i < db.m:
-            raise IndexOutOfRange(f"feature index {i} outside [0, {db.m})")
-    return replace(
-        db,
-        stage=Stage.OPTIMUM,
-        X=db.X[:, idx].copy(),
-        feature_names=tuple(db.feature_names[i] for i in idx),
-        selected_features=tuple(idx),
-    )

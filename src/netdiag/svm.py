@@ -53,7 +53,7 @@ from .errors import (
     NonFiniteInput,
     SingleClassInput,
 )
-from .preprocess import ScalerParams, parse_indices, parse_integer, scaler_from_dict, scaler_to_dict
+from .preprocess import ScalerParams, parse_indices, parse_integer, parse_numbers, scaler_from_dict, scaler_to_dict
 
 KERNEL_VARIANTS = ("linear", "quadratic", "cubic", "rbf")
 
@@ -457,9 +457,9 @@ def model_to_dict(model: SvmModel) -> dict:
 def model_from_dict(d: dict) -> SvmModel:
     scaler = scaler_from_dict(d["scaler"])
     meta = d["training_meta"]
-    dual_coef = np.asarray(d["dual_coef"], dtype=np.float64)
-    support_vectors = np.asarray(d["support_vectors"], dtype=np.float64)
-    if dual_coef.ndim != 1 or support_vectors.ndim != 2 or len(dual_coef) != len(support_vectors):
+    dual_coef = parse_numbers(d["dual_coef"], "dual_coef")
+    support_vectors = parse_numbers(d["support_vectors"], "support_vectors", ndim=2)
+    if support_vectors.ndim != 2 or len(dual_coef) != len(support_vectors):
         raise ValueError(
             f"dual_coef of shape {dual_coef.shape} does not match support_vectors of shape {support_vectors.shape}"
         )
@@ -473,8 +473,8 @@ def model_from_dict(d: dict) -> SvmModel:
     # The writer refuses non-finite numbers, so one here is corruption; it
     # would make decision values NaN, which reads as class -1.
     C, bias = float(d["C"]), float(d["bias"])
-    if not all(np.isfinite(a).all() for a in (C, bias, dual_coef, support_vectors)):
-        raise ValueError("C, bias, dual_coef and support_vectors must be finite")
+    if not (math.isfinite(C) and math.isfinite(bias)):
+        raise ValueError("C and bias must be finite")
     return SvmModel(
         kernel=KernelSpec(d["kernel"]["variant"], d["kernel"].get("sigma")),
         C=C,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from netdiag.features import Signature
-from netdiag.preprocess import LabelKind, SignatureDatabase, Stage
+from netdiag.preprocess import LabelKind, SignatureDatabase
 from netdiag.rng import SplitMix64, derive_seed
 
 VALUE_CLIP = 1e6
@@ -73,7 +73,7 @@ def synthetic_database(
     label_kind: LabelKind = LabelKind.LINK,
     fault_registry: dict[str, int] | None = None,
 ) -> SignatureDatabase:
-    """Preliminary database of n_per_class draws from each class spec."""
+    """Raw database of n_per_class draws from each class spec."""
     m = specs[0].m
     rows = []
     labels = []
@@ -85,7 +85,6 @@ def synthetic_database(
             rows.append(sig.values)
             labels.append(spec.label)
     return SignatureDatabase(
-        stage=Stage.PRELIMINARY,
         feature_names=tuple(f"s{i}" for i in range(m)),
         X=np.vstack(rows),
         y=np.asarray(labels, dtype=np.int64),

@@ -36,7 +36,7 @@ from netdiag.errors import (
     SingleClassInput,
 )
 from netdiag.features import default_catalog, extract_signature
-from netdiag.preprocess import DEFAULT_FAULT_REGISTRY, LabelKind
+from netdiag.preprocess import DEFAULT_FAULT_REGISTRY, LabelKind, apply_scaler, fit_scaler
 from netdiag.selection import SelectionReport
 from netdiag.simulate import HEALTHY_LINK, ClientParams, LinkParams, simulate_flow
 from netdiag.svm import KernelSpec, SvmConfig, model_to_dict
@@ -106,6 +106,26 @@ class TestTrainLpd:
     def test_wrong_label_kind(self):
         with pytest.raises(ConfigError):
             train_lpd(client_db(), LPD_CFG)
+
+
+class TestPipelineModel:
+    @pytest.mark.parametrize("config", [default_lpd_config(seed=1), default_cf_config("read_buf", seed=1)])
+    def test_model_keeps_fitted_scaler_and_chosen_columns(self, config):
+        # Scaling and the column choice are pipeline steps: the model alone
+        # carries their results.
+        informative = ((2, 0.6), (5, 0.6), (11, 0.4), (17, 0.6))
+        pos = ClassArtifactSpec(m=30, informative=informative, jitter=0.2, label=1)
+        neg = ClassArtifactSpec(
+            m=30, informative=tuple((i, 1.0 - t) for i, t in informative), jitter=0.2, label=-1
+        )
+        db = synthetic_database([pos, neg], 11, seed=1, label_kind=LabelKind.LINK)
+        model, report = fit_pipeline(db, config)
+        scaler = fit_scaler(db)
+        assert model.scaler.min.tobytes() == scaler.min.tobytes()
+        assert model.scaler.max.tobytes() == scaler.max.tobytes()
+        assert model.feature_subset == report.chosen_indices
+        rows = apply_scaler(db.X, scaler)[:, list(report.chosen_indices)]
+        assert all((rows == sv).all(axis=1).any() for sv in model.support_vectors)
 
 
 class TestGoldenSelection:

@@ -189,6 +189,11 @@ MODEL_EDITS = {
     "catalog_list": lambda model: model.update(catalog_version=[]),
     "catalog_null": lambda model: model.update(catalog_version=None),
     "kernel_sigma_nan": lambda model: model.update(kernel={"variant": "rbf", "sigma": float("nan")}),
+    # float64 would read these as numbers: a string "0.5" as 0.5, true as 1.0
+    "cell_string": lambda model: model["support_vectors"][0].__setitem__(0, repr(model["support_vectors"][0][0])),
+    "cell_bool": lambda model: model["support_vectors"][0].__setitem__(0, True),
+    "dual_coef_string": lambda model: model["dual_coef"].__setitem__(0, repr(model["dual_coef"][0])),
+    "scaler_bool": lambda model: model["scaler"]["max"].__setitem__(0, True),
 }
 
 
@@ -215,11 +220,13 @@ def test_malformed_selection_exits_2_naming_it(trained, tmp_path, name, how):
     _check_names_part(code, err, target, name)
 
 
-# database corruption -> edit of the parsed database file.  The ids are
-# the parts the edit hit when a database was a CSV plus a JSON sidecar.
+# database corruption -> edit of the parsed database file.  The sidecar
+# ids are the parts the edit hit when a database was a CSV plus a JSON
+# sidecar.  The scaler, selected-index and stage edits add a key of the
+# older layout that stored those three, which loading refuses.
 DATABASE_EDITS = {
     "row_width": lambda db: db["X"][1].__delitem__(slice(-3, None)),
-    "sidecar_missing_key": lambda db: db.pop("stage"),
+    "sidecar_missing_key": lambda db: db.pop("catalog_version"),
     "sidecar_wrong_type": lambda db: db.update(fault_registry=["read_buf"]),
     "sidecar_scaler_shape": lambda db: db.update(scaler={"min": [0.0], "max": [1.0, 2.0]}),
     "sidecar_fractional_index": lambda db: db.update(selected_features=[0.9, True, 3]),
@@ -228,12 +235,15 @@ DATABASE_EDITS = {
     "rows_not_a_list": lambda db: db.update(X="x"),
     "cell_infinite": lambda db: db["X"][0].__setitem__(0, float("inf")),
     "cell_huge_integer": lambda db: db["X"][0].__setitem__(0, 10**400),
+    "cell_string": lambda db: db["X"][0].__setitem__(0, repr(db["X"][0][0])),
+    "cell_bool": lambda db: db["X"][0].__setitem__(1, True),
     "label_float": lambda db: db["y"].__setitem__(0, 1.5),
     "label_bool": lambda db: db["y"].__setitem__(0, True),
     "label_huge": lambda db: db["y"].__setitem__(0, 10**30),
     "label_not_in_registry": lambda db: db["y"].__setitem__(0, 9),
     "feature_name_not_a_string": lambda db: db["feature_names"].__setitem__(0, 7),
     "optimum_without_selection": lambda db: db.update(stage="optimum"),
+    "legacy_stage_key": lambda db: db.update(stage="preliminary"),
 }
 
 
@@ -261,12 +271,63 @@ def test_old_csv_database_exits_2_naming_it(tmp_path):
     rows = [",".join([f"f_{n}" for n in stored["feature_names"]] + ["label"])]
     rows += [",".join([repr(v) for v in x] + [str(label)]) for x, label in zip(stored["X"], stored["y"])]
     client.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    meta = {key: stored[key] for key in ("stage", "catalog_version", "scaler", "selected_features", "fault_registry")}
+    meta = {"stage": "preliminary", "scaler": {"min": [], "max": []}, "selected_features": []}
+    meta.update((key, stored[key]) for key in ("catalog_version", "fault_registry"))
     client.with_name(client.name + ".meta.json").write_text(json.dumps(meta), encoding="utf-8")
     code, _, err = _run("train", "--db", str(client), "--stage", "cfd", "--out", str(tmp_path / "bundle"))
     assert code == 2 and "Traceback" not in err
     assert str(client) in err
     assert not (tmp_path / "bundle").exists()
+
+
+def _client_database(trained, tmp_path):
+    """A traces directory of two copies of the trained fixture's pair,
+    labelled healthy and read_buf, and the client database extracted from
+    it with the default fault registry."""
+    _, _, down, up = trained
+    traces = tmp_path / "traces"
+    traces.mkdir()
+    for pair_id in ("a", "b"):
+        shutil.copy(down, traces / f"{pair_id}.down.csv")
+        shutil.copy(up, traces / f"{pair_id}.up.csv")
+    (traces / "labels.csv").write_text("id,link,client\na,HEALTHY,HEALTHY\nb,HEALTHY,read_buf\n", encoding="utf-8")
+    db = tmp_path / "client.json"
+    code, _, err = _run("extract", "--traces", str(traces), "--kind", "client", "--out", str(db))
+    assert code == 0, err
+    return traces, db
+
+
+def test_append_of_another_label_kind_exits_2(trained, tmp_path):
+    traces, db = _client_database(trained, tmp_path)
+    out = tmp_path / "out.json"
+    code, _, err = _run("extract", "--traces", str(traces), "--kind", "link", "--append", str(db), "--out", str(out))
+    assert code == 2 and "Traceback" not in err
+    assert "link rows to the client database" in err and str(db) in err
+    assert not out.exists()
+
+
+def test_append_under_another_fault_registry_exits_2(trained, tmp_path):
+    # Under this registry read_buf rows get label 1, which the stored
+    # default registry reads as sack_disabled.
+    traces, db = _client_database(trained, tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"fault_registry": {"read_buf": 1, "sack_disabled": 3}}), encoding="utf-8")
+    out = tmp_path / "out.json"
+    code, _, err = _run(
+        "extract", "--config", str(config), "--traces", str(traces), "--kind", "client",
+        "--append", str(db), "--out", str(out),
+    )
+    assert code == 2 and "Traceback" not in err
+    assert "fault registry" in err and str(db) in err
+    assert not out.exists()
+
+
+def test_append_doubles_the_rows(trained, tmp_path):
+    traces, db = _client_database(trained, tmp_path)
+    code, out, err = _run("extract", "--traces", str(traces), "--kind", "client", "--append", str(db), "--out", str(db))
+    assert code == 0, err
+    assert json.loads(out)["rows"] == 4
+    assert json.loads(db.read_text(encoding="utf-8"))["y"] == [0, 3, 0, 3]
 
 
 @pytest.mark.parametrize("ts", ["nan", "inf", "-inf"])
@@ -443,6 +504,21 @@ def test_malformed_config_exits_2(tmp_path, text, named):
     code, _, err = _run("synth", "--config", str(config), "--preset", "healthy", "--bytes", "20000", "--out", str(out))
     assert code == 2 and "Traceback" not in err
     assert err.startswith("error:") and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "preset, option, value",
+    [("healthy", "--bytes", "0"), ("healthy", "--bytes", "-5"),
+     ("paper-matrix", "--per-class", "0"), ("paper-matrix", "--per-class", "-1")],
+)
+def test_synth_counts_below_one_exit_2(tmp_path, preset, option, value):
+    # --bytes 0 once ended in a ValueError traceback, --per-class 0 in an
+    # empty corpus and exit 0.
+    out = tmp_path / "out"
+    code, _, err = _run("synth", "--preset", preset, "--bytes", "20000", option, value, "--out", str(out))
+    assert code == 2 and "Traceback" not in err
+    assert err.startswith("error:") and option in err
     assert not out.exists()
 
 

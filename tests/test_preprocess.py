@@ -1,6 +1,4 @@
-"""Label encoding, scaling, database staging and persistence."""
-
-from dataclasses import replace
+"""Label encoding, scaling, stored-number checks and database persistence."""
 
 import numpy as np
 import pytest
@@ -8,27 +6,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from netdiag.errors import DimensionMismatch, IoFailure, NonFiniteInput, StageError, TooFewRows, UnknownLabel
+from netdiag.errors import DimensionMismatch, IoFailure, NonFiniteInput, TooFewRows, UnknownLabel
 from netdiag.preprocess import (
     DEFAULT_FAULT_REGISTRY,
     LabelKind,
     ScalerParams,
     SignatureDatabase,
-    Stage,
     apply_scaler,
     encode_labels,
     fit_scaler,
     load_database,
     parse_indices,
+    parse_numbers,
     save_database,
     scale_database,
 )
 
 
-def db_from(X, y, kind=LabelKind.LINK, stage=Stage.PRELIMINARY, registry=None):
+def db_from(X, y, kind=LabelKind.LINK, registry=None):
     X = np.asarray(X, dtype=np.float64)
     return SignatureDatabase(
-        stage=stage,
         feature_names=tuple(f"s{i}" for i in range(X.shape[1])),
         X=X,
         y=np.asarray(y, dtype=np.int64),
@@ -43,7 +40,6 @@ class TestEncodeLabels:
         rows = [([1.0, 2.0], "FAULTY"), ([3.0, 4.0], "HEALTHY")]
         db = encode_labels(rows, ("a", "b"), LabelKind.LINK, "v1")
         assert db.y.tolist() == [1, -1]
-        assert db.stage is Stage.PRELIMINARY
         assert db.fault_registry is None
 
     def test_client_tags_registry(self):
@@ -105,15 +101,6 @@ class TestScaler:
         with pytest.raises(DimensionMismatch):
             apply_scaler(np.zeros(3), s)
 
-    def test_stage_misuse_rejected(self):
-        db = db_from([[0.0], [1.0]], [1, -1])
-        scaled = scale_database(db)
-        assert scaled.stage is Stage.SCALED
-        with pytest.raises(StageError):
-            scale_database(scaled)
-        with pytest.raises(StageError):
-            fit_scaler(scaled)
-
 
 class TestScalingInvariants:
     @settings(max_examples=50, deadline=None)
@@ -127,7 +114,9 @@ class TestScalingInvariants:
     def test_fit_apply_properties(self, X):
         y = np.array([1, -1] * ((X.shape[0] + 1) // 2))[: X.shape[0]]
         db = db_from(X, y)
-        scaled = scale_database(db)
+        scaled, scaler = scale_database(db)
+        assert scaler.min.tobytes() == fit_scaler(db).min.tobytes()
+        assert scaler.max.tobytes() == fit_scaler(db).max.tobytes()
         Z = scaled.X
         assert np.all((Z >= 0) & (Z <= 1))
         for j in range(X.shape[1]):
@@ -144,27 +133,21 @@ class TestScalingInvariants:
 
 
 def assert_same_database(a: SignatureDatabase, b: SignatureDatabase) -> None:
-    """Every stored field equal, X and the scaler bit for bit."""
-    assert (a.stage, a.feature_names, a.label_kind, a.catalog_version) == (
-        b.stage, b.feature_names, b.label_kind, b.catalog_version)
-    assert (a.selected_features, a.fault_registry) == (b.selected_features, b.fault_registry)
+    """Every stored field equal, X bit for bit."""
+    assert (a.feature_names, a.label_kind, a.catalog_version, a.fault_registry) == (
+        b.feature_names, b.label_kind, b.catalog_version, b.fault_registry)
     assert a.X.dtype == b.X.dtype == np.float64 and a.X.shape == b.X.shape and a.X.tobytes() == b.X.tobytes()
     assert a.y.dtype == b.y.dtype == np.int64 and np.array_equal(a.y, b.y)
-    assert (a.scaler is None) == (b.scaler is None)
-    if a.scaler is not None:
-        assert a.scaler.min.tobytes() == b.scaler.min.tobytes() and a.scaler.max.tobytes() == b.scaler.max.tobytes()
 
 
 class TestPersistence:
     def test_save_load_round_trip(self, tmp_path):
-        from netdiag.selection import project
-
         rng = np.random.default_rng(1)
         X = rng.normal(size=(6, 4)) * 1e5
         X[0, 0], X[1, 1] = 5e-324, -0.0  # the smallest subnormal and a signed zero
         prelim = db_from(X, [1, -1, 1, -1, 1, -1])
-        scaled = scale_database(prelim)
-        for db in (prelim, scaled, project(scaled, [3, 0]), db_from(np.empty((0, 4)), [])):
+        scaled, _ = scale_database(prelim)
+        for db in (prelim, scaled, db_from(np.empty((0, 4)), [])):
             save_database(db, tmp_path / "db.json")
             assert_same_database(load_database(tmp_path / "db.json"), db)
         assert [p.name for p in tmp_path.iterdir()] == ["db.json"]
@@ -178,8 +161,8 @@ class TestPersistence:
         assert again.label_kind is LabelKind.CLIENT
 
     def test_nan_scaler_refused_before_writing(self, tmp_path):
-        db = scale_database(db_from([[1.0], [2.0]], [1, -1]))
-        db = replace(db, scaler=replace(db.scaler, max=np.array([np.nan])))
+        # NaN has no JSON form.
+        db = db_from([[1.0], [np.nan]], [1, -1])
         with pytest.raises(NonFiniteInput, match="db.json"):
             save_database(db, tmp_path / "db.json")
         assert list(tmp_path.iterdir()) == []
@@ -192,10 +175,7 @@ class TestPersistence:
         assert [p.name for p in tmp_path.iterdir()] == ["db.json"]
         stored = json.loads((tmp_path / "db.json").read_text())
         assert stored == {
-            "stage": "preliminary",
             "catalog_version": "v1",
-            "scaler": {"min": [], "max": []},
-            "selected_features": [],
             "fault_registry": {},
             "feature_names": ["s0"],
             "X": [[1.0], [2.0]],
@@ -206,7 +186,7 @@ class TestPersistence:
     def test_failed_save_keeps_old_database(self, tmp_path, break_writes, how):
         # A client database saved over a link database changes every field
         # the old layout kept apart: the rows and the fault registry.
-        old = scale_database(db_from([[1.0, 2.0], [2.0, 1.0], [3.0, 3.0]], [1, -1, 1]))
+        old, _ = scale_database(db_from([[1.0, 2.0], [2.0, 1.0], [3.0, 3.0]], [1, -1, 1]))
         path = tmp_path / "db.json"
         save_database(old, path)
         new = db_from([[4.0, 5.0], [6.0, 7.0]], [0, 3], kind=LabelKind.CLIENT, registry=dict(DEFAULT_FAULT_REGISTRY))
@@ -230,6 +210,8 @@ class TestStoredIndices:
             parse_indices(values, limit=10)
 
     def test_fractional_selected_index_is_io_failure(self, tmp_path):
+        # selected_features is not a database key: a file carrying it is
+        # refused, whatever its indices.
         import json
 
         save_database(db_from([[1.0, 2.0], [2.0, 1.0]], [1, -1]), tmp_path / "db.json")
@@ -238,3 +220,23 @@ class TestStoredIndices:
         (tmp_path / "db.json").write_text(json.dumps(stored))
         with pytest.raises(IoFailure, match="db.json"):
             load_database(tmp_path / "db.json")
+
+
+class TestStoredNumbers:
+    @pytest.mark.parametrize("values, ndim", [([], 1), ([0, -1.5, 2**60], 1), ([], 2), ([[1, 2.5], [3, 4]], 2)])
+    def test_number_lists_load_exactly(self, values, ndim):
+        assert np.array_equal(parse_numbers(values, "v", ndim), np.asarray(values, dtype=np.float64))
+
+    @pytest.mark.parametrize(
+        "values, ndim",
+        [(["0.5"], 1), ([True, 1.0], 1), ([None], 1), ([[1.0]], 1), ("12", 1), ([1.0, 2.0], 2), ([["0.5"]], 2),
+         ([[1.0], [False]], 2), ([(1.0,)], 2)],
+    )
+    def test_anything_float64_would_convert_is_refused(self, values, ndim):
+        with pytest.raises(TypeError, match="v must be a list"):
+            parse_numbers(values, "v", ndim)
+
+    @pytest.mark.parametrize("values, ndim", [([float("nan")], 1), ([[1.0], [float("-inf")]], 2)])
+    def test_non_finite_is_refused(self, values, ndim):
+        with pytest.raises(ValueError, match="v must be finite"):
+            parse_numbers(values, "v", ndim)

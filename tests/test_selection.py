@@ -1,4 +1,4 @@
-"""t-test filter, ranking, wrapper subset choice, projection."""
+"""t-test filter, ranking, wrapper subset choice."""
 
 import math
 
@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netdiag.errors import IndexOutOfRange, MissingClass, StageError, TooFewSamples
-from netdiag.preprocess import LabelKind, Stage, scale_database
+from netdiag.errors import MissingClass, TooFewSamples
+from netdiag.preprocess import scale_database
 from netdiag.selection import (
     DEFAULT_CANDIDATE_SIZES,
     VARIANCE_FLOOR,
-    project,
     rank_features,
     stratified_folds,
     t_statistic,
@@ -174,7 +173,7 @@ class TestWrapper:
     CFG = SvmConfig(KernelSpec("linear"), C=10.0, max_iter=500, tol=1e-3)
 
     def test_finds_informative_features(self):
-        db = scale_database(make_informative_db())
+        db, _ = scale_database(make_informative_db())
         ranking = rank_features(db, 1, -1)
         report = wrapper_select(db, ranking, (2, 5, 10), folds=5, svm_config=self.CFG, seed=0)
         assert set(ranking.abs_t_order[:2]) == {3, 7}
@@ -182,14 +181,14 @@ class TestWrapper:
         assert report.cv_accuracy[report.candidate_sizes.index(report.chosen_q)] == 1.0
 
     def test_single_candidate_all_features(self):
-        db = scale_database(make_informative_db())
+        db, _ = scale_database(make_informative_db())
         ranking = rank_features(db, 1, -1)
         report = wrapper_select(db, ranking, (db.m,), folds=4, svm_config=self.CFG)
         assert report.chosen_q == db.m
         assert report.chosen_indices == ranking.abs_t_order
 
     def test_tie_prefers_smaller(self):
-        db = scale_database(make_informative_db())
+        db, _ = scale_database(make_informative_db())
         ranking = rank_features(db, 1, -1)
         report = wrapper_select(db, ranking, (2, 4), folds=5, svm_config=self.CFG)
         accs = dict(zip(report.candidate_sizes, report.cv_accuracy))
@@ -197,48 +196,16 @@ class TestWrapper:
             assert report.chosen_q == 2
 
     def test_chosen_is_prefix_of_ranking(self):
-        db = scale_database(make_informative_db(seed=5))
+        db, _ = scale_database(make_informative_db(seed=5))
         ranking = rank_features(db, 1, -1)
         report = wrapper_select(db, ranking, (3, 6), folds=4, svm_config=self.CFG)
         assert report.chosen_indices == ranking.abs_t_order[: report.chosen_q]
         assert all(0 <= a <= 1 for a in report.cv_accuracy)
 
     def test_default_sizes_clip_to_m(self):
-        db = scale_database(make_informative_db(m=8))
+        db, _ = scale_database(make_informative_db(m=8))
         ranking = rank_features(db, 1, -1)
         report = wrapper_select(
             db, ranking, DEFAULT_CANDIDATE_SIZES + (db.m,), folds=4, svm_config=self.CFG
         )
         assert all(q <= db.m for q in report.candidate_sizes)
-
-
-class TestProject:
-    def test_identity_projection(self):
-        db = scale_database(make_informative_db())
-        out = project(db, range(db.m))
-        assert out.stage is Stage.OPTIMUM
-        assert np.array_equal(out.X, db.X)
-        assert out.selected_features == tuple(range(db.m))
-
-    def test_column_slice(self):
-        db = scale_database(make_informative_db())
-        out = project(db, [3, 7])
-        assert out.m == 2
-        assert np.array_equal(out.X[:, 0], db.X[:, 3])
-        assert out.feature_names == (db.feature_names[3], db.feature_names[7])
-
-    def test_reduction_percentages(self):
-        rng = np.random.default_rng(0)
-        X = rng.uniform(size=(4, 280))
-        db = scale_database(db_from(X, [1, -1, 1, -1]))
-        assert 1 - project(db, range(75)).m / db.m == pytest.approx(0.73, abs=0.005)
-        assert 1 - project(db, range(25)).m / db.m == pytest.approx(0.91, abs=0.005)
-
-    def test_errors(self):
-        db = scale_database(make_informative_db())
-        with pytest.raises(IndexOutOfRange):
-            project(db, [0, 0])
-        with pytest.raises(IndexOutOfRange):
-            project(db, [db.m])
-        with pytest.raises(StageError):
-            project(make_informative_db(), [0])

@@ -50,7 +50,7 @@ class TestGenerator:
 class TestRankingSeparation:
     def test_informative_outrank_noise(self):
         pos, neg = spec_pair()
-        db = scale_database(synthetic_database([pos, neg], n_per_class=100, seed=4))
+        db, _ = scale_database(synthetic_database([pos, neg], n_per_class=100, seed=4))
         ranking = rank_features(db, 1, -1)
         assert set(ranking.abs_t_order[:2]) == {3, 7}
 
@@ -63,7 +63,7 @@ class TestRankingSeparation:
         for seed in range(20):
             pos = ClassArtifactSpec(m=280, informative=informative_pos, jitter=0.05, label=1)
             neg = ClassArtifactSpec(m=280, informative=informative_neg, jitter=0.05, label=-1)
-            db = scale_database(synthetic_database([pos, neg], n_per_class=100, seed=derive_seed(99, seed)))
+            db, _ = scale_database(synthetic_database([pos, neg], n_per_class=100, seed=derive_seed(99, seed)))
             ranking = rank_features(db, 1, -1)
             top25 = set(ranking.abs_t_order[:25])
             hits.append(len(top25 & set(rng_targets)))
