@@ -73,12 +73,6 @@ class PipelineConfig:
     seed: int = 0
     fp_penalty: float = 0.0
 
-    def resolved_sizes(self, m: int) -> tuple[int, ...]:
-        if self.candidate_sizes is None:
-            return (m,)
-        sizes = sorted({q for q in self.candidate_sizes if 1 <= q <= m})
-        return tuple(sizes) if sizes else (m,)
-
 
 def default_lpd_config(seed: int = 0) -> PipelineConfig:
     return PipelineConfig(
@@ -122,7 +116,7 @@ def prepare_pipeline(db: SignatureDatabase, config: PipelineConfig) -> CvGrid:
     return cv_grid(
         scaled,
         ranking,
-        config.resolved_sizes(db.m),
+        (db.m,) if config.candidate_sizes is None else config.candidate_sizes,
         folds=config.cv_folds,
         svm_config=config.svm,
         seed=config.seed,
@@ -304,6 +298,8 @@ def _module_errors(name: str):
 def train_cfd(db: SignatureDatabase, configs: dict[str, PipelineConfig] | None = None, seed: int = 0) -> CfdNetwork:
     """Train every module in the registry, each independently seeded; the
     whole bank is one `fit_pipelines` call."""
+    if db.label_kind is not LabelKind.CLIENT:
+        raise ConfigError("fault modules need a client-labeled database")
     registry = db.fault_registry or {}
     if not registry:
         raise ConfigError("fault registry is empty; nothing to train")

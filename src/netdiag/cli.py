@@ -121,9 +121,9 @@ def _parse_pipeline(raw, where: str, base: clf.PipelineConfig) -> clf.PipelineCo
         )
         if "candidate_sizes" in raw:
             sizes = raw["candidate_sizes"]
-            if not isinstance(sizes, list):
-                raise TypeError("candidate_sizes must be a list of integers")
-            out = replace(out, candidate_sizes=tuple(parse_integer(q, "candidate_sizes") for q in sizes))
+            if not isinstance(sizes, list) or not sizes:
+                raise TypeError("candidate_sizes must be a non-empty list of integers")
+            out = replace(out, candidate_sizes=tuple(parse_integer(q, "candidate_sizes", minimum=1) for q in sizes))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     return out
@@ -291,8 +291,6 @@ def cmd_train(args, config: CliConfig) -> int:
         )
     bundle = Path(args.out)
     if args.stage == "lpd":
-        if db.label_kind is not LabelKind.LINK:
-            raise ConfigError("--stage lpd needs a link-labeled database (labels +1/-1)")
         lpd = clf.train_lpd(db, config.lpd, link_profile=config.link_profile)
         clf.save_lpd_part(bundle, lpd, config.catalog_version)
         solver = _solver_report(lpd.model)
@@ -315,8 +313,6 @@ def cmd_train(args, config: CliConfig) -> int:
             _say(args, "warning: solver hit the iteration cap; model kept")
         _emit(summary)
         return 0
-    if db.label_kind is not LabelKind.CLIENT:
-        raise ConfigError("--stage cfd needs a client-labeled database")
     network = clf.train_cfd(db, config.cfd, seed=config.seed)
     clf.save_cfd_part(bundle, network, config.catalog_version)
     modules = {}
@@ -370,14 +366,12 @@ def cmd_synth(args, config: CliConfig) -> int:
     for option, value in (("--bytes", args.bytes), ("--per-class", args.per_class)):
         if value < 1:
             raise ConfigError(f"{option} must be at least 1, got {value}")
-    if args.scenario:
-        scenarios = scenario_from_json(args.scenario)
-    elif args.preset == "healthy":
+    if args.preset == "healthy":
         scenarios = preset_healthy(config.seed, args.bytes)
     elif args.preset == "paper-matrix":
         scenarios = preset_paper_matrix(args.per_class, config.seed, args.bytes)
     else:
-        raise ConfigError(f"unknown preset {args.preset!r}")
+        scenarios = scenario_from_json(args.scenario)
     emit_corpus(scenarios, args.out)
     _say(args, f"wrote {len(scenarios)} scenario pairs to {args.out}")
     _emit({"scenarios": len(scenarios), "outdir": str(args.out)})
@@ -429,8 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("synth", parents=[common], help="emit synthetic trace corpora")
-    p.add_argument("--preset", default=None, choices=["healthy", "paper-matrix"])
-    p.add_argument("--scenario", default=None, help="scenario JSON file")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--preset", choices=["healthy", "paper-matrix"])
+    source.add_argument("--scenario", help="scenario JSON file")
     p.add_argument("--out", required=True)
     p.add_argument("--per-class", type=int, default=11, dest="per_class")
     p.add_argument("--bytes", type=int, default=DEFAULT_TRANSFER_BYTES)
@@ -441,9 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "synth" and not (args.preset or args.scenario):
-        print("synth needs --preset or --scenario", file=sys.stderr)
-        return 2
     try:
         config = load_config(args.config, args.seed)
         return args.func(args, config)

@@ -1,14 +1,15 @@
 """Connection-signature extraction.
 
-Turns a pair of packet traces into a fixed-length feature vector using a
-versioned catalog of per-trace statistics.  Statistics that are undefined
-for a given trace (e.g. an RTT deviation with fewer than two samples)
-are emitted as 0.0, with the definedness recorded separately so callers
-can audit what the vector actually measured.
-
-Catalog "v1" computes 37 statistics for each of the two traces (74
-features).  All statistics use timestamps relative to the trace start,
-so signatures are invariant under time shift.
+Turns a pair of packet traces into one fixed-length connection
+signature: 37 per-trace statistics (the `Statistic` table) for the
+download trace, then the same 37 for the upload trace, 74 features.
+A catalog is a version plus those feature names in signature order; this
+build knows one, "v1", and refuses any other.  A statistic that is
+undefined for a trace (e.g. an RTT deviation with fewer than two
+samples) is emitted as 0.0, and the `Signature` carries the definedness
+of every feature, so a caller can say what the vector did not measure.
+All statistics use timestamps relative to the trace start, so
+signatures are invariant under time shift.
 
 Both traces are receiver captures (the download at the client, the
 upload at the server).  There a repair of a lost segment overlaps no byte
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CatalogMismatch, EmptyTrace, NonFiniteInput
-from .trace import SEQ_MOD, Direction, IntervalSet, TracePair, TraceRecord, TransferDirection
+from .trace import SEQ_MOD, Direction, IntervalSet, TracePair, TraceRecord
 
 SMALL_SEGMENT_BYTES = 512  # "push-like" threshold
 
@@ -71,62 +72,38 @@ class Statistic(enum.Enum):
     BYTES_PER_ACK = "bytes_per_ack"
 
 
-STATISTICS_V1: tuple[Statistic, ...] = tuple(Statistic)
-
-
-@dataclass(frozen=True)
-class FeatureDef:
-    name: str
-    trace: TransferDirection
-    statistic: Statistic
-
-
 @dataclass(frozen=True)
 class FeatureCatalog:
-    version: str
-    features: tuple[FeatureDef, ...]
+    """A catalog version and its feature names, in signature order."""
 
-    def __post_init__(self):
-        names = [f.name for f in self.features]
-        if len(set(names)) != len(names):
-            raise ValueError("feature names must be unique")
+    version: str
+    feature_names: tuple[str, ...]
 
     @property
     def m(self) -> int:
-        return len(self.features)
+        return len(self.feature_names)
 
-    @property
-    def feature_names(self) -> tuple[str, ...]:
-        return tuple(f.name for f in self.features)
+
+_CATALOG = FeatureCatalog(
+    version="v1",
+    feature_names=tuple(f"{prefix}_{stat.value}" for prefix in ("down", "up") for stat in Statistic),
+)
 
 
 def default_catalog() -> FeatureCatalog:
     """Catalog v1: every Statistic for each trace, download block first."""
-    defs = []
-    for trace, prefix in ((TransferDirection.DOWNLOAD, "down"), (TransferDirection.UPLOAD, "up")):
-        for stat in STATISTICS_V1:
-            defs.append(FeatureDef(name=f"{prefix}_{stat.value}", trace=trace, statistic=stat))
-    return FeatureCatalog(version="v1", features=tuple(defs))
+    return _CATALOG
 
 
 @dataclass(frozen=True, eq=False)
 class Signature:
-    """Feature vector for one trace pair, optionally labeled."""
+    """Feature vector for one trace pair and the definedness of each feature."""
 
     values: np.ndarray
-    label: int | None
-    catalog_version: str
-
-
-@dataclass(frozen=True)
-class ExtractionDiagnostics:
-    """Per-feature definedness for one extracted signature."""
-
     defined: tuple[bool, ...]
-    feature_names: tuple[str, ...]
 
-    def undefined_features(self) -> tuple[str, ...]:
-        return tuple(n for n, d in zip(self.feature_names, self.defined) if not d)
+    def undefined_features(self, catalog: FeatureCatalog) -> tuple[str, ...]:
+        return tuple(n for n, d in zip(catalog.feature_names, self.defined) if not d)
 
 
 def _unwrap(raw: np.ndarray) -> np.ndarray:
@@ -180,184 +157,172 @@ class _RttMatcher:
         self.pending = keep
 
 
-class _TraceAnalysis:
-    """Every catalog statistic of one trace.
+def _trace_statistics(trace: TraceRecord) -> tuple[list[float], list[bool]]:
+    """Every Statistic of one trace and whether it is defined, in Statistic
+    order.
 
     Order-free statistics are column reductions; retransmission and
     out-of-order detection and RTT matching walk the packets in order.
     Integer sums are exact (32-bit values in 64-bit columns), so every
     statistic equals the per-packet definition bit for bit.
     """
+    ev = trace.events
+    n = len(ev)
+    if not n:
+        raise EmptyTrace("cannot analyze a trace with no events")
+    ts, length = ev.ts, ev.payload_len
+    c2s, s2c = Direction.CLIENT_TO_SERVER, Direction.SERVER_TO_CLIENT
+    data_direction = trace.data_direction()
+    ack_direction = s2c if data_direction is c2s else c2s
+    data_dir = ev.is_dir(data_direction)
+    ack_dir = ~data_dir
+    out_dir = ev.is_dir(trace.capture_outbound())
+    has_payload = length > 0
+    pure_ack = ~has_payload & ev.ack_flag & ~(ev.syn | ev.fin | ev.rst)
 
-    def __init__(self, trace: TraceRecord):
-        ev = trace.events
-        n = len(ev)
-        if not n:
-            raise EmptyTrace("cannot analyze a trace with no events")
-        ts, length = ev.ts, ev.payload_len
-        c2s, s2c = Direction.CLIENT_TO_SERVER, Direction.SERVER_TO_CLIENT
-        data_direction = trace.data_direction()
-        ack_direction = s2c if data_direction is c2s else c2s
-        data_dir = ev.is_dir(data_direction)
-        ack_dir = ~data_dir
-        out_dir = ev.is_dir(trace.capture_outbound())
-        has_payload = length > 0
-        pure_ack = ~has_payload & ev.ack_flag & ~(ev.syn | ev.fin | ev.rst)
+    def count(mask) -> int:
+        return int(np.count_nonzero(mask))
 
-        def count(mask) -> int:
-            return int(np.count_nonzero(mask))
+    def total(values) -> int:
+        return int(values.sum())
 
-        def total(values) -> int:
-            return int(values.sum())
+    by_dir = {d: ev.is_dir(d) for d in (c2s, s2c)}
+    counts = {d: count(m) for d, m in by_dir.items()}
+    bytes_ = {d: total(length[m]) for d, m in by_dir.items()}
+    data_pkts = {d: count(has_payload & m) for d, m in by_dir.items()}
+    pure_acks = {d: count(pure_ack & m) for d, m in by_dir.items()}
 
-        by_dir = {d: ev.is_dir(d) for d in (c2s, s2c)}
-        counts = {d: count(m) for d, m in by_dir.items()}
-        bytes_ = {d: total(length[m]) for d, m in by_dir.items()}
-        data_pkts = {d: count(has_payload & m) for d, m in by_dir.items()}
-        pure_acks = {d: count(pure_ack & m) for d, m in by_dir.items()}
+    wins = ev.win[ack_dir]
+    acks = ev.ack[ack_dir & pure_ack]
+    dup = acks[1:] == acks[:-1]
+    dup_acks = count(dup)
+    # a run of duplicates counts one triple event when its third arrives
+    run = np.concatenate(([False] * 3, dup))
+    triple_events = count(run[3:] & run[2:-1] & run[1:-2] & ~run[:-3])
 
-        wins = ev.win[ack_dir]
-        acks = ev.ack[ack_dir & pure_ack]
-        dup = acks[1:] == acks[:-1]
-        dup_acks = count(dup)
-        # a run of duplicates counts one triple event when its third arrives
-        run = np.concatenate(([False] * 3, dup))
-        triple_events = count(run[3:] & run[2:-1] & run[1:-2] & ~run[:-3])
+    data_mask = data_dir & has_payload
+    seg_sizes = length[data_mask]
+    seg_start = _unwrap(ev.seq[data_mask])
+    retrans_pkts = retrans_bytes = ooo_pkts = 0
+    data_cover = IntervalSet()
+    for s, e in zip(seg_start.tolist(), (seg_start + seg_sizes).tolist()):
+        prev_max = data_cover.max_end
+        overlap = data_cover.add(s, e)
+        if overlap > 0:
+            retrans_pkts += 1
+            retrans_bytes += overlap
+        elif prev_max is not None and s < prev_max:
+            ooo_pkts += 1
 
-        data_mask = data_dir & has_payload
-        seg_sizes = length[data_mask]
-        seg_start = _unwrap(ev.seq[data_mask])
-        retrans_pkts = retrans_bytes = ooo_pkts = 0
-        data_cover = IntervalSet()
-        for s, e in zip(seg_start.tolist(), (seg_start + seg_sizes).tolist()):
-            prev_max = data_cover.max_end
-            overlap = data_cover.add(s, e)
-            if overlap > 0:
-                retrans_pkts += 1
-                retrans_bytes += overlap
-            elif prev_max is not None and s < prev_max:
-                ooo_pkts += 1
+    # The first ack-direction ack after the first data packet that
+    # covers its first byte bounds the initial window.
+    initial_window = total(seg_sizes)
+    if seg_sizes.size:
+        after = np.arange(n) > np.flatnonzero(data_mask)[0]
+        candidates = np.flatnonzero(ack_dir & ev.ack_flag & after)
+        covering = np.flatnonzero(_unwrap(ev.ack[candidates]) > seg_start[0])
+        if covering.size:
+            first_ack = candidates[covering[0]]
+            early = data_mask & (np.arange(n) < first_ack) & (ts < ts[first_ack])
+            initial_window = total(length[early])
 
-        # The first ack-direction ack after the first data packet that
-        # covers its first byte bounds the initial window.
-        initial_window = total(seg_sizes)
-        if seg_sizes.size:
-            after = np.arange(n) > np.flatnonzero(data_mask)[0]
-            candidates = np.flatnonzero(ack_dir & ev.ack_flag & after)
-            covering = np.flatnonzero(_unwrap(ev.ack[candidates]) > seg_start[0])
-            if covering.size:
-                first_ack = candidates[covering[0]]
-                early = data_mask & (np.arange(n) < first_ack) & (ts < ts[first_ack])
-                initial_window = total(length[early])
+    consumed = length + ev.syn + ev.fin
+    sends = out_dir & (consumed > 0)
+    acked = ~out_dir & ev.ack_flag
+    lo = np.zeros(n, dtype=np.int64)
+    lo[sends] = _unwrap(ev.seq[sends])
+    lo[acked] = _unwrap(ev.ack[acked])
+    hi = lo + consumed
+    walk = sends | acked
+    rtt = _RttMatcher()
+    for send, a, b, t in zip(sends[walk].tolist(), lo[walk].tolist(), hi[walk].tolist(), ts[walk].tolist()):
+        if send:
+            rtt.on_send(a, b, t)
+        elif rtt.pending:
+            rtt.on_ack(a, t)
 
-        consumed = length + ev.syn + ev.fin
-        sends = out_dir & (consumed > 0)
-        acked = ~out_dir & ev.ack_flag
-        lo = np.zeros(n, dtype=np.int64)
-        lo[sends] = _unwrap(ev.seq[sends])
-        lo[acked] = _unwrap(ev.ack[acked])
-        hi = lo + consumed
-        walk = sends | acked
-        rtt = _RttMatcher()
-        for send, a, b, t in zip(sends[walk].tolist(), lo[walk].tolist(), hi[walk].tolist(), ts[walk].tolist()):
-            if send:
-                rtt.on_send(a, b, t)
-            elif rtt.pending:
-                rtt.on_ack(a, t)
+    elapsed = float(ts[-1] - ts[0])
+    idle_max = max(0.0, float(np.diff(ts).max())) if n >= 2 else 0.0
+    data_bytes = bytes_[data_direction]
 
-        elapsed = float(ts[-1] - ts[0])
-        idle_max = max(0.0, float(np.diff(ts).max())) if n >= 2 else 0.0
-        data_bytes = bytes_[data_direction]
+    samples = rtt.samples
+    n_rtt = len(samples)
+    rtt_avg = sum(samples) / n_rtt if n_rtt else 0.0
+    rtt_stdev = 0.0
+    if n_rtt >= 2:
+        try:
+            var = sum((x - rtt_avg) ** 2 for x in samples) / (n_rtt - 1)
+        except OverflowError:  # samples near the float range; refused below
+            var = math.inf
+        rtt_stdev = math.sqrt(var)
 
-        samples = rtt.samples
-        n_rtt = len(samples)
-        rtt_avg = sum(samples) / n_rtt if n_rtt else 0.0
-        rtt_stdev = 0.0
-        if n_rtt >= 2:
-            try:
-                var = sum((x - rtt_avg) ** 2 for x in samples) / (n_rtt - 1)
-            except OverflowError:  # samples near the float range; refused below
-                var = math.inf
-            rtt_stdev = math.sqrt(var)
+    v: dict[Statistic, float] = {}
+    defined: dict[Statistic, bool] = {}
 
-        v: dict[Statistic, float] = {}
-        defined: dict[Statistic, bool] = {}
+    def put(stat, value, ok=True):
+        v[stat] = float(value)
+        defined[stat] = bool(ok)
 
-        def put(stat, value, ok=True):
-            v[stat] = float(value)
-            defined[stat] = bool(ok)
+    put(Statistic.ELAPSED_TIME, elapsed, n >= 2)
+    put(Statistic.TOTAL_PACKETS_C2S, counts[c2s])
+    put(Statistic.TOTAL_PACKETS_S2C, counts[s2c])
+    put(Statistic.TOTAL_BYTES_C2S, bytes_[c2s])
+    put(Statistic.TOTAL_BYTES_S2C, bytes_[s2c])
+    put(Statistic.DATA_PACKETS_C2S, data_pkts[c2s])
+    put(Statistic.DATA_PACKETS_S2C, data_pkts[s2c])
+    put(Statistic.PURE_ACK_PACKETS_C2S, pure_acks[c2s])
+    put(Statistic.PURE_ACK_PACKETS_S2C, pure_acks[s2c])
+    throughput = data_bytes / elapsed if elapsed > 0 else 0.0
+    throughput_ok = elapsed > 0 and math.isfinite(throughput)
+    if not throughput_ok:  # denormal elapsed can overflow the ratio
+        throughput = 0.0
+    put(Statistic.THROUGHPUT, throughput, throughput_ok)
+    put(Statistic.RETRANSMITTED_PACKETS, retrans_pkts)
+    put(Statistic.RETRANSMITTED_BYTES, retrans_bytes)
+    put(Statistic.OUT_OF_ORDER_PACKETS, ooo_pkts)
+    put(Statistic.DUP_ACK_COUNT, dup_acks)
+    put(Statistic.TRIPLE_DUP_ACK_EVENTS, triple_events)
+    put(Statistic.SACK_BLOCKS_TOTAL, total(ev.sack_cnt))
+    put(Statistic.MAX_SACK_CNT, ev.sack_cnt.max())
+    has_wins = wins.size > 0
+    put(Statistic.WIN_MIN, wins.min() if has_wins else 0.0, has_wins)
+    put(Statistic.WIN_MAX, wins.max() if has_wins else 0.0, has_wins)
+    put(Statistic.WIN_AVG, total(wins) / wins.size if has_wins else 0.0, has_wins)
+    put(Statistic.ZERO_WINDOW_COUNT, count(wins == 0), has_wins)
+    put(Statistic.RTT_AVG, rtt_avg, n_rtt >= 1)
+    put(Statistic.RTT_MIN, min(samples) if samples else 0.0, n_rtt >= 1)
+    put(Statistic.RTT_MAX, max(samples) if samples else 0.0, n_rtt >= 1)
+    put(Statistic.RTT_STDEV, rtt_stdev, n_rtt >= 2)
+    put(Statistic.RTT_SAMPLES, n_rtt)
+    put(Statistic.IDLE_TIME_MAX, idle_max, n >= 2)
+    has_segs = seg_sizes.size > 0
+    put(Statistic.MEAN_SEGMENT_SIZE, total(seg_sizes) / seg_sizes.size if has_segs else 0.0, has_segs)
+    put(Statistic.MAX_SEGMENT_SIZE, seg_sizes.max() if has_segs else 0.0, has_segs)
+    put(Statistic.MIN_SEGMENT_SIZE, seg_sizes.min() if has_segs else 0.0, has_segs)
+    put(Statistic.PUSH_LIKE_SMALL_SEGMENT_COUNT, count(seg_sizes < SMALL_SEGMENT_BYTES))
+    put(Statistic.SYN_COUNT, count(ev.syn))
+    put(Statistic.FIN_COUNT, count(ev.fin))
+    put(Statistic.RST_COUNT, count(ev.rst))
+    put(Statistic.INITIAL_WINDOW_BYTES, initial_window, has_segs)
+    n_data = data_pkts[data_direction]
+    n_acks = pure_acks[ack_direction]
+    put(Statistic.ACK_COMPRESSION_RATIO, n_acks / n_data if n_data else 0.0, n_data > 0)
+    put(Statistic.BYTES_PER_ACK, data_bytes / n_acks if n_acks else 0.0, n_acks > 0)
 
-        put(Statistic.ELAPSED_TIME, elapsed, n >= 2)
-        put(Statistic.TOTAL_PACKETS_C2S, counts[c2s])
-        put(Statistic.TOTAL_PACKETS_S2C, counts[s2c])
-        put(Statistic.TOTAL_BYTES_C2S, bytes_[c2s])
-        put(Statistic.TOTAL_BYTES_S2C, bytes_[s2c])
-        put(Statistic.DATA_PACKETS_C2S, data_pkts[c2s])
-        put(Statistic.DATA_PACKETS_S2C, data_pkts[s2c])
-        put(Statistic.PURE_ACK_PACKETS_C2S, pure_acks[c2s])
-        put(Statistic.PURE_ACK_PACKETS_S2C, pure_acks[s2c])
-        throughput = data_bytes / elapsed if elapsed > 0 else 0.0
-        throughput_ok = elapsed > 0 and math.isfinite(throughput)
-        if not throughput_ok:  # denormal elapsed can overflow the ratio
-            throughput = 0.0
-        put(Statistic.THROUGHPUT, throughput, throughput_ok)
-        put(Statistic.RETRANSMITTED_PACKETS, retrans_pkts)
-        put(Statistic.RETRANSMITTED_BYTES, retrans_bytes)
-        put(Statistic.OUT_OF_ORDER_PACKETS, ooo_pkts)
-        put(Statistic.DUP_ACK_COUNT, dup_acks)
-        put(Statistic.TRIPLE_DUP_ACK_EVENTS, triple_events)
-        put(Statistic.SACK_BLOCKS_TOTAL, total(ev.sack_cnt))
-        put(Statistic.MAX_SACK_CNT, ev.sack_cnt.max())
-        has_wins = wins.size > 0
-        put(Statistic.WIN_MIN, wins.min() if has_wins else 0.0, has_wins)
-        put(Statistic.WIN_MAX, wins.max() if has_wins else 0.0, has_wins)
-        put(Statistic.WIN_AVG, total(wins) / wins.size if has_wins else 0.0, has_wins)
-        put(Statistic.ZERO_WINDOW_COUNT, count(wins == 0), has_wins)
-        put(Statistic.RTT_AVG, rtt_avg, n_rtt >= 1)
-        put(Statistic.RTT_MIN, min(samples) if samples else 0.0, n_rtt >= 1)
-        put(Statistic.RTT_MAX, max(samples) if samples else 0.0, n_rtt >= 1)
-        put(Statistic.RTT_STDEV, rtt_stdev, n_rtt >= 2)
-        put(Statistic.RTT_SAMPLES, n_rtt)
-        put(Statistic.IDLE_TIME_MAX, idle_max, n >= 2)
-        has_segs = seg_sizes.size > 0
-        put(Statistic.MEAN_SEGMENT_SIZE, total(seg_sizes) / seg_sizes.size if has_segs else 0.0, has_segs)
-        put(Statistic.MAX_SEGMENT_SIZE, seg_sizes.max() if has_segs else 0.0, has_segs)
-        put(Statistic.MIN_SEGMENT_SIZE, seg_sizes.min() if has_segs else 0.0, has_segs)
-        put(Statistic.PUSH_LIKE_SMALL_SEGMENT_COUNT, count(seg_sizes < SMALL_SEGMENT_BYTES))
-        put(Statistic.SYN_COUNT, count(ev.syn))
-        put(Statistic.FIN_COUNT, count(ev.fin))
-        put(Statistic.RST_COUNT, count(ev.rst))
-        put(Statistic.INITIAL_WINDOW_BYTES, initial_window, has_segs)
-        n_data = data_pkts[data_direction]
-        n_acks = pure_acks[ack_direction]
-        put(Statistic.ACK_COMPRESSION_RATIO, n_acks / n_data if n_data else 0.0, n_data > 0)
-        put(Statistic.BYTES_PER_ACK, data_bytes / n_acks if n_acks else 0.0, n_acks > 0)
-
-        self.values = v
-        self.defined = defined
-
-
-def extract_with_diagnostics(pair: TracePair, catalog: FeatureCatalog) -> tuple[Signature, ExtractionDiagnostics]:
-    if not catalog.features:
-        raise CatalogMismatch("catalog has no features")
-    analyses = {
-        TransferDirection.DOWNLOAD: _TraceAnalysis(pair.download),
-        TransferDirection.UPLOAD: _TraceAnalysis(pair.upload),
-    }
-    values = np.empty(catalog.m, dtype=np.float64)
-    defined = []
-    for i, fdef in enumerate(catalog.features):
-        a = analyses[fdef.trace]
-        values[i] = a.values[fdef.statistic]
-        defined.append(a.defined[fdef.statistic])
-    if not np.all(np.isfinite(values)):
-        bad = catalog.feature_names[int(np.flatnonzero(~np.isfinite(values))[0])]
-        raise NonFiniteInput(f"feature {bad} is not finite: the traces hold values too large to combine")
-    sig = Signature(values=values, label=None, catalog_version=catalog.version)
-    return sig, ExtractionDiagnostics(defined=tuple(defined), feature_names=catalog.feature_names)
+    return [v[stat] for stat in Statistic], [defined[stat] for stat in Statistic]
 
 
 def extract_signature(pair: TracePair, catalog: FeatureCatalog) -> Signature:
-    """Deterministic feature vector for one trace pair (unlabeled)."""
-    sig, _ = extract_with_diagnostics(pair, catalog)
-    return sig
+    """Deterministic feature vector of one trace pair, download block first,
+    with the definedness of each feature."""
+    if catalog != _CATALOG:
+        raise CatalogMismatch(
+            f"catalog {catalog.version!r} differs from this build's {_CATALOG.version!r} in version or feature names"
+        )
+    down_values, down_defined = _trace_statistics(pair.download)
+    up_values, up_defined = _trace_statistics(pair.upload)
+    values = np.array(down_values + up_values, dtype=np.float64)
+    if not np.all(np.isfinite(values)):
+        bad = catalog.feature_names[int(np.flatnonzero(~np.isfinite(values))[0])]
+        raise NonFiniteInput(f"feature {bad} is not finite: the traces hold values too large to combine")
+    return Signature(values=values, defined=tuple(down_defined + up_defined))

@@ -63,7 +63,7 @@ def generate_synthetic_signature(spec: ClassArtifactSpec, seed: int) -> Signatur
     for i, target in spec.informative:
         values[i] = target + (_normal(rng, 0.0, spec.jitter) if spec.jitter > 0 else 0.0)
     np.clip(values, 0.0, VALUE_CLIP, out=values)
-    return Signature(values=values, label=spec.label, catalog_version=f"synthetic-m{spec.m}")
+    return Signature(values=values, defined=(True,) * spec.m)
 
 
 def synthetic_database(

@@ -473,6 +473,44 @@ def test_link_profile_names_no_file(tmp_path):
     assert json.loads((out / "lpd.json").read_text(encoding="utf-8"))["link_profile"] == "../../esc"
 
 
+# Each list once loaded and trained on all 74 features with exit 0.
+@pytest.mark.parametrize("sizes, expected", [([], 2), ([0], 2), ([-3, 0], 2), ([500], 3)])
+def test_candidate_sizes_selecting_nothing_exit_without_a_stage(tmp_path, sizes, expected):
+    link, _ = _databases(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"lpd": {"candidate_sizes": sizes}}), encoding="utf-8")
+    out = tmp_path / "bundle"
+    code, _, err = _run("train", "--config", str(config), "--db", str(link), "--stage", "lpd", "--out", str(out))
+    assert code == expected and "Traceback" not in err
+    assert err.startswith("error:") and "candidate" in err
+    assert not (out / "lpd.json").exists()
+
+
+@pytest.mark.parametrize("stage, db_index, named", [("lpd", 1, "link-labeled"), ("cfd", 0, "client-labeled")])
+def test_train_on_the_wrong_label_kind_exits_2(tmp_path, stage, db_index, named):
+    db = _databases(tmp_path)[db_index]
+    out = tmp_path / "bundle"
+    code, _, err = _run("train", "--db", str(db), "--stage", stage, "--out", str(out))
+    assert code == 2 and "Traceback" not in err
+    assert err.startswith("error:") and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("both", [True, False], ids=["both", "neither"])
+def test_synth_needs_exactly_one_of_preset_and_scenario(tmp_path, both):
+    # With both flags the scenario once won silently over the preset.
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text('{"link": {"bandwidth": 1e6, "one_way_delay": 0.01}, "bytes": 20000}', encoding="utf-8")
+    out = tmp_path / "out"
+    flags = ["--preset", "healthy", "--scenario", str(scenario)] if both else []
+    err = StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(["synth", *flags, "--bytes", "20000", "--out", str(out)])
+    assert exc.value.code == 2 and "Traceback" not in err.getvalue()
+    assert "--preset" in err.getvalue() and "--scenario" in err.getvalue()
+    assert not out.exists()
+
+
 # Each text once gave a traceback (exit 1) or was silently read as another value.
 @pytest.mark.parametrize(
     "text, named",

@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import interval_reference as ref
+from netdiag.errors import CatalogMismatch
 from netdiag.features import (
+    FeatureCatalog,
     Statistic,
-    _TraceAnalysis,
+    _trace_statistics,
     default_catalog,
     extract_signature,
-    extract_with_diagnostics,
 )
 from netdiag.simulate import HEALTHY_LINK, ClientParams, LinkParams, simulate_flow_with_stats
 from netdiag.trace import (
@@ -35,7 +36,7 @@ def ev(ts, dir=C2S, seq=0, ack=0, length=0, **kw):
 
 def compute_statistic(t: TraceRecord, stat: Statistic) -> float:
     """One statistic of one trace, as the extractor computes it."""
-    return _TraceAnalysis(t).values[stat]
+    return _trace_statistics(t)[0][list(Statistic).index(stat)]
 
 
 def trace(events, capture=CapturePoint.CLIENT, transfer=TransferDirection.DOWNLOAD):
@@ -310,8 +311,8 @@ class TestVectorProperties:
             download=single,
             upload=trace([ev(0.0, C2S, syn=True)], CapturePoint.SERVER, TransferDirection.UPLOAD),
         )
-        sig, diag = extract_with_diagnostics(pair, cat)
-        undefined = set(diag.undefined_features())
+        sig = extract_signature(pair, cat)
+        undefined = set(sig.undefined_features(cat))
         assert "down_throughput" in undefined
         assert "down_rtt_avg" in undefined
         assert "down_total_packets_c2s" not in undefined
@@ -321,9 +322,20 @@ class TestVectorProperties:
         cat = default_catalog()
         assert cat.version == "v1"
         assert cat.m == 74
-        down = [f for f in cat.features if f.name.startswith("down_")]
-        up = [f for f in cat.features if f.name.startswith("up_")]
-        assert len(down) == len(up) == 37
+        assert cat.feature_names == tuple(f"{p}_{stat.value}" for p in ("down", "up") for stat in Statistic)
+
+    @pytest.mark.parametrize(
+        "catalog",
+        [
+            FeatureCatalog("v2", default_catalog().feature_names),
+            FeatureCatalog("v1", default_catalog().feature_names[::-1]),
+        ],
+        ids=["other_version", "reordered_names"],
+    )
+    def test_other_catalog_is_refused(self, catalog):
+        pair, _ = simulate_flow_with_stats(HEALTHY_LINK, ClientParams(seed=1), 20_000, 9)
+        with pytest.raises(CatalogMismatch):
+            extract_signature(pair, catalog)
 
     def test_zero_loss_run_has_no_retransmission_artifacts(self):
         cat = default_catalog()

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netdiag.features import default_catalog, extract_with_diagnostics
+from netdiag.features import default_catalog, extract_signature
 from netdiag.scenarios import emit_corpus, preset_paper_matrix
 from netdiag.trace import read_pair
 
@@ -61,10 +61,10 @@ def test_signatures_and_definedness(corpus):
     for sc in sorted(scenarios, key=lambda sc: sc.id):
         group = Path(root, sc.group)
         from_disk = read_pair(group / f"{sc.id}.down.csv", group / f"{sc.id}.up.csv")
-        sig, diag = extract_with_diagnostics(from_disk, CATALOG)
-        in_memory, _ = extract_with_diagnostics(sc.simulate(), CATALOG)
+        sig = extract_signature(from_disk, CATALOG)
+        in_memory = extract_signature(sc.simulate(), CATALOG)
         assert np.array_equal(sig.values, in_memory.values)
-        assert diag.undefined_features() == UNDEFINED, sc.id
+        assert sig.undefined_features(CATALOG) == UNDEFINED, sc.id
         rows.append(sig.values)
     matrix = np.vstack(rows)
     assert matrix.shape == (len(scenarios), CATALOG.m)
