@@ -7,7 +7,6 @@ from .classifiers import (
     LpdClassifier,
     PipelineConfig,
     Verdict,
-    cfd_collective,
     diagnose,
     load_bundle,
     save_bundle,

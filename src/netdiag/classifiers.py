@@ -4,8 +4,10 @@ Stage one is a binary link classifier: +1 means the access link itself
 is degraded and client diagnosis is pointless until it is fixed.  Stage
 two is a parallel bank of per-fault binary modules, each trained on the
 healthy-client class versus one fault class, each with its own scaler
-and feature subset.  The collective client verdict is simply the set of
-modules voting +1; an empty set means a healthy client.
+and feature subset.  A verdict is its decisions: the link gate's, then,
+if the link passed, one per module in fault-index order.  The link state
+and the collective client verdict, the set of modules voting +1 (empty
+for a healthy client), are read from them.
 
 On disk a trained bundle is a directory of one JSON file per stage,
 each written whole through a temporary file and a rename:
@@ -13,6 +15,9 @@ each written whole through a temporary file and a rename:
     lpd.json  {"catalog_version", "link_profile", "model", "selection"}
     cfd.json  {"catalog_version", "fault_registry",
                "modules": {fault_name: {"model", "selection"}}}
+
+The catalog version lives only in the stage files; `load_bundle` refuses
+a stage built for a catalog other than this build's.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CatalogMismatch, ConfigError, IoFailure, MissingClass
-from .features import FeatureCatalog, extract_signature
+from .features import FeatureCatalog, default_catalog, extract_signature
 from .preprocess import (
     HEALTHY_CLIENT,
     LabelKind,
@@ -173,7 +178,6 @@ def fit_pipelines(grids: Sequence[CvGrid]) -> list[tuple[SvmModel, SelectionRepo
             final[k],
             scaler=grid.scaler,
             feature_subset=report.chosen_indices,
-            catalog_version=grid.db.catalog_version,
         )
         fits.append((model, report))
     return fits
@@ -216,16 +220,19 @@ class CfModule:
 
 @dataclass(frozen=True)
 class CfdNetwork:
+    """The stage-two bank; its modules are kept in fault-index order."""
+
     modules: tuple[CfModule, ...]
-    fault_registry: dict[str, int]
 
     def __post_init__(self):
-        indices = [m.fault_index for m in self.modules]
-        if len(set(indices)) != len(indices):
+        modules = tuple(sorted(self.modules, key=lambda m: m.fault_index))
+        if len({m.fault_index for m in modules}) != len(modules):
             raise ConfigError("duplicate fault indices in module bank")
-        for m in self.modules:
-            if self.fault_registry.get(m.fault_name) != m.fault_index:
-                raise ConfigError(f"module {m.fault_name} missing from fault registry")
+        object.__setattr__(self, "modules", modules)
+
+    @property
+    def fault_registry(self) -> dict[str, int]:
+        return {m.fault_name: m.fault_index for m in self.modules}
 
 
 class LinkState(enum.Enum):
@@ -235,13 +242,18 @@ class LinkState(enum.Enum):
 
 @dataclass(frozen=True)
 class Verdict:
-    link: LinkState
-    client_faults: frozenset[str]
+    """The (stage, D, class) decisions of one cascade run: "lpd" first,
+    then, if it passed the link, each module's in fault-index order."""
+
     per_module_decisions: tuple[tuple[str, float, int], ...]
 
-    def __post_init__(self):
-        if self.link is LinkState.FAULTY and self.client_faults:
-            raise ValueError("a faulty-link verdict has no client faults")
+    @property
+    def link(self) -> LinkState:
+        return LinkState.FAULTY if self.per_module_decisions[0][2] == 1 else LinkState.HEALTHY
+
+    @property
+    def client_faults(self) -> frozenset[str]:
+        return frozenset(name for name, _, vote in self.per_module_decisions[1:] if vote == 1)
 
     def to_dict(self) -> dict:
         return {
@@ -303,50 +315,25 @@ def train_cfd(db: SignatureDatabase, configs: dict[str, PipelineConfig] | None =
     registry = db.fault_registry or {}
     if not registry:
         raise ConfigError("fault registry is empty; nothing to train")
-    bank = sorted(registry.items(), key=lambda kv: kv[1])
     grids = []
-    for name, index in bank:
+    for name, index in registry.items():
         config = (configs or {}).get(name) or default_cf_config(name, seed=derive_seed(seed, name))
         with _module_errors(name):
             grids.append(prepare_pipeline(build_cf_subset(db, index), config))
     modules = [
         CfModule(fault_index=index, fault_name=name, model=model, selection=report)
-        for (name, index), (model, report) in zip(bank, fit_pipelines(grids))
+        for (name, index), (model, report) in zip(registry.items(), fit_pipelines(grids))
     ]
-    return CfdNetwork(modules=tuple(modules), fault_registry=dict(registry))
-
-
-def cfd_collective(decisions) -> set[str]:
-    """Fault names of modules voting +1; empty means healthy client."""
-    return {name for name, vote in decisions if vote == 1}
+    return CfdNetwork(modules=tuple(modules))
 
 
 def diagnose(lpd: LpdClassifier, cfd: CfdNetwork, pair: TracePair, catalog: FeatureCatalog) -> Verdict:
     """Extract one signature, gate on the link model, then run the bank."""
-    for model in [lpd.model] + [m.model for m in cfd.modules]:
-        if model.catalog_version != catalog.version:
-            raise CatalogMismatch(
-                f"model built for catalog {model.catalog_version!r}, extractor is {catalog.version!r}"
-            )
-    sig = extract_signature(pair, catalog)
-    d, cls = model_predict(lpd.model, sig.values)
-    decisions = [("lpd", d, cls)]
-    if cls == 1:
-        return Verdict(
-            link=LinkState.FAULTY,
-            client_faults=frozenset(),
-            per_module_decisions=tuple(decisions),
-        )
-    votes = []
-    for module in sorted(cfd.modules, key=lambda m: m.fault_index):
-        md, mcls = model_predict(module.model, sig.values)
-        decisions.append((module.fault_name, md, mcls))
-        votes.append((module.fault_name, mcls))
-    return Verdict(
-        link=LinkState.HEALTHY,
-        client_faults=frozenset(cfd_collective(votes)),
-        per_module_decisions=tuple(decisions),
-    )
+    values = extract_signature(pair, catalog).values
+    gate = ("lpd", *model_predict(lpd.model, values))
+    if gate[2] == 1:
+        return Verdict((gate,))
+    return Verdict((gate, *((m.fault_name, *model_predict(m.model, values)) for m in cfd.modules)))
 
 
 def _string(d: dict, key: str) -> str:
@@ -397,7 +384,7 @@ def save_cfd_part(bundle, cfd: CfdNetwork, catalog_version: str) -> None:
     modules = {
         m.fault_name: {"model": model_to_dict(m.model), "selection": m.selection.to_dict()} for m in cfd.modules
     }
-    _save_stage(bundle, "cfd", {"fault_registry": dict(cfd.fault_registry), "modules": modules}, catalog_version)
+    _save_stage(bundle, "cfd", {"fault_registry": cfd.fault_registry, "modules": modules}, catalog_version)
 
 
 def save_bundle(path, lpd: LpdClassifier, cfd: CfdNetwork, catalog_version: str) -> None:
@@ -406,13 +393,18 @@ def save_bundle(path, lpd: LpdClassifier, cfd: CfdNetwork, catalog_version: str)
     save_cfd_part(path, cfd, catalog_version)
 
 
+def _fit_from_dict(d: dict) -> tuple[SvmModel, SelectionReport]:
+    """A stored model and the selection report that chose its columns."""
+    model, selection = model_from_dict(d["model"]), _selection_from_dict(d["selection"])
+    if model.feature_subset != selection.chosen_indices:
+        chosen = list(selection.chosen_indices)
+        raise ValueError(f"model feature_subset {list(model.feature_subset)} is not the chosen_indices {chosen}")
+    return model, selection
+
+
 def _lpd_from_dict(d: dict) -> tuple[str, LpdClassifier]:
-    lpd = LpdClassifier(
-        model=model_from_dict(d["model"]),
-        selection=_selection_from_dict(d["selection"]),
-        link_profile=_string(d, "link_profile"),
-    )
-    return _string(d, "catalog_version"), lpd
+    model, selection = _fit_from_dict(d)
+    return _string(d, "catalog_version"), LpdClassifier(model, selection, _string(d, "link_profile"))
 
 
 def _cfd_from_dict(d: dict) -> tuple[str, CfdNetwork]:
@@ -421,24 +413,28 @@ def _cfd_from_dict(d: dict) -> tuple[str, CfdNetwork]:
     if not isinstance(parts, dict) or set(parts) != set(registry):
         raise ValueError(f"the modules do not match the fault registry {sorted(registry)}")
     modules = []
-    for name, index in sorted(registry.items(), key=lambda kv: kv[1]):
+    for name, index in registry.items():
         with _module_errors(name):
-            model, selection = model_from_dict(parts[name]["model"]), _selection_from_dict(parts[name]["selection"])
-        modules.append(CfModule(fault_index=index, fault_name=name, model=model, selection=selection))
-    return _string(d, "catalog_version"), CfdNetwork(modules=tuple(modules), fault_registry=registry)
+            modules.append(CfModule(index, name, *_fit_from_dict(parts[name])))
+    return _string(d, "catalog_version"), CfdNetwork(modules=tuple(modules))
 
 
 def load_bundle(path) -> tuple[LpdClassifier, CfdNetwork, str]:
+    """The two stages of a bundle and their catalog version, which must be
+    the version of this build's catalog."""
     path = Path(path)
     files = [_stage_file(path, stage) for stage in ("lpd", "cfd")]
     missing = [f.name for f in files if not f.exists()]
     if missing:
         raise IoFailure(f"bundle {path} is incomplete (needs both lpd and cfd stages): no {' or '.join(missing)}")
-    lpd_version, lpd = read_artifact(files[0], "lpd stage", _lpd_from_dict)
-    cfd_version, cfd = read_artifact(files[1], "cfd stage", _cfd_from_dict)
-    if lpd_version != cfd_version:
-        raise CatalogMismatch(f"bundle {path} mixes catalogs: lpd {lpd_version!r}, cfd {cfd_version!r}")
-    return lpd, cfd, lpd_version
+    version = default_catalog().version
+    stages = []
+    for file, parse in zip(files, (_lpd_from_dict, _cfd_from_dict)):
+        stored, stage = read_artifact(file, f"{file.stem} stage", parse)
+        if stored != version:
+            raise CatalogMismatch(f"{file} is built for catalog {stored!r}; this build provides {version!r}")
+        stages.append(stage)
+    return (*stages, version)
 
 
 def _selection_from_dict(d: dict) -> SelectionReport:

@@ -34,11 +34,14 @@ from .evaluation import GroundTruth, evaluate_verdicts, render_report
 from .features import default_catalog, extract_signature
 from .preprocess import (
     DEFAULT_FAULT_REGISTRY,
+    HEALTHY_CLIENT,
+    LINK_FAULTY,
     LabelKind,
     encode_labels,
     load_database,
     parse_integer,
     parse_registry,
+    read_tag,
     save_database,
     write_artifact,
     write_text,
@@ -116,7 +119,7 @@ def _parse_pipeline(raw, where: str, base: clf.PipelineConfig) -> clf.PipelineCo
         out = replace(
             base,
             svm=svm,
-            cv_folds=parse_integer(raw.get("cv_folds", base.cv_folds), "cv_folds"),
+            cv_folds=parse_integer(raw.get("cv_folds", base.cv_folds), "cv_folds", minimum=2),
             fp_penalty=_real(raw.get("fp_penalty", base.fp_penalty), "fp_penalty"),
         )
         if "candidate_sizes" in raw:
@@ -206,18 +209,6 @@ def _labeled_pairs(args):
         if pair_id not in labels:
             raise ConfigError(f"no label row for trace pair {pair_id!r}")
         yield (pair_id, down, up, *labels[pair_id])
-
-
-def _load_bundle(path):
-    """The bundle's two stages and the extractor's catalog, which must be
-    the one the bundle was built for."""
-    catalog = default_catalog()
-    lpd, cfd, bundle_catalog = clf.load_bundle(path)
-    if bundle_catalog != catalog.version:
-        raise CatalogMismatch(
-            f"bundle built for catalog {bundle_catalog!r}, extractor is {catalog.version!r}"
-        )
-    return lpd, cfd, catalog
 
 
 def cmd_extract(args, config: CliConfig) -> int:
@@ -333,9 +324,8 @@ def cmd_train(args, config: CliConfig) -> int:
 
 
 def cmd_diagnose(args, config: CliConfig) -> int:
-    lpd, cfd, catalog = _load_bundle(args.bundle)
-    pair = read_pair(args.down, args.up)
-    verdict = clf.diagnose(lpd, cfd, pair, catalog)
+    lpd, cfd, _ = clf.load_bundle(args.bundle)
+    verdict = clf.diagnose(lpd, cfd, read_pair(args.down, args.up), default_catalog())
     _emit(verdict.to_dict())
     _say(args, verdict.summary())
     if verdict.link is clf.LinkState.FAULTY:
@@ -343,13 +333,22 @@ def cmd_diagnose(args, config: CliConfig) -> int:
     return 20 if verdict.client_faults else 0
 
 
+def _ground_truth(link_tag: str, client_tag: str, registry: dict[str, int]) -> GroundTruth:
+    """The truth of one labels row, its tags read by the rule of `extract`;
+    a client tag may join several of the registry's faults with '+'."""
+    faults = frozenset() if client_tag == "HEALTHY" else frozenset(client_tag.split("+"))
+    if any(read_tag(name, LabelKind.CLIENT, registry) == HEALTHY_CLIENT for name in faults):
+        raise UnknownLabel(client_tag)
+    return GroundTruth(read_tag(link_tag, LabelKind.LINK, {}) == LINK_FAULTY, faults)
+
+
 def cmd_eval(args, config: CliConfig) -> int:
-    lpd, cfd, catalog = _load_bundle(args.bundle)
-    labeled = []
-    for _, down, up, link_tag, client_tag in _labeled_pairs(args):
-        faults = frozenset() if client_tag == "HEALTHY" else frozenset(client_tag.split("+"))
-        labeled.append((read_pair(down, up), GroundTruth(link_tag == "FAULTY", faults)))
-    report = evaluate_verdicts(labeled, lpd, cfd, catalog)
+    lpd, cfd, _ = clf.load_bundle(args.bundle)
+    labeled = [
+        (read_pair(down, up), _ground_truth(link_tag, client_tag, cfd.fault_registry))
+        for _, down, up, link_tag, client_tag in _labeled_pairs(args)
+    ]
+    report = evaluate_verdicts(labeled, lpd, cfd, default_catalog())
     out = Path(args.out)
     try:
         out.parent.mkdir(parents=True, exist_ok=True)

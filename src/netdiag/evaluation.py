@@ -69,7 +69,7 @@ def evaluate_verdicts(
 ) -> dict:
     """Per-condition exact-verdict accuracy and per-fault confusion."""
     by_condition: dict[str, list[bool]] = {}
-    fault_names = sorted(cfd.fault_registry, key=lambda n: cfd.fault_registry[n])
+    fault_names = [m.fault_name for m in cfd.modules]
     fault_counts = {name: {"tp": 0, "fp": 0, "tn": 0, "fn": 0} for name in fault_names}
     for pair, truth in labeled_pairs:
         verdict = diagnose(lpd, cfd, pair, catalog)

@@ -102,32 +102,12 @@ def encode_labels(
     catalog_version: str,
     fault_registry: dict[str, int] | None = None,
 ) -> SignatureDatabase:
-    """Build a database from (vector, tag) rows.
-
-    Link tags: FAULTY -> +1, HEALTHY -> -1.  Client tags: HEALTHY -> 0,
-    fault names resolve through the registry.
-    """
+    """Build a database from (vector, tag) rows, each tag read by `read_tag`."""
     registry = dict(fault_registry) if fault_registry else (
         dict(DEFAULT_FAULT_REGISTRY) if kind is LabelKind.CLIENT else {}
     )
-    X = []
-    y = []
-    for values, tag in rows:
-        X.append(np.asarray(values, dtype=np.float64))
-        if kind is LabelKind.LINK:
-            if tag == "FAULTY":
-                y.append(LINK_FAULTY)
-            elif tag == "HEALTHY":
-                y.append(LINK_HEALTHY)
-            else:
-                raise UnknownLabel(tag)
-        else:
-            if tag == "HEALTHY":
-                y.append(HEALTHY_CLIENT)
-            elif tag in registry:
-                y.append(registry[tag])
-            else:
-                raise UnknownLabel(tag)
+    X = [np.asarray(values, dtype=np.float64) for values, _ in rows]
+    y = [read_tag(tag, kind, registry) for _, tag in rows]
     return SignatureDatabase(
         feature_names=tuple(feature_names),
         X=np.vstack(X) if X else np.empty((0, len(feature_names))),
@@ -136,6 +116,18 @@ def encode_labels(
         catalog_version=catalog_version,
         fault_registry=registry if kind is LabelKind.CLIENT else None,
     )
+
+
+def read_tag(tag: str, kind: LabelKind, registry: dict[str, int]) -> int:
+    """The label of a tag.  Link tags: FAULTY -> +1, HEALTHY -> -1.  Client
+    tags: HEALTHY -> 0, fault names resolve through the registry."""
+    if kind is LabelKind.LINK:
+        label = {"FAULTY": LINK_FAULTY, "HEALTHY": LINK_HEALTHY}.get(tag)
+    else:
+        label = HEALTHY_CLIENT if tag == "HEALTHY" else registry.get(tag)
+    if label is None:
+        raise UnknownLabel(tag)
+    return label
 
 
 def fit_scaler(db: SignatureDatabase) -> ScalerParams:

@@ -232,5 +232,8 @@ def read_labels(path) -> dict[str, tuple[str, str]]:
         parts = ln.split(",")
         if len(parts) != 3:
             raise ConfigError(f"{path}: bad labels row {ln!r}")
-        out[parts[0].strip()] = (parts[1].strip(), parts[2].strip())
+        pair_id = parts[0].strip()
+        if pair_id in out:
+            raise ConfigError(f"{path}: repeated id {pair_id!r}")
+        out[pair_id] = (parts[1].strip(), parts[2].strip())
     return out

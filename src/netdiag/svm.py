@@ -110,7 +110,6 @@ class SvmModel:
     support_vectors: np.ndarray  # one row per retained vector
     feature_subset: tuple[int, ...]
     scaler: ScalerParams | None
-    catalog_version: str
     training_meta: TrainingMeta
 
 
@@ -369,7 +368,6 @@ def build_model(
     state: TrainingState,
     scaler: ScalerParams | None = None,
     feature_subset: tuple[int, ...] | None = None,
-    catalog_version: str = "none",
 ) -> SvmModel:
     """The model of a solved dual: support vectors, their coefficients
     and the bias averaged over them."""
@@ -385,7 +383,6 @@ def build_model(
         support_vectors=X[sv].copy(),
         feature_subset=tuple(feature_subset) if feature_subset is not None else tuple(range(X.shape[1])),
         scaler=scaler,
-        catalog_version=catalog_version,
         training_meta=TrainingMeta(
             n=int(X.shape[0]),
             iterations_used=state.iterations_used,
@@ -402,7 +399,6 @@ def train_arrays(
     config: SvmConfig,
     scaler: ScalerParams | None = None,
     feature_subset: tuple[int, ...] | None = None,
-    catalog_version: str = "none",
     return_state: bool = False,
 ):
     """Train on a prepared matrix with labels in {+1, -1}."""
@@ -411,7 +407,7 @@ def train_arrays(
     check_training_data(X, y)
     Kt = gram_matrix(config.kernel, X, config.C)
     state = solve_dual(Kt, y, config.tol, config.max_iter)
-    model = build_model(X, y, config, state, scaler, feature_subset, catalog_version)
+    model = build_model(X, y, config, state, scaler, feature_subset)
     return (model, state) if return_state else model
 
 
@@ -443,7 +439,6 @@ def model_to_dict(model: SvmModel) -> dict:
         "support_vectors": model.support_vectors.tolist(),
         "feature_subset": list(model.feature_subset),
         "scaler": scaler_to_dict(model.scaler),
-        "catalog_version": model.catalog_version,
         "training_meta": {
             "n": model.training_meta.n,
             "iterations_used": model.training_meta.iterations_used,
@@ -455,6 +450,8 @@ def model_to_dict(model: SvmModel) -> dict:
 
 
 def model_from_dict(d: dict) -> SvmModel:
+    """A stored model; keys it does not read, such as the catalog version
+    that models once carried, are ignored."""
     scaler = scaler_from_dict(d["scaler"])
     meta = d["training_meta"]
     dual_coef = parse_numbers(d["dual_coef"], "dual_coef")
@@ -468,8 +465,6 @@ def model_from_dict(d: dict) -> SvmModel:
     subset = parse_indices(d["feature_subset"], scaler.m if scaler is not None else None, "feature_subset")
     if len(subset) != support_vectors.shape[1]:
         raise ValueError(f"feature_subset has {len(subset)} indices for {support_vectors.shape[1]} support-vector columns")
-    if not isinstance(d["catalog_version"], str):
-        raise TypeError(f"catalog_version must be a string, got {d['catalog_version']!r}")
     # The writer refuses non-finite numbers, so one here is corruption; it
     # would make decision values NaN, which reads as class -1.
     C, bias = float(d["C"]), float(d["bias"])
@@ -483,7 +478,6 @@ def model_from_dict(d: dict) -> SvmModel:
         support_vectors=support_vectors,
         feature_subset=subset,
         scaler=scaler,
-        catalog_version=d["catalog_version"],
         training_meta=TrainingMeta(
             n=parse_integer(meta["n"], "training_meta.n", 0),
             iterations_used=parse_integer(meta["iterations_used"], "training_meta.iterations_used", 0),

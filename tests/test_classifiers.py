@@ -13,7 +13,6 @@ from netdiag.classifiers import (
     PipelineConfig,
     Verdict,
     build_cf_subset,
-    cfd_collective,
     default_cf_config,
     default_lpd_config,
     diagnose,
@@ -291,6 +290,13 @@ class TestCfModules:
         with pytest.raises(error, match="^module 'read_buf': "):
             train_cfd(db, cfgs)
 
+    def test_bank_in_fault_index_order_without_duplicates(self):
+        net = train_cfd(client_db(), cf_configs())
+        assert CfdNetwork(tuple(reversed(net.modules))).modules == net.modules
+        assert list(net.fault_registry.items()) == sorted(DEFAULT_FAULT_REGISTRY.items(), key=lambda kv: kv[1])
+        with pytest.raises(ConfigError, match="duplicate"):
+            CfdNetwork(net.modules + net.modules[:1])
+
     def test_empty_registry_rejected(self):
         db = client_db()
         from dataclasses import replace
@@ -299,33 +305,36 @@ class TestCfModules:
             train_cfd(replace(db, fault_registry={}), {})
 
 
+def _votes(gate, *modules):
+    """The link state and client faults of a verdict with the given votes."""
+    decisions = (("lpd", float(gate), gate), *((name, 0.5 * vote, vote) for name, vote in modules))
+    verdict = Verdict(decisions)
+    return verdict.link, verdict.client_faults
+
+
 class TestCollective:
+    """A verdict's link state and client faults are read from its votes."""
+
     def test_all_negative_is_healthy(self):
-        assert cfd_collective([("a", -1), ("b", -1)]) == set()
+        assert _votes(-1, ("a", -1), ("b", -1)) == (LinkState.HEALTHY, frozenset())
 
     def test_multiple_positives_reported(self):
         votes = [("sack_disabled", -1), ("read_buf", 1), ("write_buf", 1)]
-        assert cfd_collective(votes) == {"read_buf", "write_buf"}
+        assert _votes(-1, *votes) == (LinkState.HEALTHY, frozenset({"read_buf", "write_buf"}))
 
     def test_single_positive(self):
-        assert cfd_collective([("dsack_disabled", 1), ("read_buf", -1)]) == {"dsack_disabled"}
+        assert _votes(-1, ("dsack_disabled", 1), ("read_buf", -1)) == (LinkState.HEALTHY, frozenset({"dsack_disabled"}))
 
 
 class TestVerdictType:
     def test_faulty_link_must_stop(self):
-        with pytest.raises(ValueError):
-            Verdict(
-                link=LinkState.FAULTY,
-                client_faults=frozenset({"read_buf"}),
-                per_module_decisions=(("lpd", 1.0, 1),),
-            )
+        verdict = Verdict((("lpd", 1.0, 1),))
+        assert (verdict.link, verdict.client_faults) == (LinkState.FAULTY, frozenset())
+        assert verdict.to_dict()["pipeline_note"] == "link_fault_stop"
+        assert verdict.summary() == "link: FAULTY - resolve link before client diagnosis"
 
     def test_json_shape(self):
-        v = Verdict(
-            link=LinkState.HEALTHY,
-            client_faults=frozenset({"read_buf"}),
-            per_module_decisions=(("lpd", -1.0, -1), ("read_buf", 0.5, 1)),
-        )
+        v = Verdict((("lpd", -1.0, -1), ("read_buf", 0.5, 1)))
         d = v.to_dict()
         assert d["link"] == "healthy" and d["client_faults"] == ["read_buf"]
         assert d["pipeline_note"] == "full_diagnosis"
@@ -406,7 +415,7 @@ class TestDiagnose:
 
     def test_module_order_irrelevant(self, sim_bundle):
         lpd, cfd, catalog = sim_bundle
-        reordered = CfdNetwork(modules=tuple(reversed(cfd.modules)), fault_registry=cfd.fault_registry)
+        reordered = CfdNetwork(modules=tuple(reversed(cfd.modules)))
         pair = simulate_flow(HEALTHY_LINK, ClientParams(read_buffer=16384, seed=95), 250_000, seed=408)
         a = diagnose(lpd, cfd, pair, catalog)
         b = diagnose(lpd, reordered, pair, catalog)
@@ -475,6 +484,14 @@ class TestBundle:
             save_lpd_part(bundle, train_lpd(link_db(), LPD_CFG), "v2")
         assert (bundle / "cfd.json").read_bytes() == before
         assert sorted(p.name for p in bundle.iterdir()) == ["cfd.json"]
+
+    def test_bundle_of_another_catalog_refused_on_load(self, tmp_path):
+        # A bundle built whole for another catalog once loaded; only the CLI
+        # compared its version with the build's.
+        bundle = tmp_path / "bundle"
+        save_bundle(bundle, train_lpd(link_db(), LPD_CFG), train_cfd(client_db(), cf_configs()), "v0")
+        with pytest.raises(CatalogMismatch, match="lpd.json"):
+            load_bundle(bundle)
 
     def test_nan_model_refused_stage_in_place(self, tmp_path):
         from dataclasses import replace

@@ -184,10 +184,6 @@ MODEL_EDITS = {
     "meta_count_infinite": lambda model: model["training_meta"].update(n=float("inf")),
     "support_vector_infinite": lambda model: model["support_vectors"][0].__setitem__(0, float("inf")),
     "scaler_min_infinite": lambda model: model["scaler"]["min"].__setitem__(0, float("-inf")),
-    "catalog_negative": lambda model: model.update(catalog_version=-1),
-    "catalog_bool": lambda model: model.update(catalog_version=True),
-    "catalog_list": lambda model: model.update(catalog_version=[]),
-    "catalog_null": lambda model: model.update(catalog_version=None),
     "kernel_sigma_nan": lambda model: model.update(kernel={"variant": "rbf", "sigma": float("nan")}),
     # float64 would read these as numbers: a string "0.5" as 0.5, true as 1.0
     "cell_string": lambda model: model["support_vectors"][0].__setitem__(0, repr(model["support_vectors"][0][0])),
@@ -197,16 +193,53 @@ MODEL_EDITS = {
 }
 
 
-@pytest.mark.parametrize("how", sorted(MODEL_EDITS))
+# stage corruption -> the parsed stage file with an edited catalog version.
+# Each model once carried the version too, and these edits were model
+# edits; the version now lives only in the stage file holding the model.
+STAGE_EDITS = {
+    "catalog_negative": lambda stage: dict(stage, catalog_version=-1),
+    "catalog_bool": lambda stage: dict(stage, catalog_version=True),
+    "catalog_list": lambda stage: dict(stage, catalog_version=[]),
+    "catalog_null": lambda stage: dict(stage, catalog_version=None),
+}
+
+
+@pytest.mark.parametrize("how", sorted([*MODEL_EDITS, *STAGE_EDITS]))
 @pytest.mark.parametrize("name", ["lpd/default.model.json", "cfd/read_buf.model.json"])
 def test_malformed_model_exits_2_naming_it(trained, tmp_path, name, how):
+    if how in STAGE_EDITS:
+        corrupt = lambda text: json.dumps(STAGE_EDITS[how](json.loads(text)))  # noqa: E731
+        code, err, target = _diagnose_corrupted(trained, tmp_path, name, corrupt)
+        assert code == 2 and "Traceback" not in err
+        assert str(target) in err and "catalog_version" in err
+        return
     code, err, target = _diagnose_corrupted(trained, tmp_path, name, _edit_part(name, MODEL_EDITS[how]))
     _check_names_part(code, err, target, name)
 
 
+def test_model_with_a_catalog_version_still_loads(trained, tmp_path):
+    # Bundles written before the version moved to the stage files also
+    # carry it in every model; it is ignored.
+    def add_version(text):
+        stage = json.loads(text)
+        for part in [stage] if "model" in stage else stage["modules"].values():
+            part["model"]["catalog_version"] = stage["catalog_version"]
+        return json.dumps(stage)
+
+    bundle, _, down, up = trained
+    copy = tmp_path / "bundle"
+    shutil.copytree(bundle, copy)
+    for stage in ("lpd.json", "cfd.json"):
+        (copy / stage).write_text(add_version((copy / stage).read_text(encoding="utf-8")), encoding="utf-8")
+    runs = [_run("diagnose", "--bundle", str(b), "--down", str(down), "--up", str(up)) for b in (bundle, copy)]
+    assert runs[0] == runs[1] and runs[0][0] in (0, 10, 20)
+
+
 # selection corruption -> edit of the parsed selection that int() would
-# have truncated into a plausible selection
+# have truncated into a plausible selection, or that leaves a plausible
+# selection whose chosen columns are not its model's
 SELECTION_EDITS = {
+    "chosen_indices_reversed": lambda sel: sel["chosen_indices"].reverse(),
     "fractional_and_bool_indices": lambda sel: sel.update(chosen_indices=[0.9, True] + sel["chosen_indices"][2:]),
     "fractional_chosen_q": lambda sel: sel.update(chosen_q=sel["chosen_q"] + 0.7),
     "bool_candidate_size": lambda sel: sel.update(candidate_sizes=[True] + sel["candidate_sizes"][1:]),
@@ -280,17 +313,25 @@ def test_old_csv_database_exits_2_naming_it(tmp_path):
     assert not (tmp_path / "bundle").exists()
 
 
-def _client_database(trained, tmp_path):
-    """A traces directory of two copies of the trained fixture's pair,
-    labelled healthy and read_buf, and the client database extracted from
-    it with the default fault registry."""
+def _traces(trained, tmp_path, rows):
+    """A traces directory holding a copy of the trained fixture's pair for
+    each labels row (id, link tag, client tag), and its labels file."""
     _, _, down, up = trained
     traces = tmp_path / "traces"
     traces.mkdir()
-    for pair_id in ("a", "b"):
+    for pair_id, _, _ in rows:
         shutil.copy(down, traces / f"{pair_id}.down.csv")
         shutil.copy(up, traces / f"{pair_id}.up.csv")
-    (traces / "labels.csv").write_text("id,link,client\na,HEALTHY,HEALTHY\nb,HEALTHY,read_buf\n", encoding="utf-8")
+    lines = ["id,link,client", *(",".join(row) for row in rows)]
+    (traces / "labels.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return traces
+
+
+def _client_database(trained, tmp_path):
+    """Traces of two copies of the trained fixture's pair, labelled healthy
+    and read_buf, and the client database extracted from them with the
+    default fault registry."""
+    traces = _traces(trained, tmp_path, [("a", "HEALTHY", "HEALTHY"), ("b", "HEALTHY", "read_buf")])
     db = tmp_path / "client.json"
     code, _, err = _run("extract", "--traces", str(traces), "--kind", "client", "--out", str(db))
     assert code == 0, err
@@ -328,6 +369,42 @@ def test_append_doubles_the_rows(trained, tmp_path):
     assert code == 0, err
     assert json.loads(out)["rows"] == 4
     assert json.loads(db.read_text(encoding="utf-8"))["y"] == [0, 3, 0, 3]
+
+
+def test_repeated_label_id_exits_2_naming_it(trained, tmp_path):
+    # The second row once replaced the first, and extract exited 0.
+    traces = _traces(trained, tmp_path, [("a", "HEALTHY", "HEALTHY"), ("a", "FAULTY", "HEALTHY")])
+    out = tmp_path / "link.json"
+    code, _, err = _run("extract", "--traces", str(traces), "--kind", "link", "--out", str(out))
+    assert code == 2 and "Traceback" not in err
+    assert str(traces / "labels.csv") in err and "repeated id 'a'" in err
+    assert not out.exists()
+
+
+# Each labels row once exited 0: the link tag read as a healthy link, or the
+# unknown fault scored as missed.
+@pytest.mark.parametrize(
+    "link, client, tag",
+    [
+        ("Faulty", "HEALTHY", "Faulty"),
+        ("HEALTHY", "readbuf", "readbuf"),
+        ("HEALTHY", "read_buf+readbuf", "readbuf"),
+        ("HEALTHY", "HEALTHY+read_buf", "HEALTHY+read_buf"),
+    ],
+)
+def test_eval_of_an_unknown_label_exits_2_before_diagnosing(trained, tmp_path, monkeypatch, link, client, tag):
+    from netdiag import evaluation
+
+    def refuse(*args):
+        raise AssertionError("a pair was diagnosed")
+
+    monkeypatch.setattr(evaluation, "diagnose", refuse)
+    traces = _traces(trained, tmp_path, [("a", "HEALTHY", "HEALTHY"), ("b", link, client)])
+    out = tmp_path / "report" / "eval"
+    code, _, err = _run("eval", "--bundle", str(trained[0]), "--traces", str(traces), "--out", str(out))
+    assert code == 2 and "Traceback" not in err
+    assert f"unknown label tag: {tag!r}" in err
+    assert not out.parent.exists()
 
 
 @pytest.mark.parametrize("ts", ["nan", "inf", "-inf"])
@@ -458,7 +535,7 @@ def test_mixed_catalog_stage_files_exit_4(trained, tmp_path):
     (copy / "cfd.json").write_text(json.dumps(dict(cfd, catalog_version="v0")), encoding="utf-8")
     code, _, err = _run("diagnose", "--bundle", str(copy), "--down", str(down), "--up", str(up))
     assert code == 4 and "Traceback" not in err
-    assert "mixes catalogs" in err
+    assert str(copy / "cfd.json") in err and "'v0'" in err
 
 
 def test_link_profile_names_no_file(tmp_path):
@@ -525,6 +602,9 @@ def test_synth_needs_exactly_one_of_preset_and_scenario(tmp_path, both):
         ('{"lpd": []}', "lpd"),
         ('{"lpd": {"kernel": 3}}', "lpd.kernel"),
         ('{"lpd": {"cv_folds": 2.5}}', "cv_folds"),
+        # cv_folds below 2 loaded, and train exited 3 as if training had failed
+        ('{"lpd": {"cv_folds": 1}}', "cv_folds"),
+        ('{"cfd": {"default": {"cv_folds": 0}}}', "cv_folds"),
         ('{"lpd": {"max_iter": true}}', "max_iter"),
         ('{"lpd": {"C": "10"}}', "C"),
         ('{"lpd": {"tol": true}}', "tol"),
