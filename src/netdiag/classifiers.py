@@ -16,6 +16,11 @@ each written whole through a temporary file and a rename:
     cfd.json  {"catalog_version", "fault_registry",
                "modules": {fault_name: {"model", "selection"}}}
 
+The link classifier and each fault module are stored as one record,
+{"model", "selection"}.  The model carries the fitted scaler and the
+chosen columns (its feature_subset); the selection holds only
+{"candidate_sizes", "cv_accuracy", "cv_objective"}, one CV score per
+candidate size, and the model's column count must be one of the sizes.
 The catalog version lives only in the stage files; `load_bundle` refuses
 a stage built for a catalog other than this build's.
 """
@@ -39,6 +44,7 @@ from .preprocess import (
     SignatureDatabase,
     apply_scaler,
     parse_indices,
+    parse_numbers,
     parse_registry,
     read_artifact,
     scale_database,
@@ -73,7 +79,7 @@ class PipelineConfig:
     """Everything needed to turn a database of raw rows into a model."""
 
     svm: SvmConfig
-    candidate_sizes: tuple[int, ...] | None = None  # None -> all features
+    candidate_sizes: tuple[int, ...]
     cv_folds: int = 5
     seed: int = 0
     fp_penalty: float = 0.0
@@ -98,13 +104,15 @@ DEFAULT_CF_SETTINGS = {
 
 
 def default_cf_config(fault_name: str, seed: int = 0) -> PipelineConfig:
+    """The default module of a fault in a bank seeded with `seed`; its
+    folds are drawn from a seed of its own, derived from the fault name."""
     variant, q = DEFAULT_CF_SETTINGS.get(fault_name, ("rbf", 16))
     sigma = default_sigma(q) if variant == "rbf" else None
     return PipelineConfig(
         svm=SvmConfig(kernel=KernelSpec(variant, sigma), C=10.0, max_iter=2000, tol=1e-3),
         candidate_sizes=(q,),
         cv_folds=5,
-        seed=seed,
+        seed=derive_seed(seed, fault_name),
         fp_penalty=1.0,
     )
 
@@ -121,7 +129,7 @@ def prepare_pipeline(db: SignatureDatabase, config: PipelineConfig) -> CvGrid:
     return cv_grid(
         scaled,
         ranking,
-        (db.m,) if config.candidate_sizes is None else config.candidate_sizes,
+        config.candidate_sizes,
         folds=config.cv_folds,
         svm_config=config.svm,
         seed=config.seed,
@@ -308,8 +316,8 @@ def _module_errors(name: str):
 
 
 def train_cfd(db: SignatureDatabase, configs: dict[str, PipelineConfig] | None = None, seed: int = 0) -> CfdNetwork:
-    """Train every module in the registry, each independently seeded; the
-    whole bank is one `fit_pipelines` call."""
+    """Train every module in the registry, each independently seeded (see
+    `default_cf_config`); the whole bank is one `fit_pipelines` call."""
     if db.label_kind is not LabelKind.CLIENT:
         raise ConfigError("fault modules need a client-labeled database")
     registry = db.fault_registry or {}
@@ -317,7 +325,7 @@ def train_cfd(db: SignatureDatabase, configs: dict[str, PipelineConfig] | None =
         raise ConfigError("fault registry is empty; nothing to train")
     grids = []
     for name, index in registry.items():
-        config = (configs or {}).get(name) or default_cf_config(name, seed=derive_seed(seed, name))
+        config = (configs or {}).get(name) or default_cf_config(name, seed=seed)
         with _module_errors(name):
             grids.append(prepare_pipeline(build_cf_subset(db, index), config))
     modules = [
@@ -369,21 +377,26 @@ def _save_stage(bundle, stage: str, payload: dict, catalog_version: str) -> None
     write_artifact(_stage_file(bundle, stage), {"catalog_version": catalog_version, **payload})
 
 
+def _fit_to_dict(model: SvmModel, selection: SelectionReport) -> dict:
+    """The stored record of one module: its model and the CV scores of the
+    selection that chose the model's columns."""
+    scores = {
+        "candidate_sizes": list(selection.candidate_sizes),
+        "cv_accuracy": list(selection.cv_accuracy),
+        "cv_objective": list(selection.cv_objective),
+    }
+    return {"model": model_to_dict(model), "selection": scores}
+
+
 def save_lpd_part(bundle, lpd: LpdClassifier, catalog_version: str) -> None:
     """Write the link-classifier half of a bundle, lpd.json."""
-    payload = {
-        "link_profile": lpd.link_profile,
-        "model": model_to_dict(lpd.model),
-        "selection": lpd.selection.to_dict(),
-    }
+    payload = {"link_profile": lpd.link_profile, **_fit_to_dict(lpd.model, lpd.selection)}
     _save_stage(bundle, "lpd", payload, catalog_version)
 
 
 def save_cfd_part(bundle, cfd: CfdNetwork, catalog_version: str) -> None:
     """Write the fault-module half of a bundle, cfd.json."""
-    modules = {
-        m.fault_name: {"model": model_to_dict(m.model), "selection": m.selection.to_dict()} for m in cfd.modules
-    }
+    modules = {m.fault_name: _fit_to_dict(m.model, m.selection) for m in cfd.modules}
     _save_stage(bundle, "cfd", {"fault_registry": cfd.fault_registry, "modules": modules}, catalog_version)
 
 
@@ -394,12 +407,21 @@ def save_bundle(path, lpd: LpdClassifier, cfd: CfdNetwork, catalog_version: str)
 
 
 def _fit_from_dict(d: dict) -> tuple[SvmModel, SelectionReport]:
-    """A stored model and the selection report that chose its columns."""
-    model, selection = model_from_dict(d["model"]), _selection_from_dict(d["selection"])
-    if model.feature_subset != selection.chosen_indices:
-        chosen = list(selection.chosen_indices)
-        raise ValueError(f"model feature_subset {list(model.feature_subset)} is not the chosen_indices {chosen}")
-    return model, selection
+    """The inverse of `_fit_to_dict`: a model with a scaler, whose column
+    count is one of the distinct positive candidate sizes, and one CV
+    accuracy and objective per size.  Other selection keys are ignored,
+    such as the chosen_q and chosen_indices that once repeated the
+    model's columns."""
+    model, stored = model_from_dict(d["model"]), d["selection"]
+    if model.scaler is None:
+        raise ValueError("the model has no scaler")
+    sizes, q = parse_indices(stored["candidate_sizes"], what="candidate_sizes"), len(model.feature_subset)
+    if 0 in sizes or q not in sizes:
+        raise ValueError(f"the model's {q} columns are not one of the positive candidate_sizes {list(sizes)}")
+    scores = [tuple(parse_numbers(stored[key], key).tolist()) for key in ("cv_accuracy", "cv_objective")]
+    if any(len(values) != len(sizes) for values in scores):
+        raise ValueError(f"cv_accuracy and cv_objective need one entry per candidate size {list(sizes)}")
+    return model, SelectionReport(sizes, *scores, model.feature_subset)
 
 
 def _lpd_from_dict(d: dict) -> tuple[str, LpdClassifier]:
@@ -435,22 +457,3 @@ def load_bundle(path) -> tuple[LpdClassifier, CfdNetwork, str]:
             raise CatalogMismatch(f"{file} is built for catalog {stored!r}; this build provides {version!r}")
         stages.append(stage)
     return (*stages, version)
-
-
-def _selection_from_dict(d: dict) -> SelectionReport:
-    """A stored selection report: distinct positive candidate sizes, one
-    of which is chosen_q, and chosen_q distinct chosen indices."""
-    sizes = parse_indices(d["candidate_sizes"], what="candidate_sizes")
-    chosen_q = d["chosen_q"]
-    if 0 in sizes or type(chosen_q) is not int or chosen_q not in sizes:
-        raise ValueError(f"chosen_q {chosen_q!r} is not one of the positive candidate_sizes {list(sizes)}")
-    chosen = parse_indices(d["chosen_indices"], what="chosen_indices")
-    if len(chosen) != chosen_q:
-        raise ValueError(f"{len(chosen)} chosen_indices for chosen_q {chosen_q}")
-    return SelectionReport(
-        candidate_sizes=sizes,
-        cv_accuracy=tuple(float(a) for a in d["cv_accuracy"]),
-        cv_objective=tuple(float(a) for a in d["cv_objective"]),
-        chosen_q=chosen_q,
-        chosen_indices=chosen,
-    )

@@ -200,15 +200,24 @@ def _discover_pairs(tracedir: Path) -> list[tuple[str, Path, Path]]:
     return pairs
 
 
-def _labeled_pairs(args):
-    """Each trace pair under --traces with its row of the labels file:
-    (pair id, down path, up path, link tag, client tag)."""
+def _labeled_pairs(args) -> list[tuple[str, Path, Path, str, str]]:
+    """Each row of the labels file with its trace pair under --traces, in
+    the order of the pairs' file names: (pair id, down path, up path, link
+    tag, client tag).  A row without both trace files, a pair without a
+    row and a trace without its partner are ConfigErrors."""
     tracedir = Path(args.traces)
-    labels = read_labels(args.labels or tracedir / "labels.csv")
-    for pair_id, down, up in _discover_pairs(tracedir):
+    labels_file = args.labels or tracedir / "labels.csv"
+    labels = read_labels(labels_file)
+    names = {path.name for path in tracedir.glob("*.csv")}
+    for pair_id in sorted(labels):
+        missing = [name for name in (f"{pair_id}.down.csv", f"{pair_id}.up.csv") if name not in names]
+        if missing:
+            raise ConfigError(f"{labels_file}: row {pair_id!r} has no trace {' or '.join(missing)} in {tracedir}")
+    pairs = _discover_pairs(tracedir)
+    for pair_id, _, _ in pairs:
         if pair_id not in labels:
             raise ConfigError(f"no label row for trace pair {pair_id!r}")
-        yield (pair_id, down, up, *labels[pair_id])
+    return [(pair_id, down, up, *labels[pair_id]) for pair_id, down, up in pairs]
 
 
 def cmd_extract(args, config: CliConfig) -> int:
@@ -256,22 +265,29 @@ def cmd_extract(args, config: CliConfig) -> int:
     return 0
 
 
-def _solver_report(model) -> dict:
-    """Solver telemetry of one trained model."""
+def _train_report(args, name: str, model, selection) -> dict:
+    """The summary of one trained module, the LPD or a CFD module: its
+    kernel, chosen size and that size's CV accuracy, and solver telemetry.
+    It is said in one stderr line, with a warning naming the module when
+    the solver hit the iteration cap."""
     meta = model.training_meta
-    return {
+    report = {
+        "kernel": model.kernel.variant,
+        "chosen_q": selection.chosen_q,
+        "cv_accuracy": selection.cv_accuracy[selection.candidate_sizes.index(selection.chosen_q)],
         "converged": meta.converged,
         "updates": meta.updates,
         "final_kkt_residual": meta.final_kkt_residual,
         "n_sv": int(model.support_vectors.shape[0]),
     }
-
-
-def _solver_line(report: dict) -> str:
-    return (
-        f"converged={report['converged']} updates={report['updates']} "
-        f"kkt={report['final_kkt_residual']:.3g} n_sv={report['n_sv']}"
+    _say(
+        args,
+        f"{name}: kernel={report['kernel']} q={report['chosen_q']} cv_acc={report['cv_accuracy']:.4f} "
+        f"converged={meta.converged} updates={meta.updates} kkt={meta.final_kkt_residual:.3g} n_sv={report['n_sv']}",
     )
+    if not meta.converged:
+        _say(args, f"warning: {name}: solver hit the iteration cap; model kept")
+    return report
 
 
 def cmd_train(args, config: CliConfig) -> int:
@@ -284,41 +300,11 @@ def cmd_train(args, config: CliConfig) -> int:
     if args.stage == "lpd":
         lpd = clf.train_lpd(db, config.lpd, link_profile=config.link_profile)
         clf.save_lpd_part(bundle, lpd, config.catalog_version)
-        solver = _solver_report(lpd.model)
-        summary = {
-            "stage": "lpd",
-            "bundle": str(bundle),
-            "kernel": lpd.model.kernel.variant,
-            "chosen_q": lpd.selection.chosen_q,
-            "cv_accuracy": lpd.selection.cv_accuracy[
-                lpd.selection.candidate_sizes.index(lpd.selection.chosen_q)
-            ],
-            **solver,
-        }
-        _say(
-            args,
-            f"lpd: kernel={summary['kernel']} q={summary['chosen_q']} "
-            f"cv_acc={summary['cv_accuracy']:.4f} {_solver_line(solver)}",
-        )
-        if not solver["converged"]:
-            _say(args, "warning: solver hit the iteration cap; model kept")
-        _emit(summary)
+        _emit({"stage": "lpd", "bundle": str(bundle), **_train_report(args, "lpd", lpd.model, lpd.selection)})
         return 0
     network = clf.train_cfd(db, config.cfd, seed=config.seed)
     clf.save_cfd_part(bundle, network, config.catalog_version)
-    modules = {}
-    for module in network.modules:
-        solver = _solver_report(module.model)
-        modules[module.fault_name] = {
-            "kernel": module.model.kernel.variant,
-            "chosen_q": module.selection.chosen_q,
-            **solver,
-        }
-        _say(
-            args,
-            f"cfd/{module.fault_name}: kernel={module.model.kernel.variant} "
-            f"q={module.selection.chosen_q} {_solver_line(solver)}",
-        )
+    modules = {m.fault_name: _train_report(args, f"cfd/{m.fault_name}", m.model, m.selection) for m in network.modules}
     _emit({"stage": "cfd", "bundle": str(bundle), "modules": modules})
     return 0
 

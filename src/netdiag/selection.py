@@ -51,17 +51,11 @@ class SelectionReport:
     candidate_sizes: tuple[int, ...]
     cv_accuracy: tuple[float, ...]
     cv_objective: tuple[float, ...]
-    chosen_q: int
-    chosen_indices: tuple[int, ...]
+    chosen_indices: tuple[int, ...]  # a prefix of the ranking
 
-    def to_dict(self) -> dict:
-        return {
-            "candidate_sizes": list(self.candidate_sizes),
-            "cv_accuracy": list(self.cv_accuracy),
-            "cv_objective": list(self.cv_objective),
-            "chosen_q": self.chosen_q,
-            "chosen_indices": list(self.chosen_indices),
-        }
+    @property
+    def chosen_q(self) -> int:
+        return len(self.chosen_indices)
 
 
 def t_statistic(a, b) -> float | np.ndarray:
@@ -164,13 +158,11 @@ class CvGrid:
         accuracies = tuple(float(np.mean(accs[q])) for q in self.sizes)
         objectives = tuple(a - self.fp_penalty * float(np.mean(fprs[q])) for a, q in zip(accuracies, self.sizes))
         best = max(range(len(self.sizes)), key=lambda i: (objectives[i], -self.sizes[i]))
-        chosen_q = self.sizes[best]
         return SelectionReport(
             candidate_sizes=self.sizes,
             cv_accuracy=accuracies,
             cv_objective=objectives,
-            chosen_q=chosen_q,
-            chosen_indices=tuple(int(i) for i in self.order[:chosen_q]),
+            chosen_indices=tuple(int(i) for i in self.order[: self.sizes[best]]),
         )
 
 

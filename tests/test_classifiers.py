@@ -25,6 +25,7 @@ from netdiag.classifiers import (
     train_cfd,
     train_lpd,
 )
+from netdiag.cli import load_config
 from netdiag.errors import (
     CatalogMismatch,
     ConfigError,
@@ -160,7 +161,6 @@ class TestGoldenSelection:
             candidate_sizes=(5, 10, 15, 20, 25),
             cv_accuracy=(0.73, 0.95, 0.8099999999999999, 0.9, 0.9099999999999999),
             cv_objective=(0.73, 0.95, 0.8099999999999999, 0.9, 0.9099999999999999),
-            chosen_q=10,
             chosen_indices=(17, 9, 18, 8, 6, 15, 26, 28, 3, 7),
         )
 
@@ -172,14 +172,12 @@ class TestGoldenSelection:
                 candidate_sizes=(12,),
                 cv_accuracy=(1.0,),
                 cv_objective=(1.0,),
-                chosen_q=12,
                 chosen_indices=(0, 2, 3, 1, 14, 15, 19, 10, 36, 7, 13, 16),
             ),
             "dsack_disabled": SelectionReport(
                 candidate_sizes=(32,),
                 cv_accuracy=(1.0,),
                 cv_objective=(1.0,),
-                chosen_q=32,
                 chosen_indices=(
                     9, 11, 8, 10, 25, 1, 18, 31, 35, 38, 21, 24, 7, 27, 36, 19,
                     15, 34, 4, 17, 3, 5, 30, 29, 13, 39, 26, 23, 12, 32, 22, 20,
@@ -189,7 +187,6 @@ class TestGoldenSelection:
                 candidate_sizes=(24,),
                 cv_accuracy=(0.9099999999999999,),
                 cv_objective=(0.9099999999999999,),
-                chosen_q=24,
                 chosen_indices=(
                     17, 20, 21, 19, 16, 18, 1, 15, 34, 26, 11, 31, 0, 2, 14, 25, 23, 27, 24, 33, 7, 28, 39, 8
                 ),
@@ -198,7 +195,6 @@ class TestGoldenSelection:
                 candidate_sizes=(16,),
                 cv_accuracy=(1.0,),
                 cv_objective=(1.0,),
-                chosen_q=16,
                 chosen_indices=(26, 28, 27, 29, 24, 15, 14, 7, 6, 20, 31, 38, 10, 32, 19, 25),
             ),
         }
@@ -223,6 +219,14 @@ class TestCfModules:
         assert [m.fault_index for m in net.modules] == [1, 2, 3, 4]
         names = {m.fault_name for m in net.modules}
         assert names == set(DEFAULT_FAULT_REGISTRY)
+
+    def test_library_and_cli_default_banks_agree(self):
+        # The CLI's default bank once seeded every module's folds with the
+        # bank seed, and train_cfd with a seed derived from the fault name.
+        db = client_db()
+        library = train_cfd(db, seed=7)
+        cli = train_cfd(db, load_config(None, 7).cfd, seed=7)
+        assert [m.selection for m in cli.modules] == [m.selection for m in library.modules]
 
     def test_small_sample_protocol_trains(self):
         # eleven rows per fault class suffice for convergence

@@ -79,20 +79,40 @@ def _check_solver_fields(report):
     assert 0 <= report["final_kkt_residual"] <= 1e-3
 
 
+MODULE_REPORT_KEYS = {"kernel", "chosen_q", "cv_accuracy", "converged", "updates", "final_kkt_residual", "n_sv"}
+
+
 def test_train_reports_solver_telemetry(trained):
     _, runs, _, _ = trained
     code, out, err = runs["lpd"]
     assert code == 0
-    _check_solver_fields(json.loads(out))
+    report = json.loads(out)
+    assert set(report) == {"stage", "bundle", *MODULE_REPORT_KEYS}
+    _check_solver_fields(report)
     assert "updates=" in err and "kkt=" in err and "n_sv=" in err
     code, out, err = runs["cfd"]
     assert code == 0
     modules = json.loads(out)["modules"]
     assert set(modules) == set(DEFAULT_FAULT_REGISTRY)
     for name, report in modules.items():
+        assert set(report) == MODULE_REPORT_KEYS and 0 <= report["cv_accuracy"] <= 1
         _check_solver_fields(report)
         assert f"cfd/{name}:" in err
     assert err.count("n_sv=") == len(DEFAULT_FAULT_REGISTRY)
+
+
+def test_iteration_cap_warning_names_each_module(tmp_path):
+    # A CFD module that hit the cap was once reported without a warning.
+    _, client = _databases(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"cfd": {"default": {"max_iter": 1}}}), encoding="utf-8")
+    out = tmp_path / "bundle"
+    code, stdout, err = _run("train", "--config", str(config), "--db", str(client), "--stage", "cfd", "--out", str(out))
+    assert code == 0, err
+    modules = json.loads(stdout)["modules"]
+    assert not all(report["converged"] for report in modules.values())
+    for name, report in modules.items():
+        assert (f"warning: cfd/{name}: solver hit the iteration cap" in err) is not report["converged"]
 
 
 def test_intact_bundle_diagnoses(trained):
@@ -109,9 +129,9 @@ def test_intact_bundle_diagnoses(trained):
 PARTS = {
     "registry.json": ("cfd.json", (), "fault_registry"),
     "lpd/default.model.json": ("lpd.json", ("model",), "dual_coef"),
-    "lpd/default.selection.json": ("lpd.json", ("selection",), "chosen_indices"),
+    "lpd/default.selection.json": ("lpd.json", ("selection",), "cv_accuracy"),
     "cfd/read_buf.model.json": ("cfd.json", ("modules", "read_buf", "model"), "dual_coef"),
-    "cfd/read_buf.selection.json": ("cfd.json", ("modules", "read_buf", "selection"), "chosen_indices"),
+    "cfd/read_buf.selection.json": ("cfd.json", ("modules", "read_buf", "selection"), "cv_accuracy"),
 }
 
 
@@ -190,6 +210,8 @@ MODEL_EDITS = {
     "cell_bool": lambda model: model["support_vectors"][0].__setitem__(0, True),
     "dual_coef_string": lambda model: model["dual_coef"].__setitem__(0, repr(model["dual_coef"][0])),
     "scaler_bool": lambda model: model["scaler"]["max"].__setitem__(0, True),
+    # a model without a scaler would be fed raw signatures
+    "scaler_empty": lambda model: model.update(scaler={"min": [], "max": []}),
 }
 
 
@@ -217,32 +239,52 @@ def test_malformed_model_exits_2_naming_it(trained, tmp_path, name, how):
     _check_names_part(code, err, target, name)
 
 
-def test_model_with_a_catalog_version_still_loads(trained, tmp_path):
-    # Bundles written before the version moved to the stage files also
-    # carry it in every model; it is ignored.
-    def add_version(text):
-        stage = json.loads(text)
-        for part in [stage] if "model" in stage else stage["modules"].values():
-            part["model"]["catalog_version"] = stage["catalog_version"]
-        return json.dumps(stage)
-
+def _diagnose_with_each_module_edited(trained, tmp_path, edit):
+    """Diagnose runs on the trained bundle and on a copy in which each
+    stored module, the LPD and every CFD module, is passed to
+    edit(module, its stage file)."""
     bundle, _, down, up = trained
     copy = tmp_path / "bundle"
     shutil.copytree(bundle, copy)
-    for stage in ("lpd.json", "cfd.json"):
-        (copy / stage).write_text(add_version((copy / stage).read_text(encoding="utf-8")), encoding="utf-8")
-    runs = [_run("diagnose", "--bundle", str(b), "--down", str(down), "--up", str(up)) for b in (bundle, copy)]
+    for name in ("lpd.json", "cfd.json"):
+        stage = json.loads((copy / name).read_text(encoding="utf-8"))
+        for module in [stage] if "model" in stage else stage["modules"].values():
+            edit(module, stage)
+        (copy / name).write_text(json.dumps(stage), encoding="utf-8")
+    return [_run("diagnose", "--bundle", str(b), "--down", str(down), "--up", str(up)) for b in (bundle, copy)]
+
+
+def test_model_with_a_catalog_version_still_loads(trained, tmp_path):
+    # Bundles written before the version moved to the stage files also
+    # carry it in every model; it is ignored.
+    def add_version(module, stage):
+        module["model"]["catalog_version"] = stage["catalog_version"]
+
+    runs = _diagnose_with_each_module_edited(trained, tmp_path, add_version)
     assert runs[0] == runs[1] and runs[0][0] in (0, 10, 20)
 
 
-# selection corruption -> edit of the parsed selection that int() would
-# have truncated into a plausible selection, or that leaves a plausible
-# selection whose chosen columns are not its model's
+def test_selection_repeating_the_chosen_columns_still_loads(trained, tmp_path):
+    # Bundles written before the chosen columns lived only in the model
+    # repeat them in each selection as chosen_q and chosen_indices; they
+    # are ignored.
+    def add_chosen(module, stage):
+        subset = module["model"]["feature_subset"]
+        module["selection"].update(chosen_q=len(subset), chosen_indices=subset)
+
+    runs = _diagnose_with_each_module_edited(trained, tmp_path, add_chosen)
+    assert runs[0] == runs[1] and runs[0][0] in (0, 10, 20)
+
+
+# selection corruption -> edit of the parsed selection that int() or
+# float() would have read as a plausible selection, or that leaves a
+# plausible selection of which the model's columns are not a candidate
 SELECTION_EDITS = {
-    "chosen_indices_reversed": lambda sel: sel["chosen_indices"].reverse(),
-    "fractional_and_bool_indices": lambda sel: sel.update(chosen_indices=[0.9, True] + sel["chosen_indices"][2:]),
-    "fractional_chosen_q": lambda sel: sel.update(chosen_q=sel["chosen_q"] + 0.7),
     "bool_candidate_size": lambda sel: sel.update(candidate_sizes=[True] + sel["candidate_sizes"][1:]),
+    "cv_accuracy_string": lambda sel: sel["cv_accuracy"].__setitem__(0, repr(sel["cv_accuracy"][0])),
+    "cv_accuracy_bool": lambda sel: sel["cv_accuracy"].__setitem__(0, True),
+    "cv_objective_extra_entry": lambda sel: sel["cv_objective"].append(0.5),
+    "model_columns_not_a_candidate": lambda sel: sel.update(candidate_sizes=[q + 1000 for q in sel["candidate_sizes"]]),
 }
 
 
@@ -369,6 +411,19 @@ def test_append_doubles_the_rows(trained, tmp_path):
     assert code == 0, err
     assert json.loads(out)["rows"] == 4
     assert json.loads(db.read_text(encoding="utf-8"))["y"] == [0, 3, 0, 3]
+
+
+@pytest.mark.parametrize("command", ["extract", "eval"])
+def test_label_row_without_its_pair_exits_2_naming_it(trained, tmp_path, command):
+    # The row was once skipped, and the command exited 0 on the other pairs.
+    traces = _traces(trained, tmp_path, [("a", "HEALTHY", "HEALTHY"), ("ghost", "FAULTY", "HEALTHY")])
+    (traces / "ghost.up.csv").unlink()
+    out = tmp_path / "out" / "result"
+    argv = {"extract": ("--kind", "link"), "eval": ("--bundle", str(trained[0]))}[command]
+    code, _, err = _run(command, *argv, "--traces", str(traces), "--out", str(out))
+    assert code == 2 and "Traceback" not in err
+    assert str(traces / "labels.csv") in err and "'ghost'" in err
+    assert not out.parent.exists()
 
 
 def test_repeated_label_id_exits_2_naming_it(trained, tmp_path):

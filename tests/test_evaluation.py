@@ -13,7 +13,7 @@ from netdiag.evaluation import ConfusionMatrix, GroundTruth, render_report
 from netdiag.selection import stratified_folds
 from netdiag.svm import KernelSpec, SvmConfig, model_to_dict
 
-CFG = PipelineConfig(svm=SvmConfig(KernelSpec("linear"), C=10.0, max_iter=500, tol=1e-3))
+CFG = PipelineConfig(svm=SvmConfig(KernelSpec("linear"), C=10.0, max_iter=500, tol=1e-3), candidate_sizes=(6,))
 
 
 def separable_db(n_per_class=12, m=6, seed=0):
