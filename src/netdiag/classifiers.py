@@ -28,7 +28,6 @@ a stage built for a catalog other than this build's.
 from __future__ import annotations
 
 import enum
-import itertools
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -57,17 +56,15 @@ from .selection import (  # noqa: F401  (wrapper_select: perfbench/layers.py wra
     SelectionReport,
     cv_grid,
     rank_features,
-    solve_stack,
+    solve_grids,
     wrapper_select,
 )
 from .svm import (
     KernelSpec,
     SvmConfig,
     SvmModel,
-    build_model,
     decision_value,
     default_sigma,
-    gram_matrix,
     model_from_dict,
     model_to_dict,
 )
@@ -138,57 +135,20 @@ def prepare_pipeline(db: SignatureDatabase, config: PipelineConfig) -> CvGrid:
     )
 
 
-def _columns(grid: CvGrid, indices) -> np.ndarray:
-    """The given columns of the grid's scaled rows, copied in C order: the
-    Gram's matrix product and row sums round by memory layout."""
-    return grid.db.X[:, indices].copy()
-
-
-def _final_problem(grid: CvGrid, indices):
-    config = grid.svm
-    Kt = gram_matrix(config.kernel, _columns(grid, indices), config.C)
-    return Kt, grid.db.y.astype(np.float64), config.tol, config.max_iter
-
-
 def fit_pipelines(grids: Sequence[CvGrid]) -> list[tuple[SvmModel, SelectionReport]]:
     """Choose the subset size of each prepared pipeline, then train its
     model on the chosen features; one (SvmModel, SelectionReport) per
     pipeline, in input order.
 
-    The dual problems are solved in two lockstep stacks, as their data
-    dependencies allow.  The first holds every pipeline's CV grid and the
-    final fit of each pipeline with one candidate size, whose chosen
-    size is known before any CV result; the second holds the other final
-    fits once their grids are scored.  Each problem takes the path it
-    takes alone, so a pipeline's result does not depend on the others.
-    A model carries its fitted scaler and chosen feature indices, so it
-    is a pure function of its pipeline's training rows.
+    Every pipeline's CV problems and the final fit of each of its
+    candidate sizes are solved in one lockstep stack, since no problem
+    waits for a CV result; only the chosen size's final fit is kept.
+    Each problem takes the path it takes alone, so a pipeline's result
+    does not depend on the others.  A model carries its fitted scaler and
+    chosen feature indices, so it is a pure function of its pipeline's
+    training rows.
     """
-    fixed = [k for k, grid in enumerate(grids) if len(grid.sizes) == 1]
-    first = itertools.chain(
-        *(grid.problems() for grid in grids),
-        (_final_problem(grids[k], grids[k].order[: grids[k].sizes[0]]) for k in fixed),
-    )
-    n = max([grid.n for grid in grids] + [grids[k].db.n for k in fixed])
-    states = iter(solve_stack(first, sum(map(len, grids)) + len(fixed), n))
-    reports = [grid.report(list(itertools.islice(states, len(grid)))) for grid in grids]
-    final = dict(zip(fixed, states))
-    rest = [k for k in range(len(grids)) if k not in final]
-    if rest:
-        second = (_final_problem(grids[k], reports[k].chosen_indices) for k in rest)
-        final.update(zip(rest, solve_stack(second, len(rest), max(grids[k].db.n for k in rest))))
-    fits = []
-    for k, (grid, report) in enumerate(zip(grids, reports)):
-        model = build_model(
-            _columns(grid, report.chosen_indices),
-            grid.db.y.astype(np.float64),
-            grid.svm,
-            final[k],
-            scaler=grid.scaler,
-            feature_subset=report.chosen_indices,
-        )
-        fits.append((model, report))
-    return fits
+    return [grid.fit(states) for grid, states in zip(grids, solve_grids(grids))]
 
 
 def fit_pipeline(db: SignatureDatabase, config: PipelineConfig) -> tuple[SvmModel, SelectionReport]:

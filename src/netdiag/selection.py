@@ -8,14 +8,26 @@ Smallest size wins ties.  The chosen indices always form a prefix of the
 ranking; the final model is trained on those columns of the scaled rows
 and keeps them as its feature subset.
 
-The CV loop is split in two so that several pipelines can share one
-lockstep solve: `cv_grid` checks the inputs and builds the size x fold
-dual problems, and `CvGrid.report` scores their solutions.
-`wrapper_select` is the two composed around one `solve_stack`.
+The CV loop is split so that several pipelines share one lockstep
+solve: `cv_grid` checks the inputs and lays out the dual problems,
+`solve_grids` solves the problems of every grid in one `solve_duals`
+stack, and `CvGrid.report` scores their solutions (`CvGrid.fit` also
+builds the final model).  A grid's problems are each (size, fold) on
+the fold's training rows and each size's final fit on all rows, all of
+them sub-blocks of one ridge-shifted Gram per size over all rows.  The
+Grams are computed once, into one zero-padded pool of |sizes| * n^2 * 8
+bytes per pipeline of n rows; a fold's held-out rows are padding in its
+stack row.  A fold's sub-block equals the Gram of its rows alone to
+rounding, and bit for bit wherever the BLAS matrix product rounds both
+alike (tests/test_svm.py pins where that holds).  Every problem is in
+the stack from the start, so the final fits of the sizes not chosen
+are solved too.  `wrapper_select` is `cv_grid`, `solve_grids` and
+`report` of one grid.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +37,7 @@ from .preprocess import ScalerParams, SignatureDatabase
 from .rng import SplitMix64
 from .svm import (  # noqa: F401  (train_arrays: perfbench/layers.py wraps selection.train_arrays)
     SvmConfig,
+    SvmModel,
     TrainingState,
     build_model,
     check_training_data,
@@ -36,8 +49,6 @@ from .svm import (  # noqa: F401  (train_arrays: perfbench/layers.py wraps selec
 
 VARIANCE_FLOOR = 1e-12
 DEFAULT_CANDIDATE_SIZES = (5, 10, 15, 20, 25, 50, 75, 100)
-# Upper bound on the bytes of a stack of Grams solved in lockstep.
-CV_STACK_BYTES = 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -108,62 +119,103 @@ def stratified_folds(y: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class CvGrid:
-    """The size x fold CV problems of one wrapper run, checked and ready
-    to solve, and what scoring their solutions and fitting the final
-    model take."""
+    """The size x fold CV problems of one wrapper run and the final fit of
+    each size, checked and ready to solve, and what scoring their
+    solutions and fitting the final model take."""
 
     db: SignatureDatabase  # scaled, labels in {+1, -1}
     order: np.ndarray  # the ranking's feature indices
     sizes: tuple[int, ...]
     folds: tuple[np.ndarray, ...]  # test rows per fold
-    train_rows: tuple[np.ndarray, ...]  # training rows per fold
+    train_rows: tuple[np.ndarray, ...]  # training rows per fold, ascending
     svm: SvmConfig
     fp_penalty: float
     scaler: ScalerParams | None  # the one that scaled db's rows
 
     def __len__(self) -> int:
-        return len(self.sizes) * len(self.folds)
+        """The number of problems: one per (size, fold), one per size."""
+        return len(self.sizes) * (len(self.folds) + 1)
 
-    @property
-    def n(self) -> int:
-        """Rows of the largest problem."""
-        return max(len(rows) for rows in self.train_rows)
+    def columns(self, q: int) -> np.ndarray:
+        """The q best-ranked columns of the scaled rows, copied in C order:
+        the Gram's matrix product and row sums round by memory layout."""
+        return self.db.X[:, self.order[:q]].copy()
 
-    def _cells(self):
-        return ((q, f) for q in self.sizes for f in range(len(self.folds)))
-
-    def problems(self):
-        """The (Kt, y, tol, max_iter) dual problems in size-major order,
-        each Gram built when it is drawn."""
-        X, y, config = self.db.X, self.db.y, self.svm
-        for q, f in self._cells():
-            rows = self.train_rows[f]
-            Kt = gram_matrix(config.kernel, X[:, self.order[:q]][rows], config.C)
-            yield Kt, y[rows].astype(np.float64), config.tol, config.max_iter
+    def problems(self, first: int):
+        """The (g, rows, y, tol, max_iter) problems of `solve_duals`, where
+        the Gram of the k-th size sits at g = first + k: each (size, fold)
+        in size-major order on the fold's training rows, then each size on
+        all rows.  A fold's Gram is a sub-block of its size's Gram."""
+        y, config = self.db.y.astype(np.float64), self.svm
+        gs = range(first, first + len(self.sizes))
+        for g in gs:
+            for rows in self.train_rows:
+                yield g, rows, y[rows], config.tol, config.max_iter
+        for g in gs:
+            yield g, np.arange(self.db.n), y, config.tol, config.max_iter
 
     def report(self, states) -> SelectionReport:
-        """Score the solved problems, one TrainingState each in the order
-        of `problems`: mean accuracy and false-positive rate over the folds
-        per size; the best objective wins, then the smaller size."""
-        X, y = self.db.X, self.db.y
-        accs: dict[int, list[float]] = {q: [] for q in self.sizes}
-        fprs: dict[int, list[float]] = {q: [] for q in self.sizes}
-        for (q, f), state in zip(self._cells(), states):
-            Xq, fold, rows = X[:, self.order[:q]], self.folds[f], self.train_rows[f]
-            model = build_model(Xq[rows], y[rows].astype(np.float64), self.svm, state)
-            pred = np.where(decision_values(model, Xq[fold]) >= 0, 1, -1)
-            accs[q].append(float(np.mean(pred == y[fold])))
-            negs = y[fold] == -1
-            fprs[q].append(float(np.mean(pred[negs] == 1)) if negs.any() else 0.0)
-        accuracies = tuple(float(np.mean(accs[q])) for q in self.sizes)
-        objectives = tuple(a - self.fp_penalty * float(np.mean(fprs[q])) for a, q in zip(accuracies, self.sizes))
+        """Score the solved CV problems, whose TrainingStates lead
+        `states` in the order of `problems`: mean accuracy and
+        false-positive rate over the folds per size; the best objective
+        wins, then the smaller size."""
+        y = self.db.y
+        states = iter(states)
+        accuracies, fp_rates = [], []
+        for q in self.sizes:
+            Xq = self.columns(q)
+            accs, fprs = [], []
+            for fold, rows in zip(self.folds, self.train_rows):
+                model = build_model(Xq[rows], y[rows].astype(np.float64), self.svm, next(states))
+                pred = np.where(decision_values(model, Xq[fold]) >= 0, 1, -1)
+                accs.append(float(np.mean(pred == y[fold])))
+                negs = y[fold] == -1
+                fprs.append(float(np.mean(pred[negs] == 1)) if negs.any() else 0.0)
+            accuracies.append(float(np.mean(accs)))
+            fp_rates.append(float(np.mean(fprs)))
+        objectives = tuple(a - self.fp_penalty * f for a, f in zip(accuracies, fp_rates))
         best = max(range(len(self.sizes)), key=lambda i: (objectives[i], -self.sizes[i]))
         return SelectionReport(
             candidate_sizes=self.sizes,
-            cv_accuracy=accuracies,
+            cv_accuracy=tuple(accuracies),
             cv_objective=objectives,
             chosen_indices=tuple(int(i) for i in self.order[: self.sizes[best]]),
         )
+
+    def fit(self, states) -> tuple[SvmModel, SelectionReport]:
+        """The report of the solved problems, one TrainingState each in the
+        order of `problems`, and the final model of the chosen size on the
+        chosen columns, carrying the scaler and the column indices."""
+        states = list(states)
+        report = self.report(states)
+        q = report.chosen_q
+        final = states[len(self.sizes) * len(self.folds) + self.sizes.index(q)]
+        model = build_model(
+            self.columns(q),
+            self.db.y.astype(np.float64),
+            self.svm,
+            final,
+            scaler=self.scaler,
+            feature_subset=report.chosen_indices,
+        )
+        return model, report
+
+
+def solve_grids(grids) -> list[list[TrainingState]]:
+    """Solve every problem of the grids in one `solve_duals` stack over one
+    pool holding each grid's Gram of each size once; the TrainingStates of
+    each grid, in the order of its `problems`."""
+    n = max(grid.db.n for grid in grids)
+    pool = np.zeros((sum(len(grid.sizes) for grid in grids), n, n))
+    problems, first = [], 0
+    for grid in grids:
+        n_g, config = grid.db.n, grid.svm
+        for g, q in enumerate(grid.sizes, first):
+            gram_matrix(config.kernel, grid.columns(q), config.C, out=pool[g, :n_g, :n_g])
+        problems.extend(grid.problems(first))
+        first += len(grid.sizes)
+    states = iter(solve_duals(pool, problems))
+    return [list(itertools.islice(states, len(grid))) for grid in grids]
 
 
 def cv_grid(
@@ -200,13 +252,6 @@ def cv_grid(
     )
 
 
-def solve_stack(problems, count: int, n: int) -> list[TrainingState]:
-    """Solve `count` dual problems of at most n rows in lockstep, as many
-    at a time as CV_STACK_BYTES of stacked Grams hold; each problem takes
-    the path it takes alone."""
-    return solve_duals(problems, n, max(1, min(count, CV_STACK_BYTES // (8 * n * n))))
-
-
 def wrapper_select(
     db: SignatureDatabase,
     ranking: TTestRanking,
@@ -219,4 +264,4 @@ def wrapper_select(
     """Score prefix sizes by stratified CV; best objective wins, then
     smaller size.  Objective = accuracy - fp_penalty * fp_rate."""
     grid = cv_grid(db, ranking, candidate_sizes, folds, svm_config, seed, fp_penalty)
-    return grid.report(solve_stack(grid.problems(), len(grid), grid.n))
+    return grid.report(solve_grids([grid])[0])

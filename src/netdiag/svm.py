@@ -25,20 +25,29 @@ support vectors, as the bias term of the decision function.
 
 At the sizes fitted here (n <= a few hundred) a pair update is about
 fifteen numpy calls whose fixed cost outweighs their arithmetic, so
-`solve_duals` runs independent problems in lockstep, one row of a
-zero-padded stack per problem: the vector work of a step (the choice of
-i and j, the curvature row, the gradient update) is one call across all
-rows, and the scalar pair step runs in Python per row.  Each problem
-brings its own tolerance and sweep cap, so the CV grids and final fits
-of differently configured pipelines share one stack.  A row finished by
-convergence or by its update cap takes the next problem at once.
-Each problem takes exactly the path it takes alone, bit for bit:
+`solve_duals` runs independent problems in lockstep, one row of a stack
+per problem: the vector work of a step (the choice of i and j, the
+curvature row, the gradient update) is one call across all rows, and
+the scalar pair step runs in Python per row.  A problem is a Gram of a
+pool plus the ascending indices of its points: the CV folds of one
+subset size and its final fit are sub-blocks of one Gram over all rows,
+so the pool holds each distinct Gram once, zero-padded to the largest,
+|sizes| * n^2 * 8 bytes for a pipeline of n rows.  A stack row spans
+every point of the pool; the points a problem leaves out, such as a
+fold's held-out rows, are padding.  The curvature and gradient rows of
+a step are one row take from the pool.  Each problem brings its own
+tolerance and sweep cap, so the CV grids and final fits of differently
+configured pipelines share one stack, and a row leaves the stack when
+its problem converges or hits its update cap.  Each problem takes
+exactly the path it takes alone on its sub-block, bit for bit:
 elementwise operations and row-wise argmax see only the row's own
-values, padding sits off both sets with an infinite diagonal so it is
-never chosen, the gap is taken as b_i - min(low) (equal to the largest
-b_i - low_t, since rounded subtraction is monotone), and the loop keeps
-b + 0 on each set (not b and a penalty vector), which holds the same
-values.  `solve_dual` is the one-problem case.
+values, padding sits off both sets with an infinite diagonal so its
+gain is exactly 0 (while a row that steps has a point of positive gain)
+and argmax meets the problem's points in their order, the gap is taken
+as b_i - min(low) (equal to the largest b_i - low_t, since rounded
+subtraction is monotone), and the loop keeps b + 0 on each set (not b
+and a penalty vector), which holds the same values.  `solve_dual` is
+the one-problem case.
 """
 
 from __future__ import annotations
@@ -127,98 +136,91 @@ class TrainingState:
     final_kkt_residual: float = 0.0
 
 
-def kernel_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def kernel_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """K(a, b) for every row a of A and b of B, computed in the array of
+    A B', which is `out` when given."""
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
     if A.shape[1] != B.shape[1]:
         raise DimensionMismatch("kernel operands with different feature counts")
-    G = A @ B.T
+    G = np.matmul(A, B.T, out=out)
     if spec.variant == "linear":
         return G
-    if spec.variant == "quadratic":
-        return (G + 1.0) ** 2
-    if spec.variant == "cubic":
-        return (G + 1.0) ** 3
-    sq = np.maximum(
-        (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * G, 0.0
-    )
-    return np.exp(-sq / (2.0 * spec.sigma**2))
+    if spec.variant in ("quadratic", "cubic"):
+        G += 1.0
+        return np.square(G, out=G) if spec.variant == "quadratic" else np.power(G, 3, out=G)
+    # exp(-max(|a|^2 + |b|^2 - 2 a.b, 0) / (2 sigma^2))
+    G *= -2.0
+    G += (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :]
+    np.maximum(G, 0.0, out=G)
+    G /= -(2.0 * spec.sigma**2)
+    return np.exp(G, out=G)
 
 
-def gram_matrix(spec: KernelSpec, X: np.ndarray, C: float) -> np.ndarray:
-    """Ridge-shifted training kernel K + I/C."""
+def gram_matrix(spec: KernelSpec, X: np.ndarray, C: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Ridge-shifted training kernel K + I/C, computed in `out` when given."""
     X = np.asarray(X, dtype=np.float64)
-    return kernel_matrix(spec, X, X) + np.eye(X.shape[0]) / C
+    K = kernel_matrix(spec, X, X, out)
+    K[np.diag_indices(X.shape[0])] += 1.0 / C
+    return K
 
 
 class _Dual:
-    """One problem's side of the lockstep loop: the scalar pair-step state."""
+    """One problem's side of the lockstep loop: the scalar pair-step state.
+    alpha and y_list are indexed by the points of the problem's Gram."""
 
-    __slots__ = ("slot", "y", "y_list", "alpha", "trace", "objective", "updates", "tol", "max_iter", "cap", "state")
+    __slots__ = ("g", "rows", "y", "y_list", "alpha", "trace", "objective", "updates", "tol", "max_iter", "cap", "state")
 
-    def __init__(self, slot: int, y: np.ndarray, ys: np.ndarray, tol: float, max_iter: int):
-        self.slot = slot
-        self.y = y
-        self.y_list = ys.tolist()
-        self.alpha = [0.0] * len(y)
+    def __init__(self, g: int, rows, y, tol: float, max_iter: int, n: int):
+        self.g = g
+        self.rows = np.asarray(rows, dtype=np.int64)
+        self.y = np.asarray(y, dtype=np.float64)
+        self.y_list = None  # the oriented labels, 0 off rows; set with the loop's row
+        self.alpha = [0.0] * n
         self.trace = []
         self.objective = 0.0
         self.updates = 0
         self.tol = tol
         self.max_iter = max_iter
-        self.cap = max_iter * len(y)  # one sweep is up to n pair updates
+        self.cap = max_iter * len(self.rows)  # one sweep is up to m pair updates
         self.state = None
 
 
-def solve_duals(problems, n: int, width: int) -> list[TrainingState]:
+def solve_duals(grams: np.ndarray, problems) -> list[TrainingState]:
     """Maximize sum(a) - 0.5 a' (yy' * Kt) a  s.t.  a >= 0, y'a = 0 for
-    each (Kt, y, tol, max_iter) of `problems`, up to `width` of them in
-    lockstep; one TrainingState per problem, in input order.
+    each (g, rows, y, tol, max_iter) of `problems`, all of them in one
+    lockstep stack; one TrainingState per problem, in input order.
 
-    Each Kt is symmetric (the loop reads rows where the gradient update
-    needs columns) with at most n rows, y holds labels in {+1, -1}, and
-    tol and max_iter are that problem's stopping gap and sweep cap.
-    A problem is drawn from `problems` when a slot of the zero-padded
-    (width, n, n) stack opens, so a generator of Grams keeps no more than
-    the stack alive.
+    `grams` is a (count, n, n) pool of symmetric Grams, each zero-padded
+    to n points (the loop reads rows where the gradient update needs
+    columns).  A problem's Kt is the sub-block grams[g][np.ix_(rows,
+    rows)]: rows are ascending indices of Gram g's points, y holds their
+    labels in {+1, -1}, and tol and max_iter are that problem's stopping
+    gap and sweep cap.
     """
     inf = np.inf
-    Kt = np.zeros((width, n, n))
-    rows_of = Kt.reshape(width * n, n)  # row i of slot s is rows_of[s * n + i]
-    # Row r of the loop holds one problem.  up[r] holds b on the set that
-    # may move up and -inf off it, low[r] holds b on the set that may move
-    # down and +inf off it, where b_t = y_t * dObjective/dAlpha_t; every
-    # point is on one set, and padding is on neither.  diag[r] is the
-    # diagonal of Kt, infinite on padding so that padding never gains.
-    up = np.empty((width, n))
-    low = np.empty((width, n))
-    diag = np.empty((width, n))
-    duals = []
-    source = iter(problems)
-
-    def load(r: int, slot: int) -> _Dual | None:
-        """The next problem, set up in row r and slot `slot`; None once
-        `problems` is exhausted."""
-        problem = next(source, None)
-        if problem is None:
-            return None
-        K, y, tol, max_iter = problem
-        y = np.asarray(y, dtype=np.float64)
-        m = y.shape[0]
-        Kt[slot, :m, :m] = K
-        Kt[slot, :m, m:] = 0.0
-        Kt[slot, m:] = 0.0
+    count, n, _ = grams.shape
+    rows_of = grams.reshape(count * n, n)  # row i of Gram g is rows_of[g * n + i]
+    duals = [_Dual(*problem, n) for problem in problems]
+    # Row r of the loop holds one problem and spans every point of the
+    # pool's Grams.  up[r] holds b on the set that may move up and -inf off
+    # it, low[r] holds b on the set that may move down and +inf off it,
+    # where b_t = y_t * dObjective/dAlpha_t; every point of the problem is
+    # on one set, and the other points (padding) are on neither.  diag[r]
+    # is the diagonal of Kt, infinite on padding so that padding never gains.
+    up = np.empty((len(duals), n))
+    low = np.empty((len(duals), n))
+    diag = np.full((len(duals), n), inf)
+    for r, dual in enumerate(duals):
         # The dual sees y only through yy' and y'a = 0, so solving with
         # the labels oriented to y[0] = +1 takes the same path for y and
         # -y.  b starts at the oriented labels since grad = 1.
-        ys = y if y[0] > 0 else -y
-        up[r], low[r], diag[r] = -inf, inf, inf
-        up[r, :m] = np.where(ys > 0, ys, -inf)
-        low[r, :m] = np.where(ys < 0, ys, inf)
-        diag[r, :m] = Kt[slot].diagonal()[:m]
-        dual = _Dual(slot, y, ys, tol, max_iter)
-        duals.append(dual)
-        return dual
+        ys = np.zeros(n)
+        ys[dual.rows] = dual.y if dual.y[0] > 0 else -dual.y
+        dual.y_list = ys.tolist()
+        up[r] = np.where(ys > 0, ys, -inf)
+        low[r] = np.where(ys < 0, ys, inf)
+        diag[r, dual.rows] = grams[dual.g].diagonal()[dual.rows]
 
     def flip(r: int, k: int, y_k: float, joins: bool) -> None:
         """Point k of row r joins or leaves the set its label does not
@@ -231,12 +233,12 @@ def solve_duals(problems, n: int, width: int) -> list[TrainingState]:
     def finish(dual: _Dual, converged: bool) -> None:
         """Exact recompute of the certificate quantities at the final
         point, for the caller's labels."""
-        y = dual.y
-        m = y.shape[0]
-        K = np.ascontiguousarray(Kt[dual.slot, :m, :m])
-        alpha = np.asarray(dual.alpha)
+        y, rows = dual.y, dual.rows
+        K = grams[dual.g].take(rows, axis=0).take(rows, axis=1)
+        alpha = np.asarray(dual.alpha)[rows]
         ay = alpha * y
-        grad = 1.0 - y * (K @ ay)
+        K_ay = K @ ay
+        grad = 1.0 - y * K_ay
         b_vec_exact = y * grad
         movable = alpha > 0
         pos = y > 0
@@ -246,110 +248,101 @@ def solve_duals(problems, n: int, width: int) -> list[TrainingState]:
             alpha=alpha,
             objective_trace=dual.trace,
             bias_estimates=b_vec_exact,
-            dual_objective=float(np.sum(alpha) - 0.5 * ay @ (K @ ay)),
-            iterations_used=dual.updates // m + 1 if converged else dual.max_iter,
+            dual_objective=float(np.sum(alpha) - 0.5 * ay @ K_ay),
+            iterations_used=dual.updates // len(rows) + 1 if converged else dual.max_iter,
             updates=dual.updates,
             converged=converged,
             final_kkt_residual=float(m_up - m_low),
         )
 
-    rows = []
-    for slot in range(width):
-        dual = load(slot, slot)
-        if dual is None:
-            break
-        rows.append(dual)
-    up, low, diag = up[: len(rows)], low[: len(rows)], diag[: len(rows)]
-    while rows:
-        offs = np.arange(0, len(rows) * n, n)  # row r of up, low and diag starts at offs[r]
-        base = np.asarray([dual.slot for dual in rows]) * n
-        while True:
-            i = up.argmax(axis=1)
-            fi = offs + i
-            b_i = up.take(fi)
-            # The gap max_t (b_i - low_t) is b_i - min low: subtraction is monotone.
-            low_min = low.take(offs + low.argmin(axis=1))
-            # Second-order choice of j: the largest one-step objective gain
-            # (b_i - b_t)^2 / curv[i, t] among points with b_t < b_i, where
-            # curv[i, t] = Kt_ii + Kt_tt - 2 Kt_it, and inf for t = i so the
-            # degenerate pair (i, i) never gains.
-            gain = np.subtract(b_i[:, None], low)
-            np.maximum(gain, 0.0, out=gain)
-            np.square(gain, out=gain)
-            K_i = rows_of.take(base + i, axis=0)
-            curv = np.add(diag.take(fi)[:, None], diag)
-            curv -= 2.0 * K_i
-            curv.put(fi, inf)
-            np.divide(gain, curv, out=gain)
-            j = gain.argmax(axis=1)
-            fj = offs + j
-            steps = []
-            finished = []
-            for r, dual, i_p, j_p, b_ip, b_jp, eta, gap_low in zip(
-                range(len(rows)),
-                rows,
-                i.tolist(),
-                j.tolist(),
-                b_i.tolist(),
-                low.take(fj).tolist(),
-                curv.take(fj).tolist(),
-                low_min.tolist(),
-            ):
-                if dual.updates == dual.cap or b_ip - gap_low <= dual.tol:
-                    # Finished: no step this time, then the row takes the
-                    # next problem or leaves the loop.
-                    finish(dual, converged=dual.updates < dual.cap)
-                    finished.append(r)
-                    steps.append(0.0)
-                    rows[r] = load(r, dual.slot)
-                    continue
-                if b_jp == inf:  # j off the set that may move down
-                    b_jp = up.item(r, j_p)
-                alpha, y_list = dual.alpha, dual.y_list
-                violation = b_ip - b_jp
-                t = violation / eta
-                y_i, y_j = y_list[i_p], y_list[j_p]
-                a_i, a_j = alpha[i_p], alpha[j_p]
-                if y_i < 0 and a_i < t:
-                    t = a_i
-                if y_j > 0 and a_j < t:
-                    t = a_j
-                a_i += y_i * t
-                a_j -= y_j * t
-                a_i = 0.0 if 0.0 > a_i else a_i
-                a_j = 0.0 if 0.0 > a_j else a_j
-                # A point joins or leaves a set when its alpha leaves or
-                # returns to 0; its b moves with the update below.
-                if (a_i > 0) != (alpha[i_p] > 0):
-                    flip(r, i_p, y_i, a_i > 0)
-                alpha[i_p] = a_i
-                if (a_j > 0) != (alpha[j_p] > 0):
-                    flip(r, j_p, y_j, a_j > 0)
-                alpha[j_p] = a_j
-                dual.objective += violation * t - 0.5 * eta * t * t
-                dual.trace.append(dual.objective)
-                dual.updates += 1
-                steps.append(t)
-            # b -= t (Kt_i - Kt_j), on both sets.
-            delta_b = rows_of.take(base + j, axis=0)
-            np.subtract(K_i, delta_b, out=delta_b)
-            delta_b *= np.asarray(steps)[:, None]
-            if finished:
-                delta_b[finished] = 0.0
-            up -= delta_b
-            low -= delta_b
-            if None in rows:
-                break
-        keep = [dual is not None for dual in rows]
-        rows = [dual for dual in rows if dual is not None]
-        up, low, diag = up[keep], low[keep], diag[keep]
+    live = list(duals)  # live[r] is the problem in row r of up, low and diag
+    offs = np.arange(0, len(live) * n, n)  # row r of up, low and diag starts at offs[r]
+    base = np.asarray([dual.g for dual in live], dtype=np.int64) * n
+    while live:
+        i = up.argmax(axis=1)
+        fi = offs + i
+        b_i = up.take(fi)
+        # The gap max_t (b_i - low_t) is b_i - min low: subtraction is monotone.
+        low_min = low.take(offs + low.argmin(axis=1))
+        # Second-order choice of j: the largest one-step objective gain
+        # (b_i - b_t)^2 / curv[i, t] among points with b_t < b_i, where
+        # curv[i, t] = Kt_ii + Kt_tt - 2 Kt_it, and inf for t = i so the
+        # degenerate pair (i, i) never gains.  Padding gains exactly 0, and
+        # a row that steps has a point of strictly positive gain, so the
+        # argmax sees the problem's points in their order, as alone.
+        gain = np.subtract(b_i[:, None], low)
+        np.maximum(gain, 0.0, out=gain)
+        np.square(gain, out=gain)
+        K_i = rows_of.take(base + i, axis=0)
+        curv = np.add(diag.take(fi)[:, None], diag)
+        curv -= 2.0 * K_i
+        curv.put(fi, inf)
+        np.divide(gain, curv, out=gain)
+        j = gain.argmax(axis=1)
+        fj = offs + j
+        steps = []
+        finished = []
+        for r, dual, i_p, j_p, b_ip, b_jp, eta, gap_low in zip(
+            range(len(live)),
+            live,
+            i.tolist(),
+            j.tolist(),
+            b_i.tolist(),
+            low.take(fj).tolist(),
+            curv.take(fj).tolist(),
+            low_min.tolist(),
+        ):
+            if dual.updates == dual.cap or b_ip - gap_low <= dual.tol:
+                # Finished: no step, and the row leaves the loop.
+                finish(dual, converged=dual.updates < dual.cap)
+                finished.append(r)
+                steps.append(0.0)
+                continue
+            if b_jp == inf:  # j off the set that may move down
+                b_jp = up.item(r, j_p)
+            alpha, y_list = dual.alpha, dual.y_list
+            violation = b_ip - b_jp
+            t = violation / eta
+            y_i, y_j = y_list[i_p], y_list[j_p]
+            a_i, a_j = alpha[i_p], alpha[j_p]
+            if y_i < 0 and a_i < t:
+                t = a_i
+            if y_j > 0 and a_j < t:
+                t = a_j
+            a_i += y_i * t
+            a_j -= y_j * t
+            a_i = 0.0 if 0.0 > a_i else a_i
+            a_j = 0.0 if 0.0 > a_j else a_j
+            # A point joins or leaves a set when its alpha leaves or
+            # returns to 0; its b moves with the update below.
+            if (a_i > 0) != (alpha[i_p] > 0):
+                flip(r, i_p, y_i, a_i > 0)
+            alpha[i_p] = a_i
+            if (a_j > 0) != (alpha[j_p] > 0):
+                flip(r, j_p, y_j, a_j > 0)
+            alpha[j_p] = a_j
+            dual.objective += violation * t - 0.5 * eta * t * t
+            dual.trace.append(dual.objective)
+            dual.updates += 1
+            steps.append(t)
+        # b -= t (Kt_i - Kt_j), on both sets.
+        delta_b = rows_of.take(base + j, axis=0)
+        np.subtract(K_i, delta_b, out=delta_b)
+        delta_b *= np.asarray(steps)[:, None]
+        up -= delta_b
+        low -= delta_b
+        if finished:
+            keep = np.ones(len(live), dtype=bool)
+            keep[finished] = False
+            live = [dual for dual, kept in zip(live, keep) if kept]
+            up, low, diag, base, offs = up[keep], low[keep], diag[keep], base[keep], offs[: len(live)]
     return [dual.state for dual in duals]
 
 
 def solve_dual(Kt: np.ndarray, y: np.ndarray, tol: float, max_iter: int) -> TrainingState:
     """The one-problem case of `solve_duals`."""
     Kt = np.asarray(Kt, dtype=np.float64)
-    return solve_duals([(Kt, y, tol, max_iter)], Kt.shape[0], 1)[0]
+    return solve_duals(Kt[None], [(0, np.arange(Kt.shape[0]), y, tol, max_iter)])[0]
 
 
 def check_training_data(X: np.ndarray, y: np.ndarray) -> None:

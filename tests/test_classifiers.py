@@ -86,6 +86,22 @@ def cf_configs():
     }
 
 
+def count_stacks(monkeypatch) -> list[int]:
+    """The number of problems of each `solve_duals` call made from now on."""
+    from netdiag import selection
+
+    stacks = []
+    real = selection.solve_duals
+
+    def counting(grams, problems):
+        states = real(grams, problems)
+        stacks.append(len(states))
+        return states
+
+    monkeypatch.setattr(selection, "solve_duals", counting)
+    return stacks
+
+
 class TestTrainLpd:
     def test_synthetic_artifact_recovered(self):
         db = link_db()
@@ -266,20 +282,17 @@ class TestCfModules:
 
     def test_default_bank_is_one_stack(self, monkeypatch):
         # Every default module has one candidate size: four 5-fold grids and
-        # four final fits, 24 problems, all known before any CV result.
-        from netdiag import selection
-
-        stacks = []
-
-        def counting(problems, n, width):
-            states = real(problems, n, width)
-            stacks.append(len(states))
-            return states
-
-        real = selection.solve_duals
-        monkeypatch.setattr(selection, "solve_duals", counting)
+        # four final fits, 24 problems in one call.
+        stacks = count_stacks(monkeypatch)
         train_cfd(client_db())
         assert stacks == [24]
+
+    def test_default_lpd_is_one_stack(self, monkeypatch):
+        # 160 rows of 74 features keep six default sizes: 6 x 5 CV problems
+        # and the final fit of each size, 36 problems in one call.
+        stacks = count_stacks(monkeypatch)
+        train_lpd(link_db(n_per_class=80, m=74), default_lpd_config())
+        assert stacks == [36]
 
     @pytest.mark.parametrize(
         "change, error",

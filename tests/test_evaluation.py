@@ -2,14 +2,16 @@
 
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from synthetic import ClassArtifactSpec, synthetic_database
 
-from netdiag.classifiers import PipelineConfig, fit_pipeline, model_predict
+from netdiag import evaluation
+from netdiag.classifiers import PipelineConfig, Verdict, fit_pipeline, model_predict
 from netdiag.errors import InsufficientRows
-from netdiag.evaluation import ConfusionMatrix, GroundTruth, render_report
+from netdiag.evaluation import ConfusionMatrix, GroundTruth, evaluate_verdicts, render_report
 from netdiag.selection import stratified_folds
 from netdiag.svm import KernelSpec, SvmConfig, model_to_dict
 
@@ -43,6 +45,7 @@ class TestConfusion:
         assert json.loads(json.dumps(d))["accuracy"] is None
         report = {
             "conditions": {"default_client": {"n": 2, "accuracy": 0.5}},
+            "lpd": ConfusionMatrix(tp=0, fp=0, tn=2, fn=0).to_dict(),
             "per_fault": {"read_buf": d, "write_buf": ConfusionMatrix(tp=1, fp=0, tn=0, fn=1).to_dict()},
         }
         lines = render_report(report).splitlines()
@@ -50,6 +53,32 @@ class TestConfusion:
         assert lines[3] == "fault        tp   fp   tn   fn  accuracy  fp_rate"
         assert lines[4] == "read_buf      0    0    0    0       n/a      n/a"
         assert lines[5] == "write_buf     1    0    0    1    50.00%      n/a"
+
+    def test_link_gate_confusion_beside_fault_rows(self, monkeypatch):
+        # Each pair's verdict is canned: (truth, link vote, read_buf vote).
+        # The gate flags two of the three healthy links, so those errors
+        # show in its own row; read_buf is scored on the one pair it passed.
+        cases = [
+            (GroundTruth(True, frozenset()), 1, None),  # tp
+            (GroundTruth(True, frozenset()), -1, -1),  # fn
+            (GroundTruth(False, frozenset({"read_buf"})), 1, None),  # fp
+            (GroundTruth(False, frozenset()), 1, None),  # fp
+            (GroundTruth(False, frozenset()), -1, -1),  # tn
+        ]
+
+        def canned(lpd, cfd, pair, catalog):
+            _, gate, vote = cases[pair]
+            return Verdict((("lpd", float(gate), gate),) + ((("read_buf", float(vote), vote),) if vote else ()))
+
+        monkeypatch.setattr(evaluation, "diagnose", canned)
+        bank = SimpleNamespace(modules=(SimpleNamespace(fault_name="read_buf"),))
+        report = evaluate_verdicts([(k, truth) for k, (truth, _, _) in enumerate(cases)], None, bank, None)
+        assert report["lpd"] == ConfusionMatrix(tp=1, fp=2, tn=1, fn=1).to_dict()
+        assert report["per_fault"]["read_buf"] == ConfusionMatrix(0, 0, 1, 0).to_dict()
+        assert render_report(report).splitlines()[-2:] == [
+            "link gate    tp   fp   tn   fn  accuracy  fp_rate",
+            "lpd           1    2    1    1    40.00%   66.67%",
+        ]
 
 
 class TestKFoldCv:

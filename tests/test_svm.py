@@ -17,6 +17,7 @@ from netdiag.svm import (
     KernelSpec,
     SvmConfig,
     decision_value,
+    default_sigma,
     gram_matrix,
     kernel_matrix,
     model_from_dict,
@@ -123,6 +124,32 @@ class TestGram:
         X = rng.normal(size=(5, 2))
         for spec in (LIN, QUAD, KernelSpec("cubic"), KernelSpec("rbf", 2.0)):
             assert np.all(np.diag(gram_matrix(spec, X, 5.0)) > 0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 200),
+        q=st.integers(1, 100),
+        variant=st.sampled_from(KERNEL_VARIANTS),
+        C=st.sampled_from([0.5, 10.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gram_of_rows_is_a_sub_block(self, n, q, variant, C, seed):
+        # The premise of solving each CV fold on a sub-block of its size's
+        # Gram over all rows (features scaled to [0, 1], rows ascending):
+        # the fold's own Gram, ridge included, equals that sub-block to
+        # rounding, and bit for bit when both row counts are multiples of 8.
+        # OpenBLAS's AVX-512 matrix product was seen to round the rows of a
+        # last partial block of 8 differently; its Haswell and older
+        # kernels gave equal bits at every size.
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(size=(n, q))
+        kernel = KernelSpec(variant, default_sigma(q) if variant == "rbf" else None)
+        rows = np.flatnonzero(rng.uniform(size=n) < 0.8)
+        for rows in (rows, np.sort(rng.permutation(n)[: 8 * (len(rows) // 8)])):
+            own, block = gram_matrix(kernel, X[rows], C), gram_matrix(kernel, X, C)[np.ix_(rows, rows)]
+            np.testing.assert_allclose(own, block, rtol=8 * q * np.finfo(float).eps, atol=0)
+        if n % 8 == 0:
+            assert np.array_equal(own, block)
 
 
 class TestTrain:
@@ -315,6 +342,21 @@ def assert_same_state(state, ref):
     assert state.dual_objective == ref.dual_objective
 
 
+def pool_of(grams, n=None):
+    """The (count, n, n) zero-padded pool of `solve_duals` holding grams."""
+    n = n or max(len(K) for K in grams)
+    pool = np.zeros((len(grams), n, n))
+    for g, K in enumerate(grams):
+        pool[g, : len(K), : len(K)] = K
+    return pool
+
+
+def whole(problems):
+    """Each (K, y, tol, max_iter) as a pool and problems over all of K's points."""
+    pool = pool_of([K for K, *_ in problems])
+    return pool, [(g, np.arange(len(y)), y, tol, max_iter) for g, (_, y, tol, max_iter) in enumerate(problems)]
+
+
 class TestLockstep:
     """Each problem of a stack takes exactly the path it takes alone in the
     scalar reference loop, padding and neighbours notwithstanding."""
@@ -327,9 +369,7 @@ class TestLockstep:
             variant = KERNEL_VARIANTS[(seed + p) % len(KERNEL_VARIANTS)]
             problems.append(random_problem(rng, int(rng.integers(2, 40)), variant, float(rng.choice([0.5, 10.0]))))
         tol = float(rng.choice([1e-3, 1e-6]))
-        n = max(len(y) for _, y in problems)
-        width = 1 + seed % len(problems)  # below len(problems), finished slots are refilled
-        states = solve_duals([(K, y, tol, 1000) for K, y in problems], n, width)
+        states = solve_duals(*whole([(K, y, tol, 1000) for K, y in problems]))
         assert len(states) == len(problems)
         for state, (K, y) in zip(states, problems):
             assert_same_state(state, solve_dual_reference(K, y, tol, 1000))
@@ -340,7 +380,7 @@ class TestLockstep:
         problems.append(random_problem(rng, 80, "linear", 1e4))
         for _, y in problems[::2]:
             y *= -y[0]  # y[0] = -1
-        states = solve_duals(((K, y, 1e-6, 10) for K, y in problems), 80, 3)
+        states = solve_duals(*whole([(K, y, 1e-6, 10) for K, y in problems]))
         refs = [solve_dual_reference(K, y, 1e-6, 10) for K, y in problems]
         assert {ref.converged for ref in refs} == {True, False}
         for state, ref in zip(states, refs):
@@ -351,8 +391,8 @@ class TestLockstep:
         K, y = random_problem(rng, 25, "cubic", 10.0)
         ref = solve_dual_reference(K, y, 1e-3, 1000)
         assert_same_state(solve_dual(K, y, 1e-3, 1000), ref)
-        # Padding and more slots than problems.
-        (state,) = solve_duals([(K, y, 1e-3, 1000)], 40, 4)
+        # Padding beyond the Gram's points.
+        (state,) = solve_duals(pool_of([K], 40), [(0, np.arange(25), y, 1e-3, 1000)])
         assert_same_state(state, ref)
 
     def test_per_problem_tolerances_and_caps(self):
@@ -367,9 +407,35 @@ class TestLockstep:
         refs = [solve_dual_reference(*problem) for problem in problems]
         assert {ref.converged for ref in refs} == {True, False}
         assert len({(problem[2], ref.iterations_used) for problem, ref in zip(problems, refs)}) > 6
-        states = solve_duals(iter(problems), max(len(y) for _, y, _, _ in problems), 5)
+        states = solve_duals(*whole(problems))
         for state, ref in zip(states, refs):
             assert_same_state(state, ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(4, 40), min_size=1, max_size=3),
+        shared=st.integers(1, 4),
+        tol=st.sampled_from([1e-3, 1e-6]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_problems_on_sub_blocks_of_shared_grams(self, sizes, shared, tol, seed):
+        # Grams of different sizes in one call, each shared by several
+        # problems whose left-out points fall anywhere, not only at the end.
+        rng = np.random.default_rng(seed)
+        grams, problems, blocks = [], [], []
+        for g, n in enumerate(sizes):
+            K, y = random_problem(rng, n, KERNEL_VARIANTS[int(rng.integers(len(KERNEL_VARIANTS)))], float(rng.choice([0.5, 10.0])))
+            grams.append(K)
+            for _ in range(shared):
+                keep = rng.uniform(size=n) < 0.7
+                keep[:2] = True  # points 0 and 1 carry both classes
+                rows = np.flatnonzero(keep)
+                max_iter = int(rng.choice([2, 1000]))
+                problems.append((g, rows, y[rows], tol, max_iter))
+                blocks.append(K[np.ix_(rows, rows)])
+        states = solve_duals(pool_of(grams), problems)
+        for state, (_, _, y, tol, max_iter), K in zip(states, problems, blocks):
+            assert_same_state(state, solve_dual_reference(K, y, tol, max_iter))
 
 
 class TestSolverProperties:
