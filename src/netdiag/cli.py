@@ -138,7 +138,7 @@ def load_config(path: str | None, seed_override: int | None) -> CliConfig:
     if source:
         try:
             raw = _object(json.loads(Path(source).read_text(encoding="utf-8")), f"config {source}")
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {source}: {exc}") from exc
     allowed = {"catalog_version", "seed", "fault_registry", "link_profile", "lpd", "cfd"}
     unknown = set(raw) - allowed

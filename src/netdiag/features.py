@@ -171,12 +171,12 @@ def _trace_statistics(trace: TraceRecord) -> tuple[list[float], list[bool]]:
     if not n:
         raise EmptyTrace("cannot analyze a trace with no events")
     ts, length = ev.ts, ev.payload_len
-    c2s, s2c = Direction.CLIENT_TO_SERVER, Direction.SERVER_TO_CLIENT
-    data_direction = trace.data_direction()
-    ack_direction = s2c if data_direction is c2s else c2s
-    data_dir = ev.is_dir(data_direction)
+    s2c = ev.is_dir(Direction.SERVER_TO_CLIENT)
+    c2s = ~s2c
+    data_is_s2c = trace.data_direction() is Direction.SERVER_TO_CLIENT
+    data_dir = s2c if data_is_s2c else c2s
     ack_dir = ~data_dir
-    out_dir = ev.is_dir(trace.capture_outbound())
+    out_dir = c2s if trace.capture_outbound() is Direction.CLIENT_TO_SERVER else s2c
     has_payload = length > 0
     pure_ack = ~has_payload & ev.ack_flag & ~(ev.syn | ev.fin | ev.rst)
 
@@ -186,11 +186,9 @@ def _trace_statistics(trace: TraceRecord) -> tuple[list[float], list[bool]]:
     def total(values) -> int:
         return int(values.sum())
 
-    by_dir = {d: ev.is_dir(d) for d in (c2s, s2c)}
-    counts = {d: count(m) for d, m in by_dir.items()}
-    bytes_ = {d: total(length[m]) for d, m in by_dir.items()}
-    data_pkts = {d: count(has_payload & m) for d, m in by_dir.items()}
-    pure_acks = {d: count(pure_ack & m) for d, m in by_dir.items()}
+    pure_acks_c2s, pure_acks_s2c = count(pure_ack & c2s), count(pure_ack & s2c)
+    data_pkts_c2s, data_pkts_s2c = count(has_payload & c2s), count(has_payload & s2c)
+    bytes_c2s, bytes_s2c = total(length[c2s]), total(length[s2c])
 
     wins = ev.win[ack_dir]
     acks = ev.ack[ack_dir & pure_ack]
@@ -243,7 +241,7 @@ def _trace_statistics(trace: TraceRecord) -> tuple[list[float], list[bool]]:
 
     elapsed = float(ts[-1] - ts[0])
     idle_max = max(0.0, float(np.diff(ts).max())) if n >= 2 else 0.0
-    data_bytes = bytes_[data_direction]
+    data_bytes = bytes_s2c if data_is_s2c else bytes_c2s
 
     samples = rtt.samples
     n_rtt = len(samples)
@@ -256,60 +254,61 @@ def _trace_statistics(trace: TraceRecord) -> tuple[list[float], list[bool]]:
             var = math.inf
         rtt_stdev = math.sqrt(var)
 
-    v: dict[Statistic, float] = {}
-    defined: dict[Statistic, bool] = {}
+    # Appended in Statistic order, unkeyed: hashing 37 enum keys per trace
+    # cost more than the arithmetic on the verdict path.
+    values: list[float] = []
+    defined: list[bool] = []
 
-    def put(stat, value, ok=True):
-        v[stat] = float(value)
-        defined[stat] = bool(ok)
+    def put(value, ok=True):
+        values.append(float(value))
+        defined.append(bool(ok))
 
-    put(Statistic.ELAPSED_TIME, elapsed, n >= 2)
-    put(Statistic.TOTAL_PACKETS_C2S, counts[c2s])
-    put(Statistic.TOTAL_PACKETS_S2C, counts[s2c])
-    put(Statistic.TOTAL_BYTES_C2S, bytes_[c2s])
-    put(Statistic.TOTAL_BYTES_S2C, bytes_[s2c])
-    put(Statistic.DATA_PACKETS_C2S, data_pkts[c2s])
-    put(Statistic.DATA_PACKETS_S2C, data_pkts[s2c])
-    put(Statistic.PURE_ACK_PACKETS_C2S, pure_acks[c2s])
-    put(Statistic.PURE_ACK_PACKETS_S2C, pure_acks[s2c])
+    put(elapsed, n >= 2)
+    put(count(c2s))
+    put(count(s2c))
+    put(bytes_c2s)
+    put(bytes_s2c)
+    put(data_pkts_c2s)
+    put(data_pkts_s2c)
+    put(pure_acks_c2s)
+    put(pure_acks_s2c)
     throughput = data_bytes / elapsed if elapsed > 0 else 0.0
     throughput_ok = elapsed > 0 and math.isfinite(throughput)
     if not throughput_ok:  # denormal elapsed can overflow the ratio
         throughput = 0.0
-    put(Statistic.THROUGHPUT, throughput, throughput_ok)
-    put(Statistic.RETRANSMITTED_PACKETS, retrans_pkts)
-    put(Statistic.RETRANSMITTED_BYTES, retrans_bytes)
-    put(Statistic.OUT_OF_ORDER_PACKETS, ooo_pkts)
-    put(Statistic.DUP_ACK_COUNT, dup_acks)
-    put(Statistic.TRIPLE_DUP_ACK_EVENTS, triple_events)
-    put(Statistic.SACK_BLOCKS_TOTAL, total(ev.sack_cnt))
-    put(Statistic.MAX_SACK_CNT, ev.sack_cnt.max())
+    put(throughput, throughput_ok)
+    put(retrans_pkts)
+    put(retrans_bytes)
+    put(ooo_pkts)
+    put(dup_acks)
+    put(triple_events)
+    put(total(ev.sack_cnt))
+    put(ev.sack_cnt.max())
     has_wins = wins.size > 0
-    put(Statistic.WIN_MIN, wins.min() if has_wins else 0.0, has_wins)
-    put(Statistic.WIN_MAX, wins.max() if has_wins else 0.0, has_wins)
-    put(Statistic.WIN_AVG, total(wins) / wins.size if has_wins else 0.0, has_wins)
-    put(Statistic.ZERO_WINDOW_COUNT, count(wins == 0), has_wins)
-    put(Statistic.RTT_AVG, rtt_avg, n_rtt >= 1)
-    put(Statistic.RTT_MIN, min(samples) if samples else 0.0, n_rtt >= 1)
-    put(Statistic.RTT_MAX, max(samples) if samples else 0.0, n_rtt >= 1)
-    put(Statistic.RTT_STDEV, rtt_stdev, n_rtt >= 2)
-    put(Statistic.RTT_SAMPLES, n_rtt)
-    put(Statistic.IDLE_TIME_MAX, idle_max, n >= 2)
+    put(wins.min() if has_wins else 0.0, has_wins)
+    put(wins.max() if has_wins else 0.0, has_wins)
+    put(total(wins) / wins.size if has_wins else 0.0, has_wins)
+    put(count(wins == 0), has_wins)
+    put(rtt_avg, n_rtt >= 1)
+    put(min(samples) if samples else 0.0, n_rtt >= 1)
+    put(max(samples) if samples else 0.0, n_rtt >= 1)
+    put(rtt_stdev, n_rtt >= 2)
+    put(n_rtt)
+    put(idle_max, n >= 2)
     has_segs = seg_sizes.size > 0
-    put(Statistic.MEAN_SEGMENT_SIZE, total(seg_sizes) / seg_sizes.size if has_segs else 0.0, has_segs)
-    put(Statistic.MAX_SEGMENT_SIZE, seg_sizes.max() if has_segs else 0.0, has_segs)
-    put(Statistic.MIN_SEGMENT_SIZE, seg_sizes.min() if has_segs else 0.0, has_segs)
-    put(Statistic.PUSH_LIKE_SMALL_SEGMENT_COUNT, count(seg_sizes < SMALL_SEGMENT_BYTES))
-    put(Statistic.SYN_COUNT, count(ev.syn))
-    put(Statistic.FIN_COUNT, count(ev.fin))
-    put(Statistic.RST_COUNT, count(ev.rst))
-    put(Statistic.INITIAL_WINDOW_BYTES, initial_window, has_segs)
-    n_data = data_pkts[data_direction]
-    n_acks = pure_acks[ack_direction]
-    put(Statistic.ACK_COMPRESSION_RATIO, n_acks / n_data if n_data else 0.0, n_data > 0)
-    put(Statistic.BYTES_PER_ACK, data_bytes / n_acks if n_acks else 0.0, n_acks > 0)
-
-    return [v[stat] for stat in Statistic], [defined[stat] for stat in Statistic]
+    put(total(seg_sizes) / seg_sizes.size if has_segs else 0.0, has_segs)
+    put(seg_sizes.max() if has_segs else 0.0, has_segs)
+    put(seg_sizes.min() if has_segs else 0.0, has_segs)
+    put(count(seg_sizes < SMALL_SEGMENT_BYTES))
+    put(count(ev.syn))
+    put(count(ev.fin))
+    put(count(ev.rst))
+    put(initial_window, has_segs)
+    n_data = data_pkts_s2c if data_is_s2c else data_pkts_c2s
+    n_acks = pure_acks_c2s if data_is_s2c else pure_acks_s2c
+    put(n_acks / n_data if n_data else 0.0, n_data > 0)
+    put(data_bytes / n_acks if n_acks else 0.0, n_acks > 0)
+    return values, defined
 
 
 def extract_signature(pair: TracePair, catalog: FeatureCatalog) -> Signature:

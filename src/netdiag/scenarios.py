@@ -162,7 +162,7 @@ def _plain_name(value) -> str:
 def scenario_from_json(path) -> list[Scenario]:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: a scenario must be a JSON object, got {type(raw).__name__}")
@@ -224,6 +224,8 @@ def read_labels(path) -> dict[str, tuple[str, str]]:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise IoFailure(f"{path}: not UTF-8 text: {exc}") from exc
     lines = [ln for ln in text.split("\n") if ln.strip()]
     if not lines or lines[0].strip() != "id,link,client":
         raise ConfigError(f"{path}: labels file must start with 'id,link,client'")

@@ -8,6 +8,19 @@ A trace is one bidirectional TCP flow capture.  The file format is CSV:
 
 Timestamps are seconds relative to the first packet, written with at
 least six fractional digits and enough precision to round-trip exactly.
+
+The reader's cell grammar: `ts` is any text Python's `float()` reads
+whose value is finite and non-negative; `seq`, `ack`, `len`, `win` and
+`sack_cnt` are any text `int()` reads in base 10, in [0, 2^32); `dir` is
+exactly `c2s` or `s2c`, and each flag exactly `0` or `1`.  So surrounding
+whitespace, a sign, leading zeros, `_` between digits and non-ASCII
+digits are read in a number cell, but `" 1"`, `"01"` and `"+1"` are not
+flags.  A body is parsed whole by numpy's C reader, which reads the ASCII
+forms of the numbers; where it refuses the rows (a `_`, a non-ASCII
+digit, a malformed row, a NUL byte), the cells are converted one by one,
+which reads the rest of the grammar and names the first bad row.  Both
+paths give identical columns and check the values once, on the columns.
+
 In memory a trace holds its packets as numpy columns (`PacketColumns`),
 one per `PacketEvent` field.  `IntervalSet` is the set of sequence-space
 intervals that the simulator and the extractor both keep.
@@ -277,8 +290,16 @@ class IntervalSet:
 
 
 _COLUMNS = ["ts", "dir", "seq", "ack", "len", "syn", "fin", "rst", "ack_flag", "win", "sack_cnt"]
-_FLAG_COLUMNS = (5, 6, 7, 8)
 _INT_COLUMNS = (2, 3, 4, 9, 10)
+_WORD_COLUMNS = (1, 5, 6, 7, 8)  # dir and the four flags
+# The two words of each word column; the second reads as 1 (s2c, a set flag).
+_WORDS = (("c2s", "s2c"),) + (("0", "1"),) * 4
+# A body row as numpy's C reader parses it, its columns in the order
+# _INT_COLUMNS, ts, _WORD_COLUMNS.  A word is kept as its first four bytes,
+# so a longer cell cut short never equals one.
+_ROW_DTYPE = np.dtype([("ints", "i8", len(_INT_COLUMNS)), ("ts", "f8"), ("words", "S4", len(_WORD_COLUMNS))])
+# The words as the reader's four-byte cells read as integers, to compare.
+_ZEROS, _ONES = (np.array(words, "S4").view(np.uint32) for words in zip(*_WORDS))
 # The cells of the four flag columns, indexed by 8*syn + 4*fin + 2*rst + ack_flag.
 _FLAG_CELLS = tuple(",".join(str(code >> bit & 1) for bit in (3, 2, 1, 0)) for code in range(16))
 # ts, dir, seq, ack, len, the flag cells, win, sack_cnt
@@ -305,11 +326,6 @@ def _format_ts(ts: float) -> str:
     return r
 
 
-def _first(mask: np.ndarray) -> int | None:
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) if hits.size else None
-
-
 def _first_unparsable(cells: list[str], dtype) -> int:
     for i, cell in enumerate(cells):
         try:
@@ -319,15 +335,35 @@ def _first_unparsable(cells: list[str], dtype) -> int:
     raise AssertionError("column converted in bulk but no cell fails alone")
 
 
-def _parse_rows(rows: list[str]) -> tuple[PacketColumns, list[int]]:
-    """Columns of the body rows, validated all at once and sorted by ts,
-    and the indices into rows of packets with payload on a syn/fin/rst.
+def _bulk_table(rows: list[str]) -> np.ndarray | None:
+    """The rows as numpy's C reader parses them, or None where it refuses."""
+    joined = "".join(rows)
+    # The S type drops NUL bytes.  usecols refuses a row with fewer than
+    # eleven cells but drops the cells past them, so the rows hold exactly
+    # ten commas each only if they hold ten times as many in all.
+    if "\0" in joined or joined.count(",") != (len(_COLUMNS) - 1) * len(rows):
+        return None
+    try:
+        with warnings.catch_warnings():
+            # numpy 1.23 reads an integer cell such as 2.7 through float,
+            # with only a DeprecationWarning.
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(
+                rows, dtype=_ROW_DTYPE, delimiter=",", comments=None, quotechar=None,
+                usecols=_INT_COLUMNS + (0,) + _WORD_COLUMNS, ndmin=1,
+            )
+    except (ValueError, DeprecationWarning):
+        return None
+    return table if len(table) == len(rows) else None  # it skips lines it reads as blank
 
-    Raises MalformedRow(k, reason) for the first bad row, where k is the
-    0-based index into rows; within a row, the leftmost bad field counts.
-    """
+
+def _cell_table(rows: list[str], bad: list) -> np.ndarray:
+    """The rows converted cell by cell into `_bulk_table`'s layout, where a
+    cell that is not one of its column's words reads b"".  Faults are
+    appended to bad as (row, column, reason): the first row of the wrong
+    width, which is left out with the rows after it, and the first cell of
+    each number column that does not convert, whose column then reads 0."""
     width = len(_COLUMNS)
-    bad: list[tuple[int, int, str]] = []  # (row, column, reason); the least wins
     commas = list(map(str.count, rows, itertools.repeat(",", len(rows))))
     if commas.count(width - 1) != len(rows):
         k = next(i for i, c in enumerate(commas) if c != width - 1)
@@ -335,47 +371,71 @@ def _parse_rows(rows: list[str]) -> tuple[PacketColumns, list[int]]:
         rows = rows[:k]  # the rows before it may hold an earlier fault
     cells = ",".join(rows).split(",") if rows else []
     text = [cells[c::width] for c in range(width)]
-    cols: list = [None] * width
-
-    def check(c: int, mask: np.ndarray, reason: str) -> None:
-        k = _first(mask)
-        if k is not None:
-            bad.append((k, c, f"{_COLUMNS[c]} {text[c][k]!r} {reason}"))
-
-    for c, allowed in [(1, ("c2s", "s2c"))] + [(c, ("0", "1")) for c in _FLAG_COLUMNS]:
-        if not set(text[c]) <= set(allowed):
-            check(c, np.array([cell not in allowed for cell in text[c]]), f"is not one of {allowed}")
-            continue
-        # both allowed words have the same length, so the joined cells
-        # read back as a fixed-width byte-string array
-        words = np.frombuffer("".join(text[c]).encode("ascii"), f"S{len(allowed[1])}")
-        cols[c] = words == allowed[1].encode("ascii")
-    for c, dtype, kind in [(0, np.float64, "number")] + [(c, np.int64, "integer") for c in _INT_COLUMNS]:
+    table = np.zeros(len(rows), _ROW_DTYPE)
+    for i, (c, words) in enumerate(zip(_WORD_COLUMNS, _WORDS)):
+        table["words"][:, i] = [cell if cell in words else "" for cell in text[c]]
+    numbers = [(0, table["ts"], np.float64, "number")]
+    numbers += [(c, table["ints"][:, i], np.int64, "integer") for i, c in enumerate(_INT_COLUMNS)]
+    for c, column, dtype, kind in numbers:
         try:
-            cols[c] = np.array(text[c], dtype=dtype)
+            column[:] = np.array(text[c], dtype=dtype)
         except (ValueError, OverflowError):
             k = _first_unparsable(text[c], dtype)
             bad.append((k, c, f"{_COLUMNS[c]} {text[c][k]!r} is not a 64-bit {kind}"))
-            continue
-        if c == 0:
-            check(c, ~(np.isfinite(cols[c]) & (cols[c] >= 0)), "is not finite and non-negative")
-        else:
-            check(c, (cols[c] < 0) | (cols[c] >= SEQ_MOD), "is outside [0, 2^32)")
+    return table
+
+
+def _parse_rows(rows: list[str]) -> tuple[PacketColumns, list[int]]:
+    """Columns of the body rows, validated all at once and sorted by ts,
+    and the indices into rows of packets with payload on a syn/fin/rst.
+
+    Raises MalformedRow(k, reason) for the first bad row, where k is the
+    0-based index into rows; within a row, the leftmost bad field counts.
+    """
+    bad: list[tuple[int, int, str]] = []  # (row, column, reason); the least wins
+    table = _bulk_table(rows)
+    if table is None:
+        table = _cell_table(rows, bad)
+    ts, ints = table["ts"], table["ints"]
+    cells = table["words"].view(np.uint32)
+    ones = cells == _ONES
+    for columns, fault, reasons in (
+        ((0,), ~(np.isfinite(ts) & (ts >= 0)), ["is not finite and non-negative"]),
+        (_INT_COLUMNS, ints >> 32 != 0, ["is outside [0, 2^32)"] * len(_INT_COLUMNS)),
+        (_WORD_COLUMNS, ~ones & (cells != _ZEROS), [f"is not one of {words}" for words in _WORDS]),
+    ):
+        hits = np.flatnonzero(fault)  # row-major: the first row, then its leftmost column
+        if hits.size:
+            k, i = divmod(int(hits[0]), len(columns))
+            c = columns[i]
+            bad.append((k, c, f"{_COLUMNS[c]} {rows[k].split(',')[c]!r} {reasons[i]}"))
     if bad:
         k, _, reason = min(bad)
         raise MalformedRow(k, reason)
-    payload_on_control = np.flatnonzero((cols[4] > 0) & (cols[5] | cols[6] | cols[7]))
-    order = np.argsort(cols[0], kind="stable")  # ties keep file order
-    return PacketColumns(*(col[order] for col in cols)), payload_on_control.tolist()
+    payload_on_control = np.flatnonzero((ints[:, 2] > 0) & ones[:, 1:4].any(axis=1))
+    order = np.argsort(ts, kind="stable")  # ties keep file order
+    seq, ack, length, win, sack_cnt = np.take(ints.T, order, axis=1)
+    dir, syn, fin, rst, ack_flag = np.take(ones.T, order, axis=1)
+    events = PacketColumns(ts[order], dir, seq, ack, length, syn, fin, rst, ack_flag, win, sack_cnt)
+    return events, payload_on_control.tolist()
 
 
 def read_trace(path) -> TraceRecord:
-    """Parse a trace file; events are sorted by ts (stable on ties)."""
+    """Parse a trace file; events are sorted by ts (stable on ties).
+
+    The body follows the cell grammar of the module docstring.  numpy's C
+    reader parses it whole; where it refuses (a cell only float() or int()
+    reads, a malformed row, a NUL byte), the cells are converted one by
+    one, which reads the rest of the grammar or names the first bad row.
+    Both give identical columns.
+    """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             lines = fh.read().split("\n")
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise IoFailure(f"{path}: not UTF-8 text: {exc}") from exc
 
     if not lines or not lines[0].startswith("#"):
         raise BadHeader(f"{path}: missing metadata line")
@@ -399,8 +459,11 @@ def read_trace(path) -> TraceRecord:
         raise BadHeader(f"{path}: missing or wrong column header")
 
     # Row numbers count every body line from 1; blank lines are skipped.
-    numbers = [i for i, line in enumerate(lines[2:], start=1) if line and line != "\r"]
-    rows = [lines[i + 1] for i in numbers]
+    rows = lines[2:-1] if lines[-1] == "" else lines[2:]  # "" follows the last line end
+    numbers = range(1, len(rows) + 1)
+    if "" in rows or "\r" in rows:
+        numbers = [i for i, line in enumerate(rows, start=1) if line and line != "\r"]
+        rows = [rows[i - 1] for i in numbers]
     if not rows:
         raise EmptyTrace(f"{path}: no event rows")
     try:
@@ -409,12 +472,15 @@ def read_trace(path) -> TraceRecord:
         raise MalformedRow(numbers[exc.row_index], f"{path}: {exc.reason}") from None
     for k in payload_on_control:
         warnings.warn(f"{path}: row {numbers[k]} carries payload on a syn/fin/rst packet")
-    return TraceRecord(
-        capture_point=capture,
-        direction_of_transfer=transfer,
-        events=events,
-        declared_transfer_bytes=declared,
-    )
+    try:
+        return TraceRecord(
+            capture_point=capture,
+            direction_of_transfer=transfer,
+            events=events,
+            declared_transfer_bytes=declared,
+        )
+    except ValueError as exc:
+        raise BadHeader(f"{path}: {exc}") from exc
 
 
 def write_trace(trace: TraceRecord, path) -> None:

@@ -745,3 +745,28 @@ def test_fuzzed_bundle_exits_with_a_documented_code(trained, data):
     code, _, err = _run("diagnose", "--bundle", str(work), "--down", str(down), "--up", str(up))
     assert code in (0, 2, 4, 10, 20), err
     assert "Traceback" not in err
+
+
+# Each file once ended in a raw UnicodeDecodeError traceback with exit 1.
+@pytest.mark.parametrize("reader", ["trace", "labels", "config", "scenario"])
+def test_non_utf8_file_exits_2_naming_it(trained, tmp_path, reader):
+    traces = _traces(trained, tmp_path, [("a", "HEALTHY", "HEALTHY")])
+    bad = {
+        "trace": traces / "a.down.csv",
+        "labels": traces / "labels.csv",
+        "config": tmp_path / "config.json",
+        "scenario": tmp_path / "scenario.json",
+    }[reader]
+    bad.write_bytes((bad.read_bytes() if bad.exists() else b"{}") + b"\xff\n")
+    out = tmp_path / "out"
+    argv = {
+        "trace": ("extract", "--traces", str(traces), "--kind", "link", "--out", str(out)),
+        "labels": ("extract", "--traces", str(traces), "--kind", "link", "--out", str(out)),
+        "config": ("synth", "--config", str(bad), "--preset", "healthy", "--bytes", "20000", "--out", str(out)),
+        "scenario": ("synth", "--scenario", str(bad), "--out", str(out)),
+    }[reader]
+    code, _, err = _run(*argv)
+    assert code == 2 and "Traceback" not in err
+    assert str(bad) in err
+    assert not out.exists()
+

@@ -1,24 +1,33 @@
 """Trace data model and file format."""
 
 import sys
+import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from netdiag import trace as trace_module
 from netdiag.errors import BadHeader, EmptyTrace, MalformedRow
+from netdiag.simulate import LinkParams, ClientParams, simulate_flow
 from netdiag.trace import (
     DIRECTIONS,
     FIELDS,
     CapturePoint,
     Direction,
+    PacketColumns,
     PacketEvent,
     TracePair,
     TraceRecord,
     TransferDirection,
+    _bulk_table,
+    _cell_table,
     _format_ts,
+    read_pair,
     read_trace,
+    write_pair,
     write_trace,
 )
 
@@ -135,6 +144,14 @@ class TestRead:
         f.write_text(COLS + "\n0.1,c2s,0,0,10,0,0,0,0,100,0\n", encoding="utf-8")
         with pytest.raises(BadHeader):
             read_trace(f)
+
+    @pytest.mark.parametrize("declared", ["0", "-5"])
+    def test_non_positive_bytes_is_bad_header(self, tmp_path, declared):
+        f = tmp_path / "t.csv"
+        f.write_text(f"#capture=client,transfer=download,bytes={declared}\n{COLS}\n{self.GOOD}\n")
+        with pytest.raises(BadHeader) as err:
+            read_trace(f)
+        assert str(f) in str(err.value) and "bytes" in str(err.value)
 
     def test_bad_metadata_field(self, tmp_path):
         f = tmp_path / "t.csv"
@@ -406,3 +423,114 @@ class TestWriterOracle:
         path = tmp_path_factory.mktemp("oracle") / "t.csv"
         write_trace(trace, path)
         assert path.read_bytes() == write_trace_reference(trace).encode("utf-8")
+
+
+GOOD_CELLS = dict(zip(trace_module._COLUMNS, TestRead.GOOD.split(",")))
+
+
+def row(**cells) -> str:
+    """TestRead.GOOD with the named cells replaced."""
+    return ",".join({**GOOD_CELLS, **cells}.values())
+
+
+good_event = partial(PacketEvent, ts=0.1, dir=Direction.CLIENT_TO_SERVER, seq=0, ack=0, payload_len=10, win=100)
+NOT_A_FLAG = "is not one of ('0', '1')"
+
+
+# Warnings are errors here, so a numpy warning from the C reader fails.
+@pytest.mark.filterwarnings("error")
+class TestReaderPaths:
+    """numpy's C reader and the per-cell conversion give identical columns."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(events=st.lists(oracle_event_strategy, min_size=1, max_size=40))
+    @example(events=EVERY_FLAG_COMBINATION)
+    def test_written_traces_parse_alike_on_both_paths(self, tmp_path_factory, events):
+        path = tmp_path_factory.mktemp("paths") / "t.csv"
+        write_trace(make_trace(events), path)
+        rows = path.read_text(encoding="utf-8").splitlines()[2:]
+        bulk, bad = _bulk_table(rows), []
+        cells = _cell_table(rows, bad)
+        assert bulk is not None and not bad
+        for field in ("ints", "ts", "words"):
+            assert bulk[field].tobytes() == cells[field].tobytes()
+        assert bulk["ts"].tobytes() == np.array([float(r.split(",")[0]) for r in rows]).tobytes()
+
+    # Each case gives the parent's columns, or its MalformedRow row and reason.
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            ([row(syn=" 1")], (1, f"syn ' 1' {NOT_A_FLAG}")),
+            ([row(fin="01")], (1, f"fin '01' {NOT_A_FLAG}")),
+            ([row(ack_flag="+1")], (1, f"ack_flag '+1' {NOT_A_FLAG}")),
+            ([row(dir="c2s\0")], (1, "dir 'c2s\\x00' is not one of ('c2s', 's2c')")),
+            ([row(dir="c2sc2s")], (1, "dir 'c2sc2s' is not one of ('c2s', 's2c')")),
+            ([row(seq="1_000")], [good_event(seq=1000)]),
+            ([row(win="\u0663")], [good_event(win=3)]),
+            ([row(seq=" +01 ")], [good_event(seq=1)]),
+            ([row(ts="nan")], (1, "ts 'nan' is not finite and non-negative")),
+            ([TestRead.GOOD, row(ts="inf")], (2, "ts 'inf' is not finite and non-negative")),
+            ([row(ts="-0.0")], [good_event(ts=-0.0)]),
+            ([row(ts="1_0.5")], [good_event(ts=10.5)]),
+            ([row(ack="4294967296")], (1, "ack '4294967296' is outside [0, 2^32)")),
+            ([row(sack_cnt="9" * 20)], (1, f"sack_cnt '{'9' * 20}' is not a 64-bit integer")),
+            ([row(seq="1.0")], (1, "seq '1.0' is not a 64-bit integer")),
+            ([row(ts="0.1#")], (1, "ts '0.1#' is not a 64-bit number")),
+            ([row(dir="c2s#")], (1, "dir 'c2s#' is not one of ('c2s', 's2c')")),
+            ([TestRead.GOOD, "#" + TestRead.GOOD], (2, "ts '#0.100000' is not a 64-bit number")),
+            ([TestRead.GOOD + "\r", row(seq="7") + "\r"], [good_event(), good_event(seq=7)]),
+            ([TestRead.GOOD, "", "\r", row(seq="5")], [good_event(), good_event(seq=5)]),
+            ([TestRead.GOOD, "", row(seq="-1")], (3, "seq '-1' is outside [0, 2^32)")),
+            ([row(ts="2.5", seq="5")], [good_event(ts=2.5, seq=5)]),
+            # the first bad row sits before a cell only the per-cell path reads
+            ([row(rst=" 1"), row(seq="1_000")], (1, f"rst ' 1' {NOT_A_FLAG}")),
+            ([row(len="-1"), row(win="1_000")], (1, "len '-1' is outside [0, 2^32)")),
+            ([row(syn="2"), TestRead.GOOD[:-2]], (1, f"syn '2' {NOT_A_FLAG}")),
+            # the C reader drops the cells past the last column it reads
+            ([row() + ","], (1, "expected 11 columns, got 12")),
+            ([TestRead.GOOD, row() + ",0"], (2, "expected 11 columns, got 12")),
+            ([row(sack_cnt="0,junk")], (1, "expected 11 columns, got 12")),
+        ],
+    )
+    @pytest.mark.parametrize("path", ["c_reader_first", "per_cell"])
+    def test_edge_cells(self, tmp_path, monkeypatch, rows, expected, path):
+        if path == "per_cell":
+            monkeypatch.setattr(trace_module, "_bulk_table", lambda rows: None)
+        f = tmp_path / "t.csv"
+        f.write_bytes("\n".join([HEADER, COLS, *rows, ""]).encode("utf-8"))
+        if isinstance(expected, tuple):
+            with pytest.raises(MalformedRow) as err:
+                read_trace(f)
+            assert (err.value.row_index, err.value.reason) == (expected[0], f"{f}: {expected[1]}")
+        else:
+            events = read_trace(f).events
+            want = PacketColumns.from_events(expected)
+            assert all(getattr(events, n).tobytes() == getattr(want, n).tobytes() for n in FIELDS)
+
+    def test_integer_read_through_float_takes_the_per_cell_path(self, tmp_path, monkeypatch):
+        # numpy 1.23 reads seq=2.7 as 2 with only a DeprecationWarning,
+        # which is ignored by default outside __main__.
+        real = np.loadtxt
+
+        def loadtxt(rows, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+            return real([r.replace("2.7", "2") for r in rows], **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        f = tmp_path / "t.csv"
+        f.write_text("\n".join([HEADER, COLS, row(seq="2.7"), ""]))
+        with warnings.catch_warnings(), pytest.raises(MalformedRow) as err:
+            warnings.simplefilter("ignore", DeprecationWarning)
+            read_trace(f)
+        assert (err.value.row_index, err.value.reason) == (1, f"{f}: seq '2.7' is not a 64-bit integer")
+
+    def test_simulated_trace_never_takes_the_per_cell_path(self, tmp_path, monkeypatch):
+        def refuse(rows, bad):
+            raise AssertionError("a written trace was converted cell by cell")
+
+        monkeypatch.setattr(trace_module, "_cell_table", refuse)
+        lossy = LinkParams(bandwidth=20e6, one_way_delay=0.03, loss_rate=0.02)
+        pair = simulate_flow(lossy, ClientParams(seed=1), 256 * 1024, seed=1)
+        down, up = tmp_path / "p.down.csv", tmp_path / "p.up.csv"
+        write_pair(pair, down, up)
+        assert read_pair(down, up) == pair
