@@ -235,7 +235,8 @@ def cv_grid(
     if not sizes:
         raise IndexOutOfRange(f"no candidate sizes within [1, {db.m}]")
     fold_idx = stratified_folds(db.y, folds, seed)
-    train_rows = [np.setdiff1d(np.arange(db.n), fold) for fold in fold_idx]
+    # each fold's training rows: the rows it does not name, ascending
+    train_rows = [np.flatnonzero(np.bincount(fold, minlength=db.n) == 0) for fold in fold_idx]
     if any(len(set(db.y[rows].tolist())) < 2 for rows in train_rows):
         raise InsufficientRows("a training fold lost one of the classes")
     order = np.asarray(ranking.abs_t_order, dtype=np.int64)

@@ -35,9 +35,9 @@ randomness and a link without reordering draws no reorder randomness.
 from __future__ import annotations
 
 import enum
-import heapq
 import itertools
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -138,6 +138,7 @@ class _TransferSim:
         self.link = link
         self.owd = link.one_way_delay
         self.loss_rate = link.loss_rate
+        self.reorder_rate = link.reorder_rate
         self.ser0 = self._ser(0)  # serialization time of a packet without payload
         self.client = client
         self.B = int(transfer_bytes)
@@ -161,6 +162,10 @@ class _TransferSim:
 
         self.n_segs = (self.B + MSS - 1) // MSS
         self.seg_end = [min((k + 1) * MSS, self.B) for k in range(self.n_segs)]
+        # wire times of a full segment and of the last one, which may be partial
+        self.last_seg = self.n_segs - 1
+        self.ser_mss, self.ser_last = self._ser(MSS), self._ser(self.B - self.last_seg * MSS)
+        self.reorder_delay = 0.001 + 3.0 * self.ser_mss
         self.stats = FlowStats(transfer_bytes=self.B, data_segments=self.n_segs)
 
         label = transfer.value
@@ -218,17 +223,21 @@ class _TransferSim:
         """Whether transmission `attempt` of segment k (k = n_segs: the FIN) is lost."""
         return self.loss_rate > 0 and keyed_uniform(self.loss_seed, k, attempt) < self.loss_rate
 
+    # Per packet, max(a, b) is written `b if b > a else a` (min alike): the builtin's operand.
     def _transmit(self, k: int, attempt: int, now: float) -> None:
-        dep = max(now, self.busy[self.data_dir]) + self._ser(self.seg_end[k] - k * MSS)
-        self.busy[self.data_dir] = dep
-        self.stats.sender_transmissions += 1
-        if self._lost(k, attempt):
-            self.stats.dropped_data_packets += 1
+        busy, d = self.busy, self.data_dir
+        free = busy[d]
+        dep = (free if free > now else now) + (self.ser_last if k == self.last_seg else self.ser_mss)
+        busy[d] = dep
+        stats = self.stats
+        stats.sender_transmissions += 1
+        if self.loss_rate > 0 and keyed_uniform(self.loss_seed, k, attempt) < self.loss_rate:
+            stats.dropped_data_packets += 1
             return
         arrive = dep + self.owd
-        if self.link.reorder_rate > 0 and next(self.reorder) < self.link.reorder_rate:
-            arrive += 0.001 + 3.0 * self._ser(MSS)
-        heapq.heappush(self.heap, (arrive, next(self.tick), self._on_data, k))
+        if self.reorder_rate > 0 and next(self.reorder) < self.reorder_rate:
+            arrive += self.reorder_delay
+        heappush(self.heap, (arrive, next(self.tick), self._on_data, k))
 
     def _retransmit(self, k: int, now: float) -> None:
         # attempts are tracked per segment so loss draws stay keyed
@@ -241,7 +250,7 @@ class _TransferSim:
         dep = max(now, self.busy[self.data_dir]) + self.ser0
         self.busy[self.data_dir] = dep
         if not self._lost(self.n_segs, self.fin_attempts):
-            heapq.heappush(self.heap, (dep + self.owd, next(self.tick), self._on_fin, None))
+            heappush(self.heap, (dep + self.owd, next(self.tick), self._on_fin, None))
         self.fin_attempts += 1
         self._arm_timer(now)
 
@@ -252,21 +261,29 @@ class _TransferSim:
         self.rto_deadline = deadline = now + self.rto * self.backoff
         if self.timer_at is None or deadline < self.timer_at:
             self.timer_at = deadline
-            heapq.heappush(self.heap, (deadline, next(self.tick), self._on_rto, None))
+            heappush(self.heap, (deadline, next(self.tick), self._on_rto, None))
 
     def _try_send(self, now: float) -> None:
-        limit = min(self.cwnd, float(self.peer_rwnd), float(self.write_buffer))
-        while self.next_seg < self.n_segs:
-            k = self.next_seg
-            e = self.seg_end[k]
-            if (self.snd_nxt - self.snd_una) + (e - k * MSS) > limit:
+        k, n = self.next_seg, self.n_segs
+        if k == n:
+            return
+        limit, rwnd, wbuf = self.cwnd, float(self.peer_rwnd), float(self.write_buffer)
+        if rwnd < limit:
+            limit = rwnd
+        if wbuf < limit:
+            limit = wbuf
+        seg_end, una, snd_nxt = self.seg_end, self.snd_una, self.snd_nxt
+        while k < n:
+            e = seg_end[k]
+            if (snd_nxt - una) + (e - k * MSS) > limit:
                 break
             self.first_send[k] = now
             self._transmit(k, 0, now)
-            self.snd_nxt = e
-            self.next_seg += 1
+            snd_nxt = e
+            k += 1
             if self.rto_deadline is None:
                 self._arm_timer(now)
+        self.snd_nxt, self.next_seg = snd_nxt, k
 
     def _next_proven_hole(self) -> int | None:
         """First un-sacked segment strictly below the highest sacked byte.
@@ -307,7 +324,8 @@ class _TransferSim:
 
     def _grow_cwnd(self, bytes_acked: int, now: float) -> None:
         if self.cwnd < self.ssthresh:
-            self.cwnd = min(self.cwnd + bytes_acked, CWND_CAP)
+            cwnd = self.cwnd + bytes_acked
+            self.cwnd = CWND_CAP if CWND_CAP < cwnd else cwnd
             return
         dt = now - self.t_loss
         base = MSS * MSS / self.cwnd
@@ -319,8 +337,10 @@ class _TransferSim:
             else:
                 inc = base
         else:  # cubic-like: convex re-probe after a loss event
-            inc = base * min(1.0 + 4.0 * dt * dt, 12.0)
-        self.cwnd = min(self.cwnd + inc, CWND_CAP)
+            reprobe = 1.0 + 4.0 * dt * dt
+            inc = base * (12.0 if 12.0 < reprobe else reprobe)
+        cwnd = self.cwnd + inc
+        self.cwnd = CWND_CAP if CWND_CAP < cwnd else cwnd
 
     def _sample_rtt(self, now: float) -> None:
         while self.next_sample_seg < self.next_seg:
@@ -330,7 +350,8 @@ class _TransferSim:
             if not self.attempts[k]:  # Karn's rule: no sample from a retransmitted segment
                 sample = now - self.first_send[k]
                 self.srtt = sample if self.srtt is None else 0.875 * self.srtt + 0.125 * sample
-                self.rto = max(MIN_RTO, 2.0 * self.srtt)
+                rto = 2.0 * self.srtt
+                self.rto = rto if rto > MIN_RTO else MIN_RTO
             self.next_sample_seg += 1
 
     def _on_ack(self, now: float, payload) -> None:
@@ -338,12 +359,15 @@ class _TransferSim:
         self.peer_rwnd = rwnd
         for bs, be in blocks:
             self.sacked.add(bs, be)
-        if a > self.snd_una:
-            acked_payload = min(a, self.B) - min(self.snd_una, self.B)
+        una, B = self.snd_una, self.B
+        if a > una:
+            acked_payload = (B if B < a else a) - (B if B < una else una)
             self.snd_una = a
             self.dupacks = 0
             self.backoff = 1
-            self._sample_rtt(now)
+            k = self.next_sample_seg
+            if k < self.next_seg and self.seg_end[k] <= a:
+                self._sample_rtt(now)
             if self.in_recovery:
                 if a >= self.recovery_until:
                     self.in_recovery = False
@@ -383,7 +407,7 @@ class _TransferSim:
             # acks moved the deadline later without a push (mod_timer), so
             # the live entry popped early and re-pushes itself at the deadline
             self.timer_at = self.rto_deadline
-            heapq.heappush(self.heap, (self.timer_at, next(self.tick), self._on_rto, None))
+            heappush(self.heap, (self.timer_at, next(self.tick), self._on_rto, None))
             return
         self.stats.rto_events += 1
         self.backoff = min(self.backoff * 2, 64)
@@ -405,34 +429,41 @@ class _TransferSim:
     # -- receiver -----------------------------------------------------
 
     def _send_ack(self, now: float, dup_arrival: bool, fin_seen: bool = False) -> None:
-        rwnd, blocks = self.read_buffer, []
-        if self.ooo:
-            rwnd = max(0, rwnd - sum(e - s for s, e in self.ooo))
+        rwnd, blocks, ooo = self.read_buffer, (), self.ooo
+        if ooo.starts:
+            rwnd -= sum(ooo.ends) - sum(ooo.starts)
+            if rwnd < 0:
+                rwnd = 0
             if self.sack:  # the first block reports the latest arrival (RFC 2018)
-                blocks = self.ooo.recent(MAX_SACK_BLOCKS)
+                blocks = tuple(ooo.recent(MAX_SACK_BLOCKS))
         sack_cnt = len(blocks) + (1 if dup_arrival and self.dsack else 0)
-        t = max(now + next(self.jitter) * ACK_JITTER_MAX, self.last_ack_t)
+        t, last = now + next(self.jitter) * ACK_JITTER_MAX, self.last_ack_t
+        if last > t:
+            t = last
         self.last_ack_t = t
-        ack_offset = self.rcv_nxt + (2 if fin_seen and self.rcv_nxt >= self.B else 1)
-        self.captured.append((t, self.ack_dir, 1, ack_offset, 0, 0, 0, 0, 1, rwnd, sack_cnt))
-        self.stats.acks_sent += 1
-        dep = max(t, self.busy[self.ack_dir]) + self.ser0
-        self.busy[self.ack_dir] = dep
+        offset = self.rcv_nxt + 1 if fin_seen and self.rcv_nxt >= self.B else self.rcv_nxt  # the FIN is offset B
+        self.captured.append((t, self.ack_dir, 1, offset + 1, 0, 0, 0, 0, 1, rwnd, sack_cnt))
+        stats = self.stats
+        stats.acks_sent += 1
+        busy, d = self.busy, self.ack_dir
+        free = busy[d]
+        dep = (free if free > t else t) + self.ser0
+        busy[d] = dep
         if self.loss_rate > 0 and next(self.ack_loss) < self.loss_rate:
-            self.stats.dropped_acks += 1
+            stats.dropped_acks += 1
             return
-        offset = self.rcv_nxt + (1 if fin_seen and self.rcv_nxt >= self.B else 0)
-        heapq.heappush(self.heap, (dep + self.owd, next(self.tick), self._on_ack, (offset, tuple(blocks), rwnd)))
+        heappush(self.heap, (dep + self.owd, next(self.tick), self._on_ack, (offset, blocks, rwnd)))
 
     def _on_data(self, now: float, k: int) -> None:
         s, e = k * MSS, self.seg_end[k]
-        dup = e <= self.rcv_nxt or self.ooo.covers(s, e)
+        rcv_nxt, ooo = self.rcv_nxt, self.ooo
+        dup = e <= rcv_nxt or (ooo.covers(s, e) if ooo.starts else False)
         if dup:
             self.stats.duplicate_arrivals += 1
-        elif s <= self.rcv_nxt:
-            self.rcv_nxt = self.ooo.pop_through(max(self.rcv_nxt, e))
+        elif s <= rcv_nxt:  # in order: e passes rcv_nxt, and held data may follow it
+            self.rcv_nxt = ooo.pop_through(e) if ooo.starts else e
         else:
-            self.ooo.add(s, e)
+            ooo.add(s, e)
         self.captured.append((now, self.data_dir, 1 + s, 1, e - s, 0, 0, 0, 1, self.sender_rwnd, 0))
         self._send_ack(now, dup)
 
@@ -470,12 +501,14 @@ class _TransferSim:
         self._try_send(hs_ack_arr if self.down else synack_arr)
 
         limit = 400 * self.n_segs + 200_000
-        while self.heap:
-            now, _, handler, payload = heapq.heappop(self.heap)
+        heap, events = self.heap, 0
+        while heap:
+            now, _, handler, payload = heappop(heap)
             handler(now, payload)
-            self.done_events += 1
-            if self.done_events > limit:
+            events += 1
+            if events > limit:
                 raise RuntimeError("simulator event budget exceeded; parameters degenerate")
+        self.done_events = events
 
         if self.rcv_nxt != self.B:
             raise RuntimeError(f"conservation violated: delivered {self.rcv_nxt} of {self.B} bytes")

@@ -219,29 +219,28 @@ class IntervalSet:
 
     `add` merges an interval with every interval it overlaps or touches,
     so a gap separates neighbours.  Each interval keeps the stamp of the
-    last add merged into it, which orders `recent`.
+    last add merged into it, which orders `recent`.  `starts` and `ends`
+    hold the bounds, lowest first, for reading only; `starts` is empty
+    when the set is, a test that costs no method call.
     """
 
     def __init__(self):
-        self._starts: list[int] = []
-        self._ends: list[int] = []
+        self.starts: list[int] = []
+        self.ends: list[int] = []
         self._stamps: list[int] = []
         self._clock = 0
         self.max_end: int | None = None  # the highest end added so far
 
-    def __len__(self) -> int:
-        return len(self._starts)
-
     def __iter__(self):
         """The intervals as (start, end), lowest first."""
-        return zip(self._starts, self._ends)
+        return zip(self.starts, self.ends)
 
     def add(self, s: int, e: int) -> int:
         """Merge [s, e); return the number of bytes already covered."""
         if e <= s:
             return 0
         self._clock += 1
-        starts, ends = self._starts, self._ends
+        starts, ends = self.starts, self.ends
         if ends and s >= ends[-1]:  # at or past the end: the in-order case
             if s == ends[-1]:
                 ends[-1] = e
@@ -270,22 +269,22 @@ class IntervalSet:
 
     def covers(self, s: int, e: int) -> bool:
         """Whether one interval holds all of [s, e)."""
-        i = bisect.bisect_right(self._starts, s) - 1
-        return i >= 0 and e <= self._ends[i]
+        i = bisect.bisect_right(self.starts, s) - 1
+        return i >= 0 and e <= self.ends[i]
 
     def pop_through(self, point: int) -> int:
         """Drop the leading intervals that start at or before point; return
         point moved to the end of the last one dropped, if that is higher."""
-        i = bisect.bisect_right(self._starts, point)
+        i = bisect.bisect_right(self.starts, point)
         if i:
-            point = max(point, self._ends[i - 1])
-            del self._starts[:i], self._ends[:i], self._stamps[:i]
+            point = max(point, self.ends[i - 1])
+            del self.starts[:i], self.ends[:i], self._stamps[:i]
         return point
 
     def recent(self, k: int) -> list[tuple[int, int]]:
         """The k intervals most recently added to, as (start, end), the
         most recent first."""
-        newest = sorted(zip(self._stamps, self._starts, self._ends), reverse=True)[:k]
+        newest = sorted(zip(self._stamps, self.starts, self.ends), reverse=True)[:k]
         return [(s, e) for _, s, e in newest]
 
 
@@ -362,7 +361,8 @@ def _cell_table(rows: list[str], bad: list) -> np.ndarray:
     cell that is not one of its column's words reads b"".  Faults are
     appended to bad as (row, column, reason): the first row of the wrong
     width, which is left out with the rows after it, and the first cell of
-    each number column that does not convert, whose column then reads 0."""
+    each number column that does not convert, from which on its column
+    reads 0; the cells before it keep their values for the range check."""
     width = len(_COLUMNS)
     commas = list(map(str.count, rows, itertools.repeat(",", len(rows))))
     if commas.count(width - 1) != len(rows):
@@ -381,6 +381,7 @@ def _cell_table(rows: list[str], bad: list) -> np.ndarray:
             column[:] = np.array(text[c], dtype=dtype)
         except (ValueError, OverflowError):
             k = _first_unparsable(text[c], dtype)
+            column[:k] = np.array(text[c][:k], dtype=dtype)
             bad.append((k, c, f"{_COLUMNS[c]} {text[c][k]!r} is not a 64-bit {kind}"))
     return table
 

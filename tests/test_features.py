@@ -202,10 +202,10 @@ class TestIntervalSet:
             if n > 0:
                 ooo = ref.add_ooo(ooo, s, s + n, touch)
                 sacked = ref.merge_sacked(sacked, s, s + n)
-        assert cover._starts == sorted(cover._starts)
-        assert all(a < b for a, b in zip(cover._starts, cover._ends))
-        assert all(b < a for a, b in zip(cover._starts[1:], cover._ends))  # touching intervals merge
-        assert sum(b - a for a, b in zip(cover._starts, cover._ends)) == len(covered)
+        assert cover.starts == sorted(cover.starts)
+        assert all(a < b for a, b in zip(cover.starts, cover.ends))
+        assert all(b < a for a, b in zip(cover.starts[1:], cover.ends))  # touching intervals merge
+        assert sum(b - a for a, b in zip(cover.starts, cover.ends)) == len(covered)
         assert list(cover) == [(iv[0], iv[1]) for iv in ooo] == [tuple(iv) for iv in sacked]
         for k in range(5):
             assert cover.recent(k) == ref.sack_blocks(ooo, k)

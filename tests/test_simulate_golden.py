@@ -2,10 +2,16 @@
 of tests/test_golden.py does not reach.
 
 Each digest covers both written trace files and both `FlowStats` of one
-`simulate_flow_with_stats` call.  They were recorded before the event
-loop skipped loss draws on loss-free links, drew its streams in blocks,
-dispatched on bound handlers and kept one lazy RTO timer; every case
-must stay bit-identical.
+`simulate_flow_with_stats` call.  The first twelve cases were recorded
+before the event loop skipped loss draws on loss-free links, drew its
+streams in blocks, dispatched on bound handlers and kept one lazy RTO
+timer.  The last three were recorded before the receiver skipped its
+out-of-order set while that set is empty and the per-packet handlers
+wrote min and max as comparisons.
+The small read buffer with reordering moves the receiver in and out of
+that state many times; `resent-held-segment` delivers again a segment the
+receiver holds out of order, which only the set's `covers` marks as a
+duplicate.  Every case must stay bit-identical.
 """
 
 import dataclasses
@@ -38,19 +44,33 @@ CASES = {
     },
     "small-buffers": (LOSSY, ClientParams(read_buffer=16384, write_buffer=8192, seed=7), BYTES),
     "partial-segment": (LOSSY, ClientParams(seed=8), 83 * MSS + 517),
+    "resent-held-segment": (
+        LinkParams(bandwidth=20e6, one_way_delay=0.01, loss_rate=0.05, reorder_rate=0.1),
+        ClientParams(seed=4),
+        100_000,
+    ),
+    "lossless-2mib": (LinkParams(bandwidth=80e6, one_way_delay=0.01), ClientParams(seed=9), 2 << 20),
+    "reorder-read-buffer-2mib": (
+        LinkParams(bandwidth=80e6, one_way_delay=0.01, reorder_rate=0.05),
+        ClientParams(read_buffer=16384, seed=10),
+        2 << 20,
+    ),
 }
 
 DIGESTS = {
     "delay-only": "cc9b935b8d0b58ba3a63c86117b60f3870811873b07c4da8f608ed5baec6392c",
     "dsack-off": "c286854c350ca0761b37f16e4288d8ecf69a1a87d6029b398ec503d50a45f9bd",
     "heavy-loss": "ccfe913520f4bfcda4285b3f8b96c48147c3ad31a4cd844986328f884acddbd2",
+    "lossless-2mib": "035dfb31ab8bc4c6be19c83d2eb3c1dc879a2f5369c2cd84c6a28a204df279d9",
     "loss+delay": "cf22c063a5b37e90e5c7045c544c652919fc6bcdcbfe998eeda10723f03df887",
     "partial-segment": "67a4a29588a07d3b81023c3d3a0caad429cafb66fcc9888e572c07000fb5f00a",
     "profile-biclike": "ad798d2dd703dc29fcf098cbbdbb4c49913c6bcaa72a1a3ba58e5a148f1d21cd",
     "profile-cubiclike": "d351830a6522f75dfa01718df2d387fb6d406b28e4496b77cd77893219fbc636",
     "profile-renolike": "6f0f3824dc0353d3aca298e7555574cfb402c4db255b207757a3aaa8a61eca8f",
     "reorder+loss": "0b93845601b020c3d4fffea33118801c94f5a8cb054d5b5054edb7a1762cdbc2",
+    "reorder-read-buffer-2mib": "f62ac886dde6ac56a32428caeb18fc92498968e141aba33f6ca521735b9d752b",
     "reorder-only": "347aeb37ac461662f31859a327b6ff7acd43b013af3ae517852efa7840349cf4",
+    "resent-held-segment": "515bcb68e99abb3c3ddba2720d678932f3d8279543c16d1251b716b5420b8de3",
     "sack-off": "e1e56af25f15a1e6f884b15ef7533b24f8d5aeeb9e6f6227a805dbc4da58456d",
     "small-buffers": "8c920096e5d7398e0f5201e717e22e9aca2a24834c8649cde833b16f9b6fb09b",
 }

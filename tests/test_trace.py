@@ -490,6 +490,9 @@ class TestReaderPaths:
             ([row() + ","], (1, "expected 11 columns, got 12")),
             ([TestRead.GOOD, row() + ",0"], (2, "expected 11 columns, got 12")),
             ([row(sack_cnt="0,junk")], (1, "expected 11 columns, got 12")),
+            # a number column that fails to convert still range-checks the cells before it
+            ([row(seq="-1"), row(seq="x")], (1, "seq '-1' is outside [0, 2^32)")),
+            ([row(ts="inf"), row(ts="y")], (1, "ts 'inf' is not finite and non-negative")),
         ],
     )
     @pytest.mark.parametrize("path", ["c_reader_first", "per_cell"])
