@@ -21,9 +21,11 @@ method) and, counted in the metric's better direction:
 - `parent_iqr`: the parent's third quartile minus its first.
 
 The entry also keeps every run's values, attempted and failed counts
-and fingerprint.  `--out` names a JSON file: the entry replaces the
-workload's entry under `workloads` (or `per_layer` with `--trace 1`),
-and every other key of an existing file is kept.  Standard library only.
+and fingerprint, and each checkout's `src_lines`: the line count of its
+`src/netdiag/*.py`, which the ROADMAP tracks next to the bench numbers.
+`--out` names a JSON file: the entry replaces the workload's entry under
+`workloads` (or `per_layer` with `--trace 1`), and every other key of an
+existing file is kept.  Standard library only.
 """
 
 from __future__ import annotations
@@ -119,6 +121,11 @@ def _rounded(value):
     return value
 
 
+def src_lines(checkout: Path) -> int:
+    """Lines (newlines, as `wc -l` counts them) of the checkout's src/netdiag/*.py."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "netdiag").glob("*.py"))
+
+
 def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", str(trace)]
@@ -156,7 +163,8 @@ def main(argv=None) -> int:
                                    "run from a checkout of each side")
     key = "per_layer" if args.trace else "workloads"
     document.setdefault(key, {})[args.workload] = {
-        "seconds": args.seconds, **workload_entry(args.seeds, runs, better)}
+        "seconds": args.seconds, **workload_entry(args.seeds, runs, better),
+        "src_lines": {side: src_lines(checkouts[side]) for side in SIDES}}
     args.out.write_text(json.dumps(document, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -51,7 +51,7 @@ from .scenarios import (
     emit_corpus,
     preset_healthy,
     preset_paper_matrix,
-    read_labels,
+    read_corpus,
     scenario_from_json,
 )
 from .svm import KernelSpec, SvmConfig
@@ -183,43 +183,6 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _discover_pairs(tracedir: Path) -> list[tuple[str, Path, Path]]:
-    pairs = []
-    for down in sorted(tracedir.glob("*.down.csv")):
-        pair_id = down.name[: -len(".down.csv")]
-        up = tracedir / f"{pair_id}.up.csv"
-        if not up.exists():
-            raise ConfigError(f"orphan trace {down.name}: missing partner {up.name}")
-        pairs.append((pair_id, down, up))
-    for up in sorted(tracedir.glob("*.up.csv")):
-        pair_id = up.name[: -len(".up.csv")]
-        if not (tracedir / f"{pair_id}.down.csv").exists():
-            raise ConfigError(f"orphan trace {up.name}: missing partner {pair_id}.down.csv")
-    if not pairs:
-        raise ConfigError(f"no trace pairs found in {tracedir}")
-    return pairs
-
-
-def _labeled_pairs(args) -> list[tuple[str, Path, Path, str, str]]:
-    """Each row of the labels file with its trace pair under --traces, in
-    the order of the pairs' file names: (pair id, down path, up path, link
-    tag, client tag).  A row without both trace files, a pair without a
-    row and a trace without its partner are ConfigErrors."""
-    tracedir = Path(args.traces)
-    labels_file = args.labels or tracedir / "labels.csv"
-    labels = read_labels(labels_file)
-    names = {path.name for path in tracedir.glob("*.csv")}
-    for pair_id in sorted(labels):
-        missing = [name for name in (f"{pair_id}.down.csv", f"{pair_id}.up.csv") if name not in names]
-        if missing:
-            raise ConfigError(f"{labels_file}: row {pair_id!r} has no trace {' or '.join(missing)} in {tracedir}")
-    pairs = _discover_pairs(tracedir)
-    for pair_id, _, _ in pairs:
-        if pair_id not in labels:
-            raise ConfigError(f"no label row for trace pair {pair_id!r}")
-    return [(pair_id, down, up, *labels[pair_id]) for pair_id, down, up in pairs]
-
-
 def cmd_extract(args, config: CliConfig) -> int:
     catalog = default_catalog()
     if config.catalog_version != catalog.version:
@@ -228,7 +191,7 @@ def cmd_extract(args, config: CliConfig) -> int:
         )
     kind = LabelKind(args.kind)
     rows = []
-    for pair_id, down, up, link_tag, client_tag in _labeled_pairs(args):
+    for pair_id, down, up, link_tag, client_tag in read_corpus(args.traces, args.labels):
         tag = link_tag if kind is LabelKind.LINK else client_tag
         if kind is LabelKind.CLIENT and "+" in tag:
             raise ConfigError(
@@ -332,7 +295,7 @@ def cmd_eval(args, config: CliConfig) -> int:
     lpd, cfd, _ = clf.load_bundle(args.bundle)
     labeled = [
         (read_pair(down, up), _ground_truth(link_tag, client_tag, cfd.fault_registry))
-        for _, down, up, link_tag, client_tag in _labeled_pairs(args)
+        for _, down, up, link_tag, client_tag in read_corpus(args.traces, args.labels)
     ]
     report = evaluate_verdicts(labeled, lpd, cfd, default_catalog())
     out = Path(args.out)

@@ -98,6 +98,11 @@ class LinkParams:
 HEALTHY_LINK = LinkParams(bandwidth=80e6, one_way_delay=0.010)
 
 
+def link_is_healthy(link: LinkParams) -> bool:
+    """The corpus rule for a healthy link: no loss and no more one-way delay than HEALTHY_LINK."""
+    return link.loss_rate == 0 and link.one_way_delay <= HEALTHY_LINK.one_way_delay
+
+
 @dataclass(frozen=True)
 class ClientParams:
     sack_enabled: bool = True
@@ -108,8 +113,9 @@ class ClientParams:
     seed: int = 0
 
     def __post_init__(self):
-        parse_integer(self.read_buffer, "client.read_buffer", minimum=1)
-        parse_integer(self.write_buffer, "client.write_buffer", minimum=1)
+        # A buffer below one segment would hold no segment, and the transfer would stall.
+        parse_integer(self.read_buffer, "client.read_buffer", minimum=MSS)
+        parse_integer(self.write_buffer, "client.write_buffer", minimum=MSS)
         parse_integer(self.seed, "client.seed")
 
 

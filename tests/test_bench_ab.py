@@ -75,3 +75,23 @@ def test_workload_entry_keeps_runs_and_compares_fingerprints():
     assert entry["summary"]["op_ms_p50"]["change_wins"] == 2
     assert entry["fingerprints"]["change"] == ["f1", "f3"]
     assert entry["fingerprints_equal_on_every_seed"] is False
+
+
+def _checkout(root: Path, files: dict[str, str]) -> Path:
+    package = root / "src" / "netdiag"
+    package.mkdir(parents=True)
+    for name, text in files.items():
+        (package / name).write_text(text, encoding="utf-8")
+    return root
+
+
+def test_entry_records_each_checkouts_src_lines(tmp_path, monkeypatch):
+    parent = _checkout(tmp_path / "parent", {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3\n", "notes.txt": "n\n" * 9})
+    change = _checkout(tmp_path / "change", {"a.py": "x = 1\n"})
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [{"name": "op_ms_p50", "better": "lower"}]}))
+    monkeypatch.setattr(ab, "run_perfbench", lambda checkout, *rest: ab.parse_run(canned(2.0 if checkout == parent else 1.0, 1.0)))
+    out = tmp_path / "BENCH.json"
+    assert ab.main([str(parent), str(change), "--workload", "synth", "--seeds", "1", "2", "--seconds", "1", "--out", str(out)]) == 0
+    entry = json.loads(out.read_text(encoding="utf-8"))["workloads"]["synth"]
+    assert entry["src_lines"] == {"parent": 3, "change": 1}
+    assert entry["summary"]["op_ms_p50"]["change_wins"] == 2

@@ -426,6 +426,56 @@ def test_label_row_without_its_pair_exits_2_naming_it(trained, tmp_path, command
     assert not out.parent.exists()
 
 
+def _orphan_down(traces):
+    (traces / "b.down.csv").write_bytes((traces / "a.down.csv").read_bytes())
+
+
+def _orphan_up(traces):
+    (traces / "b.up.csv").write_bytes((traces / "a.up.csv").read_bytes())
+
+
+def _unlabelled_pair(traces):
+    _orphan_down(traces)
+    _orphan_up(traces)
+
+
+def _no_pairs(traces):
+    for path in traces.glob("a.*.csv"):
+        path.unlink()
+    (traces / "labels.csv").write_text("id,link,client\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["extract", "eval"])
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (_orphan_down, "orphan trace b.down.csv: missing partner b.up.csv"),
+        (_orphan_up, "orphan trace b.up.csv: missing partner b.down.csv"),
+        (_unlabelled_pair, "no label row for trace pair 'b'"),
+        (_no_pairs, "no trace pairs found in {traces}"),
+    ],
+    ids=["orphan_down", "orphan_up", "pair_without_row", "no_pairs"],
+)
+def test_corpus_without_a_match_exits_2_naming_it(trained, tmp_path, command, damage, message):
+    traces = _traces(trained, tmp_path, [("a", "HEALTHY", "HEALTHY")])
+    damage(traces)
+    out = tmp_path / "out" / "result"
+    argv = {"extract": ("--kind", "link"), "eval": ("--bundle", str(trained[0]))}[command]
+    code, _, err = _run(command, *argv, "--traces", str(traces), "--out", str(out))
+    assert code == 2 and "Traceback" not in err
+    assert message.format(traces=traces) in err
+    assert not out.parent.exists()
+
+
+def test_missing_traces_directory_exits_2_naming_the_row(trained, tmp_path):
+    traces = _traces(trained, tmp_path, [("a", "HEALTHY", "HEALTHY")])
+    missing = tmp_path / "nowhere"
+    code, _, err = _run("extract", "--kind", "link", "--traces", str(missing), "--labels", str(traces / "labels.csv"),
+                        "--out", str(tmp_path / "out.json"))
+    assert code == 2 and "Traceback" not in err
+    assert f"row 'a' has no trace a.down.csv or a.up.csv in {missing}" in err
+
+
 def test_repeated_label_id_exits_2_naming_it(trained, tmp_path):
     # The second row once replaced the first, and extract exited 0.
     traces = _traces(trained, tmp_path, [("a", "HEALTHY", "HEALTHY"), ("a", "FAULTY", "HEALTHY")])
@@ -551,6 +601,9 @@ def test_global_options_before_the_subcommand_are_kept(tmp_path):
         ('{"seed": 1.5}', "seed"),
         ('{"client": {"seed": "x"}}', "client.seed"),
         ('{"client": {"read_buffer": 1.5}}', "client.read_buffer"),
+        # A buffer below one segment once ended in a conservation error, exit 1.
+        ('{"client": {"read_buffer": 1000}}', "client.read_buffer"),
+        ('{"client": {"write_buffer": 1000}}', "client.write_buffer"),
         ("[1]", "JSON object"),
     ],
 )
@@ -770,3 +823,25 @@ def test_non_utf8_file_exits_2_naming_it(trained, tmp_path, reader):
     assert str(bad) in err
     assert not out.exists()
 
+
+
+def test_operator_path_from_synth_to_eval(tmp_path):
+    # synth -> extract -> train both stages -> diagnose -> eval on a real
+    # paper-matrix corpus, one group per command.
+    corpus, bundle = tmp_path / "corpus", tmp_path / "bundle"
+    code, _, err = _run("synth", "--preset", "paper-matrix", "--per-class", "5", "--bytes", "32768", "--out", str(corpus))
+    assert code == 0, err
+    for kind, group in (("link", "link"), ("client", "client")):
+        code, out, err = _run("extract", "--traces", str(corpus / group), "--kind", kind, "--out", str(tmp_path / f"{kind}.json"))
+        assert code == 0, err
+        assert json.loads(out)["rows"] == {"link": 10, "client": 25}[kind]
+    for stage, kind in (("lpd", "link"), ("cfd", "client")):
+        code, _, err = _run("train", "--db", str(tmp_path / f"{kind}.json"), "--stage", stage, "--out", str(bundle))
+        assert code == 0, err
+    pair = corpus / "multi" / "cf_read_buf_and_write_buf_000"
+    code, out, err = _run("diagnose", "--bundle", str(bundle), "--down", f"{pair}.down.csv", "--up", f"{pair}.up.csv")
+    verdict = json.loads(out)
+    assert code == (10 if verdict["link"] == "faulty" else 20 if verdict["client_faults"] else 0), err
+    code, out, err = _run("eval", "--bundle", str(bundle), "--traces", str(corpus / "multi"), "--out", str(tmp_path / "report" / "eval"))
+    assert code == 0, err
+    assert {"conditions", "lpd", "per_fault"} <= set(json.loads(out))

@@ -221,6 +221,21 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"client.{field}"):
             ClientParams(**{field: value})
 
+    @pytest.mark.parametrize("field", ["read_buffer", "write_buffer"])
+    def test_buffers_hold_at_least_one_segment(self, field):
+        # A buffer below one segment once ended the simulation in a
+        # conservation error.
+        with pytest.raises(ValueError, match=f"client.{field} must be at least {MSS}, got {MSS - 1}"):
+            ClientParams(**{field: MSS - 1})
+        assert getattr(ClientParams(**{field: MSS}), field) == MSS
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_one_segment_buffers_conserve_bytes(self, seed):
+        link = LinkParams(bandwidth=80e6, one_way_delay=0.01, loss_rate=0.05, reorder_rate=0.05)
+        client = ClientParams(read_buffer=MSS, write_buffer=MSS, seed=seed)
+        _, stats = simulate_flow_with_stats(link, client, 50_000, seed=seed)
+        assert stats["download"].delivered_bytes == stats["upload"].delivered_bytes == 50_000
+
     def test_trace_invariants_hold(self):
         pair = simulate_flow(
             LinkParams(bandwidth=80e6, one_way_delay=0.01, loss_rate=0.06),
