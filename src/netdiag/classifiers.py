@@ -42,6 +42,7 @@ from .preprocess import (
     LabelKind,
     SignatureDatabase,
     apply_scaler,
+    parse_fields,
     parse_indices,
     parse_numbers,
     parse_registry,
@@ -304,10 +305,10 @@ def diagnose(lpd: LpdClassifier, cfd: CfdNetwork, pair: TracePair, catalog: Feat
     return Verdict((gate, *((m.fault_name, *model_predict(m.model, values)) for m in cfd.modules)))
 
 
-def _string(d: dict, key: str) -> str:
-    if not isinstance(d[key], str):
-        raise TypeError(f"{key!r} is a {type(d[key]).__name__}, not a str")
-    return d[key]
+_STAGE_KEYS = {
+    "lpd": {"catalog_version": str, "link_profile": str, "model": dict, "selection": dict},
+    "cfd": {"catalog_version": str, "fault_registry": object, "modules": dict},
+}
 
 
 def _stage_file(bundle: Path, stage: str) -> Path:
@@ -325,7 +326,8 @@ def _save_stage(bundle, stage: str, payload: dict, catalog_version: str) -> None
     bundle = Path(bundle)
     other = _stage_file(bundle, "cfd" if stage == "lpd" else "lpd")
     if other.exists():
-        version = read_artifact(other, "bundle stage", lambda d: _string(d, "catalog_version"))
+        keys = _STAGE_KEYS[other.stem]
+        version = read_artifact(other, "bundle stage", lambda d: parse_fields(d, "stage", keys)["catalog_version"])
         if version != catalog_version:
             raise CatalogMismatch(f"bundle already built for catalog {version!r}, not {catalog_version!r}")
     try:
@@ -384,34 +386,30 @@ def _fit_from_dict(d: dict) -> tuple[SvmModel, SelectionReport]:
     return model, SelectionReport(sizes, *scores, model.feature_subset)
 
 
-def _lpd_from_dict(d: dict) -> tuple[str, LpdClassifier]:
-    model, selection = _fit_from_dict(d)
-    return _string(d, "catalog_version"), LpdClassifier(model, selection, _string(d, "link_profile"))
+def _lpd_from_dict(d) -> tuple[str, LpdClassifier]:
+    d = parse_fields(d, "stage", _STAGE_KEYS["lpd"])
+    return d["catalog_version"], LpdClassifier(*_fit_from_dict(d), d["link_profile"])
 
 
-def _cfd_from_dict(d: dict) -> tuple[str, CfdNetwork]:
-    registry = parse_registry(d["fault_registry"])
-    parts = d["modules"]
-    if not isinstance(parts, dict) or set(parts) != set(registry):
+def _cfd_from_dict(d) -> tuple[str, CfdNetwork]:
+    d = parse_fields(d, "stage", _STAGE_KEYS["cfd"])
+    registry, parts = parse_registry(d["fault_registry"]), d["modules"]
+    if set(parts) != set(registry):
         raise ValueError(f"the modules do not match the fault registry {sorted(registry)}")
     modules = []
     for name, index in registry.items():
         with _module_errors(name):
             modules.append(CfModule(index, name, *_fit_from_dict(parts[name])))
-    return _string(d, "catalog_version"), CfdNetwork(modules=tuple(modules))
+    return d["catalog_version"], CfdNetwork(modules=tuple(modules))
 
 
 def load_bundle(path) -> tuple[LpdClassifier, CfdNetwork, str]:
     """The two stages of a bundle and their catalog version, which must be
     the version of this build's catalog."""
-    path = Path(path)
-    files = [_stage_file(path, stage) for stage in ("lpd", "cfd")]
-    missing = [f.name for f in files if not f.exists()]
-    if missing:
-        raise IoFailure(f"bundle {path} is incomplete (needs both lpd and cfd stages): no {' or '.join(missing)}")
     version = default_catalog().version
     stages = []
-    for file, parse in zip(files, (_lpd_from_dict, _cfd_from_dict)):
+    for stage, parse in (("lpd", _lpd_from_dict), ("cfd", _cfd_from_dict)):
+        file = _stage_file(Path(path), stage)
         stored, stage = read_artifact(file, f"{file.stem} stage", parse)
         if stored != version:
             raise CatalogMismatch(f"{file} is built for catalog {stored!r}; this build provides {version!r}")

@@ -4,14 +4,14 @@ Subcommands: extract, train, diagnose, eval, synth.  Machine-readable
 JSON goes to stdout; human summaries go to stderr (silenced by
 --quiet).  Exit codes: 0 healthy/ok, 2 usage or config error, 3
 training failure, 4 catalog mismatch, 10 link fault found, 20 client
-fault(s) found.
+fault(s) found.  The files each subcommand reads, and how a malformed
+one fails, are the input contract of `netdiag.preprocess`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -39,8 +39,11 @@ from .preprocess import (
     LabelKind,
     encode_labels,
     load_database,
+    parse_fields,
     parse_integer,
+    parse_real,
     parse_registry,
+    read_artifact,
     read_tag,
     save_database,
     write_artifact,
@@ -54,7 +57,7 @@ from .scenarios import (
     read_corpus,
     scenario_from_json,
 )
-from .svm import KernelSpec, SvmConfig
+from .svm import KernelSpec
 from .trace import read_pair
 
 ENV_CONFIG = "NETDIAG_CONFIG"
@@ -79,87 +82,43 @@ class CliConfig:
     cfd: dict[str, clf.PipelineConfig]
 
 
-def _object(raw, where: str) -> dict:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {type(raw).__name__}")
-    return raw
-
-
-def _real(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _parse_kernel(raw, where: str) -> KernelSpec:
-    unknown = set(_object(raw, f"{where}.kernel")) - {"variant", "sigma"}
-    if unknown:
-        raise ConfigError(f"{where}.kernel: unknown keys {sorted(unknown)}")
-    try:
-        return KernelSpec(raw.get("variant", "quadratic"), raw.get("sigma"))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}.kernel: {exc}") from exc
+_CONFIG_KEYS = {"catalog_version": str, "link_profile": str, **dict.fromkeys(("seed", "fault_registry", "lpd", "cfd"), object)}
+_PIPELINE_KEYS = dict.fromkeys(("kernel", "C", "max_iter", "tol", "candidate_sizes", "cv_folds", "fp_penalty"), object)
 
 
 def _parse_pipeline(raw, where: str, base: clf.PipelineConfig) -> clf.PipelineConfig:
-    allowed = {"kernel", "C", "max_iter", "tol", "candidate_sizes", "cv_folds", "fp_penalty"}
-    unknown = set(_object(raw, where)) - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    raw = parse_fields(raw, where, _PIPELINE_KEYS)
     svm = base.svm
     if "kernel" in raw:
-        svm = replace(svm, kernel=_parse_kernel(raw["kernel"], where))
-    try:
-        svm = replace(
-            svm,
-            C=_real(raw.get("C", svm.C), "C"),
-            max_iter=parse_integer(raw.get("max_iter", svm.max_iter), "max_iter"),
-            tol=_real(raw.get("tol", svm.tol), "tol"),
-        )
-        out = replace(
-            base,
-            svm=svm,
-            cv_folds=parse_integer(raw.get("cv_folds", base.cv_folds), "cv_folds", minimum=2),
-            fp_penalty=_real(raw.get("fp_penalty", base.fp_penalty), "fp_penalty"),
-        )
-        if "candidate_sizes" in raw:
-            sizes = raw["candidate_sizes"]
-            if not isinstance(sizes, list) or not sizes:
-                raise TypeError("candidate_sizes must be a non-empty list of integers")
-            out = replace(out, candidate_sizes=tuple(parse_integer(q, "candidate_sizes", minimum=1) for q in sizes))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    return out
+        kernel = parse_fields(raw["kernel"], f"{where}.kernel", {"variant": object, "sigma": object})
+        svm = replace(svm, kernel=KernelSpec(kernel.get("variant", "quadratic"), kernel.get("sigma")))
+    svm = replace(
+        svm,
+        C=parse_real(raw.get("C", svm.C), f"{where}.C"),
+        max_iter=parse_integer(raw.get("max_iter", svm.max_iter), f"{where}.max_iter"),
+        tol=parse_real(raw.get("tol", svm.tol), f"{where}.tol"),
+    )
+    sizes = raw.get("candidate_sizes", list(base.candidate_sizes))
+    if not isinstance(sizes, list) or not sizes:
+        raise TypeError(f"{where}.candidate_sizes must be a non-empty list of integers")
+    return replace(
+        base,
+        svm=svm,
+        candidate_sizes=tuple(parse_integer(q, f"{where}.candidate_sizes", minimum=1) for q in sizes),
+        cv_folds=parse_integer(raw.get("cv_folds", base.cv_folds), f"{where}.cv_folds", minimum=2),
+        # A negative penalty would make the CV objective reward false alarms.
+        fp_penalty=parse_real(raw.get("fp_penalty", base.fp_penalty), f"{where}.fp_penalty", minimum=0.0),
+    )
 
 
-def load_config(path: str | None, seed_override: int | None) -> CliConfig:
-    raw = {}
-    source = path or os.environ.get(ENV_CONFIG)
-    if source:
-        try:
-            raw = _object(json.loads(Path(source).read_text(encoding="utf-8")), f"config {source}")
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {source}: {exc}") from exc
-    allowed = {"catalog_version", "seed", "fault_registry", "link_profile", "lpd", "cfd"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"config: unknown keys {sorted(unknown)}")
-    try:
-        seed = parse_integer(raw.get("seed", 0), "seed")
-        registry = parse_registry(_object(raw.get("fault_registry", DEFAULT_FAULT_REGISTRY), "fault_registry"))
-    except ValueError as exc:
-        raise ConfigError(f"config: {exc}") from exc
-    for key in ("catalog_version", "link_profile"):
-        if not isinstance(raw.get(key, ""), str):
-            raise ConfigError(f"config: {key} must be a string, got {raw[key]!r}")
-    if seed_override is not None:
-        seed = seed_override
+def _config_from_dict(raw, seed_override: int | None) -> CliConfig:
+    raw = parse_fields(raw, "config", _CONFIG_KEYS)
+    seed = parse_integer(raw.get("seed", 0), "seed")
+    registry = parse_registry(raw.get("fault_registry", DEFAULT_FAULT_REGISTRY))
+    seed = seed if seed_override is None else seed_override
     lpd = _parse_pipeline(raw.get("lpd", {}), "lpd", clf.default_lpd_config(seed=seed))
-    cfd_raw = dict(_object(raw.get("cfd", {}), "cfd"))
+    cfd_raw = dict(parse_fields(raw.get("cfd", {}), "cfd", dict.fromkeys(["default", *registry], object)))
     default_raw = cfd_raw.pop("default", {})
-    unknown_faults = set(cfd_raw) - set(registry)
-    if unknown_faults:
-        raise ConfigError(f"cfd config for unknown faults {sorted(unknown_faults)}")
     cfd = {}
     for name in registry:
         base = _parse_pipeline(default_raw, "cfd.default", clf.default_cf_config(name, seed=seed))
@@ -172,6 +131,13 @@ def load_config(path: str | None, seed_override: int | None) -> CliConfig:
         lpd=lpd,
         cfd=cfd,
     )
+
+
+def load_config(path: str | None, seed_override: int | None) -> CliConfig:
+    source = path or os.environ.get(ENV_CONFIG)
+    if source:
+        return read_artifact(source, "config", lambda raw: _config_from_dict(raw, seed_override))
+    return _config_from_dict({}, seed_override)
 
 
 def _say(args, message: str) -> None:

@@ -1,4 +1,4 @@
-"""Signature databases: label encoding, 0-1 rescaling and storage.
+"""Signature databases, and the one reader of every file an operator hands in.
 
 A database holds raw signature rows: their labels, the feature names,
 the catalog version and, for client labels, the fault registry.  Scaling
@@ -12,6 +12,17 @@ On disk a database is one JSON artifact file (see write_artifact) with
 exactly five keys: catalog version, fault registry, feature names, rows
 `X` and labels `y`.  JSON writes each float with float.__repr__, so `X`
 reloads bit for bit.
+
+Every file the operator hands in is read here (the input contract).  A
+trace and a labels file go through `read_text`; a config, a scenario, a
+database and a bundle stage file through `read_artifact` (JSON), whose
+fields go through the typed parsers `parse_fields`, `parse_integer`,
+`parse_real`, `parse_bool`, `parse_numbers`, `parse_indices` and
+`parse_registry`; the dataclasses they fill check their own ranges.  A
+file that cannot be read or is not UTF-8, bad JSON and a refused field
+are an `IoFailure` naming the file; a bad trace is a `BadHeader`,
+`MalformedRow` or `EmptyTrace`, a bad labels file a `ConfigError`.  The
+CLI exits 2 on each, 4 on a `CatalogMismatch`, 3 on a failure to train.
 """
 
 from __future__ import annotations
@@ -20,6 +31,7 @@ import enum
 import json
 import os
 import secrets
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -211,20 +223,45 @@ def write_text(path, text: str) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
+def read_text(path, newline: str | None = None) -> str:
+    """The text of the file at path (newline as for open()); an OSError or
+    text that is not UTF-8 is an IoFailure naming the file."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as f:
+            return f.read()
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise IoFailure(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def read_artifact(path, what: str, parse):
     """parse() of the JSON in an artifact file; an unreadable or malformed
     file (bad JSON, missing keys, wrong types) is an IoFailure naming it."""
     try:
-        return parse(json.loads(Path(path).read_text(encoding="utf-8")))
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+        return parse(json.loads(read_text(path)))
     except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise IoFailure(f"malformed {what} file {path}: {exc!r}") from exc
 
 
-def parse_registry(registry: dict) -> dict[str, int]:
-    """A stored fault registry: fault name -> distinct integer index, none
-    of them the healthy-client index."""
+def parse_fields(raw, where: str, allowed: dict[str, type]) -> dict:
+    """raw if it is a JSON object whose keys are all in allowed, each value
+    of the type allowed gives its key (object: any); else an error naming where."""
+    if not isinstance(raw, dict):
+        raise TypeError(f"{where} must be a JSON object, got {type(raw).__name__}")
+    for key, value in raw.items():
+        if key not in allowed:
+            raise ValueError(f"{where}: unknown key {key!r}")
+        if not isinstance(value, allowed[key]):
+            raise TypeError(f"{where}.{key} is a {type(value).__name__}, not a {allowed[key].__name__}")
+    return raw
+
+
+def parse_registry(registry) -> dict[str, int]:
+    """A stored fault registry: a JSON object of fault name -> distinct
+    integer index, none of them the healthy-client index."""
+    if not isinstance(registry, dict):
+        raise TypeError(f"fault_registry must be a JSON object, got {type(registry).__name__}")
     indices = parse_indices(list(registry.values()), what="fault registry indices")
     if HEALTHY_CLIENT in indices:
         raise ValueError(f"fault registry index {HEALTHY_CLIENT} is reserved for the healthy client")
@@ -238,6 +275,23 @@ def parse_integer(value, name: str, minimum: int | None = None) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    return value
+
+
+def parse_real(value, name: str, minimum: float | None = None) -> float:
+    """value as a float if it is a finite number (not a bool or an integer
+    beyond the float range) of at least minimum; else a ValueError naming it."""
+    if type(value) not in _NUMBER_TYPES or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    return float(value)
+
+
+def parse_bool(value, name: str) -> bool:
+    """value if it is true or false; anything else, which bool() would read as one, is a ValueError."""
+    if type(value) is not bool:
+        raise ValueError(f"{name} must be true or false, got {value!r}")
     return value
 
 
@@ -271,7 +325,7 @@ def parse_numbers(values, what: str, ndim: int = 1) -> np.ndarray:
     return array
 
 
-_DATABASE_KEYS = {"catalog_version": str, "fault_registry": dict, "feature_names": list, "X": list, "y": list}
+_DATABASE_KEYS = {"catalog_version": str, "fault_registry": object, "feature_names": list, "X": list, "y": list}
 
 
 def _database_from_dict(d) -> SignatureDatabase:
@@ -281,11 +335,8 @@ def _database_from_dict(d) -> SignatureDatabase:
     numbers per label.  Any other set of keys is refused: a database that
     an older version wrote with its scaler and chosen columns holds rows
     that are already scaled, and training must not scale them twice."""
-    if set(d) != set(_DATABASE_KEYS):
-        raise ValueError(f"database keys {sorted(d)} are not {sorted(_DATABASE_KEYS)}")
-    for key, kind in _DATABASE_KEYS.items():
-        if not isinstance(d[key], kind):
-            raise TypeError(f"{key!r} is a {type(d[key]).__name__}, not a {kind.__name__}")
+    parse_fields(d, "database", _DATABASE_KEYS)
+    registry = parse_registry(d["fault_registry"])
     names, y = d["feature_names"], d["y"]
     if not all(isinstance(name, str) for name in names):
         raise TypeError("feature_names must be strings")
@@ -294,7 +345,6 @@ def _database_from_dict(d) -> SignatureDatabase:
     X = parse_numbers(d["X"], "X", ndim=2) if d["X"] else np.empty((0, len(names)))
     if X.shape != (len(y), len(names)):
         raise ValueError(f"X of shape {X.shape} is not {len(y)} rows of {len(names)} features")
-    registry = parse_registry(d["fault_registry"])
     known = {HEALTHY_CLIENT, *registry.values()} if registry else {LINK_FAULTY, LINK_HEALTHY}
     if not known.issuperset(y):
         raise ValueError(f"labels {sorted(set(y) - known)} are not among {sorted(known)}")

@@ -25,13 +25,12 @@ at a time.
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError, IoFailure
-from .preprocess import DEFAULT_FAULT_REGISTRY, parse_integer, write_text
+from .preprocess import DEFAULT_FAULT_REGISTRY, parse_fields, parse_integer, read_artifact, read_text, write_text
 from .rng import SplitMix64, derive_seed
 from .simulate import (
     HEALTHY_LINK,
@@ -142,29 +141,22 @@ def _plain_name(value) -> str:
     return value
 
 
+_SCENARIO_KEYS = dict.fromkeys(("link", "client", "bytes", "seed", "id"), object)
+_LINK_KEYS = {f.name: object for f in fields(LinkParams)}
+_CLIENT_KEYS = {f.name: object for f in fields(ClientParams)}
+
+
+def _scenario_from_dict(raw) -> list[Scenario]:
+    raw = parse_fields(raw, "scenario", _SCENARIO_KEYS)
+    link = LinkParams(**parse_fields(raw.get("link", {}), "link", _LINK_KEYS))
+    client = ClientParams(**parse_fields(raw.get("client", {}), "client", _CLIENT_KEYS))
+    transfer_bytes = parse_integer(raw.get("bytes", DEFAULT_TRANSFER_BYTES), "bytes", minimum=1)
+    seed = parse_integer(raw.get("seed", 0), "seed")
+    return [Scenario(_plain_name(raw.get("id", "scenario_000")), link, client, transfer_bytes, seed, client_label="HEALTHY")]
+
+
 def scenario_from_json(path) -> list[Scenario]:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: a scenario must be a JSON object, got {type(raw).__name__}")
-    allowed = {"link", "client", "bytes", "seed", "id"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"{path}: unknown scenario keys {sorted(unknown)}")
-    try:
-        link = LinkParams(**dict(raw.get("link", {})))
-        client_kw = dict(raw.get("client", {}))
-        if "cwnd_growth_profile" in client_kw:
-            client_kw["cwnd_growth_profile"] = CwndProfile(client_kw["cwnd_growth_profile"])
-        client = ClientParams(**client_kw)
-        transfer_bytes = parse_integer(raw.get("bytes", DEFAULT_TRANSFER_BYTES), "bytes", minimum=1)
-        seed = parse_integer(raw.get("seed", 0), "seed")
-        scenario_id = _plain_name(raw.get("id", "scenario_000"))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    return [Scenario(scenario_id, link, client, transfer_bytes, seed, client_label="HEALTHY")]
+    return read_artifact(path, "scenario", _scenario_from_dict)
 
 
 def _pair_files(directory: Path, pair_id: str) -> tuple[Path, Path]:
@@ -192,13 +184,7 @@ def emit_corpus(scenarios: list[Scenario], outdir) -> None:
 
 
 def read_labels(path) -> dict[str, tuple[str, str]]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-    except UnicodeDecodeError as exc:
-        raise IoFailure(f"{path}: not UTF-8 text: {exc}") from exc
-    lines = [ln for ln in text.split("\n") if ln.strip()]
+    lines = [ln for ln in read_text(path).split("\n") if ln.strip()]
     if not lines or lines[0].strip() != _LABELS_HEADER:
         raise ConfigError(f"{path}: labels file must start with '{_LABELS_HEADER}'")
     out = {}

@@ -41,7 +41,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .preprocess import parse_integer
+from .preprocess import parse_bool, parse_integer, parse_real
 from .rng import derive_seed, keyed_uniform, uniform_stream
 from .trace import (
     SEQ_MOD,
@@ -87,12 +87,10 @@ class LinkParams:
     reorder_rate: float = 0.0
 
     def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
-        if self.one_way_delay < 0:
-            raise ValueError("delay must be nonnegative")
-        if not (0 <= self.loss_rate < 1 and 0 <= self.reorder_rate < 1):
-            raise ValueError("loss_rate and reorder_rate must be in [0, 1)")
+        for name in ("bandwidth", "one_way_delay", "loss_rate", "reorder_rate"):
+            parse_real(getattr(self, name), f"link.{name}", minimum=0)
+        if not (self.bandwidth > 0 and self.loss_rate < 1 and self.reorder_rate < 1):
+            raise ValueError("link.bandwidth must be positive, link.loss_rate and link.reorder_rate below 1")
 
 
 HEALTHY_LINK = LinkParams(bandwidth=80e6, one_way_delay=0.010)
@@ -113,10 +111,14 @@ class ClientParams:
     seed: int = 0
 
     def __post_init__(self):
+        parse_bool(self.sack_enabled, "client.sack_enabled")
+        parse_bool(self.dsack_enabled, "client.dsack_enabled")
         # A buffer below one segment would hold no segment, and the transfer would stall.
         parse_integer(self.read_buffer, "client.read_buffer", minimum=MSS)
         parse_integer(self.write_buffer, "client.write_buffer", minimum=MSS)
         parse_integer(self.seed, "client.seed")
+        # A scenario file names the profile by its value.
+        object.__setattr__(self, "cwnd_growth_profile", CwndProfile(self.cwnd_growth_profile))
 
 
 @dataclass

@@ -62,7 +62,9 @@ from .errors import (
     NonFiniteInput,
     SingleClassInput,
 )
-from .preprocess import ScalerParams, parse_indices, parse_integer, parse_numbers, scaler_from_dict, scaler_to_dict
+from .preprocess import (
+    ScalerParams, parse_bool, parse_indices, parse_integer, parse_numbers, parse_real, scaler_from_dict, scaler_to_dict
+)
 
 KERNEL_VARIANTS = ("linear", "quadratic", "cubic", "rbf")
 
@@ -75,12 +77,13 @@ class KernelSpec:
     def __post_init__(self):
         if self.variant not in KERNEL_VARIANTS:
             raise ValueError(f"unknown kernel variant {self.variant!r}")
-        sigma = self.sigma
         if self.variant == "rbf":
-            # A NaN width would make every decision value NaN, read as class -1.
-            if isinstance(sigma, bool) or not isinstance(sigma, (int, float)) or not 0 < sigma < math.inf:
-                raise ValueError(f"rbf kernel requires a finite sigma > 0, got {sigma!r}")
-        elif sigma is not None:
+            # A NaN width would make every decision value NaN, read as class -1;
+            # kernel_matrix divides by 2 sigma^2, which must not overflow or be 0.
+            sigma = parse_real(self.sigma, "sigma")
+            if not (sigma > 0 and 0 < 2.0 * sigma * sigma < math.inf):
+                raise ValueError(f"rbf kernel requires a sigma > 0 with 2 sigma^2 finite and positive, got {sigma!r}")
+        elif self.sigma is not None:
             raise ValueError(f"{self.variant} kernel takes no sigma")
 
 
@@ -97,8 +100,9 @@ class SvmConfig:
     tol: float = 1e-3
 
     def __post_init__(self):
-        if self.C <= 0 or self.max_iter <= 0 or self.tol <= 0:
-            raise ValueError("C, max_iter and tol must be positive")
+        # The Gram's ridge is 1/C, and a pair's curvature adds two of them.
+        if not (self.C > 0 and math.isfinite(2.0 / self.C) and self.max_iter > 0 and self.tol > 0):
+            raise ValueError(f"need C, max_iter, tol > 0 and 2/C finite; got {self.C!r}, {self.max_iter!r}, {self.tol!r}")
 
 
 @dataclass(frozen=True)
@@ -367,6 +371,8 @@ def build_model(
     sv = state.alpha > config.tol
     if not np.any(sv):
         sv = state.alpha > 0  # degenerate, extremely well-separated data
+    if not np.any(sv):  # no step taken: tol is at or above the starting gap of 2
+        raise NonFiniteInput(f"the solver found no support vector (C={config.C!r}, tol={config.tol!r}); no bias")
     bias = float(np.mean(state.bias_estimates[sv]))
     return SvmModel(
         kernel=config.kernel,
@@ -460,13 +466,10 @@ def model_from_dict(d: dict) -> SvmModel:
         raise ValueError(f"feature_subset has {len(subset)} indices for {support_vectors.shape[1]} support-vector columns")
     # The writer refuses non-finite numbers, so one here is corruption; it
     # would make decision values NaN, which reads as class -1.
-    C, bias = float(d["C"]), float(d["bias"])
-    if not (math.isfinite(C) and math.isfinite(bias)):
-        raise ValueError("C and bias must be finite")
     return SvmModel(
         kernel=KernelSpec(d["kernel"]["variant"], d["kernel"].get("sigma")),
-        C=C,
-        bias=bias,
+        C=parse_real(d["C"], "C"),
+        bias=parse_real(d["bias"], "bias"),
         dual_coef=dual_coef,
         support_vectors=support_vectors,
         feature_subset=subset,
@@ -474,8 +477,8 @@ def model_from_dict(d: dict) -> SvmModel:
         training_meta=TrainingMeta(
             n=parse_integer(meta["n"], "training_meta.n", 0),
             iterations_used=parse_integer(meta["iterations_used"], "training_meta.iterations_used", 0),
-            final_kkt_residual=float(meta["final_kkt_residual"]),
-            converged=bool(meta["converged"]),
+            final_kkt_residual=parse_real(meta["final_kkt_residual"], "training_meta.final_kkt_residual"),
+            converged=parse_bool(meta["converged"], "training_meta.converged"),
             updates=parse_integer(meta.get("updates", 0), "training_meta.updates", 0),
         ),
     )

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadHeader, EmptyTrace, IoFailure, MalformedRow
-from .preprocess import write_text
+from .errors import BadHeader, EmptyTrace, MalformedRow
+from .preprocess import read_text, write_text
 
 SEQ_MOD = 1 << 32
 
@@ -430,14 +430,7 @@ def read_trace(path) -> TraceRecord:
     one, which reads the rest of the grammar or names the first bad row.
     Both give identical columns.
     """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            lines = fh.read().split("\n")
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-    except UnicodeDecodeError as exc:
-        raise IoFailure(f"{path}: not UTF-8 text: {exc}") from exc
-
+    lines = read_text(path, newline="").split("\n")
     if not lines or not lines[0].startswith("#"):
         raise BadHeader(f"{path}: missing metadata line")
     meta = {}

@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 from synthetic import ClassArtifactSpec, synthetic_database
 
 from netdiag.cli import main
+from netdiag.errors import IoFailure
 from netdiag.features import default_catalog
 from netdiag.preprocess import DEFAULT_FAULT_REGISTRY, LabelKind, save_database
-from netdiag.simulate import HEALTHY_LINK, ClientParams, simulate_flow
+from netdiag.scenarios import scenario_from_json
+from netdiag.simulate import HEALTHY_LINK, ClientParams, CwndProfile, simulate_flow
 from netdiag.trace import write_pair
 
 CATALOG = default_catalog()
@@ -212,6 +214,13 @@ MODEL_EDITS = {
     "scaler_bool": lambda model: model["scaler"]["max"].__setitem__(0, True),
     # a model without a scaler would be fed raw signatures
     "scaler_empty": lambda model: model.update(scaler={"min": [], "max": []}),
+    # float() and bool() once read these as 10.0, 1.0 and True
+    "C_string": lambda model: model.update(C="10"),
+    "bias_bool": lambda model: model.update(bias=True),
+    "converged_string": lambda model: model["training_meta"].update(converged="no"),
+    # 2 sigma^2 overflows (an OverflowError at diagnosis) or rounds to 0
+    "kernel_sigma_huge": lambda model: model.update(kernel={"variant": "rbf", "sigma": 1e300}),
+    "kernel_sigma_tiny": lambda model: model.update(kernel={"variant": "rbf", "sigma": 1e-300}),
 }
 
 
@@ -605,6 +614,12 @@ def test_global_options_before_the_subcommand_are_kept(tmp_path):
         ('{"client": {"read_buffer": 1000}}', "client.read_buffer"),
         ('{"client": {"write_buffer": 1000}}', "client.write_buffer"),
         ("[1]", "JSON object"),
+        # Each of these once ran: SACK on, a 1 s delay, the pairs read as an object.
+        ('{"client": {"sack_enabled": "false"}}', "client.sack_enabled"),
+        ('{"link": {"bandwidth": 1e6, "one_way_delay": true}}', "link.one_way_delay"),
+        ('{"link": [["bandwidth", 1e6], ["one_way_delay", 0.01]]}', "link must be a JSON object"),
+        ('{"client": {"cwnd_growth_profile": "vegas"}}', "not a valid CwndProfile"),
+        ('{"client": {"reno": true}}', "client: unknown key 'reno'"),
     ],
 )
 def test_malformed_scenario_exits_2(tmp_path, text, named):
@@ -721,6 +736,13 @@ def test_synth_needs_exactly_one_of_preset_and_scenario(tmp_path, both):
         ('{"cfd": {"default": {"fp_penalty": NaN}}}', "fp_penalty"),
         ('{"cfd": {"default": 3}}', "cfd.default"),
         ('{"cfd": {"default": {"candidate_sizes": [true]}}}', "candidate_sizes"),
+        # Each of these once loaded: training rewarded false alarms, raised an
+        # OverflowError, or wrote NaN and blamed the write of lpd.json.
+        ('{"cfd": {"default": {"fp_penalty": -2}}}', "cfd.default.fp_penalty"),
+        ('{"lpd": {"kernel": {"variant": "rbf", "sigma": 1e300}}}', "sigma"),
+        ('{"lpd": {"kernel": {"variant": "rbf", "sigma": 1e-300}}}', "sigma"),
+        ('{"lpd": {"C": 1e-310}}', "C"),
+        ('{"cfd": {"default": {"C": 1e-308}}}', "C"),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, text, named):
@@ -760,7 +782,7 @@ def test_scenario_id_must_be_a_plain_name(tmp_path, scenario_id):
 
 
 _FUZZ = "<fuzz>"
-FUZZ_VALUES = ["1e999", "true", "null", '"x"', "[]", "{}", "-1"]
+FUZZ_VALUES = ["1e999", "true", "null", '"x"', "[]", "{}", "-1", "1e300", "-1e300", "1e-300", "9223372036854775808"]
 
 
 def _node_paths(node, path=()):
@@ -775,15 +797,12 @@ def _node_paths(node, path=()):
             yield from _node_paths(node[i], path + (i,))
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_fuzzed_bundle_exits_with_a_documented_code(trained, data):
-    """A stage file cut at any offset, or with any JSON node replaced,
-    gives a verdict or a typed error: never a traceback."""
-    bundle, _, down, up = trained
-    texts = {name: (bundle / name).read_text(encoding="utf-8") for name in ("lpd.json", "cfd.json")}
+def _fuzz(data, texts: dict) -> dict:
+    """The JSON texts (file name -> text) with one of them cut at any
+    offset, or with any node of one replaced by one of FUZZ_VALUES."""
+    texts = dict(texts)
     if data.draw(st.integers(0, 3), label="truncate unless") == 0:
-        name = data.draw(st.sampled_from(sorted(texts)), label="stage file")
+        name = data.draw(st.sampled_from(sorted(texts)), label="file")
         texts[name] = texts[name][: data.draw(st.integers(0, len(texts[name]) - 1), label="offset")]
     else:
         docs = {name: {"": json.loads(text)} for name, text in texts.items()}
@@ -791,6 +810,16 @@ def test_fuzzed_bundle_exits_with_a_documented_code(trained, data):
         name, path = data.draw(st.sampled_from(targets), label="node")
         functools.reduce(operator.getitem, path[:-1], docs[name])[path[-1]] = _FUZZ
         texts[name] = json.dumps(docs[name][""]).replace(json.dumps(_FUZZ), data.draw(st.sampled_from(FUZZ_VALUES)))
+    return texts
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzzed_bundle_exits_with_a_documented_code(trained, data):
+    """A stage file cut at any offset, or with any JSON node replaced,
+    gives a verdict or a typed error: never a traceback."""
+    bundle, _, down, up = trained
+    texts = _fuzz(data, {name: (bundle / name).read_text(encoding="utf-8") for name in ("lpd.json", "cfd.json")})
     work = bundle.parent / "fuzzed"
     work.mkdir(exist_ok=True)
     for file_name, text in texts.items():
@@ -798,6 +827,92 @@ def test_fuzzed_bundle_exits_with_a_documented_code(trained, data):
     code, _, err = _run("diagnose", "--bundle", str(work), "--down", str(down), "--up", str(up))
     assert code in (0, 2, 4, 10, 20), err
     assert "Traceback" not in err
+
+
+# Every key of a config, each away from its default, so each is fuzzed.
+_PIPELINE = {"kernel": {"variant": "rbf", "sigma": 2.0}, "C": 5.0, "max_iter": 200, "tol": 0.002,
+             "candidate_sizes": [4, 8], "cv_folds": 3, "fp_penalty": 0.5}
+FUZZ_CONFIG = {
+    "catalog_version": CATALOG.version, "seed": 3, "fault_registry": dict(DEFAULT_FAULT_REGISTRY),
+    "link_profile": "edge", "lpd": _PIPELINE,
+    "cfd": {"default": _PIPELINE, "read_buf": dict(_PIPELINE, kernel={"variant": "linear"}, candidate_sizes=[6])},
+}
+
+
+def _train_in(work, *argv):
+    """A train run into a new bundle under work exits with a documented code."""
+    shutil.rmtree(work / "bundle", ignore_errors=True)
+    code, _, err = _run("train", *argv, "--out", str(work / "bundle"))
+    assert code in (0, 2, 3, 4, 10, 20), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzzed_config_exits_with_a_documented_code(trained, data):
+    """A config cut at any offset, or with any JSON node replaced, trains
+    both stages or ends in a typed error, with no warning."""
+    bundle = trained[0]
+    work = bundle.parent / "fuzzed_config"
+    work.mkdir(exist_ok=True)
+    (work / "config.json").write_text(_fuzz(data, {"config.json": json.dumps(FUZZ_CONFIG)})["config.json"], encoding="utf-8")
+    for stage, db in (("lpd", "link.json"), ("cfd", "client.json")):
+        _train_in(work, "--config", str(work / "config.json"), "--db", str(bundle.parent / db), "--stage", stage)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzzed_database_exits_with_a_documented_code(trained, data):
+    """A database cut at any offset, or with any JSON node replaced,
+    trains or ends in a typed error, with no warning."""
+    bundle = trained[0]
+    work = bundle.parent / "fuzzed_database"
+    work.mkdir(exist_ok=True)
+    stage, name = data.draw(st.sampled_from([("lpd", "link.json"), ("cfd", "client.json")]), label="database")
+    text = _fuzz(data, {name: (bundle.parent / name).read_text(encoding="utf-8")})[name]
+    (work / name).write_text(text, encoding="utf-8")
+    (work / "config.json").write_text(json.dumps({"lpd": _PIPELINE, "cfd": {"default": _PIPELINE}}), encoding="utf-8")
+    _train_in(work, "--config", str(work / "config.json"), "--db", str(work / name), "--stage", stage)
+
+
+FUZZ_SCENARIO = {
+    "link": {"bandwidth": 1e6, "one_way_delay": 0.01, "loss_rate": 0.01, "reorder_rate": 0.01},
+    "client": {"sack_enabled": True, "dsack_enabled": False, "read_buffer": 16384, "write_buffer": 32768,
+               "cwnd_growth_profile": "renolike", "seed": 4},
+    "bytes": 20000, "seed": 5, "id": "fuzzed",
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzzed_scenario_loads_or_is_a_typed_error(tmp_path_factory, data):
+    """A scenario file cut at any offset, or with any JSON node replaced,
+    loads or is an IoFailure (synth exits 2).  It is never simulated: a
+    fuzzed size such as 2**63 bytes passes and would not fit in memory."""
+    path = tmp_path_factory.getbasetemp() / "fuzzed_scenario.json"
+    path.write_text(_fuzz(data, {"s": json.dumps(FUZZ_SCENARIO)})["s"], encoding="utf-8")
+    try:
+        (scenario,) = scenario_from_json(path)
+    except IoFailure as exc:
+        assert str(path) in str(exc)
+    else:
+        assert isinstance(scenario.client.cwnd_growth_profile, CwndProfile)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_solve_without_a_support_vector_exits_3_naming_it(trained, tmp_path):
+    # A tol above the starting gap of 2 once trained a NaN bias, printed
+    # numpy warnings and blamed the write of lpd.json.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"lpd": {"tol": 1e300}}), encoding="utf-8")
+    db = trained[0].parent / "link.json"
+    out = tmp_path / "bundle"
+    code, _, err = _run("train", "--config", str(config), "--db", str(db), "--stage", "lpd", "--out", str(out))
+    assert code == 3 and "Traceback" not in err
+    assert "no support vector" in err
+    assert not out.exists()
 
 
 # Each file once ended in a raw UnicodeDecodeError traceback with exit 1.

@@ -1,10 +1,16 @@
-"""Label encoding, scaling, stored-number checks and database persistence."""
+"""Label encoding, scaling, stored-number checks, database persistence and
+the one reader of operator files."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+
+import netdiag
 
 from netdiag.errors import DimensionMismatch, IoFailure, NonFiniteInput, TooFewRows, UnknownLabel
 from netdiag.preprocess import (
@@ -16,8 +22,13 @@ from netdiag.preprocess import (
     encode_labels,
     fit_scaler,
     load_database,
+    parse_bool,
+    parse_fields,
     parse_indices,
     parse_numbers,
+    parse_real,
+    parse_registry,
+    read_text,
     save_database,
     scale_database,
 )
@@ -240,3 +251,82 @@ class TestStoredNumbers:
     def test_non_finite_is_refused(self, values, ndim):
         with pytest.raises(ValueError, match="v must be finite"):
             parse_numbers(values, "v", ndim)
+
+
+class TestTypedFields:
+    @pytest.mark.parametrize("value", [0, -3, 2.5, 2**63, 1e300, -1e300, 1e-300])
+    def test_finite_numbers_are_reals(self, value):
+        assert parse_real(value, "v") == float(value) and type(parse_real(value, "v")) is float
+
+    # bool and int() of a string would read these as numbers; 10**400 has no float
+    @pytest.mark.parametrize("value", [True, False, "10", None, [1.0], float("inf"), float("nan"), 10**400, -(10**400)])
+    def test_anything_else_is_refused_by_name(self, value):
+        with pytest.raises(ValueError, match="v must be a finite number"):
+            parse_real(value, "v")
+
+    def test_real_below_its_minimum_is_refused(self):
+        assert parse_real(0, "v", minimum=0.0) == 0.0
+        with pytest.raises(ValueError, match="v must be at least 0"):
+            parse_real(-2, "v", minimum=0.0)
+
+    @pytest.mark.parametrize("value", ["false", "no", 0, 1, None, []])
+    def test_only_true_and_false_are_booleans(self, value):
+        assert parse_bool(True, "b") is True and parse_bool(False, "b") is False
+        with pytest.raises(ValueError, match="b must be true or false"):
+            parse_bool(value, "b")
+
+    def test_fields_of_a_json_object(self):
+        allowed = {"name": str, "any": object}
+        assert parse_fields({"name": "x", "any": [1]}, "w", allowed) == {"name": "x", "any": [1]}
+        assert parse_fields({}, "w", allowed) == {}
+        with pytest.raises(TypeError, match="w must be a JSON object, got list"):
+            parse_fields([["name", "x"]], "w", allowed)
+        with pytest.raises(ValueError, match="w: unknown key 'nmae'"):
+            parse_fields({"nmae": "x"}, "w", allowed)
+        with pytest.raises(TypeError, match="w.name is a int, not a str"):
+            parse_fields({"name": 5}, "w", allowed)
+
+    def test_registry_must_be_an_object(self):
+        with pytest.raises(TypeError, match="fault_registry must be a JSON object"):
+            parse_registry([["read_buf", 3]])
+
+
+class TestReadText:
+    def test_newline_is_opens(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"a\r\nb\rc\n")
+        assert read_text(path) == "a\nb\nc\n"
+        assert read_text(path, newline="") == "a\r\nb\rc\n"
+
+    @pytest.mark.parametrize("content", [None, b"\xff\n"], ids=["missing", "not_utf8"])
+    def test_unreadable_file_is_io_failure_naming_it(self, tmp_path, content):
+        path = tmp_path / "t.csv"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(IoFailure, match="t.csv"):
+            read_text(path)
+
+
+def _file_reads(tree):
+    """Line numbers of open(...), x.open(...), x.read_text(...) and json.loads(...) calls."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (isinstance(f, ast.Name) and f.id == "open") or (
+                isinstance(f, ast.Attribute)
+                and (f.attr in ("open", "read_text") or (f.attr == "loads" and getattr(f.value, "id", None) == "json"))
+            ):
+                yield node.lineno
+
+
+def test_only_preprocess_reads_files():
+    # Every operator file goes through preprocess.read_text, so each is
+    # refused alike when it cannot be read (module docstring).
+    package = Path(netdiag.__file__).parent
+    reads = [
+        f"{path.name}:{line}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "preprocess.py"
+        for line in _file_reads(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert reads == []

@@ -8,7 +8,7 @@ import pytest
 from netdiag.errors import ConfigError
 from netdiag.preprocess import DEFAULT_FAULT_REGISTRY
 from netdiag.scenarios import BUFFER_LEVELS, FAULT_NAMES, client_for, preset_paper_matrix, scenario_from_json
-from netdiag.simulate import HEALTHY_LINK, ClientParams, CwndProfile
+from netdiag.simulate import HEALTHY_LINK, ClientParams, CwndProfile, LinkParams
 
 
 @pytest.mark.parametrize(
@@ -21,6 +21,18 @@ def test_scenario_link_label_boundary(tmp_path, loss, delay, label):
     path.write_text(json.dumps({"link": link}), encoding="utf-8")
     (scenario,) = scenario_from_json(path)
     assert scenario.link_label == label
+
+
+def test_scenario_fields_pass_straight_to_the_simulator(tmp_path):
+    path = tmp_path / "scenario.json"
+    link = {"bandwidth": 2e7, "one_way_delay": 0.02, "loss_rate": 0.01, "reorder_rate": 0.005}
+    client = {"sack_enabled": False, "dsack_enabled": False, "read_buffer": 16384, "write_buffer": 32768,
+              "cwnd_growth_profile": "renolike", "seed": 4}
+    path.write_text(json.dumps({"link": link, "client": client, "bytes": 20000, "seed": 5, "id": "s"}), encoding="utf-8")
+    (scenario,) = scenario_from_json(path)
+    assert scenario.link == LinkParams(**link)
+    assert scenario.client == ClientParams(**dict(client, cwnd_growth_profile=CwndProfile.RENOLIKE))
+    assert (scenario.id, scenario.transfer_bytes, scenario.seed) == ("s", 20000, 5)
 
 
 def test_every_registry_fault_has_a_client_condition():
