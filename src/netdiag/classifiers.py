@@ -378,6 +378,8 @@ def _fit_from_dict(d: dict) -> tuple[SvmModel, SelectionReport]:
     if model.scaler is None:
         raise ValueError("the model has no scaler")
     sizes, q = parse_indices(stored["candidate_sizes"], what="candidate_sizes"), len(model.feature_subset)
+    if np.any((model.support_vectors < 0.0) | (model.support_vectors > 1.0)):
+        raise ValueError("a support vector lies outside [0, 1], where the model's scaler maps every row")
     if 0 in sizes or q not in sizes:
         raise ValueError(f"the model's {q} columns are not one of the positive candidate_sizes {list(sizes)}")
     scores = [tuple(parse_numbers(stored[key], key).tolist()) for key in ("cv_accuracy", "cv_objective")]

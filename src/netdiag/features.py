@@ -16,6 +16,16 @@ upload at the server).  There a repair of a lost segment overlaps no byte
 already seen, so it counts as out of order, not as retransmitted:
 `*_retransmitted_packets` equals the simulator's
 `FlowStats.duplicate_arrivals`, the data segments that arrived twice.
+
+Every statistic is a whole-column numpy pass, the packet counts per
+direction and kind one `np.bincount`, except two walks in Python that
+touch only the packets able to move a count.  The retransmission and
+out-of-order walk adds the late data segments, those starting below the
+highest end before them, and one interval per run of the others, so a
+loss-free trace walks nothing.  The RTT walk reads every send and then
+acks only while a send is pending, so a receiver capture walks its SYN
+and the ack answering it.  Sequence columns are unwrapped by numpy
+passes only when their values lie half the sequence space apart or more.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CatalogMismatch, EmptyTrace, NonFiniteInput
-from .trace import SEQ_MOD, Direction, IntervalSet, TracePair, TraceRecord
+from .trace import SEQ_MOD, Direction, IntervalSet, PacketColumns, TracePair, TraceRecord
 
 SMALL_SEGMENT_BYTES = 512  # "push-like" threshold
 
@@ -115,8 +125,13 @@ def _unwrap(raw: np.ndarray) -> np.ndarray:
     first value, which keeps independently unwrapped streams (e.g. data
     seq and the acks covering them) in the same frame provided both
     start before the first wrap.
+
+    When all values lie less than half the sequence space apart, no step
+    reaches half of it and every value is already its own closest
+    representative, so `raw` itself is returned after two reductions;
+    the passes over the steps run only for a column that may wrap.
     """
-    if raw.size == 0:
+    if raw.size == 0 or raw.max() - raw.min() < SEQ_MOD // 2:
         return raw
     step = np.diff(raw) % SEQ_MOD
     step[step > SEQ_MOD // 2] -= SEQ_MOD
@@ -157,14 +172,64 @@ class _RttMatcher:
         self.pending = keep
 
 
+def _cover_counts(start: np.ndarray, end: np.ndarray) -> tuple[int, int, int]:
+    """Retransmitted packets and bytes and out-of-order packets of the data
+    segments [start, end), in arrival order.
+
+    Only a late segment, one that starts below the highest end before it,
+    can count; any other lies past the top of the cover.  So the
+    `IntervalSet` walk adds pieces: a late segment or one after a gap
+    starts a piece, and every other segment extends the piece it touches.
+    """
+    late = start[1:] < np.maximum.accumulate(end[:-1])
+    if not late.any():
+        return 0, 0, 0
+    first = np.flatnonzero(np.concatenate(([True], late | (start[1:] != end[:-1]))))
+    last = np.append(first[1:], start.size) - 1
+    retrans_pkts = retrans_bytes = ooo_pkts = 0
+    cover = IntervalSet()
+    for s, e in zip(start[first].tolist(), end[last].tolist()):
+        prev_max = cover.max_end
+        overlap = cover.add(s, e)
+        if overlap > 0:
+            retrans_pkts += 1
+            retrans_bytes += overlap
+        elif prev_max is not None and s < prev_max:
+            ooo_pkts += 1
+    return retrans_pkts, retrans_bytes, ooo_pkts
+
+
+def _rtt_samples(ev: PacketColumns, out_dir: np.ndarray) -> list[float]:
+    """RTT samples of the packets sent from the capture point (`out_dir`)
+    that consume sequence space, against the acks coming back.  An ack
+    moves the matcher only while a send is pending, so after each send the
+    walk reads acks until none is and then skips to the next send."""
+    consumed = ev.payload_len + ev.syn + ev.fin
+    send_at = np.flatnonzero(out_dir & (consumed > 0))
+    ack_at = np.flatnonzero(~out_dir & ev.ack_flag)
+    send_lo = _unwrap(ev.seq[send_at])
+    ack_val = _unwrap(ev.ack[ack_at])
+    # the acks after send j and before send j + 1 are ack_at[bound[j]:bound[j + 1]]
+    bound = np.searchsorted(ack_at, send_at).tolist() + [ack_at.size]
+    rtt = _RttMatcher()
+    sends = zip(send_lo.tolist(), (send_lo + consumed[send_at]).tolist(), ev.ts[send_at].tolist())
+    for j, (a, b, t) in enumerate(sends):
+        rtt.on_send(a, b, t)
+        k = bound[j]
+        while rtt.pending and k < bound[j + 1]:
+            rtt.on_ack(int(ack_val[k]), float(ev.ts[ack_at[k]]))
+            k += 1
+    return rtt.samples
+
+
 def _trace_statistics(trace: TraceRecord) -> tuple[list[float], list[bool]]:
     """Every Statistic of one trace and whether it is defined, in Statistic
     order.
 
-    Order-free statistics are column reductions; retransmission and
-    out-of-order detection and RTT matching walk the packets in order.
-    Integer sums are exact (32-bit values in 64-bit columns), so every
-    statistic equals the per-packet definition bit for bit.
+    Column passes, but for the walks of `_cover_counts` and
+    `_rtt_samples` (see the module docstring).  Integer sums are exact
+    (32-bit values in 64-bit columns), so every statistic equals the
+    per-packet definition bit for bit.
     """
     ev = trace.events
     n = len(ev)
@@ -172,13 +237,12 @@ def _trace_statistics(trace: TraceRecord) -> tuple[list[float], list[bool]]:
         raise EmptyTrace("cannot analyze a trace with no events")
     ts, length = ev.ts, ev.payload_len
     s2c = ev.is_dir(Direction.SERVER_TO_CLIENT)
-    c2s = ~s2c
     data_is_s2c = trace.data_direction() is Direction.SERVER_TO_CLIENT
-    data_dir = s2c if data_is_s2c else c2s
+    data_dir = s2c if data_is_s2c else ~s2c
     ack_dir = ~data_dir
-    out_dir = c2s if trace.capture_outbound() is Direction.CLIENT_TO_SERVER else s2c
+    out_dir = ~s2c if trace.capture_outbound() is Direction.CLIENT_TO_SERVER else s2c
     has_payload = length > 0
-    pure_ack = ~has_payload & ev.ack_flag & ~(ev.syn | ev.fin | ev.rst)
+    pure_ack = ev.ack_flag & ~(has_payload | ev.syn | ev.fin | ev.rst)
 
     def count(mask) -> int:
         return int(np.count_nonzero(mask))
@@ -186,64 +250,46 @@ def _trace_statistics(trace: TraceRecord) -> tuple[list[float], list[bool]]:
     def total(values) -> int:
         return int(values.sum())
 
-    pure_acks_c2s, pure_acks_s2c = count(pure_ack & c2s), count(pure_ack & s2c)
-    data_pkts_c2s, data_pkts_s2c = count(has_payload & c2s), count(has_payload & s2c)
-    bytes_c2s, bytes_s2c = total(length[c2s]), total(length[s2c])
+    # code 3 * s2c + kind, kind 1 for a data packet, 2 for a pure ack, 0 otherwise
+    kinds = np.bincount(3 * s2c + has_payload + 2 * pure_ack, minlength=6).tolist()
+    packets_c2s, data_pkts_c2s, pure_acks_c2s = sum(kinds[:3]), kinds[1], kinds[2]
+    packets_s2c, data_pkts_s2c, pure_acks_s2c = sum(kinds[3:]), kinds[4], kinds[5]
+    bytes_s2c = total(length[s2c])
+    bytes_c2s = total(length) - bytes_s2c
+    data_bytes = bytes_s2c if data_is_s2c else bytes_c2s
 
     wins = ev.win[ack_dir]
     acks = ev.ack[ack_dir & pure_ack]
     dup = acks[1:] == acks[:-1]
     dup_acks = count(dup)
-    # a run of duplicates counts one triple event when its third arrives
-    run = np.concatenate(([False] * 3, dup))
-    triple_events = count(run[3:] & run[2:-1] & run[1:-2] & ~run[:-3])
+    triple_events = 0
+    if dup_acks >= 3:
+        # a run of duplicates counts one triple event when its third arrives
+        run = np.concatenate(([False] * 3, dup))
+        triple_events = count(run[3:] & run[2:-1] & run[1:-2] & ~run[:-3])
 
     data_mask = data_dir & has_payload
     seg_sizes = length[data_mask]
     seg_start = _unwrap(ev.seq[data_mask])
-    retrans_pkts = retrans_bytes = ooo_pkts = 0
-    data_cover = IntervalSet()
-    for s, e in zip(seg_start.tolist(), (seg_start + seg_sizes).tolist()):
-        prev_max = data_cover.max_end
-        overlap = data_cover.add(s, e)
-        if overlap > 0:
-            retrans_pkts += 1
-            retrans_bytes += overlap
-        elif prev_max is not None and s < prev_max:
-            ooo_pkts += 1
+    retrans_pkts, retrans_bytes, ooo_pkts = _cover_counts(seg_start, seg_start + seg_sizes)
 
     # The first ack-direction ack after the first data packet that
     # covers its first byte bounds the initial window.
-    initial_window = total(seg_sizes)
+    initial_window = data_bytes
     if seg_sizes.size:
-        after = np.arange(n) > np.flatnonzero(data_mask)[0]
-        candidates = np.flatnonzero(ack_dir & ev.ack_flag & after)
+        after = int(data_mask.argmax()) + 1  # past the first data packet
+        candidates = np.flatnonzero(ack_dir[after:] & ev.ack_flag[after:]) + after
         covering = np.flatnonzero(_unwrap(ev.ack[candidates]) > seg_start[0])
         if covering.size:
             first_ack = candidates[covering[0]]
-            early = data_mask & (np.arange(n) < first_ack) & (ts < ts[first_ack])
-            initial_window = total(length[early])
+            early = data_mask[:first_ack] & (ts[:first_ack] < ts[first_ack])
+            initial_window = total(length[:first_ack][early])
 
-    consumed = length + ev.syn + ev.fin
-    sends = out_dir & (consumed > 0)
-    acked = ~out_dir & ev.ack_flag
-    lo = np.zeros(n, dtype=np.int64)
-    lo[sends] = _unwrap(ev.seq[sends])
-    lo[acked] = _unwrap(ev.ack[acked])
-    hi = lo + consumed
-    walk = sends | acked
-    rtt = _RttMatcher()
-    for send, a, b, t in zip(sends[walk].tolist(), lo[walk].tolist(), hi[walk].tolist(), ts[walk].tolist()):
-        if send:
-            rtt.on_send(a, b, t)
-        elif rtt.pending:
-            rtt.on_ack(a, t)
+    samples = _rtt_samples(ev, out_dir)
 
     elapsed = float(ts[-1] - ts[0])
     idle_max = max(0.0, float(np.diff(ts).max())) if n >= 2 else 0.0
-    data_bytes = bytes_s2c if data_is_s2c else bytes_c2s
 
-    samples = rtt.samples
     n_rtt = len(samples)
     rtt_avg = sum(samples) / n_rtt if n_rtt else 0.0
     rtt_stdev = 0.0
@@ -264,8 +310,8 @@ def _trace_statistics(trace: TraceRecord) -> tuple[list[float], list[bool]]:
         defined.append(bool(ok))
 
     put(elapsed, n >= 2)
-    put(count(c2s))
-    put(count(s2c))
+    put(packets_c2s)
+    put(packets_s2c)
     put(bytes_c2s)
     put(bytes_s2c)
     put(data_pkts_c2s)
@@ -296,7 +342,7 @@ def _trace_statistics(trace: TraceRecord) -> tuple[list[float], list[bool]]:
     put(n_rtt)
     put(idle_max, n >= 2)
     has_segs = seg_sizes.size > 0
-    put(total(seg_sizes) / seg_sizes.size if has_segs else 0.0, has_segs)
+    put(data_bytes / seg_sizes.size if has_segs else 0.0, has_segs)
     put(seg_sizes.max() if has_segs else 0.0, has_segs)
     put(seg_sizes.min() if has_segs else 0.0, has_segs)
     put(count(seg_sizes < SMALL_SEGMENT_BYTES))

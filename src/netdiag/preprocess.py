@@ -155,10 +155,9 @@ def apply_scaler(x: np.ndarray, s: ScalerParams) -> np.ndarray:
     if x.shape[-1] != s.m:
         raise DimensionMismatch(f"vector has {x.shape[-1]} features, scaler has {s.m}")
     span = s.max - s.min
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = (x - s.min) / span
-    out = np.where(span > 0, out, 0.0)
-    return np.clip(out, 0.0, 1.0)
+    out = np.zeros(x.shape)
+    np.divide(x - s.min, span, out=out, where=span > 0)
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def scale_database(db: SignatureDatabase) -> tuple[SignatureDatabase, ScalerParams]:

@@ -69,6 +69,14 @@ from .preprocess import (
 KERNEL_VARIANTS = ("linear", "quadratic", "cubic", "rbf")
 
 
+# kernel_matrix divides squared distances by 2 sigma^2.  Its operands are
+# scaled rows, in the unit cube, so a squared distance is at most the column
+# count, and from 2**-1000 up the quotient of any distance below 2**23 is
+# finite.  Below it, distances in the cube can overflow the quotient (sigma
+# 1e-160 gave an identity kernel with a RuntimeWarning).
+_MIN_TWO_SIGMA_SQ = 2.0**-1000
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     variant: str
@@ -78,11 +86,12 @@ class KernelSpec:
         if self.variant not in KERNEL_VARIANTS:
             raise ValueError(f"unknown kernel variant {self.variant!r}")
         if self.variant == "rbf":
-            # A NaN width would make every decision value NaN, read as class -1;
-            # kernel_matrix divides by 2 sigma^2, which must not overflow or be 0.
+            # A NaN width would make every decision value NaN, read as class -1.
             sigma = parse_real(self.sigma, "sigma")
-            if not (sigma > 0 and 0 < 2.0 * sigma * sigma < math.inf):
-                raise ValueError(f"rbf kernel requires a sigma > 0 with 2 sigma^2 finite and positive, got {sigma!r}")
+            if not (sigma > 0 and _MIN_TWO_SIGMA_SQ <= 2.0 * sigma * sigma < math.inf):
+                raise ValueError(
+                    f"rbf kernel requires a sigma > 0 with 2 sigma^2 finite and at least 2**-1000, got {sigma!r}"
+                )
         elif self.sigma is not None:
             raise ValueError(f"{self.variant} kernel takes no sigma")
 

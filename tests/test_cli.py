@@ -221,6 +221,13 @@ MODEL_EDITS = {
     # 2 sigma^2 overflows (an OverflowError at diagnosis) or rounds to 0
     "kernel_sigma_huge": lambda model: model.update(kernel={"variant": "rbf", "sigma": 1e300}),
     "kernel_sigma_tiny": lambda model: model.update(kernel={"variant": "rbf", "sigma": 1e-300}),
+    # 2 sigma^2 subnormal, or normal but tiny: distances over it overflowed
+    "kernel_sigma_subnormal": lambda model: model.update(kernel={"variant": "rbf", "sigma": 1e-160}),
+    "kernel_sigma_overflowing": lambda model: model.update(kernel={"variant": "rbf", "sigma": 2e-154}),
+    # a trained model holds scaled rows only; 1e300 changed a verdict with overflow warnings
+    "support_vector_huge": lambda model: model["support_vectors"][0].__setitem__(0, 1e300),
+    "support_vector_above_one": lambda model: model["support_vectors"][-1].__setitem__(-1, 1.5),
+    "support_vector_negative": lambda model: model["support_vectors"][0].__setitem__(0, -0.25),
 }
 
 
@@ -741,6 +748,9 @@ def test_synth_needs_exactly_one_of_preset_and_scenario(tmp_path, both):
         ('{"cfd": {"default": {"fp_penalty": -2}}}', "cfd.default.fp_penalty"),
         ('{"lpd": {"kernel": {"variant": "rbf", "sigma": 1e300}}}', "sigma"),
         ('{"lpd": {"kernel": {"variant": "rbf", "sigma": 1e-300}}}', "sigma"),
+        # these loaded, and training overflowed into an identity kernel
+        ('{"lpd": {"kernel": {"variant": "rbf", "sigma": 1e-160}}}', "sigma"),
+        ('{"cfd": {"default": {"kernel": {"variant": "rbf", "sigma": 2e-154}}}}', "sigma"),
         ('{"lpd": {"C": 1e-310}}', "C"),
         ('{"cfd": {"default": {"C": 1e-308}}}', "C"),
     ],
@@ -826,6 +836,41 @@ def test_fuzzed_bundle_exits_with_a_documented_code(trained, data):
         (work / file_name).write_text(text, encoding="utf-8")
     code, _, err = _run("diagnose", "--bundle", str(work), "--down", str(down), "--up", str(up))
     assert code in (0, 2, 4, 10, 20), err
+    assert "Traceback" not in err
+
+
+# sequence numbers at and past the wrap, so a fuzzed trace also reaches the
+# extractor's unwrapping and the reader's range check
+WRAP_SEQS = ["4294967000", "4294967295", "4294967296"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzzed_trace_exits_with_a_documented_code(trained, data):
+    """A trace file cut at any offset, or with any cell, header cells
+    included, replaced by a fuzz value or a sequence number near the wrap,
+    gives a verdict or a typed error: never a traceback."""
+    bundle, _, down, up = trained
+    texts = {path: path.read_text(encoding="utf-8") for path in (down, up)}
+    target = data.draw(st.sampled_from([down, up]), label="file")
+    text = texts[target]
+    if data.draw(st.integers(0, 3), label="truncate unless") == 0:
+        texts[target] = text[: data.draw(st.integers(0, len(text) - 1), label="offset")]
+    else:
+        lines = text.split("\n")
+        i = data.draw(st.integers(0, len(lines) - 2), label="line")
+        cells = lines[i].split(",")
+        cells[data.draw(st.integers(0, len(cells) - 1), label="cell")] = data.draw(
+            st.sampled_from(FUZZ_VALUES + WRAP_SEQS), label="value"
+        )
+        lines[i] = ",".join(cells)
+        texts[target] = "\n".join(lines)
+    work = bundle.parent / "fuzzed_traces"
+    work.mkdir(exist_ok=True)
+    for path, fuzzed in texts.items():
+        (work / path.name).write_text(fuzzed, encoding="utf-8")
+    code, _, err = _run("diagnose", "--bundle", str(bundle), "--down", str(work / down.name), "--up", str(work / up.name))
+    assert code in (0, 2, 10, 20), err
     assert "Traceback" not in err
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import interval_reference as ref
+from features_reference import trace_statistics_reference
 from netdiag.errors import CatalogMismatch
 from netdiag.features import (
     FeatureCatalog,
@@ -18,6 +19,7 @@ from netdiag.features import (
 )
 from netdiag.simulate import HEALTHY_LINK, ClientParams, LinkParams, simulate_flow_with_stats
 from netdiag.trace import (
+    SEQ_MOD,
     CapturePoint,
     Direction,
     IntervalSet,
@@ -181,6 +183,107 @@ class TestStatisticOracles:
         )
         assert compute_statistic(t, Statistic.ACK_COMPRESSION_RATIO) == 0.5
         assert compute_statistic(t, Statistic.BYTES_PER_ACK) == 200.0
+
+
+def assert_same_statistics(t: TraceRecord):
+    """The extractor and the per-packet reference agree bit for bit on every
+    value and on every definedness flag."""
+    values, defined = _trace_statistics(t)
+    ref_values, ref_defined = trace_statistics_reference(t)
+    assert defined == ref_defined
+    assert np.array_equal(np.array(values).view(np.int64), np.array(ref_values).view(np.int64)), [
+        (stat.value, a, b) for stat, a, b in zip(Statistic, values, ref_values) if a != b
+    ]
+
+
+HALF = SEQ_MOD // 2
+# offsets from a stream's ISN: small ones reorder, duplicate and overlap segments
+SEQ_OFFSETS = st.one_of(st.integers(0, 6000), st.integers(0, 30).map(lambda k: 100 * k))
+ISNS = st.one_of(st.just(0), st.integers(SEQ_MOD - 4000, SEQ_MOD - 1), st.integers(0, SEQ_MOD - 1))
+RARE = st.sampled_from([False] * 5 + [True])
+
+
+@st.composite
+def oracle_traces(draw):
+    """A trace of 1-30 packets from both ends.  Each seq and ack either
+    continues its stream (the next byte in that direction, so in-order
+    runs and their touching pieces are common), jumps to an offset, or
+    steps exactly half the sequence space from the direction's last seq,
+    unwrapping's boundary.  Now and then a packet comes four times, which
+    makes duplicate segments and runs of duplicate acks."""
+    isn = {C2S: draw(ISNS), S2C: draw(ISNS)}
+    next_byte = {C2S: 0, S2C: 0}
+    last = {C2S: 0, S2C: 0}
+    ts = draw(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=30))
+    if draw(st.booleans()):
+        ts.sort()
+    events = []
+    for t in ts:
+        d = draw(st.sampled_from([C2S, S2C]))
+        other = S2C if d is C2S else C2S
+        length = draw(st.sampled_from([0, 0, 0, 0, 1, 100, 511, 512, 1448]))
+        seq_off = draw(st.one_of(st.just(next_byte[d]), SEQ_OFFSETS, st.just((last[d] + HALF) % SEQ_MOD)))
+        ack_off = draw(st.one_of(st.just(next_byte[other]), SEQ_OFFSETS, st.just((last[other] + HALF) % SEQ_MOD)))
+        syn, fin = draw(RARE), draw(RARE)
+        next_byte[d] = max(next_byte[d], seq_off + length + syn + fin)
+        last[d] = seq_off
+        events += [PacketEvent(
+            ts=t, dir=d, seq=(isn[d] + seq_off) % SEQ_MOD, ack=(isn[other] + ack_off) % SEQ_MOD,
+            payload_len=length, syn=syn, fin=fin, rst=draw(RARE), ack_flag=not draw(RARE),
+            win=draw(st.sampled_from([0, 1000, 65535])), sack_cnt=draw(st.integers(0, 3)),
+        )] * draw(st.sampled_from([1] * 7 + [4]))
+    return trace(events, draw(st.sampled_from(list(CapturePoint))), draw(st.sampled_from(list(TransferDirection))))
+
+
+def segments(starts, length=100, dir=S2C):
+    """Data segments of `length` bytes at the given seqs, one per 0.1 s."""
+    return [ev(0.1 * i, dir, seq=s % SEQ_MOD, length=length) for i, s in enumerate(starts)]
+
+
+class TestReferenceOracle:
+    """`_trace_statistics` equals the per-packet extractor it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(t=oracle_traces())
+    def test_matches_per_packet_reference(self, t):
+        assert_same_statistics(t)
+
+    @pytest.mark.parametrize(
+        "events",
+        [
+            [ev(0.0, C2S, syn=True)],
+            [ev(0.0, S2C, seq=7, length=100)],
+            # seq columns spanning exactly half the space, below it, and wrapping
+            segments([HALF, 0]),
+            segments([0, HALF]),
+            segments([HALF - 1, 0]),
+            segments([SEQ_MOD - 100, 0, SEQ_MOD - 100, 100]),
+            segments([SEQ_MOD - 150, SEQ_MOD - 50, 50]),
+            # in-order runs with gaps, a late fill, a duplicate and an overlap
+            segments([0, 100, 300, 400, 200, 100, 450, 500, 600]),
+            # sends from both ends; the last send stays pending
+            [
+                ev(0.0, C2S, seq=10, syn=True),
+                ev(0.1, S2C, seq=90, ack=11, syn=True, ack_flag=True),
+                ev(0.2, C2S, seq=11, ack=91, length=100, ack_flag=True),
+                ev(0.3, S2C, seq=91, ack=111, length=50, ack_flag=True),
+                ev(0.4, C2S, seq=111, ack=141, length=100, ack_flag=True),
+            ],
+        ],
+        ids=["one_syn", "one_segment", "span_half_step_down", "span_half_step_up", "span_below_half",
+             "isn_wraps_with_duplicate", "isn_wraps_in_order", "runs_gaps_late_fill", "both_ends_pending"],
+    )
+    @pytest.mark.parametrize("capture", list(CapturePoint))
+    @pytest.mark.parametrize("transfer", list(TransferDirection))
+    def test_boundary_traces(self, events, capture, transfer):
+        assert_same_statistics(trace(events, capture, transfer))
+
+    def test_simulated_lossy_pairs(self):
+        for loss in (0.0, 0.03):
+            link = LinkParams(bandwidth=20e6, one_way_delay=0.01, loss_rate=loss, reorder_rate=0.1)
+            pair, _ = simulate_flow_with_stats(link, ClientParams(seed=5), 80_000, 11)
+            assert_same_statistics(pair.download)
+            assert_same_statistics(pair.upload)
 
 
 class TestIntervalSet:

@@ -107,6 +107,21 @@ class TestScaler:
         assert apply_scaler(np.array([25.0]), s).tolist() == [1.0]
         assert apply_scaler(np.array([-5.0]), s).tolist() == [0.0]
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        bounds=arrays(np.float64, (2, 6), elements=st.sampled_from([-3.0, -0.0, 0.0, 1.0, 2.5, 1e300, -1e300])),
+        x=arrays(np.float64, st.sampled_from([(6,), (4, 6)]),
+                 elements=st.one_of(st.floats(-1e6, 1e6), st.sampled_from([-0.0, 2.5, 1e300, -1e300]))),
+    )
+    def test_matches_masked_formula(self, bounds, x):
+        # constant columns (min == max), signed zeros, values outside the range
+        s = ScalerParams(min=bounds.min(axis=0), max=bounds.max(axis=0))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            want = (x - s.min) / (s.max - s.min)
+        want = np.clip(np.where(s.max - s.min > 0, want, 0.0), 0.0, 1.0)
+        got = apply_scaler(x, s)
+        assert got.shape == x.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_dimension_mismatch(self):
         s = ScalerParams(min=np.zeros(2), max=np.ones(2))
         with pytest.raises(DimensionMismatch):

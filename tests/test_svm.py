@@ -1,6 +1,7 @@
 """SVM core: kernels, ridge Gram, dual solver, decision function."""
 
 import json
+import math
 import re
 
 import numpy as np
@@ -98,6 +99,17 @@ class TestKernels:
             KernelSpec("rbf")
         with pytest.raises(ValueError):
             KernelSpec("rbf", -1.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_narrowest_rbf_width_keeps_unit_cube_distances_finite(self):
+        # 2 sigma^2 subnormal (1e-160) or just above the normal range (2e-154):
+        # unit-cube distances over it overflowed into an identity kernel
+        for sigma in (1e-160, 2e-154):
+            with pytest.raises(ValueError, match="sigma"):
+                KernelSpec("rbf", sigma)
+        narrowest = KernelSpec("rbf", math.sqrt(2.0**-1001))
+        corners = np.array([[0.0] * 74, [1.0] * 74])
+        assert np.array_equal(kernel_matrix(narrowest, corners, corners), np.eye(2))
 
 
 class TestGram:
