@@ -25,6 +25,28 @@ blocks appear on acks only when negotiated; duplicate arrivals
 additionally raise the block count when duplicate-extent reporting is
 on.
 
+Event order.  Each transfer is a conservative discrete-event simulation
+(Chandy & Misra, IEEE TSE 5(5), 1979): sender and receiver share no
+state but packets that cross the link with a delay, so an arrival can be
+handled before its time as long as nothing sent later can overtake it.
+A link's departures never go back in time (`busy`), so no packet sent
+after a segment arrives before it, and the receiver handles a data or
+FIN segment the link delivers without reordering the moment it is sent.
+A reordered segment arrives `reorder_delay` late, the same for each, so
+reordered segments wait in one FIFO (`reordered`) in arrival order;
+before a segment is handled at send time, every reordered arrival that
+comes before it is handled.  Acks wait for the sender in a FIFO
+(`acks`), in order for the same reason, and the retransmission timer is
+one (time, tick) slot.  The loop handles the earliest of the ack head,
+the reordered head and the slot.  Ties break by tick: one counter, drawn
+when a segment is transmitted, when an ack is sent and when the slot
+moves, so of two events at the same time the one queued first goes
+first.  This is the order of one heap of all events;
+tests/simulate_reference.py keeps that heap loop as an oracle.  (There
+the receiver draws an ack's tick when the arrival pops, not when the
+segment is sent, which could only matter when an ack falls at exactly
+the float time of the slot or of a reordered arrival.)
+
 All randomness is derived from explicit 64-bit seeds via splitmix64
 (see rng.py).  Loss draws are keyed by (segment index, attempt) so a
 higher loss rate drops a superset of packets for the same seed.  Each
@@ -36,8 +58,8 @@ from __future__ import annotations
 
 import enum
 import itertools
+from collections import deque
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 import numpy as np
 
@@ -203,7 +225,7 @@ class _TransferSim:
         self.rto = INITIAL_RTO
         self.backoff = 1
         self.rto_deadline: float | None = None  # None: the timer is disarmed
-        self.timer_at: float | None = None  # time of the one live RTO heap entry
+        self.timer: tuple[float, int] | None = None  # the RTO slot: (time, tick) when it next fires
         self.fin_sent = False
         self.fin_acked = False
         self.fin_attempts = 0
@@ -215,10 +237,12 @@ class _TransferSim:
         self.last_ack_t = 0.0
 
         self.busy = [0.0, 0.0]  # link free time, by direction code
-        self.heap: list = []
         self.tick = itertools.count()
-        self.captured: list[tuple] = []  # packets as PacketEvent field tuples, dir as a code
-        self.done_events = 0
+        self.reordered: deque = deque()  # reordered data arrivals: (time, tick, k)
+        self.acks: deque = deque()  # ack arrivals at the sender: (time, tick, offset, blocks, rwnd)
+        # one record per data or FIN arrival, with the ack it triggers:
+        # (arrival time, ack time, payload offset, payload length, ack offset, ack rwnd, ack sack_cnt)
+        self.captured: list[tuple] = []
 
     # -- wire helpers -------------------------------------------------
 
@@ -244,8 +268,24 @@ class _TransferSim:
             return
         arrive = dep + self.owd
         if self.reorder_rate > 0 and next(self.reorder) < self.reorder_rate:
-            arrive += self.reorder_delay
-        heappush(self.heap, (arrive, next(self.tick), self._on_data, k))
+            self.reordered.append((arrive + self.reorder_delay, next(self.tick), k))
+        else:
+            self._deliver(arrive, next(self.tick), k)
+
+    def _deliver(self, arrive: float, tick: int, k: int) -> None:
+        """Hand the receiver segment k (k = n_segs: the FIN), which arrives
+        at (arrive, tick) and which no later packet can overtake, at once:
+        first every reordered arrival that comes before it."""
+        reordered = self.reordered
+        if reordered:
+            key = (arrive, tick)
+            while reordered and reordered[0] < key:
+                now, _, j = reordered.popleft()
+                self._on_data(now, j)
+        if k < self.n_segs:
+            self._on_data(arrive, k)
+        else:
+            self._on_fin(arrive)
 
     def _retransmit(self, k: int, now: float) -> None:
         # attempts are tracked per segment so loss draws stay keyed
@@ -258,18 +298,17 @@ class _TransferSim:
         dep = max(now, self.busy[self.data_dir]) + self.ser0
         self.busy[self.data_dir] = dep
         if not self._lost(self.n_segs, self.fin_attempts):
-            heappush(self.heap, (dep + self.owd, next(self.tick), self._on_fin, None))
+            self._deliver(dep + self.owd, next(self.tick), self.n_segs)
         self.fin_attempts += 1
         self._arm_timer(now)
 
     def _arm_timer(self, now: float) -> None:
-        # One live heap entry stands for the timer.  Push only when there is
-        # none or the deadline moved before it; the passed-over entry is an
-        # orphan, dropped when it pops.
+        # The slot moves only when it is empty or the deadline moved before
+        # it; a later deadline waits for the slot to fire (see _drain).
         self.rto_deadline = deadline = now + self.rto * self.backoff
-        if self.timer_at is None or deadline < self.timer_at:
-            self.timer_at = deadline
-            heappush(self.heap, (deadline, next(self.tick), self._on_rto, None))
+        timer = self.timer
+        if timer is None or deadline < timer[0]:
+            self.timer = (deadline, next(self.tick))
 
     def _try_send(self, now: float) -> None:
         k, n = self.next_seg, self.n_segs
@@ -362,8 +401,7 @@ class _TransferSim:
                 self.rto = rto if rto > MIN_RTO else MIN_RTO
             self.next_sample_seg += 1
 
-    def _on_ack(self, now: float, payload) -> None:
-        a, blocks, rwnd = payload
+    def _on_ack(self, now: float, a: int, blocks: tuple, rwnd: int) -> None:
         self.peer_rwnd = rwnd
         for bs, be in blocks:
             self.sacked.add(bs, be)
@@ -405,18 +443,8 @@ class _TransferSim:
                     self._retransmit(hole, now)
             self._try_send(now)
 
-    def _on_rto(self, now: float, _payload) -> None:
-        if now != self.timer_at:
-            return  # an orphan
-        self.timer_at = None
-        if self.rto_deadline is None:
-            return
-        if self.rto_deadline > now:
-            # acks moved the deadline later without a push (mod_timer), so
-            # the live entry popped early and re-pushes itself at the deadline
-            self.timer_at = self.rto_deadline
-            heappush(self.heap, (self.timer_at, next(self.tick), self._on_rto, None))
-            return
+    def _on_rto(self, now: float) -> None:
+        """The retransmission timer expires at its deadline `now`."""
         self.stats.rto_events += 1
         self.backoff = min(self.backoff * 2, 64)
         if self.fin_sent and not self.fin_acked and self.snd_una >= self.B:
@@ -436,7 +464,8 @@ class _TransferSim:
 
     # -- receiver -----------------------------------------------------
 
-    def _send_ack(self, now: float, dup_arrival: bool, fin_seen: bool = False) -> None:
+    def _send_ack(self, now: float, dup_arrival: bool, s: int, length: int) -> None:
+        """Ack the arrival at `now` of payload [s, s + length); length 0 is the FIN."""
         rwnd, blocks, ooo = self.read_buffer, (), self.ooo
         if ooo.starts:
             rwnd -= sum(ooo.ends) - sum(ooo.starts)
@@ -449,8 +478,8 @@ class _TransferSim:
         if last > t:
             t = last
         self.last_ack_t = t
-        offset = self.rcv_nxt + 1 if fin_seen and self.rcv_nxt >= self.B else self.rcv_nxt  # the FIN is offset B
-        self.captured.append((t, self.ack_dir, 1, offset + 1, 0, 0, 0, 0, 1, rwnd, sack_cnt))
+        offset = self.rcv_nxt + 1 if not length and self.rcv_nxt >= self.B else self.rcv_nxt  # the FIN is offset B
+        self.captured.append((now, t, s, length, offset, rwnd, sack_cnt))
         stats = self.stats
         stats.acks_sent += 1
         busy, d = self.busy, self.ack_dir
@@ -460,7 +489,7 @@ class _TransferSim:
         if self.loss_rate > 0 and next(self.ack_loss) < self.loss_rate:
             stats.dropped_acks += 1
             return
-        heappush(self.heap, (dep + self.owd, next(self.tick), self._on_ack, (offset, blocks, rwnd)))
+        self.acks.append((dep + self.owd, next(self.tick), offset, blocks, rwnd))
 
     def _on_data(self, now: float, k: int) -> None:
         s, e = k * MSS, self.seg_end[k]
@@ -472,16 +501,23 @@ class _TransferSim:
             self.rcv_nxt = ooo.pop_through(e) if ooo.starts else e
         else:
             ooo.add(s, e)
-        self.captured.append((now, self.data_dir, 1 + s, 1, e - s, 0, 0, 0, 1, self.sender_rwnd, 0))
-        self._send_ack(now, dup)
+        self._send_ack(now, dup, s, e - s)
 
-    def _on_fin(self, now: float, _payload) -> None:
-        self.captured.append((now, self.data_dir, 1 + self.B, 1, 0, 0, 1, 0, 1, self.sender_rwnd, 0))
-        self._send_ack(now, False, True)
+    def _on_fin(self, now: float) -> None:
+        self._send_ack(now, False, self.B, 0)
 
     # -- top level ----------------------------------------------------
 
     def run(self) -> tuple[TraceRecord, FlowStats]:
+        self._handshake()
+        self._drain()
+        if self.rcv_nxt != self.B:
+            raise RuntimeError(f"conservation violated: delivered {self.rcv_nxt} of {self.B} bytes")
+        self.stats.delivered_bytes = self.rcv_nxt
+        capture = CapturePoint.CLIENT if self.down else CapturePoint.SERVER
+        return TraceRecord(capture, self.transfer, self._columns(), self.B), self.stats
+
+    def _handshake(self) -> None:
         ser0, owd = self.ser0, self.owd
         # Handshake (never lost): SYN, SYN-ACK, ACK.  The client SYN
         # carries the capability signal; the server answers with one block.
@@ -498,37 +534,66 @@ class _TransferSim:
 
         # capture at the client for a download, at the server for an
         # upload: own packets at send time, far side on arrival
-        syn_t, synack_t, hs_ack_t = (0.0, synack_arr, synack_arr) if self.down else (syn_arr, syn_arr, hs_ack_arr)
-        self.captured += [
-            (syn_t, c2s, 0, 0, 0, 1, 0, 0, 0, self.client.read_buffer, self.syn_sack_cnt),
-            (synack_t, s2c, 0, 1, 0, 1, 0, 0, 1, SERVER_BUFFER, self.syn_sack_cnt),
-            (hs_ack_t, c2s, 1, 1, 0, 0, 0, 0, 1, self.client.read_buffer, self.hs_ack_sack_cnt),
-        ]
-        self.last_ack_t = synack_t
+        self.handshake_ts = (0.0, synack_arr, synack_arr) if self.down else (syn_arr, syn_arr, hs_ack_arr)
+        self.last_ack_t = self.handshake_ts[1]
         # the server may send once the handshake ack lands, the client once the SYN-ACK does
         self._try_send(hs_ack_arr if self.down else synack_arr)
 
-        limit = 400 * self.n_segs + 200_000
-        heap, events = self.heap, 0
-        while heap:
-            now, _, handler, payload = heappop(heap)
-            handler(now, payload)
-            events += 1
-            if events > limit:
-                raise RuntimeError("simulator event budget exceeded; parameters degenerate")
-        self.done_events = events
+    def _drain(self) -> None:
+        """Handle the sender's events and the reordered arrivals, earliest (time, tick) first."""
+        acks, reordered, on_ack, on_data = self.acks, self.reordered, self._on_ack, self._on_data
+        limit = 400 * self.n_segs + 200_000  # more events than this: degenerate parameters
+        for _ in range(limit + 1):
+            timer = self.timer
+            if acks and (timer is None or acks[0] < timer) and not (reordered and reordered[0] < acks[0]):
+                now, _, a, blocks, rwnd = acks.popleft()
+                on_ack(now, a, blocks, rwnd)
+            elif reordered and (timer is None or reordered[0] < timer):
+                now, _, k = reordered.popleft()
+                on_data(now, k)
+            elif timer is not None:
+                self.timer = None
+                now, deadline = timer[0], self.rto_deadline
+                if deadline is None:
+                    continue
+                if deadline > now:
+                    # acks moved the deadline later without moving the slot
+                    # (mod_timer), so the slot fired early and moves to it
+                    self.timer = (deadline, next(self.tick))
+                else:
+                    self._on_rto(now)
+            else:
+                return
+        raise RuntimeError("simulator event budget exceeded; parameters degenerate")
 
-        if self.rcv_nxt != self.B:
-            raise RuntimeError(f"conservation violated: delivered {self.rcv_nxt} of {self.B} bytes")
-        self.stats.delivered_bytes = self.rcv_nxt
+    def _columns(self) -> PacketColumns:
+        """The capture in capture order: the handshake, then per arrival,
+        in the order the receiver handled them, the data or FIN row and
+        its ack row.  TraceRecord sorts it by ts, ties in this order."""
+        arrive, ack_t, seq, length, ack, rwnd, sack_cnt = map(np.array, zip(*self.captured))
+        rows = 3 + 2 * len(arrive)
 
-        ts, dirs, seq, ack, *rest = zip(*self.captured)
-        ts = np.array(ts)
-        order = np.argsort(ts, kind="stable")  # ties keep capture order
-        columns = [ts - ts.min(), np.array(dirs, np.int8), np.array(seq) % SEQ_MOD, np.array(ack) % SEQ_MOD, *rest]
-        events = PacketColumns(*(np.asarray(col)[order] for col in columns))
-        capture = CapturePoint.CLIENT if self.down else CapturePoint.SERVER
-        return TraceRecord(capture, self.transfer, events, self.B), self.stats
+        def interleave(handshake, data, acks, dtype=np.int64):
+            column = np.empty(rows, dtype)
+            column[:3], column[3::2], column[4::2] = handshake, data, acks
+            return column
+
+        ts = interleave(self.handshake_ts, arrive, ack_t, np.float64)
+        read_buffer, syn_sack = self.client.read_buffer, self.syn_sack_cnt
+        columns = (
+            ts - ts.min(),
+            interleave((self.c2s, self.s2c, self.c2s), self.data_dir, self.ack_dir, np.int8),
+            interleave((0, 0, 1), seq + 1, 1) % SEQ_MOD,
+            interleave((0, 1, 1), 1, ack + 1) % SEQ_MOD,
+            interleave((0, 0, 0), length, 0),
+            interleave((True, True, False), False, False, bool),  # syn
+            interleave((False, False, False), length == 0, False, bool),  # fin: the arrival without payload
+            np.zeros(rows, bool),  # rst
+            interleave((False, True, True), True, True, bool),  # ack_flag
+            interleave((read_buffer, SERVER_BUFFER, read_buffer), self.sender_rwnd, rwnd),
+            interleave((syn_sack, syn_sack, self.hs_ack_sack_cnt), 0, sack_cnt),
+        )
+        return PacketColumns(*columns)
 
 
 def simulate_flow_with_stats(

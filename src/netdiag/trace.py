@@ -165,10 +165,11 @@ def _event(ts, dir, *rest) -> PacketEvent:
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """An ordered bidirectional flow capture.
+    """A bidirectional flow capture, its events in ts order.
 
     `events` may be given as a sequence of `PacketEvent`s; it is stored
-    as `PacketColumns`.
+    as `PacketColumns`.  Events given out of ts order are sorted stably:
+    events with equal ts keep the order they were given in.
     """
 
     capture_point: CapturePoint
@@ -179,8 +180,14 @@ class TraceRecord:
     def __post_init__(self):
         if self.declared_transfer_bytes <= 0:
             raise ValueError("declared_transfer_bytes must be positive")
-        if not isinstance(self.events, PacketColumns):
-            object.__setattr__(self, "events", PacketColumns.from_events(self.events))
+        events = self.events
+        if not isinstance(events, PacketColumns):
+            events = PacketColumns.from_events(events)
+        ts = events.ts
+        if (ts[1:] < ts[:-1]).any():
+            order = np.argsort(ts, kind="stable")
+            events = PacketColumns(*(getattr(events, name)[order] for name in FIELDS))
+        object.__setattr__(self, "events", events)
 
     def data_direction(self) -> Direction:
         """Direction the transferred payload travels."""
@@ -387,8 +394,8 @@ def _cell_table(rows: list[str], bad: list) -> np.ndarray:
 
 
 def _parse_rows(rows: list[str]) -> tuple[PacketColumns, list[int]]:
-    """Columns of the body rows, validated all at once and sorted by ts,
-    and the indices into rows of packets with payload on a syn/fin/rst.
+    """Columns of the body rows in file order, validated all at once, and
+    the indices into rows of packets with payload on a syn/fin/rst.
 
     Raises MalformedRow(k, reason) for the first bad row, where k is the
     0-based index into rows; within a row, the leftmost bad field counts.
@@ -414,15 +421,15 @@ def _parse_rows(rows: list[str]) -> tuple[PacketColumns, list[int]]:
         k, _, reason = min(bad)
         raise MalformedRow(k, reason)
     payload_on_control = np.flatnonzero((ints[:, 2] > 0) & ones[:, 1:4].any(axis=1))
-    order = np.argsort(ts, kind="stable")  # ties keep file order
-    seq, ack, length, win, sack_cnt = np.take(ints.T, order, axis=1)
-    dir, syn, fin, rst, ack_flag = np.take(ones.T, order, axis=1)
-    events = PacketColumns(ts[order], dir, seq, ack, length, syn, fin, rst, ack_flag, win, sack_cnt)
+    seq, ack, length, win, sack_cnt = ints.T.copy()
+    dir, syn, fin, rst, ack_flag = ones.T.copy()
+    events = PacketColumns(ts.copy(), dir, seq, ack, length, syn, fin, rst, ack_flag, win, sack_cnt)
     return events, payload_on_control.tolist()
 
 
 def read_trace(path) -> TraceRecord:
-    """Parse a trace file; events are sorted by ts (stable on ties).
+    """Parse a trace file into a TraceRecord, which sorts its events by ts
+    (rows with equal ts keep their file order).
 
     The body follows the cell grammar of the module docstring.  numpy's C
     reader parses it whole; where it refuses (a cell only float() or int()

@@ -874,6 +874,61 @@ def test_fuzzed_trace_exits_with_a_documented_code(trained, data):
     assert "Traceback" not in err
 
 
+LABELS_ROWS = [("a", "HEALTHY", "HEALTHY"), ("b", "FAULTY", "read_buf"), ("c", "HEALTHY", "sack_disabled")]
+# tags, ids, separators, control characters, a byte that is not UTF-8
+# (written through surrogateescape) and a cell with a comma in it
+LABELS_VALUES = FUZZ_VALUES + [
+    "", " ", "HEALTHY", "FAULTY", "healthy", "read_buf+write_buf", "HEALTHY+read_buf", "+", "a", "b", "id",
+    "../a", "a.down", "a,b", "\r", "\x00", "\ufeffid", "\udcff",
+]
+
+
+@pytest.fixture(scope="module")
+def labelled(trained, tmp_path_factory):
+    """A corpus of three copies of the trained fixture's pair, and its labels text."""
+    traces = tmp_path_factory.mktemp("labelled")
+    for pair_id, _, _ in LABELS_ROWS:
+        shutil.copy(trained[2], traces / f"{pair_id}.down.csv")
+        shutil.copy(trained[3], traces / f"{pair_id}.up.csv")
+    return traces, "\n".join(["id,link,client", *(",".join(row) for row in LABELS_ROWS)]) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzzed_labels_exit_with_a_documented_code(trained, labelled, data):
+    """A labels file cut at any offset, without one of its lines, or with
+    any cell, header cells included, replaced by a fuzz value, extracts
+    and evaluates or ends in a typed error: never a traceback."""
+    traces, text = labelled
+    how = data.draw(st.sampled_from(["cut", "drop", "cell"]), label="damage")
+    lines = text.split("\n")
+    if how == "cut":
+        text = text[: data.draw(st.integers(0, len(text) - 1), label="offset")]
+    elif how == "drop":
+        del lines[data.draw(st.integers(0, len(lines) - 2), label="line")]
+        text = "\n".join(lines)
+    else:
+        i = data.draw(st.integers(0, len(lines) - 2), label="line")
+        cells = lines[i].split(",")
+        cells[data.draw(st.integers(0, len(cells) - 1), label="cell")] = data.draw(
+            st.sampled_from(LABELS_VALUES), label="value"
+        )
+        lines[i] = ",".join(cells)
+        text = "\n".join(lines)
+    work = traces.parent / "fuzzed_labels"
+    work.mkdir(exist_ok=True)
+    labels = work / "labels.csv"
+    labels.write_bytes(text.encode("utf-8", "surrogateescape"))
+    kind = data.draw(st.sampled_from(["link", "client"]), label="kind")
+    for argv in (
+        ("extract", "--kind", kind, "--out", str(work / "db.json")),
+        ("eval", "--bundle", str(trained[0]), "--out", str(work / "report" / "eval")),
+    ):
+        code, _, err = _run(*argv, "--traces", str(traces), "--labels", str(labels))
+        assert code in (0, 2), err
+        assert "Traceback" not in err
+
+
 # Every key of a config, each away from its default, so each is fuzzed.
 _PIPELINE = {"kernel": {"variant": "rbf", "sigma": 2.0}, "C": 5.0, "max_iter": 200, "tol": 0.002,
              "candidate_sizes": [4, 8], "cv_folds": 3, "fp_penalty": 0.5}

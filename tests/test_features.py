@@ -59,6 +59,14 @@ class TestStatisticOracles:
         t = trace([ev(0.0), ev(0.5), ev(2.0)])
         assert compute_statistic(t, Statistic.ELAPSED_TIME) == 2.0
 
+    def test_elapsed_of_events_given_out_of_order(self):
+        # Once -1.0, and defined: the record kept the events as given.
+        t = trace([ev(1.0, C2S, length=100), ev(0.0, S2C)], CapturePoint.SERVER, TransferDirection.UPLOAD)
+        values, defined = _trace_statistics(t)
+        i = list(Statistic).index(Statistic.ELAPSED_TIME)
+        assert (values[i], defined[i]) == (1.0, True)
+        assert compute_statistic(t, Statistic.THROUGHPUT) == 100.0
+
     def test_rtt_hand_matched(self):
         # capture-outbound data at 0.00 and 0.10, covering acks at 0.10 and 0.30
         t = trace(

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netdiag.features import default_catalog, extract_signature
 from netdiag.simulate import (
@@ -14,7 +16,8 @@ from netdiag.simulate import (
     simulate_flow_with_stats,
     _TransferSim,
 )
-from netdiag.trace import Direction, TransferDirection, write_trace
+from netdiag.trace import FIELDS, Direction, TransferDirection, write_trace
+from simulate_reference import simulate_reference
 
 BYTES = 300_000
 CAT = default_catalog()
@@ -259,25 +262,87 @@ class TestSackBlocks:
         sim = _TransferSim(HEALTHY_LINK, ClientParams(), 10 * MSS, 0, TransferDirection.DOWNLOAD)
         for i, k in enumerate((0, 2, 4, 6, 8)):
             sim._on_data(0.001 * i, k)
-        acks = [entry for entry in sim.heap if entry[2] == sim._on_ack]
-        _, _, _, (offset, blocks, _) = max(acks, key=lambda entry: entry[1])  # the ack pushed last
+        _, _, offset, blocks, _ = sim.acks[-1]  # the ack sent last
         assert offset == MSS
         assert blocks == ((8 * MSS, 9 * MSS), (6 * MSS, 7 * MSS), (4 * MSS, 5 * MSS))
 
 
+class TestEventOrder:
+    def test_a_reordered_arrival_goes_first_on_a_tie(self):
+        # Ties in time break by tick: a reordered segment, sent before a direct
+        # one that arrives at the same time, reaches the receiver first.
+        sim = _TransferSim(HEALTHY_LINK, ClientParams(), 10 * MSS, 0, TransferDirection.DOWNLOAD)
+        sim.reordered.append((0.5, next(sim.tick), 1))
+        sim.reordered.append((0.6, next(sim.tick), 2))
+        sim._deliver(0.5, next(sim.tick), 0)
+        assert [record[2] // MSS for record in sim.captured] == [1, 0]
+        assert [entry[2] for entry in sim.reordered] == [2]
+
+
 class TestRtoTimer:
-    def test_no_dead_timer_events_on_a_healthy_link(self):
-        # One live RTO heap entry per transfer: the loop handles about one
-        # event per captured packet, not one more per new ack.
+    def test_the_slot_moves_rarely_on_a_healthy_link(self):
+        # Each transmission and each ack draws one tick, and the RTO slot one
+        # per move.  New acks push the deadline later without moving the
+        # slot, so it moves a few times per transfer, not once per new ack.
         sim = _TransferSim(HEALTHY_LINK, ClientParams(), 2 << 20, 1207, TransferDirection.DOWNLOAD)
-        record, stats = sim.run()
+        _, stats = sim.run()
         assert stats.rto_events == 0
-        assert sim.done_events <= len(record.events) + 8
+        assert 1 <= next(sim.tick) - stats.sender_transmissions - stats.acks_sent <= 8
+        assert sim.timer is None
+
+    def test_arming_moves_the_slot_only_before_it(self):
+        sim = _TransferSim(HEALTHY_LINK, ClientParams(), 10 * MSS, 0, TransferDirection.DOWNLOAD)
+        sim._arm_timer(0.0)  # the initial RTO of 1 s
+        first = sim.timer
+        assert first[0] == sim.rto_deadline == 1.0
+        sim._arm_timer(0.5)
+        assert sim.timer == first and sim.rto_deadline == 1.5
+        sim.rto = 0.2
+        sim._arm_timer(0.6)
+        assert sim.timer[0] == sim.rto_deadline == 0.8 and sim.timer[1] > first[1]
 
     def test_timeouts_when_the_deadline_moves_earlier(self):
         # A new ack resets the backoff and the first RTT sample lowers the
-        # RTO, so the deadline moves before the pending heap entry; the
-        # timer must then fire at the earlier deadline, not at the entry.
+        # RTO, so the deadline moves before the slot; the timer must then
+        # fire at the earlier deadline, not at the slot's old time.
         link = LinkParams(bandwidth=80e6, one_way_delay=0.08, loss_rate=0.3)
         _, stats = simulate_flow_with_stats(link, ClientParams(seed=1), 120_000, seed=1)
         assert (stats["download"].rto_events, stats["upload"].rto_events) == (49, 9)
+
+
+def _zero_or_up_to(high):
+    return st.one_of(st.just(0.0), st.floats(0.0, high))
+
+
+LINKS = st.builds(
+    LinkParams,
+    bandwidth=st.one_of(st.sampled_from([1e6, 20e6, 80e6, 1e9]), st.floats(1e5, 1e10)),
+    one_way_delay=_zero_or_up_to(0.1),
+    loss_rate=_zero_or_up_to(0.2),
+    reorder_rate=_zero_or_up_to(0.5),
+)
+BUFFERS = st.one_of(st.sampled_from([MSS, MSS + 1, 2 * MSS]), st.integers(MSS, 300_000))
+CLIENTS = st.builds(
+    ClientParams,
+    sack_enabled=st.booleans(),
+    dsack_enabled=st.booleans(),
+    read_buffer=BUFFERS,
+    write_buffer=BUFFERS,
+    cwnd_growth_profile=st.sampled_from(CwndProfile),
+    seed=st.integers(0, 2**64 - 1),
+)
+SIZES = st.one_of(st.integers(1, 3 * MSS), st.integers(1, 60_000))
+
+
+@settings(max_examples=300, deadline=None)
+@given(link=LINKS, client=CLIENTS, size=SIZES, seed=st.integers(0, 2**64 - 1))
+def test_ordered_queues_match_the_heap_loop(link, client, size, seed):
+    """Each column's bytes and each FlowStats equal those of the original
+    heap loop (tests/simulate_reference.py) on any link, client and size."""
+    pair, stats = simulate_flow_with_stats(link, client, size, seed)
+    ref_pair, ref_stats = simulate_reference(link, client, size, seed)
+    assert stats == ref_stats
+    for record, ref in ((pair.download, ref_pair.download), (pair.upload, ref_pair.upload)):
+        for name in FIELDS:
+            column, ref_column = getattr(record.events, name), getattr(ref.events, name)
+            assert column.dtype == ref_column.dtype and column.tobytes() == ref_column.tobytes(), name

@@ -215,6 +215,18 @@ event_strategy = st.builds(
 )
 
 
+class TestRecordOrder:
+    def test_events_out_of_ts_order_are_sorted_stably(self):
+        t = make_trace(PacketEvent(ts, Direction.CLIENT_TO_SERVER, seq, 0, 0) for ts, seq in
+                       [(1.0, 1), (0.0, 2), (1.0, 3), (0.5, 4), (0.0, 5)])
+        assert t.events.ts.tolist() == [0.0, 0.0, 0.5, 1.0, 1.0]
+        assert t.events.seq.tolist() == [2, 5, 4, 1, 3]
+
+    def test_columns_in_order_are_kept(self):
+        events = PacketColumns.from_events([PacketEvent(0.0, Direction.CLIENT_TO_SERVER, 0, 0, 0)] * 2)
+        assert TraceRecord(CapturePoint.CLIENT, TransferDirection.DOWNLOAD, events, 1000).events is events
+
+
 class TestRoundTrip:
     @pytest.mark.filterwarnings("ignore:.*carries payload on a syn/fin/rst packet:UserWarning")
     @settings(max_examples=60, deadline=None)
