@@ -28,7 +28,6 @@ a stage built for a catalog other than this build's.
 from __future__ import annotations
 
 import enum
-from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -54,6 +53,7 @@ from .rng import derive_seed
 from .selection import (  # noqa: F401  (wrapper_select: perfbench/layers.py wraps classifiers.wrapper_select)
     DEFAULT_CANDIDATE_SIZES,
     CvGrid,
+    PipelineConfig,
     SelectionReport,
     cv_grid,
     rank_features,
@@ -70,17 +70,6 @@ from .svm import (
     model_to_dict,
 )
 from .trace import TracePair
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Everything needed to turn a database of raw rows into a model."""
-
-    svm: SvmConfig
-    candidate_sizes: tuple[int, ...]
-    cv_folds: int = 5
-    seed: int = 0
-    fp_penalty: float = 0.0
 
 
 def default_lpd_config(seed: int = 0) -> PipelineConfig:
@@ -123,39 +112,15 @@ def prepare_pipeline(db: SignatureDatabase, config: PipelineConfig) -> CvGrid:
     +1/-1.  Every input error of the pipeline is raised here.
     """
     scaled, scaler = scale_database(db)
-    ranking = rank_features(scaled, positive_label=1, negative_label=-1)
-    return cv_grid(
-        scaled,
-        ranking,
-        config.candidate_sizes,
-        folds=config.cv_folds,
-        svm_config=config.svm,
-        seed=config.seed,
-        fp_penalty=config.fp_penalty,
-        scaler=scaler,
-    )
-
-
-def fit_pipelines(grids: Sequence[CvGrid]) -> list[tuple[SvmModel, SelectionReport]]:
-    """Choose the subset size of each prepared pipeline, then train its
-    model on the chosen features; one (SvmModel, SelectionReport) per
-    pipeline, in input order.
-
-    Every pipeline's CV problems and the final fit of each of its
-    candidate sizes are solved in one lockstep stack, since no problem
-    waits for a CV result; only the chosen size's final fit is kept.
-    Each problem takes the path it takes alone, so a pipeline's result
-    does not depend on the others.  A model carries its fitted scaler and
-    chosen feature indices, so it is a pure function of its pipeline's
-    training rows.
-    """
-    return [grid.fit(states) for grid, states in zip(grids, solve_grids(grids))]
+    return cv_grid(scaled, rank_features(scaled, positive_label=1, negative_label=-1), config, scaler)
 
 
 def fit_pipeline(db: SignatureDatabase, config: PipelineConfig) -> tuple[SvmModel, SelectionReport]:
-    """The one-pipeline case of `fit_pipelines`: scale -> rank -> choose
-    subset size -> train on the chosen columns of the scaled rows."""
-    return fit_pipelines([prepare_pipeline(db, config)])[0]
+    """scale -> rank -> choose the subset size by CV -> train on the chosen
+    columns of the scaled rows.  The model carries its fitted scaler and
+    chosen feature indices, so it is a pure function of the training
+    rows."""
+    return solve_grids([prepare_pipeline(db, config)])[0]
 
 
 def model_predict(model: SvmModel, raw_vector: np.ndarray) -> tuple[float, int]:
@@ -278,7 +243,8 @@ def _module_errors(name: str):
 
 def train_cfd(db: SignatureDatabase, configs: dict[str, PipelineConfig] | None = None, seed: int = 0) -> CfdNetwork:
     """Train every module in the registry, each independently seeded (see
-    `default_cf_config`); the whole bank is one `fit_pipelines` call."""
+    `default_cf_config`).  The whole bank is one `solve_grids` call, and
+    each module's result is the one `fit_pipeline` gives it alone."""
     if db.label_kind is not LabelKind.CLIENT:
         raise ConfigError("fault modules need a client-labeled database")
     registry = db.fault_registry or {}
@@ -291,7 +257,7 @@ def train_cfd(db: SignatureDatabase, configs: dict[str, PipelineConfig] | None =
             grids.append(prepare_pipeline(build_cf_subset(db, index), config))
     modules = [
         CfModule(fault_index=index, fault_name=name, model=model, selection=report)
-        for (name, index), (model, report) in zip(registry.items(), fit_pipelines(grids))
+        for (name, index), (model, report) in zip(registry.items(), solve_grids(grids))
     ]
     return CfdNetwork(modules=tuple(modules))
 

@@ -149,12 +149,19 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def cmd_extract(args, config: CliConfig) -> int:
+def _configured_catalog(config: CliConfig):
+    """This build's feature catalog, which must be the one the config
+    names: a database or bundle made for another is one no build loads."""
     catalog = default_catalog()
     if config.catalog_version != catalog.version:
         raise CatalogMismatch(
             f"configured catalog {config.catalog_version!r} unavailable; this build provides {catalog.version!r}"
         )
+    return catalog
+
+
+def cmd_extract(args, config: CliConfig) -> int:
+    catalog = _configured_catalog(config)
     kind = LabelKind(args.kind)
     rows = []
     for pair_id, down, up, link_tag, client_tag in read_corpus(args.traces, args.labels):
@@ -220,6 +227,7 @@ def _train_report(args, name: str, model, selection) -> dict:
 
 
 def cmd_train(args, config: CliConfig) -> int:
+    _configured_catalog(config)
     db = load_database(args.db)
     if db.catalog_version != config.catalog_version:
         raise CatalogMismatch(

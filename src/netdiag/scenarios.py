@@ -1,8 +1,9 @@
 """Named simulation scenarios, corpus presets, and the corpus layout.
 
 A scenario file is JSON: {"link": {...}, "client": {...}, "bytes": N,
-"seed": S, "id": ID}.  Its link is labelled by `simulate.link_is_healthy`,
-its client HEALTHY.
+"seed": S, "id": ID}.  Every scenario, preset or file, is labelled from
+its parameters: its link by `simulate.link_is_healthy`, its client by
+the faults whose settings it carries (`Scenario.client_label`).
 
 A corpus is a directory of trace pairs and one labels file:
 
@@ -50,14 +51,17 @@ _LABELS_FILE = "labels.csv"
 _LABELS_HEADER = "id,link,client"
 _DOWN, _UP = ".down.csv", ".up.csv"
 
-# The ClientParams fields each registry fault sets, given the episode's
-# buffer size; a '+' compound sets the fields of each of its faults.
+# The ClientParams fields each registry fault sets: a flag to False, a
+# buffer to the episode's buffer size; a '+' compound sets the fields of
+# each of its faults.  Read back, a fault's first field marks it unless
+# an earlier fault set that field too (sack_disabled absorbs DSACK).
 _FAULT_FIELDS = {
-    "sack_disabled": lambda buf: {"sack_enabled": False, "dsack_enabled": False},
-    "dsack_disabled": lambda buf: {"dsack_enabled": False},
-    "read_buf": lambda buf: {"read_buffer": buf},
-    "write_buf": lambda buf: {"write_buffer": buf},
+    "sack_disabled": ("sack_enabled", "dsack_enabled"),
+    "dsack_disabled": ("dsack_enabled",),
+    "read_buf": ("read_buffer",),
+    "write_buf": ("write_buffer",),
 }
+_DEFAULT_CLIENT = ClientParams()
 
 
 @dataclass(frozen=True)
@@ -67,12 +71,24 @@ class Scenario:
     client: ClientParams
     transfer_bytes: int
     seed: int
-    client_label: str  # HEALTHY | fault name | 'a+b' multi-fault
     group: str = ""  # corpus subdirectory ('' = flat)
 
     @property
     def link_label(self) -> str:
         return "HEALTHY" if link_is_healthy(self.link) else "FAULTY"
+
+    @property
+    def client_label(self) -> str:
+        """HEALTHY, or the registry faults `_FAULT_FIELDS` reads off the
+        client joined by '+' in registry order: a fault whose first field
+        differs from the ClientParams default and was not set by an
+        earlier fault."""
+        faults, claimed = [], set()
+        for fault, names in _FAULT_FIELDS.items():
+            if names[0] not in claimed and getattr(self.client, names[0]) != getattr(_DEFAULT_CLIENT, names[0]):
+                faults.append(fault)
+                claimed.update(names)
+        return "+".join(faults) or "HEALTHY"
 
     def simulate(self) -> TracePair:
         return simulate_flow(self.link, self.client, self.transfer_bytes, self.seed)
@@ -85,7 +101,8 @@ def client_for(condition: str, level: int, profile: CwndProfile, seed: int) -> C
     for fault in () if condition == "HEALTHY" else condition.split("+"):
         if fault not in _FAULT_FIELDS:
             raise ConfigError(f"unknown client condition {condition!r}")
-        fields.update(_FAULT_FIELDS[fault](buf))
+        for name in _FAULT_FIELDS[fault]:
+            fields[name] = False if isinstance(getattr(_DEFAULT_CLIENT, name), bool) else buf
     return ClientParams(cwnd_growth_profile=profile, seed=seed, **fields)
 
 
@@ -104,7 +121,7 @@ def faulty_link(seed: int, mode: int) -> LinkParams:
 def _episode(cid, link, condition, i, client_seed, seed, transfer_bytes, group="") -> Scenario:
     """Episode i of a preset condition: its client takes the i-th TCP profile and buffer level."""
     client = client_for(condition, i, _PROFILES[i % 3], client_seed)
-    return Scenario(cid, link, client, transfer_bytes, seed, condition, group)
+    return Scenario(cid, link, client, transfer_bytes, seed, group)
 
 
 def preset_healthy(seed: int, transfer_bytes: int = DEFAULT_TRANSFER_BYTES) -> list[Scenario]:
@@ -152,7 +169,7 @@ def _scenario_from_dict(raw) -> list[Scenario]:
     client = ClientParams(**parse_fields(raw.get("client", {}), "client", _CLIENT_KEYS))
     transfer_bytes = parse_integer(raw.get("bytes", DEFAULT_TRANSFER_BYTES), "bytes", minimum=1)
     seed = parse_integer(raw.get("seed", 0), "seed")
-    return [Scenario(_plain_name(raw.get("id", "scenario_000")), link, client, transfer_bytes, seed, client_label="HEALTHY")]
+    return [Scenario(_plain_name(raw.get("id", "scenario_000")), link, client, transfer_bytes, seed)]
 
 
 def scenario_from_json(path) -> list[Scenario]:

@@ -6,13 +6,14 @@ positive and negative class, then candidate prefix sizes are scored by
 stratified k-fold cross-validation of an SVM trained on the prefix.
 Smallest size wins ties.  The chosen indices always form a prefix of the
 ranking; the final model is trained on those columns of the scaled rows
-and keeps them as its feature subset.
+and keeps them as its feature subset.  A `PipelineConfig` holds every
+setting of one such pipeline.
 
 The CV loop is split so that several pipelines share one lockstep
-solve: `cv_grid` checks the inputs and lays out the dual problems,
-`solve_grids` solves the problems of every grid in one `solve_duals`
-stack, and `CvGrid.report` scores their solutions (`CvGrid.fit` also
-builds the final model).  A grid's problems are each (size, fold) on
+solve: `cv_grid` checks one pipeline's inputs and lays out its dual
+problems, and `solve_grids` solves the problems of every grid in one
+`solve_duals` stack, then scores each grid's solutions and fits its
+final model (`CvGrid.fit`).  A grid's problems are each (size, fold) on
 the fold's training rows and each size's final fit on all rows, all of
 them sub-blocks of one ridge-shifted Gram per size over all rows.  The
 Grams are computed once, into one zero-padded pool of |sizes| * n^2 * 8
@@ -21,8 +22,9 @@ stack row.  A fold's sub-block equals the Gram of its rows alone to
 rounding, and bit for bit wherever the BLAS matrix product rounds both
 alike (tests/test_svm.py pins where that holds).  Every problem is in
 the stack from the start, so the final fits of the sizes not chosen
-are solved too.  `wrapper_select` is `cv_grid`, `solve_grids` and
-`report` of one grid.
+are solved too.  Each problem takes the path it takes alone, so a
+pipeline's result does not depend on the grids beside it.
+`wrapper_select` is `cv_grid` and `solve_grids` of one grid.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .rng import SplitMix64
 from .svm import (  # noqa: F401  (train_arrays: perfbench/layers.py wraps selection.train_arrays)
     SvmConfig,
     SvmModel,
-    TrainingState,
     build_model,
     check_training_data,
     decision_values,
@@ -49,6 +50,17 @@ from .svm import (  # noqa: F401  (train_arrays: perfbench/layers.py wraps selec
 
 VARIANCE_FLOOR = 1e-12
 DEFAULT_CANDIDATE_SIZES = (5, 10, 15, 20, 25, 50, 75, 100)
+
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    """Everything needed to turn a database of raw rows into a model."""
+
+    svm: SvmConfig
+    candidate_sizes: tuple[int, ...]
+    cv_folds: int = 5
+    seed: int = 0
+    fp_penalty: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -128,8 +140,7 @@ class CvGrid:
     sizes: tuple[int, ...]
     folds: tuple[np.ndarray, ...]  # test rows per fold
     train_rows: tuple[np.ndarray, ...]  # training rows per fold, ascending
-    svm: SvmConfig
-    fp_penalty: float
+    config: PipelineConfig
     scaler: ScalerParams | None  # the one that scaled db's rows
 
     def __len__(self) -> int:
@@ -146,95 +157,86 @@ class CvGrid:
         the Gram of the k-th size sits at g = first + k: each (size, fold)
         in size-major order on the fold's training rows, then each size on
         all rows.  A fold's Gram is a sub-block of its size's Gram."""
-        y, config = self.db.y.astype(np.float64), self.svm
+        y, svm = self.db.y.astype(np.float64), self.config.svm
         gs = range(first, first + len(self.sizes))
         for g in gs:
             for rows in self.train_rows:
-                yield g, rows, y[rows], config.tol, config.max_iter
+                yield g, rows, y[rows], svm.tol, svm.max_iter
         for g in gs:
-            yield g, np.arange(self.db.n), y, config.tol, config.max_iter
+            yield g, np.arange(self.db.n), y, svm.tol, svm.max_iter
 
-    def report(self, states) -> SelectionReport:
-        """Score the solved CV problems, whose TrainingStates lead
-        `states` in the order of `problems`: mean accuracy and
-        false-positive rate over the folds per size; the best objective
+    def fit(self, states) -> tuple[SvmModel, SelectionReport]:
+        """Choose the subset size from the solved problems, one
+        TrainingState each in the order of `problems`, and fit the final
+        model of that size on its columns, carrying the scaler and the
+        column indices.  A size scores its mean accuracy minus fp_penalty
+        times its mean false-positive rate over the folds; the best score
         wins, then the smaller size."""
-        y = self.db.y
-        states = iter(states)
+        states = list(states)
+        y, svm = self.db.y, self.config.svm
+        cv_states = iter(states)
         accuracies, fp_rates = [], []
         for q in self.sizes:
             Xq = self.columns(q)
             accs, fprs = [], []
             for fold, rows in zip(self.folds, self.train_rows):
-                model = build_model(Xq[rows], y[rows].astype(np.float64), self.svm, next(states))
+                model = build_model(Xq[rows], y[rows].astype(np.float64), svm, next(cv_states))
                 pred = np.where(decision_values(model, Xq[fold]) >= 0, 1, -1)
                 accs.append(float(np.mean(pred == y[fold])))
                 negs = y[fold] == -1
                 fprs.append(float(np.mean(pred[negs] == 1)) if negs.any() else 0.0)
             accuracies.append(float(np.mean(accs)))
             fp_rates.append(float(np.mean(fprs)))
-        objectives = tuple(a - self.fp_penalty * f for a, f in zip(accuracies, fp_rates))
+        objectives = tuple(a - self.config.fp_penalty * f for a, f in zip(accuracies, fp_rates))
         best = max(range(len(self.sizes)), key=lambda i: (objectives[i], -self.sizes[i]))
-        return SelectionReport(
+        report = SelectionReport(
             candidate_sizes=self.sizes,
             cv_accuracy=tuple(accuracies),
             cv_objective=objectives,
             chosen_indices=tuple(int(i) for i in self.order[: self.sizes[best]]),
         )
-
-    def fit(self, states) -> tuple[SvmModel, SelectionReport]:
-        """The report of the solved problems, one TrainingState each in the
-        order of `problems`, and the final model of the chosen size on the
-        chosen columns, carrying the scaler and the column indices."""
-        states = list(states)
-        report = self.report(states)
-        q = report.chosen_q
-        final = states[len(self.sizes) * len(self.folds) + self.sizes.index(q)]
         model = build_model(
-            self.columns(q),
-            self.db.y.astype(np.float64),
-            self.svm,
-            final,
+            self.columns(self.sizes[best]),
+            y.astype(np.float64),
+            svm,
+            states[len(self.sizes) * len(self.folds) + best],
             scaler=self.scaler,
             feature_subset=report.chosen_indices,
         )
         return model, report
 
 
-def solve_grids(grids) -> list[list[TrainingState]]:
+def solve_grids(grids) -> list[tuple[SvmModel, SelectionReport]]:
     """Solve every problem of the grids in one `solve_duals` stack over one
-    pool holding each grid's Gram of each size once; the TrainingStates of
-    each grid, in the order of its `problems`."""
+    pool holding each grid's Gram of each size once, then choose each
+    grid's subset size and fit its final model; one (SvmModel,
+    SelectionReport) per grid, in input order."""
     n = max(grid.db.n for grid in grids)
     pool = np.zeros((sum(len(grid.sizes) for grid in grids), n, n))
     problems, first = [], 0
     for grid in grids:
-        n_g, config = grid.db.n, grid.svm
+        n_g, svm = grid.db.n, grid.config.svm
         for g, q in enumerate(grid.sizes, first):
-            gram_matrix(config.kernel, grid.columns(q), config.C, out=pool[g, :n_g, :n_g])
+            gram_matrix(svm.kernel, grid.columns(q), svm.C, out=pool[g, :n_g, :n_g])
         problems.extend(grid.problems(first))
         first += len(grid.sizes)
     states = iter(solve_duals(pool, problems))
-    return [list(itertools.islice(states, len(grid))) for grid in grids]
+    return [grid.fit(itertools.islice(states, len(grid))) for grid in grids]
 
 
 def cv_grid(
     db: SignatureDatabase,
     ranking: TTestRanking,
-    candidate_sizes,
-    folds: int,
-    svm_config: SvmConfig,
-    seed: int = 0,
-    fp_penalty: float = 0.0,
+    config: PipelineConfig,
     scaler: ScalerParams | None = None,
 ) -> CvGrid:
-    """The CV problems that score each prefix size of the ranking over
-    stratified folds of db, whose rows `scaler` scaled.  Every input error
-    is raised here, before any problem is solved."""
-    sizes = tuple(sorted({int(q) for q in candidate_sizes if 1 <= int(q) <= db.m}))
+    """The CV problems that score each candidate prefix size of the
+    ranking over stratified folds of db, whose rows `scaler` scaled.
+    Every input error is raised here, before any problem is solved."""
+    sizes = tuple(sorted({int(q) for q in config.candidate_sizes if 1 <= int(q) <= db.m}))
     if not sizes:
         raise IndexOutOfRange(f"no candidate sizes within [1, {db.m}]")
-    fold_idx = stratified_folds(db.y, folds, seed)
+    fold_idx = stratified_folds(db.y, config.cv_folds, config.seed)
     # each fold's training rows: the rows it does not name, ascending
     train_rows = [np.flatnonzero(np.bincount(fold, minlength=db.n) == 0) for fold in fold_idx]
     if any(len(set(db.y[rows].tolist())) < 2 for rows in train_rows):
@@ -247,22 +249,12 @@ def cv_grid(
         sizes=sizes,
         folds=tuple(fold_idx),
         train_rows=tuple(train_rows),
-        svm=svm_config,
-        fp_penalty=fp_penalty,
+        config=config,
         scaler=scaler,
     )
 
 
-def wrapper_select(
-    db: SignatureDatabase,
-    ranking: TTestRanking,
-    candidate_sizes,
-    folds: int,
-    svm_config: SvmConfig,
-    seed: int = 0,
-    fp_penalty: float = 0.0,
-) -> SelectionReport:
+def wrapper_select(db: SignatureDatabase, ranking: TTestRanking, config: PipelineConfig) -> SelectionReport:
     """Score prefix sizes by stratified CV; best objective wins, then
     smaller size.  Objective = accuracy - fp_penalty * fp_rate."""
-    grid = cv_grid(db, ranking, candidate_sizes, folds, svm_config, seed, fp_penalty)
-    return grid.report(solve_grids([grid])[0])
+    return solve_grids([cv_grid(db, ranking, config)])[0][1]

@@ -16,7 +16,7 @@ from synthetic import ClassArtifactSpec, synthetic_database
 from netdiag.cli import main
 from netdiag.errors import IoFailure
 from netdiag.features import default_catalog
-from netdiag.preprocess import DEFAULT_FAULT_REGISTRY, LabelKind, save_database
+from netdiag.preprocess import DEFAULT_FAULT_REGISTRY, LabelKind, load_database, save_database
 from netdiag.scenarios import scenario_from_json
 from netdiag.simulate import HEALTHY_LINK, ClientParams, CwndProfile, simulate_flow
 from netdiag.trace import write_pair
@@ -701,6 +701,29 @@ def test_train_on_the_wrong_label_kind_exits_2(tmp_path, stage, db_index, named)
     assert code == 2 and "Traceback" not in err
     assert err.startswith("error:") and named in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("stage, db_index", [("lpd", 0), ("cfd", 1)])
+def test_train_for_a_foreign_catalog_exits_4(tmp_path, stage, db_index):
+    # A bundle made for a catalog this build lacks is one no build loads.
+    db = tmp_path / "db.json"
+    save_database(replace(load_database(_databases(tmp_path)[db_index]), catalog_version="v2"), db)
+    config = tmp_path / "config.json"
+    config.write_text('{"catalog_version": "v2"}', encoding="utf-8")
+    out = tmp_path / "bundle"
+    code, _, err = _run("train", "--config", str(config), "--db", str(db), "--stage", stage, "--out", str(out))
+    assert code == 4 and "Traceback" not in err
+    assert err.startswith("error:") and "'v2'" in err
+    assert not out.exists()
+
+
+def test_synth_scenario_labels_the_client_it_configures(tmp_path):
+    path = tmp_path / "scenario.json"
+    scenario = {"link": {"bandwidth": 1e6, "one_way_delay": 0.01}, "client": {"read_buffer": 16384}, "bytes": 20000}
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    code, _, err = _run("synth", "--scenario", str(path), "--out", str(tmp_path / "out"))
+    assert code == 0, err
+    assert (tmp_path / "out" / "labels.csv").read_text(encoding="utf-8") == "id,link,client\nscenario_000,HEALTHY,read_buf\n"
 
 
 @pytest.mark.parametrize("both", [True, False], ids=["both", "neither"])

@@ -7,7 +7,14 @@ import pytest
 
 from netdiag.errors import ConfigError
 from netdiag.preprocess import DEFAULT_FAULT_REGISTRY
-from netdiag.scenarios import BUFFER_LEVELS, FAULT_NAMES, client_for, preset_paper_matrix, scenario_from_json
+from netdiag.scenarios import (
+    BUFFER_LEVELS,
+    FAULT_NAMES,
+    Scenario,
+    client_for,
+    preset_paper_matrix,
+    scenario_from_json,
+)
 from netdiag.simulate import HEALTHY_LINK, ClientParams, CwndProfile, LinkParams
 
 
@@ -61,3 +68,28 @@ def test_preset_link_labels_follow_the_link():
     for sc in preset_paper_matrix(6, 3, 4096):
         assert sc.link_label == ("HEALTHY" if sc.link == HEALTHY_LINK else "FAULTY")
         assert sc.link_label == ("FAULTY" if sc.id.startswith("link_faulty") else "HEALTHY")
+
+
+@pytest.mark.parametrize("condition", ["HEALTHY", *FAULT_NAMES, "read_buf+write_buf"])
+def test_client_label_reads_back_every_preset_condition(condition):
+    for level in range(len(BUFFER_LEVELS)):
+        for profile in CwndProfile:
+            client = client_for(condition, level, profile, 3)
+            assert Scenario("s", HEALTHY_LINK, client, 1, 0).client_label == condition
+
+
+@pytest.mark.parametrize(
+    "client, label",
+    [
+        ({"read_buffer": 16384}, "read_buf"),
+        ({"sack_enabled": False}, "sack_disabled"),
+        ({"dsack_enabled": False}, "dsack_disabled"),
+        ({"sack_enabled": False, "dsack_enabled": False, "write_buffer": 32768}, "sack_disabled+write_buf"),
+        ({"read_buffer": 262144, "cwnd_growth_profile": "renolike"}, "HEALTHY"),
+    ],
+)
+def test_scenario_file_client_is_labelled_by_its_faults(tmp_path, client, label):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"link": {"bandwidth": 1e6, "one_way_delay": 0.01}, "client": client}), encoding="utf-8")
+    (scenario,) = scenario_from_json(path)
+    assert scenario.client_label == label

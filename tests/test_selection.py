@@ -12,6 +12,7 @@ from netdiag.preprocess import scale_database
 from netdiag.selection import (
     DEFAULT_CANDIDATE_SIZES,
     VARIANCE_FLOOR,
+    PipelineConfig,
     rank_features,
     stratified_folds,
     t_statistic,
@@ -175,7 +176,7 @@ class TestWrapper:
     def test_finds_informative_features(self):
         db, _ = scale_database(make_informative_db())
         ranking = rank_features(db, 1, -1)
-        report = wrapper_select(db, ranking, (2, 5, 10), folds=5, svm_config=self.CFG, seed=0)
+        report = wrapper_select(db, ranking, PipelineConfig(self.CFG, (2, 5, 10), cv_folds=5, seed=0))
         assert set(ranking.abs_t_order[:2]) == {3, 7}
         assert set(report.chosen_indices) >= {3, 7}
         assert report.cv_accuracy[report.candidate_sizes.index(report.chosen_q)] == 1.0
@@ -183,14 +184,14 @@ class TestWrapper:
     def test_single_candidate_all_features(self):
         db, _ = scale_database(make_informative_db())
         ranking = rank_features(db, 1, -1)
-        report = wrapper_select(db, ranking, (db.m,), folds=4, svm_config=self.CFG)
+        report = wrapper_select(db, ranking, PipelineConfig(self.CFG, (db.m,), cv_folds=4))
         assert report.chosen_q == db.m
         assert report.chosen_indices == ranking.abs_t_order
 
     def test_tie_prefers_smaller(self):
         db, _ = scale_database(make_informative_db())
         ranking = rank_features(db, 1, -1)
-        report = wrapper_select(db, ranking, (2, 4), folds=5, svm_config=self.CFG)
+        report = wrapper_select(db, ranking, PipelineConfig(self.CFG, (2, 4), cv_folds=5))
         accs = dict(zip(report.candidate_sizes, report.cv_accuracy))
         if accs[2] == accs[4]:
             assert report.chosen_q == 2
@@ -198,14 +199,12 @@ class TestWrapper:
     def test_chosen_is_prefix_of_ranking(self):
         db, _ = scale_database(make_informative_db(seed=5))
         ranking = rank_features(db, 1, -1)
-        report = wrapper_select(db, ranking, (3, 6), folds=4, svm_config=self.CFG)
+        report = wrapper_select(db, ranking, PipelineConfig(self.CFG, (3, 6), cv_folds=4))
         assert report.chosen_indices == ranking.abs_t_order[: report.chosen_q]
         assert all(0 <= a <= 1 for a in report.cv_accuracy)
 
     def test_default_sizes_clip_to_m(self):
         db, _ = scale_database(make_informative_db(m=8))
         ranking = rank_features(db, 1, -1)
-        report = wrapper_select(
-            db, ranking, DEFAULT_CANDIDATE_SIZES + (db.m,), folds=4, svm_config=self.CFG
-        )
+        report = wrapper_select(db, ranking, PipelineConfig(self.CFG, DEFAULT_CANDIDATE_SIZES + (db.m,), cv_folds=4))
         assert all(q <= db.m for q in report.candidate_sizes)
