@@ -17,19 +17,33 @@ each written whole through a temporary file and a rename:
                "modules": {fault_name: {"model", "selection"}}}
 
 The link classifier and each fault module are stored as one record,
-{"model", "selection"}.  The model carries the fitted scaler and the
-chosen columns (its feature_subset); the selection holds only
-{"candidate_sizes", "cv_accuracy", "cv_objective"}, one CV score per
-candidate size, and the model's column count must be one of the sizes.
-The catalog version lives only in the stage files; `load_bundle` refuses
-a stage built for a catalog other than this build's.
+written by `_fit_to_dict` and read by `_fit_from_dict` alone:
+
+    {"model": {"kernel": {"variant", "sigma" (rbf only)}, "C", "bias",
+               "dual_coef", "support_vectors", "feature_subset",
+               "scaler": {"min", "max"},
+               "training_meta": {"n", "iterations_used",
+                                 "final_kkt_residual", "converged",
+                                 "updates"}},
+     "selection": {"candidate_sizes", "cv_accuracy", "cv_objective"}}
+
+The scaler's min and max hold one training extremum per feature of
+this build's catalog, the feature_subset one distinct catalog index (a
+chosen column) per support-vector column, and each support vector is a
+scaled row, in [0, 1].  The selection holds one CV accuracy and
+objective per candidate size, and the model's column count is one of
+the sizes.  Keys of older bundles are ignored: a model's
+catalog_version, a selection's chosen_q and chosen_indices; a missing
+training_meta.updates reads as 0.  The catalog version lives only in
+the stage files; `load_bundle` refuses a stage built for a catalog
+other than this build's.
 """
 
 from __future__ import annotations
 
 import enum
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,11 +53,15 @@ from .features import FeatureCatalog, default_catalog, extract_signature
 from .preprocess import (
     HEALTHY_CLIENT,
     LabelKind,
+    ScalerParams,
     SignatureDatabase,
     apply_scaler,
+    parse_bool,
     parse_fields,
     parse_indices,
+    parse_integer,
     parse_numbers,
+    parse_real,
     parse_registry,
     read_artifact,
     scale_database,
@@ -64,10 +82,9 @@ from .svm import (
     KernelSpec,
     SvmConfig,
     SvmModel,
+    TrainingMeta,
     decision_value,
     default_sigma,
-    model_from_dict,
-    model_to_dict,
 )
 from .trace import TracePair
 
@@ -305,15 +322,24 @@ def _save_stage(bundle, stage: str, payload: dict, catalog_version: str) -> None
     write_artifact(_stage_file(bundle, stage), {"catalog_version": catalog_version, **payload})
 
 
+_SCORE_KEYS = ("candidate_sizes", "cv_accuracy", "cv_objective")
+
+
 def _fit_to_dict(model: SvmModel, selection: SelectionReport) -> dict:
-    """The stored record of one module: its model and the CV scores of the
-    selection that chose the model's columns."""
-    scores = {
-        "candidate_sizes": list(selection.candidate_sizes),
-        "cv_accuracy": list(selection.cv_accuracy),
-        "cv_objective": list(selection.cv_objective),
+    """The stored record of one module (see the module docstring): its
+    model, which must carry its scaler, and the CV scores of the selection
+    that chose the model's columns."""
+    stored = {
+        "kernel": {key: value for key, value in asdict(model.kernel).items() if value is not None},
+        "C": model.C,
+        "bias": model.bias,
+        "dual_coef": model.dual_coef.tolist(),
+        "support_vectors": model.support_vectors.tolist(),
+        "feature_subset": list(model.feature_subset),
+        "scaler": {"min": model.scaler.min.tolist(), "max": model.scaler.max.tolist()},
+        "training_meta": asdict(model.training_meta),
     }
-    return {"model": model_to_dict(model), "selection": scores}
+    return {"model": stored, "selection": {key: list(getattr(selection, key)) for key in _SCORE_KEYS}}
 
 
 def save_lpd_part(bundle, lpd: LpdClassifier, catalog_version: str) -> None:
@@ -335,32 +361,50 @@ def save_bundle(path, lpd: LpdClassifier, cfd: CfdNetwork, catalog_version: str)
 
 
 def _fit_from_dict(d: dict) -> tuple[SvmModel, SelectionReport]:
-    """The inverse of `_fit_to_dict`: a model with a scaler, whose column
-    count is one of the distinct positive candidate sizes, and one CV
-    accuracy and objective per size.  Other selection keys are ignored,
-    such as the chosen_q and chosen_indices that once repeated the
-    model's columns."""
-    model, stored = model_from_dict(d["model"]), d["selection"]
-    if model.scaler is None:
-        raise ValueError("the model has no scaler")
-    sizes, q = parse_indices(stored["candidate_sizes"], what="candidate_sizes"), len(model.feature_subset)
-    if np.any((model.support_vectors < 0.0) | (model.support_vectors > 1.0)):
+    """The inverse of `_fit_to_dict`, every field checked as the module
+    docstring states; a refused field is a ValueError or a TypeError."""
+    stored, scores, m = d["model"], d["selection"], default_catalog().m
+    smin, smax = (parse_numbers(stored["scaler"][key], f"scaler {key}") for key in ("min", "max"))
+    if not smin.shape == smax.shape == (m,):
+        raise ValueError(f"the scaler's min and max hold {smin.size} and {smax.size} features, not the catalog's {m}")
+    dual_coef = parse_numbers(stored["dual_coef"], "dual_coef")
+    support_vectors = parse_numbers(stored["support_vectors"], "support_vectors", ndim=2)
+    if support_vectors.ndim != 2 or len(dual_coef) != len(support_vectors):
+        raise ValueError(
+            f"dual_coef of shape {dual_coef.shape} does not match support_vectors of shape {support_vectors.shape}"
+        )
+    if np.any((support_vectors < 0.0) | (support_vectors > 1.0)):
         raise ValueError("a support vector lies outside [0, 1], where the model's scaler maps every row")
-    if 0 in sizes or q not in sizes:
-        raise ValueError(f"the model's {q} columns are not one of the positive candidate_sizes {list(sizes)}")
-    scores = [tuple(parse_numbers(stored[key], key).tolist()) for key in ("cv_accuracy", "cv_objective")]
-    if any(len(values) != len(sizes) for values in scores):
+    subset = parse_indices(stored["feature_subset"], m, "feature_subset")
+    if len(subset) != support_vectors.shape[1]:
+        raise ValueError(f"feature_subset has {len(subset)} indices for {support_vectors.shape[1]} support-vector columns")
+    sizes = parse_indices(scores["candidate_sizes"], what="candidate_sizes")
+    if 0 in sizes or len(subset) not in sizes:
+        raise ValueError(f"the model's {len(subset)} columns are not one of the positive candidate_sizes {list(sizes)}")
+    cv = [tuple(parse_numbers(scores[key], key).tolist()) for key in _SCORE_KEYS[1:]]
+    if any(len(values) != len(sizes) for values in cv):
         raise ValueError(f"cv_accuracy and cv_objective need one entry per candidate size {list(sizes)}")
-    return model, SelectionReport(sizes, *scores, model.feature_subset)
+    kernel, meta = stored["kernel"], stored["training_meta"]
+    model = SvmModel(
+        kernel=KernelSpec(kernel["variant"], kernel.get("sigma")),
+        C=parse_real(stored["C"], "C"),
+        bias=parse_real(stored["bias"], "bias"),
+        dual_coef=dual_coef,
+        support_vectors=support_vectors,
+        feature_subset=subset,
+        scaler=ScalerParams(min=smin, max=smax),
+        training_meta=TrainingMeta(
+            n=parse_integer(meta["n"], "training_meta.n", 0),
+            iterations_used=parse_integer(meta["iterations_used"], "training_meta.iterations_used", 0),
+            final_kkt_residual=parse_real(meta["final_kkt_residual"], "training_meta.final_kkt_residual"),
+            converged=parse_bool(meta["converged"], "training_meta.converged"),
+            updates=parse_integer(meta.get("updates", 0), "training_meta.updates", 0),
+        ),
+    )
+    return model, SelectionReport(sizes, *cv, subset)
 
 
-def _lpd_from_dict(d) -> tuple[str, LpdClassifier]:
-    d = parse_fields(d, "stage", _STAGE_KEYS["lpd"])
-    return d["catalog_version"], LpdClassifier(*_fit_from_dict(d), d["link_profile"])
-
-
-def _cfd_from_dict(d) -> tuple[str, CfdNetwork]:
-    d = parse_fields(d, "stage", _STAGE_KEYS["cfd"])
+def _cfd_from_dict(d: dict) -> CfdNetwork:
     registry, parts = parse_registry(d["fault_registry"]), d["modules"]
     if set(parts) != set(registry):
         raise ValueError(f"the modules do not match the fault registry {sorted(registry)}")
@@ -368,18 +412,25 @@ def _cfd_from_dict(d) -> tuple[str, CfdNetwork]:
     for name, index in registry.items():
         with _module_errors(name):
             modules.append(CfModule(index, name, *_fit_from_dict(parts[name])))
-    return d["catalog_version"], CfdNetwork(modules=tuple(modules))
+    return CfdNetwork(modules=tuple(modules))
+
+
+def _read_stage(bundle, stage: str):
+    """The stage `stage` of a bundle.  Its catalog version must be this
+    build's, and is checked before the modules, whose scalers must have
+    the width of this build's catalog."""
+    file, version = _stage_file(Path(bundle), stage), default_catalog().version
+
+    def parse(d):
+        d = parse_fields(d, "stage", _STAGE_KEYS[stage])
+        if d["catalog_version"] != version:
+            raise CatalogMismatch(f"{file} is built for catalog {d['catalog_version']!r}; this build provides {version!r}")
+        return LpdClassifier(*_fit_from_dict(d), d["link_profile"]) if stage == "lpd" else _cfd_from_dict(d)
+
+    return read_artifact(file, f"{stage} stage", parse)
 
 
 def load_bundle(path) -> tuple[LpdClassifier, CfdNetwork, str]:
-    """The two stages of a bundle and their catalog version, which must be
-    the version of this build's catalog."""
-    version = default_catalog().version
-    stages = []
-    for stage, parse in (("lpd", _lpd_from_dict), ("cfd", _cfd_from_dict)):
-        file = _stage_file(Path(path), stage)
-        stored, stage = read_artifact(file, f"{file.stem} stage", parse)
-        if stored != version:
-            raise CatalogMismatch(f"{file} is built for catalog {stored!r}; this build provides {version!r}")
-        stages.append(stage)
-    return (*stages, version)
+    """The two stages of a bundle and their catalog version, which is
+    this build's."""
+    return _read_stage(path, "lpd"), _read_stage(path, "cfd"), default_catalog().version

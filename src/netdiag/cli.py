@@ -160,6 +160,18 @@ def _configured_catalog(config: CliConfig):
     return catalog
 
 
+def _catalog_database(path, catalog):
+    """The database at path, which must hold the features of `catalog`:
+    its version, and its feature names in order."""
+    db = load_database(path)
+    if (db.catalog_version, db.feature_names) != (catalog.version, catalog.feature_names):
+        raise CatalogMismatch(
+            f"{path} is built for catalog {db.catalog_version!r} with {db.m} features, not for this build's"
+            f" {catalog.version!r} with its {catalog.m} features in order"
+        )
+    return db
+
+
 def cmd_extract(args, config: CliConfig) -> int:
     catalog = _configured_catalog(config)
     kind = LabelKind(args.kind)
@@ -174,11 +186,7 @@ def cmd_extract(args, config: CliConfig) -> int:
         rows.append((sig.values, tag))
     db = encode_labels(rows, catalog.feature_names, kind, catalog.version, config.fault_registry)
     if args.append:
-        existing = load_database(args.append)
-        if existing.catalog_version != db.catalog_version:
-            raise CatalogMismatch(
-                f"mixed catalog versions: {existing.catalog_version!r} vs {db.catalog_version!r}"
-            )
+        existing = _catalog_database(args.append, catalog)
         # The new rows carry labels of the config's kind and registry; rows
         # stored under another kind or registry would be read wrongly.
         if existing.label_kind is not db.label_kind:
@@ -227,12 +235,7 @@ def _train_report(args, name: str, model, selection) -> dict:
 
 
 def cmd_train(args, config: CliConfig) -> int:
-    _configured_catalog(config)
-    db = load_database(args.db)
-    if db.catalog_version != config.catalog_version:
-        raise CatalogMismatch(
-            f"database catalog {db.catalog_version!r} != configured {config.catalog_version!r}"
-        )
+    db = _catalog_database(args.db, _configured_catalog(config))
     bundle = Path(args.out)
     if args.stage == "lpd":
         lpd = clf.train_lpd(db, config.lpd, link_profile=config.link_profile)
@@ -267,10 +270,10 @@ def _ground_truth(link_tag: str, client_tag: str, registry: dict[str, int]) -> G
 
 def cmd_eval(args, config: CliConfig) -> int:
     lpd, cfd, _ = clf.load_bundle(args.bundle)
-    labeled = [
-        (read_pair(down, up), _ground_truth(link_tag, client_tag, cfd.fault_registry))
-        for _, down, up, link_tag, client_tag in read_corpus(args.traces, args.labels)
-    ]
+    corpus = read_corpus(args.traces, args.labels)
+    # Every labels row is read before the first pair; the pairs are read one at a time.
+    truths = [_ground_truth(link_tag, client_tag, cfd.fault_registry) for *_, link_tag, client_tag in corpus]
+    labeled = ((read_pair(down, up), truth) for (_, down, up, *_), truth in zip(corpus, truths))
     report = evaluate_verdicts(labeled, lpd, cfd, default_catalog())
     out = Path(args.out)
     try:

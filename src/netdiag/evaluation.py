@@ -11,6 +11,7 @@ and "n/a" in the table.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,13 +66,13 @@ class GroundTruth:
 
 
 def evaluate_verdicts(
-    labeled_pairs: list[tuple[TracePair, GroundTruth]],
+    labeled_pairs: Iterable[tuple[TracePair, GroundTruth]],
     lpd: LpdClassifier,
     cfd: CfdNetwork,
     catalog: FeatureCatalog,
 ) -> dict:
     """Per-condition exact-verdict accuracy, the link gate's confusion and
-    per-fault confusion."""
+    per-fault confusion, taking the labeled pairs one at a time."""
     by_condition: dict[str, list[bool]] = {}
     gate_counts = {"tp": 0, "fp": 0, "tn": 0, "fn": 0}
     fault_names = [m.fault_name for m in cfd.modules]

@@ -21,8 +21,11 @@ fields go through the typed parsers `parse_fields`, `parse_integer`,
 `parse_registry`; the dataclasses they fill check their own ranges.  A
 file that cannot be read or is not UTF-8, bad JSON and a refused field
 are an `IoFailure` naming the file; a bad trace is a `BadHeader`,
-`MalformedRow` or `EmptyTrace`, a bad labels file a `ConfigError`.  The
-CLI exits 2 on each, 4 on a `CatalogMismatch`, 3 on a failure to train.
+`MalformedRow` or `EmptyTrace`, a bad labels file a `ConfigError`.  A
+database that `train` or `extract --append` reads must be built for
+this build's catalog, its version and its feature names in order; any
+other is a `CatalogMismatch` naming the file.  The CLI exits 4 on a
+`CatalogMismatch`, 3 on a failure to train and 2 on every other error.
 """
 
 from __future__ import annotations
@@ -165,22 +168,6 @@ def scale_database(db: SignatureDatabase) -> tuple[SignatureDatabase, ScalerPara
     that scaler."""
     scaler = fit_scaler(db)
     return replace(db, X=apply_scaler(db.X, scaler)), scaler
-
-
-def scaler_to_dict(scaler: ScalerParams | None) -> dict:
-    """JSON form of a scaler, as stored in model files; no scaler is two
-    empty lists."""
-    if scaler is None:
-        return {"min": [], "max": []}
-    return {"min": scaler.min.tolist(), "max": scaler.max.tolist()}
-
-
-def scaler_from_dict(d: dict) -> ScalerParams | None:
-    """Inverse of scaler_to_dict; a malformed scaler is a TypeError."""
-    smin, smax = parse_numbers(d["min"], "scaler min"), parse_numbers(d["max"], "scaler max")
-    if smin.shape != smax.shape:
-        raise TypeError("scaler min and max must be number lists of one length")
-    return ScalerParams(min=smin, max=smax) if smin.size else None
 
 
 def save_database(db: SignatureDatabase, path) -> None:

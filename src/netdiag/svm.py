@@ -62,9 +62,7 @@ from .errors import (
     NonFiniteInput,
     SingleClassInput,
 )
-from .preprocess import (
-    ScalerParams, parse_bool, parse_indices, parse_integer, parse_numbers, parse_real, scaler_from_dict, scaler_to_dict
-)
+from .preprocess import ScalerParams, parse_real
 
 KERNEL_VARIANTS = ("linear", "quadratic", "cubic", "rbf")
 
@@ -120,7 +118,7 @@ class TrainingMeta:
     iterations_used: int
     final_kkt_residual: float
     converged: bool
-    updates: int = 0  # pair updates; 0 for model files written before it was recorded
+    updates: int  # pair updates
 
 
 @dataclass(frozen=True, eq=False)
@@ -433,61 +431,3 @@ def decision_values(model: SvmModel, X: np.ndarray) -> np.ndarray:
 
 def decision_value(model: SvmModel, x) -> float:
     return float(decision_values(model, np.asarray(x))[0])
-
-
-def model_to_dict(model: SvmModel) -> dict:
-    kernel = {"variant": model.kernel.variant}
-    if model.kernel.sigma is not None:
-        kernel["sigma"] = model.kernel.sigma
-    return {
-        "kernel": kernel,
-        "C": model.C,
-        "bias": model.bias,
-        "dual_coef": model.dual_coef.tolist(),
-        "support_vectors": model.support_vectors.tolist(),
-        "feature_subset": list(model.feature_subset),
-        "scaler": scaler_to_dict(model.scaler),
-        "training_meta": {
-            "n": model.training_meta.n,
-            "iterations_used": model.training_meta.iterations_used,
-            "final_kkt_residual": model.training_meta.final_kkt_residual,
-            "converged": model.training_meta.converged,
-            "updates": model.training_meta.updates,
-        },
-    }
-
-
-def model_from_dict(d: dict) -> SvmModel:
-    """A stored model; keys it does not read, such as the catalog version
-    that models once carried, are ignored."""
-    scaler = scaler_from_dict(d["scaler"])
-    meta = d["training_meta"]
-    dual_coef = parse_numbers(d["dual_coef"], "dual_coef")
-    support_vectors = parse_numbers(d["support_vectors"], "support_vectors", ndim=2)
-    if support_vectors.ndim != 2 or len(dual_coef) != len(support_vectors):
-        raise ValueError(
-            f"dual_coef of shape {dual_coef.shape} does not match support_vectors of shape {support_vectors.shape}"
-        )
-    # One distinct index per support-vector column, each a column of the
-    # raw signature the scaler was fitted on.
-    subset = parse_indices(d["feature_subset"], scaler.m if scaler is not None else None, "feature_subset")
-    if len(subset) != support_vectors.shape[1]:
-        raise ValueError(f"feature_subset has {len(subset)} indices for {support_vectors.shape[1]} support-vector columns")
-    # The writer refuses non-finite numbers, so one here is corruption; it
-    # would make decision values NaN, which reads as class -1.
-    return SvmModel(
-        kernel=KernelSpec(d["kernel"]["variant"], d["kernel"].get("sigma")),
-        C=parse_real(d["C"], "C"),
-        bias=parse_real(d["bias"], "bias"),
-        dual_coef=dual_coef,
-        support_vectors=support_vectors,
-        feature_subset=subset,
-        scaler=scaler,
-        training_meta=TrainingMeta(
-            n=parse_integer(meta["n"], "training_meta.n", 0),
-            iterations_used=parse_integer(meta["iterations_used"], "training_meta.iterations_used", 0),
-            final_kkt_residual=parse_real(meta["final_kkt_residual"], "training_meta.final_kkt_residual"),
-            converged=parse_bool(meta["converged"], "training_meta.converged"),
-            updates=parse_integer(meta.get("updates", 0), "training_meta.updates", 0),
-        ),
-    )

@@ -1,11 +1,26 @@
 """Shared fixtures."""
 
 import os
+from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from netdiag import preprocess
+from netdiag.svm import SvmModel
+
+
+def model_fields(model: SvmModel) -> tuple:
+    """The fields of a model as plain values, its arrays and its scaler's
+    extrema as lists, so that two models compare field by field with ==."""
+
+    def plain(value):
+        if isinstance(value, preprocess.ScalerParams):
+            return value.min.tolist(), value.max.tolist()
+        return value.tolist() if isinstance(value, np.ndarray) else value
+
+    return tuple(plain(getattr(model, f.name)) for f in fields(model))
 
 
 @pytest.fixture

@@ -1,10 +1,10 @@
 """Two-stage cascade: training pipelines, gating, verdicts, bundles."""
 
-import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import model_fields
 from synthetic import ClassArtifactSpec, synthetic_database
 from test_preprocess import db_from
 
@@ -40,7 +40,7 @@ from netdiag.features import default_catalog, extract_signature
 from netdiag.preprocess import DEFAULT_FAULT_REGISTRY, LabelKind, apply_scaler, fit_scaler
 from netdiag.selection import SelectionReport
 from netdiag.simulate import HEALTHY_LINK, ClientParams, LinkParams, simulate_flow
-from netdiag.svm import KernelSpec, SvmConfig, model_to_dict
+from netdiag.svm import KernelSpec, SvmConfig
 
 LPD_CFG = PipelineConfig(
     svm=SvmConfig(KernelSpec("quadratic"), C=10.0, max_iter=1000, tol=1e-3),
@@ -292,9 +292,7 @@ class TestCfModules:
         for module in net.modules:
             model, report = fit_pipeline(build_cf_subset(db, module.fault_index), cfgs[module.fault_name])
             assert module.selection == report
-            a = json.dumps(model_to_dict(module.model), sort_keys=True)
-            b = json.dumps(model_to_dict(model), sort_keys=True)
-            assert a == b
+            assert model_fields(module.model) == model_fields(model)
 
     def test_default_bank_is_one_stack(self, monkeypatch):
         # Every default module has one candidate size: four 5-fold grids and
@@ -462,10 +460,12 @@ class TestBundle:
         lpd2, cfd2, version = load_bundle(tmp_path / "bundle")
         assert version == catalog.version
         assert sorted(p.name for p in (tmp_path / "bundle").iterdir()) == ["cfd.json", "lpd.json"]
-        assert json.dumps(model_to_dict(lpd2.model), sort_keys=True) == json.dumps(
-            model_to_dict(lpd.model), sort_keys=True
+        assert (model_fields(lpd2.model), lpd2.selection, lpd2.link_profile) == (
+            model_fields(lpd.model), lpd.selection, lpd.link_profile
         )
-        assert len(cfd2.modules) == len(cfd.modules)
+        assert [(m.fault_index, m.fault_name, model_fields(m.model), m.selection) for m in cfd2.modules] == [
+            (m.fault_index, m.fault_name, model_fields(m.model), m.selection) for m in cfd.modules
+        ]
         pair = simulate_flow(HEALTHY_LINK, ClientParams(write_buffer=16384, seed=96), 250_000, seed=409)
         assert diagnose(lpd, cfd, pair, catalog) == diagnose(lpd2, cfd2, pair, catalog)
 
@@ -489,9 +489,7 @@ class TestBundle:
         net5 = train_cfd(db5, cfgs5)
         for m4 in net4.modules:
             m5 = next(m for m in net5.modules if m.fault_name == m4.fault_name)
-            assert json.dumps(model_to_dict(m5.model), sort_keys=True) == json.dumps(
-                model_to_dict(m4.model), sort_keys=True
-            )
+            assert model_fields(m5.model) == model_fields(m4.model)
 
     def test_incomplete_bundle_rejected(self, tmp_path):
         db = client_db()
@@ -565,17 +563,21 @@ class TestBundle:
         def snapshot(bundle):
             lpd, cfd, _ = load_bundle(bundle)
             if stage == "lpd":
-                return lpd.link_profile, model_to_dict(lpd.model)
-            return cfd.fault_registry, {m.fault_name: model_to_dict(m.model) for m in cfd.modules}
+                return lpd.link_profile, model_fields(lpd.model)
+            return cfd.fault_registry, {m.fault_name: model_fields(m.model) for m in cfd.modules}
 
+        # A loadable bundle holds models of the catalog's width.
+        m = default_catalog().m
         template = tmp_path / "template"
-        save_bundle(template, train_lpd(link_db(), LPD_CFG, link_profile="a"), train_cfd(client_db(), cf_configs()), "v1")
+        save_bundle(
+            template, train_lpd(link_db(m=m), LPD_CFG, link_profile="a"), train_cfd(client_db(m=m), cf_configs()), "v1"
+        )
         if stage == "lpd":
-            new_lpd = train_lpd(link_db(seed=1), LPD_CFG, link_profile="b")
+            new_lpd = train_lpd(link_db(seed=1, m=m), LPD_CFG, link_profile="b")
             save = lambda bundle: save_lpd_part(bundle, new_lpd, "v1")  # noqa: E731
         else:
             registry = {k: v for k, v in DEFAULT_FAULT_REGISTRY.items() if k != "write_buf"}
-            new_cfd = train_cfd(replace(client_db(seed=1), fault_registry=registry), cf_configs())
+            new_cfd = train_cfd(replace(client_db(seed=1, m=m), fault_registry=registry), cf_configs())
             save = lambda bundle: save_cfd_part(bundle, new_cfd, "v1")  # noqa: E731
         old = snapshot(template)
         shutil.copytree(template, tmp_path / "expected")

@@ -26,7 +26,7 @@ M = len(CATALOG.feature_names)
 
 
 def _databases(tmp):
-    """Synthetic link and client databases in the shape of the real catalog."""
+    """Synthetic link and client databases built for the real catalog."""
     informative = tuple((i, 0.8) for i in (2, 5, 11, 17))
     link = synthetic_database(
         [
@@ -50,7 +50,7 @@ def _databases(tmp):
     paths = []
     for name, db in (("link", link), ("client", client)):
         path = tmp / f"{name}.json"
-        save_database(replace(db, catalog_version=CATALOG.version), path)
+        save_database(replace(db, feature_names=CATALOG.feature_names, catalog_version=CATALOG.version), path)
         paths.append(path)
     return paths
 
@@ -196,6 +196,14 @@ def _set_last_index(model, value):
     model["feature_subset"][-1] = value
 
 
+def _cut_scaler(model):
+    """Cut a stored model's scaler to 30 features, and renumber its chosen
+    columns below 30, so that only the scaler's width is wrong."""
+    assert len(model["feature_subset"]) <= 30
+    model["scaler"] = {key: values[:30] for key, values in model["scaler"].items()}
+    model["feature_subset"] = list(range(len(model["feature_subset"])))
+
+
 # model corruption -> edit of the parsed model; each leaves valid JSON
 MODEL_EDITS = {
     "subset_index_past_scaler": lambda model: _set_last_index(model, 999),
@@ -214,6 +222,9 @@ MODEL_EDITS = {
     "scaler_bool": lambda model: model["scaler"]["max"].__setitem__(0, True),
     # a model without a scaler would be fed raw signatures
     "scaler_empty": lambda model: model.update(scaler={"min": [], "max": []}),
+    # once loaded, and every diagnose then failed on the signature's 74
+    # features without naming the file
+    "scaler_cut_to_30": _cut_scaler,
     # float() and bool() once read these as 10.0, 1.0 and True
     "C_string": lambda model: model.update(C="10"),
     "bias_bool": lambda model: model.update(bias=True),
@@ -427,6 +438,34 @@ def test_append_doubles_the_rows(trained, tmp_path):
     assert code == 0, err
     assert json.loads(out)["rows"] == 4
     assert json.loads(db.read_text(encoding="utf-8"))["y"] == [0, 3, 0, 3]
+
+
+# A link database of this build's catalog version but of other features.
+# Each once trained with exit 0, to a 73-wide bundle or to one that reads
+# the wrong columns, and the cut one ended `extract --append` in a numpy
+# traceback.
+FOREIGN_FEATURES = {
+    "last_column_dropped": lambda db: replace(db, feature_names=db.feature_names[:-1], X=db.X[:, :-1].copy()),
+    "columns_reversed": lambda db: replace(db, feature_names=db.feature_names[::-1], X=db.X[:, ::-1].copy()),
+}
+
+
+@pytest.mark.parametrize("command", ["train", "extract"])
+@pytest.mark.parametrize("how", sorted(FOREIGN_FEATURES))
+def test_database_of_other_features_exits_4_naming_it(trained, tmp_path, how, command):
+    db = tmp_path / "foreign.json"
+    save_database(FOREIGN_FEATURES[how](load_database(_databases(tmp_path)[0])), db)
+    before = db.read_bytes()
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ["train", "--db", str(db), "--stage", "lpd", "--out", str(out)]
+    else:
+        traces = _traces(trained, tmp_path, [("a", "HEALTHY", "HEALTHY"), ("b", "FAULTY", "HEALTHY")])
+        argv = ["extract", "--traces", str(traces), "--kind", "link", "--append", str(db), "--out", str(out)]
+    code, _, err = _run(*argv)
+    assert code == 4 and "Traceback" not in err
+    assert err.startswith("error:") and str(db) in err
+    assert not out.exists() and db.read_bytes() == before
 
 
 @pytest.mark.parametrize("command", ["extract", "eval"])

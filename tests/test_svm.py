@@ -1,18 +1,16 @@
 """SVM core: kernels, ridge Gram, dual solver, decision function."""
 
-import json
 import math
-import re
 
 import numpy as np
 import pytest
+from conftest import model_fields
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from qp_reference import closed_form_kernel, reference_decision_function, solve_reference
 from wss2_reference import solve_dual_reference
 
-from netdiag.errors import DimensionMismatch, IoFailure, NonFiniteInput, SingleClassInput
-from netdiag.preprocess import read_artifact, write_artifact
+from netdiag.errors import DimensionMismatch, NonFiniteInput, SingleClassInput
 from netdiag.svm import (
     KERNEL_VARIANTS,
     KernelSpec,
@@ -21,8 +19,6 @@ from netdiag.svm import (
     default_sigma,
     gram_matrix,
     kernel_matrix,
-    model_from_dict,
-    model_to_dict,
     solve_dual,
     solve_duals,
     train_arrays,
@@ -35,14 +31,6 @@ QUAD = KernelSpec("quadratic")
 def classify(model, x) -> int:
     """+1 iff the decision value is >= 0 (boundary goes to +1)."""
     return 1 if decision_value(model, x) >= 0 else -1
-
-
-def save_model(model, path) -> None:
-    write_artifact(path, model_to_dict(model))
-
-
-def load_model(path):
-    return read_artifact(path, "model", model_from_dict)
 
 
 def kkt_satisfied(X, y, alpha, bias, kernel, C, tol):
@@ -266,14 +254,17 @@ class TestTrain:
         assert np.array_equal(a.bias_estimates, -b.bias_estimates)
         assert a.final_kkt_residual == b.final_kkt_residual
 
-    def test_deterministic_serialization(self):
+    def test_deterministic_model(self):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(10, 2))
         y = np.array([-1, 1] * 5)
         cfg = SvmConfig(KernelSpec("rbf", 0.9), C=1.0)
-        d1 = json.dumps(model_to_dict(train_arrays(X, y, cfg)), sort_keys=True)
-        d2 = json.dumps(model_to_dict(train_arrays(X, y, cfg)), sort_keys=True)
-        assert d1 == d2
+        assert model_fields(train_arrays(X, y, cfg)) == model_fields(train_arrays(X, y, cfg))
+
+    def test_updates_recorded(self):
+        X = np.array([[0.0], [2.0]])
+        model, state = train_arrays(X, np.array([-1, 1]), SvmConfig(LIN, C=2.0), return_state=True)
+        assert model.training_meta.updates == state.updates > 0
 
     def test_support_vector_invariants(self):
         rng = np.random.default_rng(9)
@@ -474,83 +465,3 @@ class TestSolverProperties:
         assert np.all(np.diff(state.objective_trace) >= 0)
         if state.converged:
             assert state.final_kkt_residual <= tol
-
-
-class TestPersistence:
-    def test_round_trip_exact(self, tmp_path):
-        rng = np.random.default_rng(10)
-        X = rng.normal(size=(9, 3))
-        y = np.array([-1, 1, -1, 1, -1, 1, -1, 1, -1])
-        model = train_arrays(X, y, SvmConfig(KernelSpec("rbf", 1.7), C=3.0))
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        loaded = load_model(path)
-        assert loaded.bias == model.bias
-        assert np.array_equal(loaded.dual_coef, model.dual_coef)
-        assert np.array_equal(loaded.support_vectors, model.support_vectors)
-        assert loaded.kernel == model.kernel
-        assert loaded.training_meta == model.training_meta
-        assert model_to_dict(loaded) == model_to_dict(model)
-
-    def test_dict_round_trip(self):
-        X = np.array([[0.0], [2.0]])
-        model = train_arrays(X, np.array([-1, 1]), SvmConfig(LIN, C=2.0))
-        again = model_from_dict(model_to_dict(model))
-        assert decision_value(again, [0.7]) == decision_value(model, [0.7])
-
-    def test_nan_bias_refused_before_writing(self, tmp_path):
-        from dataclasses import replace
-
-        X = np.array([[0.0], [2.0]])
-        model = replace(train_arrays(X, np.array([-1, 1]), SvmConfig(LIN, C=2.0)), bias=float("nan"))
-        path = tmp_path / "model.json"
-        with pytest.raises(NonFiniteInput, match="model.json"):
-            save_model(model, path)
-        assert not path.exists()
-
-    @pytest.mark.parametrize("how", ["write", "replace"])
-    def test_failed_write_keeps_old_model(self, tmp_path, break_writes, how):
-        rng = np.random.default_rng(4)
-        X = rng.normal(size=(10, 2))
-        y = np.array([-1, 1] * 5)
-        old = train_arrays(X, y, SvmConfig(LIN, C=1.0))
-        path = tmp_path / "m.model.json"
-        save_model(old, path)
-        break_writes(path.name, how)
-        with pytest.raises(IoFailure, match="m.model.json"):
-            save_model(train_arrays(X, y, SvmConfig(QUAD, C=10.0)), path)
-        assert model_to_dict(load_model(path)) == model_to_dict(old)
-        assert list(tmp_path.iterdir()) == [path]
-
-    def test_updates_recorded_and_defaulted(self):
-        X = np.array([[0.0], [2.0]])
-        model, state = train_arrays(X, np.array([-1, 1]), SvmConfig(LIN, C=2.0), return_state=True)
-        assert model.training_meta.updates == state.updates > 0
-        d = model_to_dict(model)
-        del d["training_meta"]["updates"]
-        assert model_from_dict(d).training_meta.updates == 0
-
-    @pytest.mark.parametrize(
-        "corrupt",
-        [
-            lambda text: text[: len(text) // 2],
-            lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "bias"}),
-            lambda text: json.dumps(dict(json.loads(text), dual_coef="x")),
-            lambda text: json.dumps(dict(json.loads(text), kernel=[])),
-            lambda text: json.dumps(dict(json.loads(text), feature_subset=[-1])),
-            lambda text: json.dumps(dict(json.loads(text), feature_subset=[0, 1])),
-            lambda text: json.dumps(dict(json.loads(text), feature_subset=[0.5])),
-            lambda text: re.sub(r'"n": \d+', '"n": 1e999', text),
-        ],
-        ids=[
-            "truncated", "missing_key", "wrong_type", "wrong_container",
-            "negative_index", "index_per_column", "fractional_index", "infinite_count",
-        ],
-    )
-    def test_malformed_file_is_io_failure(self, tmp_path, corrupt):
-        X = np.array([[0.0], [2.0]])
-        path = tmp_path / "model.json"
-        save_model(train_arrays(X, np.array([-1, 1]), SvmConfig(LIN, C=2.0)), path)
-        path.write_text(corrupt(path.read_text(encoding="utf-8")), encoding="utf-8")
-        with pytest.raises(IoFailure, match="model.json"):
-            load_model(path)
