@@ -27,27 +27,31 @@ At the sizes fitted here (n <= a few hundred) a pair update is about
 fifteen numpy calls whose fixed cost outweighs their arithmetic, so
 `solve_duals` runs independent problems in lockstep, one row of a stack
 per problem: the vector work of a step (the choice of i and j, the
-curvature row, the gradient update) is one call across all rows, and
-the scalar pair step runs in Python per row.  A problem is a Gram of a
-pool plus the ascending indices of its points: the CV folds of one
-subset size and its final fit are sub-blocks of one Gram over all rows,
-so the pool holds each distinct Gram once, zero-padded to the largest,
-|sizes| * n^2 * 8 bytes for a pipeline of n rows.  A stack row spans
-every point of the pool; the points a problem leaves out, such as a
-fold's held-out rows, are padding.  The curvature and gradient rows of
-a step are one row take from the pool.  Each problem brings its own
-tolerance and sweep cap, so the CV grids and final fits of differently
-configured pipelines share one stack, and a row leaves the stack when
-its problem converges or hits its update cap.  Each problem takes
-exactly the path it takes alone on its sub-block, bit for bit:
-elementwise operations and row-wise argmax see only the row's own
-values, padding sits off both sets with an infinite diagonal so its
-gain is exactly 0 (while a row that steps has a point of positive gain)
-and argmax meets the problem's points in their order, the gap is taken
-as b_i - min(low) (equal to the largest b_i - low_t, since rounded
-subtraction is monotone), and the loop keeps b + 0 on each set (not b
-and a penalty vector), which holds the same values.  `solve_dual` is
-the one-problem case.
+gradient update) is one call across all rows, and the scalar pair step
+runs in Python per row.  A problem is a Gram of a pool plus the
+ascending indices of its points: the CV folds of one subset size and its
+final fit are sub-blocks of one Gram over all rows, so the pool holds
+each distinct Gram once, zero-padded to the largest.  Beside each Gram
+the solver keeps its curvature matrix, curv[i, t] = K~_ii + K~_tt -
+2 K~_it, computed once per call; WSS2 replaces a curvature <= 0 (two
+equal points with a vanishing ridge) by tau = 1e-12, and the diagonal
+is inf so that the degenerate pair (i, i) never gains.  Grams and
+curvatures together take 2 * |sizes| * n^2 * 8 bytes for a pipeline of
+n rows.  A stack row spans every point of the pool; the points a
+problem leaves out, such as a fold's held-out rows, are padding.  The
+curvature and gradient rows of a step are row takes from the pools.
+Each problem brings its own tolerance and sweep cap, so the CV grids
+and final fits of differently configured pipelines share one stack,
+and a row leaves the stack when its problem converges or hits its
+update cap.  Each problem takes exactly the path it takes alone on its
+sub-block, bit for bit: elementwise operations and row-wise argmax see
+only the row's own values, padding sits off both sets, so its gain is
+exactly 0 over a positive curvature (while a row that steps has a point
+of positive gain) and argmax meets the problem's points in their order,
+the gap is taken as b_i - min(low) (equal to the largest b_i - low_t,
+since rounded subtraction is monotone), and the loop keeps b + 0 on
+each set (not b and a penalty vector), which holds the same values.
+`solve_dual` is the one-problem case.
 """
 
 from __future__ import annotations
@@ -176,6 +180,24 @@ def gram_matrix(spec: KernelSpec, X: np.ndarray, C: float, out: np.ndarray | Non
     return K
 
 
+# WSS2's floor for a pair's curvature (LIBSVM's TAU).
+TAU = 1e-12
+
+
+def _curvatures(grams: np.ndarray) -> np.ndarray:
+    """The curvature matrix of each Gram of the (count, n, n) pool:
+    curv[g, i, t] = K_ii + K_tt - 2 K_it, tau where that is <= 0, and inf
+    for t = i."""
+    pool = np.empty_like(grams)
+    for K, curv in zip(grams, pool):
+        d = K.diagonal()
+        np.add(d[:, None], d, out=curv)
+        curv -= 2.0 * K
+        np.copyto(curv, TAU, where=curv <= 0.0)
+        np.fill_diagonal(curv, np.inf)
+    return pool
+
+
 class _Dual:
     """One problem's side of the lockstep loop: the scalar pair-step state.
     alpha and y_list are indexed by the points of the problem's Gram."""
@@ -212,16 +234,15 @@ def solve_duals(grams: np.ndarray, problems) -> list[TrainingState]:
     inf = np.inf
     count, n, _ = grams.shape
     rows_of = grams.reshape(count * n, n)  # row i of Gram g is rows_of[g * n + i]
+    curv_of = _curvatures(grams).reshape(count * n, n)  # and its curvature row is curv_of[g * n + i]
     duals = [_Dual(*problem, n) for problem in problems]
     # Row r of the loop holds one problem and spans every point of the
     # pool's Grams.  up[r] holds b on the set that may move up and -inf off
     # it, low[r] holds b on the set that may move down and +inf off it,
     # where b_t = y_t * dObjective/dAlpha_t; every point of the problem is
-    # on one set, and the other points (padding) are on neither.  diag[r]
-    # is the diagonal of Kt, infinite on padding so that padding never gains.
+    # on one set, and the other points (padding) are on neither.
     up = np.empty((len(duals), n))
     low = np.empty((len(duals), n))
-    diag = np.full((len(duals), n), inf)
     for r, dual in enumerate(duals):
         # The dual sees y only through yy' and y'a = 0, so solving with
         # the labels oriented to y[0] = +1 takes the same path for y and
@@ -231,7 +252,6 @@ def solve_duals(grams: np.ndarray, problems) -> list[TrainingState]:
         dual.y_list = ys.tolist()
         up[r] = np.where(ys > 0, ys, -inf)
         low[r] = np.where(ys < 0, ys, inf)
-        diag[r, dual.rows] = grams[dual.g].diagonal()[dual.rows]
 
     def flip(r: int, k: int, y_k: float, joins: bool) -> None:
         """Point k of row r joins or leaves the set its label does not
@@ -266,8 +286,8 @@ def solve_duals(grams: np.ndarray, problems) -> list[TrainingState]:
             final_kkt_residual=float(m_up - m_low),
         )
 
-    live = list(duals)  # live[r] is the problem in row r of up, low and diag
-    offs = np.arange(0, len(live) * n, n)  # row r of up, low and diag starts at offs[r]
+    live = list(duals)  # live[r] is the problem in row r of up and low
+    offs = np.arange(0, len(live) * n, n)  # row r of up and low starts at offs[r]
     base = np.asarray([dual.g for dual in live], dtype=np.int64) * n
     while live:
         i = up.argmax(axis=1)
@@ -276,18 +296,14 @@ def solve_duals(grams: np.ndarray, problems) -> list[TrainingState]:
         # The gap max_t (b_i - low_t) is b_i - min low: subtraction is monotone.
         low_min = low.take(offs + low.argmin(axis=1))
         # Second-order choice of j: the largest one-step objective gain
-        # (b_i - b_t)^2 / curv[i, t] among points with b_t < b_i, where
-        # curv[i, t] = Kt_ii + Kt_tt - 2 Kt_it, and inf for t = i so the
-        # degenerate pair (i, i) never gains.  Padding gains exactly 0, and
-        # a row that steps has a point of strictly positive gain, so the
-        # argmax sees the problem's points in their order, as alone.
+        # (b_i - b_t)^2 / curv[i, t] among points with b_t < b_i.  Padding
+        # gains exactly 0 over its positive curvature, and a row that steps
+        # has a point of strictly positive gain, so the argmax sees the
+        # problem's points in their order, as alone.
         gain = np.subtract(b_i[:, None], low)
         np.maximum(gain, 0.0, out=gain)
         np.square(gain, out=gain)
-        K_i = rows_of.take(base + i, axis=0)
-        curv = np.add(diag.take(fi)[:, None], diag)
-        curv -= 2.0 * K_i
-        curv.put(fi, inf)
+        curv = curv_of.take(base + i, axis=0)
         np.divide(gain, curv, out=gain)
         j = gain.argmax(axis=1)
         fj = offs + j
@@ -338,7 +354,7 @@ def solve_duals(grams: np.ndarray, problems) -> list[TrainingState]:
             steps.append(t)
         # b -= t (Kt_i - Kt_j), on both sets.
         delta_b = rows_of.take(base + j, axis=0)
-        np.subtract(K_i, delta_b, out=delta_b)
+        np.subtract(rows_of.take(base + i, axis=0), delta_b, out=delta_b)
         delta_b *= np.asarray(steps)[:, None]
         up -= delta_b
         low -= delta_b
@@ -346,7 +362,7 @@ def solve_duals(grams: np.ndarray, problems) -> list[TrainingState]:
             keep = np.ones(len(live), dtype=bool)
             keep[finished] = False
             live = [dual for dual, kept in zip(live, keep) if kept]
-            up, low, diag, base, offs = up[keep], low[keep], diag[keep], base[keep], offs[: len(live)]
+            up, low, base, offs = up[keep], low[keep], base[keep], offs[: len(live)]
     return [dual.state for dual in duals]
 
 

@@ -8,6 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from io import StringIO
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -1075,6 +1076,24 @@ def test_solve_without_a_support_vector_exits_3_naming_it(trained, tmp_path):
     assert code == 3 and "Traceback" not in err
     assert "no support vector" in err
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("C", [1e16, 1e300])
+def test_repeated_signatures_with_a_vanishing_ridge_train(trained, tmp_path, C):
+    # Each signature twice: with a ridge 1/C below rounding, a pair of
+    # equal rows has curvature 0, which once ended in a ZeroDivisionError
+    # traceback with exit 1; WSS2 takes tau = 1e-12 for it.
+    link = load_database(trained[0].parent / "link.json")
+    db = tmp_path / "twice.json"
+    save_database(replace(link, X=np.concatenate([link.X, link.X]), y=np.concatenate([link.y, link.y])), db)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"lpd": {"C": C}}), encoding="utf-8")
+    out = tmp_path / "bundle"
+    code, stdout, err = _run("train", "--config", str(config), "--db", str(db), "--stage", "lpd", "--out", str(out))
+    assert code == 0 and "Traceback" not in err, err
+    assert json.loads(stdout)["updates"] > 0
+    assert (out / "lpd.json").exists()
 
 
 # Each file once ended in a raw UnicodeDecodeError traceback with exit 1.

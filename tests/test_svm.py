@@ -414,6 +414,35 @@ class TestLockstep:
         for state, ref in zip(states, refs):
             assert_same_state(state, ref)
 
+    @pytest.mark.parametrize("C", [10.0, 1e16, 1e300])
+    def test_held_out_duplicates_never_win_j(self, C):
+        # Each problem leaves out copies of some of its own points.  The
+        # curvature of a point and its held-out copy is 2/C, which rounds to
+        # 0 for a large C, and its gain of 0 must not become 0/0 = NaN,
+        # which argmax would pick.
+        rng = np.random.default_rng(11)
+        grams, problems, blocks = [], [], []
+        for g, variant in enumerate(KERNEL_VARIANTS):
+            n = int(rng.integers(8, 24))
+            X = rng.normal(size=(n, 3))
+            y = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
+            y[0], y[1] = 1.0, -1.0
+            copies = rng.choice(n, size=n // 2, replace=False)
+            slot = rng.permutation(n + len(copies))  # copies interleaved with the originals
+            X_all = np.empty((len(slot), 3))
+            X_all[slot] = np.concatenate([X, X[copies]])
+            y_all = np.zeros(len(slot))
+            y_all[slot[:n]] = y
+            kernel = KernelSpec(variant, 1.0 if variant == "rbf" else None)
+            K = kernel_matrix(kernel, X_all, X_all) + np.eye(len(slot)) / C
+            rows = np.sort(slot[:n])
+            grams.append(K)
+            problems.append((g, rows, y_all[rows], 1e-3, 50))
+            blocks.append(K[np.ix_(rows, rows)])
+        states = solve_duals(pool_of(grams), problems)
+        for state, (_, _, y, tol, max_iter), K in zip(states, problems, blocks):
+            assert_same_state(state, solve_dual_reference(K, y, tol, max_iter))
+
     @settings(max_examples=40, deadline=None)
     @given(
         sizes=st.lists(st.integers(4, 40), min_size=1, max_size=3),

@@ -29,10 +29,13 @@ def solve_dual_reference(Kt: np.ndarray, y: np.ndarray, tol: float, max_iter: in
     # b[t] = ys_t * dObjective/dAlpha_t; starts at ys since grad = 1.
     b = ys.copy()
     diag = np.diag(Kt)
-    # curv[i, t] = Kt_ii + Kt_tt - 2 Kt_it, the curvature along pair (i, t);
-    # inf on the diagonal so the degenerate pair (i, i) never gains.
+    # curv[i, t] = Kt_ii + Kt_tt - 2 Kt_it, the curvature along pair (i, t),
+    # with WSS2's tau = 1e-12 where that is <= 0 (two equal points whose
+    # ridge vanishes in rounding); inf on the diagonal so the degenerate
+    # pair (i, i) never gains.
     curv = np.add.outer(diag, diag)
     curv -= 2.0 * Kt
+    curv[curv <= 0.0] = 1e-12
     np.fill_diagonal(curv, np.inf)
     # 0 on the set that may move up (resp. down), -inf (resp. +inf) off it.
     up_pen = np.where(ys > 0, 0.0, -np.inf)
