@@ -20,6 +20,16 @@ method) and, counted in the metric's better direction:
   change is better;
 - `parent_iqr`: the parent's third quartile minus its first.
 
+A metric with a `bound` in BENCHMARK.json (the share of the parent's
+median by which the change may be worse) also gets:
+
+- `relative_move`: the change median over the parent median, minus 1,
+  signed so that positive is worse;
+- `within_bound`: whether `relative_move` is at most the bound;
+- `resolved`: whether the medians differ by more than `parent_iqr`, in
+  either direction, or every change run beats every parent run.  A move
+  that is not resolved is reported as unresolved, not as unchanged.
+
 The entry also keeps every run's values, attempted and failed counts
 and fingerprint, and each checkout's `src_lines`: the line count of its
 `src/netdiag/*.py`, which the ROADMAP tracks next to the bench numbers.
@@ -70,11 +80,13 @@ def spread(values: list[float]) -> dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
+def summarize(runs: dict[str, list[dict]], better: dict[str, str], bounds: dict[str, float] | None = None) -> dict:
     """Per metric of `better` (name -> "lower" or "higher") that every run
     reports and some run reads other than 0: each side's spread,
-    change_wins, median_gap and parent_iqr.  runs[side][k] is the side's
-    run on the k-th seed."""
+    change_wins, median_gap and parent_iqr, and for a metric of `bounds`
+    (name -> bound) relative_move, within_bound and resolved.
+    runs[side][k] is the side's run on the k-th seed."""
+    bounds = bounds or {}
     summary = {}
     for name, direction in better.items():
         values = {side: [run["metrics"].get(name) for run in runs[side]] for side in SIDES}
@@ -86,14 +98,21 @@ def summarize(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
         entry["change_wins"] = sum(sign * (p - c) > 0 for p, c in zip(values["parent"], values["change"]))
         entry["median_gap"] = sign * (entry["parent"]["median"] - entry["change"]["median"])
         entry["parent_iqr"] = entry["parent"]["q3"] - entry["parent"]["q1"]
+        if name in bounds:
+            move = sign * (entry["change"]["median"] / entry["parent"]["median"] - 1)
+            entry["relative_move"] = move
+            entry["within_bound"] = move <= bounds[name]
+            entry["resolved"] = abs(entry["median_gap"]) > entry["parent_iqr"] or all(
+                sign * (p - c) > 0 for p in values["parent"] for c in values["change"])
         summary[name] = entry
     return summary
 
 
-def workload_entry(seeds: list[int], runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
+def workload_entry(seeds: list[int], runs: dict[str, list[dict]], better: dict[str, str],
+                   bounds: dict[str, float] | None = None) -> dict:
     """The summary and every run's values, rounded to 4 decimals."""
     fingerprints = {side: [run["fingerprint"] for run in runs[side]] for side in SIDES}
-    summary = summarize(runs, better)
+    summary = summarize(runs, better, bounds)
     entry = {
         "seeds": seeds,
         "pairs": len(seeds),
@@ -147,7 +166,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in benchmark["per_layer" if args.trace else "end_to_end"]}
+    metrics = benchmark["per_layer" if args.trace else "end_to_end"]
+    better = {m["name"]: m["better"] for m in metrics}
+    bounds = {m["name"]: m["bound"] for m in metrics if "bound" in m}
     checkouts = {"parent": args.parent, "change": args.change}
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     for seed, order in schedule(args.seeds):
@@ -163,7 +184,7 @@ def main(argv=None) -> int:
                                    "run from a checkout of each side")
     key = "per_layer" if args.trace else "workloads"
     document.setdefault(key, {})[args.workload] = {
-        "seconds": args.seconds, **workload_entry(args.seeds, runs, better),
+        "seconds": args.seconds, **workload_entry(args.seeds, runs, better, bounds),
         "src_lines": {side: src_lines(checkouts[side]) for side in SIDES}}
     args.out.write_text(json.dumps(document, indent=1) + "\n", encoding="utf-8")
     return 0

@@ -26,6 +26,6 @@ from .preprocess import (
 from .selection import SelectionReport, TTestRanking, rank_features, t_statistic, wrapper_select
 from .simulate import ClientParams, CwndProfile, LinkParams, simulate_flow
 from .svm import KernelSpec, SvmConfig, SvmModel, decision_value
-from .trace import PacketEvent, TracePair, TraceRecord, read_trace, write_trace
+from .trace import TracePair, TraceRecord, read_trace, write_trace
 
 __version__ = "0.1.0"

@@ -22,18 +22,16 @@ which reads the rest of the grammar and names the first bad row.  Both
 paths give identical columns and check the values once, on the columns.
 
 In memory a trace holds its packets as numpy columns (`PacketColumns`),
-one per `PacketEvent` field.  `IntervalSet` is the set of sequence-space
-intervals that the simulator and the extractor both keep.
+trusted as built; `read_trace` is the checked entry for outside input.
+`IntervalSet` is the set of sequence-space intervals that the simulator
+and the extractor both keep.
 """
 
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import enum
 import itertools
-import math
-import operator
 import warnings
 from dataclasses import dataclass
 
@@ -70,44 +68,16 @@ class TransferDirection(enum.Enum):
     UPLOAD = "upload"
 
 
-@dataclass(frozen=True, slots=True)
-class PacketEvent:
-    """One captured TCP packet.
-
-    Every integer field is a 32-bit unsigned value, which keeps the
-    integer sums over a trace exact in 64-bit columns.
-    """
-
-    ts: float
-    dir: Direction
-    seq: int
-    ack: int
-    payload_len: int
-    syn: bool = False
-    fin: bool = False
-    rst: bool = False
-    ack_flag: bool = False
-    win: int = 0
-    sack_cnt: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.ts < math.inf:
-            raise ValueError(f"timestamp {self.ts} is not finite and non-negative")
-        if not (0 <= self.seq < SEQ_MOD and 0 <= self.ack < SEQ_MOD):
-            raise ValueError("seq/ack outside 32-bit range")
-        if not (0 <= self.payload_len < SEQ_MOD and 0 <= self.win < SEQ_MOD and 0 <= self.sack_cnt < SEQ_MOD):
-            raise ValueError("payload_len, win or sack_cnt outside 32-bit range")
-
-
-FIELDS = tuple(f.name for f in dataclasses.fields(PacketEvent))
+FIELDS = ("ts", "dir", "seq", "ack", "payload_len", "syn", "fin", "rst", "ack_flag", "win", "sack_cnt")
 _DTYPES = (np.float64, np.int8, np.int64, np.int64, np.int64, bool, bool, bool, bool, np.int64, np.int64)
 
 
 class PacketColumns:
-    """The packets of one trace as read-only numpy columns, one per
-    `PacketEvent` field in the same order; `dir` holds the index into
-    `DIRECTIONS`.  Indexing and iteration build `PacketEvent`s on demand,
-    and equality compares the columns.
+    """The packets of one trace as read-only numpy columns, one per name
+    of `FIELDS` in that order; `dir` holds the index into `DIRECTIONS`.
+    Equality compares the columns.  Only shapes are checked: the caller
+    gives 32-bit unsigned integers (so sums over a trace stay exact in
+    64-bit columns) and finite non-negative ts, as `read_trace` checks.
     """
 
     __slots__ = FIELDS
@@ -122,15 +92,6 @@ class PacketColumns:
             col.flags.writeable = False
             object.__setattr__(self, name, col)
 
-    @classmethod
-    def from_events(cls, events) -> PacketColumns:
-        rows = [
-            (e.ts, _CODES[e.dir], e.seq, e.ack, e.payload_len,
-             e.syn, e.fin, e.rst, e.ack_flag, e.win, e.sack_cnt)
-            for e in events
-        ]
-        return cls(*(zip(*rows) if rows else [()] * len(FIELDS)))
-
     def __setattr__(self, name, value):
         raise AttributeError("PacketColumns is read-only")
 
@@ -140,13 +101,6 @@ class PacketColumns:
 
     def __len__(self) -> int:
         return len(self.ts)
-
-    def __getitem__(self, i) -> PacketEvent:
-        i = operator.index(i)
-        return _event(*(getattr(self, name)[i].item() for name in FIELDS))
-
-    def __iter__(self):
-        return itertools.starmap(_event, zip(*(getattr(self, name).tolist() for name in FIELDS)))
 
     def __eq__(self, other):
         if not isinstance(other, PacketColumns):
@@ -159,17 +113,12 @@ class PacketColumns:
         return f"PacketColumns(<{len(self)} packets>)"
 
 
-def _event(ts, dir, *rest) -> PacketEvent:
-    return PacketEvent(ts, DIRECTIONS[dir], *rest)
-
-
 @dataclass(frozen=True)
 class TraceRecord:
     """A bidirectional flow capture, its events in ts order.
 
-    `events` may be given as a sequence of `PacketEvent`s; it is stored
-    as `PacketColumns`.  Events given out of ts order are sorted stably:
-    events with equal ts keep the order they were given in.
+    Events given out of ts order are sorted stably: events with equal ts
+    keep the order they were given in.
     """
 
     capture_point: CapturePoint
@@ -181,8 +130,6 @@ class TraceRecord:
         if self.declared_transfer_bytes <= 0:
             raise ValueError("declared_transfer_bytes must be positive")
         events = self.events
-        if not isinstance(events, PacketColumns):
-            events = PacketColumns.from_events(events)
         ts = events.ts
         if (ts[1:] < ts[:-1]).any():
             order = np.argsort(ts, kind="stable")
@@ -237,10 +184,6 @@ class IntervalSet:
         self._stamps: list[int] = []
         self._clock = 0
         self.max_end: int | None = None  # the highest end added so far
-
-    def __iter__(self):
-        """The intervals as (start, end), lowest first."""
-        return zip(self.starts, self.ends)
 
     def add(self, s: int, e: int) -> int:
         """Merge [s, e); return the number of bytes already covered."""

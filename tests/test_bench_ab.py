@@ -63,6 +63,35 @@ def test_summary_counts_wins_gap_and_parent_iqr_in_the_better_direction():
     assert rate["median_gap"] == pytest.approx(94.5 - 92.5)  # higher is better: change median minus parent's
 
 
+def _runs(parent: list[tuple[float, float]], change: list[tuple[float, float]]) -> dict:
+    return {side: [ab.parse_run(canned(ms, rate)) for ms, rate in pairs] for side, pairs in (("parent", parent), ("change", change))}
+
+
+def test_bounded_metrics_get_relative_move_within_bound_and_resolved():
+    # parent op_ms_p50 10..13: median 11.5, IQR 2.5; ops_per_s 85..100: median 92.5, IQR 12.5
+    runs = _runs([(10.0, 100.0), (11.0, 90.0), (12.0, 95.0), (13.0, 85.0)],
+                 [(14.0, 96.0), (15.0, 84.0), (15.0, 92.0), (16.0, 91.0)])
+    summary = ab.summarize(runs, BETTER, {"op_ms_p50": 0.25, "ops_per_s": 0.2})
+    op = summary["op_ms_p50"]
+    assert op["relative_move"] == pytest.approx(15.0 / 11.5 - 1)  # 30 % slower: worse, so positive
+    assert op["within_bound"] is False
+    assert op["resolved"] is True  # a gap of 3.5 against an IQR of 2.5, though the change is worse
+    rate = summary["ops_per_s"]
+    assert rate["relative_move"] == pytest.approx(1 - 91.5 / 92.5)  # higher is better: a lower rate is positive
+    assert rate["within_bound"] is True
+    assert rate["resolved"] is False  # a gap of 1 inside an IQR of 12.5: unresolved, not unchanged
+    assert "relative_move" not in ab.summarize(runs, BETTER)["op_ms_p50"]  # no bound, no verdict
+
+
+def test_a_change_that_beats_every_parent_run_is_resolved_inside_the_iqr():
+    # parent median 11.5 with IQR 7.75; every change run is below every parent run
+    runs = _runs([(10.0, 1.0), (11.0, 1.0), (12.0, 1.0), (20.0, 1.0)], [(9.0, 1.0), (9.5, 1.0), (9.8, 1.0), (9.9, 1.0)])
+    op = ab.summarize(runs, BETTER, {"op_ms_p50": 0.25})["op_ms_p50"]
+    assert op["median_gap"] == pytest.approx(11.5 - 9.65) and op["median_gap"] < op["parent_iqr"]
+    assert op["relative_move"] == pytest.approx(9.65 / 11.5 - 1)
+    assert op["within_bound"] is True and op["resolved"] is True
+
+
 def test_workload_entry_keeps_runs_and_compares_fingerprints():
     runs = {
         "parent": [ab.parse_run(canned(10.0 / 3, 1.0, "f1")), ab.parse_run(canned(2.0, 1.0, "f2"))],
@@ -88,10 +117,12 @@ def _checkout(root: Path, files: dict[str, str]) -> Path:
 def test_entry_records_each_checkouts_src_lines(tmp_path, monkeypatch):
     parent = _checkout(tmp_path / "parent", {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3\n", "notes.txt": "n\n" * 9})
     change = _checkout(tmp_path / "change", {"a.py": "x = 1\n"})
-    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [{"name": "op_ms_p50", "better": "lower"}]}))
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [{"name": "op_ms_p50", "better": "lower", "bound": 0.25}]}))
     monkeypatch.setattr(ab, "run_perfbench", lambda checkout, *rest: ab.parse_run(canned(2.0 if checkout == parent else 1.0, 1.0)))
     out = tmp_path / "BENCH.json"
     assert ab.main([str(parent), str(change), "--workload", "synth", "--seeds", "1", "2", "--seconds", "1", "--out", str(out)]) == 0
     entry = json.loads(out.read_text(encoding="utf-8"))["workloads"]["synth"]
     assert entry["src_lines"] == {"parent": 3, "change": 1}
-    assert entry["summary"]["op_ms_p50"]["change_wins"] == 2
+    op = entry["summary"]["op_ms_p50"]
+    assert op["change_wins"] == 2
+    assert op["relative_move"] == -0.5 and op["within_bound"] is True

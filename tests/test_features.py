@@ -23,17 +23,13 @@ from netdiag.trace import (
     CapturePoint,
     Direction,
     IntervalSet,
-    PacketEvent,
     TracePair,
     TraceRecord,
     TransferDirection,
 )
+from packets import ev, record, replaced
 
 C2S, S2C = Direction.CLIENT_TO_SERVER, Direction.SERVER_TO_CLIENT
-
-
-def ev(ts, dir=C2S, seq=0, ack=0, length=0, **kw):
-    return PacketEvent(ts=ts, dir=dir, seq=seq, ack=ack, payload_len=length, **kw)
 
 
 def compute_statistic(t: TraceRecord, stat: Statistic) -> float:
@@ -41,27 +37,18 @@ def compute_statistic(t: TraceRecord, stat: Statistic) -> float:
     return _trace_statistics(t)[0][list(Statistic).index(stat)]
 
 
-def trace(events, capture=CapturePoint.CLIENT, transfer=TransferDirection.DOWNLOAD):
-    return TraceRecord(
-        capture_point=capture,
-        direction_of_transfer=transfer,
-        events=tuple(events),
-        declared_transfer_bytes=1000,
-    )
-
-
 class TestStatisticOracles:
     def test_total_bytes_sum(self):
-        t = trace([ev(0.0, S2C, length=1448), ev(0.1, S2C, length=1448), ev(0.2, S2C, length=552)])
+        t = record([ev(0.0, S2C, length=1448), ev(0.1, S2C, length=1448), ev(0.2, S2C, length=552)])
         assert compute_statistic(t, Statistic.TOTAL_BYTES_S2C) == 3448.0
 
     def test_elapsed_max_minus_min(self):
-        t = trace([ev(0.0), ev(0.5), ev(2.0)])
+        t = record([ev(0.0), ev(0.5), ev(2.0)])
         assert compute_statistic(t, Statistic.ELAPSED_TIME) == 2.0
 
     def test_elapsed_of_events_given_out_of_order(self):
         # Once -1.0, and defined: the record kept the events as given.
-        t = trace([ev(1.0, C2S, length=100), ev(0.0, S2C)], CapturePoint.SERVER, TransferDirection.UPLOAD)
+        t = record([ev(1.0, C2S, length=100), ev(0.0, S2C)], CapturePoint.SERVER, TransferDirection.UPLOAD)
         values, defined = _trace_statistics(t)
         i = list(Statistic).index(Statistic.ELAPSED_TIME)
         assert (values[i], defined[i]) == (1.0, True)
@@ -69,7 +56,7 @@ class TestStatisticOracles:
 
     def test_rtt_hand_matched(self):
         # capture-outbound data at 0.00 and 0.10, covering acks at 0.10 and 0.30
-        t = trace(
+        t = record(
             [
                 ev(0.00, C2S, seq=0, length=100),
                 ev(0.10, S2C, ack=100, ack_flag=True),
@@ -83,7 +70,7 @@ class TestStatisticOracles:
         assert compute_statistic(t, Statistic.RTT_SAMPLES) == 2.0
 
     def test_karn_retransmitted_range_excluded(self):
-        t = trace(
+        t = record(
             [
                 ev(0.00, C2S, seq=0, length=100),
                 ev(0.50, C2S, seq=0, length=100),  # retransmission of [0,100)
@@ -94,13 +81,13 @@ class TestStatisticOracles:
         assert compute_statistic(t, Statistic.RTT_AVG) == 0.0
 
     def test_single_syn_degenerate(self):
-        t = trace([ev(0.0, C2S, syn=True)])
+        t = record([ev(0.0, C2S, syn=True)])
         assert compute_statistic(t, Statistic.THROUGHPUT) == 0.0
         assert compute_statistic(t, Statistic.RTT_AVG) == 0.0
         assert compute_statistic(t, Statistic.TOTAL_PACKETS_C2S) == 1.0
 
     def test_retransmission_and_ooo_detection(self):
-        t = trace(
+        t = record(
             [
                 ev(0.0, S2C, seq=0, length=100),
                 ev(0.1, S2C, seq=200, length=100),  # hole at [100, 200)
@@ -114,7 +101,7 @@ class TestStatisticOracles:
 
     def test_seq_wraparound_not_retransmission(self):
         top = 2**32 - 1000
-        t = trace(
+        t = record(
             [
                 ev(0.0, S2C, seq=top, length=1000),
                 ev(0.1, S2C, seq=0, length=1000),  # contiguous across the wrap
@@ -125,13 +112,13 @@ class TestStatisticOracles:
 
     def test_dup_acks_and_triple_event(self):
         acks = [ev(0.1 * i, C2S, ack=500, ack_flag=True) for i in range(5)]
-        t = trace([ev(0.0, S2C, seq=0, length=500)] + acks)
+        t = record([ev(0.0, S2C, seq=0, length=500)] + acks)
         # five equal acks: first sets the value, four duplicates, one triple event
         assert compute_statistic(t, Statistic.DUP_ACK_COUNT) == 4.0
         assert compute_statistic(t, Statistic.TRIPLE_DUP_ACK_EVENTS) == 1.0
 
     def test_window_stats_receiver_direction(self):
-        t = trace(
+        t = record(
             [
                 ev(0.0, C2S, ack=0, ack_flag=True, win=1000),
                 ev(0.1, C2S, ack=0, ack_flag=True, win=0),
@@ -145,18 +132,18 @@ class TestStatisticOracles:
         assert compute_statistic(t, Statistic.ZERO_WINDOW_COUNT) == 1.0
 
     def test_segment_sizes(self):
-        t = trace([ev(0.0, S2C, seq=0, length=100), ev(0.1, S2C, seq=100, length=700)])
+        t = record([ev(0.0, S2C, seq=0, length=100), ev(0.1, S2C, seq=100, length=700)])
         assert compute_statistic(t, Statistic.MEAN_SEGMENT_SIZE) == 400.0
         assert compute_statistic(t, Statistic.MAX_SEGMENT_SIZE) == 700.0
         assert compute_statistic(t, Statistic.MIN_SEGMENT_SIZE) == 100.0
         assert compute_statistic(t, Statistic.PUSH_LIKE_SMALL_SEGMENT_COUNT) == 1.0
 
     def test_idle_time(self):
-        t = trace([ev(0.0), ev(0.1), ev(1.5), ev(1.6)])
+        t = record([ev(0.0), ev(0.1), ev(1.5), ev(1.6)])
         assert compute_statistic(t, Statistic.IDLE_TIME_MAX) == pytest.approx(1.4)
 
     def test_flag_counts_and_sack(self):
-        t = trace(
+        t = record(
             [
                 ev(0.0, C2S, syn=True, sack_cnt=1),
                 ev(0.1, S2C, syn=True, ack=1, ack_flag=True, sack_cnt=2),
@@ -171,7 +158,7 @@ class TestStatisticOracles:
         assert compute_statistic(t, Statistic.MAX_SACK_CNT) == 2.0
 
     def test_initial_window_bytes(self):
-        t = trace(
+        t = record(
             [
                 ev(0.00, S2C, seq=0, length=100),
                 ev(0.01, S2C, seq=100, length=100),
@@ -182,7 +169,7 @@ class TestStatisticOracles:
         assert compute_statistic(t, Statistic.INITIAL_WINDOW_BYTES) == 200.0
 
     def test_ack_ratios(self):
-        t = trace(
+        t = record(
             [
                 ev(0.0, S2C, seq=0, length=100),
                 ev(0.1, S2C, seq=100, length=100),
@@ -235,12 +222,12 @@ def oracle_traces(draw):
         syn, fin = draw(RARE), draw(RARE)
         next_byte[d] = max(next_byte[d], seq_off + length + syn + fin)
         last[d] = seq_off
-        events += [PacketEvent(
-            ts=t, dir=d, seq=(isn[d] + seq_off) % SEQ_MOD, ack=(isn[other] + ack_off) % SEQ_MOD,
-            payload_len=length, syn=syn, fin=fin, rst=draw(RARE), ack_flag=not draw(RARE),
+        events += [ev(
+            t, d, seq=(isn[d] + seq_off) % SEQ_MOD, ack=(isn[other] + ack_off) % SEQ_MOD,
+            length=length, syn=syn, fin=fin, rst=draw(RARE), ack_flag=not draw(RARE),
             win=draw(st.sampled_from([0, 1000, 65535])), sack_cnt=draw(st.integers(0, 3)),
         )] * draw(st.sampled_from([1] * 7 + [4]))
-    return trace(events, draw(st.sampled_from(list(CapturePoint))), draw(st.sampled_from(list(TransferDirection))))
+    return record(events, draw(st.sampled_from(list(CapturePoint))), draw(st.sampled_from(list(TransferDirection))))
 
 
 def segments(starts, length=100, dir=S2C):
@@ -284,7 +271,7 @@ class TestReferenceOracle:
     @pytest.mark.parametrize("capture", list(CapturePoint))
     @pytest.mark.parametrize("transfer", list(TransferDirection))
     def test_boundary_traces(self, events, capture, transfer):
-        assert_same_statistics(trace(events, capture, transfer))
+        assert_same_statistics(record(events, capture, transfer))
 
     def test_simulated_lossy_pairs(self):
         for loss in (0.0, 0.03):
@@ -317,7 +304,7 @@ class TestIntervalSet:
         assert all(a < b for a, b in zip(cover.starts, cover.ends))
         assert all(b < a for a, b in zip(cover.starts[1:], cover.ends))  # touching intervals merge
         assert sum(b - a for a, b in zip(cover.starts, cover.ends)) == len(covered)
-        assert list(cover) == [(iv[0], iv[1]) for iv in ooo] == [tuple(iv) for iv in sacked]
+        assert list(zip(cover.starts, cover.ends)) == [(iv[0], iv[1]) for iv in ooo] == [tuple(iv) for iv in sacked]
         for k in range(5):
             assert cover.recent(k) == ref.sack_blocks(ooo, k)
         for s, n in queries:
@@ -325,7 +312,7 @@ class TestIntervalSet:
             if n > 0:
                 assert cover.covers(s, s + n) == (set(range(s, s + n)) <= covered)
         assert cover.pop_through(point) == ref.absorb_ooo(ooo, point)
-        assert list(cover) == [(iv[0], iv[1]) for iv in ooo]
+        assert list(zip(cover.starts, cover.ends)) == [(iv[0], iv[1]) for iv in ooo]
         assert cover.recent(3) == ref.sack_blocks(ooo, 3)
 
 
@@ -345,14 +332,7 @@ class TestVectorProperties:
         pair = self.make_pair()
 
         def shift(tr, dt):
-            evs = tuple(
-                PacketEvent(
-                    ts=e.ts + dt, dir=e.dir, seq=e.seq, ack=e.ack, payload_len=e.payload_len,
-                    syn=e.syn, fin=e.fin, rst=e.rst, ack_flag=e.ack_flag, win=e.win,
-                    sack_cnt=e.sack_cnt,
-                )
-                for e in tr.events
-            )
+            evs = replaced(tr.events, ts=tr.events.ts + dt)
             return TraceRecord(tr.capture_point, tr.direction_of_transfer, evs, tr.declared_transfer_bytes)
 
         shifted = TracePair(download=shift(pair.download, 5.0), upload=shift(pair.upload, 5.0))
@@ -367,14 +347,8 @@ class TestVectorProperties:
         pair = self.make_pair()
 
         def double(tr):
-            evs = tuple(
-                PacketEvent(
-                    ts=e.ts, dir=e.dir, seq=(e.seq * 2) % 2**32, ack=(e.ack * 2) % 2**32,
-                    payload_len=e.payload_len * 2, syn=e.syn, fin=e.fin, rst=e.rst,
-                    ack_flag=e.ack_flag, win=e.win, sack_cnt=e.sack_cnt,
-                )
-                for e in tr.events
-            )
+            e = tr.events
+            evs = replaced(e, seq=(e.seq * 2) % 2**32, ack=(e.ack * 2) % 2**32, payload_len=e.payload_len * 2)
             return TraceRecord(tr.capture_point, tr.direction_of_transfer, evs, tr.declared_transfer_bytes * 2)
 
         doubled = TracePair(download=double(pair.download), upload=double(pair.upload))
@@ -397,30 +371,30 @@ class TestVectorProperties:
         for _ in range(n):
             ts += data.draw(st.floats(min_value=0, max_value=1.0))
             events.append(
-                PacketEvent(
-                    ts=ts,
+                ev(
+                    ts,
                     dir=data.draw(st.sampled_from([C2S, S2C])),
                     seq=data.draw(st.integers(0, 2**32 - 1)),
                     ack=data.draw(st.integers(0, 2**32 - 1)),
-                    payload_len=data.draw(st.integers(0, 9000)),
+                    length=data.draw(st.integers(0, 9000)),
                     ack_flag=data.draw(st.booleans()),
                     win=data.draw(st.integers(0, 2**20)),
                     sack_cnt=data.draw(st.integers(0, 4)),
                 )
             )
         pair = TracePair(
-            download=trace(events, CapturePoint.CLIENT, TransferDirection.DOWNLOAD),
-            upload=trace(events, CapturePoint.SERVER, TransferDirection.UPLOAD),
+            download=record(events, CapturePoint.CLIENT, TransferDirection.DOWNLOAD),
+            upload=record(events, CapturePoint.SERVER, TransferDirection.UPLOAD),
         )
         sig = extract_signature(pair, default_catalog())
         assert np.all(np.isfinite(sig.values))
 
     def test_diagnostics_flags(self):
         cat = default_catalog()
-        single = trace([ev(0.0, C2S, syn=True)])
+        single = record([ev(0.0, C2S, syn=True)])
         pair = TracePair(
             download=single,
-            upload=trace([ev(0.0, C2S, syn=True)], CapturePoint.SERVER, TransferDirection.UPLOAD),
+            upload=record([ev(0.0, C2S, syn=True)], CapturePoint.SERVER, TransferDirection.UPLOAD),
         )
         sig = extract_signature(pair, cat)
         undefined = set(sig.undefined_features(cat))

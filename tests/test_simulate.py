@@ -16,7 +16,7 @@ from netdiag.simulate import (
     simulate_flow_with_stats,
     _TransferSim,
 )
-from netdiag.trace import FIELDS, Direction, TransferDirection, write_trace
+from netdiag.trace import FIELDS, TransferDirection, write_trace
 from simulate_reference import simulate_reference
 
 BYTES = 300_000
@@ -54,24 +54,23 @@ class TestConservation:
             assert stats[side].delivered_bytes == BYTES
         # the capture at the receiver carries every delivered payload byte once
         for record in (pair.download, pair.upload):
-            data_dir = record.data_direction()
-            covered = set()
-            for e in record.events:
-                if e.dir is data_dir and e.payload_len:
-                    covered.update(range(e.seq, e.seq + e.payload_len))
-            assert len(covered) == BYTES
+            ev = record.events
+            data = ev.is_dir(record.data_direction())
+            # each byte's count of segments holding it: +1 at a segment's seq, -1 past its end
+            depth = np.zeros(int((ev.seq + ev.payload_len).max()) + 1, np.int64)
+            np.add.at(depth, ev.seq[data], 1)
+            np.add.at(depth, (ev.seq + ev.payload_len)[data], -1)
+            assert np.count_nonzero(np.cumsum(depth)) == BYTES
 
     def test_acks_never_cover_unsent_bytes(self):
         link = LinkParams(bandwidth=80e6, one_way_delay=0.01, loss_rate=0.05)
         pair, _ = simulate_flow_with_stats(link, ClientParams(seed=5), BYTES, seed=3)
         for record in (pair.download, pair.upload):
-            data_dir = record.data_direction()
-            sent_max = 0
-            for e in record.events:
-                if e.dir is data_dir:
-                    sent_max = max(sent_max, e.seq + e.payload_len + (1 if e.syn or e.fin else 0))
-                elif e.ack_flag:
-                    assert e.ack <= sent_max + 1
+            ev = record.events
+            data = ev.is_dir(record.data_direction())
+            sent_max = np.maximum.accumulate(np.where(data, ev.seq + ev.payload_len + (ev.syn | ev.fin), 0))
+            acks = ~data & ev.ack_flag
+            assert (ev.ack[acks] <= sent_max[acks] + 1).all()
 
 
 class TestNullCase:
@@ -145,7 +144,7 @@ class TestFaultArtifacts:
             seed=6,
         )
         for record in (pair.download, pair.upload):
-            assert all(e.sack_cnt == 0 for e in record.events)
+            assert not record.events.sack_cnt.any()
 
     def test_sack_blocks_appear_under_loss(self):
         pair = simulate_flow(
@@ -247,12 +246,10 @@ class TestValidation:
             seed=10,
         )
         for record in (pair.download, pair.upload):
-            ts = [e.ts for e in record.events]
-            assert ts == sorted(ts)
-            assert ts[0] == 0.0
-            for e in record.events:
-                if e.syn or e.fin or e.rst:
-                    assert e.payload_len == 0
+            ev = record.events
+            assert (np.diff(ev.ts) >= 0).all()
+            assert ev.ts[0] == 0.0
+            assert not ev.payload_len[ev.syn | ev.fin | ev.rst].any()
 
 
 class TestSackBlocks:

@@ -17,8 +17,6 @@ from netdiag.trace import (
     FIELDS,
     CapturePoint,
     Direction,
-    PacketColumns,
-    PacketEvent,
     TracePair,
     TraceRecord,
     TransferDirection,
@@ -30,18 +28,10 @@ from netdiag.trace import (
     write_pair,
     write_trace,
 )
+from packets import columns, ev, record
 
 HEADER = "#capture=client,transfer=download,bytes=1000"
 COLS = "ts,dir,seq,ack,len,syn,fin,rst,ack_flag,win,sack_cnt"
-
-
-def make_trace(events, capture=CapturePoint.CLIENT, transfer=TransferDirection.DOWNLOAD, bytes_=1000):
-    return TraceRecord(
-        capture_point=capture,
-        direction_of_transfer=transfer,
-        events=tuple(events),
-        declared_transfer_bytes=bytes_,
-    )
 
 
 def write_lines(path, *rows):
@@ -62,7 +52,7 @@ class TestRead:
         assert t.capture_point is CapturePoint.CLIENT
         assert t.direction_of_transfer is TransferDirection.DOWNLOAD
         assert t.declared_transfer_bytes == 1000
-        assert t.events[0].payload_len == 1448 and t.events[1].sack_cnt == 2
+        assert t.events.payload_len[0] == 1448 and t.events.sack_cnt[1] == 2
 
     def test_rows_sorted_by_ts(self, tmp_path):
         f = tmp_path / "t.csv"
@@ -72,8 +62,8 @@ class TestRead:
             "0.100000,c2s,1,0,10,0,0,0,0,100,0",
         )
         t = read_trace(f)
-        assert [e.ts for e in t.events] == [0.1, 0.2]
-        assert t.events[0].seq == 1
+        assert t.events.ts.tolist() == [0.1, 0.2]
+        assert t.events.seq[0] == 1
 
     def test_sort_is_stable_on_ties(self, tmp_path):
         f = tmp_path / "t.csv"
@@ -84,7 +74,7 @@ class TestRead:
             "0.050000,c2s,9,0,10,0,0,0,0,100,0",
         )
         t = read_trace(f)
-        assert [e.seq for e in t.events] == [9, 7, 8]
+        assert t.events.seq.tolist() == [9, 7, 8]
 
     def test_bad_direction_is_malformed_row(self, tmp_path):
         f = tmp_path / "t.csv"
@@ -164,7 +154,7 @@ class TestRead:
         write_lines(f, "0.100000,c2s,0,0,10,1,0,0,0,100,0")
         with pytest.warns(UserWarning):
             t = read_trace(f)
-        assert t.events[0].syn and t.events[0].payload_len == 10
+        assert t.events.syn[0] and t.events.payload_len[0] == 10
 
     def test_payload_warning_names_file_row_when_unsorted(self, tmp_path):
         f = tmp_path / "t.csv"
@@ -186,26 +176,25 @@ class TestRead:
 
 class TestWrite:
     def test_refuses_empty(self, tmp_path):
-        t = make_trace([PacketEvent(ts=0.0, dir=Direction.CLIENT_TO_SERVER, seq=0, ack=0, payload_len=1)])
-        t = TraceRecord(t.capture_point, t.direction_of_transfer, (), 1000)
+        t = record([])
         with pytest.raises(EmptyTrace):
             write_trace(t, tmp_path / "x.csv")
 
     def test_ts_has_six_fraction_digits(self, tmp_path):
-        t = make_trace([PacketEvent(ts=0.5, dir=Direction.CLIENT_TO_SERVER, seq=0, ack=0, payload_len=1)])
+        t = record([ev(0.5, length=1)])
         f = tmp_path / "x.csv"
         write_trace(t, f)
         row = f.read_text().splitlines()[2]
         assert row.startswith("0.500000,")
 
 
-event_strategy = st.builds(
-    PacketEvent,
+row_strategy = st.builds(
+    ev,
     ts=st.floats(min_value=0, max_value=1e4, allow_nan=False, allow_infinity=False),
     dir=st.sampled_from(list(Direction)),
     seq=st.integers(min_value=0, max_value=2**32 - 1),
     ack=st.integers(min_value=0, max_value=2**32 - 1),
-    payload_len=st.integers(min_value=0, max_value=65535),
+    length=st.integers(min_value=0, max_value=65535),
     syn=st.booleans(),
     fin=st.booleans(),
     rst=st.booleans(),
@@ -217,13 +206,12 @@ event_strategy = st.builds(
 
 class TestRecordOrder:
     def test_events_out_of_ts_order_are_sorted_stably(self):
-        t = make_trace(PacketEvent(ts, Direction.CLIENT_TO_SERVER, seq, 0, 0) for ts, seq in
-                       [(1.0, 1), (0.0, 2), (1.0, 3), (0.5, 4), (0.0, 5)])
+        t = record(ev(ts, seq=seq) for ts, seq in [(1.0, 1), (0.0, 2), (1.0, 3), (0.5, 4), (0.0, 5)])
         assert t.events.ts.tolist() == [0.0, 0.0, 0.5, 1.0, 1.0]
         assert t.events.seq.tolist() == [2, 5, 4, 1, 3]
 
     def test_columns_in_order_are_kept(self):
-        events = PacketColumns.from_events([PacketEvent(0.0, Direction.CLIENT_TO_SERVER, 0, 0, 0)] * 2)
+        events = columns([ev(0.0)] * 2)
         assert TraceRecord(CapturePoint.CLIENT, TransferDirection.DOWNLOAD, events, 1000).events is events
 
 
@@ -231,14 +219,14 @@ class TestRoundTrip:
     @pytest.mark.filterwarnings("ignore:.*carries payload on a syn/fin/rst packet:UserWarning")
     @settings(max_examples=60, deadline=None)
     @given(
-        events=st.lists(event_strategy, min_size=1, max_size=40),
+        rows=st.lists(row_strategy, min_size=1, max_size=40),
         capture=st.sampled_from(list(CapturePoint)),
         transfer=st.sampled_from(list(TransferDirection)),
         declared=st.integers(min_value=1, max_value=2**48),
     )
-    def test_read_write_identity(self, tmp_path_factory, events, capture, transfer, declared):
-        events = sorted(events, key=lambda e: e.ts)
-        trace = make_trace(events, capture, transfer, declared)
+    def test_read_write_identity(self, tmp_path_factory, rows, capture, transfer, declared):
+        rows = sorted(rows, key=lambda r: r[0])
+        trace = record(rows, capture, transfer, declared)
         path = tmp_path_factory.mktemp("rt") / "t.csv"
         write_trace(trace, path)
         again = read_trace(path)
@@ -249,49 +237,29 @@ class TestRoundTrip:
 
     def test_awkward_float_round_trips(self, tmp_path):
         ts = 0.1 + 0.2  # 0.30000000000000004
-        trace = make_trace([PacketEvent(ts=ts, dir=Direction.SERVER_TO_CLIENT, seq=1, ack=2, payload_len=3)])
+        trace = record([ev(ts, Direction.SERVER_TO_CLIENT, seq=1, ack=2, length=3)])
         f = tmp_path / "x.csv"
         write_trace(trace, f)
-        assert read_trace(f).events[0].ts == ts
+        assert read_trace(f).events.ts[0] == ts
 
 
 class TestPairing:
     def test_pair_roles_enforced(self):
-        down = make_trace(
-            [PacketEvent(ts=0.0, dir=Direction.SERVER_TO_CLIENT, seq=0, ack=0, payload_len=1)],
-            CapturePoint.CLIENT,
-            TransferDirection.DOWNLOAD,
-        )
-        up = make_trace(
-            [PacketEvent(ts=0.0, dir=Direction.CLIENT_TO_SERVER, seq=0, ack=0, payload_len=1)],
-            CapturePoint.SERVER,
-            TransferDirection.UPLOAD,
-        )
+        down = record([ev(0.0, Direction.SERVER_TO_CLIENT, length=1)], CapturePoint.CLIENT, TransferDirection.DOWNLOAD)
+        up = record([ev(0.0, Direction.CLIENT_TO_SERVER, length=1)], CapturePoint.SERVER, TransferDirection.UPLOAD)
         TracePair(download=down, upload=up)
         with pytest.raises(ValueError):
             TracePair(download=up, upload=down)
 
-    def test_event_validation(self):
-        with pytest.raises(ValueError):
-            PacketEvent(ts=-1.0, dir=Direction.CLIENT_TO_SERVER, seq=0, ack=0, payload_len=0)
-        with pytest.raises(ValueError):
-            PacketEvent(ts=0.0, dir=Direction.CLIENT_TO_SERVER, seq=2**32, ack=0, payload_len=0)
-        with pytest.raises(ValueError):
-            PacketEvent(ts=float("nan"), dir=Direction.CLIENT_TO_SERVER, seq=0, ack=0, payload_len=0)
-        with pytest.raises(ValueError):
-            PacketEvent(ts=0.0, dir=Direction.CLIENT_TO_SERVER, seq=0, ack=0, payload_len=0, win=2**32)
-
 
 class TestColumns:
     def test_view_over_columns(self):
-        events = [
-            PacketEvent(ts=0.0, dir=Direction.CLIENT_TO_SERVER, seq=1, ack=0, payload_len=0, syn=True, win=9),
-            PacketEvent(ts=0.5, dir=Direction.SERVER_TO_CLIENT, seq=7, ack=2, payload_len=3, ack_flag=True),
+        rows = [
+            ev(0.0, Direction.CLIENT_TO_SERVER, seq=1, syn=True, win=9),
+            ev(0.5, Direction.SERVER_TO_CLIENT, seq=7, ack=2, length=3, ack_flag=True),
         ]
-        cols = make_trace(events).events
+        cols = record(rows).events
         assert len(cols) == 2
-        assert cols[1] == events[1] and cols[-2] == events[0]
-        assert list(cols) == events
         assert cols.dir.tolist() == [0, 1] and cols.payload_len.tolist() == [0, 3]
         assert cols.is_dir(Direction.CLIENT_TO_SERVER).tolist() == [True, False]
         assert cols.is_dir(Direction.SERVER_TO_CLIENT).tolist() == [False, True]
@@ -383,8 +351,8 @@ SHORT_FLOATS = st.builds(
     st.integers(0, 10**5 - 1),
 )
 
-oracle_event_strategy = st.builds(
-    PacketEvent,
+oracle_row_strategy = st.builds(
+    ev,
     ts=st.one_of(
         st.just(0.0),
         SHORT_FLOATS,
@@ -397,7 +365,7 @@ oracle_event_strategy = st.builds(
     dir=st.sampled_from(list(Direction)),
     seq=U32,
     ack=U32,
-    payload_len=U32,
+    length=U32,
     syn=st.booleans(),
     fin=st.booleans(),
     rst=st.booleans(),
@@ -409,8 +377,8 @@ oracle_event_strategy = st.builds(
 # every flag combination in both directions, with extreme integers and
 # timestamps on each side of the digit-search boundaries
 EVERY_FLAG_COMBINATION = [
-    PacketEvent(
-        ts=ts, dir=d, seq=i, ack=2**32 - 1 - i, payload_len=0 if i % 3 else 2**32 - 1,
+    ev(
+        ts, d, seq=i, ack=2**32 - 1 - i, length=0 if i % 3 else 2**32 - 1,
         syn=bool(i & 8), fin=bool(i & 4), rst=bool(i & 2), ack_flag=bool(i & 1),
         win=2**32 - 1 if i % 2 else 0, sack_cnt=i,
     )
@@ -423,15 +391,15 @@ EVERY_FLAG_COMBINATION = [
 class TestWriterOracle:
     @settings(max_examples=100, deadline=None)
     @given(
-        events=st.lists(oracle_event_strategy, min_size=1, max_size=40),
+        rows=st.lists(oracle_row_strategy, min_size=1, max_size=40),
         capture=st.sampled_from(list(CapturePoint)),
         transfer=st.sampled_from(list(TransferDirection)),
         declared=st.integers(min_value=1, max_value=2**48),
     )
-    @example(events=EVERY_FLAG_COMBINATION, capture=CapturePoint.CLIENT,
+    @example(rows=EVERY_FLAG_COMBINATION, capture=CapturePoint.CLIENT,
              transfer=TransferDirection.DOWNLOAD, declared=1)
-    def test_writes_reference_bytes(self, tmp_path_factory, events, capture, transfer, declared):
-        trace = make_trace(events, capture, transfer, declared)
+    def test_writes_reference_bytes(self, tmp_path_factory, rows, capture, transfer, declared):
+        trace = record(rows, capture, transfer, declared)
         path = tmp_path_factory.mktemp("oracle") / "t.csv"
         write_trace(trace, path)
         assert path.read_bytes() == write_trace_reference(trace).encode("utf-8")
@@ -445,7 +413,7 @@ def row(**cells) -> str:
     return ",".join({**GOOD_CELLS, **cells}.values())
 
 
-good_event = partial(PacketEvent, ts=0.1, dir=Direction.CLIENT_TO_SERVER, seq=0, ack=0, payload_len=10, win=100)
+good_event = partial(ev, ts=0.1, length=10, win=100)
 NOT_A_FLAG = "is not one of ('0', '1')"
 
 
@@ -455,11 +423,11 @@ class TestReaderPaths:
     """numpy's C reader and the per-cell conversion give identical columns."""
 
     @settings(max_examples=100, deadline=None)
-    @given(events=st.lists(oracle_event_strategy, min_size=1, max_size=40))
-    @example(events=EVERY_FLAG_COMBINATION)
-    def test_written_traces_parse_alike_on_both_paths(self, tmp_path_factory, events):
+    @given(rows=st.lists(oracle_row_strategy, min_size=1, max_size=40))
+    @example(rows=EVERY_FLAG_COMBINATION)
+    def test_written_traces_parse_alike_on_both_paths(self, tmp_path_factory, rows):
         path = tmp_path_factory.mktemp("paths") / "t.csv"
-        write_trace(make_trace(events), path)
+        write_trace(record(rows), path)
         rows = path.read_text(encoding="utf-8").splitlines()[2:]
         bulk, bad = _bulk_table(rows), []
         cells = _cell_table(rows, bad)
@@ -485,6 +453,7 @@ class TestReaderPaths:
             ([row(ts="-0.0")], [good_event(ts=-0.0)]),
             ([row(ts="1_0.5")], [good_event(ts=10.5)]),
             ([row(ack="4294967296")], (1, "ack '4294967296' is outside [0, 2^32)")),
+            ([row(win="4294967296")], (1, "win '4294967296' is outside [0, 2^32)")),
             ([row(sack_cnt="9" * 20)], (1, f"sack_cnt '{'9' * 20}' is not a 64-bit integer")),
             ([row(seq="1.0")], (1, "seq '1.0' is not a 64-bit integer")),
             ([row(ts="0.1#")], (1, "ts '0.1#' is not a 64-bit number")),
@@ -519,7 +488,7 @@ class TestReaderPaths:
             assert (err.value.row_index, err.value.reason) == (expected[0], f"{f}: {expected[1]}")
         else:
             events = read_trace(f).events
-            want = PacketColumns.from_events(expected)
+            want = columns(expected)
             assert all(getattr(events, n).tobytes() == getattr(want, n).tobytes() for n in FIELDS)
 
     def test_integer_read_through_float_takes_the_per_cell_path(self, tmp_path, monkeypatch):
