@@ -32,7 +32,8 @@ median by which the change may be worse) also gets:
 
 The entry also keeps every run's values, attempted and failed counts
 and fingerprint, and each checkout's `src_lines`: the line count of its
-`src/netdiag/*.py`, which the ROADMAP tracks next to the bench numbers.
+`src/netdiag/*.py`, which the ROADMAP tracks next to the bench numbers,
+and `src_lines_by_module`, that count per module.
 `--out` names a JSON file: the entry replaces the workload's entry under
 `workloads` (or `per_layer` with `--trace 1`), and every other key of an
 existing file is kept.  Standard library only.
@@ -140,9 +141,11 @@ def _rounded(value):
     return value
 
 
-def src_lines(checkout: Path) -> int:
-    """Lines (newlines, as `wc -l` counts them) of the checkout's src/netdiag/*.py."""
-    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "netdiag").glob("*.py"))
+def src_lines_by_module(checkout: Path) -> dict[str, int]:
+    """Lines (newlines, as `wc -l` counts them) of each of the checkout's
+    src/netdiag/*.py, by module name."""
+    paths = sorted((checkout / "src" / "netdiag").glob("*.py"))
+    return {path.stem: path.read_bytes().count(b"\n") for path in paths}
 
 
 def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -183,9 +186,11 @@ def main(argv=None) -> int:
     document.setdefault("command", "python3 perfbench/run.py --workload W --seed S --seconds T --trace X, "
                                    "run from a checkout of each side")
     key = "per_layer" if args.trace else "workloads"
+    by_module = {side: src_lines_by_module(checkouts[side]) for side in SIDES}
     document.setdefault(key, {})[args.workload] = {
         "seconds": args.seconds, **workload_entry(args.seeds, runs, better, bounds),
-        "src_lines": {side: src_lines(checkouts[side]) for side in SIDES}}
+        "src_lines": {side: sum(by_module[side].values()) for side in SIDES},
+        "src_lines_by_module": by_module}
     args.out.write_text(json.dumps(document, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -48,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CatalogMismatch, ConfigError, IoFailure, MissingClass
+from .errors import CatalogMismatch, ConfigError, IoFailure, TrainingError
 from .features import FeatureCatalog, default_catalog, extract_signature
 from .preprocess import (
     HEALTHY_CLIENT,
@@ -142,10 +142,7 @@ def fit_pipeline(db: SignatureDatabase, config: PipelineConfig) -> tuple[SvmMode
 
 def model_predict(model: SvmModel, raw_vector: np.ndarray) -> tuple[float, int]:
     """Decision value and class for a raw full-length signature vector."""
-    x = np.asarray(raw_vector, dtype=np.float64)
-    if model.scaler is not None:
-        x = apply_scaler(x, model.scaler)
-    x = x[np.asarray(model.feature_subset, dtype=np.int64)]
+    x = apply_scaler(raw_vector, model.scaler)[np.asarray(model.feature_subset, dtype=np.int64)]
     d = decision_value(model, x)
     return d, (1 if d >= 0 else -1)
 
@@ -243,7 +240,7 @@ def build_cf_subset(db: SignatureDatabase, fault_index: int) -> SignatureDatabas
     mask = (db.y == HEALTHY_CLIENT) | (db.y == fault_index)
     y = np.where(db.y[mask] == fault_index, 1, -1).astype(np.int64)
     if not (y == 1).any() or not (y == -1).any():
-        raise MissingClass(f"fault class {fault_index} or healthy class missing")
+        raise TrainingError(f"fault class {fault_index} or healthy class missing")
     return replace(db, X=db.X[mask].copy(), y=y, label_kind=LabelKind.LINK, fault_registry=None)
 
 

@@ -124,7 +124,7 @@ def _config_from_dict(raw, seed_override: int | None) -> CliConfig:
         base = _parse_pipeline(default_raw, "cfd.default", clf.default_cf_config(name, seed=seed))
         cfd[name] = _parse_pipeline(cfd_raw.get(name, {}), f"cfd.{name}", base)
     return CliConfig(
-        catalog_version=raw.get("catalog_version", "v1"),
+        catalog_version=raw.get("catalog_version", default_catalog().version),
         seed=seed,
         fault_registry=registry,
         link_profile=raw.get("link_profile", "default"),

@@ -44,7 +44,7 @@ from .errors import (
     DimensionMismatch,
     IoFailure,
     NonFiniteInput,
-    TooFewRows,
+    TrainingError,
     UnknownLabel,
 )
 
@@ -148,7 +148,7 @@ def read_tag(tag: str, kind: LabelKind, registry: dict[str, int]) -> int:
 def fit_scaler(db: SignatureDatabase) -> ScalerParams:
     """Column-wise extrema of the training rows."""
     if db.n < 2:
-        raise TooFewRows(f"need at least 2 rows to fit a scaler, got {db.n}")
+        raise TrainingError(f"need at least 2 rows to fit a scaler, got {db.n}")
     return ScalerParams(min=db.X.min(axis=0), max=db.X.max(axis=0))
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InsufficientRows, MissingClass, TooFewSamples
+from .errors import TrainingError
 from .preprocess import ScalerParams, SignatureDatabase
 from .rng import SplitMix64
 from .svm import (  # noqa: F401  (train_arrays: perfbench/layers.py wraps selection.train_arrays)
@@ -88,7 +88,7 @@ def t_statistic(a, b) -> float | np.ndarray:
     b = np.asarray(b, dtype=np.float64)
     na, nb = a.shape[0], b.shape[0]
     if na < 2 or nb < 2:
-        raise TooFewSamples(f"need >= 2 samples per side, got {na} and {nb}")
+        raise TrainingError(f"need >= 2 samples per side, got {na} and {nb}")
     pooled = ((na - 1) * a.var(axis=0, ddof=1) + (nb - 1) * b.var(axis=0, ddof=1)) / (na + nb - 2)
     pooled = np.maximum(pooled, VARIANCE_FLOOR)
     t = (a.mean(axis=0) - b.mean(axis=0)) / np.sqrt(pooled * (1.0 / na + 1.0 / nb))
@@ -99,7 +99,7 @@ def rank_features(db: SignatureDatabase, positive_label: int, negative_label: in
     mask_a = db.y == positive_label
     mask_b = db.y == negative_label
     if mask_a.sum() < 2 or mask_b.sum() < 2:
-        raise MissingClass(
+        raise TrainingError(
             f"need >= 2 rows per class, got {int(mask_a.sum())} positive / {int(mask_b.sum())} negative"
         )
     t = t_statistic(db.X[mask_a], db.X[mask_b])
@@ -114,9 +114,9 @@ def stratified_folds(y: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
     leave-one-out.  Returns a list of index arrays, one per fold.
     """
     if k < 2:
-        raise InsufficientRows(f"need k >= 2 folds, got {k}")
+        raise TrainingError(f"need k >= 2 folds, got {k}")
     if k > y.shape[0]:
-        raise InsufficientRows(f"k={k} folds but only {y.shape[0]} rows")
+        raise TrainingError(f"k={k} folds but only {y.shape[0]} rows")
     rng = SplitMix64(seed)
     folds: list[list[int]] = [[] for _ in range(k)]
     counter = 0
@@ -235,12 +235,12 @@ def cv_grid(
     Every input error is raised here, before any problem is solved."""
     sizes = tuple(sorted({int(q) for q in config.candidate_sizes if 1 <= int(q) <= db.m}))
     if not sizes:
-        raise IndexOutOfRange(f"no candidate sizes within [1, {db.m}]")
+        raise TrainingError(f"no candidate sizes within [1, {db.m}]")
     fold_idx = stratified_folds(db.y, config.cv_folds, config.seed)
     # each fold's training rows: the rows it does not name, ascending
     train_rows = [np.flatnonzero(np.bincount(fold, minlength=db.n) == 0) for fold in fold_idx]
     if any(len(set(db.y[rows].tolist())) < 2 for rows in train_rows):
-        raise InsufficientRows("a training fold lost one of the classes")
+        raise TrainingError("a training fold lost one of the classes")
     order = np.asarray(ranking.abs_t_order, dtype=np.int64)
     check_training_data(db.X[:, order[: sizes[-1]]], db.y.astype(np.float64))
     return CvGrid(

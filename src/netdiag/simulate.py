@@ -66,6 +66,7 @@ import numpy as np
 from .preprocess import parse_bool, parse_integer, parse_real
 from .rng import derive_seed, keyed_uniform, uniform_stream
 from .trace import (
+    DIRECTIONS,
     SEQ_MOD,
     CapturePoint,
     Direction,
@@ -74,7 +75,6 @@ from .trace import (
     TracePair,
     TraceRecord,
     TransferDirection,
-    direction_codes,
 )
 
 MSS = 1448
@@ -178,7 +178,7 @@ class _TransferSim:
         # Roles: the client initiates both transfers; data flows from the
         # server for a download and from the client for an upload.
         # Directions are `dir` column codes.
-        self.c2s, self.s2c = direction_codes((Direction.CLIENT_TO_SERVER, Direction.SERVER_TO_CLIENT)).tolist()
+        self.c2s, self.s2c = map(DIRECTIONS.index, (Direction.CLIENT_TO_SERVER, Direction.SERVER_TO_CLIENT))
         self.data_dir = self.s2c if self.down else self.c2s
         self.ack_dir = self.c2s if self.down else self.s2c
         self.profile = CwndProfile.CUBICLIKE if self.down else client.cwnd_growth_profile

@@ -57,15 +57,11 @@ each set (not b and a penalty vector), which holds the same values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NonFiniteInput,
-    SingleClassInput,
-)
+from .errors import DimensionMismatch, NonFiniteInput, TrainingError
 from .preprocess import ScalerParams, parse_real
 
 KERNEL_VARIANTS = ("linear", "quadratic", "cubic", "rbf")
@@ -137,18 +133,18 @@ class SvmModel:
     training_meta: TrainingMeta
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainingState:
-    """Full solver state; kept for diagnostics and property tests."""
+    """A solved dual: the multipliers, each point's b (the bias estimates
+    `build_model` averages over support vectors) and the solver telemetry
+    it copies into `TrainingMeta`."""
 
     alpha: np.ndarray
-    objective_trace: list[float] = field(default_factory=list)
-    bias_estimates: np.ndarray | None = None
-    dual_objective: float = 0.0
-    iterations_used: int = 0
-    updates: int = 0
-    converged: bool = False
-    final_kkt_residual: float = 0.0
+    bias_estimates: np.ndarray
+    iterations_used: int
+    updates: int  # pair updates
+    converged: bool
+    final_kkt_residual: float
 
 
 def kernel_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -202,7 +198,7 @@ class _Dual:
     """One problem's side of the lockstep loop: the scalar pair-step state.
     alpha and y_list are indexed by the points of the problem's Gram."""
 
-    __slots__ = ("g", "rows", "y", "y_list", "alpha", "trace", "objective", "updates", "tol", "max_iter", "cap", "state")
+    __slots__ = ("g", "rows", "y", "y_list", "alpha", "updates", "tol", "max_iter", "cap", "state")
 
     def __init__(self, g: int, rows, y, tol: float, max_iter: int, n: int):
         self.g = g
@@ -210,8 +206,6 @@ class _Dual:
         self.y = np.asarray(y, dtype=np.float64)
         self.y_list = None  # the oriented labels, 0 off rows; set with the loop's row
         self.alpha = [0.0] * n
-        self.trace = []
-        self.objective = 0.0
         self.updates = 0
         self.tol = tol
         self.max_iter = max_iter
@@ -267,9 +261,7 @@ def solve_duals(grams: np.ndarray, problems) -> list[TrainingState]:
         y, rows = dual.y, dual.rows
         K = grams[dual.g].take(rows, axis=0).take(rows, axis=1)
         alpha = np.asarray(dual.alpha)[rows]
-        ay = alpha * y
-        K_ay = K @ ay
-        grad = 1.0 - y * K_ay
+        grad = 1.0 - y * (K @ (alpha * y))
         b_vec_exact = y * grad
         movable = alpha > 0
         pos = y > 0
@@ -277,9 +269,7 @@ def solve_duals(grams: np.ndarray, problems) -> list[TrainingState]:
         m_low = np.min(np.where(~pos | movable, b_vec_exact, np.inf))
         dual.state = TrainingState(
             alpha=alpha,
-            objective_trace=dual.trace,
             bias_estimates=b_vec_exact,
-            dual_objective=float(np.sum(alpha) - 0.5 * ay @ K_ay),
             iterations_used=dual.updates // len(rows) + 1 if converged else dual.max_iter,
             updates=dual.updates,
             converged=converged,
@@ -328,8 +318,7 @@ def solve_duals(grams: np.ndarray, problems) -> list[TrainingState]:
             if b_jp == inf:  # j off the set that may move down
                 b_jp = up.item(r, j_p)
             alpha, y_list = dual.alpha, dual.y_list
-            violation = b_ip - b_jp
-            t = violation / eta
+            t = (b_ip - b_jp) / eta
             y_i, y_j = y_list[i_p], y_list[j_p]
             a_i, a_j = alpha[i_p], alpha[j_p]
             if y_i < 0 and a_i < t:
@@ -348,8 +337,6 @@ def solve_duals(grams: np.ndarray, problems) -> list[TrainingState]:
             if (a_j > 0) != (alpha[j_p] > 0):
                 flip(r, j_p, y_j, a_j > 0)
             alpha[j_p] = a_j
-            dual.objective += violation * t - 0.5 * eta * t * t
-            dual.trace.append(dual.objective)
             dual.updates += 1
             steps.append(t)
         # b -= t (Kt_i - Kt_j), on both sets.
@@ -378,7 +365,7 @@ def check_training_data(X: np.ndarray, y: np.ndarray) -> None:
         raise NonFiniteInput("training data contains NaN or Inf")
     classes = set(np.unique(y).tolist())
     if classes != {-1.0, 1.0}:
-        raise SingleClassInput(f"need both classes +1/-1, got labels {sorted(classes)}")
+        raise TrainingError(f"need both classes +1/-1, got labels {sorted(classes)}")
 
 
 def build_model(
@@ -395,7 +382,7 @@ def build_model(
     if not np.any(sv):
         sv = state.alpha > 0  # degenerate, extremely well-separated data
     if not np.any(sv):  # no step taken: tol is at or above the starting gap of 2
-        raise NonFiniteInput(f"the solver found no support vector (C={config.C!r}, tol={config.tol!r}); no bias")
+        raise TrainingError(f"the solver found no support vector (C={config.C!r}, tol={config.tol!r}); no bias")
     bias = float(np.mean(state.bias_estimates[sv]))
     return SvmModel(
         kernel=config.kernel,
@@ -415,22 +402,15 @@ def build_model(
     )
 
 
-def train_arrays(
-    X: np.ndarray,
-    y: np.ndarray,
-    config: SvmConfig,
-    scaler: ScalerParams | None = None,
-    feature_subset: tuple[int, ...] | None = None,
-    return_state: bool = False,
-):
-    """Train on a prepared matrix with labels in {+1, -1}."""
+def train_arrays(X: np.ndarray, y: np.ndarray, config: SvmConfig) -> SvmModel:
+    """Train on a prepared matrix with labels in {+1, -1}, on all its
+    columns and without a scaler."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     check_training_data(X, y)
     Kt = gram_matrix(config.kernel, X, config.C)
     state = solve_dual(Kt, y, config.tol, config.max_iter)
-    model = build_model(X, y, config, state, scaler, feature_subset)
-    return (model, state) if return_state else model
+    return build_model(X, y, config, state)
 
 
 def decision_values(model: SvmModel, X: np.ndarray) -> np.ndarray:

@@ -53,11 +53,6 @@ DIRECTIONS = (Direction.CLIENT_TO_SERVER, Direction.SERVER_TO_CLIENT)
 _CODES = {d: code for code, d in enumerate(DIRECTIONS)}
 
 
-def direction_codes(directions) -> np.ndarray:
-    """The `dir` column of a sequence of `Direction`s."""
-    return np.fromiter(map(_CODES.__getitem__, directions), np.int8)
-
-
 class CapturePoint(enum.Enum):
     CLIENT = "client"
     SERVER = "server"

@@ -123,6 +123,7 @@ def test_entry_records_each_checkouts_src_lines(tmp_path, monkeypatch):
     assert ab.main([str(parent), str(change), "--workload", "synth", "--seeds", "1", "2", "--seconds", "1", "--out", str(out)]) == 0
     entry = json.loads(out.read_text(encoding="utf-8"))["workloads"]["synth"]
     assert entry["src_lines"] == {"parent": 3, "change": 1}
+    assert entry["src_lines_by_module"] == {"parent": {"a": 2, "b": 1}, "change": {"a": 1}}
     op = entry["summary"]["op_ms_p50"]
     assert op["change_wins"] == 2
     assert op["relative_move"] == -0.5 and op["within_bound"] is True

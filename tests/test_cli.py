@@ -14,8 +14,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from synthetic import ClassArtifactSpec, synthetic_database
 
-from netdiag.cli import main
-from netdiag.errors import IoFailure
+from netdiag import cli, features
+from netdiag.cli import ENV_CONFIG, load_config, main
+from netdiag.errors import (
+    BadHeader,
+    CatalogMismatch,
+    ConfigError,
+    EmptyTrace,
+    IoFailure,
+    MalformedRow,
+    NetdiagError,
+    UnknownLabel,
+)
 from netdiag.features import default_catalog
 from netdiag.preprocess import DEFAULT_FAULT_REGISTRY, LabelKind, load_database, save_database
 from netdiag.scenarios import scenario_from_json
@@ -1094,6 +1104,35 @@ def test_repeated_signatures_with_a_vanishing_ridge_train(trained, tmp_path, C):
     assert code == 0 and "Traceback" not in err, err
     assert json.loads(stdout)["updates"] > 0
     assert (out / "lpd.json").exists()
+
+
+def test_default_catalog_is_the_builds(monkeypatch):
+    # Without a config the CLI works with this build's catalog, whatever
+    # its version.
+    monkeypatch.delenv(ENV_CONFIG, raising=False)
+    monkeypatch.setattr(features, "_CATALOG", replace(features._CATALOG, version="v9"))
+    assert load_config(None, None).catalog_version == "v9"
+
+
+_EXIT_CODES = {CatalogMismatch: 4, **dict.fromkeys((ConfigError, BadHeader, MalformedRow, EmptyTrace, UnknownLabel, IoFailure), 2)}
+
+
+@pytest.mark.parametrize("error", NetdiagError.__subclasses__(), ids=lambda error: error.__name__)
+def test_each_error_type_ends_in_its_exit_code(monkeypatch, error):
+    # Any other type is a failure to train under train and a usage error elsewhere.
+    monkeypatch.delenv(ENV_CONFIG, raising=False)
+
+    def fail(args, config):
+        raise error(7, "cause") if error is MalformedRow else error("cause")
+
+    monkeypatch.setattr(cli, "cmd_train", fail)
+    monkeypatch.setattr(cli, "cmd_diagnose", fail)
+    runs = [
+        _run("train", "--db", "db.json", "--stage", "lpd", "--out", "bundle"),
+        _run("diagnose", "--bundle", "bundle", "--down", "p.down.csv", "--up", "p.up.csv"),
+    ]
+    assert [code for code, _, _ in runs] == [_EXIT_CODES.get(error, 3), _EXIT_CODES.get(error, 2)]
+    assert all(err.startswith("error:") and "cause" in err and not out for _, out, err in runs)
 
 
 # Each file once ended in a raw UnicodeDecodeError traceback with exit 1.

@@ -11,7 +11,7 @@ from synthetic import ClassArtifactSpec, synthetic_database
 
 from netdiag import evaluation
 from netdiag.classifiers import PipelineConfig, Verdict, fit_pipeline, model_predict
-from netdiag.errors import InsufficientRows
+from netdiag.errors import TrainingError
 from netdiag.evaluation import ConfusionMatrix, GroundTruth, evaluate_verdicts, render_report
 from netdiag.selection import stratified_folds
 from netdiag.svm import KernelSpec, SvmConfig
@@ -104,7 +104,7 @@ class TestKFoldCv:
 
     def test_insufficient_rows(self):
         db = separable_db(n_per_class=2)
-        with pytest.raises(InsufficientRows):
+        with pytest.raises(TrainingError, match="k=9 folds but only 4 rows"):
             fit_pipeline(db, replace(CFG, cv_folds=9))
 
     def test_determinism(self):

@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 import netdiag
 
-from netdiag.errors import DimensionMismatch, IoFailure, NonFiniteInput, TooFewRows, UnknownLabel
+from netdiag.errors import DimensionMismatch, IoFailure, NonFiniteInput, TrainingError, UnknownLabel
 from netdiag.preprocess import (
     DEFAULT_FAULT_REGISTRY,
     LabelKind,
@@ -94,7 +94,7 @@ class TestScaler:
             assert s.min[j] == lo and s.max[j] == hi
 
     def test_too_few_rows(self):
-        with pytest.raises(TooFewRows):
+        with pytest.raises(TrainingError, match="need at least 2 rows to fit a scaler"):
             fit_scaler(db_from([[1.0]], [1]))
 
     def test_endpoints(self):

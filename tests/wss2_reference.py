@@ -4,7 +4,8 @@ the stacked lockstep solver in `netdiag.svm`.
 This is the one-problem loop that `svm.solve_dual` ran before problems
 were stacked: every vector operation runs on one problem per call.  The
 stacked solver must return the same `TrainingState`, field for field and
-bit for bit, for every problem of a stack.
+bit for bit, for every problem of a stack.  The reference also keeps the
+dual objective after each pair update, which the solver does not.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ import numpy as np
 from netdiag.svm import TrainingState
 
 
-def solve_dual_reference(Kt: np.ndarray, y: np.ndarray, tol: float, max_iter: int) -> TrainingState:
-    """Maximize sum(a) - 0.5 a' (yy' * Kt) a  s.t.  a >= 0, y'a = 0.
+def solve_dual_reference(Kt: np.ndarray, y: np.ndarray, tol: float, max_iter: int) -> tuple[TrainingState, list[float]]:
+    """Maximize sum(a) - 0.5 a' (yy' * Kt) a  s.t.  a >= 0, y'a = 0; the
+    final state and the objective after each pair update.
 
     Kt must be symmetric: the loop reads rows where the gradient update
     needs columns.
@@ -104,11 +106,9 @@ def solve_dual_reference(Kt: np.ndarray, y: np.ndarray, tol: float, max_iter: in
     m_low = np.min(np.where(~pos | movable, b_vec_exact, np.inf))
     return TrainingState(
         alpha=alpha,
-        objective_trace=trace,
         bias_estimates=b_vec_exact,
-        dual_objective=float(np.sum(alpha) - 0.5 * ay @ (Kt @ ay)),
         iterations_used=sweeps,
         updates=updates,
         converged=converged,
         final_kkt_residual=float(m_up - m_low),
-    )
+    ), trace
