@@ -13,10 +13,12 @@ enough to reimplement in any language from this file alone:
     output <- z xor (z >> 31)
 
 A uniform draw is output / 2^64, with output rounded to the nearest
-double (ties to even) before the exact division.  The bulk form
-`uniform_stream` applies the same steps to numpy uint64 arrays, whose
-multiplies wrap mod 2^64, and returns the same floats as the scalar
-form.
+double (ties to even) before the exact division.  The bulk forms
+apply the same steps to numpy uint64 arrays, whose adds and multiplies
+wrap mod 2^64, and return the same floats as the scalar forms:
+`uniform_stream` the draws of one stream, `keyed_uniforms` the keyed
+draws of consecutive first keys.  Seeds are folded into the arrays as
+Python ints, since a numpy scalar add that wraps warns of overflow.
 """
 
 from __future__ import annotations
@@ -67,6 +69,14 @@ def keyed_uniform(seed: int, *keys: int) -> float:
     for k in keys:
         state = _mix((state + _GOLDEN) ^ (k & _MASK))
     return _mix(state) / 2.0**64
+
+
+def keyed_uniforms(seed: int, n: int, *keys: int) -> np.ndarray:
+    """`keyed_uniform(seed, k, *keys)` for k = 0 .. n - 1, as one float64 array."""
+    state = _mix_array(np.uint64((seed + _GOLDEN) & _MASK) ^ np.arange(n, dtype=np.uint64))
+    for k in keys:
+        state = _mix_array((state + np.uint64(_GOLDEN)) ^ np.uint64(k & _MASK))
+    return _mix_array(state) / 2.0**64
 
 
 _BLOCK = 1024

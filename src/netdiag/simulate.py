@@ -35,13 +35,16 @@ FIN segment the link delivers without reordering the moment it is sent.
 A reordered segment arrives `reorder_delay` late, the same for each, so
 reordered segments wait in one FIFO (`reordered`) in arrival order;
 before a segment is handled at send time, every reordered arrival that
-comes before it is handled.  Acks wait for the sender in a FIFO
-(`acks`), in order for the same reason, and the retransmission timer is
-one (time, tick) slot.  The loop handles the earliest of the ack head,
-the reordered head and the slot.  Ties break by tick: one counter, drawn
-when a segment is transmitted, when an ack is sent and when the slot
-moves, so of two events at the same time the one queued first goes
-first.  This is the order of one heap of all events;
+comes before it is handled (`_deliver`), and while none waits the
+sender hands the segment straight to the receiver.  The receiver has
+one handler, `_on_data`, for data and FIN (segment n_segs) alike, which
+builds and sends the ack of each arrival.  Acks wait for the sender in
+a FIFO (`acks`), in order for the same reason, and the retransmission
+timer is one (time, tick) slot.  The loop handles the earliest of the
+ack head, the reordered head and the slot.  Ties break by tick: one
+counter, drawn when a segment is transmitted, when an ack is sent and
+when the slot moves, so of two events at the same time the one queued
+first goes first.  This is the order of one heap of all events;
 tests/simulate_reference.py keeps that heap loop as an oracle.  (There
 the receiver draws an ack's tick when the arrival pops, not when the
 segment is sent, which could only matter when an ack falls at exactly
@@ -49,7 +52,10 @@ the float time of the slot or of a reordered arrival.)
 
 All randomness is derived from explicit 64-bit seeds via splitmix64
 (see rng.py).  Loss draws are keyed by (segment index, attempt) so a
-higher loss rate drops a superset of packets for the same seed.  Each
+higher loss rate drops a superset of packets for the same seed.  The
+draws of every first transmission, data and FIN, are taken in one bulk
+call when the transfer is set up (`rng.keyed_uniforms`, the same floats
+as the scalar form); a retransmission draws its key on its own.  Each
 stream feeds only its own comparison, so a loss-free link draws no loss
 randomness and a link without reordering draws no reorder randomness.
 """
@@ -64,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .preprocess import parse_bool, parse_integer, parse_real
-from .rng import derive_seed, keyed_uniform, uniform_stream
+from .rng import derive_seed, keyed_uniform, keyed_uniforms, uniform_stream
 from .trace import (
     DIRECTIONS,
     SEQ_MOD,
@@ -191,7 +197,7 @@ class _TransferSim:
         self.hs_ack_sack_cnt = 1 if (self.sack and not self.dsack) else 0
 
         self.n_segs = (self.B + MSS - 1) // MSS
-        self.seg_end = [min((k + 1) * MSS, self.B) for k in range(self.n_segs)]
+        self.seg_end = [*range(MSS, self.B, MSS), self.B]
         # wire times of a full segment and of the last one, which may be partial
         self.last_seg = self.n_segs - 1
         self.ser_mss, self.ser_last = self._ser(MSS), self._ser(self.B - self.last_seg * MSS)
@@ -200,6 +206,12 @@ class _TransferSim:
 
         label = transfer.value
         self.loss_seed = derive_seed(seed, label, "data-loss")
+        # the loss decision of attempt 0 of each segment and of the FIN
+        self.first_lost = (
+            (keyed_uniforms(self.loss_seed, self.n_segs + 1, 0) < self.loss_rate).tolist()
+            if self.loss_rate > 0
+            else [False] * (self.n_segs + 1)
+        )
         self.ack_loss = uniform_stream(derive_seed(seed, label, "ack-loss"))
         self.reorder = uniform_stream(derive_seed(seed, label, "reorder"))
         role = "client-ack" if self.down else "server-ack"
@@ -253,24 +265,28 @@ class _TransferSim:
 
     def _lost(self, k: int, attempt: int) -> bool:
         """Whether transmission `attempt` of segment k (k = n_segs: the FIN) is lost."""
+        if not attempt:
+            return self.first_lost[k]
         return self.loss_rate > 0 and keyed_uniform(self.loss_seed, k, attempt) < self.loss_rate
 
     # Per packet, max(a, b) is written `b if b > a else a` (min alike): the builtin's operand.
-    def _transmit(self, k: int, attempt: int, now: float) -> None:
+    def _transmit(self, k: int, lost: bool, now: float) -> None:
         busy, d = self.busy, self.data_dir
         free = busy[d]
         dep = (free if free > now else now) + (self.ser_last if k == self.last_seg else self.ser_mss)
         busy[d] = dep
         stats = self.stats
         stats.sender_transmissions += 1
-        if self.loss_rate > 0 and keyed_uniform(self.loss_seed, k, attempt) < self.loss_rate:
+        if lost:
             stats.dropped_data_packets += 1
             return
-        arrive = dep + self.owd
+        arrive, tick = dep + self.owd, next(self.tick)
         if self.reorder_rate > 0 and next(self.reorder) < self.reorder_rate:
-            self.reordered.append((arrive + self.reorder_delay, next(self.tick), k))
+            self.reordered.append((arrive + self.reorder_delay, tick, k))
+        elif self.reordered:
+            self._deliver(arrive, tick, k)
         else:
-            self._deliver(arrive, next(self.tick), k)
+            self._on_data(arrive, k)
 
     def _deliver(self, arrive: float, tick: int, k: int) -> None:
         """Hand the receiver segment k (k = n_segs: the FIN), which arrives
@@ -282,16 +298,13 @@ class _TransferSim:
             while reordered and reordered[0] < key:
                 now, _, j = reordered.popleft()
                 self._on_data(now, j)
-        if k < self.n_segs:
-            self._on_data(arrive, k)
-        else:
-            self._on_fin(arrive)
+        self._on_data(arrive, k)
 
     def _retransmit(self, k: int, now: float) -> None:
         # attempts are tracked per segment so loss draws stay keyed
         self.stats.sender_retransmissions += 1
         self.attempts[k] += 1
-        self._transmit(k, self.attempts[k], now)
+        self._transmit(k, self._lost(k, self.attempts[k]), now)
 
     def _send_fin(self, now: float) -> None:
         self.fin_sent = True
@@ -319,13 +332,13 @@ class _TransferSim:
             limit = rwnd
         if wbuf < limit:
             limit = wbuf
-        seg_end, una, snd_nxt = self.seg_end, self.snd_una, self.snd_nxt
+        seg_end, first_lost, una, snd_nxt = self.seg_end, self.first_lost, self.snd_una, self.snd_nxt
         while k < n:
             e = seg_end[k]
             if (snd_nxt - una) + (e - k * MSS) > limit:
                 break
             self.first_send[k] = now
-            self._transmit(k, 0, now)
+            self._transmit(k, first_lost[k], now)
             snd_nxt = e
             k += 1
             if self.rto_deadline is None:
@@ -369,11 +382,8 @@ class _TransferSim:
         # the triple duplicate ack proves the cumulative-ack hole is lost
         self._retransmit_una_segment(now)
 
-    def _grow_cwnd(self, bytes_acked: int, now: float) -> None:
-        if self.cwnd < self.ssthresh:
-            cwnd = self.cwnd + bytes_acked
-            self.cwnd = CWND_CAP if CWND_CAP < cwnd else cwnd
-            return
+    def _grow_cwnd(self, now: float) -> None:
+        """Congestion avoidance: one ack's growth past ssthresh (slow start is in _on_ack)."""
         dt = now - self.t_loss
         base = MSS * MSS / self.cwnd
         if self.profile is CwndProfile.RENOLIKE:
@@ -421,7 +431,12 @@ class _TransferSim:
                     # partial ack: the new cumulative hole is proven lost
                     self._retransmit_una_segment(now)
             elif acked_payload > 0:
-                self._grow_cwnd(acked_payload, now)
+                cwnd = self.cwnd
+                if cwnd < self.ssthresh:
+                    cwnd += acked_payload
+                    self.cwnd = CWND_CAP if CWND_CAP < cwnd else cwnd
+                else:
+                    self._grow_cwnd(now)
             if self.snd_una >= self.B and not self.fin_sent:
                 self._send_fin(now)
             elif self.fin_sent and a >= self.B + 1:
@@ -464,21 +479,35 @@ class _TransferSim:
 
     # -- receiver -----------------------------------------------------
 
-    def _send_ack(self, now: float, dup_arrival: bool, s: int, length: int) -> None:
-        """Ack the arrival at `now` of payload [s, s + length); length 0 is the FIN."""
-        rwnd, blocks, ooo = self.read_buffer, (), self.ooo
+    def _on_data(self, now: float, k: int) -> None:
+        """Receive segment k (k = n_segs: the FIN, no payload) at `now` and ack it."""
+        ooo, rcv_nxt = self.ooo, self.rcv_nxt
+        if k < self.n_segs:
+            s, e = k * MSS, self.seg_end[k]
+            length = e - s
+            dup = e <= rcv_nxt or (ooo.covers(s, e) if ooo.starts else False)
+            if dup:
+                self.stats.duplicate_arrivals += 1
+            elif s <= rcv_nxt:  # in order: e passes rcv_nxt, and held data may follow it
+                self.rcv_nxt = rcv_nxt = ooo.pop_through(e) if ooo.starts else e
+            else:
+                ooo.add(s, e)
+            offset = rcv_nxt
+        else:
+            s, length, dup = self.B, 0, False
+            offset = rcv_nxt + 1 if rcv_nxt >= self.B else rcv_nxt  # the FIN is offset B
+        rwnd, blocks = self.read_buffer, ()
         if ooo.starts:
             rwnd -= sum(ooo.ends) - sum(ooo.starts)
             if rwnd < 0:
                 rwnd = 0
             if self.sack:  # the first block reports the latest arrival (RFC 2018)
                 blocks = tuple(ooo.recent(MAX_SACK_BLOCKS))
-        sack_cnt = len(blocks) + (1 if dup_arrival and self.dsack else 0)
+        sack_cnt = len(blocks) + (1 if dup and self.dsack else 0)
         t, last = now + next(self.jitter) * ACK_JITTER_MAX, self.last_ack_t
         if last > t:
             t = last
         self.last_ack_t = t
-        offset = self.rcv_nxt + 1 if not length and self.rcv_nxt >= self.B else self.rcv_nxt  # the FIN is offset B
         self.captured.append((now, t, s, length, offset, rwnd, sack_cnt))
         stats = self.stats
         stats.acks_sent += 1
@@ -490,21 +519,6 @@ class _TransferSim:
             stats.dropped_acks += 1
             return
         self.acks.append((dep + self.owd, next(self.tick), offset, blocks, rwnd))
-
-    def _on_data(self, now: float, k: int) -> None:
-        s, e = k * MSS, self.seg_end[k]
-        rcv_nxt, ooo = self.rcv_nxt, self.ooo
-        dup = e <= rcv_nxt or (ooo.covers(s, e) if ooo.starts else False)
-        if dup:
-            self.stats.duplicate_arrivals += 1
-        elif s <= rcv_nxt:  # in order: e passes rcv_nxt, and held data may follow it
-            self.rcv_nxt = ooo.pop_through(e) if ooo.starts else e
-        else:
-            ooo.add(s, e)
-        self._send_ack(now, dup, s, e - s)
-
-    def _on_fin(self, now: float) -> None:
-        self._send_ack(now, False, self.B, 0)
 
     # -- top level ----------------------------------------------------
 

@@ -29,6 +29,12 @@ class _OntoHeap:
     def append(self, entry: tuple) -> None:
         heappush(self.heap, (entry[0], entry[1], self.handler, entry[2:]))
 
+    def __bool__(self) -> bool:
+        # Always true, so the sender sees a reordered arrival waiting and
+        # routes every data and FIN arrival through `_deliver`, which here
+        # pushes it onto the heap instead of handing it over at send time.
+        return True
+
 
 class HeapTransferSim(_TransferSim):
     def __init__(self, *args):
@@ -39,11 +45,7 @@ class HeapTransferSim(_TransferSim):
         self.reordered = _OntoHeap(self.heap, self._arrival)
 
     def _arrival(self, now: float, payload: tuple) -> None:
-        (k,) = payload
-        if k < self.n_segs:
-            self._on_data(now, k)
-        else:
-            self._on_fin(now)
+        self._on_data(now, *payload)
 
     def _deliver(self, arrive: float, tick: int, k: int) -> None:
         heappush(self.heap, (arrive, tick, self._arrival, (k,)))

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netdiag import simulate
 from netdiag.features import default_catalog, extract_signature
+from netdiag.scenarios import Scenario
 from netdiag.simulate import (
     HEALTHY_LINK,
     MSS,
@@ -43,6 +45,23 @@ class TestDeterminism:
         a = simulate_flow(link, ClientParams(seed=11), BYTES, seed=1)
         b = simulate_flow(link, ClientParams(seed=11), BYTES, seed=2)
         assert a.download.events != b.download.events
+
+
+def test_episodes_go_through_the_stats_entry_point(monkeypatch):
+    # perfbench's synth workload records each episode's FlowStats by
+    # replacing this module attribute, so both callers must look it up.
+    real, calls = simulate.simulate_flow_with_stats, []
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(simulate, "simulate_flow_with_stats", recording)
+    link, client = LinkParams(bandwidth=80e6, one_way_delay=0.01, loss_rate=0.04), ClientParams(seed=11)
+    pair = simulate_flow(link, client, 20_000, 77)
+    scenario_pair = Scenario("s", link, client, 20_000, 77).simulate()
+    assert calls == [(link, client, 20_000, 77)] * 2
+    assert pair.download.events == scenario_pair.download.events
 
 
 class TestConservation:
