@@ -3,11 +3,13 @@
 Stage one is a binary link classifier: +1 means the access link itself
 is degraded and client diagnosis is pointless until it is fixed.  Stage
 two is a parallel bank of per-fault binary modules, each trained on the
-healthy-client class versus one fault class, each with its own scaler
-and feature subset.  A verdict is its decisions: the link gate's, then,
-if the link passed, one per module in fault-index order.  The link state
-and the collective client verdict, the set of modules voting +1 (empty
-for a healthy client), are read from them.
+healthy-client class versus one fault class.  Each stage holds its SVM
+`model`, the `scaler` fitted on its training rows and its `selection`,
+whose `chosen_indices` are the model's catalog columns.  A verdict is
+its decisions: the link gate's, then, if the link passed, one per module
+in fault-index order.  The link state and the collective client
+verdict, the set of modules voting +1 (empty for a healthy client), are
+read from them.
 
 On disk a trained bundle is a directory of one JSON file per stage,
 each written whole through a temporary file and a rename:
@@ -32,11 +34,12 @@ this build's catalog, the feature_subset one distinct catalog index (a
 chosen column) per support-vector column, and each support vector is a
 scaled row, in [0, 1].  The selection holds one CV accuracy and
 objective per candidate size, and the model's column count is one of
-the sizes.  Keys of older bundles are ignored: a model's
-catalog_version, a selection's chosen_q and chosen_indices; a missing
-training_meta.updates reads as 0.  The catalog version lives only in
-the stage files; `load_bundle` refuses a stage built for a catalog
-other than this build's.
+the sizes.  The stored feature_subset is the selection's chosen_indices
+and the scaler the stage's.  Keys of older bundles are ignored: a
+model's catalog_version, a selection's chosen_q and chosen_indices; a
+missing training_meta.updates reads as 0.  The catalog version lives
+only in the stage files; `load_bundle` refuses a stage built for a
+catalog other than this build's.
 """
 
 from __future__ import annotations
@@ -121,29 +124,31 @@ def default_cf_config(fault_name: str, seed: int = 0) -> PipelineConfig:
     )
 
 
-def prepare_pipeline(db: SignatureDatabase, config: PipelineConfig) -> CvGrid:
-    """scale -> rank -> the CV grid of the candidate sizes, which keeps the
-    scaled rows and the fitted scaler.
+def prepare_pipeline(db: SignatureDatabase, config: PipelineConfig) -> tuple[CvGrid, ScalerParams]:
+    """scale -> rank -> the CV grid of the candidate sizes on the scaled
+    rows, and the scaler fitted on them.
 
     The input must be a two-class database of raw rows with labels
     +1/-1.  Every input error of the pipeline is raised here.
     """
     scaled, scaler = scale_database(db)
-    return cv_grid(scaled, rank_features(scaled, positive_label=1, negative_label=-1), config, scaler)
+    return cv_grid(scaled, rank_features(scaled, positive_label=1, negative_label=-1), config), scaler
 
 
-def fit_pipeline(db: SignatureDatabase, config: PipelineConfig) -> tuple[SvmModel, SelectionReport]:
+def fit_pipeline(db: SignatureDatabase, config: PipelineConfig) -> tuple[SvmModel, ScalerParams, SelectionReport]:
     """scale -> rank -> choose the subset size by CV -> train on the chosen
-    columns of the scaled rows.  The model carries its fitted scaler and
-    chosen feature indices, so it is a pure function of the training
-    rows."""
-    return solve_grids([prepare_pipeline(db, config)])[0]
+    columns of the scaled rows.  The model, the fitted scaler and the
+    selection naming the chosen columns are a pure function of the
+    training rows."""
+    grid, scaler = prepare_pipeline(db, config)
+    [(model, selection)] = solve_grids([grid])
+    return model, scaler, selection
 
 
-def model_predict(model: SvmModel, raw_vector: np.ndarray) -> tuple[float, int]:
-    """Decision value and class for a raw full-length signature vector."""
-    x = apply_scaler(raw_vector, model.scaler)[np.asarray(model.feature_subset, dtype=np.int64)]
-    d = decision_value(model, x)
+def model_predict(stage: LpdClassifier | CfModule, raw_vector: np.ndarray) -> tuple[float, int]:
+    """Decision value and class of a stage for a raw full-length vector."""
+    columns = np.asarray(stage.selection.chosen_indices, dtype=np.int64)
+    d = decision_value(stage.model, apply_scaler(raw_vector, stage.scaler)[columns])
     return d, (1 if d >= 0 else -1)
 
 
@@ -152,6 +157,7 @@ class LpdClassifier:
     """Stage-one link classifier for one link profile."""
 
     model: SvmModel
+    scaler: ScalerParams
     selection: SelectionReport
     link_profile: str
 
@@ -163,6 +169,7 @@ class CfModule:
     fault_index: int
     fault_name: str
     model: SvmModel
+    scaler: ScalerParams
     selection: SelectionReport
 
 
@@ -229,8 +236,7 @@ def train_lpd(
     """Full stage-one pipeline on a link-labeled database of raw rows."""
     if db.label_kind is not LabelKind.LINK:
         raise ConfigError("link classifier needs a link-labeled database")
-    model, report = fit_pipeline(db, config)
-    return LpdClassifier(model=model, selection=report, link_profile=link_profile)
+    return LpdClassifier(*fit_pipeline(db, config), link_profile=link_profile)
 
 
 def build_cf_subset(db: SignatureDatabase, fault_index: int) -> SignatureDatabase:
@@ -241,7 +247,7 @@ def build_cf_subset(db: SignatureDatabase, fault_index: int) -> SignatureDatabas
     y = np.where(db.y[mask] == fault_index, 1, -1).astype(np.int64)
     if not (y == 1).any() or not (y == -1).any():
         raise TrainingError(f"fault class {fault_index} or healthy class missing")
-    return replace(db, X=db.X[mask].copy(), y=y, label_kind=LabelKind.LINK, fault_registry=None)
+    return replace(db, X=db.X[mask].copy(), y=y, fault_registry=None)
 
 
 @contextmanager
@@ -261,17 +267,15 @@ def train_cfd(db: SignatureDatabase, configs: dict[str, PipelineConfig] | None =
     each module's result is the one `fit_pipeline` gives it alone."""
     if db.label_kind is not LabelKind.CLIENT:
         raise ConfigError("fault modules need a client-labeled database")
-    registry = db.fault_registry or {}
-    if not registry:
-        raise ConfigError("fault registry is empty; nothing to train")
-    grids = []
-    for name, index in registry.items():
+    prepared = []
+    for name, index in db.fault_registry.items():
         config = (configs or {}).get(name) or default_cf_config(name, seed=seed)
         with _module_errors(name):
-            grids.append(prepare_pipeline(build_cf_subset(db, index), config))
+            prepared.append(prepare_pipeline(build_cf_subset(db, index), config))
+    grids, scalers = zip(*prepared)
     modules = [
-        CfModule(fault_index=index, fault_name=name, model=model, selection=report)
-        for (name, index), (model, report) in zip(registry.items(), solve_grids(grids))
+        CfModule(index, name, model, scaler, selection)
+        for (name, index), scaler, (model, selection) in zip(db.fault_registry.items(), scalers, solve_grids(grids))
     ]
     return CfdNetwork(modules=tuple(modules))
 
@@ -279,10 +283,10 @@ def train_cfd(db: SignatureDatabase, configs: dict[str, PipelineConfig] | None =
 def diagnose(lpd: LpdClassifier, cfd: CfdNetwork, pair: TracePair, catalog: FeatureCatalog) -> Verdict:
     """Extract one signature, gate on the link model, then run the bank."""
     values = extract_signature(pair, catalog).values
-    gate = ("lpd", *model_predict(lpd.model, values))
+    gate = ("lpd", *model_predict(lpd, values))
     if gate[2] == 1:
         return Verdict((gate,))
-    return Verdict((gate, *((m.fault_name, *model_predict(m.model, values)) for m in cfd.modules)))
+    return Verdict((gate, *((m.fault_name, *model_predict(m, values)) for m in cfd.modules)))
 
 
 _STAGE_KEYS = {
@@ -322,18 +326,18 @@ def _save_stage(bundle, stage: str, payload: dict, catalog_version: str) -> None
 _SCORE_KEYS = ("candidate_sizes", "cv_accuracy", "cv_objective")
 
 
-def _fit_to_dict(model: SvmModel, selection: SelectionReport) -> dict:
-    """The stored record of one module (see the module docstring): its
-    model, which must carry its scaler, and the CV scores of the selection
-    that chose the model's columns."""
+def _fit_to_dict(stage: LpdClassifier | CfModule) -> dict:
+    """The stored record of a stage (see the module docstring): its model with the selection's chosen columns
+    and the stage's scaler, and the selection's CV scores."""
+    model, selection = stage.model, stage.selection
     stored = {
         "kernel": {key: value for key, value in asdict(model.kernel).items() if value is not None},
         "C": model.C,
         "bias": model.bias,
         "dual_coef": model.dual_coef.tolist(),
         "support_vectors": model.support_vectors.tolist(),
-        "feature_subset": list(model.feature_subset),
-        "scaler": {"min": model.scaler.min.tolist(), "max": model.scaler.max.tolist()},
+        "feature_subset": list(selection.chosen_indices),
+        "scaler": {"min": stage.scaler.min.tolist(), "max": stage.scaler.max.tolist()},
         "training_meta": asdict(model.training_meta),
     }
     return {"model": stored, "selection": {key: list(getattr(selection, key)) for key in _SCORE_KEYS}}
@@ -341,13 +345,13 @@ def _fit_to_dict(model: SvmModel, selection: SelectionReport) -> dict:
 
 def save_lpd_part(bundle, lpd: LpdClassifier, catalog_version: str) -> None:
     """Write the link-classifier half of a bundle, lpd.json."""
-    payload = {"link_profile": lpd.link_profile, **_fit_to_dict(lpd.model, lpd.selection)}
+    payload = {"link_profile": lpd.link_profile, **_fit_to_dict(lpd)}
     _save_stage(bundle, "lpd", payload, catalog_version)
 
 
 def save_cfd_part(bundle, cfd: CfdNetwork, catalog_version: str) -> None:
     """Write the fault-module half of a bundle, cfd.json."""
-    modules = {m.fault_name: _fit_to_dict(m.model, m.selection) for m in cfd.modules}
+    modules = {m.fault_name: _fit_to_dict(m) for m in cfd.modules}
     _save_stage(bundle, "cfd", {"fault_registry": cfd.fault_registry, "modules": modules}, catalog_version)
 
 
@@ -357,9 +361,10 @@ def save_bundle(path, lpd: LpdClassifier, cfd: CfdNetwork, catalog_version: str)
     save_cfd_part(path, cfd, catalog_version)
 
 
-def _fit_from_dict(d: dict) -> tuple[SvmModel, SelectionReport]:
-    """The inverse of `_fit_to_dict`, every field checked as the module
-    docstring states; a refused field is a ValueError or a TypeError."""
+def _fit_from_dict(d: dict) -> tuple[SvmModel, ScalerParams, SelectionReport]:
+    """The inverse of `_fit_to_dict`: a stage's model, scaler and
+    selection, every field checked as the module docstring states; a
+    refused field is a ValueError or a TypeError."""
     stored, scores, m = d["model"], d["selection"], default_catalog().m
     smin, smax = (parse_numbers(stored["scaler"][key], f"scaler {key}") for key in ("min", "max"))
     if not smin.shape == smax.shape == (m,):
@@ -371,7 +376,7 @@ def _fit_from_dict(d: dict) -> tuple[SvmModel, SelectionReport]:
             f"dual_coef of shape {dual_coef.shape} does not match support_vectors of shape {support_vectors.shape}"
         )
     if np.any((support_vectors < 0.0) | (support_vectors > 1.0)):
-        raise ValueError("a support vector lies outside [0, 1], where the model's scaler maps every row")
+        raise ValueError("a support vector lies outside [0, 1], where the stage's scaler maps every row")
     subset = parse_indices(stored["feature_subset"], m, "feature_subset")
     if len(subset) != support_vectors.shape[1]:
         raise ValueError(f"feature_subset has {len(subset)} indices for {support_vectors.shape[1]} support-vector columns")
@@ -388,8 +393,6 @@ def _fit_from_dict(d: dict) -> tuple[SvmModel, SelectionReport]:
         bias=parse_real(stored["bias"], "bias"),
         dual_coef=dual_coef,
         support_vectors=support_vectors,
-        feature_subset=subset,
-        scaler=ScalerParams(min=smin, max=smax),
         training_meta=TrainingMeta(
             n=parse_integer(meta["n"], "training_meta.n", 0),
             iterations_used=parse_integer(meta["iterations_used"], "training_meta.iterations_used", 0),
@@ -398,7 +401,7 @@ def _fit_from_dict(d: dict) -> tuple[SvmModel, SelectionReport]:
             updates=parse_integer(meta.get("updates", 0), "training_meta.updates", 0),
         ),
     )
-    return model, SelectionReport(sizes, *cv, subset)
+    return model, ScalerParams(min=smin, max=smax), SelectionReport(sizes, *cv, subset)
 
 
 def _cfd_from_dict(d: dict) -> CfdNetwork:

@@ -6,6 +6,16 @@ JSON goes to stdout; human summaries go to stderr (silenced by
 training failure, 4 catalog mismatch, 10 link fault found, 20 client
 fault(s) found.  The files each subcommand reads, and how a malformed
 one fails, are the input contract of `netdiag.preprocess`.
+
+A config file (--config, or $NETDIAG_CONFIG) is a JSON object of
+optional keys: catalog_version, seed (--seed overrides it),
+fault_registry (fault name -> label index), link_profile, lpd and cfd.
+lpd, cfd.default and cfd.<fault> are pipelines of optional kernel
+({"variant", "sigma"}), C, max_iter, tol, candidate_sizes, cv_folds and
+fp_penalty, each laid over a layer: lpd over the built-in link
+classifier, cfd.default over each fault's built-in module, cfd.<fault>
+over cfd.default.  An omitted key or kernel variant keeps the layer's
+value, and an omitted sigma too while the variant is the layer's.
 """
 
 from __future__ import annotations
@@ -91,7 +101,9 @@ def _parse_pipeline(raw, where: str, base: clf.PipelineConfig) -> clf.PipelineCo
     svm = base.svm
     if "kernel" in raw:
         kernel = parse_fields(raw["kernel"], f"{where}.kernel", {"variant": object, "sigma": object})
-        svm = replace(svm, kernel=KernelSpec(kernel.get("variant", "quadratic"), kernel.get("sigma")))
+        variant = kernel.get("variant", svm.kernel.variant)
+        sigma = kernel.get("sigma", svm.kernel.sigma if variant == svm.kernel.variant else None)
+        svm = replace(svm, kernel=KernelSpec(variant, sigma))
     svm = replace(
         svm,
         C=parse_real(raw.get("C", svm.C), f"{where}.C"),
@@ -209,11 +221,12 @@ def cmd_extract(args, config: CliConfig) -> int:
     return 0
 
 
-def _train_report(args, name: str, model, selection) -> dict:
-    """The summary of one trained module, the LPD or a CFD module: its
+def _train_report(args, name: str, stage: clf.LpdClassifier | clf.CfModule) -> dict:
+    """The summary of one trained stage, the LPD or a CFD module: its
     kernel, chosen size and that size's CV accuracy, and solver telemetry.
     It is said in one stderr line, with a warning naming the module when
     the solver hit the iteration cap."""
+    model, selection = stage.model, stage.selection
     meta = model.training_meta
     report = {
         "kernel": model.kernel.variant,
@@ -240,11 +253,11 @@ def cmd_train(args, config: CliConfig) -> int:
     if args.stage == "lpd":
         lpd = clf.train_lpd(db, config.lpd, link_profile=config.link_profile)
         clf.save_lpd_part(bundle, lpd, config.catalog_version)
-        _emit({"stage": "lpd", "bundle": str(bundle), **_train_report(args, "lpd", lpd.model, lpd.selection)})
+        _emit({"stage": "lpd", "bundle": str(bundle), **_train_report(args, "lpd", lpd)})
         return 0
     network = clf.train_cfd(db, config.cfd, seed=config.seed)
     clf.save_cfd_part(bundle, network, config.catalog_version)
-    modules = {m.fault_name: _train_report(args, f"cfd/{m.fault_name}", m.model, m.selection) for m in network.modules}
+    modules = {m.fault_name: _train_report(args, f"cfd/{m.fault_name}", m) for m in network.modules}
     _emit({"stage": "cfd", "bundle": str(bundle), "modules": modules})
     return 0
 

@@ -1,12 +1,12 @@
 """Signature databases, and the one reader of every file an operator hands in.
 
 A database holds raw signature rows: their labels, the feature names,
-the catalog version and, for client labels, the fault registry.  Scaling
-(every feature linearly mapped to [0, 1] using training extrema) and the
-choice of columns are steps of the training pipeline, not states of a
-database: their results live on the CV grid and on the trained model.
-The fitted scaler travels with every model, so diagnosis-time vectors
-are mapped with the training extrema and clamped into [0, 1].
+the catalog version and, for client labels only, the fault registry.
+Scaling (every feature linearly mapped to [0, 1] using training extrema)
+and the choice of columns are steps of the training pipeline, not states
+of a database: each trained cascade stage keeps their results as its
+scaler and its selection, so diagnosis-time vectors are mapped with the
+training extrema and clamped into [0, 1].
 
 On disk a database is one JSON artifact file (see write_artifact) with
 exactly five keys: catalog version, fault registry, feature names, rows
@@ -91,15 +91,18 @@ class SignatureDatabase:
     feature_names: tuple[str, ...]
     X: np.ndarray  # n x m, float64
     y: np.ndarray  # n, int
-    label_kind: LabelKind
     catalog_version: str
-    fault_registry: dict[str, int] | None = None
+    fault_registry: dict[str, int] | None = None  # client labels only
 
     def __post_init__(self):
         if self.X.ndim != 2 or self.X.shape[0] != self.y.shape[0]:
             raise DimensionMismatch("X/y shape mismatch")
         if self.X.shape[1] != len(self.feature_names):
             raise DimensionMismatch("feature_names length != columns")
+
+    @property
+    def label_kind(self) -> LabelKind:
+        return LabelKind.CLIENT if self.fault_registry else LabelKind.LINK
 
     @property
     def n(self) -> int:
@@ -127,7 +130,6 @@ def encode_labels(
         feature_names=tuple(feature_names),
         X=np.vstack(X) if X else np.empty((0, len(feature_names))),
         y=np.asarray(y, dtype=np.int64),
-        label_kind=kind,
         catalog_version=catalog_version,
         fault_registry=registry if kind is LabelKind.CLIENT else None,
     )
@@ -338,7 +340,6 @@ def _database_from_dict(d) -> SignatureDatabase:
         feature_names=tuple(names),
         X=X,
         y=np.asarray(y, dtype=np.int64),
-        label_kind=LabelKind.CLIENT if registry else LabelKind.LINK,
         catalog_version=d["catalog_version"],
         fault_registry=registry or None,
     )

@@ -5,9 +5,9 @@ Features are ranked by the absolute two-sample t-statistic between the
 positive and negative class, then candidate prefix sizes are scored by
 stratified k-fold cross-validation of an SVM trained on the prefix.
 Smallest size wins ties.  The chosen indices always form a prefix of the
-ranking; the final model is trained on those columns of the scaled rows
-and keeps them as its feature subset.  A `PipelineConfig` holds every
-setting of one such pipeline.
+ranking, named only by the `SelectionReport`; the final model is trained
+on those columns of the rows, which the caller scaled and keeps the
+scaler of.  A `PipelineConfig` holds every setting of one such pipeline.
 
 The CV loop is split so that several pipelines share one lockstep
 solve: `cv_grid` checks one pipeline's inputs and lays out its dual
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TrainingError
-from .preprocess import ScalerParams, SignatureDatabase
+from .preprocess import SignatureDatabase
 from .rng import SplitMix64
 from .svm import (  # noqa: F401  (train_arrays: perfbench/layers.py wraps selection.train_arrays)
     SvmConfig,
@@ -141,7 +141,6 @@ class CvGrid:
     folds: tuple[np.ndarray, ...]  # test rows per fold
     train_rows: tuple[np.ndarray, ...]  # training rows per fold, ascending
     config: PipelineConfig
-    scaler: ScalerParams | None  # the one that scaled db's rows
 
     def __len__(self) -> int:
         """The number of problems: one per (size, fold), one per size."""
@@ -168,10 +167,10 @@ class CvGrid:
     def fit(self, states) -> tuple[SvmModel, SelectionReport]:
         """Choose the subset size from the solved problems, one
         TrainingState each in the order of `problems`, and fit the final
-        model of that size on its columns, carrying the scaler and the
-        column indices.  A size scores its mean accuracy minus fp_penalty
-        times its mean false-positive rate over the folds; the best score
-        wins, then the smaller size."""
+        model of that size on its columns, which the report names.  A
+        size scores its mean accuracy minus fp_penalty times its mean
+        false-positive rate over the folds; the best score wins, then the
+        smaller size."""
         states = list(states)
         y, svm = self.db.y, self.config.svm
         cv_states = iter(states)
@@ -195,15 +194,8 @@ class CvGrid:
             cv_objective=objectives,
             chosen_indices=tuple(int(i) for i in self.order[: self.sizes[best]]),
         )
-        model = build_model(
-            self.columns(self.sizes[best]),
-            y.astype(np.float64),
-            svm,
-            states[len(self.sizes) * len(self.folds) + best],
-            scaler=self.scaler,
-            feature_subset=report.chosen_indices,
-        )
-        return model, report
+        final = states[len(self.sizes) * len(self.folds) + best]
+        return build_model(self.columns(self.sizes[best]), y.astype(np.float64), svm, final), report
 
 
 def solve_grids(grids) -> list[tuple[SvmModel, SelectionReport]]:
@@ -224,14 +216,9 @@ def solve_grids(grids) -> list[tuple[SvmModel, SelectionReport]]:
     return [grid.fit(itertools.islice(states, len(grid))) for grid in grids]
 
 
-def cv_grid(
-    db: SignatureDatabase,
-    ranking: TTestRanking,
-    config: PipelineConfig,
-    scaler: ScalerParams | None = None,
-) -> CvGrid:
+def cv_grid(db: SignatureDatabase, ranking: TTestRanking, config: PipelineConfig) -> CvGrid:
     """The CV problems that score each candidate prefix size of the
-    ranking over stratified folds of db, whose rows `scaler` scaled.
+    ranking over stratified folds of db, whose rows are scaled.
     Every input error is raised here, before any problem is solved."""
     sizes = tuple(sorted({int(q) for q in config.candidate_sizes if 1 <= int(q) <= db.m}))
     if not sizes:
@@ -250,7 +237,6 @@ def cv_grid(
         folds=tuple(fold_idx),
         train_rows=tuple(train_rows),
         config=config,
-        scaler=scaler,
     )
 
 

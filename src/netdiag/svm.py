@@ -10,7 +10,9 @@ move down, with b_j < b_i, whose pair step gains the most objective,
 (b_i - b_j)^2 / (K~_ii + K~_jj - 2 K~_ij).  Each update takes the exact
 1-D Newton step along the pair, clipped to alpha >= 0.  One "iteration"
 is a sweep of up to n pair updates; the solver stops when the
-first-order gap max_up b - min_low b falls to the tolerance.
+first-order gap max_up b - min_low b falls to the tolerance.  A model is
+the SVM alone: the scaler and the catalog columns of the rows it was
+trained on belong to the cascade stage that holds it.
 
 The selection rule is not symmetric under y -> -y, but the dual depends
 on y only through yy' and y'a = 0.  The solver therefore orients the
@@ -62,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteInput, TrainingError
-from .preprocess import ScalerParams, parse_real
+from .preprocess import parse_real
 
 KERNEL_VARIANTS = ("linear", "quadratic", "cubic", "rbf")
 
@@ -128,8 +130,6 @@ class SvmModel:
     bias: float
     dual_coef: np.ndarray  # alpha_i * y_i for retained vectors
     support_vectors: np.ndarray  # one row per retained vector
-    feature_subset: tuple[int, ...]
-    scaler: ScalerParams | None
     training_meta: TrainingMeta
 
 
@@ -368,14 +368,7 @@ def check_training_data(X: np.ndarray, y: np.ndarray) -> None:
         raise TrainingError(f"need both classes +1/-1, got labels {sorted(classes)}")
 
 
-def build_model(
-    X: np.ndarray,
-    y: np.ndarray,
-    config: SvmConfig,
-    state: TrainingState,
-    scaler: ScalerParams | None = None,
-    feature_subset: tuple[int, ...] | None = None,
-) -> SvmModel:
+def build_model(X: np.ndarray, y: np.ndarray, config: SvmConfig, state: TrainingState) -> SvmModel:
     """The model of a solved dual: support vectors, their coefficients
     and the bias averaged over them."""
     sv = state.alpha > config.tol
@@ -390,8 +383,6 @@ def build_model(
         bias=bias,
         dual_coef=(state.alpha * y)[sv],
         support_vectors=X[sv].copy(),
-        feature_subset=tuple(feature_subset) if feature_subset is not None else tuple(range(X.shape[1])),
-        scaler=scaler,
         training_meta=TrainingMeta(
             n=int(X.shape[0]),
             iterations_used=state.iterations_used,
@@ -404,7 +395,7 @@ def build_model(
 
 def train_arrays(X: np.ndarray, y: np.ndarray, config: SvmConfig) -> SvmModel:
     """Train on a prepared matrix with labels in {+1, -1}, on all its
-    columns and without a scaler."""
+    columns."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     check_training_data(X, y)

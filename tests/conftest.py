@@ -12,15 +12,20 @@ from netdiag.svm import SvmModel
 
 
 def model_fields(model: SvmModel) -> tuple:
-    """The fields of a model as plain values, its arrays and its scaler's
-    extrema as lists, so that two models compare field by field with ==."""
+    """The fields of a model as plain values, its arrays as lists, so that
+    two models compare field by field with ==."""
 
     def plain(value):
-        if isinstance(value, preprocess.ScalerParams):
-            return value.min.tolist(), value.max.tolist()
         return value.tolist() if isinstance(value, np.ndarray) else value
 
     return tuple(plain(getattr(model, f.name)) for f in fields(model))
+
+
+def stage_fields(stage) -> tuple:
+    """What a cascade stage (an LpdClassifier or a CfModule) learned, as
+    plain values: its model's fields, its scaler's extrema and its
+    selection, so that two stages compare with ==."""
+    return model_fields(stage.model), stage.scaler.min.tolist(), stage.scaler.max.tolist(), stage.selection
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from netdiag.features import Signature
-from netdiag.preprocess import LabelKind, SignatureDatabase
+from netdiag.preprocess import SignatureDatabase
 from netdiag.rng import SplitMix64, derive_seed
 
 VALUE_CLIP = 1e6
@@ -70,10 +70,10 @@ def synthetic_database(
     specs: list[ClassArtifactSpec],
     n_per_class: int,
     seed: int,
-    label_kind: LabelKind = LabelKind.LINK,
     fault_registry: dict[str, int] | None = None,
 ) -> SignatureDatabase:
-    """Raw database of n_per_class draws from each class spec."""
+    """Raw database of n_per_class draws from each class spec; its labels
+    are client labels when it has a fault registry."""
     m = specs[0].m
     rows = []
     labels = []
@@ -88,7 +88,6 @@ def synthetic_database(
         feature_names=tuple(f"s{i}" for i in range(m)),
         X=np.vstack(rows),
         y=np.asarray(labels, dtype=np.int64),
-        label_kind=label_kind,
         catalog_version=f"synthetic-m{m}",
         fault_registry=fault_registry,
     )

@@ -4,12 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import model_fields
+from conftest import stage_fields
 from synthetic import ClassArtifactSpec, synthetic_database
 from test_preprocess import db_from
 
 from netdiag.classifiers import (
     CfdNetwork,
+    CfModule,
     LinkState,
     PipelineConfig,
     Verdict,
@@ -50,7 +51,7 @@ def link_db(n_per_class=20, m=30, seed=0):
     informative = tuple((i, 0.8) for i in (2, 5, 11, 17))
     pos = ClassArtifactSpec(m=m, informative=informative, jitter=0.03, label=1)
     neg = ClassArtifactSpec(m=m, informative=tuple((i, 0.2) for i, _ in informative), jitter=0.03, label=-1)
-    return synthetic_database([pos, neg], n_per_class, seed, label_kind=LabelKind.LINK)
+    return synthetic_database([pos, neg], n_per_class, seed)
 
 
 def client_db(n_per_class=12, m=40, seed=0):
@@ -66,13 +67,7 @@ def client_db(n_per_class=12, m=40, seed=0):
             (i, 0.9 if lo <= i < hi else 0.5) for i in range(0, 30)
         )
         specs.append(ClassArtifactSpec(m=m, informative=informative, jitter=0.03, label=fault))
-    return synthetic_database(
-        [specs[0]] + specs[1:],
-        n_per_class,
-        seed,
-        label_kind=LabelKind.CLIENT,
-        fault_registry=dict(DEFAULT_FAULT_REGISTRY),
-    )
+    return synthetic_database([specs[0]] + specs[1:], n_per_class, seed, fault_registry=dict(DEFAULT_FAULT_REGISTRY))
 
 
 def cf_configs():
@@ -107,7 +102,7 @@ class TestTrainLpd:
         lpd = train_lpd(db, LPD_CFG)
         assert set(lpd.selection.chosen_indices) >= {2, 5, 11, 17}
         assert lpd.model.training_meta.converged
-        preds = [model_predict(lpd.model, db.X[i])[1] for i in range(db.n)]
+        preds = [model_predict(lpd, db.X[i])[1] for i in range(db.n)]
         assert np.mean(np.asarray(preds) == db.y) == 1.0
 
     def test_single_class_rejected(self):
@@ -126,19 +121,19 @@ class TestTrainLpd:
 class TestPipelineModel:
     @pytest.mark.parametrize("config", [default_lpd_config(seed=1), default_cf_config("read_buf", seed=1)])
     def test_model_keeps_fitted_scaler_and_chosen_columns(self, config):
-        # Scaling and the column choice are pipeline steps: the model alone
-        # carries their results.
+        # Scaling and the column choice are pipeline steps: the stage keeps
+        # the fitted scaler, and its selection names the model's columns.
         informative = ((2, 0.6), (5, 0.6), (11, 0.4), (17, 0.6))
         pos = ClassArtifactSpec(m=30, informative=informative, jitter=0.2, label=1)
         neg = ClassArtifactSpec(
             m=30, informative=tuple((i, 1.0 - t) for i, t in informative), jitter=0.2, label=-1
         )
-        db = synthetic_database([pos, neg], 11, seed=1, label_kind=LabelKind.LINK)
-        model, report = fit_pipeline(db, config)
+        db = synthetic_database([pos, neg], 11, seed=1)
+        model, fitted, report = fit_pipeline(db, config)
         scaler = fit_scaler(db)
-        assert model.scaler.min.tobytes() == scaler.min.tobytes()
-        assert model.scaler.max.tobytes() == scaler.max.tobytes()
-        assert model.feature_subset == report.chosen_indices
+        assert fitted.min.tobytes() == scaler.min.tobytes()
+        assert fitted.max.tobytes() == scaler.max.tobytes()
+        assert model.support_vectors.shape[1] == len(report.chosen_indices)
         rows = apply_scaler(db.X, scaler)[:, list(report.chosen_indices)]
         assert all((rows == sv).all(axis=1).any() for sv in model.support_vectors)
 
@@ -153,7 +148,7 @@ class TestPipelineModel:
         accuracies = []
         for _ in range(20):
             X, y = rng.uniform(size=(40, 74)), rng.permutation([1] * 20 + [-1] * 20)
-            _, report = fit_pipeline(db_from(X, y), config)
+            *_, report = fit_pipeline(db_from(X, y), config)
             accuracies.append(report.cv_accuracy[0])
         assert abs(np.mean(accuracies) - 0.5) <= 0.08
 
@@ -168,8 +163,8 @@ class TestGoldenSelection:
         neg = ClassArtifactSpec(
             m=30, informative=tuple((i, 1.0 - t) for i, t in informative), jitter=0.2, label=-1
         )
-        db = synthetic_database([pos, neg], 20, seed=1, label_kind=LabelKind.LINK)
-        _, report = fit_pipeline(db, default_lpd_config(seed=1))
+        db = synthetic_database([pos, neg], 20, seed=1)
+        *_, report = fit_pipeline(db, default_lpd_config(seed=1))
         assert report.candidate_sizes == (5, 10, 15, 20, 25)
         assert report.cv_accuracy == (0.775, 0.85, 0.875, 0.9, 0.875)
         assert report.chosen_q == 20
@@ -185,8 +180,8 @@ class TestGoldenSelection:
         neg = ClassArtifactSpec(
             m=30, informative=tuple((i, 1.0 - t) for i, t in informative), jitter=0.2, label=-1
         )
-        db = synthetic_database([pos, neg], 11, seed=1, label_kind=LabelKind.LINK)
-        _, report = fit_pipeline(db, default_lpd_config(seed=1))
+        db = synthetic_database([pos, neg], 11, seed=1)
+        *_, report = fit_pipeline(db, default_lpd_config(seed=1))
         assert report == SelectionReport(
             candidate_sizes=(5, 10, 15, 20, 25),
             cv_accuracy=(0.73, 0.95, 0.8099999999999999, 0.9, 0.9099999999999999),
@@ -236,6 +231,7 @@ class TestCfModules:
         sub = build_cf_subset(db, 3)
         assert sorted(set(sub.y.tolist())) == [-1, 1]
         assert (sub.y == 1).sum() == 12 and (sub.y == -1).sum() == 12
+        assert sub.label_kind is LabelKind.LINK
 
     def test_missing_class(self):
         db = client_db()
@@ -288,9 +284,10 @@ class TestCfModules:
         assert len(net.modules[2].selection.candidate_sizes) == 3
         assert {m.model.training_meta.converged for m in net.modules} == {True, False}
         for module in net.modules:
-            model, report = fit_pipeline(build_cf_subset(db, module.fault_index), cfgs[module.fault_name])
-            assert module.selection == report
-            assert model_fields(module.model) == model_fields(model)
+            alone = CfModule(module.fault_index, module.fault_name, *fit_pipeline(
+                build_cf_subset(db, module.fault_index), cfgs[module.fault_name]
+            ))
+            assert stage_fields(module) == stage_fields(alone)
 
     def test_default_bank_is_one_stack(self, monkeypatch):
         # Every default module has one candidate size: four 5-fold grids and
@@ -458,12 +455,14 @@ class TestBundle:
         lpd2, cfd2, version = load_bundle(tmp_path / "bundle")
         assert version == catalog.version
         assert sorted(p.name for p in (tmp_path / "bundle").iterdir()) == ["cfd.json", "lpd.json"]
-        assert (model_fields(lpd2.model), lpd2.selection, lpd2.link_profile) == (
-            model_fields(lpd.model), lpd.selection, lpd.link_profile
-        )
-        assert [(m.fault_index, m.fault_name, model_fields(m.model), m.selection) for m in cfd2.modules] == [
-            (m.fault_index, m.fault_name, model_fields(m.model), m.selection) for m in cfd.modules
+        assert (stage_fields(lpd2), lpd2.link_profile) == (stage_fields(lpd), lpd.link_profile)
+        assert [(m.fault_index, m.fault_name, stage_fields(m)) for m in cfd2.modules] == [
+            (m.fault_index, m.fault_name, stage_fields(m)) for m in cfd.modules
         ]
+        # Saving what was loaded writes the same bytes.
+        save_bundle(tmp_path / "again", lpd2, cfd2, version)
+        for name in ("lpd.json", "cfd.json"):
+            assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "bundle" / name).read_bytes()
         pair = simulate_flow(HEALTHY_LINK, ClientParams(write_buffer=16384, seed=96), 250_000, seed=409)
         assert diagnose(lpd, cfd, pair, catalog) == diagnose(lpd2, cfd2, pair, catalog)
 
@@ -487,7 +486,7 @@ class TestBundle:
         net5 = train_cfd(db5, cfgs5)
         for m4 in net4.modules:
             m5 = next(m for m in net5.modules if m.fault_name == m4.fault_name)
-            assert model_fields(m5.model) == model_fields(m4.model)
+            assert stage_fields(m5) == stage_fields(m4)
 
     def test_incomplete_bundle_rejected(self, tmp_path):
         db = client_db()
@@ -561,8 +560,8 @@ class TestBundle:
         def snapshot(bundle):
             lpd, cfd, _ = load_bundle(bundle)
             if stage == "lpd":
-                return lpd.link_profile, model_fields(lpd.model)
-            return cfd.fault_registry, {m.fault_name: model_fields(m.model) for m in cfd.modules}
+                return lpd.link_profile, stage_fields(lpd)
+            return cfd.fault_registry, {m.fault_name: stage_fields(m) for m in cfd.modules}
 
         # A loadable bundle holds models of the catalog's width.
         m = default_catalog().m

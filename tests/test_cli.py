@@ -27,9 +27,10 @@ from netdiag.errors import (
     UnknownLabel,
 )
 from netdiag.features import default_catalog
-from netdiag.preprocess import DEFAULT_FAULT_REGISTRY, LabelKind, load_database, save_database
+from netdiag.preprocess import DEFAULT_FAULT_REGISTRY, load_database, save_database
 from netdiag.scenarios import scenario_from_json
 from netdiag.simulate import HEALTHY_LINK, ClientParams, CwndProfile, simulate_flow
+from netdiag.svm import KernelSpec, default_sigma
 from netdiag.trace import write_pair
 
 CATALOG = default_catalog()
@@ -55,9 +56,7 @@ def _databases(tmp):
                 m=M, informative=tuple((i, 0.9 if i in block else 0.5) for i in range(24)), jitter=0.05, label=fault
             )
         )
-    client = synthetic_database(
-        specs, 10, seed=0, label_kind=LabelKind.CLIENT, fault_registry=dict(DEFAULT_FAULT_REGISTRY)
-    )
+    client = synthetic_database(specs, 10, seed=0, fault_registry=dict(DEFAULT_FAULT_REGISTRY))
     paths = []
     for name, db in (("link", link), ("client", client)):
         path = tmp / f"{name}.json"
@@ -826,6 +825,8 @@ def test_synth_needs_exactly_one_of_preset_and_scenario(tmp_path, both):
         ('{"cfd": {"default": {"kernel": {"variant": "rbf", "sigma": 2e-154}}}}', "sigma"),
         ('{"lpd": {"C": 1e-310}}', "C"),
         ('{"cfd": {"default": {"C": 1e-308}}}', "C"),
+        # a sigma without a variant keeps the module's kernel, which has none
+        ('{"cfd": {"read_buf": {"kernel": {"sigma": 1.0}}}}', "cubic kernel"),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, text, named):
@@ -836,6 +837,36 @@ def test_malformed_config_exits_2(tmp_path, text, named):
     assert code == 2 and "Traceback" not in err
     assert err.startswith("error:") and named in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "cfd, fault, kernel",
+    [
+        ({"read_buf": {"kernel": {}}}, "read_buf", KernelSpec("cubic")),
+        ({"write_buf": {"kernel": {"sigma": 3.0}}}, "write_buf", KernelSpec("rbf", 3.0)),
+        ({"write_buf": {"kernel": {"variant": "rbf"}}}, "write_buf", KernelSpec("rbf", default_sigma(16))),
+        ({"write_buf": {"kernel": {"variant": "linear"}}}, "write_buf", KernelSpec("linear")),
+        ({"default": {"kernel": {"variant": "rbf", "sigma": 2.0}}, "read_buf": {"kernel": {}}}, "read_buf",
+         KernelSpec("rbf", 2.0)),
+    ],
+)
+def test_kernel_override_keeps_the_layer_below(tmp_path, cfd, fault, kernel):
+    # A kernel without a variant once reset the module to quadratic: {} gave
+    # read_buf a quadratic kernel, and a lone sigma on write_buf exited 2.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"cfd": cfd}), encoding="utf-8")
+    assert load_config(str(config), None).cfd[fault].svm.kernel == kernel
+
+
+def test_train_keeps_the_module_kernel_under_an_empty_kernel_override(trained, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text('{"cfd": {"read_buf": {"kernel": {}}, "write_buf": {"kernel": {"sigma": 3.0}}}}', encoding="utf-8")
+    client_db = trained[0].parent / "client.json"
+    code, out, err = _run("train", "--config", str(config), "--db", str(client_db), "--stage", "cfd",
+                          "--out", str(tmp_path / "bundle"))
+    assert code == 0, err
+    modules = json.loads(out)["modules"]
+    assert (modules["read_buf"]["kernel"], modules["write_buf"]["kernel"]) == ("cubic", "rbf")
 
 
 @pytest.mark.parametrize(

@@ -6,11 +6,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import model_fields
+from conftest import stage_fields
 from synthetic import ClassArtifactSpec, synthetic_database
 
 from netdiag import evaluation
-from netdiag.classifiers import PipelineConfig, Verdict, fit_pipeline, model_predict
+from netdiag.classifiers import LpdClassifier, PipelineConfig, Verdict, fit_pipeline, model_predict
 from netdiag.errors import TrainingError
 from netdiag.evaluation import ConfusionMatrix, GroundTruth, evaluate_verdicts, render_report
 from netdiag.selection import stratified_folds
@@ -27,7 +27,7 @@ def separable_db(n_per_class=12, m=6, seed=0):
 
 def cv_accuracy(db, **changes) -> float:
     """Mean fold accuracy of fit_pipeline's CV at its one candidate size."""
-    _, report = fit_pipeline(db, replace(CFG, **changes))
+    *_, report = fit_pipeline(db, replace(CFG, **changes))
     (accuracy,) = report.cv_accuracy
     return accuracy
 
@@ -110,15 +110,14 @@ class TestKFoldCv:
     def test_determinism(self):
         db = separable_db(n_per_class=8, seed=5)
         config = replace(CFG, cv_folds=4, seed=7)
-        (m1, r1), (m2, r2) = fit_pipeline(db, config), fit_pipeline(db, config)
-        assert r1 == r2
-        assert model_fields(m1) == model_fields(m2)
+        s1, s2 = (LpdClassifier(*fit_pipeline(db, config), "default") for _ in range(2))
+        assert stage_fields(s1) == stage_fields(s2)
 
     def test_training_accuracy_bounds_cv(self):
         db = separable_db(n_per_class=10, seed=6)
-        model, report = fit_pipeline(db, CFG)
-        train_acc = np.mean([model_predict(model, db.X[i])[1] == db.y[i] for i in range(db.n)])
-        assert train_acc >= report.cv_accuracy[0] - 1e-9
+        lpd = LpdClassifier(*fit_pipeline(db, CFG), "default")
+        train_acc = np.mean([model_predict(lpd, db.X[i])[1] == db.y[i] for i in range(db.n)])
+        assert train_acc >= lpd.selection.cv_accuracy[0] - 1e-9
 
     def test_no_leakage_fold_model_pure_function_of_training_rows(self):
         db = separable_db(n_per_class=10, seed=8)
@@ -126,9 +125,9 @@ class TestKFoldCv:
         test_fold = folds[0]
         train_idx = np.setdiff1d(np.arange(db.n), test_fold)
         train_db = replace(db, X=db.X[train_idx].copy(), y=db.y[train_idx].copy())
-        m1, _ = fit_pipeline(train_db, CFG)
-        m2, _ = fit_pipeline(train_db, CFG)  # deleting test rows cannot matter
-        assert model_fields(m1) == model_fields(m2)
+        s1 = LpdClassifier(*fit_pipeline(train_db, CFG), "default")
+        s2 = LpdClassifier(*fit_pipeline(train_db, CFG), "default")  # deleting test rows cannot matter
+        assert stage_fields(s1) == stage_fields(s2)
 
 
 class TestGroundTruth:

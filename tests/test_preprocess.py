@@ -34,13 +34,12 @@ from netdiag.preprocess import (
 )
 
 
-def db_from(X, y, kind=LabelKind.LINK, registry=None):
+def db_from(X, y, registry=None):
     X = np.asarray(X, dtype=np.float64)
     return SignatureDatabase(
         feature_names=tuple(f"s{i}" for i in range(X.shape[1])),
         X=X,
         y=np.asarray(y, dtype=np.int64),
-        label_kind=kind,
         catalog_version="v1",
         fault_registry=registry,
     )
@@ -51,13 +50,14 @@ class TestEncodeLabels:
         rows = [([1.0, 2.0], "FAULTY"), ([3.0, 4.0], "HEALTHY")]
         db = encode_labels(rows, ("a", "b"), LabelKind.LINK, "v1")
         assert db.y.tolist() == [1, -1]
-        assert db.fault_registry is None
+        assert db.fault_registry is None and db.label_kind is LabelKind.LINK
 
     def test_client_tags_registry(self):
         registry = {"sack_disabled": 1, "dsack_disabled": 2, "read_buf": 3, "write_buf": 4}
         rows = [([0.0], "HEALTHY"), ([1.0], "sack_disabled"), ([2.0], "write_buf")]
         db = encode_labels(rows, ("a",), LabelKind.CLIENT, "v1", registry)
         assert db.y.tolist() == [0, 1, 4]
+        assert db.label_kind is LabelKind.CLIENT
 
     def test_default_registry(self):
         db = encode_labels([([0.0], "read_buf")], ("a",), LabelKind.CLIENT, "v1")
@@ -179,7 +179,7 @@ class TestPersistence:
         assert [p.name for p in tmp_path.iterdir()] == ["db.json"]
 
     def test_client_registry_round_trip(self, tmp_path):
-        db = db_from([[1.0], [2.0]], [0, 3], kind=LabelKind.CLIENT, registry=dict(DEFAULT_FAULT_REGISTRY))
+        db = db_from([[1.0], [2.0]], [0, 3], registry=dict(DEFAULT_FAULT_REGISTRY))
         path = tmp_path / "db.json"
         save_database(db, path)
         again = load_database(path)
@@ -215,7 +215,7 @@ class TestPersistence:
         old, _ = scale_database(db_from([[1.0, 2.0], [2.0, 1.0], [3.0, 3.0]], [1, -1, 1]))
         path = tmp_path / "db.json"
         save_database(old, path)
-        new = db_from([[4.0, 5.0], [6.0, 7.0]], [0, 3], kind=LabelKind.CLIENT, registry=dict(DEFAULT_FAULT_REGISTRY))
+        new = db_from([[4.0, 5.0], [6.0, 7.0]], [0, 3], registry=dict(DEFAULT_FAULT_REGISTRY))
         break_writes("db.json", how)
         with pytest.raises(IoFailure, match="db.json"):
             save_database(new, path)

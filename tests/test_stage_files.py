@@ -21,15 +21,13 @@ M = CATALOG.m
 SCALER = ScalerParams(min=np.zeros(M), max=np.full(M, 1.5))
 
 
-def _model(kernel, subset, support_vectors, dual_coef, bias, meta) -> SvmModel:
+def _model(kernel, support_vectors, dual_coef, bias, meta) -> SvmModel:
     return SvmModel(
         kernel=kernel,
         C=10.0,
         bias=bias,
         dual_coef=np.array(dual_coef),
         support_vectors=np.array(support_vectors),
-        feature_subset=subset,
-        scaler=SCALER,
         training_meta=TrainingMeta(*meta),
     )
 
@@ -37,15 +35,15 @@ def _model(kernel, subset, support_vectors, dual_coef, bias, meta) -> SvmModel:
 def hand_built() -> tuple[LpdClassifier, CfdNetwork]:
     """An LPD and a two-module CFD of small fixed arrays, whose stored
     bytes depend on no solver, BLAS or host."""
-    lpd_model = _model(KernelSpec("quadratic"), (3, 17), [[0.25, 0.5], [1.0, 0.125]], [0.75, -0.75], -0.0625,
+    lpd_model = _model(KernelSpec("quadratic"), [[0.25, 0.5], [1.0, 0.125]], [0.75, -0.75], -0.0625,
                        (12, 3, 0.0009765625, True, 7))
-    linear = _model(KernelSpec("linear"), (5,), [[0.5], [0.0]], [1.5, -1.5], 0.25, (8, 2, 0.0, True, 4))
-    rbf = _model(KernelSpec("rbf", 0.75), (0, 9, 40), [[0.0, 1.0, 0.5], [0.5, 0.25, 1.0]], [-2.0, 2.0], 0.5,
+    linear = _model(KernelSpec("linear"), [[0.5], [0.0]], [1.5, -1.5], 0.25, (8, 2, 0.0, True, 4))
+    rbf = _model(KernelSpec("rbf", 0.75), [[0.0, 1.0, 0.5], [0.5, 0.25, 1.0]], [-2.0, 2.0], 0.5,
                  (8, 2000, 0.5, False, 16000))
-    lpd = LpdClassifier(lpd_model, SelectionReport((2, 4), (0.9, 0.8), (0.1, 0.2), (3, 17)), "default")
+    lpd = LpdClassifier(lpd_model, SCALER, SelectionReport((2, 4), (0.9, 0.8), (0.1, 0.2), (3, 17)), "default")
     cfd = CfdNetwork((
-        CfModule(2, "dsack_disabled", rbf, SelectionReport((3,), (1.0,), (0.0,), (0, 9, 40))),
-        CfModule(1, "sack_disabled", linear, SelectionReport((1,), (0.875,), (0.125,), (5,))),
+        CfModule(2, "dsack_disabled", rbf, SCALER, SelectionReport((3,), (1.0,), (0.0,), (0, 9, 40))),
+        CfModule(1, "sack_disabled", linear, SCALER, SelectionReport((1,), (0.875,), (0.125,), (5,))),
     ))
     return lpd, cfd
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from synthetic import ClassArtifactSpec, generate_synthetic_signature, synthetic_database
 
-from netdiag.preprocess import LabelKind, scale_database
+from netdiag.preprocess import scale_database
 from netdiag.rng import derive_seed
 from netdiag.selection import rank_features
 
@@ -73,7 +73,7 @@ class TestRankingSeparation:
 class TestDatabase:
     def test_shapes_and_labels(self):
         pos, neg = spec_pair()
-        db = synthetic_database([pos, neg], n_per_class=7, seed=0, label_kind=LabelKind.LINK)
+        db = synthetic_database([pos, neg], n_per_class=7, seed=0)
         assert db.n == 14 and db.m == 40
         assert sorted(set(db.y.tolist())) == [-1, 1]
         assert db.catalog_version == "synthetic-m40"
