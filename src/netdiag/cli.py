@@ -1,11 +1,13 @@
 """Operator command line.
 
-Subcommands: extract, train, diagnose, eval, synth.  Machine-readable
-JSON goes to stdout; human summaries go to stderr (silenced by
---quiet).  Exit codes: 0 healthy/ok, 2 usage or config error, 3
-training failure, 4 catalog mismatch, 10 link fault found, 20 client
-fault(s) found.  The files each subcommand reads, and how a malformed
-one fails, are the input contract of `netdiag.preprocess`.
+Subcommands: extract, train, diagnose, eval, synth.  extract and eval
+read a corpus: flat, or one flat corpus per subdirectory (the layout of
+`netdiag.scenarios`).  Machine-readable JSON goes to stdout; human
+summaries go to stderr (silenced by --quiet).  Exit codes: 0
+healthy/ok, 2 usage or config error, 3 training failure, 4 catalog
+mismatch, 10 link fault found, 20 client fault(s) found.  The files
+each subcommand reads, and how a malformed one fails, are the input
+contract of `netdiag.preprocess`.
 
 A config file (--config, or $NETDIAG_CONFIG) is a JSON object of
 optional keys: catalog_version, seed (--seed overrides it),
@@ -26,8 +28,6 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-
-import numpy as np
 
 from . import classifiers as clf
 from .errors import (
@@ -71,6 +71,7 @@ from .svm import KernelSpec
 from .trace import read_pair
 
 ENV_CONFIG = "NETDIAG_CONFIG"
+_CORPUS_HELP = "a corpus: flat, or one flat corpus per subdirectory"
 
 _USAGE_ERRORS = (
     ConfigError,
@@ -197,24 +198,6 @@ def cmd_extract(args, config: CliConfig) -> int:
         sig = extract_signature(read_pair(down, up), catalog)
         rows.append((sig.values, tag))
     db = encode_labels(rows, catalog.feature_names, kind, catalog.version, config.fault_registry)
-    if args.append:
-        existing = _catalog_database(args.append, catalog)
-        # The new rows carry labels of the config's kind and registry; rows
-        # stored under another kind or registry would be read wrongly.
-        if existing.label_kind is not db.label_kind:
-            raise ConfigError(
-                f"cannot append {kind.value} rows to the {existing.label_kind.value} database {args.append}"
-            )
-        if existing.fault_registry != db.fault_registry:
-            raise ConfigError(
-                f"configured fault registry {db.fault_registry} differs from {existing.fault_registry}"
-                f" of the database {args.append}"
-            )
-        db = replace(
-            existing,
-            X=np.vstack([existing.X, db.X]),
-            y=np.concatenate([existing.y, db.y]),
-        )
     save_database(db, args.out)
     _say(args, f"extracted {db.n} signature rows x {db.m} features -> {args.out}")
     _emit({"rows": db.n, "features": db.m, "database": str(args.out)})
@@ -293,8 +276,8 @@ def cmd_eval(args, config: CliConfig) -> int:
         out.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoFailure(f"cannot write {out}: {exc}") from exc
-    write_artifact(out.with_suffix(".json"), report)
-    write_text(out.with_suffix(".txt"), render_report(report))
+    write_artifact(Path(f"{out}.json"), report)
+    write_text(Path(f"{out}.txt"), render_report(report))
     _say(args, render_report(report).rstrip("\n"))
     _emit(report)
     return 0
@@ -334,11 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("extract", parents=[common], help="trace pairs -> signature database")
-    p.add_argument("--traces", required=True, help="directory of <id>.down.csv/<id>.up.csv")
-    p.add_argument("--labels", default=None, help="labels.csv (default: <traces>/labels.csv)")
+    p.add_argument("--traces", required=True, help=_CORPUS_HELP)
+    p.add_argument("--labels", default=None, help="labels.csv of a flat corpus (default: <traces>/labels.csv)")
     p.add_argument("--kind", choices=["link", "client"], required=True)
     p.add_argument("--out", required=True, help="output database file")
-    p.add_argument("--append", default=None, help="existing database to append to")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("train", parents=[common], help="signature database -> model bundle")
@@ -355,9 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", parents=[common], help="labeled trace corpus -> accuracy report")
     p.add_argument("--bundle", required=True)
-    p.add_argument("--traces", required=True)
+    p.add_argument("--traces", required=True, help=_CORPUS_HELP)
     p.add_argument("--labels", default=None)
-    p.add_argument("--out", required=True, help="report path prefix (.json/.txt)")
+    p.add_argument("--out", required=True, help="report path prefix, to which .json and .txt are appended")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("synth", parents=[common], help="emit synthetic trace corpora")

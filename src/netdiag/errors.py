@@ -54,4 +54,4 @@ class TrainingError(NetdiagError):
 
 
 class ConfigError(NetdiagError):
-    """A config, labels file, option value or database kind the command refuses; exit 2."""
+    """A config, scenario, labels file, option value or database kind the command refuses; exit 2."""

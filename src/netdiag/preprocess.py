@@ -22,9 +22,9 @@ fields go through the typed parsers `parse_fields`, `parse_integer`,
 file that cannot be read or is not UTF-8, bad JSON and a refused field
 are an `IoFailure` naming the file; a bad trace is a `BadHeader`,
 `MalformedRow` or `EmptyTrace`, a bad labels file a `ConfigError`.  A
-database that `train` or `extract --append` reads must be built for
-this build's catalog, its version and its feature names in order; any
-other is a `CatalogMismatch` naming the file.  The CLI exits 4 on a
+database that `train` reads must be built for this build's catalog, its
+version and its feature names in order; any other is a
+`CatalogMismatch` naming the file.  The CLI exits 4 on a
 `CatalogMismatch`, 3 on a failure to train and 2 on every other error.
 """
 

@@ -20,8 +20,9 @@ that name, a corpus of its own; the `paper-matrix` preset writes the
 groups `link` (both link states with client variety), `client` (healthy
 link, single client conditions) and `multi` (healthy link, simultaneous
 read and write buffer limits).  `read_corpus`, and so `extract` and
-`eval`, reads one flat directory: a paper-matrix corpus is read one group
-at a time.
+`eval`, reads a directory that has subdirectories but neither its own
+labels file nor a given one as groups: each subdirectory is read as a
+flat corpus, in name order, and never as groups itself.
 """
 
 from __future__ import annotations
@@ -80,18 +81,21 @@ class Scenario:
     @property
     def client_label(self) -> str:
         """HEALTHY, or the registry faults `_FAULT_FIELDS` reads off the
-        client joined by '+' in registry order: a fault whose first field
-        differs from the ClientParams default and was not set by an
-        earlier fault."""
+        client, sorted by name and joined by '+' as `eval` spells them: a
+        fault whose first field differs from the ClientParams default and
+        was not set by an earlier fault."""
         faults, claimed = [], set()
         for fault, names in _FAULT_FIELDS.items():
             if names[0] not in claimed and getattr(self.client, names[0]) != getattr(_DEFAULT_CLIENT, names[0]):
                 faults.append(fault)
                 claimed.update(names)
-        return "+".join(faults) or "HEALTHY"
+        return "+".join(sorted(faults)) or "HEALTHY"
 
     def simulate(self) -> TracePair:
-        return simulate_flow(self.link, self.client, self.transfer_bytes, self.seed)
+        try:
+            return simulate_flow(self.link, self.client, self.transfer_bytes, self.seed)
+        except ConfigError as exc:
+            raise ConfigError(f"scenario {self.id!r}: {exc}") from exc
 
 
 def client_for(condition: str, level: int, profile: CwndProfile, seed: int) -> ClientParams:
@@ -217,13 +221,23 @@ def read_labels(path) -> dict[str, tuple[str, str]]:
 
 
 def read_corpus(tracedir, labels_file=None) -> list[tuple[str, Path, Path, str, str]]:
-    """Each pair of a flat corpus with its labels row, in the order of the
-    pairs' file names: (pair id, down path, up path, link tag, client tag).
-    The labels file defaults to the corpus's own.  A row without both
+    """Each pair of a corpus, flat or grouped (module docstring), with its
+    labels row: (pair id, down path, up path, link tag, client tag)."""
+    tracedir = Path(tracedir)
+    if not labels_file and not os.path.exists(tracedir / _LABELS_FILE):
+        try:
+            groups = sorted(path for path in tracedir.iterdir() if path.is_dir())
+        except OSError:  # read as flat, which names the missing labels file
+            groups = []
+        if groups:
+            return [row for group in groups for row in _read_flat(group, group / _LABELS_FILE)]
+    return _read_flat(tracedir, labels_file or tracedir / _LABELS_FILE)
+
+
+def _read_flat(tracedir: Path, labels_file) -> list[tuple[str, Path, Path, str, str]]:
+    """The pairs of a flat corpus in file-name order.  A row without both
     traces, a trace without its partner, a pair without a row and a
     directory without pairs are ConfigErrors."""
-    tracedir = Path(tracedir)
-    labels_file = labels_file or tracedir / _LABELS_FILE
     labels = read_labels(labels_file)
     try:
         names = set(os.listdir(tracedir))

@@ -69,6 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .preprocess import parse_bool, parse_integer, parse_real
 from .rng import derive_seed, keyed_uniform, keyed_uniforms, uniform_stream
 from .trace import (
@@ -578,7 +579,7 @@ class _TransferSim:
                     self._on_rto(now)
             else:
                 return
-        raise RuntimeError("simulator event budget exceeded; parameters degenerate")
+        raise ConfigError("simulator event budget exceeded; parameters degenerate")
 
     def _columns(self) -> PacketColumns:
         """The capture in capture order: the handshake, then per arrival,

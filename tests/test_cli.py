@@ -27,8 +27,8 @@ from netdiag.errors import (
     UnknownLabel,
 )
 from netdiag.features import default_catalog
-from netdiag.preprocess import DEFAULT_FAULT_REGISTRY, load_database, save_database
-from netdiag.scenarios import scenario_from_json
+from netdiag.preprocess import DEFAULT_FAULT_REGISTRY, LINK_FAULTY, LINK_HEALTHY, load_database, save_database
+from netdiag.scenarios import read_corpus, scenario_from_json
 from netdiag.simulate import HEALTHY_LINK, ClientParams, CwndProfile, simulate_flow
 from netdiag.svm import KernelSpec, default_sigma
 from netdiag.trace import write_pair
@@ -392,12 +392,12 @@ def test_old_csv_database_exits_2_naming_it(tmp_path):
     assert not (tmp_path / "bundle").exists()
 
 
-def _traces(trained, tmp_path, rows):
+def _traces(trained, tmp_path, rows, name="traces"):
     """A traces directory holding a copy of the trained fixture's pair for
     each labels row (id, link tag, client tag), and its labels file."""
     _, _, down, up = trained
-    traces = tmp_path / "traces"
-    traces.mkdir()
+    traces = tmp_path / name
+    traces.mkdir(parents=True)
     for pair_id, _, _ in rows:
         shutil.copy(down, traces / f"{pair_id}.down.csv")
         shutil.copy(up, traces / f"{pair_id}.up.csv")
@@ -406,73 +406,24 @@ def _traces(trained, tmp_path, rows):
     return traces
 
 
-def _client_database(trained, tmp_path):
-    """Traces of two copies of the trained fixture's pair, labelled healthy
-    and read_buf, and the client database extracted from them with the
-    default fault registry."""
-    traces = _traces(trained, tmp_path, [("a", "HEALTHY", "HEALTHY"), ("b", "HEALTHY", "read_buf")])
-    db = tmp_path / "client.json"
-    code, _, err = _run("extract", "--traces", str(traces), "--kind", "client", "--out", str(db))
-    assert code == 0, err
-    return traces, db
-
-
-def test_append_of_another_label_kind_exits_2(trained, tmp_path):
-    traces, db = _client_database(trained, tmp_path)
-    out = tmp_path / "out.json"
-    code, _, err = _run("extract", "--traces", str(traces), "--kind", "link", "--append", str(db), "--out", str(out))
-    assert code == 2 and "Traceback" not in err
-    assert "link rows to the client database" in err and str(db) in err
-    assert not out.exists()
-
-
-def test_append_under_another_fault_registry_exits_2(trained, tmp_path):
-    # Under this registry read_buf rows get label 1, which the stored
-    # default registry reads as sack_disabled.
-    traces, db = _client_database(trained, tmp_path)
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"fault_registry": {"read_buf": 1, "sack_disabled": 3}}), encoding="utf-8")
-    out = tmp_path / "out.json"
-    code, _, err = _run(
-        "extract", "--config", str(config), "--traces", str(traces), "--kind", "client",
-        "--append", str(db), "--out", str(out),
-    )
-    assert code == 2 and "Traceback" not in err
-    assert "fault registry" in err and str(db) in err
-    assert not out.exists()
-
-
-def test_append_doubles_the_rows(trained, tmp_path):
-    traces, db = _client_database(trained, tmp_path)
-    code, out, err = _run("extract", "--traces", str(traces), "--kind", "client", "--append", str(db), "--out", str(db))
-    assert code == 0, err
-    assert json.loads(out)["rows"] == 4
-    assert json.loads(db.read_text(encoding="utf-8"))["y"] == [0, 3, 0, 3]
-
-
 # A link database of this build's catalog version but of other features.
 # Each once trained with exit 0, to a 73-wide bundle or to one that reads
-# the wrong columns, and the cut one ended `extract --append` in a numpy
-# traceback.
+# the wrong columns.
 FOREIGN_FEATURES = {
     "last_column_dropped": lambda db: replace(db, feature_names=db.feature_names[:-1], X=db.X[:, :-1].copy()),
     "columns_reversed": lambda db: replace(db, feature_names=db.feature_names[::-1], X=db.X[:, ::-1].copy()),
 }
 
 
-@pytest.mark.parametrize("command", ["train", "extract"])
+# `train` is the one command that reads a database.
+@pytest.mark.parametrize("command", ["train"])
 @pytest.mark.parametrize("how", sorted(FOREIGN_FEATURES))
 def test_database_of_other_features_exits_4_naming_it(trained, tmp_path, how, command):
     db = tmp_path / "foreign.json"
     save_database(FOREIGN_FEATURES[how](load_database(_databases(tmp_path)[0])), db)
     before = db.read_bytes()
     out = tmp_path / "out"
-    if command == "train":
-        argv = ["train", "--db", str(db), "--stage", "lpd", "--out", str(out)]
-    else:
-        traces = _traces(trained, tmp_path, [("a", "HEALTHY", "HEALTHY"), ("b", "FAULTY", "HEALTHY")])
-        argv = ["extract", "--traces", str(traces), "--kind", "link", "--append", str(db), "--out", str(out)]
-    code, _, err = _run(*argv)
+    code, _, err = _run(command, "--db", str(db), "--stage", "lpd", "--out", str(out))
     assert code == 4 and "Traceback" not in err
     assert err.startswith("error:") and str(db) in err
     assert not out.exists() and db.read_bytes() == before
@@ -539,6 +490,79 @@ def test_missing_traces_directory_exits_2_naming_the_row(trained, tmp_path):
                         "--out", str(tmp_path / "out.json"))
     assert code == 2 and "Traceback" not in err
     assert f"row 'a' has no trace a.down.csv or a.up.csv in {missing}" in err
+
+
+def _grouped(trained, tmp_path):
+    """A corpus root of the groups `a` (pairs a1, a2) and `b` (pair b1);
+    `b` holds a flat corpus of its own (pair n1) one level further down."""
+    root = tmp_path / "root"
+    _traces(trained, root, [("a1", "HEALTHY", "HEALTHY"), ("a2", "FAULTY", "HEALTHY")], "a")
+    _traces(trained, root, [("b1", "FAULTY", "read_buf")], "b")
+    _traces(trained, root / "b", [("n1", "HEALTHY", "HEALTHY")], "nested")
+    return root
+
+
+def test_grouped_corpus_is_read_group_by_group_one_level_deep(trained, tmp_path):
+    root = _grouped(trained, tmp_path)
+    linked = tmp_path / "linked"
+    linked.mkdir()
+    for group in ("a", "b"):
+        (linked / group).symlink_to(root / group, target_is_directory=True)
+    for corpus in (root, linked):
+        rows = read_corpus(corpus)
+        assert [(pair_id, down.parent.name, up.parent.name, link, client) for pair_id, down, up, link, client in rows] == [
+            ("a1", "a", "a", "HEALTHY", "HEALTHY"),
+            ("a2", "a", "a", "FAULTY", "HEALTHY"),
+            ("b1", "b", "b", "FAULTY", "read_buf"),
+        ]
+        db = tmp_path / f"{corpus.name}.json"
+        code, out, err = _run("extract", "--traces", str(corpus), "--kind", "link", "--out", str(db))
+        assert code == 0, err
+        assert json.loads(out)["rows"] == 3
+        assert load_database(db).y.tolist() == [LINK_HEALTHY, LINK_FAULTY, LINK_FAULTY]
+
+
+def test_labels_option_reads_one_flat_directory(trained, tmp_path):
+    # The root holds a pair of its own but no labels file: without
+    # --labels it is read as the groups `a` and `b`.
+    root = _grouped(trained, tmp_path)
+    for suffix in (".down.csv", ".up.csv"):
+        shutil.copy(root / "a" / f"a1{suffix}", root / f"r1{suffix}")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("id,link,client\nr1,FAULTY,HEALTHY\n", encoding="utf-8")
+    assert [row[0] for row in read_corpus(root)] == ["a1", "a2", "b1"]
+    assert [row[0] for row in read_corpus(root, labels)] == ["r1"]
+    code, out, err = _run("extract", "--traces", str(root), "--labels", str(labels), "--kind", "link",
+                          "--out", str(tmp_path / "link.json"))
+    assert code == 0, err
+    assert json.loads(out)["rows"] == 1
+
+
+def test_group_without_its_labels_file_exits_2_naming_it(trained, tmp_path):
+    # Its subdirectory `nested` has a labels file, which is not read in its stead.
+    root = _grouped(trained, tmp_path)
+    (root / "b" / "labels.csv").unlink()
+    out = tmp_path / "out" / "link.json"
+    code, _, err = _run("extract", "--traces", str(root), "--kind", "link", "--out", str(out))
+    assert code == 2 and "Traceback" not in err
+    assert str(root / "b" / "labels.csv") in err
+    assert not out.parent.exists()
+
+
+def test_dotted_eval_prefixes_keep_their_own_reports(trained, tmp_path):
+    # Both once wrote r/eval.json and r/eval.txt, the second over the first.
+    reports = {}
+    for name, link in (("link", "FAULTY"), ("client", "HEALTHY")):
+        traces = _traces(trained, tmp_path, [("a", link, "HEALTHY")], name)
+        code, out, err = _run("eval", "--bundle", str(trained[0]), "--traces", str(traces),
+                              "--out", str(tmp_path / "r" / f"eval.{name}"))
+        assert code == 0, err
+        reports[name] = json.loads(out)
+    assert reports["link"] != reports["client"]
+    written = sorted(path.name for path in (tmp_path / "r").iterdir())
+    assert written == ["eval.client.json", "eval.client.txt", "eval.link.json", "eval.link.txt"]
+    for name, report in reports.items():
+        assert json.loads((tmp_path / "r" / f"eval.{name}.json").read_text(encoding="utf-8")) == report
 
 
 def test_repeated_label_id_exits_2_naming_it(trained, tmp_path):
@@ -773,6 +797,17 @@ def test_synth_scenario_labels_the_client_it_configures(tmp_path):
     code, _, err = _run("synth", "--scenario", str(path), "--out", str(tmp_path / "out"))
     assert code == 0, err
     assert (tmp_path / "out" / "labels.csv").read_text(encoding="utf-8") == "id,link,client\nscenario_000,HEALTHY,read_buf\n"
+
+
+def test_degenerate_scenario_exits_2_naming_it(tmp_path):
+    # A 10 b/s link exceeds the simulator's event budget, which once ended
+    # in a RuntimeError traceback and exit 1.
+    path = tmp_path / "scenario.json"
+    scenario = {"link": {"bandwidth": 10, "one_way_delay": 0.01}, "bytes": 20000, "id": "starved"}
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    code, _, err = _run("synth", "--scenario", str(path), "--out", str(tmp_path / "out"))
+    assert code == 2 and "Traceback" not in err
+    assert "scenario 'starved'" in err and "event budget" in err
 
 
 @pytest.mark.parametrize("both", [True, False], ids=["both", "neither"])
@@ -1193,14 +1228,17 @@ def test_non_utf8_file_exits_2_naming_it(trained, tmp_path, reader):
 
 def test_operator_path_from_synth_to_eval(tmp_path):
     # synth -> extract -> train both stages -> diagnose -> eval on a real
-    # paper-matrix corpus, one group per command.
+    # paper-matrix corpus: the link rows and the report span every group.
     corpus, bundle = tmp_path / "corpus", tmp_path / "bundle"
     code, _, err = _run("synth", "--preset", "paper-matrix", "--per-class", "5", "--bytes", "32768", "--out", str(corpus))
     assert code == 0, err
-    for kind, group in (("link", "link"), ("client", "client")):
-        code, out, err = _run("extract", "--traces", str(corpus / group), "--kind", kind, "--out", str(tmp_path / f"{kind}.json"))
+    for kind, traces, rows in (("link", corpus, 10 + 25 + 5), ("client", corpus / "client", 25)):
+        code, out, err = _run("extract", "--traces", str(traces), "--kind", kind, "--out", str(tmp_path / f"{kind}.json"))
         assert code == 0, err
-        assert json.loads(out)["rows"] == {"link": 10, "client": 25}[kind]
+        assert json.loads(out)["rows"] == rows
+    # Training takes single faults; the compounds of `multi` are refused.
+    code, _, err = _run("extract", "--traces", str(corpus), "--kind", "client", "--out", str(tmp_path / "all.json"))
+    assert code == 2 and "'cf_read_buf_and_write_buf_000'" in err
     for stage, kind in (("lpd", "link"), ("cfd", "client")):
         code, _, err = _run("train", "--db", str(tmp_path / f"{kind}.json"), "--stage", stage, "--out", str(bundle))
         assert code == 0, err
@@ -1208,6 +1246,12 @@ def test_operator_path_from_synth_to_eval(tmp_path):
     code, out, err = _run("diagnose", "--bundle", str(bundle), "--down", f"{pair}.down.csv", "--up", f"{pair}.up.csv")
     verdict = json.loads(out)
     assert code == (10 if verdict["link"] == "faulty" else 20 if verdict["client_faults"] else 0), err
-    code, out, err = _run("eval", "--bundle", str(bundle), "--traces", str(corpus / "multi"), "--out", str(tmp_path / "report" / "eval"))
+    code, out, err = _run("eval", "--bundle", str(bundle), "--traces", str(corpus), "--out", str(tmp_path / "report" / "eval"))
     assert code == 0, err
-    assert {"conditions", "lpd", "per_fault"} <= set(json.loads(out))
+    report = json.loads(out)
+    assert {"conditions", "lpd", "per_fault"} <= set(report)
+    assert sorted(report["conditions"]) == sorted(
+        ["faulty_link", "default_client", *DEFAULT_FAULT_REGISTRY, "read_buf+write_buf"]
+    )
+    assert sum(row["n"] for row in report["conditions"].values()) == 40
+    assert sorted(path.name for path in (tmp_path / "report").iterdir()) == ["eval.json", "eval.txt"]

@@ -85,6 +85,7 @@ def test_client_label_reads_back_every_preset_condition(condition):
         ({"sack_enabled": False}, "sack_disabled"),
         ({"dsack_enabled": False}, "dsack_disabled"),
         ({"sack_enabled": False, "dsack_enabled": False, "write_buffer": 32768}, "sack_disabled+write_buf"),
+        ({"sack_enabled": False, "read_buffer": 16384}, "read_buf+sack_disabled"),
         ({"read_buffer": 262144, "cwnd_growth_profile": "renolike"}, "HEALTHY"),
     ],
 )
