@@ -186,20 +186,23 @@ def _pair_files(directory: Path, pair_id: str) -> tuple[Path, Path]:
 
 def emit_corpus(scenarios: list[Scenario], outdir) -> None:
     """Simulate scenarios into a corpus (module docstring), one
-    subdirectory per group."""
+    subdirectory per group.  A group's directory is made once its first
+    pair has simulated, so a scenario that fails first leaves none."""
     outdir = Path(outdir)
     by_group: dict[str, list[Scenario]] = {}
     for sc in scenarios:
         by_group.setdefault(sc.group, []).append(sc)
     for group, members in sorted(by_group.items()):
         target = outdir / group if group else outdir
-        try:
-            target.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise IoFailure(str(exc)) from exc
         lines = [_LABELS_HEADER]
         for sc in members:
-            write_pair(sc.simulate(), *_pair_files(target, sc.id))
+            pair = sc.simulate()
+            if len(lines) == 1:
+                try:
+                    target.mkdir(parents=True, exist_ok=True)
+                except OSError as exc:
+                    raise IoFailure(str(exc)) from exc
+            write_pair(pair, *_pair_files(target, sc.id))
             lines.append(f"{sc.id},{sc.link_label},{sc.client_label}")
         write_text(target / _LABELS_FILE, "\n".join(lines) + "\n")
 

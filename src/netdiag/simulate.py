@@ -50,6 +50,16 @@ the receiver draws an ack's tick when the arrival pops, not when the
 segment is sent, which could only matter when an ack falls at exactly
 the float time of the slot or of a reordered arrival.)
 
+Sending.  Each time the sender may send, it counts the segments the
+window lets out and hands the run to `_transmit`, which puts them on the
+wire back to back and hands each survivor over as above; a
+retransmission is a run of one.  The receiver touches no sender state,
+so the window is counted before the run goes out.  SACK recovery resends
+the first proven hole (RFC 6675's NextSeg): the first segment below the
+highest sacked byte with a byte at or past the cumulative ack that no
+sacked interval holds.  `_next_proven_hole` walks the gaps between the
+scoreboard's intervals to find it, not every segment.
+
 All randomness is derived from explicit 64-bit seeds via splitmix64
 (see rng.py).  Loss draws are keyed by (segment index, attempt) so a
 higher loss rate drops a superset of packets for the same seed.  The
@@ -62,6 +72,7 @@ randomness and a link without reordering draws no reorder randomness.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import itertools
 from collections import deque
@@ -152,7 +163,12 @@ class ClientParams:
 
 @dataclass
 class FlowStats:
-    """Simulator-side ground truth for one transfer."""
+    """Simulator-side ground truth for one transfer.
+
+    Two counters are derived once the transfer ends: `acks_sent` is the
+    number of data and FIN arrivals (each is acked once), and
+    `sender_transmissions` is `data_segments + sender_retransmissions`.
+    """
 
     transfer_bytes: int = 0
     data_segments: int = 0
@@ -271,23 +287,33 @@ class _TransferSim:
         return self.loss_rate > 0 and keyed_uniform(self.loss_seed, k, attempt) < self.loss_rate
 
     # Per packet, max(a, b) is written `b if b > a else a` (min alike): the builtin's operand.
-    def _transmit(self, k: int, lost: bool, now: float) -> None:
-        busy, d = self.busy, self.data_dir
+    def _transmit(self, k0: int, k1: int, now: float, lost: bool | None = None) -> None:
+        """Put segments k0..k1-1 on the wire back to back at `now` and hand
+        each that survives to the receiver.  A burst of first transmissions
+        (`lost` None) takes each loss from `first_lost` and arms a disarmed
+        timer right after its first segment; a retransmission is a run of
+        one with its own loss decision."""
+        arm = lost is None and self.rto_deadline is None
+        busy, d = self.busy, self.data_dir  # only the sender moves the data direction's free time
         free = busy[d]
-        dep = (free if free > now else now) + (self.ser_last if k == self.last_seg else self.ser_mss)
-        busy[d] = dep
-        stats = self.stats
-        stats.sender_transmissions += 1
-        if lost:
-            stats.dropped_data_packets += 1
-            return
-        arrive, tick = dep + self.owd, next(self.tick)
-        if self.reorder_rate > 0 and next(self.reorder) < self.reorder_rate:
-            self.reordered.append((arrive + self.reorder_delay, tick, k))
-        elif self.reordered:
-            self._deliver(arrive, tick, k)
-        else:
-            self._on_data(arrive, k)
+        k = k0
+        while k < k1:  # a while loop: most runs hold one segment, and range() costs more
+            free = (free if free > now else now) + (self.ser_last if k == self.last_seg else self.ser_mss)
+            if self.first_lost[k] if lost is None else lost:
+                self.stats.dropped_data_packets += 1
+            else:
+                arrive, tick = free + self.owd, next(self.tick)
+                if self.reorder_rate > 0 and next(self.reorder) < self.reorder_rate:
+                    self.reordered.append((arrive + self.reorder_delay, tick, k))
+                elif self.reordered:
+                    self._deliver(arrive, tick, k)
+                else:
+                    self._on_data(arrive, k)
+            if arm:
+                arm = False
+                self._arm_timer(now)
+            k += 1
+        busy[d] = free
 
     def _deliver(self, arrive: float, tick: int, k: int) -> None:
         """Hand the receiver segment k (k = n_segs: the FIN), which arrives
@@ -305,7 +331,7 @@ class _TransferSim:
         # attempts are tracked per segment so loss draws stay keyed
         self.stats.sender_retransmissions += 1
         self.attempts[k] += 1
-        self._transmit(k, self._lost(k, self.attempts[k]), now)
+        self._transmit(k, k + 1, now, self._lost(k, self.attempts[k]))
 
     def _send_fin(self, now: float) -> None:
         self.fin_sent = True
@@ -325,7 +351,8 @@ class _TransferSim:
             self.timer = (deadline, next(self.tick))
 
     def _try_send(self, now: float) -> None:
-        k, n = self.next_seg, self.n_segs
+        k0 = k = self.next_seg
+        n = self.n_segs
         if k == n:
             return
         limit, rwnd, wbuf = self.cwnd, float(self.peer_rwnd), float(self.write_buffer)
@@ -333,35 +360,46 @@ class _TransferSim:
             limit = rwnd
         if wbuf < limit:
             limit = wbuf
-        seg_end, first_lost, una, snd_nxt = self.seg_end, self.first_lost, self.snd_una, self.snd_nxt
+        seg_end, first_send, una, snd_nxt = self.seg_end, self.first_send, self.snd_una, self.snd_nxt
         while k < n:
             e = seg_end[k]
             if (snd_nxt - una) + (e - k * MSS) > limit:
                 break
-            self.first_send[k] = now
-            self._transmit(k, first_lost[k], now)
+            first_send[k] = now
             snd_nxt = e
             k += 1
-            if self.rto_deadline is None:
-                self._arm_timer(now)
-        self.snd_nxt, self.next_seg = snd_nxt, k
+        if k > k0:
+            self.snd_nxt, self.next_seg = snd_nxt, k
+            self._transmit(k0, k, now)
 
     def _next_proven_hole(self) -> int | None:
-        """First un-sacked segment strictly below the highest sacked byte.
+        """First segment below the highest sacked byte that no single sacked
+        interval covers, skipping those already resent in this recovery.
 
         Segments above the sacked region are merely in flight, not lost;
-        retransmitting them would be spurious.
+        retransmitting them would be spurious.  The walk visits the gaps of
+        `sacked` from snd_una up, not every segment: a segment is proven
+        lost exactly when one of its bytes at or past snd_una lies in a gap.
         """
-        high = self.sacked.max_end or 0
-        k = self.snd_una // MSS
-        while k < self.next_seg:
-            e = self.seg_end[k]
-            if e > high:
-                return None
-            if e > self.snd_una and not self.sacked.covers(max(k * MSS, self.snd_una), e):
-                if k not in self.recovery_rexmits:
+        sacked = self.sacked
+        starts, ends = sacked.starts, sacked.ends
+        if not starts:
+            return None
+        high, una, next_seg = sacked.max_end, self.snd_una, self.next_seg
+        seg_end, rexmits = self.seg_end, self.recovery_rexmits
+        i = bisect.bisect_right(starts, una)
+        gap = ends[i - 1] if i and ends[i - 1] > una else una
+        for i in range(i, len(starts)):  # the gap [gap, starts[i])
+            k = gap // MSS
+            while k < next_seg and k * MSS < starts[i]:
+                if seg_end[k] > high:
+                    return None
+                if k not in rexmits:
                     return k
-            k += 1
+                k += 1
+            if k >= next_seg:
+                return None
+            gap = ends[i]
         return None
 
     def _retransmit_una_segment(self, now: float) -> None:
@@ -400,18 +438,6 @@ class _TransferSim:
         cwnd = self.cwnd + inc
         self.cwnd = CWND_CAP if CWND_CAP < cwnd else cwnd
 
-    def _sample_rtt(self, now: float) -> None:
-        while self.next_sample_seg < self.next_seg:
-            if self.seg_end[self.next_sample_seg] > self.snd_una:
-                break
-            k = self.next_sample_seg
-            if not self.attempts[k]:  # Karn's rule: no sample from a retransmitted segment
-                sample = now - self.first_send[k]
-                self.srtt = sample if self.srtt is None else 0.875 * self.srtt + 0.125 * sample
-                rto = 2.0 * self.srtt
-                self.rto = rto if rto > MIN_RTO else MIN_RTO
-            self.next_sample_seg += 1
-
     def _on_ack(self, now: float, a: int, blocks: tuple, rwnd: int) -> None:
         self.peer_rwnd = rwnd
         for bs, be in blocks:
@@ -422,9 +448,19 @@ class _TransferSim:
             self.snd_una = a
             self.dupacks = 0
             self.backoff = 1
-            k = self.next_sample_seg
-            if k < self.next_seg and self.seg_end[k] <= a:
-                self._sample_rtt(now)
+            # RTT samples from the segments this ack newly covers
+            k, next_seg, seg_end = self.next_sample_seg, self.next_seg, self.seg_end
+            if k < next_seg and seg_end[k] <= a:
+                attempts, first_send, srtt = self.attempts, self.first_send, self.srtt
+                while k < next_seg and seg_end[k] <= a:
+                    if not attempts[k]:  # Karn's rule: no sample from a retransmitted segment
+                        sample = now - first_send[k]
+                        srtt = sample if srtt is None else 0.875 * srtt + 0.125 * sample
+                    k += 1
+                self.next_sample_seg = k
+                if srtt is not None:
+                    self.srtt, rto = srtt, 2.0 * srtt
+                    self.rto = rto if rto > MIN_RTO else MIN_RTO
             if self.in_recovery:
                 if a >= self.recovery_until:
                     self.in_recovery = False
@@ -510,14 +546,12 @@ class _TransferSim:
             t = last
         self.last_ack_t = t
         self.captured.append((now, t, s, length, offset, rwnd, sack_cnt))
-        stats = self.stats
-        stats.acks_sent += 1
         busy, d = self.busy, self.ack_dir
         free = busy[d]
         dep = (free if free > t else t) + self.ser0
         busy[d] = dep
         if self.loss_rate > 0 and next(self.ack_loss) < self.loss_rate:
-            stats.dropped_acks += 1
+            self.stats.dropped_acks += 1
             return
         self.acks.append((dep + self.owd, next(self.tick), offset, blocks, rwnd))
 
@@ -528,7 +562,10 @@ class _TransferSim:
         self._drain()
         if self.rcv_nxt != self.B:
             raise RuntimeError(f"conservation violated: delivered {self.rcv_nxt} of {self.B} bytes")
-        self.stats.delivered_bytes = self.rcv_nxt
+        stats = self.stats
+        stats.delivered_bytes = self.rcv_nxt
+        stats.acks_sent = len(self.captured)
+        stats.sender_transmissions = stats.data_segments + stats.sender_retransmissions
         capture = CapturePoint.CLIENT if self.down else CapturePoint.SERVER
         return TraceRecord(capture, self.transfer, self._columns(), self.B), self.stats
 

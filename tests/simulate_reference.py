@@ -9,13 +9,16 @@ before it, and a passed-over entry is an orphan, dropped when it pops.
 
 Only the queueing differs from `netdiag.simulate`, so equal output shows
 that the ordered queues, the send-time hand-over and the RTO slot handle
-every event in the heap's (time, tick) order.
+every event in the heap's (time, tick) order.  The heap loop shares the
+sender's code, so it cannot catch a wrong choice of the segment SACK
+recovery resends; `next_proven_hole_scan` keeps the original
+per-segment scan as the oracle of that choice.
 """
 
 from heapq import heappop, heappush
 
 from netdiag.rng import derive_seed
-from netdiag.simulate import _TransferSim
+from netdiag.simulate import MSS, _TransferSim
 from netdiag.trace import TracePair, TransferDirection
 
 
@@ -88,3 +91,21 @@ def simulate_reference(link, client, transfer_bytes: int, seed: int):
         for t in (TransferDirection.DOWNLOAD, TransferDirection.UPLOAD)
     )
     return TracePair(download=down, upload=up), {"download": down_stats, "upload": up_stats}
+
+
+def next_proven_hole_scan(sacked, snd_una: int, next_seg: int, seg_end: list, recovery_rexmits) -> int | None:
+    """`_TransferSim._next_proven_hole` as the original scan of every
+    segment from snd_una's up: the first whose part at or past snd_una
+    no single interval of `sacked` covers, below the highest sacked byte
+    and not in recovery_rexmits."""
+    high = sacked.max_end or 0
+    k = snd_una // MSS
+    while k < next_seg:
+        e = seg_end[k]
+        if e > high:
+            return None
+        if e > snd_una and not sacked.covers(max(k * MSS, snd_una), e):
+            if k not in recovery_rexmits:
+                return k
+        k += 1
+    return None

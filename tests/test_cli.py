@@ -810,6 +810,17 @@ def test_degenerate_scenario_exits_2_naming_it(tmp_path):
     assert "scenario 'starved'" in err and "event budget" in err
 
 
+def test_failed_synth_leaves_no_directory(tmp_path):
+    # The corpus directory was once made before the first pair simulated,
+    # so a scenario that failed left it behind, empty.
+    path = tmp_path / "scenario.json"
+    path.write_text('{"link": {"bandwidth": 10, "one_way_delay": 0.01}, "bytes": 20000}', encoding="utf-8")
+    out = tmp_path / "out"
+    code, _, err = _run("synth", "--scenario", str(path), "--out", str(out))
+    assert code == 2 and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("both", [True, False], ids=["both", "neither"])
 def test_synth_needs_exactly_one_of_preset_and_scenario(tmp_path, both):
     # With both flags the scenario once won silently over the preset.

@@ -19,7 +19,7 @@ from netdiag.simulate import (
     _TransferSim,
 )
 from netdiag.trace import FIELDS, TransferDirection, write_trace
-from simulate_reference import simulate_reference
+from simulate_reference import next_proven_hole_scan, simulate_reference
 
 BYTES = 300_000
 CAT = default_catalog()
@@ -362,3 +362,41 @@ def test_ordered_queues_match_the_heap_loop(link, client, size, seed):
         for name in FIELDS:
             column, ref_column = getattr(record.events, name), getattr(ref.events, name)
             assert column.dtype == ref_column.dtype and column.tobytes() == ref_column.tobytes(), name
+
+
+@settings(max_examples=300, deadline=None)
+@given(link=LINKS, client=CLIENTS, size=SIZES, seed=st.integers(0, 2**64 - 1))
+def test_flow_stats_counters_follow_from_the_capture(link, client, size, seed):
+    """The two counters derived once per transfer agree with the capture:
+    one ack row per data or FIN arrival, one transmission per segment plus
+    one per resend, and every transmission not dropped arrives once."""
+    pair, stats = simulate_flow_with_stats(link, client, size, seed)
+    for role in ("download", "upload"):
+        events, flow = getattr(pair, role).events, stats[role]
+        assert len(events.ts) == 3 + 2 * flow.acks_sent
+        assert flow.sender_transmissions == flow.data_segments + flow.sender_retransmissions
+        assert np.count_nonzero(events.payload_len) == flow.sender_transmissions - flow.dropped_data_packets
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_proven_hole_walk_matches_the_segment_scan(data):
+    """The gap walk of `_next_proven_hole` picks the segment the original
+    per-segment scan picks, on any scoreboard: random SACK blocks, aligned
+    to segments or not, any snd_una, a next_seg at or past its segment,
+    resent segments, and transfers whose last segment may be partial."""
+    n = data.draw(st.integers(1, 40), "segments")
+    size = n * MSS - data.draw(st.just(0) | st.integers(1, MSS - 1), "short by")  # the last segment may be partial
+    sim = _TransferSim(HEALTHY_LINK, ClientParams(), size, 0, TransferDirection.DOWNLOAD)
+    points = st.one_of(st.integers(0, n).map(lambda k: min(k * MSS, size)), st.integers(0, size))
+    lengths = st.integers(1, 3).map(lambda segments: segments * MSS) | st.integers(1, 3 * MSS)
+    for s, length in data.draw(st.lists(st.tuples(points, lengths), min_size=1, max_size=12), "blocks"):
+        sim.sacked.add(s, min(s + length, size))
+    sim.snd_una = data.draw(points, "snd_una")
+    sim.next_seg = data.draw(st.integers(min(sim.snd_una // MSS, n), n), "next_seg")
+    # as in recovery, the segments from snd_una's up to some point were resent; a few others too
+    first = sim.snd_una // MSS
+    resent = range(first, first + data.draw(st.integers(0, n - first), "resent run"))
+    sim.recovery_rexmits = set(resent) | data.draw(st.sets(st.integers(0, n - 1), max_size=3), "resent")
+    expected = next_proven_hole_scan(sim.sacked, sim.snd_una, sim.next_seg, sim.seg_end, sim.recovery_rexmits)
+    assert sim._next_proven_hole() == expected
