@@ -23,7 +23,7 @@ from .preprocess import (
     fit_scaler,
     scale_database,
 )
-from .selection import SelectionReport, TTestRanking, rank_features, t_statistic, wrapper_select
+from .selection import SelectionReport, rank_features, t_statistic, wrapper_select
 from .simulate import ClientParams, CwndProfile, LinkParams, simulate_flow
 from .svm import KernelSpec, SvmConfig, SvmModel, decision_value
 from .trace import TracePair, TraceRecord, read_trace, write_trace

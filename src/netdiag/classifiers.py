@@ -132,7 +132,7 @@ def prepare_pipeline(db: SignatureDatabase, config: PipelineConfig) -> tuple[CvG
     +1/-1.  Every input error of the pipeline is raised here.
     """
     scaled, scaler = scale_database(db)
-    return cv_grid(scaled, rank_features(scaled, positive_label=1, negative_label=-1), config), scaler
+    return cv_grid(scaled, rank_features(scaled), config), scaler
 
 
 def fit_pipeline(db: SignatureDatabase, config: PipelineConfig) -> tuple[SvmModel, ScalerParams, SelectionReport]:

@@ -4,14 +4,17 @@ Subcommands: extract, train, diagnose, eval, synth.  extract and eval
 read a corpus: flat, or one flat corpus per subdirectory (the layout of
 `netdiag.scenarios`).  Machine-readable JSON goes to stdout; human
 summaries go to stderr (silenced by --quiet).  Exit codes: 0
-healthy/ok, 2 usage or config error, 3 training failure, 4 catalog
-mismatch, 10 link fault found, 20 client fault(s) found.  The files
-each subcommand reads, and how a malformed one fails, are the input
+healthy/ok, 10 link fault found, 20 client fault(s) found, and for an
+error the code its type carries (`netdiag.errors`): 2 usage or config
+error, 3 training failure, 4 catalog mismatch.  The files each
+subcommand reads, and how a malformed one fails, are the input
 contract of `netdiag.preprocess`.
 
 A config file (--config, or $NETDIAG_CONFIG) is a JSON object of
-optional keys: catalog_version, seed (--seed overrides it),
-fault_registry (fault name -> label index), link_profile, lpd and cfd.
+optional keys: seed (--seed overrides it), fault_registry (fault name
+-> label index), link_profile, lpd and cfd.  Any other key, among them
+catalog_version, is refused with exit 2: the catalog is always this
+build's, and each database and bundle stage names the one it holds.
 lpd, cfd.default and cfd.<fault> are pipelines of optional kernel
 ({"variant", "sigma"}), C, max_iter, tol, candidate_sizes, cv_folds and
 fp_penalty, each laid over a layer: lpd over the built-in link
@@ -30,16 +33,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import classifiers as clf
-from .errors import (
-    BadHeader,
-    CatalogMismatch,
-    ConfigError,
-    EmptyTrace,
-    IoFailure,
-    MalformedRow,
-    NetdiagError,
-    UnknownLabel,
-)
+from .errors import CatalogMismatch, ConfigError, IoFailure, NetdiagError, UnknownLabel
 from .evaluation import GroundTruth, evaluate_verdicts, render_report
 from .features import default_catalog, extract_signature
 from .preprocess import (
@@ -62,6 +56,7 @@ from .preprocess import (
 from .scenarios import (
     DEFAULT_TRANSFER_BYTES,
     emit_corpus,
+    parse_client_tag,
     preset_healthy,
     preset_paper_matrix,
     read_corpus,
@@ -72,15 +67,6 @@ from .trace import read_pair
 
 ENV_CONFIG = "NETDIAG_CONFIG"
 _CORPUS_HELP = "a corpus: flat, or one flat corpus per subdirectory"
-
-_USAGE_ERRORS = (
-    ConfigError,
-    BadHeader,
-    MalformedRow,
-    EmptyTrace,
-    UnknownLabel,
-    IoFailure,
-)
 
 
 @dataclass(frozen=True)
@@ -93,7 +79,7 @@ class CliConfig:
     cfd: dict[str, clf.PipelineConfig]
 
 
-_CONFIG_KEYS = {"catalog_version": str, "link_profile": str, **dict.fromkeys(("seed", "fault_registry", "lpd", "cfd"), object)}
+_CONFIG_KEYS = {"link_profile": str, **dict.fromkeys(("seed", "fault_registry", "lpd", "cfd"), object)}
 _PIPELINE_KEYS = dict.fromkeys(("kernel", "C", "max_iter", "tol", "candidate_sizes", "cv_folds", "fp_penalty"), object)
 
 
@@ -137,7 +123,7 @@ def _config_from_dict(raw, seed_override: int | None) -> CliConfig:
         base = _parse_pipeline(default_raw, "cfd.default", clf.default_cf_config(name, seed=seed))
         cfd[name] = _parse_pipeline(cfd_raw.get(name, {}), f"cfd.{name}", base)
     return CliConfig(
-        catalog_version=raw.get("catalog_version", default_catalog().version),
+        catalog_version=default_catalog().version,
         seed=seed,
         fault_registry=registry,
         link_profile=raw.get("link_profile", "default"),
@@ -162,17 +148,6 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _configured_catalog(config: CliConfig):
-    """This build's feature catalog, which must be the one the config
-    names: a database or bundle made for another is one no build loads."""
-    catalog = default_catalog()
-    if config.catalog_version != catalog.version:
-        raise CatalogMismatch(
-            f"configured catalog {config.catalog_version!r} unavailable; this build provides {catalog.version!r}"
-        )
-    return catalog
-
-
 def _catalog_database(path, catalog):
     """The database at path, which must hold the features of `catalog`:
     its version, and its feature names in order."""
@@ -186,14 +161,15 @@ def _catalog_database(path, catalog):
 
 
 def cmd_extract(args, config: CliConfig) -> int:
-    catalog = _configured_catalog(config)
+    catalog = default_catalog()
     kind = LabelKind(args.kind)
     rows = []
     for pair_id, down, up, link_tag, client_tag in read_corpus(args.traces, args.labels):
         tag = link_tag if kind is LabelKind.LINK else client_tag
-        if kind is LabelKind.CLIENT and "+" in tag:
+        # The bank trains on what the gate passes: one fault or none, on a healthy link.
+        if kind is LabelKind.CLIENT and (len(parse_client_tag(tag)) > 1 or link_tag == "FAULTY"):
             raise ConfigError(
-                f"pair {pair_id!r} carries multiple faults {tag!r}; single-fault rows only for training"
+                f"pair {pair_id!r} has link {link_tag} and client {tag!r}; training takes single-fault rows of healthy links"
             )
         sig = extract_signature(read_pair(down, up), catalog)
         rows.append((sig.values, tag))
@@ -231,7 +207,7 @@ def _train_report(args, name: str, stage: clf.LpdClassifier | clf.CfModule) -> d
 
 
 def cmd_train(args, config: CliConfig) -> int:
-    db = _catalog_database(args.db, _configured_catalog(config))
+    db = _catalog_database(args.db, default_catalog())
     bundle = Path(args.out)
     if args.stage == "lpd":
         lpd = clf.train_lpd(db, config.lpd, link_profile=config.link_profile)
@@ -257,8 +233,8 @@ def cmd_diagnose(args, config: CliConfig) -> int:
 
 def _ground_truth(link_tag: str, client_tag: str, registry: dict[str, int]) -> GroundTruth:
     """The truth of one labels row, its tags read by the rule of `extract`;
-    a client tag may join several of the registry's faults with '+'."""
-    faults = frozenset() if client_tag == "HEALTHY" else frozenset(client_tag.split("+"))
+    a client tag may name several of the registry's faults."""
+    faults = parse_client_tag(client_tag)
     if any(read_tag(name, LabelKind.CLIENT, registry) == HEALTHY_CLIENT for name in faults):
         raise UnknownLabel(client_tag)
     return GroundTruth(read_tag(link_tag, LabelKind.LINK, {}) == LINK_FAULTY, faults)
@@ -270,7 +246,7 @@ def cmd_eval(args, config: CliConfig) -> int:
     # Every labels row is read before the first pair; the pairs are read one at a time.
     truths = [_ground_truth(link_tag, client_tag, cfd.fault_registry) for *_, link_tag, client_tag in corpus]
     labeled = ((read_pair(down, up), truth) for (_, down, up, *_), truth in zip(corpus, truths))
-    report = evaluate_verdicts(labeled, lpd, cfd, default_catalog())
+    report = evaluate_verdicts(labeled, lpd, cfd)
     out = Path(args.out)
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -359,15 +335,9 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config, args.seed)
         return args.func(args, config)
-    except CatalogMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NetdiagError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3 if args.command == "train" else 2
+        return exc.exit_code or (3 if args.command == "train" else 2)
 
 
 def entrypoint() -> None:

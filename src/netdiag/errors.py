@@ -1,13 +1,17 @@
-"""Exception types shared across the toolkit; each names the exit code
-`cli.main` turns it into."""
+"""Exception types shared across the toolkit.  Each carries the exit
+code `cli.main` turns it into, as its `exit_code`: 4 for a catalog
+mismatch, 2 for a usage error, and None for a failure to train, which
+exits 3 under train and 2 elsewhere."""
 
 
 class NetdiagError(Exception):
     """Base class for all toolkit errors."""
+    exit_code: int | None = None
 
 
 class MalformedRow(NetdiagError):
-    """A trace body row that does not parse; exit 2."""
+    """A trace body row that does not parse."""
+    exit_code = 2
 
     def __init__(self, row_index: int, reason: str):
         super().__init__(f"row {row_index}: {reason}")
@@ -16,27 +20,32 @@ class MalformedRow(NetdiagError):
 
 
 class BadHeader(NetdiagError):
-    """A trace whose header lines are missing or wrong; exit 2."""
+    """A trace whose header lines are missing or wrong."""
+    exit_code = 2
 
 
 class EmptyTrace(NetdiagError):
-    """A trace without packets to read, write or analyze; exit 2."""
+    """A trace without packets to read, write or analyze."""
+    exit_code = 2
 
 
 class IoFailure(NetdiagError):
-    """A file that cannot be read or written, or a refused field of one; exit 2."""
+    """A file that cannot be read or written, or a refused field of one."""
+    exit_code = 2
 
 
 class CatalogMismatch(NetdiagError):
-    """A configured catalog, database or bundle that is not this build's; exit 4."""
+    """A database or bundle that is not built for this build's catalog."""
+    exit_code = 4
 
 
 class DimensionMismatch(NetdiagError):
-    """Arrays whose shapes do not fit together; exit 3 under train, else 2."""
+    """Arrays whose shapes do not fit together."""
 
 
 class UnknownLabel(NetdiagError):
-    """A label tag outside the link tags or the fault registry; exit 2."""
+    """A label tag outside the link tags or the fault registry."""
+    exit_code = 2
 
     def __init__(self, tag: str):
         super().__init__(f"unknown label tag: {tag!r}")
@@ -44,14 +53,14 @@ class UnknownLabel(NetdiagError):
 
 
 class NonFiniteInput(NetdiagError):
-    """A NaN or Inf where a finite number is needed; exit 3 under train, else 2."""
+    """A NaN or Inf where a finite number is needed."""
 
 
 class TrainingError(NetdiagError):
     """Training data or settings a pipeline cannot train on: too few rows
-    or folds, a missing class, no candidate size, no support vector;
-    exit 3 under train, else 2."""
+    or folds, a missing class, no candidate size, no support vector."""
 
 
 class ConfigError(NetdiagError):
-    """A config, scenario, labels file, option value or database kind the command refuses; exit 2."""
+    """A config, scenario, labels file, option value or database kind the command refuses."""
+    exit_code = 2

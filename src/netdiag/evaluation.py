@@ -17,39 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifiers import CfdNetwork, LinkState, LpdClassifier, diagnose
-from .features import FeatureCatalog
+from .features import default_catalog
+from .scenarios import format_client_tag
 from .trace import TracePair
-
-
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    @property
-    def n(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
-    @property
-    def accuracy(self) -> float | None:
-        return (self.tp + self.tn) / self.n if self.n else None
-
-    @property
-    def false_positive_rate(self) -> float | None:
-        denom = self.fp + self.tn
-        return self.fp / denom if denom else None
-
-    def to_dict(self) -> dict:
-        return {
-            "tp": self.tp,
-            "fp": self.fp,
-            "tn": self.tn,
-            "fn": self.fn,
-            "accuracy": self.accuracy,
-            "false_positive_rate": self.false_positive_rate,
-        }
 
 
 @dataclass(frozen=True)
@@ -62,44 +32,51 @@ class GroundTruth:
             return "faulty_link"
         if not self.client_faults:
             return "default_client"
-        return "+".join(sorted(self.client_faults))
+        return format_client_tag(self.client_faults)
+
+
+def confusion(outcomes: Iterable[tuple[bool, bool]]) -> dict:
+    """The confusion counts and rates of (expected, detected) outcomes."""
+    counts = {"tp": 0, "fp": 0, "tn": 0, "fn": 0}
+    for expected, detected in outcomes:
+        counts[("tp" if detected else "fn") if expected else ("fp" if detected else "tn")] += 1
+    tp, fp, tn, fn = counts.values()
+    n = tp + fp + tn + fn
+    return {
+        **counts,
+        "accuracy": (tp + tn) / n if n else None,
+        "false_positive_rate": fp / (fp + tn) if fp + tn else None,
+    }
 
 
 def evaluate_verdicts(
-    labeled_pairs: Iterable[tuple[TracePair, GroundTruth]],
-    lpd: LpdClassifier,
-    cfd: CfdNetwork,
-    catalog: FeatureCatalog,
+    labeled_pairs: Iterable[tuple[TracePair, GroundTruth]], lpd: LpdClassifier, cfd: CfdNetwork
 ) -> dict:
     """Per-condition exact-verdict accuracy, the link gate's confusion and
-    per-fault confusion, taking the labeled pairs one at a time."""
+    per-fault confusion, taking the labeled pairs one at a time.  A fault
+    is scored on the pairs of a healthy link that the gate passed."""
+    catalog = default_catalog()
     by_condition: dict[str, list[bool]] = {}
-    gate_counts = {"tp": 0, "fp": 0, "tn": 0, "fn": 0}
-    fault_names = [m.fault_name for m in cfd.modules]
-    fault_counts = {name: {"tp": 0, "fp": 0, "tn": 0, "fn": 0} for name in fault_names}
+    gate: list[tuple[bool, bool]] = []
+    per_fault: dict[str, list[tuple[bool, bool]]] = {m.fault_name: [] for m in cfd.modules}
     for pair, truth in labeled_pairs:
         verdict = diagnose(lpd, cfd, pair, catalog)
-        if truth.link_faulty:
-            correct = verdict.link is LinkState.FAULTY
-        else:
-            correct = verdict.link is LinkState.HEALTHY and verdict.client_faults == truth.client_faults
-        by_condition.setdefault(truth.condition(), []).append(correct)
         flagged = verdict.link is LinkState.FAULTY
-        gate_counts[("tp" if flagged else "fn") if truth.link_faulty else ("fp" if flagged else "tn")] += 1
-        if not truth.link_faulty and verdict.link is LinkState.HEALTHY:
-            for name in fault_names:
-                expected = name in truth.client_faults
-                detected = name in verdict.client_faults
-                key = "tp" if expected and detected else "fn" if expected else "fp" if detected else "tn"
-                fault_counts[name][key] += 1
+        correct = flagged if truth.link_faulty else not flagged and verdict.client_faults == truth.client_faults
+        by_condition.setdefault(truth.condition(), []).append(correct)
+        gate.append((truth.link_faulty, flagged))
+        if not truth.link_faulty and not flagged:
+            for name, outcomes in per_fault.items():
+                outcomes.append((name in truth.client_faults, name in verdict.client_faults))
     conditions = {
         cond: {"n": len(flags), "accuracy": float(np.mean(flags))}
         for cond, flags in sorted(by_condition.items())
     }
-    per_fault = {
-        name: ConfusionMatrix(**counts).to_dict() for name, counts in fault_counts.items()
+    return {
+        "conditions": conditions,
+        "lpd": confusion(gate),
+        "per_fault": {name: confusion(outcomes) for name, outcomes in per_fault.items()},
     }
-    return {"conditions": conditions, "lpd": ConfusionMatrix(**gate_counts).to_dict(), "per_fault": per_fault}
 
 
 def _percent(rate: float | None, width: int) -> str:

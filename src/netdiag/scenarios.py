@@ -13,6 +13,8 @@ A corpus is a directory of trace pairs and one labels file:
   row per pair: its id, the link tag HEALTHY or FAULTY, and the client
   tag HEALTHY, a fault name of the registry, or several fault names
   joined by '+' for simultaneous faults (`read_buf+write_buf`).
+  `parse_client_tag` and `format_client_tag` are that tag's one reading
+  and one spelling.
 
 Every trace needs its partner and a row, and every row its two traces.
 `emit_corpus` writes the scenarios of each group into a subdirectory of
@@ -65,6 +67,17 @@ _FAULT_FIELDS = {
 _DEFAULT_CLIENT = ClientParams()
 
 
+def parse_client_tag(tag: str) -> frozenset[str]:
+    """The fault names of a client tag: none for HEALTHY, else the names
+    joined by '+'.  Whether each is a known fault is the caller's check."""
+    return frozenset() if tag == "HEALTHY" else frozenset(tag.split("+"))
+
+
+def format_client_tag(faults) -> str:
+    """The client tag of a set of fault names: HEALTHY, or the names sorted and joined by '+'."""
+    return "+".join(sorted(faults)) or "HEALTHY"
+
+
 @dataclass(frozen=True)
 class Scenario:
     id: str
@@ -81,15 +94,15 @@ class Scenario:
     @property
     def client_label(self) -> str:
         """HEALTHY, or the registry faults `_FAULT_FIELDS` reads off the
-        client, sorted by name and joined by '+' as `eval` spells them: a
-        fault whose first field differs from the ClientParams default and
-        was not set by an earlier fault."""
+        client, spelled by `format_client_tag`: a fault whose first field
+        differs from the ClientParams default and was not set by an
+        earlier fault."""
         faults, claimed = [], set()
         for fault, names in _FAULT_FIELDS.items():
             if names[0] not in claimed and getattr(self.client, names[0]) != getattr(_DEFAULT_CLIENT, names[0]):
                 faults.append(fault)
                 claimed.update(names)
-        return "+".join(sorted(faults)) or "HEALTHY"
+        return format_client_tag(faults)
 
     def simulate(self) -> TracePair:
         try:
@@ -99,10 +112,10 @@ class Scenario:
 
 
 def client_for(condition: str, level: int, profile: CwndProfile, seed: int) -> ClientParams:
-    """The client of a condition: HEALTHY, a registry fault, or faults joined by '+'."""
+    """The client of a condition, a client tag of the registry's faults."""
     buf = BUFFER_LEVELS[level % len(BUFFER_LEVELS)]
     fields = {}
-    for fault in () if condition == "HEALTHY" else condition.split("+"):
+    for fault in parse_client_tag(condition):
         if fault not in _FAULT_FIELDS:
             raise ConfigError(f"unknown client condition {condition!r}")
         for name in _FAULT_FIELDS[fault]:

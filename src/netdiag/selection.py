@@ -1,13 +1,14 @@
 """Hybrid feature selection: t-test ranking, then a cross-validated
 sweep over subset sizes.
 
-Features are ranked by the absolute two-sample t-statistic between the
-positive and negative class, then candidate prefix sizes are scored by
-stratified k-fold cross-validation of an SVM trained on the prefix.
-Smallest size wins ties.  The chosen indices always form a prefix of the
-ranking, named only by the `SelectionReport`; the final model is trained
-on those columns of the rows, which the caller scaled and keeps the
-scaler of.  A `PipelineConfig` holds every setting of one such pipeline.
+`rank_features` returns the ranking: the column indices ordered by the
+absolute two-sample t-statistic between the +1 and the -1 rows.  Then
+candidate prefix sizes of it are scored by stratified k-fold
+cross-validation of an SVM trained on the prefix.  Smallest size wins
+ties.  The chosen indices always form a prefix of the ranking, named
+only by the `SelectionReport`; the final model is trained on those
+columns of the rows, which the caller scaled and keeps the scaler of.
+A `PipelineConfig` holds every setting of one such pipeline.
 
 The CV loop is split so that several pipelines share one lockstep
 solve: `cv_grid` checks one pipeline's inputs and lays out its dual
@@ -64,12 +65,6 @@ class PipelineConfig:
 
 
 @dataclass(frozen=True)
-class TTestRanking:
-    t_statistic: np.ndarray  # per feature, signed
-    abs_t_order: tuple[int, ...]  # indices by |t| descending, ties by index
-
-
-@dataclass(frozen=True)
 class SelectionReport:
     candidate_sizes: tuple[int, ...]
     cv_accuracy: tuple[float, ...]
@@ -95,16 +90,16 @@ def t_statistic(a, b) -> float | np.ndarray:
     return float(t) if a.ndim == 1 else t
 
 
-def rank_features(db: SignatureDatabase, positive_label: int, negative_label: int) -> TTestRanking:
-    mask_a = db.y == positive_label
-    mask_b = db.y == negative_label
+def rank_features(db: SignatureDatabase) -> tuple[int, ...]:
+    """The column indices of db by |t| between its +1 and -1 rows,
+    largest first, ties by index."""
+    mask_a, mask_b = db.y == 1, db.y == -1
     if mask_a.sum() < 2 or mask_b.sum() < 2:
         raise TrainingError(
             f"need >= 2 rows per class, got {int(mask_a.sum())} positive / {int(mask_b.sum())} negative"
         )
     t = t_statistic(db.X[mask_a], db.X[mask_b])
-    order = sorted(range(db.m), key=lambda i: (-abs(t[i]), i))
-    return TTestRanking(t_statistic=t, abs_t_order=tuple(order))
+    return tuple(sorted(range(db.m), key=lambda i: (-abs(t[i]), i)))
 
 
 def stratified_folds(y: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
@@ -216,7 +211,7 @@ def solve_grids(grids) -> list[tuple[SvmModel, SelectionReport]]:
     return [grid.fit(itertools.islice(states, len(grid))) for grid in grids]
 
 
-def cv_grid(db: SignatureDatabase, ranking: TTestRanking, config: PipelineConfig) -> CvGrid:
+def cv_grid(db: SignatureDatabase, ranking: tuple[int, ...], config: PipelineConfig) -> CvGrid:
     """The CV problems that score each candidate prefix size of the
     ranking over stratified folds of db, whose rows are scaled.
     Every input error is raised here, before any problem is solved."""
@@ -228,7 +223,7 @@ def cv_grid(db: SignatureDatabase, ranking: TTestRanking, config: PipelineConfig
     train_rows = [np.flatnonzero(np.bincount(fold, minlength=db.n) == 0) for fold in fold_idx]
     if any(len(set(db.y[rows].tolist())) < 2 for rows in train_rows):
         raise TrainingError("a training fold lost one of the classes")
-    order = np.asarray(ranking.abs_t_order, dtype=np.int64)
+    order = np.asarray(ranking, dtype=np.int64)
     check_training_data(db.X[:, order[: sizes[-1]]], db.y.astype(np.float64))
     return CvGrid(
         db=db,
@@ -240,7 +235,7 @@ def cv_grid(db: SignatureDatabase, ranking: TTestRanking, config: PipelineConfig
     )
 
 
-def wrapper_select(db: SignatureDatabase, ranking: TTestRanking, config: PipelineConfig) -> SelectionReport:
+def wrapper_select(db: SignatureDatabase, ranking: tuple[int, ...], config: PipelineConfig) -> SelectionReport:
     """Score prefix sizes by stratified CV; best objective wins, then
     smaller size.  Objective = accuracy - fp_penalty * fp_rate."""
     return solve_grids([cv_grid(db, ranking, config)])[0][1]

@@ -1,6 +1,7 @@
 """Operator CLI: solver telemetry from train, typed errors from corrupt bundles."""
 
 import functools
+import hashlib
 import json
 import operator
 import shutil
@@ -575,6 +576,17 @@ def test_repeated_label_id_exits_2_naming_it(trained, tmp_path):
     assert not out.exists()
 
 
+def test_client_row_on_a_faulty_link_exits_2_naming_it(trained, tmp_path):
+    # It once trained the bank as a healthy client or as its fault, though
+    # the gate stops every such pair before the bank scores it.
+    traces = _traces(trained, tmp_path, [("a", "HEALTHY", "HEALTHY"), ("b", "FAULTY", "read_buf")])
+    out = tmp_path / "client.json"
+    code, _, err = _run("extract", "--traces", str(traces), "--kind", "client", "--out", str(out))
+    assert code == 2 and "Traceback" not in err
+    assert err.startswith("error:") and "'b'" in err
+    assert not out.exists()
+
+
 # Each labels row once exited 0: the link tag read as a healthy link, or the
 # unknown fault scored as missed.
 @pytest.mark.parametrize(
@@ -781,10 +793,8 @@ def test_train_for_a_foreign_catalog_exits_4(tmp_path, stage, db_index):
     # A bundle made for a catalog this build lacks is one no build loads.
     db = tmp_path / "db.json"
     save_database(replace(load_database(_databases(tmp_path)[db_index]), catalog_version="v2"), db)
-    config = tmp_path / "config.json"
-    config.write_text('{"catalog_version": "v2"}', encoding="utf-8")
     out = tmp_path / "bundle"
-    code, _, err = _run("train", "--config", str(config), "--db", str(db), "--stage", stage, "--out", str(out))
+    code, _, err = _run("train", "--db", str(db), "--stage", stage, "--out", str(out))
     assert code == 4 and "Traceback" not in err
     assert err.startswith("error:") and "'v2'" in err
     assert not out.exists()
@@ -873,6 +883,8 @@ def test_synth_needs_exactly_one_of_preset_and_scenario(tmp_path, both):
         ('{"cfd": {"default": {"C": 1e-308}}}', "C"),
         # a sigma without a variant keeps the module's kernel, which has none
         ('{"cfd": {"read_buf": {"kernel": {"sigma": 1.0}}}}', "cubic kernel"),
+        # the catalog is always this build's, so a config names none, not even it
+        (json.dumps({"catalog_version": CATALOG.version}), "catalog_version"),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, text, named):
@@ -1083,7 +1095,7 @@ def test_fuzzed_labels_exit_with_a_documented_code(trained, labelled, data):
 _PIPELINE = {"kernel": {"variant": "rbf", "sigma": 2.0}, "C": 5.0, "max_iter": 200, "tol": 0.002,
              "candidate_sizes": [4, 8], "cv_folds": 3, "fp_penalty": 0.5}
 FUZZ_CONFIG = {
-    "catalog_version": CATALOG.version, "seed": 3, "fault_registry": dict(DEFAULT_FAULT_REGISTRY),
+    "seed": 3, "fault_registry": dict(DEFAULT_FAULT_REGISTRY),
     "link_profile": "edge", "lpd": _PIPELINE,
     "cfd": {"default": _PIPELINE, "read_buf": dict(_PIPELINE, kernel={"variant": "linear"}, candidate_sizes=[6])},
 }
@@ -1095,6 +1107,18 @@ def _train_in(work, *argv):
     code, _, err = _run("train", *argv, "--out", str(work / "bundle"))
     assert code in (0, 2, 3, 4, 10, 20), err
     assert "Traceback" not in err
+
+
+def test_unfuzzed_config_trains_both_stages(trained):
+    # The fuzz below accepts exit 2, so a seed config every build refused
+    # would pass it without one example reaching training.
+    work = trained[0].parent / "unfuzzed_config"
+    work.mkdir(exist_ok=True)
+    (work / "config.json").write_text(json.dumps(FUZZ_CONFIG), encoding="utf-8")
+    for stage, db in (("lpd", "link.json"), ("cfd", "client.json")):
+        argv = ("train", "--config", str(work / "config.json"), "--db", str(trained[0].parent / db), "--stage", stage)
+        code, _, err = _run(*argv, "--out", str(work / "bundle"))
+        assert code == 0, err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1237,6 +1261,12 @@ def test_non_utf8_file_exits_2_naming_it(trained, tmp_path, reader):
 
 
 
+EVAL_DIGESTS = {
+    "eval.json": "63b75153cc3408399dd4a7c7484a4e6f454cda05de25710ceaae1cf0f2244d6a",
+    "eval.txt": "553806a408812525fa69d1bd8b3e6d98c45149988531e5d396f814ba3c828015",
+}
+
+
 def test_operator_path_from_synth_to_eval(tmp_path):
     # synth -> extract -> train both stages -> diagnose -> eval on a real
     # paper-matrix corpus: the link rows and the report span every group.
@@ -1247,9 +1277,12 @@ def test_operator_path_from_synth_to_eval(tmp_path):
         code, out, err = _run("extract", "--traces", str(traces), "--kind", kind, "--out", str(tmp_path / f"{kind}.json"))
         assert code == 0, err
         assert json.loads(out)["rows"] == rows
-    # Training takes single faults; the compounds of `multi` are refused.
-    code, _, err = _run("extract", "--traces", str(corpus), "--kind", "client", "--out", str(tmp_path / "all.json"))
-    assert code == 2 and "'cf_read_buf_and_write_buf_000'" in err
+    # Bank training takes single faults on healthy links: the faulty links
+    # of `link`, met first, and the compounds of `multi` are refused.
+    for traces, pair_id in ((corpus, "link_faulty_000"), (corpus / "multi", "cf_read_buf_and_write_buf_000")):
+        code, _, err = _run("extract", "--traces", str(traces), "--kind", "client", "--out", str(tmp_path / "all.json"))
+        assert code == 2 and f"'{pair_id}'" in err
+        assert not (tmp_path / "all.json").exists()
     for stage, kind in (("lpd", "link"), ("cfd", "client")):
         code, _, err = _run("train", "--db", str(tmp_path / f"{kind}.json"), "--stage", stage, "--out", str(bundle))
         assert code == 0, err
@@ -1266,3 +1299,5 @@ def test_operator_path_from_synth_to_eval(tmp_path):
     )
     assert sum(row["n"] for row in report["conditions"].values()) == 40
     assert sorted(path.name for path in (tmp_path / "report").iterdir()) == ["eval.json", "eval.txt"]
+    # The report holds only counts and rates; these digests pin it byte for byte.
+    assert {name: hashlib.sha256((tmp_path / "report" / name).read_bytes()).hexdigest() for name in EVAL_DIGESTS} == EVAL_DIGESTS

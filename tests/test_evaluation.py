@@ -12,7 +12,7 @@ from synthetic import ClassArtifactSpec, synthetic_database
 from netdiag import evaluation
 from netdiag.classifiers import LpdClassifier, PipelineConfig, Verdict, fit_pipeline, model_predict
 from netdiag.errors import TrainingError
-from netdiag.evaluation import ConfusionMatrix, GroundTruth, evaluate_verdicts, render_report
+from netdiag.evaluation import GroundTruth, confusion, evaluate_verdicts, render_report
 from netdiag.selection import stratified_folds
 from netdiag.svm import KernelSpec, SvmConfig
 
@@ -32,22 +32,27 @@ def cv_accuracy(db, **changes) -> float:
     return accuracy
 
 
+def counted(tp=0, fp=0, tn=0, fn=0) -> dict:
+    """The confusion row of the given counts, from (expected, detected) outcomes."""
+    return confusion([(True, True)] * tp + [(False, True)] * fp + [(False, False)] * tn + [(True, False)] * fn)
+
+
 class TestConfusion:
     def test_counts_and_rates(self):
-        cm = ConfusionMatrix(tp=1, fp=1, tn=2, fn=1)
-        assert cm.accuracy == pytest.approx(3 / 5)
-        assert cm.false_positive_rate == pytest.approx(1 / 3)
-        assert cm.n == 5
+        cm = counted(tp=1, fp=1, tn=2, fn=1)
+        assert list(cm) == ["tp", "fp", "tn", "fn", "accuracy", "false_positive_rate"]
+        assert [cm[key] for key in ("tp", "fp", "tn", "fn")] == [1, 1, 2, 1]
+        assert cm["accuracy"] == pytest.approx(3 / 5)
+        assert cm["false_positive_rate"] == pytest.approx(1 / 3)
 
     def test_empty_row_is_not_applicable(self):
-        cm = ConfusionMatrix(0, 0, 0, 0)
-        assert cm.accuracy is None and cm.false_positive_rate is None
-        d = cm.to_dict()
+        d = counted()
+        assert d["accuracy"] is None and d["false_positive_rate"] is None
         assert json.loads(json.dumps(d))["accuracy"] is None
         report = {
             "conditions": {"default_client": {"n": 2, "accuracy": 0.5}},
-            "lpd": ConfusionMatrix(tp=0, fp=0, tn=2, fn=0).to_dict(),
-            "per_fault": {"read_buf": d, "write_buf": ConfusionMatrix(tp=1, fp=0, tn=0, fn=1).to_dict()},
+            "lpd": counted(tn=2),
+            "per_fault": {"read_buf": d, "write_buf": counted(tp=1, fn=1)},
         }
         lines = render_report(report).splitlines()
         assert lines[1] == "default_client      2    50.00%"
@@ -73,9 +78,9 @@ class TestConfusion:
 
         monkeypatch.setattr(evaluation, "diagnose", canned)
         bank = SimpleNamespace(modules=(SimpleNamespace(fault_name="read_buf"),))
-        report = evaluate_verdicts([(k, truth) for k, (truth, _, _) in enumerate(cases)], None, bank, None)
-        assert report["lpd"] == ConfusionMatrix(tp=1, fp=2, tn=1, fn=1).to_dict()
-        assert report["per_fault"]["read_buf"] == ConfusionMatrix(0, 0, 1, 0).to_dict()
+        report = evaluate_verdicts([(k, truth) for k, (truth, _, _) in enumerate(cases)], None, bank)
+        assert report["lpd"] == counted(tp=1, fp=2, tn=1, fn=1)
+        assert report["per_fault"]["read_buf"] == counted(tn=1)
         assert render_report(report).splitlines()[-2:] == [
             "link gate    tp   fp   tn   fn  accuracy  fp_rate",
             "lpd           1    2    1    1    40.00%   66.67%",

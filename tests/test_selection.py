@@ -99,43 +99,36 @@ class TestRanking:
     def test_perfect_separator_first(self):
         X = np.array([[1.0, 5.0], [1.0, 5.0], [0.0, 5.0], [0.0, 5.0]])
         db = db_from(X, [1, 1, -1, -1])
-        r = rank_features(db, 1, -1)
-        assert r.abs_t_order == (0, 1)
-        assert r.t_statistic[1] == 0.0
+        assert rank_features(db) == (0, 1)
+        assert t_statistic(X[:2], X[2:])[1] == 0.0
 
-    def test_label_swap_negates(self):
+    def test_negated_labels_negate_t_and_keep_the_order(self):
         rng = np.random.default_rng(2)
         X = rng.normal(size=(20, 5))
         y = np.array([1] * 10 + [-1] * 10)
-        r1 = rank_features(db_from(X, y), 1, -1)
-        r2 = rank_features(db_from(X, y), -1, 1)
-        assert np.allclose(r1.t_statistic, -r2.t_statistic)
-        assert r1.abs_t_order == r2.abs_t_order
+        assert np.allclose(t_statistic(X[y == 1], X[y == -1]), -t_statistic(X[-y == 1], X[-y == -1]))
+        assert rank_features(db_from(X, y)) == rank_features(db_from(X, -y))
 
     def test_matches_per_column_oracle(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(40, 10)) * 10
         y = np.array([1] * 22 + [-1] * 18)
         db = db_from(X, y)
-        r = rank_features(db, 1, -1)
         ts = [oracle_t(X[y == 1, j].tolist(), X[y == -1, j].tolist()) for j in range(10)]
-        assert np.allclose(r.t_statistic, ts, rtol=1e-9)
+        assert np.allclose(t_statistic(X[y == 1], X[y == -1]), ts, rtol=1e-9)
         order = sorted(range(10), key=lambda j: (-abs(ts[j]), j))
-        assert r.abs_t_order == tuple(order)
+        assert rank_features(db) == tuple(order)
 
     def test_missing_class(self):
         db = db_from([[1.0], [2.0], [3.0]], [1, 1, 1])
         with pytest.raises(TrainingError, match="need >= 2 rows per class"):
-            rank_features(db, 1, -1)
+            rank_features(db)
 
     def test_determinism(self):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(30, 8))
         y = np.array([1, -1] * 15)
-        r1 = rank_features(db_from(X, y), 1, -1)
-        r2 = rank_features(db_from(X, y), 1, -1)
-        assert np.array_equal(r1.t_statistic, r2.t_statistic)
-        assert r1.abs_t_order == r2.abs_t_order
+        assert rank_features(db_from(X, y)) == rank_features(db_from(X, y))
 
 
 class TestFolds:
@@ -175,22 +168,22 @@ class TestWrapper:
 
     def test_finds_informative_features(self):
         db, _ = scale_database(make_informative_db())
-        ranking = rank_features(db, 1, -1)
+        ranking = rank_features(db)
         report = wrapper_select(db, ranking, PipelineConfig(self.CFG, (2, 5, 10), cv_folds=5, seed=0))
-        assert set(ranking.abs_t_order[:2]) == {3, 7}
+        assert set(ranking[:2]) == {3, 7}
         assert set(report.chosen_indices) >= {3, 7}
         assert report.cv_accuracy[report.candidate_sizes.index(report.chosen_q)] == 1.0
 
     def test_single_candidate_all_features(self):
         db, _ = scale_database(make_informative_db())
-        ranking = rank_features(db, 1, -1)
+        ranking = rank_features(db)
         report = wrapper_select(db, ranking, PipelineConfig(self.CFG, (db.m,), cv_folds=4))
         assert report.chosen_q == db.m
-        assert report.chosen_indices == ranking.abs_t_order
+        assert report.chosen_indices == ranking
 
     def test_tie_prefers_smaller(self):
         db, _ = scale_database(make_informative_db())
-        ranking = rank_features(db, 1, -1)
+        ranking = rank_features(db)
         report = wrapper_select(db, ranking, PipelineConfig(self.CFG, (2, 4), cv_folds=5))
         accs = dict(zip(report.candidate_sizes, report.cv_accuracy))
         if accs[2] == accs[4]:
@@ -198,13 +191,13 @@ class TestWrapper:
 
     def test_chosen_is_prefix_of_ranking(self):
         db, _ = scale_database(make_informative_db(seed=5))
-        ranking = rank_features(db, 1, -1)
+        ranking = rank_features(db)
         report = wrapper_select(db, ranking, PipelineConfig(self.CFG, (3, 6), cv_folds=4))
-        assert report.chosen_indices == ranking.abs_t_order[: report.chosen_q]
+        assert report.chosen_indices == ranking[: report.chosen_q]
         assert all(0 <= a <= 1 for a in report.cv_accuracy)
 
     def test_default_sizes_clip_to_m(self):
         db, _ = scale_database(make_informative_db(m=8))
-        ranking = rank_features(db, 1, -1)
+        ranking = rank_features(db)
         report = wrapper_select(db, ranking, PipelineConfig(self.CFG, DEFAULT_CANDIDATE_SIZES + (db.m,), cv_folds=4))
         assert all(q <= db.m for q in report.candidate_sizes)

@@ -51,8 +51,8 @@ class TestRankingSeparation:
     def test_informative_outrank_noise(self):
         pos, neg = spec_pair()
         db, _ = scale_database(synthetic_database([pos, neg], n_per_class=100, seed=4))
-        ranking = rank_features(db, 1, -1)
-        assert set(ranking.abs_t_order[:2]) == {3, 7}
+        ranking = rank_features(db)
+        assert set(ranking[:2]) == {3, 7}
 
     def test_280_dim_top25_coverage(self):
         # 20 informative features land in the top 25 ranks almost surely
@@ -64,8 +64,8 @@ class TestRankingSeparation:
             pos = ClassArtifactSpec(m=280, informative=informative_pos, jitter=0.05, label=1)
             neg = ClassArtifactSpec(m=280, informative=informative_neg, jitter=0.05, label=-1)
             db, _ = scale_database(synthetic_database([pos, neg], n_per_class=100, seed=derive_seed(99, seed)))
-            ranking = rank_features(db, 1, -1)
-            top25 = set(ranking.abs_t_order[:25])
+            ranking = rank_features(db)
+            top25 = set(ranking[:25])
             hits.append(len(top25 & set(rng_targets)))
         assert all(h >= 18 for h in hits), hits
 
